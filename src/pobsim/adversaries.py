@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .chain import Block, fork_choice
+from .chain import Block, fork_choice, signer_weight
 from .scoring import ActionKind, BehaviorRecord, MotivationProfile
 from .weights import WeightTable
 
@@ -96,7 +96,11 @@ class HonestShape:
 
 @dataclass
 class EpochContext:
-    """Everything a strategy may look at when emitting behaviors."""
+    """Everything a strategy may look at when emitting behaviors.
+
+    The simulation keeps one context per validator for a whole trial and
+    sets `epoch` and `is_proposer` before each call.
+    """
 
     epoch: int
     vid: str
@@ -108,7 +112,7 @@ class EpochContext:
 
 @dataclass
 class ValidatorState:
-    """Identity, weight-relevant bookkeeping and the (label-only) role.
+    """Identity, lifetime and the (label-only) role.
 
     The `role` label and `strategy` internals are for the harness and
     metrics; protocol operations receive only ids, behaviors and weights.
@@ -119,17 +123,9 @@ class ValidatorState:
     role: str
     join_epoch: int = 0
     retired_epoch: Optional[int] = None
-    stake: float = 0.0
-    initial_weight: float = 0.0
-    initial_stake: float = 0.0
-    offense_count: int = 0
 
     def alive(self, epoch: int) -> bool:
         return self.join_epoch <= epoch and self.retired_epoch is None
-
-    @property
-    def is_adversarial(self) -> bool:
-        return self.role != "honest"
 
 
 def _honest_record(ctx: EpochContext) -> BehaviorRecord:
@@ -386,13 +382,13 @@ def long_range_fork_outcome(
             parent=tip,
             timestamp_ms=main_tip.timestamp_ms,
             cumulative_utility=claimed,
-            signer_weight=sum(table.entries.get(s, 0.0) for s in signers),
+            signer_weight=signer_weight(signers, table),
             signers=frozenset(signers),
         )
     winner = fork_choice(main_tip, tip, table)
     return {
         "adopted": winner is tip,
         "checkpoint_height": checkpoint.height,
-        "fork_signer_weight": sum(table.entries.get(s, 0.0) for s in signers),
-        "main_signer_weight": sum(table.entries.get(s, 0.0) for s in sorted(main_tip.signers)),
+        "fork_signer_weight": signer_weight(signers, table),
+        "main_signer_weight": signer_weight(main_tip.signers, table),
     }

@@ -10,9 +10,9 @@ ties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .scoring import BehaviorRecord, total_utility
+from .scoring import BehaviorRecord
 from .weights import WeightTable
 
 
@@ -47,17 +47,25 @@ def genesis_block() -> Block:
     )
 
 
+def signer_weight(signers: Iterable[str], table: WeightTable) -> float:
+    """Current weight of the distinct signers, summed in id order."""
+    return sum(table.entries.get(s, 0.0) for s in sorted(set(signers)))
+
+
 def extend_chain(
     parent: Block,
     proposer: str,
     behaviors: Sequence[BehaviorRecord],
+    utility: float,
     timestamp_ms: float,
     signers: Sequence[str],
     table: WeightTable,
 ) -> Block:
-    """Append a block; cumulative utility and signer weight are derived."""
-    utility = sum(total_utility(b) for b in behaviors)
-    signer_weight = sum(table.entries.get(s, 0.0) for s in sorted(set(signers)))
+    """Append a block carrying `behaviors`, whose summed utility is `utility`.
+
+    Cumulative utility and signer weight are derived from the parent and
+    the current table.
+    """
     return Block(
         height=parent.height + 1,
         proposer=proposer,
@@ -65,23 +73,8 @@ def extend_chain(
         parent=parent,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
-        signer_weight=signer_weight,
+        signer_weight=signer_weight(signers, table),
         signers=frozenset(signers),
-    )
-
-
-def resign_tip(tip: Block, table: WeightTable) -> Block:
-    """Re-evaluate a tip's endorsement weight against the current table."""
-    signer_weight = sum(table.entries.get(s, 0.0) for s in sorted(tip.signers))
-    return Block(
-        height=tip.height,
-        proposer=tip.proposer,
-        behaviors=tip.behaviors,
-        parent=tip.parent,
-        timestamp_ms=tip.timestamp_ms,
-        cumulative_utility=tip.cumulative_utility,
-        signer_weight=signer_weight,
-        signers=tip.signers,
     )
 
 
@@ -91,10 +84,10 @@ def fork_choice(tip_a: Block, tip_b: Block, table: WeightTable) -> Block:
     Ties fall back to cumulative utility, then to the lower proposer id,
     so the choice is total and deterministic.
     """
-    a = resign_tip(tip_a, table)
-    b = resign_tip(tip_b, table)
-    if a.signer_weight != b.signer_weight:
-        return tip_a if a.signer_weight > b.signer_weight else tip_b
-    if a.cumulative_utility != b.cumulative_utility:
-        return tip_a if a.cumulative_utility > b.cumulative_utility else tip_b
-    return tip_a if a.proposer <= b.proposer else tip_b
+    weight_a = signer_weight(tip_a.signers, table)
+    weight_b = signer_weight(tip_b.signers, table)
+    if weight_a != weight_b:
+        return tip_a if weight_a > weight_b else tip_b
+    if tip_a.cumulative_utility != tip_b.cumulative_utility:
+        return tip_a if tip_a.cumulative_utility > tip_b.cumulative_utility else tip_b
+    return tip_a if tip_a.proposer <= tip_b.proposer else tip_b

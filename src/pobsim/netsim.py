@@ -15,7 +15,6 @@ iteration order is sorted, so re-runs are bit-identical.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import random
 from dataclasses import dataclass, field
@@ -38,54 +37,22 @@ from .rewards import Payout, RewardSchedule, distribute
 from .rng import RngHub
 from .scoring import (
     ActionKind,
-    ActivenessInputs,
     BehaviorRecord,
     MotivationProfile,
-    activeness,
+    activeness_blend,
+    check_betas,
     diversity_index,
-    flag_anomalous,
+    looks_scripted,
     outcome_utility,
     total_utility,
 )
 from .watchdog import SuspicionReport, Verdict, process_epoch_suspicions
-from .weights import (
-    LeaderElectionParams,
-    WeightTable,
-    select_proposer,
-    update_weights,
-)
+from .weights import WeightTable, select_proposer, update_weights
 
 
 # ---------------------------------------------------------------------------
-# Simulated clock
+# Message latency
 # ---------------------------------------------------------------------------
-
-class SimClock:
-    """Event queue keyed by (time, insertion sequence).
-
-    Events dequeue in non-decreasing time; ties resolve by insertion
-    order, which makes every run fully deterministic.
-    """
-
-    def __init__(self):
-        self.now = 0.0
-        self._seq = 0
-        self._queue: list[tuple[float, int, object]] = []
-
-    def schedule(self, at: float, payload: object) -> None:
-        if at < self.now:
-            raise ValueError(f"cannot schedule event at {at} before now={self.now}")
-        heapq.heappush(self._queue, (at, self._seq, payload))
-        self._seq += 1
-
-    def pop(self) -> object:
-        at, _, payload = heapq.heappop(self._queue)
-        self.now = at
-        return payload
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -178,36 +145,6 @@ def ledger_to_json(ledger: EpochLedger) -> str:
 # Block confirmation
 # ---------------------------------------------------------------------------
 
-def confirm_block(votes: Mapping[str, bool], table: WeightTable, quorum: Fraction) -> bool:
-    """Weighted quorum check with an exact rational comparison.
-
-    Confirmed iff the yes-voters' weight is at least `quorum` times the
-    weight of all voters. Exact Fraction arithmetic keeps boundary cases
-    (yes-weight exactly at quorum) from flipping on float rounding.
-    """
-    if not 0 < quorum <= 1:
-        raise ValueError(f"quorum {quorum} outside (0, 1]")
-    yes = Fraction(0)
-    total = Fraction(0)
-    for vid in sorted(votes):
-        w = Fraction(table.entries[vid])
-        total += w
-        if votes[vid]:
-            yes += w
-    return yes >= quorum * total
-
-
-def _quorum_reached(acc: float, total: float, quorum: Fraction) -> bool:
-    """Float fast path with an exact check near the boundary."""
-    target = float(quorum) * total
-    slack = 1e-12 * max(1.0, abs(total))
-    if acc > target + slack:
-        return True
-    if acc < target - slack:
-        return False
-    return Fraction(acc) >= quorum * Fraction(total)
-
-
 def simulate_confirmation(
     alive: Sequence[str],
     weight_of: Mapping[str, float],
@@ -221,26 +158,34 @@ def simulate_confirmation(
 
     The proposal reaches validator i after one message delay; its vote
     arrives one more delay later. Each stage adds a fixed processing
-    cost. Confirmation happens the instant accumulated yes-weight crosses
-    the quorum. Everyone votes yes here; dissent is modeled at the
-    behavior level, not the transport level.
+    cost. Votes are counted in arrival order, ties in `alive` order, and
+    the block confirms the instant the accumulated yes-weight reaches
+    `quorum` times the total weight. Everyone votes yes here; dissent is
+    modeled at the behavior level, not the transport level.
     """
-    clock = SimClock()
+    if not 0 < quorum <= 1:
+        raise ValueError(f"quorum {quorum} outside (0, 1]")
     samples: list[float] = []
-    total = sum(weight_of[v] for v in alive)
-    for vid in alive:
+    arrivals: list[float] = []
+    for _ in alive:
         d_prop = latency.sample(rng_proposal)
         d_vote = latency.sample(rng_vote)
         samples.append(d_prop)
         samples.append(d_vote)
-        arrival = processing_ms + d_prop + processing_ms + d_vote
-        clock.schedule(arrival, (vid, weight_of[vid]))
+        arrivals.append(processing_ms + d_prop + processing_ms + d_vote)
+    weights = [weight_of[v] for v in alive]
+    total = sum(weights)
+    # Float comparison outside a slack band around the target; inside it
+    # an exact rational check, so a vote landing exactly on the quorum
+    # cannot flip on rounding.
+    target = float(quorum) * total
+    slack = 1e-12 * max(1.0, abs(total))
+    above, below = target + slack, target - slack
     acc = 0.0
-    while len(clock):
-        _, w = clock.pop()
-        acc += w
-        if _quorum_reached(acc, total, quorum):
-            return True, clock.now, samples
+    for i in sorted(range(len(arrivals)), key=arrivals.__getitem__):
+        acc += weights[i]
+        if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
+            return True, arrivals[i], samples
     return False, None, samples
 
 
@@ -409,6 +354,8 @@ class _TrialState:
     latency: LatencyModel
     schedule: RewardSchedule
     offense_counts: dict[str, int] = field(default_factory=dict)
+    # One behavior context per validator, created when it first acts.
+    contexts: dict[str, adv.EpochContext] = field(default_factory=dict)
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
     fork_cfg: Optional[dict] = None
     pending_events: list[dict] = field(default_factory=list)
@@ -489,11 +436,6 @@ def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialStat
             slash_fraction=config.pos_slash_fraction,
         )
 
-    for vid in ids:
-        validators[vid].initial_weight = entries[vid]
-        validators[vid].initial_stake = stake_map[vid]
-        validators[vid].stake = stake_map[vid]
-
     if config.newcomer_epoch is not None:
         vid = "newcomer"
         validators[vid] = adv.ValidatorState(
@@ -538,12 +480,8 @@ def _apply_joins(state: _TrialState, epoch: int) -> list[dict]:
             state.table = state.table.with_entry(vid, join_weight)
             if join_weight > 0.0:
                 state.table = state.table.normalized()
-            vs.initial_weight = join_weight
             if state.stakes is not None:
-                join_stake = state.config.stake_xmin
-                state.stakes.stakes[vid] = join_stake
-                vs.initial_stake = join_stake
-                vs.stake = join_stake
+                state.stakes.stakes[vid] = state.config.stake_xmin
             events.append({"kind": "join", "id": vid, "role": vs.role, "epoch": epoch})
     return events
 
@@ -551,22 +489,85 @@ def _apply_joins(state: _TrialState, epoch: int) -> list[dict]:
 def _generate_behaviors(state: _TrialState, epoch: int, alive: list[str],
                         proposer: str) -> list[BehaviorRecord]:
     behaviors: list[BehaviorRecord] = []
+    contexts = state.contexts
     for vid in alive:
-        ctx = adv.EpochContext(
-            epoch=epoch,
-            vid=vid,
-            is_proposer=(vid == proposer),
-            rng_behavior=state.hub.stream(f"behavior/{vid}"),
-            rng_adversary=state.hub.stream(f"adversary/{vid}"),
-            shape=state.shape,
-        )
+        ctx = contexts.get(vid)
+        if ctx is None:
+            ctx = contexts[vid] = adv.EpochContext(
+                epoch=epoch,
+                vid=vid,
+                is_proposer=False,
+                rng_behavior=state.hub.stream(f"behavior/{vid}"),
+                rng_adversary=state.hub.stream(f"adversary/{vid}"),
+                shape=state.shape,
+            )
+        ctx.epoch = epoch
+        ctx.is_proposer = vid == proposer
         behaviors.extend(state.validators[vid].strategy.behaviors(ctx))
     return behaviors
 
 
+@dataclass
+class _EpochFacts:
+    """What the rest of an epoch reads about its behavior records.
+
+    Built in one pass over the records, so each record's utility and
+    each actor's activeness inputs are computed once.
+    """
+
+    scores: dict[str, float]  # alive id -> summed utility of its records
+    utility: float  # summed utility of every record, in record order
+    harmful: list[int]  # indices of records with a negative outcome
+    first_index: dict[str, int]  # actor -> index of its first record
+    # actor -> (action count / network mean, mean initiative, diversity),
+    # for actors with records, in alive order
+    participation: dict[str, tuple[float, float, float]]
+    activeness: dict[str, float]  # alive id -> activeness
+
+
+def _epoch_facts(behaviors: Sequence[BehaviorRecord], alive: list[str],
+                 betas: tuple[float, float, float]) -> _EpochFacts:
+    scores = dict.fromkeys(alive, 0.0)
+    utilities: list[float] = []
+    harmful: list[int] = []
+    first_index: dict[str, int] = {}
+    # actor -> (initiatives, kinds) of its records
+    tallies: dict[str, tuple[list[float], list[ActionKind]]] = {}
+    for index, b in enumerate(behaviors):
+        u = total_utility(b)
+        utilities.append(u)
+        scores[b.actor] += u
+        if outcome_utility(b) < 0.0:
+            harmful.append(index)
+        tally = tallies.get(b.actor)
+        if tally is None:
+            first_index[b.actor] = index
+            tallies[b.actor] = ([b.initiative], [b.kind])
+        else:
+            tally[0].append(b.initiative)
+            tally[1].append(b.kind)
+
+    participation: dict[str, tuple[float, float, float]] = {}
+    if not behaviors or not alive:
+        act_map = dict.fromkeys(alive, 0.0)
+    else:
+        mean_actions = len(behaviors) / len(alive)
+        act_map = {}
+        for vid in alive:
+            tally = tallies.get(vid)
+            if tally is None:
+                act_map[vid] = activeness_blend(0.0, 0.0, 0.0, betas)
+                continue
+            initiatives, kinds = tally
+            n = len(kinds)
+            participation[vid] = (n / mean_actions, sum(initiatives) / n, diversity_index(kinds))
+            act_map[vid] = activeness_blend(*participation[vid], betas)
+    return _EpochFacts(scores, sum(utilities), harmful, first_index, participation, act_map)
+
+
 def _build_reports(state: _TrialState, epoch: int, alive: list[str],
                    behaviors: Sequence[BehaviorRecord],
-                   by_actor: Mapping[str, list[BehaviorRecord]]) -> list[SuspicionReport]:
+                   facts: _EpochFacts) -> list[SuspicionReport]:
     """Suspicion channel: harmful outcomes plus anomalous activity patterns."""
     config = state.config
     reports: list[SuspicionReport] = []
@@ -587,59 +588,15 @@ def _build_reports(state: _TrialState, epoch: int, alive: list[str],
                         SuspicionReport(behavior.actor, behavior, index, epoch, obs)
                     )
 
-    for index, b in enumerate(behaviors):
-        if outcome_utility(b) < 0.0:
-            add_reports(b, index)
-
-    if behaviors and alive:
-        mean_actions = len(behaviors) / len(alive)
-        if mean_actions > 0:
-            first_index: dict[str, int] = {}
-            for index, b in enumerate(behaviors):
-                first_index.setdefault(b.actor, index)
-            for vid in alive:
-                mine = by_actor.get(vid, [])
-                if not mine:
-                    continue
-                inputs = ActivenessInputs(
-                    action_count=len(mine),
-                    network_mean_actions=mean_actions,
-                    mean_initiative=sum(b.initiative for b in mine) / len(mine),
-                    diversity=diversity_index(b.kind for b in mine),
-                    betas=config.betas,
-                )
-                if flag_anomalous(inputs, config.anomaly_freq_threshold,
-                                  config.anomaly_quality_threshold):
-                    idx = first_index[vid]
-                    if outcome_utility(behaviors[idx]) >= 0.0:
-                        add_reports(behaviors[idx], idx)
+    for index in facts.harmful:
+        add_reports(behaviors[index], index)
+    for vid, participation in facts.participation.items():
+        if looks_scripted(*participation, config.anomaly_freq_threshold,
+                          config.anomaly_quality_threshold):
+            idx = facts.first_index[vid]
+            if outcome_utility(behaviors[idx]) >= 0.0:
+                add_reports(behaviors[idx], idx)
     return reports
-
-
-def _activeness_map(state: _TrialState, alive: list[str],
-                    behaviors: Sequence[BehaviorRecord],
-                    by_actor: Mapping[str, list[BehaviorRecord]]) -> dict[str, float]:
-    if not behaviors or not alive:
-        return {v: 0.0 for v in alive}
-    mean_actions = len(behaviors) / len(alive)
-    out = {}
-    for vid in alive:
-        mine = by_actor.get(vid, [])
-        if not mine:
-            out[vid] = activeness(
-                ActivenessInputs(0, mean_actions, 0.0, 0.0, state.config.betas)
-            )
-            continue
-        out[vid] = activeness(
-            ActivenessInputs(
-                action_count=len(mine),
-                network_mean_actions=mean_actions,
-                mean_initiative=sum(b.initiative for b in mine) / len(mine),
-                diversity=diversity_index(b.kind for b in mine),
-                betas=state.config.betas,
-            )
-        )
-    return out
 
 
 def run_trial(
@@ -657,6 +614,10 @@ def run_trial(
         )
     state = _setup_trial(config, seed, protocol)
     config.validate_runtime()
+    # Checked once per trial rather than on every per-epoch use.
+    check_betas(config.betas)
+    if not 0.0 <= config.delta <= 1.0:
+        raise ValueError(f"delta {config.delta} outside [0, 1]")
 
     epochs = len(trace) if trace is not None else config.epochs
     if trace is not None:
@@ -672,7 +633,7 @@ def run_trial(
     ledgers: list[EpochLedger] = []
     chain = [genesis_block()]
     sim_time = 0.0
-    election = LeaderElectionParams(config.delta, state.hub.stream("election"))
+    election_rng = state.hub.stream("election")
     committee_rng = state.hub.stream("committee")
     rng_lat_prop = state.hub.stream("latency/proposal")
     rng_lat_vote = state.hub.stream("latency/vote")
@@ -706,9 +667,9 @@ def run_trial(
         ):
             proposer = config.proposer_override[0]
         elif protocol == "pob":
-            proposer = select_proposer(state.table, alive, election.delta, election.rng)
+            proposer = select_proposer(state.table, alive, config.delta, election_rng)
         else:
-            proposer = pos_select_proposer(state.stakes, election.rng, alive)
+            proposer = pos_select_proposer(state.stakes, election_rng, alive)
 
         # --- behaviors -----------------------------------------------------
         if trace is not None:
@@ -716,7 +677,7 @@ def run_trial(
             # network still validates every block, so scores stay live.
             tb = trace[epoch]
             motivation_kind = ActionKind.FRAUD if tb.is_exploit else tb.kind
-            behaviors = [
+            generated = [
                 BehaviorRecord(
                     actor=tb.proposer,
                     epoch=epoch,
@@ -729,22 +690,18 @@ def run_trial(
                 )
             ]
             validating = [v for v in alive if v != tb.proposer]
-            behaviors.extend(_generate_behaviors(state, epoch, validating, proposer))
+            generated.extend(_generate_behaviors(state, epoch, validating, proposer))
         else:
-            behaviors = _generate_behaviors(state, epoch, alive, proposer)
-
-        by_actor: dict[str, list[BehaviorRecord]] = {}
-        for b in behaviors:
-            by_actor.setdefault(b.actor, []).append(b)
-
-        scores = {v: 0.0 for v in alive}
-        for b in behaviors:
-            scores[b.actor] += total_utility(b)
+            generated = _generate_behaviors(state, epoch, alive, proposer)
+        # One tuple shared by the ledger and the block.
+        behaviors = tuple(generated)
+        facts = _epoch_facts(behaviors, alive, config.betas)
+        scores = facts.scores
 
         # --- suspicion reports (protocol-observable facts only) ----------
         reports: list[SuspicionReport] = []
         if protocol == "pob":
-            reports = _build_reports(state, epoch, alive, behaviors, by_actor)
+            reports = _build_reports(state, epoch, alive, behaviors, facts)
 
         # --- block confirmation timing ------------------------------------
         weight_of = weights_before
@@ -787,10 +744,9 @@ def run_trial(
                 verdicts = tuple(verdict_list)
                 state.table = state.table.normalized()
         else:
-            for b in behaviors:
-                if outcome_utility(b) < 0.0:
-                    if pos_detect_rng.random() < config.detection_accuracy:
-                        pos_schedule_slash(state.stakes, b.actor, epoch)
+            for index in facts.harmful:
+                if pos_detect_rng.random() < config.detection_accuracy:
+                    pos_schedule_slash(state.stakes, behaviors[index].actor, epoch)
 
         # --- weight update -------------------------------------------------
         if protocol == "pob":
@@ -803,17 +759,16 @@ def run_trial(
         )
 
         # --- rewards ---------------------------------------------------------
-        act_map = _activeness_map(state, alive, behaviors, by_actor)
         reward_table = (
             state.table if protocol == "pob" else WeightTable(dict(weights_after), epoch)
         )
-        payouts = tuple(distribute(state.schedule, reward_table, scores, act_map))
+        payouts = tuple(distribute(state.schedule, reward_table, scores, facts.activeness))
 
         # --- chain + ledger ---------------------------------------------------
         if confirmed:
             chain.append(
-                extend_chain(chain[-1], proposer, behaviors, sim_time, alive,
-                             state.table if protocol == "pob" else reward_table)
+                extend_chain(chain[-1], proposer, behaviors, facts.utility, sim_time, alive,
+                             reward_table)
             )
 
         ledgers.append(
@@ -821,11 +776,11 @@ def run_trial(
                 epoch=epoch,
                 protocol=protocol,
                 proposer=proposer,
-                behaviors=tuple(behaviors),
+                behaviors=behaviors,
                 verdicts=verdicts,
                 payouts=payouts,
                 scores=scores,
-                activeness=act_map,
+                activeness=facts.activeness,
                 weights_before=weights_before,
                 weights_after=weights_after,
                 confirmed=confirmed,
@@ -845,6 +800,7 @@ def run_trial(
             if convicted:
                 for vid in convicted:
                     state.validators[vid].retired_epoch = epoch
+                    state.contexts.pop(vid, None)
                     state.table = state.table.without([vid])
                     state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
                 state.table = state.table.normalized()

@@ -27,12 +27,17 @@ class ActionKind(str, Enum):
 
 # Kinds that count toward the diversity index: the constructive roles a
 # validator can play. Misbehavior kinds do not make a node "diverse".
-CONSTRUCTIVE_KINDS = (ActionKind.PROPOSE, ActionKind.VALIDATE, ActionKind.ORACLE)
+CONSTRUCTIVE_KINDS = frozenset({ActionKind.PROPOSE, ActionKind.VALIDATE, ActionKind.ORACLE})
 
 
 @dataclass(frozen=True)
 class MotivationProfile:
-    """Motivation intensities and their designer-chosen importance weights."""
+    """Motivation intensities and their designer-chosen importance weights.
+
+    `utility`, the weighted sum of the intensities, is computed once at
+    construction; it is an attribute, not a field, so equality, hashing
+    and serialization see only the two vectors.
+    """
 
     intensities: tuple[float, ...]
     weights: tuple[float, ...]
@@ -53,6 +58,9 @@ class MotivationProfile:
         total = sum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"motivation weights sum to {total}, expected 1")
+        object.__setattr__(
+            self, "utility", sum(i * w for i, w in zip(self.intensities, self.weights))
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,16 +100,21 @@ class ActivenessInputs:
     betas: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self):
-        if abs(sum(self.betas) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"betas sum to {sum(self.betas)}, expected 1")
-        for b in self.betas:
-            if not 0.0 <= b <= 1.0:
-                raise ValueError(f"beta {b} outside [0, 1]")
+        check_betas(self.betas)
+
+
+def check_betas(betas: Sequence[float]) -> None:
+    """Raise ValueError unless the activeness blend weights are a convex mix."""
+    if abs(sum(betas) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"betas sum to {sum(betas)}, expected 1")
+    for b in betas:
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"beta {b} outside [0, 1]")
 
 
 def motivation_utility(m: MotivationProfile) -> float:
     """Weighted sum of motivation intensities."""
-    return sum(i * w for i, w in zip(m.intensities, m.weights))
+    return m.utility
 
 
 def outcome_utility(b: BehaviorRecord) -> float:
@@ -110,7 +123,7 @@ def outcome_utility(b: BehaviorRecord) -> float:
 
 
 def total_utility(b: BehaviorRecord) -> float:
-    return motivation_utility(b.motivation) + outcome_utility(b)
+    return b.motivation.utility + outcome_utility(b)
 
 
 def epoch_score(behaviors: Iterable[BehaviorRecord], actor: str, epoch: int) -> float:
@@ -131,50 +144,45 @@ def activeness(a: ActivenessInputs) -> float:
     """Blend of relative frequency, mean initiative and diversity."""
     if a.network_mean_actions <= 0:
         raise ValueError("network_mean_actions must be > 0")
-    b1, b2, b3 = a.betas
-    return b1 * (a.action_count / a.network_mean_actions) + b2 * a.mean_initiative + b3 * a.diversity
+    return activeness_blend(
+        a.action_count / a.network_mean_actions, a.mean_initiative, a.diversity, a.betas
+    )
+
+
+def activeness_blend(freq_ratio: float, mean_initiative: float, diversity: float,
+                     betas: Sequence[float]) -> float:
+    """The activeness rule on plain numbers, for callers that ran check_betas once.
+
+    `freq_ratio` is the node's action count over the network mean.
+    """
+    b1, b2, b3 = betas
+    return b1 * freq_ratio + b2 * mean_initiative + b3 * diversity
 
 
 def flag_anomalous(a: ActivenessInputs, freq_threshold: float, quality_threshold: float) -> bool:
-    """True when a node is hyperactive but low-quality (scripted-looking).
+    """True when a node is hyperactive but low-quality (scripted-looking)."""
+    if a.network_mean_actions <= 0:
+        raise ValueError("network_mean_actions must be > 0")
+    return looks_scripted(a.action_count / a.network_mean_actions, a.mean_initiative,
+                          a.diversity, freq_threshold, quality_threshold)
+
+
+def looks_scripted(freq_ratio: float, mean_initiative: float, diversity: float,
+                   freq_threshold: float, quality_threshold: float) -> bool:
+    """The anomaly rule on plain numbers.
 
     Fires only if the action rate is far above the network mean while both
     initiative and diversity sit below the quality bar.
     """
     if freq_threshold <= 0 or quality_threshold <= 0:
         raise ValueError("thresholds must be > 0")
-    if a.network_mean_actions <= 0:
-        raise ValueError("network_mean_actions must be > 0")
-    freq_ratio = a.action_count / a.network_mean_actions
     return (
         freq_ratio > freq_threshold
-        and a.mean_initiative < quality_threshold
-        and a.diversity < quality_threshold
+        and mean_initiative < quality_threshold
+        and diversity < quality_threshold
     )
 
 
 def diversity_index(kinds: Iterable[ActionKind]) -> float:
     """Distinct constructive roles performed / number of constructive roles."""
-    seen = {k for k in kinds if k in CONSTRUCTIVE_KINDS}
-    return len(seen) / len(CONSTRUCTIVE_KINDS)
-
-
-def activeness_inputs_for(
-    behaviors: Sequence[BehaviorRecord],
-    actor: str,
-    network_mean_actions: float,
-    betas: tuple[float, float, float],
-) -> ActivenessInputs:
-    """Assemble the activeness inputs of one actor from its epoch records."""
-    mine = [b for b in behaviors if b.actor == actor]
-    if mine:
-        mean_init = sum(b.initiative for b in mine) / len(mine)
-    else:
-        mean_init = 0.0
-    return ActivenessInputs(
-        action_count=len(mine),
-        network_mean_actions=network_mean_actions,
-        mean_initiative=mean_init,
-        diversity=diversity_index(b.kind for b in mine),
-        betas=betas,
-    )
+    return len(CONSTRUCTIVE_KINDS.intersection(kinds)) / len(CONSTRUCTIVE_KINDS)

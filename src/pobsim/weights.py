@@ -9,7 +9,7 @@ returns a new table and never mutates its input.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DegenerateElectionError
@@ -56,24 +56,6 @@ class WeightTable:
         entries = dict(self.entries)
         entries[vid] = weight
         return WeightTable(entries, self.epoch)
-
-
-def uniform_table(ids: Iterable[str], epoch: int = 0) -> WeightTable:
-    ids = list(ids)
-    share = 1.0 / len(ids)
-    return WeightTable({v: share for v in ids}, epoch)
-
-
-@dataclass
-class LeaderElectionParams:
-    """Baseline-chance mixing for proposer election."""
-
-    delta: float
-    rng: random.Random = field(default_factory=random.Random)
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta {self.delta} outside [0, 1]")
 
 
 def update_weights(table: WeightTable, epoch_scores: Mapping[str, float], rho: float) -> WeightTable:

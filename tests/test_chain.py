@@ -29,11 +29,11 @@ def _tip(signers, utility, proposer="p", table=None, height=1):
 class TestBlocks:
     def test_extend_accumulates_utility_and_weight(self):
         table = WeightTable({"a": 0.6, "b": 0.4})
-        b1 = extend_chain(genesis_block(), "a", [_behavior("a", 2.0)], 10.0, ["a", "b"], table)
+        b1 = extend_chain(genesis_block(), "a", [_behavior("a", 2.0)], 2.0, 10.0, ["a", "b"], table)
         assert b1.height == 1
         assert b1.cumulative_utility == pytest.approx(2.0)
         assert b1.signer_weight == pytest.approx(1.0)
-        b2 = extend_chain(b1, "b", [_behavior("b", 3.0)], 20.0, ["a"], table)
+        b2 = extend_chain(b1, "b", [_behavior("b", 3.0)], 3.0, 20.0, ["a"], table)
         assert b2.cumulative_utility == pytest.approx(5.0)
         assert b2.signer_weight == pytest.approx(0.6)
 
@@ -77,7 +77,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(n_blocks):
             chain.append(
-                extend_chain(chain[-1], "h0", [_behavior("h0", 1.0)], 0.0,
+                extend_chain(chain[-1], "h0", [_behavior("h0", 1.0)], 1.0, 0.0,
                              ["h0", "h1"], table)
             )
         return chain
@@ -96,7 +96,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(20):
             chain.append(
-                extend_chain(chain[-1], "h0", [_behavior("h0", 1.0)], 0.0,
+                extend_chain(chain[-1], "h0", [_behavior("h0", 1.0)], 1.0, 0.0,
                              ["h0", "h1"], table)
             )
         out = long_range_fork_outcome(chain, table, ["atk"], fork_depth=10,

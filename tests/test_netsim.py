@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import random
@@ -8,11 +9,10 @@ import pytest
 from pobsim.config import ScenarioConfig, RosterEntry
 from pobsim.adversaries import StrategySpec
 from pobsim.errors import ConfigError, TraceError
+from pobsim import netsim
 from pobsim.netsim import (
     LatencyModel,
-    SimClock,
     TraceBlock,
-    confirm_block,
     ledger_to_json,
     make_synthetic_trace,
     parse_trace,
@@ -22,41 +22,89 @@ from pobsim.netsim import (
     simulate_confirmation,
     write_trace,
 )
-from pobsim.weights import WeightTable
+from pobsim.scoring import ActivenessInputs, activeness, diversity_index, total_utility
+
+
+class ScriptedDelays:
+    """Stands in for the random stream of an exponential LatencyModel:
+    returns the listed delays in turn."""
+
+    def __init__(self, delays):
+        self._delays = iter(delays)
+
+    def expovariate(self, _rate):
+        return next(self._delays)
+
+
+def confirm_with_delays(weight_of, quorum, prop_delays, vote_delays, processing_ms=5.0):
+    return simulate_confirmation(
+        list(weight_of), weight_of, quorum, LatencyModel("exponential", 50.0),
+        ScriptedDelays(prop_delays), ScriptedDelays(vote_delays), processing_ms)
+
+
+def heap_confirmation(alive, weight_of, quorum, latency, rng_proposal, rng_vote, processing_ms):
+    """Reference: push every vote arrival on an event queue keyed by
+    (time, insertion order), pop until the exact yes-weight reaches quorum."""
+    queue, samples = [], []
+    total = sum(weight_of[v] for v in alive)
+    for seq, vid in enumerate(alive):
+        d_prop = latency.sample(rng_proposal)
+        d_vote = latency.sample(rng_vote)
+        samples += [d_prop, d_vote]
+        heapq.heappush(queue, (processing_ms + d_prop + processing_ms + d_vote, seq, vid))
+    acc = 0.0
+    while queue:
+        at, _, vid = heapq.heappop(queue)
+        acc += weight_of[vid]
+        if Fraction(acc) >= quorum * Fraction(total):
+            return True, at, samples
+    return False, None, samples
+
+
+def assert_matches_heap(alive, weight_of, quorum, latency, seed, processing_ms=5.0):
+    args = (alive, weight_of, quorum, latency)
+    got = simulate_confirmation(*args, random.Random(seed), random.Random(seed + 1), processing_ms)
+    want = heap_confirmation(*args, random.Random(seed), random.Random(seed + 1), processing_ms)
+    assert got == want
+    return got
 
 
 class TestSimClock:
+    """Votes are counted on the simulated clock: in arrival order, ties in
+    the order of the validator list."""
+
     def test_time_ordering(self):
-        clock = SimClock()
-        clock.schedule(5.0, "late")
-        clock.schedule(1.0, "early")
-        clock.schedule(3.0, "mid")
-        assert [clock.pop() for _ in range(3)] == ["early", "mid", "late"]
-        assert clock.now == 5.0
+        # the heaviest voter is listed first but arrives last
+        weights = {"a": 0.6, "b": 0.2, "c": 0.2}
+        confirmed, t, _ = confirm_with_delays(weights, Fraction(1, 2), [30.0, 1.0, 2.0],
+                                              [0.0, 0.0, 0.0])
+        assert confirmed and t == 5.0 + 30.0 + 5.0
 
     def test_ties_break_by_insertion(self):
-        clock = SimClock()
-        for i in range(10):
-            clock.schedule(1.0, i)
-        assert [clock.pop() for _ in range(10)] == list(range(10))
+        rng = random.Random(3)
+        alive = [f"v{i:02d}" for i in range(12)]
+        for quorum in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+            weight_of = {v: rng.choice([0.0, 0.1, 0.25, 1 / 3]) for v in alive}
+            # every vote arrives at 2 * (processing + delay)
+            assert assert_matches_heap(
+                alive, weight_of, quorum, LatencyModel("fixed", 10.0), seed=1)[:2] == (True, 30.0)
+        # The running sum is a float: with the tiny weights counted first it
+        # reaches the total exactly; counted last, they are rounded away.
+        tiny = 2.0 ** -53
+        assert assert_matches_heap(
+            ["a", "b", "c"], {"a": tiny, "b": tiny, "c": 1.0}, Fraction(1),
+            LatencyModel("fixed", 10.0), seed=1)[:2] == (True, 30.0)
 
     def test_dequeue_times_non_decreasing(self):
-        clock = SimClock()
+        # equals the event-queue reference on random weights and delays
         rng = random.Random(0)
-        for i in range(200):
-            clock.schedule(rng.uniform(0, 100), i)
-        times = []
-        while len(clock):
-            clock.pop()
-            times.append(clock.now)
-        assert times == sorted(times)
-
-    def test_no_scheduling_in_the_past(self):
-        clock = SimClock()
-        clock.schedule(2.0, "x")
-        clock.pop()
-        with pytest.raises(ValueError):
-            clock.schedule(1.0, "y")
+        for trial in range(200):
+            n = rng.randint(1, 40)
+            alive = [f"v{i:03d}" for i in range(n)]
+            weight_of = {v: rng.choice([0.0, rng.random(), 1.0 / n]) for v in alive}
+            quorum = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)])
+            dist = rng.choice(["exponential", "uniform"])
+            assert_matches_heap(alive, weight_of, quorum, LatencyModel(dist, 50.0), seed=trial)
 
 
 class TestLatencyModel:
@@ -80,21 +128,37 @@ class TestLatencyModel:
 
 class TestConfirmBlock:
     def test_all_yes_confirms(self):
-        table = WeightTable({"a": 0.5, "b": 0.5})
-        assert confirm_block({"a": True, "b": True}, table, Fraction(2, 3))
+        weights = {"a": 0.5, "b": 0.5}
+        confirmed, t, samples = simulate_confirmation(
+            ["a", "b"], weights, Fraction(2, 3), LatencyModel("fixed", 10.0),
+            random.Random(0), random.Random(1), 5.0)
+        assert confirmed and t == 30.0
+        assert samples == [10.0] * 4
 
     def test_half_weight_below_two_thirds(self):
-        table = WeightTable({"a": 0.5, "b": 0.5})
-        assert not confirm_block({"a": True, "b": False}, table, Fraction(2, 3))
+        # the first arrival carries half the weight: the block waits for the second
+        weights = {"a": 0.5, "b": 0.5}
+        confirmed, t, _ = confirm_with_delays(weights, Fraction(2, 3), [1.0, 4.0], [1.0, 4.0])
+        assert confirmed and t == 5.0 + 4.0 + 5.0 + 4.0
 
     def test_exact_quorum_boundary_confirms(self):
-        # yes-weight exactly equals quorum * total: 2 of 3 at theta 2/3
-        table = WeightTable({"a": 2.0, "b": 1.0})
-        assert confirm_block({"a": True, "b": False}, table, Fraction(2, 3))
+        # yes-weight exactly equals quorum * total: 2 of 3 at quorum 2/3
+        weights = {"a": 2.0, "b": 1.0}
+        confirmed, t, _ = confirm_with_delays(weights, Fraction(2, 3), [1.0, 4.0], [1.0, 4.0])
+        assert confirmed and t == 5.0 + 1.0 + 5.0 + 1.0
+        # just below the boundary the first arrival is not enough
+        weights = {"a": 2.0, "b": 1.0 + 1e-9}
+        confirmed, t, _ = confirm_with_delays(weights, Fraction(2, 3), [1.0, 4.0], [1.0, 4.0])
+        assert confirmed and t == 5.0 + 4.0 + 5.0 + 4.0
+        for b in (1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-9):
+            assert_matches_heap(["a", "b"], {"a": 2.0, "b": b}, Fraction(2, 3),
+                                LatencyModel("uniform", 50.0), seed=5)
 
     def test_quorum_range(self):
-        with pytest.raises(ValueError):
-            confirm_block({"a": True}, WeightTable({"a": 1.0}), Fraction(0))
+        for quorum in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                simulate_confirmation(["a"], {"a": 1.0}, quorum, LatencyModel("fixed", 10.0),
+                                      random.Random(0), random.Random(1), 5.0)
 
 
 class TestSimulateConfirmation:
@@ -262,6 +326,15 @@ class TestRunTrial:
         ledgers_full = run_trial(cfg_full, 3)
         assert any(v.guilty for l in ledgers_full for v in l.verdicts)
 
+    def test_betas_and_delta_checked_before_first_epoch(self):
+        trace = make_synthetic_trace(5, 10, exploit_at=None, exploit_value=0.0, seed=1)
+        for bad in (dict(betas=(0.5, 0.5, 0.5)), dict(betas=(1.5, -0.5, 0.0)), dict(delta=1.5)):
+            for protocol in ("pob", "pos"):
+                with pytest.raises(ValueError):
+                    run_trial(small_config(**bad), 1, protocol=protocol)
+                with pytest.raises(ValueError):
+                    run_trial(small_config(**bad), 1, protocol=protocol, trace=trace)
+
     def test_latency_overhead_only_from_extra_stages(self):
         cfg = small_config(epochs=40, latency_distribution="fixed")
         pob = run_trial(cfg, 4, protocol="pob")
@@ -270,6 +343,45 @@ class TestRunTrial:
         # processing stage per block
         for lp, lq in zip(pob, pos):
             assert lp.confirm_ms == pytest.approx(lq.confirm_ms + cfg.processing_ms)
+
+
+class TestSinglePassFacts:
+    """The epoch's shared facts equal a naive per-actor recomputation."""
+
+    def test_scores_activeness_and_chain_utility_match_naive(self, monkeypatch):
+        blocks = []
+        extend = netsim.extend_chain
+
+        def recording_extend_chain(*args, **kwargs):
+            blocks.append(extend(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(netsim, "extend_chain", recording_extend_chain)
+        cfg = small_config(
+            epochs=80, oracle_rate=0.3, epsilon=0.5, betas=(0.5, 0.3, 0.2),
+            roster=(RosterEntry(7, 10, StrategySpec("stealth", {"fraud_rate": 0.2})),),
+        )
+        for protocol in ("pob", "pos"):
+            blocks.clear()
+            ledgers = run_trial(cfg, 11, protocol=protocol)
+            assert any(v.guilty for l in ledgers for v in l.verdicts) == (protocol == "pob")
+            for l in ledgers:
+                alive = sorted(l.weights_before)
+                mean_actions = len(l.behaviors) / len(alive)
+                for v in alive:
+                    mine = [b for b in l.behaviors if b.actor == v]
+                    assert l.scores[v] == sum(total_utility(b) for b in mine)
+                    mean_initiative = sum(b.initiative for b in mine) / len(mine) if mine else 0.0
+                    inputs = ActivenessInputs(len(mine), mean_actions, mean_initiative,
+                                              diversity_index(b.kind for b in mine), cfg.betas)
+                    assert l.activeness[v] == activeness(inputs)
+            confirmed = [l for l in ledgers if l.confirmed]
+            assert len(blocks) == len(confirmed) > 0
+            cumulative = 0.0
+            for l, block in zip(confirmed, blocks):
+                cumulative += sum(total_utility(b) for b in l.behaviors)
+                assert block.cumulative_utility == cumulative
+                assert block.behaviors == l.behaviors
 
 
 class TestReplay:

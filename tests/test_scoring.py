@@ -218,7 +218,8 @@ class TestLabelIsolation:
         # scoring operation may consume it
         source = inspect.getsource(scoring)
         for name in ("motivation_utility", "outcome_utility", "total_utility",
-                     "epoch_score", "activeness", "flag_anomalous"):
+                     "epoch_score", "activeness", "activeness_blend",
+                     "flag_anomalous", "looks_scripted"):
             fn_source = inspect.getsource(getattr(scoring, name))
             assert "is_fraud_ground_truth" not in fn_source, name
 

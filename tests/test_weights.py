@@ -11,7 +11,6 @@ from pobsim.weights import (
     apply_multiplicative_slash,
     election_probabilities,
     select_proposer,
-    uniform_table,
     update_weights,
 )
 
@@ -196,7 +195,7 @@ class TestSelectProposer:
         assert math.isclose(probs["b"], 0.14, abs_tol=1e-12)
 
     def test_deterministic_given_stream_state(self):
-        t = uniform_table([f"v{i}" for i in range(10)])
+        t = WeightTable({f"v{i}": 0.1 for i in range(10)})
         runs = []
         for _ in range(2):
             rng = random.Random(99)
