@@ -370,6 +370,8 @@ def long_range_fork_outcome(
         }
     checkpoint = main_chain[-1 - fork_depth]
     signers = sorted(set(compromised))
+    fork_signers = frozenset(signers)
+    fork_weight = signer_weight(fork_signers, table)
     tip = checkpoint
     claimed = checkpoint.cumulative_utility + claimed_utility_boost
     height_gap = main_tip.height - checkpoint.height
@@ -378,17 +380,16 @@ def long_range_fork_outcome(
         tip = Block(
             height=tip.height + 1,
             proposer=proposer,
-            behaviors=(),
             parent=tip,
             timestamp_ms=main_tip.timestamp_ms,
             cumulative_utility=claimed,
-            signer_weight=signer_weight(signers, table),
-            signers=frozenset(signers),
+            signer_weight=fork_weight,
+            signers=fork_signers,
         )
     winner = fork_choice(main_tip, tip, table)
     return {
         "adopted": winner is tip,
         "checkpoint_height": checkpoint.height,
-        "fork_signer_weight": signer_weight(signers, table),
+        "fork_signer_weight": fork_weight,
         "main_signer_weight": signer_weight(main_tip.signers, table),
     }

@@ -10,17 +10,21 @@ ties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .scoring import BehaviorRecord
 from .weights import WeightTable
 
 
 @dataclass(frozen=True)
 class Block:
+    """A chain entry: what fork choice and the long-range fork attempt read.
+
+    The epoch's behaviors stay in its ledger; a block keeps only their
+    utility sum, folded into `cumulative_utility`.
+    """
+
     height: int
     proposer: str
-    behaviors: tuple[BehaviorRecord, ...]
     parent: Optional["Block"]
     timestamp_ms: float
     cumulative_utility: float
@@ -38,7 +42,6 @@ def genesis_block() -> Block:
     return Block(
         height=0,
         proposer="",
-        behaviors=(),
         parent=None,
         timestamp_ms=0.0,
         cumulative_utility=0.0,
@@ -49,27 +52,27 @@ def genesis_block() -> Block:
 
 def signer_weight(signers: Iterable[str], table: WeightTable) -> float:
     """Current weight of the distinct signers, summed in id order."""
-    return sum(table.entries.get(s, 0.0) for s in sorted(set(signers)))
+    distinct = signers if isinstance(signers, (set, frozenset)) else set(signers)
+    return sum(table.entries.get(s, 0.0) for s in sorted(distinct))
 
 
 def extend_chain(
     parent: Block,
     proposer: str,
-    behaviors: Sequence[BehaviorRecord],
     utility: float,
     timestamp_ms: float,
-    signers: Sequence[str],
+    signers: Iterable[str],
     table: WeightTable,
 ) -> Block:
-    """Append a block carrying `behaviors`, whose summed utility is `utility`.
+    """Append a block for an epoch whose behaviors sum to `utility`.
 
     Cumulative utility and signer weight are derived from the parent and
-    the current table.
+    the current table. A frozenset of signers is kept as given, so blocks
+    signed by the same roster share one set.
     """
     return Block(
         height=parent.height + 1,
         proposer=proposer,
-        behaviors=tuple(behaviors),
         parent=parent,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,

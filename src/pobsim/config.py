@@ -245,6 +245,42 @@ _TOP_KEYS = [
 ]
 
 
+# (key, lo, hi) of the plain numeric fields, checked by the loader and
+# by with_overrides.
+_INT_RANGES = (
+    ("epochs", 0, None),
+    ("trials", 1, None),
+    ("seed", None, None),
+    ("workers", 1, None),
+    ("detection_window", 1, None),
+    ("pos_slash_delay", 0, None),
+)
+_FLOAT_RANGES = (
+    ("rho", 0.0, 1.0),
+    ("delta", 0.0, 1.0),
+    ("detection_accuracy", 0.0, 1.0),
+    ("observe_prob", 0.0, 1.0),
+    ("anomaly_freq_threshold", 1e-12, None),
+    ("anomaly_quality_threshold", 1e-12, None),
+    ("r_total", 0.0, None),
+    ("epsilon", 0.0, None),
+    ("latency_mean_ms", 1e-9, None),
+    ("processing_ms", 0.0, None),
+    ("pos_slash_fraction", 0.0, 1.0),
+    ("stake_alpha", 1.0 + 1e-9, None),
+    ("stake_xmin", 1e-12, None),
+    ("honest_utility_lo", None, None),
+    ("honest_utility_hi", None, None),
+    ("honest_initiative_lo", 0.0, 1.0),
+    ("honest_initiative_hi", 0.0, 1.0),
+    ("oracle_rate", 0.0, 1.0),
+    ("dollars_per_unit", 0.0, None),
+    ("adaptation_target_frac", 0.0, 1.0),
+    ("suppression_drop_frac", 0.0, 1.0),
+    ("activity_threshold", None, None),
+)
+
+
 def config_from_mapping(raw: Mapping) -> ScenarioConfig:
     """Validate a parsed mapping and produce a ScenarioConfig with defaults."""
     _require_type(raw, dict, "<root>")
@@ -263,40 +299,10 @@ def config_from_mapping(raw: Mapping) -> ScenarioConfig:
 
     if "name" in raw:
         kw["name"] = str(_require_type(raw["name"], str, "name"))
-    for key, lo, hi, integer in (
-        ("epochs", 0, None, True),
-        ("trials", 1, None, True),
-        ("seed", None, None, True),
-        ("workers", 1, None, True),
-        ("detection_window", 1, None, True),
-        ("pos_slash_delay", 0, None, True),
-    ):
+    for key, lo, hi in _INT_RANGES:
         if key in raw:
             kw[key] = int(_num(raw[key], key, lo=lo, hi=hi, integer=True))
-    for key, lo, hi in (
-        ("rho", 0.0, 1.0),
-        ("delta", 0.0, 1.0),
-        ("detection_accuracy", 0.0, 1.0),
-        ("observe_prob", 0.0, 1.0),
-        ("anomaly_freq_threshold", 1e-12, None),
-        ("anomaly_quality_threshold", 1e-12, None),
-        ("r_total", 0.0, None),
-        ("epsilon", 0.0, None),
-        ("latency_mean_ms", 1e-9, None),
-        ("processing_ms", 0.0, None),
-        ("pos_slash_fraction", 0.0, 1.0),
-        ("stake_alpha", 1.0 + 1e-9, None),
-        ("stake_xmin", 1e-12, None),
-        ("honest_utility_lo", None, None),
-        ("honest_utility_hi", None, None),
-        ("honest_initiative_lo", 0.0, 1.0),
-        ("honest_initiative_hi", 0.0, 1.0),
-        ("oracle_rate", 0.0, 1.0),
-        ("dollars_per_unit", 0.0, None),
-        ("adaptation_target_frac", 0.0, 1.0),
-        ("suppression_drop_frac", 0.0, 1.0),
-        ("activity_threshold", None, None),
-    ):
+    for key, lo, hi in _FLOAT_RANGES:
         if key in raw:
             kw[key] = _num(raw[key], key, lo=lo, hi=hi)
     if "r_base" in raw and raw["r_base"] is not None:
@@ -546,6 +552,13 @@ def echo_config(config: ScenarioConfig) -> str:
 
 
 def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
+    """A copy of `config` with `changes`, range-checked as the loader checks them."""
+    for key, lo, hi in _INT_RANGES:
+        if key in changes:
+            _num(changes[key], key, lo=lo, hi=hi, integer=True)
+    for key, lo, hi in _FLOAT_RANGES:
+        if key in changes:
+            _num(changes[key], key, lo=lo, hi=hi)
     out = dataclasses.replace(config, **changes)
     out.validate_runtime()
     return out

@@ -9,7 +9,8 @@ Outputs per run directory:
     config.echo   - every effective parameter, reloadable as a config
     trials.csv    - one row per (trial, protocol), frozen column set
     summary.json  - per-protocol aggregates plus paired comparisons
-    ledgers/      - canonical per-epoch JSON (only with emit_ledgers)
+    ledgers/      - canonical per-epoch JSON (only with emit_ledgers),
+                    written by the worker as each epoch finishes
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .errors import ConfigError
 from .metrics import (
     CSV_COLUMNS,
     TrialMetrics,
+    TrialTally,
     aggregate,
-    compute_trial_metrics,
-    loss_averted,
+    paired_loss_averted,
 )
-from .netsim import TraceBlock, ledger_to_json, run_trial
+from .netsim import EpochLedger, TraceBlock, ledger_to_json, run_trial
 
 _EXTRA_SUMMARY_FIELDS = ("fraud_attempted", "fraud_accepted", "fraud_accepted_value")
 
@@ -44,38 +45,60 @@ def _trial_protocols(config: ScenarioConfig) -> list[str]:
     return ["pob", "pos"] if config.protocol == "paired" else [config.protocol]
 
 
+def _ledger_writer(led_dir: Path, tally: TrialTally):
+    """A run_trial sink that tallies each ledger and writes it to `led_dir`."""
+    led_dir.mkdir(parents=True, exist_ok=True)
+
+    def sink(ledger: EpochLedger) -> None:
+        tally.add(ledger)
+        (led_dir / f"epoch-{ledger.epoch:05d}.json").write_text(
+            ledger_to_json(ledger) + "\n", encoding="utf-8"
+        )
+
+    return sink
+
+
 def _run_trial_task(
     config: ScenarioConfig,
     trial: int,
     trace: Optional[list[TraceBlock]],
+    ledger_root: Optional[Path] = None,
 ) -> dict:
-    """One trial, all protocols; returns picklable rows (+ optional ledgers)."""
+    """One trial, all protocols; returns picklable rows.
+
+    Each epoch's ledger is streamed into the trial's metrics tally and,
+    when `ledger_root` is given, written under it from this process.
+    """
     seed = config.seed + trial
     rows: list[dict] = []
-    ledgers_by_protocol = {}
+    tallies: dict[str, TrialTally] = {}
     for protocol in _trial_protocols(config):
-        ledgers = run_trial(config, seed, protocol=protocol, trace=trace)
-        ledgers_by_protocol[protocol] = ledgers
+        tally = tallies[protocol] = TrialTally(config, protocol)
+        sink = tally.add
+        if ledger_root is not None:
+            sink = _ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}", tally)
+        run_trial(config, seed, protocol=protocol, trace=trace, sink=sink)
         rows.append(
-            {
-                "trial": trial,
-                "seed": seed,
-                "protocol": protocol,
-                "metrics": compute_trial_metrics(ledgers, config, protocol),
-            }
+            {"trial": trial, "seed": seed, "protocol": protocol, "metrics": tally.metrics()}
         )
     if config.protocol == "paired":
-        averted = loss_averted(ledgers_by_protocol["pob"], ledgers_by_protocol["pos"])
+        averted = paired_loss_averted(tallies["pob"], tallies["pos"])
         for row in rows:
             if row["protocol"] == "pob":
                 row["metrics"].loss_averted = averted
-    out = {"trial": trial, "rows": rows}
-    if config.emit_ledgers:
-        out["ledgers"] = {
-            protocol: [ledger_to_json(l) for l in ledgers]
-            for protocol, ledgers in ledgers_by_protocol.items()
-        }
-    return out
+    return {"trial": trial, "rows": rows}
+
+
+def _run_tasks(workers: int, tasks: Sequence[tuple]) -> list[dict]:
+    """Run `_run_trial_task(*task)` for every task, in a pool when workers > 1.
+
+    Results come back in task order whatever the worker count.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_trial_task, *task) for task in tasks]
+            return [f.result() for f in futures]
+    return [_run_trial_task(*task) for task in tasks]
 
 
 def _format_cell(value) -> str:
@@ -162,20 +185,11 @@ def run_scenario(
     out.mkdir(parents=True, exist_ok=True)
     trace_list = list(trace) if trace is not None else None
 
-    results = []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_run_trial_task, config, trial, trace_list)
-                for trial in range(config.trials)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _run_trial_task(config, trial, trace_list) for trial in range(config.trials)
-        ]
-
-    results.sort(key=lambda r: r["trial"])
+    ledger_root = out / "ledgers" if config.emit_ledgers else None
+    results = _run_tasks(
+        config.workers,
+        [(config, trial, trace_list, ledger_root) for trial in range(config.trials)],
+    )
     rows = [row for result in results for row in result["rows"]]
     rows.sort(key=lambda r: (r["trial"], r["protocol"]))
 
@@ -185,16 +199,6 @@ def run_scenario(
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-
-    if config.emit_ledgers:
-        for result in results:
-            for protocol, dumps in result.get("ledgers", {}).items():
-                led_dir = out / "ledgers" / f"trial-{result['trial']:03d}-{protocol}"
-                led_dir.mkdir(parents=True, exist_ok=True)
-                for epoch, payload in enumerate(dumps):
-                    (led_dir / f"epoch-{epoch:05d}.json").write_text(
-                        payload + "\n", encoding="utf-8"
-                    )
     return summary
 
 
@@ -216,15 +220,19 @@ def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
     points = sweep_points(config)
     params = sorted(config.sweep)
 
+    subs = [apply_sweep_point(config, point) for point in points]
+    # Every (point, trial) task goes through one pool.
+    results = iter(_run_tasks(
+        config.workers,
+        [(sub, trial, None) for sub in subs for trial in range(sub.trials)],
+    ))
+
     all_rows: list[dict] = []
     summaries: dict[str, dict] = {}
-    for point in points:
-        sub = apply_sweep_point(config, point)
+    for point, sub in zip(points, subs):
         point_label = ",".join(f"{p}={point[p]}" for p in params)
-        results = [
-            _run_trial_task(sub, trial, None) for trial in range(sub.trials)
-        ]
-        rows = [row for result in results for row in result["rows"]]
+        rows = [row for result in itertools.islice(results, sub.trials)
+                for row in result["rows"]]
         rows.sort(key=lambda r: (r["trial"], r["protocol"]))
         for row in rows:
             for p in params:

@@ -121,80 +121,15 @@ def suppression_time(trajectory: Sequence[float], drop_frac: float = 0.1) -> Opt
     return None
 
 
-def false_positive_count(ledgers: Sequence[EpochLedger]) -> int:
-    """Guilty verdicts whose underlying behavior was not actually fraud."""
-    count = 0
-    for ledger in ledgers:
-        for v in ledger.verdicts:
-            if v.guilty and not ledger.behaviors[v.behavior_index].is_fraud_ground_truth:
-                count += 1
-    return count
-
-
-def fraud_outcomes(ledgers: Sequence[EpochLedger]) -> list[FraudOutcome]:
-    """Acceptance of every ground-truth fraud attempt.
-
-    A fraud is accepted iff its block confirmed, no committee found it
-    guilty within the detection window, and (baseline) its actor had not
-    already been slashed when the block was committed.
-    """
-    guilty_keys = {
-        (v.epoch, v.subject, v.behavior_index)
-        for ledger in ledgers
-        for v in ledger.verdicts
-        if v.guilty
-    }
-    outcomes: list[FraudOutcome] = []
-    for ledger in ledgers:
-        for idx, b in enumerate(ledger.behaviors):
-            if not b.is_fraud_ground_truth:
-                continue
-            accepted = ledger.confirmed
-            if (ledger.epoch, b.actor, idx) in guilty_keys:
-                accepted = False
-            if b.actor in ledger.neutralized:
-                accepted = False
-            outcomes.append(FraudOutcome(ledger.epoch, b.actor, abs(b.base_utility), accepted))
-    return outcomes
-
-
-def loss_averted(pob_ledgers: Sequence[EpochLedger], pos_ledgers: Sequence[EpochLedger]) -> float:
-    """Accepted fraud value under the baseline minus under behavior weighting.
-
-    Requires paired trials driven by common random numbers: both runs must
-    contain the same fraud attempts.
-    """
-    pob = fraud_outcomes(pob_ledgers)
-    pos = fraud_outcomes(pos_ledgers)
-    if len(pob) != len(pos) or [
-        (o.epoch, o.actor) for o in pob
-    ] != [(o.epoch, o.actor) for o in pos]:
-        raise ValueError("unpaired trials: fraud attempt streams differ")
-    pos_value = sum(o.value for o in pos if o.accepted)
-    pob_value = sum(o.value for o in pob if o.accepted)
-    return pos_value - pob_value
-
-
-def election_prob_trajectory(
-    ledgers: Sequence[EpochLedger],
-    vid: str,
-    delta: float,
-    protocol: str,
-) -> list[float]:
-    """Per-epoch probability of `vid` being elected proposer."""
-    probs: list[float] = []
-    for ledger in ledgers:
-        w = ledger.weights_before
-        if vid not in w:
-            probs.append(0.0)
-            continue
-        total = sum(w.values())
-        proportional = w[vid] / total if total > 0 else 0.0
-        if protocol == "pob":
-            probs.append(delta / len(w) + (1.0 - delta) * proportional)
-        else:
-            probs.append(proportional)
-    return probs
+def election_prob(weights: dict[str, float], vid: str, delta: float, protocol: str) -> float:
+    """Probability of `vid` being elected proposer from one epoch's weights."""
+    if vid not in weights:
+        return 0.0
+    total = sum(weights.values())
+    proportional = weights[vid] / total if total > 0 else 0.0
+    if protocol == "pob":
+        return delta / len(weights) + (1.0 - delta) * proportional
+    return proportional
 
 
 def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> list[float]:
@@ -208,31 +143,6 @@ def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> li
     return shares
 
 
-def proposer_counts(ledgers: Sequence[EpochLedger]) -> dict[str, int]:
-    ids: set[str] = set()
-    for ledger in ledgers:
-        ids.update(ledger.weights_before)
-    counts = {v: 0 for v in ids}
-    for ledger in ledgers:
-        counts[ledger.proposer] = counts.get(ledger.proposer, 0) + 1
-    return counts
-
-
-def bottom_decile_share(ledgers: Sequence[EpochLedger]) -> Optional[float]:
-    """Proposer share of the bottom tenth of validators by initial holding."""
-    if not ledgers:
-        return None
-    initial = ledgers[0].weights_before
-    counts = proposer_counts(ledgers)
-    ranked = sorted(initial, key=lambda v: (initial[v], v))
-    k = max(1, len(ranked) // 10)
-    bottom = ranked[:k]
-    total = sum(counts.values())
-    if total == 0:
-        return None
-    return sum(counts.get(v, 0) for v in bottom) / total
-
-
 def adversary_ids(config: ScenarioConfig) -> list[str]:
     ids = []
     for entry in config.roster:
@@ -241,51 +151,185 @@ def adversary_ids(config: ScenarioConfig) -> list[str]:
     return sorted(set(ids))
 
 
+class TrialTally:
+    """What the trial metrics read from the ledgers, folded one ledger at a time.
+
+    `add` takes the ledgers in epoch order, so a trial can stream each one
+    in and drop it. The state kept is small: fraud attempts and guilty
+    verdict keys, proposer counts, the first epoch's weights, and short
+    per-epoch lists (confirm latencies, two election-probability
+    trajectories). Sums are taken over those lists when a metric is read,
+    in the order a pass over the full ledger list takes them, so the
+    results are bit-identical to it. Without a config only the fraud and
+    proposer facts are tallied.
+    """
+
+    def __init__(self, config: Optional[ScenarioConfig] = None, protocol: str = "pob"):
+        self.config = config
+        self.protocol = protocol
+        adversaries = adversary_ids(config) if config is not None else []
+        self.first_adversary = adversaries[0] if adversaries else None
+        self.join = config.newcomer_epoch if config is not None else None
+        self.delta = config.delta if config is not None else 0.0
+        self.epochs = 0
+        # (epoch, actor, behavior index, value, accepted unless found guilty)
+        self.frauds: list[tuple[int, str, int, float, bool]] = []
+        self.guilty_keys: set[tuple[int, str, int]] = set()
+        self.false_positives = 0
+        self.seen_ids: set[str] = set()
+        self.proposals: dict[str, int] = {}
+        self.initial_weights: Optional[dict[str, float]] = None
+        self.latencies: list[float] = []
+        self.alive_at_join: Optional[int] = None
+        self.newcomer_probs: list[float] = []
+        self.adversary_probs: list[float] = []
+
+    def add(self, ledger: EpochLedger) -> None:
+        behaviors = ledger.behaviors
+        for v in ledger.verdicts:
+            if v.guilty:
+                self.guilty_keys.add((v.epoch, v.subject, v.behavior_index))
+                # a guilty verdict on a behavior that was not fraud
+                if not behaviors[v.behavior_index].is_fraud_ground_truth:
+                    self.false_positives += 1
+        for idx, b in enumerate(behaviors):
+            if b.is_fraud_ground_truth:
+                accepted = ledger.confirmed and b.actor not in ledger.neutralized
+                self.frauds.append((ledger.epoch, b.actor, idx, abs(b.base_utility), accepted))
+
+        weights = ledger.weights_before
+        if self.initial_weights is None:
+            self.initial_weights = weights
+        self.seen_ids.update(weights)
+        self.proposals[ledger.proposer] = self.proposals.get(ledger.proposer, 0) + 1
+        if ledger.confirmed and ledger.confirm_ms is not None:
+            self.latencies.append(ledger.confirm_ms)
+
+        if self.join is not None and self.epochs >= self.join:
+            if self.epochs == self.join:
+                self.alive_at_join = len(weights)
+            self.newcomer_probs.append(
+                election_prob(weights, "newcomer", self.delta, self.protocol)
+            )
+        if self.first_adversary is not None:
+            self.adversary_probs.append(
+                election_prob(weights, self.first_adversary, self.delta, self.protocol)
+            )
+        self.epochs += 1
+
+    def fraud_outcomes(self) -> list[FraudOutcome]:
+        """Acceptance of every ground-truth fraud attempt.
+
+        A fraud is accepted iff its block confirmed, no committee found it
+        guilty within the detection window, and (baseline) its actor had
+        not already been slashed when the block was committed.
+        """
+        return [
+            FraudOutcome(epoch, actor, value,
+                         accepted and (epoch, actor, idx) not in self.guilty_keys)
+            for epoch, actor, idx, value, accepted in self.frauds
+        ]
+
+    def proposer_counts(self) -> dict[str, int]:
+        counts = dict.fromkeys(self.seen_ids, 0)
+        for vid, n in self.proposals.items():
+            counts[vid] = counts.get(vid, 0) + n
+        return counts
+
+    def _bottom_decile_share(self, counts: dict[str, int]) -> Optional[float]:
+        """Proposer share of the bottom tenth of validators by initial holding."""
+        initial = self.initial_weights
+        if initial is None:
+            return None
+        ranked = sorted(initial, key=lambda v: (initial[v], v))
+        k = max(1, len(ranked) // 10)
+        bottom = ranked[:k]
+        total = sum(counts.values())
+        if total == 0:
+            return None
+        return sum(counts.get(v, 0) for v in bottom) / total
+
+    def metrics(self) -> TrialMetrics:
+        config = self.config
+        outcomes = self.fraud_outcomes()
+        attempted = len(outcomes)
+        accepted = sum(1 for o in outcomes if o.accepted)
+        accepted_value = sum(o.value for o in outcomes if o.accepted)
+
+        counts = self.proposer_counts()
+        gini_value = gini(list(counts.values())) if counts else None
+
+        latencies = self.latencies
+        mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
+
+        newcomer_blocks: Optional[int] = None
+        if self.newcomer_probs and self.alive_at_join:
+            target = config.adaptation_target_frac / self.alive_at_join
+            newcomer_blocks = adaptation_time(self.newcomer_probs, target, "rise")
+
+        suppression: Optional[int] = None
+        if self.first_adversary is not None:
+            suppression = suppression_time(self.adversary_probs, config.suppression_drop_frac)
+
+        return TrialMetrics(
+            far=fraud_acceptance_rate(attempted, accepted),
+            proposer_gini=gini_value,
+            mean_latency_ms=mean_latency,
+            newcomer_adaptation_blocks=newcomer_blocks,
+            suppression_blocks=suppression,
+            loss_averted=None,
+            bottom_decile_share=self._bottom_decile_share(counts),
+            false_positives=self.false_positives,
+            fraud_attempted=attempted,
+            fraud_accepted=accepted,
+            fraud_accepted_value=accepted_value,
+        )
+
+
+def tally_ledgers(
+    ledgers: Sequence[EpochLedger],
+    config: Optional[ScenarioConfig] = None,
+    protocol: str = "pob",
+) -> TrialTally:
+    tally = TrialTally(config, protocol)
+    for ledger in ledgers:
+        tally.add(ledger)
+    return tally
+
+
+def fraud_outcomes(ledgers: Sequence[EpochLedger]) -> list[FraudOutcome]:
+    """Acceptance of every ground-truth fraud attempt (see TrialTally)."""
+    return tally_ledgers(ledgers).fraud_outcomes()
+
+
+def paired_loss_averted(pob: TrialTally, pos: TrialTally) -> float:
+    """Accepted fraud value under the baseline minus under behavior weighting.
+
+    Requires paired trials driven by common random numbers: both runs must
+    contain the same fraud attempts.
+    """
+    pob_outcomes = pob.fraud_outcomes()
+    pos_outcomes = pos.fraud_outcomes()
+    if len(pob_outcomes) != len(pos_outcomes) or [
+        (o.epoch, o.actor) for o in pob_outcomes
+    ] != [(o.epoch, o.actor) for o in pos_outcomes]:
+        raise ValueError("unpaired trials: fraud attempt streams differ")
+    pos_value = sum(o.value for o in pos_outcomes if o.accepted)
+    pob_value = sum(o.value for o in pob_outcomes if o.accepted)
+    return pos_value - pob_value
+
+
+def loss_averted(pob_ledgers: Sequence[EpochLedger], pos_ledgers: Sequence[EpochLedger]) -> float:
+    """paired_loss_averted over two lists of ledgers."""
+    return paired_loss_averted(tally_ledgers(pob_ledgers), tally_ledgers(pos_ledgers))
+
+
 def compute_trial_metrics(
     ledgers: Sequence[EpochLedger],
     config: ScenarioConfig,
     protocol: str,
 ) -> TrialMetrics:
-    outcomes = fraud_outcomes(ledgers)
-    attempted = len(outcomes)
-    accepted = sum(1 for o in outcomes if o.accepted)
-    accepted_value = sum(o.value for o in outcomes if o.accepted)
-
-    counts = proposer_counts(ledgers)
-    gini_value = gini(list(counts.values())) if counts else None
-
-    latencies = [l.confirm_ms for l in ledgers if l.confirmed and l.confirm_ms is not None]
-    mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
-
-    newcomer_blocks: Optional[int] = None
-    if config.newcomer_epoch is not None:
-        join = config.newcomer_epoch
-        traj = election_prob_trajectory(ledgers, "newcomer", config.delta, protocol)[join:]
-        if traj:
-            alive_at_join = len(ledgers[join].weights_before) if join < len(ledgers) else None
-            if alive_at_join:
-                target = config.adaptation_target_frac / alive_at_join
-                newcomer_blocks = adaptation_time(traj, target, "rise")
-
-    suppression: Optional[int] = None
-    adversaries = adversary_ids(config)
-    if adversaries:
-        traj = election_prob_trajectory(ledgers, adversaries[0], config.delta, protocol)
-        suppression = suppression_time(traj, config.suppression_drop_frac)
-
-    return TrialMetrics(
-        far=fraud_acceptance_rate(attempted, accepted),
-        proposer_gini=gini_value,
-        mean_latency_ms=mean_latency,
-        newcomer_adaptation_blocks=newcomer_blocks,
-        suppression_blocks=suppression,
-        loss_averted=None,
-        bottom_decile_share=bottom_decile_share(ledgers),
-        false_positives=false_positive_count(ledgers),
-        fraud_attempted=attempted,
-        fraud_accepted=accepted,
-        fraud_accepted_value=accepted_value,
-    )
+    return tally_ledgers(ledgers, config, protocol).metrics()
 
 
 # ---------------------------------------------------------------------------

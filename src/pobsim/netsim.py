@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .baseline_pos import (
@@ -359,6 +359,12 @@ class _TrialState:
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
     fork_cfg: Optional[dict] = None
     pending_events: list[dict] = field(default_factory=list)
+    # The sorted ids alive this epoch and the signer set their blocks
+    # share. Rebuilt only when a validator joins or retires.
+    alive: list[str] = field(default_factory=list)
+    signers: frozenset[str] = frozenset()
+    # join epoch -> ids that join then; every key is > 0
+    joins: dict[int, list[str]] = field(default_factory=dict)
 
 
 def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialState:
@@ -445,7 +451,7 @@ def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialStat
             join_epoch=config.newcomer_epoch,
         )
 
-    return _TrialState(
+    state = _TrialState(
         config=config,
         protocol=protocol,
         hub=hub,
@@ -463,17 +469,27 @@ def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialStat
         sybil_controller=sybil_controller,
         fork_cfg=fork_cfg,
     )
+    for vid, vs in validators.items():
+        if vs.join_epoch > 0:
+            state.joins.setdefault(vs.join_epoch, []).append(vid)
+    _set_roster(state, sorted(v for v, vs in validators.items() if vs.join_epoch <= 0))
+    return state
 
 
-def _alive_ids(state: _TrialState, epoch: int) -> list[str]:
-    return sorted(v for v, vs in state.validators.items() if vs.alive(epoch))
+def _set_roster(state: _TrialState, alive: list[str]) -> None:
+    state.alive = alive
+    state.signers = frozenset(alive)
 
 
 def _apply_joins(state: _TrialState, epoch: int) -> list[dict]:
+    """Admit the validators whose join epoch is `epoch`, then rebuild the roster."""
+    joining = state.joins.pop(epoch, None)
+    if not joining:
+        return []
     events = []
-    for vid in sorted(state.validators):
+    for vid in sorted(joining):
         vs = state.validators[vid]
-        if vs.join_epoch == epoch and epoch > 0 and vid not in state.table.entries:
+        if vid not in state.table.entries:
             join_weight = 0.0
             if state.sybil_controller is not None and vid in state.sybil_controller.coalition_members:
                 join_weight = state.sybil_controller.join_weight
@@ -483,6 +499,7 @@ def _apply_joins(state: _TrialState, epoch: int) -> list[dict]:
             if state.stakes is not None:
                 state.stakes.stakes[vid] = state.config.stake_xmin
             events.append({"kind": "join", "id": vid, "role": vs.role, "epoch": epoch})
+    _set_roster(state, sorted(state.alive + joining))
     return events
 
 
@@ -604,8 +621,14 @@ def run_trial(
     seed: int,
     protocol: Optional[str] = None,
     trace: Optional[Sequence[TraceBlock]] = None,
+    sink: Optional[Callable[[EpochLedger], None]] = None,
 ) -> list[EpochLedger]:
-    """Execute one seeded trial and return its per-epoch ledgers."""
+    """Execute one seeded trial, handing each finished ledger to `sink`.
+
+    Without a sink the ledgers are collected and returned; with one the
+    trial keeps no ledger once `sink` returns, so its memory stays flat
+    in the epoch count, and the returned list is empty.
+    """
     protocol = protocol or config.protocol
     if protocol not in ("pob", "pos"):
         raise ValueError(
@@ -631,6 +654,11 @@ def run_trial(
                 )
 
     ledgers: list[EpochLedger] = []
+    if sink is None:
+        sink = ledgers.append
+    # Each ledger goes to the sink once the next epoch starts; the last
+    # one waits for the trial-end fork outcome.
+    finished: Optional[EpochLedger] = None
     chain = [genesis_block()]
     sim_time = 0.0
     election_rng = state.hub.stream("election")
@@ -641,10 +669,12 @@ def run_trial(
     pos_detect_rng = state.hub.stream("pos-detection")
 
     for epoch in range(epochs):
+        if finished is not None:
+            sink(finished)
         events: list[dict] = list(state.pending_events)
         state.pending_events = []
         events.extend(_apply_joins(state, epoch))
-        alive = _alive_ids(state, epoch)
+        alive = state.alive
 
         neutralized: tuple[str, ...] = ()
         if state.stakes is not None:
@@ -693,7 +723,6 @@ def run_trial(
             generated.extend(_generate_behaviors(state, epoch, validating, proposer))
         else:
             generated = _generate_behaviors(state, epoch, alive, proposer)
-        # One tuple shared by the ledger and the block.
         behaviors = tuple(generated)
         facts = _epoch_facts(behaviors, alive, config.betas)
         scores = facts.scores
@@ -767,28 +796,26 @@ def run_trial(
         # --- chain + ledger ---------------------------------------------------
         if confirmed:
             chain.append(
-                extend_chain(chain[-1], proposer, behaviors, facts.utility, sim_time, alive,
+                extend_chain(chain[-1], proposer, facts.utility, sim_time, state.signers,
                              reward_table)
             )
 
-        ledgers.append(
-            EpochLedger(
-                epoch=epoch,
-                protocol=protocol,
-                proposer=proposer,
-                behaviors=behaviors,
-                verdicts=verdicts,
-                payouts=payouts,
-                scores=scores,
-                activeness=facts.activeness,
-                weights_before=weights_before,
-                weights_after=weights_after,
-                confirmed=confirmed,
-                confirm_ms=confirm_ms,
-                latency_samples=tuple(samples),
-                neutralized=neutralized,
-                events=tuple(events),
-            )
+        finished = EpochLedger(
+            epoch=epoch,
+            protocol=protocol,
+            proposer=proposer,
+            behaviors=behaviors,
+            verdicts=verdicts,
+            payouts=payouts,
+            scores=scores,
+            activeness=facts.activeness,
+            weights_before=weights_before,
+            weights_after=weights_after,
+            confirmed=confirmed,
+            confirm_ms=confirm_ms,
+            latency_samples=tuple(samples),
+            neutralized=neutralized,
+            events=tuple(events),
         )
 
         # --- adaptive adversary controller ---------------------------------
@@ -804,7 +831,9 @@ def run_trial(
                     state.table = state.table.without([vid])
                     state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
                 state.table = state.table.normalized()
-                population = len(_alive_ids(state, epoch + 1))
+                retired = set(convicted)
+                _set_roster(state, [v for v in state.alive if v not in retired])
+                population = len(state.alive) + len(state.joins.get(epoch + 1, ()))
                 fresh, cap_events = state.sybil_controller.replacements(
                     epoch, population, convicted
                 )
@@ -819,6 +848,7 @@ def run_trial(
                         role="adaptive-sybil",
                         join_epoch=epoch + 1,
                     )
+                    state.joins.setdefault(epoch + 1, []).append(vid)
 
     # --- long-range fork attempt (trial end) -------------------------------
     if state.fork_cfg is not None and protocol == "pob" and len(chain) > 1:
@@ -831,11 +861,9 @@ def run_trial(
             claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0,
         )
         outcome["kind"] = "fork-outcome"
-        if ledgers:
-            ledgers[-1] = dataclasses.replace(
-                ledgers[-1], events=ledgers[-1].events + (outcome,)
-            )
-
+        finished = dataclasses.replace(finished, events=finished.events + (outcome,))
+    if finished is not None:
+        sink(finished)
     return ledgers
 
 

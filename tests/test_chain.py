@@ -2,24 +2,14 @@ import pytest
 
 from pobsim.adversaries import long_range_fork_outcome
 from pobsim.chain import Block, extend_chain, fork_choice, genesis_block
-from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile
 from pobsim.weights import WeightTable
-
-MOT = MotivationProfile((0.0,), (1.0,))
-
-
-def _behavior(actor, u_b):
-    return BehaviorRecord(
-        actor=actor, epoch=0, kind=ActionKind.PROPOSE, base_utility=u_b,
-        context_factor=1.0, initiative=1.0, motivation=MOT,
-    )
 
 
 def _tip(signers, utility, proposer="p", table=None, height=1):
     parent = genesis_block()
     for h in range(1, height + 1):
         parent = Block(
-            height=h, proposer=proposer, behaviors=(), parent=parent,
+            height=h, proposer=proposer, parent=parent,
             timestamp_ms=0.0, cumulative_utility=utility,
             signer_weight=0.0, signers=frozenset(signers),
         )
@@ -29,18 +19,18 @@ def _tip(signers, utility, proposer="p", table=None, height=1):
 class TestBlocks:
     def test_extend_accumulates_utility_and_weight(self):
         table = WeightTable({"a": 0.6, "b": 0.4})
-        b1 = extend_chain(genesis_block(), "a", [_behavior("a", 2.0)], 2.0, 10.0, ["a", "b"], table)
+        b1 = extend_chain(genesis_block(), "a", 2.0, 10.0, ["a", "b"], table)
         assert b1.height == 1
         assert b1.cumulative_utility == pytest.approx(2.0)
         assert b1.signer_weight == pytest.approx(1.0)
-        b2 = extend_chain(b1, "b", [_behavior("b", 3.0)], 3.0, 20.0, ["a"], table)
+        b2 = extend_chain(b1, "b", 3.0, 20.0, ["a"], table)
         assert b2.cumulative_utility == pytest.approx(5.0)
         assert b2.signer_weight == pytest.approx(0.6)
 
     def test_height_must_extend_parent(self):
         g = genesis_block()
         with pytest.raises(ValueError):
-            Block(height=5, proposer="a", behaviors=(), parent=g, timestamp_ms=0.0,
+            Block(height=5, proposer="a", parent=g, timestamp_ms=0.0,
                   cumulative_utility=0.0, signer_weight=0.0)
 
 
@@ -77,8 +67,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(n_blocks):
             chain.append(
-                extend_chain(chain[-1], "h0", [_behavior("h0", 1.0)], 1.0, 0.0,
-                             ["h0", "h1"], table)
+                extend_chain(chain[-1], "h0", 1.0, 0.0, ["h0", "h1"], table)
             )
         return chain
 
@@ -96,8 +85,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(20):
             chain.append(
-                extend_chain(chain[-1], "h0", [_behavior("h0", 1.0)], 1.0, 0.0,
-                             ["h0", "h1"], table)
+                extend_chain(chain[-1], "h0", 1.0, 0.0, ["h0", "h1"], table)
             )
         out = long_range_fork_outcome(chain, table, ["atk"], fork_depth=10,
                                       claimed_utility_boost=1e6)

@@ -55,6 +55,14 @@ class TestCli:
     def test_unknown_preset(self):
         assert main(["preset", "case-z"]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--epochs", "-5"),
+                                            ("--workers", "0")])
+    def test_bad_override_exit_code(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["preset", "case-a-stealth", "--out", str(out), flag, value]) == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_smoke(self, tmp_path):
         out = tmp_path / "preset-out"
         code = main(["preset", "case-a-stealth", "--out", str(out),

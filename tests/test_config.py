@@ -182,6 +182,24 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             with_overrides(cfg, committee_size=5000)
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            with_overrides(loads_config(MINIMAL), trials=0)
+
+    def test_negative_epochs_rejected(self):
+        cfg = loads_config(MINIMAL)
+        with pytest.raises(ConfigError, match="epochs"):
+            with_overrides(cfg, epochs=-5)
+        assert with_overrides(cfg, epochs=0).epochs == 0  # the loader allows 0
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            with_overrides(loads_config(MINIMAL), workers=0)
+
+    def test_float_field_range_checked(self):
+        with pytest.raises(ConfigError, match="rho"):
+            with_overrides(loads_config(MINIMAL), rho=1.5)
+
     def test_direct_mapping_validation(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"protocol": "pob", "n_validators": 1})

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from pobsim import experiments
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overrides
 from pobsim.errors import ConfigError
@@ -113,6 +114,29 @@ class TestRunSweep:
             rows = list(csv.DictReader(fh))
         assert {r["rho"] for r in rows} == {"0.5", "0.9"}
         assert len(rows) == 4  # 2 points x 2 trials
+
+    def test_parallel_sweep_equals_serial(self, tmp_path):
+        cfg = tiny_paired(epochs=10, sweep={"rho": [0.5, 0.9], "delta": [0.0, 0.1]})
+        run_sweep(cfg, tmp_path / "serial")
+        run_sweep(with_overrides(cfg, workers=2), tmp_path / "parallel")
+        for name in ("sweep.csv", "sweep_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name
+            ).read_bytes()
+
+    def test_parallel_sweep_uses_one_pool(self, tmp_path, monkeypatch):
+        pools = []
+        real_pool = experiments.ProcessPoolExecutor
+
+        class CountingPool(real_pool):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        cfg = tiny_paired(epochs=5, workers=2, sweep={"rho": [0.5, 0.9]})
+        run_sweep(cfg, tmp_path)
+        assert pools == [2]
 
 
 class TestIcCheckRunner:

@@ -381,7 +381,6 @@ class TestSinglePassFacts:
             for l, block in zip(confirmed, blocks):
                 cumulative += sum(total_utility(b) for b in l.behaviors)
                 assert block.cumulative_utility == cumulative
-                assert block.behaviors == l.behaviors
 
 
 class TestReplay:

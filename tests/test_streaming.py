@@ -1,0 +1,244 @@
+"""Streamed trials: the metrics tally, the ledger writer and flat memory.
+
+`run_trial` hands each finished ledger to a sink. These tests check that
+the tally folded from that stream gives the same metrics as a pass over
+the full ledger list, that the streamed ledger files are the canonical
+JSON of that list, that memory does not grow with the epoch count, and
+that the incrementally kept alive roster is the naive recomputation.
+"""
+
+import tracemalloc
+
+import pytest
+
+from pobsim import experiments, netsim
+from pobsim.adversaries import StrategySpec
+from pobsim.config import RosterEntry, ScenarioConfig, with_overrides
+from pobsim.metrics import (
+    TrialMetrics,
+    TrialTally,
+    adaptation_time,
+    adversary_ids,
+    election_prob,
+    fraud_acceptance_rate,
+    gini,
+    paired_loss_averted,
+    suppression_time,
+)
+from pobsim.netsim import ledger_to_json, parse_trace, run_trial
+from pobsim.presets import builtin_presets, bundled_trace_path
+
+EPOCHS = 20
+TRACE_WINDOW = (490, 510)  # around the bundled trace's exploit at height 500
+
+
+# ---------------------------------------------------------------------------
+# List-based reference: the metrics as one pass over every ledger computes them
+# ---------------------------------------------------------------------------
+
+def _reference_outcomes(ledgers):
+    guilty = {(v.epoch, v.subject, v.behavior_index)
+              for l in ledgers for v in l.verdicts if v.guilty}
+    outcomes = []
+    for l in ledgers:
+        for idx, b in enumerate(l.behaviors):
+            if b.is_fraud_ground_truth:
+                accepted = (l.confirmed and (l.epoch, b.actor, idx) not in guilty
+                            and b.actor not in l.neutralized)
+                outcomes.append((l.epoch, b.actor, abs(b.base_utility), accepted))
+    return outcomes
+
+
+def _reference_loss_averted(pob_ledgers, pos_ledgers):
+    pob, pos = _reference_outcomes(pob_ledgers), _reference_outcomes(pos_ledgers)
+    if [o[:2] for o in pob] != [o[:2] for o in pos]:
+        raise ValueError("unpaired trials: fraud attempt streams differ")
+    return sum(o[2] for o in pos if o[3]) - sum(o[2] for o in pob if o[3])
+
+
+def _reference_metrics(ledgers, config, protocol):
+    outcomes = _reference_outcomes(ledgers)
+    accepted = [o for o in outcomes if o[3]]
+
+    ids = set()
+    for l in ledgers:
+        ids.update(l.weights_before)
+    counts = {v: 0 for v in ids}
+    for l in ledgers:
+        counts[l.proposer] = counts.get(l.proposer, 0) + 1
+
+    latencies = [l.confirm_ms for l in ledgers if l.confirmed and l.confirm_ms is not None]
+
+    newcomer = None
+    join = config.newcomer_epoch
+    if join is not None and join < len(ledgers):
+        traj = [election_prob(l.weights_before, "newcomer", config.delta, protocol)
+                for l in ledgers[join:]]
+        target = config.adaptation_target_frac / len(ledgers[join].weights_before)
+        newcomer = adaptation_time(traj, target, "rise")
+
+    suppression = None
+    adversaries = adversary_ids(config)
+    if adversaries:
+        traj = [election_prob(l.weights_before, adversaries[0], config.delta, protocol)
+                for l in ledgers]
+        suppression = suppression_time(traj, config.suppression_drop_frac)
+
+    bottom = None
+    if ledgers:
+        initial = ledgers[0].weights_before
+        ranked = sorted(initial, key=lambda v: (initial[v], v))
+        k = max(1, len(ranked) // 10)
+        bottom = sum(counts.get(v, 0) for v in ranked[:k]) / sum(counts.values())
+
+    false_positives = sum(
+        1 for l in ledgers for v in l.verdicts
+        if v.guilty and not l.behaviors[v.behavior_index].is_fraud_ground_truth
+    )
+    return TrialMetrics(
+        far=fraud_acceptance_rate(len(outcomes), len(accepted)),
+        proposer_gini=gini(list(counts.values())) if counts else None,
+        mean_latency_ms=sum(latencies) / len(latencies) if latencies else 0.0,
+        newcomer_adaptation_blocks=newcomer,
+        suppression_blocks=suppression,
+        loss_averted=None,
+        bottom_decile_share=bottom,
+        false_positives=false_positives,
+        fraud_attempted=len(outcomes),
+        fraud_accepted=len(accepted),
+        fraud_accepted_value=sum(o[2] for o in accepted),
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ValueError it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError:
+        return ValueError
+
+
+def _preset(name):
+    """The preset at EPOCHS epochs; a newcomer joins at epoch 10 so it is measured."""
+    preset = builtin_presets()[name]
+    config = preset.build()
+    changes = {"epochs": EPOCHS, "trials": 1}
+    if config.newcomer_epoch is not None:
+        changes["newcomer_epoch"] = 10
+    trace = None
+    if preset.trace is not None:
+        trace = parse_trace(bundled_trace_path())[slice(*TRACE_WINDOW)]
+    return with_overrides(config, **changes), trace
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(builtin_presets()))
+def test_streamed_tally_and_ledgers_match_ledger_list(name, tmp_path):
+    config, trace = _preset(name)
+    seed = config.seed
+    lists, tallies = {}, {}
+    for protocol in ("pob", "pos"):
+        ledgers = lists[protocol] = run_trial(config, seed, protocol=protocol, trace=trace)
+        assert len(ledgers) == (len(trace) if trace is not None else EPOCHS)
+        expected = repr(_reference_metrics(ledgers, config, protocol))
+
+        tally = tallies[protocol] = TrialTally(config, protocol)
+        assert run_trial(config, seed, protocol=protocol, trace=trace, sink=tally.add) == []
+        assert repr(tally.metrics()) == expected
+
+        # the experiment path: tally plus ledger files written by the task
+        single = with_overrides(config, protocol=protocol)
+        (row,) = experiments._run_trial_task(single, 0, trace, tmp_path)["rows"]
+        assert repr(row["metrics"]) == expected
+        led_dir = tmp_path / f"trial-000-{protocol}"
+        files = sorted(led_dir.iterdir())
+        assert [f.name for f in files] == [f"epoch-{i:05d}.json" for i in range(len(ledgers))]
+        for path, ledger in zip(files, ledgers):
+            assert path.read_bytes() == (ledger_to_json(ledger) + "\n").encode("utf-8")
+
+    assert _outcome(paired_loss_averted, tallies["pob"], tallies["pos"]) == _outcome(
+        _reference_loss_averted, lists["pob"], lists["pos"])
+
+
+def test_fork_outcome_reaches_last_streamed_ledger():
+    config, _ = _preset("case-d-long-range")
+    streamed = []
+    run_trial(config, config.seed, protocol="pob", sink=streamed.append)
+    assert [e["kind"] for e in streamed[-1].events] == ["fork-outcome"]
+    assert streamed == run_trial(config, config.seed, protocol="pob")
+
+
+def _traced_peak(config, out):
+    tracemalloc.start()
+    try:
+        experiments.run_scenario(config, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_flat_in_epochs(tmp_path):
+    config = ScenarioConfig(
+        protocol="paired", n_validators=30, trials=1, seed=3, emit_ledgers=True,
+        roster=(RosterEntry(27, 30, StrategySpec("stealth", {"fraud_rate": 0.1})),),
+    )
+    _traced_peak(with_overrides(config, epochs=5), tmp_path / "warm-up")
+    short = _traced_peak(with_overrides(config, epochs=40), tmp_path / "short")
+    long = _traced_peak(with_overrides(config, epochs=160), tmp_path / "long")
+    assert long <= 1.5 * short, (short, long)
+
+
+@pytest.mark.parametrize("name", ["case-d-adaptive-sybil", "case-b-fairness-100"])
+def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
+    config, _ = _preset(name)
+    config = with_overrides(config, epochs=60)
+    if config.newcomer_epoch is None:
+        # A newcomer that joins the epoch after the first conviction, so the
+        # respawn budget sees a join that is already scheduled.
+        ledgers = run_trial(config, config.seed, protocol="pob")
+        first = min(e["epoch"] for l in ledgers for e in l.events if e["kind"] == "retire")
+        config = with_overrides(config, newcomer_epoch=first + 1)
+    captured = {}
+    checked = []
+    setup, confirm = netsim._setup_trial, netsim.simulate_confirmation
+
+    def naive(state, epoch):
+        return sorted(v for v, vs in state.validators.items() if vs.alive(epoch))
+
+    def capturing_setup(*args, **kwargs):
+        state = captured["state"] = setup(*args, **kwargs)
+        controller = state.sybil_controller
+        if controller is not None:
+            replacements = controller.replacements
+
+            def checked_replacements(epoch, population, convicted):
+                assert population == len(naive(state, epoch + 1))
+                return replacements(epoch, population, convicted)
+
+            controller.replacements = checked_replacements
+        return state
+
+    def checking_confirmation(alive, *args):
+        state = captured["state"]
+        epoch = len(checked)
+        assert alive == naive(state, epoch)
+        assert state.signers == frozenset(alive)
+        checked.append(tuple(alive))
+        return confirm(alive, *args)
+
+    monkeypatch.setattr(netsim, "_setup_trial", capturing_setup)
+    monkeypatch.setattr(netsim, "simulate_confirmation", checking_confirmation)
+    for protocol in ("pob", "pos"):
+        checked.clear()
+        ledgers = run_trial(config, config.seed, protocol=protocol)
+        assert len(checked) == len(ledgers) == 60
+        kinds = {e["kind"] for l in ledgers for e in l.events}
+        assert "join" in kinds
+        if name == "case-d-adaptive-sybil" and protocol == "pob":
+            # only the behavior-weighted run convicts and respawns
+            assert "retire" in kinds
+            assert sum(e["kind"] == "join" for l in ledgers for e in l.events) > 1
+        assert len(set(checked)) > 1  # the roster did change
