@@ -10,7 +10,7 @@ ties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .weights import WeightTable
 
@@ -50,10 +50,15 @@ def genesis_block() -> Block:
     )
 
 
+def _weight_in_order(ids: Iterable[str], table: WeightTable) -> float:
+    entries = table.entries
+    return sum(entries.get(s, 0.0) for s in ids)
+
+
 def signer_weight(signers: Iterable[str], table: WeightTable) -> float:
     """Current weight of the distinct signers, summed in id order."""
     distinct = signers if isinstance(signers, (set, frozenset)) else set(signers)
-    return sum(table.entries.get(s, 0.0) for s in sorted(distinct))
+    return _weight_in_order(sorted(distinct), table)
 
 
 def extend_chain(
@@ -63,20 +68,27 @@ def extend_chain(
     timestamp_ms: float,
     signers: Iterable[str],
     table: WeightTable,
+    roster: Optional[Sequence[str]] = None,
 ) -> Block:
     """Append a block for an epoch whose behaviors sum to `utility`.
 
     Cumulative utility and signer weight are derived from the parent and
     the current table. A frozenset of signers is kept as given, so blocks
-    signed by the same roster share one set.
+    signed by the same roster share one set. A caller that keeps the
+    signers as a sorted list of distinct ids passes it as `roster`; the
+    weight is then summed over it in that order, the order
+    `signer_weight` sorts into, without sorting again.
     """
+    weight = (
+        signer_weight(signers, table) if roster is None else _weight_in_order(roster, table)
+    )
     return Block(
         height=parent.height + 1,
         proposer=proposer,
         parent=parent,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
-        signer_weight=signer_weight(signers, table),
+        signer_weight=weight,
         signers=frozenset(signers),
     )
 

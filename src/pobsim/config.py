@@ -180,6 +180,10 @@ class ScenarioConfig:
 
     def validate_runtime(self) -> None:
         """Cross-field checks that need the resolved values."""
+        for lo, hi in (("honest_utility_lo", "honest_utility_hi"),
+                       ("honest_initiative_lo", "honest_initiative_hi")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ConfigError(lo, f"{getattr(self, lo)} exceeds {hi} = {getattr(self, hi)}")
         if self.resolved_committee_size() > self.n_validators - 1:
             raise ConfigError(
                 "committee_size",
@@ -279,6 +283,31 @@ _FLOAT_RANGES = (
     ("suppression_drop_frac", 0.0, 1.0),
     ("activity_threshold", None, None),
 )
+# key -> (lo, hi, integer) for every field of the two tables
+_RANGES = {key: (lo, hi, True) for key, lo, hi in _INT_RANGES}
+_RANGES.update((key, (lo, hi, False)) for key, lo, hi in _FLOAT_RANGES)
+
+
+def _share(value, path) -> Fraction:
+    """theta or quorum: a rational in (0, 1]."""
+    share = parse_rational(value, path)
+    if not 0 < share <= 1:
+        raise ConfigError(path, f"{share} outside (0, 1]")
+    return share
+
+
+def _penalty_value(key: str, value, path: str):
+    """penalty.mode, penalty.base_coefficient or penalty.rho_p, checked."""
+    if key == "mode":
+        if value not in ("additive", "multiplicative"):
+            raise ConfigError(path, f"{value!r} not additive/multiplicative")
+        return value
+    if key == "base_coefficient":
+        return _num(value, path, lo=1e-12)
+    rho_p = _num(value, path, lo=0.0)
+    if rho_p >= 1.0:
+        raise ConfigError(path, f"{rho_p} outside [0, 1)")
+    return rho_p
 
 
 def config_from_mapping(raw: Mapping) -> ScenarioConfig:
@@ -312,10 +341,7 @@ def config_from_mapping(raw: Mapping) -> ScenarioConfig:
 
     for key in ("theta", "quorum"):
         if key in raw:
-            value = parse_rational(raw[key], key)
-            if not 0 < value <= 1:
-                raise ConfigError(key, f"{value} outside (0, 1]")
-            kw[key] = value
+            kw[key] = _share(raw[key], key)
 
     if "latency_distribution" in raw:
         dist = raw["latency_distribution"]
@@ -347,16 +373,9 @@ def config_from_mapping(raw: Mapping) -> ScenarioConfig:
         _check_unknown(pen, ["mode", "base_coefficient", "escalation", "rho_p",
                              "full_slash_kinds"], "penalty")
         pkw: dict[str, Any] = {}
-        if "mode" in pen:
-            if pen["mode"] not in ("additive", "multiplicative"):
-                raise ConfigError("penalty.mode", f"{pen['mode']!r} not additive/multiplicative")
-            pkw["mode"] = pen["mode"]
-        if "base_coefficient" in pen:
-            pkw["base_coefficient"] = _num(pen["base_coefficient"], "penalty.base_coefficient", lo=1e-12)
-        if "rho_p" in pen:
-            pkw["rho_p"] = _num(pen["rho_p"], "penalty.rho_p", lo=0.0)
-            if pkw["rho_p"] >= 1.0:
-                raise ConfigError("penalty.rho_p", f"{pkw['rho_p']} outside [0, 1)")
+        for key in ("mode", "base_coefficient", "rho_p"):
+            if key in pen:
+                pkw[key] = _penalty_value(key, pen[key], f"penalty.{key}")
         if "escalation" in pen:
             esc = _require_type(pen["escalation"], list, "penalty.escalation")
             esc = tuple(_num(e, f"penalty.escalation[{i}]", lo=1.0) for i, e in enumerate(esc))
@@ -454,6 +473,9 @@ def config_from_mapping(raw: Mapping) -> ScenarioConfig:
 
     config = ScenarioConfig(**kw)
     config.validate_runtime()
+    for param, values in (config.sweep or {}).items():
+        for value in values:
+            apply_sweep_point(config, {param: value})
     return config
 
 
@@ -553,34 +575,37 @@ def echo_config(config: ScenarioConfig) -> str:
 
 def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
     """A copy of `config` with `changes`, range-checked as the loader checks them."""
-    for key, lo, hi in _INT_RANGES:
-        if key in changes:
-            _num(changes[key], key, lo=lo, hi=hi, integer=True)
-    for key, lo, hi in _FLOAT_RANGES:
-        if key in changes:
-            _num(changes[key], key, lo=lo, hi=hi)
+    for key, value in changes.items():
+        if key in _RANGES:
+            lo, hi, integer = _RANGES[key]
+            _num(value, key, lo=lo, hi=hi, integer=integer)
     out = dataclasses.replace(config, **changes)
     out.validate_runtime()
     return out
 
 
 def apply_sweep_point(config: ScenarioConfig, point: Mapping[str, Any]) -> ScenarioConfig:
-    """Return a copy of `config` with the swept parameters set."""
+    """Return a copy of `config` with the swept parameters set.
+
+    Each value is checked as the loader checks that field, so a bad grid
+    point is a ConfigError naming `sweep.<param>`, raised before any trial.
+    """
     changes: dict[str, Any] = {}
     penalty_changes: dict[str, Any] = {}
     for param, value in point.items():
+        path = f"sweep.{param}"
         if param not in SWEEPABLE:
-            raise ConfigError(f"sweep.{param}", "not a sweepable parameter")
+            raise ConfigError(path, "not a sweepable parameter")
         if param.startswith("penalty."):
-            penalty_changes[param.split(".", 1)[1]] = value
+            key = param.split(".", 1)[1]
+            penalty_changes[key] = _penalty_value(key, value, path)
         elif param in ("theta", "quorum"):
-            changes[param] = parse_rational(value, param)
+            changes[param] = _share(value, path)
         elif param == "committee_size":
-            changes[param] = int(value)
-        elif param == "pos_slash_delay":
-            changes[param] = int(value)
+            changes[param] = _num(value, path, lo=0, integer=True)
         else:
-            changes[param] = float(value) if not isinstance(value, str) else value
+            lo, hi, integer = _RANGES[param]
+            changes[param] = _num(value, path, lo=lo, hi=hi, integer=integer)
     if penalty_changes:
         changes["penalty"] = dataclasses.replace(config.penalty, **penalty_changes)
     out = dataclasses.replace(config, sweep=None, **changes)

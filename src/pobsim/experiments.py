@@ -215,12 +215,12 @@ def sweep_points(config: ScenarioConfig) -> list[dict]:
 
 def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """Run every grid point and combine rows into one long-format CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     points = sweep_points(config)
     params = sorted(config.sweep)
 
-    subs = [apply_sweep_point(config, point) for point in points]
+    subs = [apply_sweep_point(config, point) for point in points]  # a bad point fails here
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     # Every (point, trial) task goes through one pool.
     results = iter(_run_tasks(
         config.workers,

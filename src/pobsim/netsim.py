@@ -100,45 +100,114 @@ class EpochLedger:
     events: tuple[dict, ...] = ()
 
 
-def _behavior_to_dict(b: BehaviorRecord) -> dict:
-    return {
-        "actor": b.actor,
-        "epoch": b.epoch,
-        "kind": b.kind.value,
-        "base_utility": b.base_utility,
-        "context_factor": b.context_factor,
-        "initiative": b.initiative,
-        "motivation": {
-            "intensities": list(b.motivation.intensities),
-            "weights": list(b.motivation.weights),
-        },
-        "is_fraud_ground_truth": b.is_fraud_ground_truth,
-    }
+# One canonical ledger writer. It writes what
+# json.dumps(..., sort_keys=True, separators=(",", ":")) writes for the
+# ledger's fields as plain dicts and lists, byte for byte, without building
+# them: keys are fixed fragments in sorted order, a finite float is its
+# repr, and anything else (None, bools, ints, NaN/Infinity, verdicts and
+# free-form events) goes through one encoder with json.dumps's settings.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _ENCODER.encode
+_string = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_VERDICT_FIELDS = tuple(f.name for f in dataclasses.fields(Verdict))
 
 
-def ledger_to_dict(ledger: EpochLedger) -> dict:
-    return {
-        "epoch": ledger.epoch,
-        "protocol": ledger.protocol,
-        "proposer": ledger.proposer,
-        "behaviors": [_behavior_to_dict(b) for b in ledger.behaviors],
-        "verdicts": [dataclasses.asdict(v) for v in ledger.verdicts],
-        "payouts": [dataclasses.asdict(p) for p in ledger.payouts],
-        "scores": ledger.scores,
-        "activeness": ledger.activeness,
-        "weights_before": ledger.weights_before,
-        "weights_after": ledger.weights_after,
-        "confirmed": ledger.confirmed,
-        "confirm_ms": ledger.confirm_ms,
-        "latency_samples": list(ledger.latency_samples),
-        "neutralized": list(ledger.neutralized),
-        "events": list(ledger.events),
-    }
+def _value(x) -> str:
+    """A JSON scalar: repr for a finite float, the shared encoder otherwise."""
+    cls = x.__class__
+    if cls is float:
+        s = _float_repr(x)
+        if "n" not in s:  # "nan", "inf" and "-inf" are not JSON
+            return s
+    elif cls is int:
+        return int.__repr__(x)
+    return _encode(x)
+
+
+def _floats(xs: Sequence) -> str:
+    """A JSON array of numbers."""
+    try:
+        s = ",".join(map(_float_repr, xs))
+    except TypeError:  # an int or a bool among the floats
+        return _encode(list(xs))
+    if "n" in s:
+        return _encode(list(xs))
+    return "[" + s + "]"
+
+
+def _float_map(m: Mapping) -> str:
+    """A JSON object of {id: number}, in sorted key order."""
+    keys = sorted(m)
+    try:
+        values = list(map(_float_repr, map(m.__getitem__, keys)))
+        names = list(map(_string, keys))
+    except TypeError:
+        return _encode(m)
+    if "n" in "".join(values):
+        return _encode(m)
+    return "{" + ",".join(map(":".join, zip(names, values))) + "}"
+
+
+def _motivation(m: MotivationProfile) -> str:
+    return '{"intensities":' + _floats(m.intensities) + ',"weights":' + _floats(m.weights) + "}"
+
+
+def _behaviors(behaviors: Sequence[BehaviorRecord]) -> str:
+    motivations: dict[int, str] = {}  # id(profile) -> its JSON, once per ledger
+    parts = []
+    for b in behaviors:
+        m = b.motivation
+        motivation = motivations.get(id(m))
+        if motivation is None:
+            motivation = motivations[id(m)] = _motivation(m)
+        parts.append(
+            f'{{"actor":{_string(b.actor)}'
+            f',"base_utility":{_value(b.base_utility)}'
+            f',"context_factor":{_value(b.context_factor)}'
+            f',"epoch":{_value(b.epoch)}'
+            f',"initiative":{_value(b.initiative)}'
+            f',"is_fraud_ground_truth":{_value(b.is_fraud_ground_truth)}'
+            f',"kind":{_string(b.kind.value)}'
+            f',"motivation":{motivation}}}'
+        )
+    return "[" + ",".join(parts) + "]"
+
+
+def _payouts(payouts: Sequence[Payout]) -> str:
+    return "[" + ",".join([
+        f'{{"activeness_multiplier":{_value(p.activeness_multiplier)}'
+        f',"base":{_value(p.base)}'
+        f',"bonus":{_value(p.bonus)}'
+        f',"total":{_value(p.total)}'
+        f',"validator":{_string(p.validator)}}}'
+        for p in payouts
+    ]) + "]"
+
+
+def _verdicts(verdicts: Sequence[Verdict]) -> str:
+    return _encode([{f: getattr(v, f) for f in _VERDICT_FIELDS} for v in verdicts])
 
 
 def ledger_to_json(ledger: EpochLedger) -> str:
     """Canonical serialization: sorted keys, shortest round-trip floats."""
-    return json.dumps(ledger_to_dict(ledger), sort_keys=True, separators=(",", ":"))
+    return (
+        f'{{"activeness":{_float_map(ledger.activeness)}'
+        f',"behaviors":{_behaviors(ledger.behaviors)}'
+        f',"confirm_ms":{_value(ledger.confirm_ms)}'
+        f',"confirmed":{_value(ledger.confirmed)}'
+        f',"epoch":{_value(ledger.epoch)}'
+        f',"events":{_encode(list(ledger.events))}'
+        f',"latency_samples":{_floats(ledger.latency_samples)}'
+        f',"neutralized":{_encode(list(ledger.neutralized))}'
+        f',"payouts":{_payouts(ledger.payouts)}'
+        f',"proposer":{_string(ledger.proposer)}'
+        f',"protocol":{_string(ledger.protocol)}'
+        f',"scores":{_float_map(ledger.scores)}'
+        f',"verdicts":{_verdicts(ledger.verdicts)}'
+        f',"weights_after":{_float_map(ledger.weights_after)}'
+        f',"weights_before":{_float_map(ledger.weights_before)}}}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +866,7 @@ def run_trial(
         if confirmed:
             chain.append(
                 extend_chain(chain[-1], proposer, facts.utility, sim_time, state.signers,
-                             reward_table)
+                             reward_table, roster=state.alive)
             )
 
         finished = EpochLedger(

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from pobsim.adversaries import long_range_fork_outcome
-from pobsim.chain import Block, extend_chain, fork_choice, genesis_block
+from pobsim.chain import Block, extend_chain, fork_choice, genesis_block, signer_weight
 from pobsim.weights import WeightTable
 
 
@@ -26,6 +28,18 @@ class TestBlocks:
         b2 = extend_chain(b1, "b", 3.0, 20.0, ["a"], table)
         assert b2.cumulative_utility == pytest.approx(5.0)
         assert b2.signer_weight == pytest.approx(0.6)
+
+    def test_roster_sum_equals_sorted_signer_sum(self):
+        rng = random.Random(5)
+        ids = [f"v{i:04d}" for i in range(1000)]
+        table = WeightTable({v: rng.random() for v in ids}).normalized()
+        roster = sorted(rng.sample(ids, 700))
+        signers = frozenset(roster)
+        plain = extend_chain(genesis_block(), "v0000", 1.0, 0.0, signers, table)
+        fast = extend_chain(genesis_block(), "v0000", 1.0, 0.0, signers, table, roster=roster)
+        assert fast == plain
+        assert fast.signer_weight == signer_weight(signers, table)
+        assert fast.signers is signers
 
     def test_height_must_extend_parent(self):
         g = genesis_block()

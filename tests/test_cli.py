@@ -93,6 +93,18 @@ class TestCli:
                      "--epochs", "5"]) == 0
         assert (out / "sweep.csv").exists()
 
+    def test_sweep_out_of_range_point_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(TINY.replace("protocol: paired", "protocol: pob")
+                       + "sweep:\n  rho: [0.5, 1.5]\n")
+        out = tmp_path / "sweep-out"
+        assert main(["sweep", str(cfg), "--out", str(out), "--trials", "1",
+                     "--epochs", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sweep.rho" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ic_check_command(self, tmp_path, capsys):
         cfg = tmp_path / "ic.yaml"
         cfg.write_text(TINY.replace("protocol: paired", "protocol: pob"))

@@ -132,6 +132,26 @@ class TestSweepConfig:
         cfg = loads_config(MINIMAL + "sweep:\n  rho: [0.5, 0.9]\n")
         assert cfg.sweep == {"rho": [0.5, 0.9]}
 
+    @pytest.mark.parametrize("param,values", [
+        ("rho", "[0.5, 1.5]"),
+        ("detection_accuracy", "[-0.1]"),
+        ("pos_slash_delay", "[10, -1]"),
+        ("committee_size", "[2.5]"),
+        ("theta", '["3/2"]'),
+        ("penalty.rho_p", "[1.0]"),
+        ("penalty.mode", "[linear]"),
+        ("epsilon", "[oops]"),
+    ])
+    def test_sweep_values_range_checked_on_load(self, param, values):
+        with pytest.raises(ConfigError, match=f"sweep.{param}"):
+            loads_config(MINIMAL + f"sweep:\n  {param}: {values}\n")
+
+    def test_sweep_point_range_checked(self):
+        cfg = loads_config(MINIMAL)
+        with pytest.raises(ConfigError, match="sweep.rho"):
+            apply_sweep_point(cfg, {"rho": 1.5})
+        assert apply_sweep_point(cfg, {"rho": 1}).rho == 1.0
+
     def test_apply_sweep_point_nested(self):
         cfg = loads_config(MINIMAL)
         out = apply_sweep_point(cfg, {"penalty.base_coefficient": 1.5, "theta": "1/2"})
@@ -199,6 +219,22 @@ class TestOverrides:
     def test_float_field_range_checked(self):
         with pytest.raises(ConfigError, match="rho"):
             with_overrides(loads_config(MINIMAL), rho=1.5)
+
+    def test_reversed_honest_utility_range_rejected(self):
+        text = MINIMAL + "honest_utility_lo: 2.0\nhonest_utility_hi: 1.0\n"
+        with pytest.raises(ConfigError, match="honest_utility_lo"):
+            loads_config(text)
+        with pytest.raises(ConfigError, match="honest_utility_lo"):
+            with_overrides(loads_config(MINIMAL), honest_utility_lo=2.0)
+        assert with_overrides(loads_config(MINIMAL), honest_utility_lo=1.5).honest_utility_lo == 1.5
+
+    def test_reversed_honest_initiative_range_rejected(self):
+        text = MINIMAL + "honest_initiative_lo: 0.9\nhonest_initiative_hi: 0.7\n"
+        with pytest.raises(ConfigError, match="honest_initiative_lo"):
+            loads_config(text)
+        with pytest.raises(ConfigError, match="honest_initiative_lo"):
+            with_overrides(loads_config(MINIMAL), honest_initiative_hi=0.5)
+        assert with_overrides(loads_config(MINIMAL), honest_initiative_lo=1.0).honest_initiative_lo == 1.0
 
     def test_direct_mapping_validation(self):
         with pytest.raises(ConfigError):

@@ -124,6 +124,12 @@ class TestRunSweep:
                 tmp_path / "parallel" / name
             ).read_bytes()
 
+    def test_bad_sweep_point_fails_before_output(self, tmp_path):
+        cfg = tiny_paired(epochs=5, sweep={"rho": [0.5], "delta": [0.1, 2.0]})
+        with pytest.raises(ConfigError, match="sweep.delta"):
+            run_sweep(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_sweep_uses_one_pool(self, tmp_path, monkeypatch):
         pools = []
         real_pool = experiments.ProcessPoolExecutor

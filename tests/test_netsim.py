@@ -9,7 +9,7 @@ import pytest
 from pobsim.config import ScenarioConfig, RosterEntry
 from pobsim.adversaries import StrategySpec
 from pobsim.errors import ConfigError, TraceError
-from pobsim import netsim
+from pobsim import chain, netsim
 from pobsim.netsim import (
     LatencyModel,
     TraceBlock,
@@ -351,12 +351,21 @@ class TestSinglePassFacts:
     def test_scores_activeness_and_chain_utility_match_naive(self, monkeypatch):
         blocks = []
         extend = netsim.extend_chain
+        sorting_weight = chain.signer_weight
+        sorted_sums = []
 
-        def recording_extend_chain(*args, **kwargs):
-            blocks.append(extend(*args, **kwargs))
+        def recording_extend_chain(parent, proposer, utility, at, signers, table, **kwargs):
+            blocks.append(extend(parent, proposer, utility, at, signers, table, **kwargs))
+            # the roster sum is bit-identical to sorting the signer set
+            assert blocks[-1].signer_weight == sorting_weight(signers, table)
             return blocks[-1]
 
+        def counting_signer_weight(*args):
+            sorted_sums.append(args)
+            return sorting_weight(*args)
+
         monkeypatch.setattr(netsim, "extend_chain", recording_extend_chain)
+        monkeypatch.setattr(chain, "signer_weight", counting_signer_weight)
         cfg = small_config(
             epochs=80, oracle_rate=0.3, epsilon=0.5, betas=(0.5, 0.3, 0.2),
             roster=(RosterEntry(7, 10, StrategySpec("stealth", {"fraud_rate": 0.2})),),
@@ -377,6 +386,7 @@ class TestSinglePassFacts:
                     assert l.activeness[v] == activeness(inputs)
             confirmed = [l for l in ledgers if l.confirmed]
             assert len(blocks) == len(confirmed) > 0
+            assert sorted_sums == []  # extending the chain sorts no signer set
             cumulative = 0.0
             for l, block in zip(confirmed, blocks):
                 cumulative += sum(total_utility(b) for b in l.behaviors)

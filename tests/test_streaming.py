@@ -3,10 +3,15 @@
 `run_trial` hands each finished ledger to a sink. These tests check that
 the tally folded from that stream gives the same metrics as a pass over
 the full ledger list, that the streamed ledger files are the canonical
-JSON of that list, that memory does not grow with the epoch count, and
-that the incrementally kept alive roster is the naive recomputation.
+JSON of that list, that the ledger writer's bytes are those of a plain
+`json.dumps` of the ledger as dicts, that memory does not grow with the
+epoch count, and that the incrementally kept alive roster is the naive
+recomputation.
 """
 
+import dataclasses
+import json
+import os
 import tracemalloc
 
 import pytest
@@ -25,8 +30,11 @@ from pobsim.metrics import (
     paired_loss_averted,
     suppression_time,
 )
-from pobsim.netsim import ledger_to_json, parse_trace, run_trial
+from pobsim.netsim import EpochLedger, ledger_to_json, parse_trace, run_trial
 from pobsim.presets import builtin_presets, bundled_trace_path
+from pobsim.rewards import Payout
+from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile
+from pobsim.watchdog import Verdict
 
 EPOCHS = 20
 TRACE_WINDOW = (490, 510)  # around the bundled trace's exploit at height 500
@@ -110,6 +118,53 @@ def _reference_metrics(ledgers, config, protocol):
     )
 
 
+# ---------------------------------------------------------------------------
+# Reference ledger encoder: the ledger as dicts and lists, through json.dumps
+# ---------------------------------------------------------------------------
+
+def _reference_ledger_json(ledger):
+    def behavior(b):
+        return {
+            "actor": b.actor,
+            "epoch": b.epoch,
+            "kind": b.kind.value,
+            "base_utility": b.base_utility,
+            "context_factor": b.context_factor,
+            "initiative": b.initiative,
+            "motivation": {
+                "intensities": list(b.motivation.intensities),
+                "weights": list(b.motivation.weights),
+            },
+            "is_fraud_ground_truth": b.is_fraud_ground_truth,
+        }
+
+    return json.dumps({
+        "epoch": ledger.epoch,
+        "protocol": ledger.protocol,
+        "proposer": ledger.proposer,
+        "behaviors": [behavior(b) for b in ledger.behaviors],
+        "verdicts": [dataclasses.asdict(v) for v in ledger.verdicts],
+        "payouts": [dataclasses.asdict(p) for p in ledger.payouts],
+        "scores": ledger.scores,
+        "activeness": ledger.activeness,
+        "weights_before": ledger.weights_before,
+        "weights_after": ledger.weights_after,
+        "confirmed": ledger.confirmed,
+        "confirm_ms": ledger.confirm_ms,
+        "latency_samples": list(ledger.latency_samples),
+        "neutralized": list(ledger.neutralized),
+        "events": list(ledger.events),
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def _assert_writer_matches_reference(ledger):
+    got, want = ledger_to_json(ledger), _reference_ledger_json(ledger)
+    if got != want:  # show where, not a diff of two long lines
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"ledger JSON differs at byte {at}: "
+                    f"{got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type of the ValueError it raises."""
     try:
@@ -161,6 +216,107 @@ def test_streamed_tally_and_ledgers_match_ledger_list(name, tmp_path):
 
     assert _outcome(paired_loss_averted, tallies["pob"], tallies["pos"]) == _outcome(
         _reference_loss_averted, lists["pob"], lists["pos"])
+
+
+def _capped_sybils(config):
+    """The adaptive-Sybil roster with a population cap its respawns reach."""
+    (entry,) = config.roster
+    params = {**entry.spec.params, "max_population": config.n_validators - 1}
+    spec = StrategySpec(entry.spec.kind, params)
+    return with_overrides(config, roster=(dataclasses.replace(entry, spec=spec),))
+
+
+# Each preset, plus two variants whose ledgers carry the rarer events.
+WRITER_CASES = {name: (name, None) for name in sorted(builtin_presets())}
+WRITER_CASES["case-a-stealth-pos-slash"] = (
+    "case-a-stealth", lambda c: with_overrides(c, pos_slash_delay=2))
+WRITER_CASES["case-d-adaptive-sybil-capped"] = ("case-d-adaptive-sybil", _capped_sybils)
+WRITER_COVERAGE = {  # what a case's ledgers must carry for the check to mean much
+    "case-a-stealth": {"verdict"},
+    "case-a-stealth-pos-slash": {"verdict", "pos-slash"},
+    "case-b-fairness-100": {"join"},
+    "case-c-replay": {"verdict"},
+    "case-d-adaptive-sybil": {"verdict", "join", "retire"},
+    "case-d-adaptive-sybil-capped": {"population-cap"},
+    "case-d-long-range": {"fork-outcome"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_ledger_writer_matches_reference_encoder(case):
+    name, variant = WRITER_CASES[case]
+    config, trace = _preset(name)
+    if variant is not None:
+        config = variant(config)
+    kinds = set()
+    for protocol in ("pob", "pos"):
+        for ledger in run_trial(config, config.seed, protocol=protocol, trace=trace):
+            _assert_writer_matches_reference(ledger)
+            kinds.update(e["kind"] for e in ledger.events)
+            kinds.update("verdict" for _ in ledger.verdicts)
+    assert WRITER_COVERAGE.get(case, set()) <= kinds, kinds
+
+
+ODD_ID = 'q"b\\s\x01\u00e9'  # a quote, a backslash, a control character, a non-ASCII letter
+NON_FINITE = (float("nan"), float("inf"), float("-inf"), -0.0)
+
+
+def _ledger(**changes):
+    motivation = MotivationProfile((0.5, 0.25), (0.5, 0.5))
+    fields = dict(
+        epoch=3, protocol="pob", proposer="v01",
+        behaviors=(
+            BehaviorRecord("v01", 3, ActionKind.PROPOSE, 1.5, 1.0, 0.25, motivation),
+            BehaviorRecord("v00", 3, ActionKind.FRAUD, -2.0, 0.5, 0.75,
+                           MotivationProfile((1.0, 0.0), (0.5, 0.5)), True),
+            BehaviorRecord("v02", 3, ActionKind.IDLE, 0.0, 0.0, 0.0, motivation),
+        ),
+        verdicts=(Verdict("v00", 3, 1, 0.75, 5, True, 0.125, "proportional", 0.5, 3),),
+        payouts=(Payout("v01", 1.25, 0.5, 1.0, 1.75), Payout("v02", 1.0, 0.0, 0.5, 0.5)),
+        # maps deliberately out of key order
+        scores={"v02": 0.1, "v00": -0.3, "v01": 0.7},
+        activeness={"v01": 1.0, "v02": 0.5, "v00": 0.25},
+        weights_before={"v02": 0.25, "v01": 0.5, "v00": 0.25},
+        weights_after={"v01": 0.625, "v00": 0.0, "v02": 0.375},
+        confirmed=True, confirm_ms=123.456, latency_samples=(12.5, 0.1, 7.0),
+        neutralized=("v00",),
+        events=({"kind": "join", "validator": "v03", "epoch": 4, "note": "\u00e9"},),
+    )
+    fields.update(changes)
+    return EpochLedger(**fields)
+
+
+@pytest.mark.parametrize("changes", [
+    {},
+    {"confirm_ms": None, "confirmed": False},
+    {"behaviors": (), "payouts": (), "verdicts": (), "scores": {}, "activeness": {},
+     "weights_before": {}, "weights_after": {}, "latency_samples": (), "neutralized": (),
+     "events": ()},
+    {"proposer": ODD_ID, "neutralized": (ODD_ID,),
+     "behaviors": (BehaviorRecord(ODD_ID, 3, ActionKind.VALIDATE, 1.0, 1.0, 1.0,
+                                  MotivationProfile((0.5,), (1.0,))),),
+     "payouts": (Payout(ODD_ID, 1.0, 0.0, 1.0, 1.0),),
+     "scores": {ODD_ID: 1.0, "v00": 0.5}, "weights_after": {"z": 0.5, ODD_ID: 0.5},
+     "events": ({"kind": "join", "validator": ODD_ID},)},
+    {"latency_samples": NON_FINITE + (1.0,), "confirm_ms": float("inf")},
+    {"scores": dict(zip(("d", "c", "b", "a"), NON_FINITE))},
+    {"weights_before": {"b": float("nan"), "a": 0.5}, "weights_after": {"a": -0.0},
+     "activeness": {"a": float("-inf")}},
+    {"behaviors": (BehaviorRecord("v01", 3, ActionKind.PROPOSE, float("nan"), -0.0, 1.0,
+                                  MotivationProfile((float("inf"), -0.0), (0.5, 0.5))),
+                   BehaviorRecord("v02", 3, ActionKind.PROPOSE, float("-inf"), 1.0, 0.0,
+                                  MotivationProfile((float("nan"),), (1.0,))))},
+    {"payouts": (Payout("v01", float("nan"), -0.0, float("inf"), float("-inf")),)},
+    # an int and a bool where a float belongs
+    {"confirm_ms": 7, "latency_samples": (1, 2.5, True), "scores": {"a": 1, "b": False},
+     "weights_after": {"a": True, "b": 0.5}, "payouts": (Payout("v01", 1, True, 0.5, 2),)},
+    {"behaviors": (BehaviorRecord("v01", 3, ActionKind.PROPOSE, 2, True, 0,
+                                  MotivationProfile((0.5, 0.25), (0.5, 0.5))),)},
+], ids=["plain", "unconfirmed", "empty", "odd-ids", "non-finite-latency",
+        "non-finite-scores", "non-finite-weights", "non-finite-behaviors",
+        "non-finite-payouts", "int-and-bool", "int-and-bool-behavior"])
+def test_ledger_writer_matches_reference_on_edge_cases(changes):
+    _assert_writer_matches_reference(_ledger(**changes))
 
 
 def test_fork_outcome_reaches_last_streamed_ledger():
