@@ -128,37 +128,33 @@ class ValidatorState:
         return self.join_epoch <= epoch and self.retired_epoch is None
 
 
-def _honest_record(ctx: EpochContext) -> BehaviorRecord:
-    kind = ActionKind.PROPOSE if ctx.is_proposer else ActionKind.VALIDATE
-    rng = ctx.rng_behavior
-    u_b = rng.uniform(ctx.shape.base_utility_lo, ctx.shape.base_utility_hi)
-    alpha = rng.uniform(ctx.shape.initiative_lo, ctx.shape.initiative_hi)
-    return BehaviorRecord(
-        actor=ctx.vid,
-        epoch=ctx.epoch,
-        kind=kind,
-        base_utility=u_b,
-        context_factor=1.0,
-        initiative=alpha,
-        motivation=ctx.shape.motivation_for(kind),
-    )
-
-
 def _honest_epoch(ctx: EpochContext) -> list[BehaviorRecord]:
-    records = [_honest_record(ctx)]
-    if ctx.shape.oracle_rate > 0.0 and ctx.rng_behavior.random() < ctx.shape.oracle_rate:
+    """One propose/validate record, plus an oracle report at `oracle_rate`.
+
+    Each draw is `random.uniform`'s own `a + (b - a) * random()` on a
+    bound `random`, so the stream and its values are those of
+    `rng.uniform(a, b)`, in the same order.
+    """
+    shape = ctx.shape
+    random = ctx.rng_behavior.random
+    kind = _PROPOSE if ctx.is_proposer else _VALIDATE
+    u_lo = shape.base_utility_lo
+    i_lo = shape.initiative_lo
+    i_span = shape.initiative_hi - i_lo
+    records = [
+        BehaviorRecord(ctx.vid, ctx.epoch, kind,
+                       u_lo + (shape.base_utility_hi - u_lo) * random(), 1.0,
+                       i_lo + i_span * random(), shape.motivations[kind])
+    ]
+    if shape.oracle_rate > 0.0 and random() < shape.oracle_rate:
         records.append(
-            BehaviorRecord(
-                actor=ctx.vid,
-                epoch=ctx.epoch,
-                kind=ActionKind.ORACLE,
-                base_utility=ctx.rng_behavior.uniform(0.1, 0.5),
-                context_factor=1.0,
-                initiative=ctx.rng_behavior.uniform(ctx.shape.initiative_lo, ctx.shape.initiative_hi),
-                motivation=ctx.shape.motivation_for(ActionKind.ORACLE),
-            )
+            BehaviorRecord(ctx.vid, ctx.epoch, _ORACLE, 0.1 + (0.5 - 0.1) * random(), 1.0,
+                           i_lo + i_span * random(), shape.motivations[_ORACLE])
         )
     return records
+
+
+_PROPOSE, _VALIDATE, _ORACLE = ActionKind.PROPOSE, ActionKind.VALIDATE, ActionKind.ORACLE
 
 
 def fraud_record(ctx: EpochContext, value: float, kind: ActionKind = ActionKind.FRAUD) -> BehaviorRecord:

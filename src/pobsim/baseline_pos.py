@@ -68,6 +68,7 @@ def pos_schedule_slash(table: StakeTable, offender: str, detection_block: int) -
         return
     table.pending[offender] = detection_block + table.slash_delay_blocks
 
+
 def pos_apply_due_slashes(table: StakeTable, block: int) -> list[str]:
     """Apply every slash whose delay has elapsed; returns who got slashed."""
     landed = sorted(v for v, due in table.pending.items() if due <= block)
@@ -76,14 +77,6 @@ def pos_apply_due_slashes(table: StakeTable, block: int) -> list[str]:
         table.slashed.add(v)
         del table.pending[v]
     return landed
-
-
-def pos_slash(table: StakeTable, offender: str, detection_block: int) -> StakeTable:
-    """Schedule-and-advance convenience used by unit tests: returns the
-    table state as of `detection_block + slash_delay_blocks`."""
-    pos_schedule_slash(table, offender, detection_block)
-    pos_apply_due_slashes(table, detection_block + table.slash_delay_blocks)
-    return table
 
 
 def pareto_stakes(ids: Iterable[str], rng: random.Random, alpha: float = 1.6,

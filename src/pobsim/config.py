@@ -178,8 +178,34 @@ class ScenarioConfig:
             full_slash_kinds=frozenset(ActionKind(k) for k in self.penalty.full_slash_kinds),
         )
 
+    def validator_ids(self) -> list[str]:
+        """The configured validators' ids, in index order."""
+        return [f"v{i:04d}" for i in range(self.n_validators)]
+
     def validate_runtime(self) -> None:
         """Cross-field checks that need the resolved values."""
+        n_types = len(self.motivation_weights)
+        for kind, vec in sorted(self.motivation_intensities.items()):
+            if len(vec) != n_types:
+                raise ConfigError(
+                    f"motivation_intensities.{kind}",
+                    f"{len(vec)} intensities, expected {n_types} (one per motivation weight)",
+                )
+        if self.proposer_override is not None:
+            vid, from_epoch, to_epoch = self.proposer_override
+            if not ((vid == "newcomer" and self.newcomer_epoch is not None)
+                    or vid in self.validator_ids()):
+                known = f"v0000 ... v{self.n_validators - 1:04d}"
+                if self.newcomer_epoch is not None:
+                    known += " or newcomer"
+                raise ConfigError("proposer_override.validator",
+                                  f"unknown validator {vid!r} (known: {known})")
+            if from_epoch > to_epoch:
+                raise ConfigError("proposer_override",
+                                  f"from_epoch {from_epoch} exceeds to_epoch {to_epoch}")
+            if vid == "newcomer" and from_epoch < self.newcomer_epoch:
+                raise ConfigError("proposer_override.from_epoch",
+                                  f"{from_epoch} is before newcomer_epoch {self.newcomer_epoch}")
         for lo, hi in (("honest_utility_lo", "honest_utility_hi"),
                        ("honest_initiative_lo", "honest_initiative_hi")):
             if getattr(self, lo) > getattr(self, hi):

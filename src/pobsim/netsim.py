@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -36,6 +37,7 @@ from .errors import TraceError
 from .rewards import Payout, RewardSchedule, distribute
 from .rng import RngHub
 from .scoring import (
+    SINGLE_KIND_DIVERSITY,
     ActionKind,
     BehaviorRecord,
     MotivationProfile,
@@ -68,11 +70,21 @@ class LatencyModel:
             raise ValueError("mean_ms must be > 0")
 
     def sample(self, rng: random.Random) -> float:
+        return self.sampler(rng)()
+
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A draw function bound to `rng`, for drawing many delays.
+
+        The distribution is dispatched once, here. Each draw is
+        `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)` (a fixed
+        delay draws nothing), so the stream and its values are unchanged.
+        """
+        mean = self.mean_ms
         if self.distribution == "fixed":
-            return self.mean_ms
+            return lambda: mean
         if self.distribution == "uniform":
-            return rng.uniform(0.0, 2.0 * self.mean_ms)
-        return rng.expovariate(1.0 / self.mean_ms)
+            return partial(rng.uniform, 0.0, 2.0 * mean)
+        return partial(rng.expovariate, 1.0 / mean)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +246,17 @@ def simulate_confirmation(
     """
     if not 0 < quorum <= 1:
         raise ValueError(f"quorum {quorum} outside (0, 1]")
+    sample_proposal = latency.sampler(rng_proposal)
+    sample_vote = latency.sampler(rng_vote)
     samples: list[float] = []
     arrivals: list[float] = []
+    add_sample, add_arrival = samples.append, arrivals.append
     for _ in alive:
-        d_prop = latency.sample(rng_proposal)
-        d_vote = latency.sample(rng_vote)
-        samples.append(d_prop)
-        samples.append(d_vote)
-        arrivals.append(processing_ms + d_prop + processing_ms + d_vote)
+        d_prop = sample_proposal()
+        d_vote = sample_vote()
+        add_sample(d_prop)
+        add_sample(d_vote)
+        add_arrival(processing_ms + d_prop + processing_ms + d_vote)
     weights = [weight_of[v] for v in alive]
     total = sum(weights)
     # Float comparison outside a slack band around the target; inside it
@@ -438,7 +453,7 @@ class _TrialState:
 
 def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialState:
     hub = RngHub(seed)
-    ids = [f"v{i:04d}" for i in range(config.n_validators)]
+    ids = config.validator_ids()
     shape = adv.HonestShape(
         base_utility_lo=config.honest_utility_lo,
         base_utility_hi=config.honest_utility_hi,
@@ -617,37 +632,48 @@ def _epoch_facts(behaviors: Sequence[BehaviorRecord], alive: list[str],
     utilities: list[float] = []
     harmful: list[int] = []
     first_index: dict[str, int] = {}
-    # actor -> (initiatives, kinds) of its records
-    tallies: dict[str, tuple[list[float], list[ActionKind]]] = {}
+    # actor -> indices of its records, only for actors with more than one
+    repeats: dict[str, list[int]] = {}
     for index, b in enumerate(behaviors):
-        u = total_utility(b)
+        outcome = outcome_utility(b)
+        u = b.motivation.utility + outcome  # total_utility(b)
         utilities.append(u)
-        scores[b.actor] += u
-        if outcome_utility(b) < 0.0:
+        actor = b.actor
+        scores[actor] += u
+        if outcome < 0.0:
             harmful.append(index)
-        tally = tallies.get(b.actor)
-        if tally is None:
-            first_index[b.actor] = index
-            tallies[b.actor] = ([b.initiative], [b.kind])
-        else:
-            tally[0].append(b.initiative)
-            tally[1].append(b.kind)
+        first = first_index.setdefault(actor, index)
+        if first != index:
+            indices = repeats.get(actor)
+            if indices is None:
+                repeats[actor] = [first, index]
+            else:
+                indices.append(index)
 
     participation: dict[str, tuple[float, float, float]] = {}
     if not behaviors or not alive:
         act_map = dict.fromkeys(alive, 0.0)
     else:
         mean_actions = len(behaviors) / len(alive)
+        one_record = 1 / mean_actions
+        idle = activeness_blend(0.0, 0.0, 0.0, betas)
         act_map = {}
         for vid in alive:
-            tally = tallies.get(vid)
-            if tally is None:
-                act_map[vid] = activeness_blend(0.0, 0.0, 0.0, betas)
+            first = first_index.get(vid)
+            if first is None:
+                act_map[vid] = idle
                 continue
-            initiatives, kinds = tally
-            n = len(kinds)
-            participation[vid] = (n / mean_actions, sum(initiatives) / n, diversity_index(kinds))
-            act_map[vid] = activeness_blend(*participation[vid], betas)
+            indices = repeats.get(vid)
+            if indices is None:
+                b = behaviors[first]
+                inputs = (one_record, b.initiative, SINGLE_KIND_DIVERSITY[b.kind])
+            else:
+                n = len(indices)
+                inputs = (n / mean_actions,
+                          sum([behaviors[i].initiative for i in indices]) / n,
+                          diversity_index([behaviors[i].kind for i in indices]))
+            participation[vid] = inputs
+            act_map[vid] = activeness_blend(*inputs, betas)
     return _EpochFacts(scores, sum(utilities), harmful, first_index, participation, act_map)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RewardPoolError
+from .scoring import slot_setters
 from .weights import WeightTable
 
 
@@ -31,7 +32,7 @@ class RewardSchedule:
             raise ValueError("activeness_epsilon must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Payout:
     validator: str
     base: float
@@ -39,10 +40,17 @@ class Payout:
     activeness_multiplier: float
     total: float
 
+    # Hand-written, so the dataclass keeps it: one slot write per field
+    # (see scoring.slot_setters).
+    def __init__(self, validator, base, bonus, activeness_multiplier, total):
+        _set_validator(self, validator)
+        _set_base(self, base)
+        _set_bonus(self, bonus)
+        _set_activeness_multiplier(self, activeness_multiplier)
+        _set_total(self, total)
 
-def active_set(epoch_scores: Mapping[str, float], beta: float) -> set[str]:
-    """Validators whose epoch score strictly exceeds the threshold."""
-    return {v for v, score in epoch_scores.items() if score > beta}
+
+_set_validator, _set_base, _set_bonus, _set_activeness_multiplier, _set_total = slot_setters(Payout)
 
 
 def distribute(
@@ -53,39 +61,35 @@ def distribute(
 ) -> list[Payout]:
     """Split the epoch pool over the active set.
 
-    Each active validator receives base + bonus * (its weight share among
-    actives), scaled by (1 + epsilon * A_i). Inactive validators receive
-    nothing. If every active validator has zero weight the bonus is split
-    uniformly. Raises RewardPoolError when the stipends alone exceed the
-    pool.
+    The active set is every validator whose epoch score strictly exceeds
+    the schedule's activity threshold. Each active validator receives
+    base + bonus * (its weight share among actives), scaled by
+    (1 + epsilon * A_i). Inactive validators receive nothing. If every
+    active validator has zero weight the bonus is split uniformly.
+    Raises RewardPoolError when the stipends alone exceed the pool.
     """
-    actives = sorted(active_set(epoch_scores, schedule.activity_threshold))
+    threshold = schedule.activity_threshold
+    actives = sorted([v for v, score in epoch_scores.items() if score > threshold])
     if not actives:
         return []
-    stipend_total = schedule.base_reward * len(actives)
+    base = schedule.base_reward
+    stipend_total = base * len(actives)
     if stipend_total > schedule.total_reward:
         raise RewardPoolError(
-            f"base stipend {schedule.base_reward} x {len(actives)} active "
+            f"base stipend {base} x {len(actives)} active "
             f"validators exceeds pool {schedule.total_reward}"
         )
     bonus_pool = schedule.total_reward - stipend_total
-    weight_total = sum(table.entries[v] for v in actives)
+    entries = table.entries
+    weights = [entries[v] for v in actives]
+    weight_total = sum(weights)
+    uniform_share = 1.0 / len(actives)
+    epsilon = schedule.activeness_epsilon
+    activeness_of = activeness.get if activeness is not None else {}.get
     payouts: list[Payout] = []
-    for v in actives:
-        if weight_total > 0.0:
-            share = table.entries[v] / weight_total
-        else:
-            share = 1.0 / len(actives)
-        bonus = bonus_pool * share
-        a_i = activeness.get(v, 0.0) if activeness is not None else 0.0
-        multiplier = 1.0 + schedule.activeness_epsilon * a_i
-        payouts.append(
-            Payout(
-                validator=v,
-                base=schedule.base_reward,
-                bonus=bonus,
-                activeness_multiplier=multiplier,
-                total=(schedule.base_reward + bonus) * multiplier,
-            )
-        )
+    append = payouts.append
+    for v, w in zip(actives, weights):
+        bonus = bonus_pool * (w / weight_total if weight_total > 0.0 else uniform_share)
+        multiplier = 1.0 + epsilon * activeness_of(v, 0.0)
+        append(Payout(v, base, bonus, multiplier, (base + bonus) * multiplier))
     return payouts

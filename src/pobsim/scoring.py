@@ -9,7 +9,7 @@ a validator is beyond raw utility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -63,6 +63,17 @@ class MotivationProfile:
         )
 
 
+def slot_setters(cls) -> tuple:
+    """Each field's slot setter of a slotted dataclass, in field order.
+
+    A frozen dataclass's generated `__init__` fills each field through
+    `object.__setattr__`, which dispatches through the class on every
+    call. A slot's own descriptor writes it directly and, like
+    `object.__setattr__`, is not blocked by the frozen `__setattr__`.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
 @dataclass(frozen=True, slots=True)
 class BehaviorRecord:
     """One action by one validator in one epoch.
@@ -80,13 +91,28 @@ class BehaviorRecord:
     motivation: MotivationProfile
     is_fraud_ground_truth: bool = False
 
-    def __post_init__(self):
-        if not 0.0 <= self.context_factor <= 1.0:
-            raise ValueError(f"context_factor {self.context_factor} outside [0, 1]")
-        if not 0.0 <= self.initiative <= 1.0:
-            raise ValueError(f"initiative {self.initiative} outside [0, 1]")
-        if self.epoch < 0:
+    # Hand-written, so the dataclass keeps it: the same checks and
+    # messages as a __post_init__, then one slot write per field.
+    def __init__(self, actor, epoch, kind, base_utility, context_factor, initiative,
+                 motivation, is_fraud_ground_truth=False):
+        if not 0.0 <= context_factor <= 1.0:
+            raise ValueError(f"context_factor {context_factor} outside [0, 1]")
+        if not 0.0 <= initiative <= 1.0:
+            raise ValueError(f"initiative {initiative} outside [0, 1]")
+        if epoch < 0:
             raise ValueError("epoch must be >= 0")
+        _set_actor(self, actor)
+        _set_epoch(self, epoch)
+        _set_kind(self, kind)
+        _set_base_utility(self, base_utility)
+        _set_context_factor(self, context_factor)
+        _set_initiative(self, initiative)
+        _set_motivation(self, motivation)
+        _set_is_fraud_ground_truth(self, is_fraud_ground_truth)
+
+
+(_set_actor, _set_epoch, _set_kind, _set_base_utility, _set_context_factor,
+ _set_initiative, _set_motivation, _set_is_fraud_ground_truth) = slot_setters(BehaviorRecord)
 
 
 @dataclass(frozen=True)
@@ -129,15 +155,6 @@ def total_utility(b: BehaviorRecord) -> float:
 def epoch_score(behaviors: Iterable[BehaviorRecord], actor: str, epoch: int) -> float:
     """Cumulative utility of `actor` over the given epoch. Empty selection -> 0."""
     return sum(total_utility(b) for b in behaviors if b.actor == actor and b.epoch == epoch)
-
-
-def epoch_scores(behaviors: Sequence[BehaviorRecord], actors: Iterable[str], epoch: int) -> dict[str, float]:
-    """Scores for every listed actor (0 for actors with no records)."""
-    out = {a: 0.0 for a in actors}
-    for b in behaviors:
-        if b.epoch == epoch and b.actor in out:
-            out[b.actor] += total_utility(b)
-    return out
 
 
 def activeness(a: ActivenessInputs) -> float:
@@ -186,3 +203,7 @@ def looks_scripted(freq_ratio: float, mean_initiative: float, diversity: float,
 def diversity_index(kinds: Iterable[ActionKind]) -> float:
     """Distinct constructive roles performed / number of constructive roles."""
     return len(CONSTRUCTIVE_KINDS.intersection(kinds)) / len(CONSTRUCTIVE_KINDS)
+
+
+# diversity_index of an actor whose only record is of the given kind.
+SINGLE_KIND_DIVERSITY = {kind: diversity_index((kind,)) for kind in ActionKind}

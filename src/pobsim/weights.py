@@ -103,20 +103,6 @@ def apply_multiplicative_slash(table: WeightTable, target: str, rho_p: float) ->
     return WeightTable(entries, table.epoch)
 
 
-def election_probabilities(table: WeightTable, active: Iterable[str], delta: float) -> dict[str, float]:
-    """Closed-form mixture: delta * uniform + (1 - delta) * weight-proportional."""
-    ids = sorted(active)
-    if not ids:
-        raise ValueError("active set is empty")
-    total = sum(table.entries[v] for v in ids)
-    n = len(ids)
-    probs = {}
-    for v in ids:
-        prop = table.entries[v] / total if total > 0.0 else 0.0
-        probs[v] = delta / n + (1.0 - delta) * prop
-    return probs
-
-
 def select_proposer(
     table: WeightTable,
     active: Iterable[str],

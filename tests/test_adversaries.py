@@ -15,7 +15,7 @@ from pobsim.adversaries import (
     SybilCoalition,
 )
 from pobsim.config import DEFAULT_MOTIVATION_INTENSITIES, DEFAULT_MOTIVATION_WEIGHTS
-from pobsim.scoring import ActionKind, MotivationProfile, outcome_utility
+from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile, outcome_utility
 
 
 def shape():
@@ -216,3 +216,47 @@ class TestAdaptiveSybil:
             for name in fresh:
                 assert name not in seen
                 seen.add(name)
+
+
+def reference_honest_epoch(c):
+    """The honest records as built with rng.uniform and keyword arguments."""
+    rng, s = c.rng_behavior, c.shape
+    kind = ActionKind.PROPOSE if c.is_proposer else ActionKind.VALIDATE
+    records = [BehaviorRecord(
+        actor=c.vid, epoch=c.epoch, kind=kind,
+        base_utility=rng.uniform(s.base_utility_lo, s.base_utility_hi), context_factor=1.0,
+        initiative=rng.uniform(s.initiative_lo, s.initiative_hi), motivation=s.motivations[kind],
+    )]
+    if s.oracle_rate > 0.0 and rng.random() < s.oracle_rate:
+        records.append(BehaviorRecord(
+            actor=c.vid, epoch=c.epoch, kind=ActionKind.ORACLE,
+            base_utility=rng.uniform(0.1, 0.5), context_factor=1.0,
+            initiative=rng.uniform(s.initiative_lo, s.initiative_hi),
+            motivation=s.motivations[ActionKind.ORACLE],
+        ))
+    return records
+
+
+class TestHonestStreamPinning:
+    """Honest draws stay those of rng.uniform, value for value and in order."""
+
+    @pytest.mark.parametrize("oracle_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_records_equal_uniform_on_twin_streams(self, oracle_rate, seed):
+        got, want = ctx(vid="v0042", seed=seed), ctx(vid="v0042", seed=seed)
+        for c in (got, want):
+            c.shape.oracle_rate = oracle_rate
+            c.shape.base_utility_lo, c.shape.base_utility_hi = 0.3, 1.7
+            c.shape.initiative_lo, c.shape.initiative_hi = 0.55, 0.95
+        oracles = 0
+        for epoch in range(50):
+            for c in (got, want):
+                c.epoch, c.is_proposer = epoch, epoch % 7 == 0
+            records = HonestStrategy().behaviors(got)
+            expected = reference_honest_epoch(want)
+            assert records == expected
+            assert [repr(r) for r in records] == [repr(r) for r in expected]
+            oracles += len(records) - 1
+            assert got.rng_behavior.getstate() == want.rng_behavior.getstate()
+        assert (oracles > 0) == (oracle_rate > 0.0)
+        assert got.rng_adversary.getstate() == want.rng_adversary.getstate()

@@ -8,7 +8,6 @@ from pobsim.baseline_pos import (
     pos_apply_due_slashes,
     pos_schedule_slash,
     pos_select_proposer,
-    pos_slash,
 )
 from pobsim.config import ScenarioConfig
 from pobsim.errors import DegenerateElectionError
@@ -56,12 +55,15 @@ class TestSlashing:
 
     def test_full_slash_fraction(self):
         table = StakeTable({"a": 5.0}, slash_delay_blocks=0, slash_fraction=1.0)
-        pos_slash(table, "a", 3)
+        pos_schedule_slash(table, "a", 3)
+        assert pos_apply_due_slashes(table, 3) == ["a"]
         assert table.stakes["a"] == 0.0
+        assert table.slashed == {"a"} and not table.pending
 
     def test_half_slash(self):
         table = StakeTable({"a": 2.0}, slash_delay_blocks=0, slash_fraction=0.5)
-        pos_slash(table, "a", 0)
+        pos_schedule_slash(table, "a", 0)
+        assert pos_apply_due_slashes(table, 0) == ["a"]
         assert table.stakes["a"] == 1.0
 
     def test_first_detection_wins(self):

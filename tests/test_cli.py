@@ -105,6 +105,20 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        "proposer_override: {validator: zzz, from_epoch: 0, to_epoch: 3}\n",
+        "proposer_override: {validator: v0001, from_epoch: 4, to_epoch: 2}\n",
+        "motivation_intensities: {propose-block: [0.5]}\n",
+    ])
+    def test_cross_field_config_error_exit_code(self, extra, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(TINY + extra)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_ic_check_command(self, tmp_path, capsys):
         cfg = tmp_path / "ic.yaml"
         cfg.write_text(TINY.replace("protocol: paired", "protocol: pob"))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,51 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="honest_initiative_lo"):
             with_overrides(loads_config(MINIMAL), honest_initiative_hi=0.5)
         assert with_overrides(loads_config(MINIMAL), honest_initiative_lo=1.0).honest_initiative_lo == 1.0
+
+    @staticmethod
+    def assert_rejected_on_every_path(text, changes, match):
+        """The loader, with_overrides and a sweep point all raise ConfigError."""
+        with pytest.raises(ConfigError, match=match):
+            loads_config(text)
+        with pytest.raises(ConfigError, match=match):
+            with_overrides(loads_config(MINIMAL), **changes)
+        unchecked = dataclasses.replace(loads_config(MINIMAL), **changes)
+        with pytest.raises(ConfigError, match=match):
+            apply_sweep_point(unchecked, {"rho": 0.5})
+
+    def test_unknown_proposer_override_rejected(self):
+        text = MINIMAL + "proposer_override: {validator: zzz, from_epoch: 0, to_epoch: 3}\n"
+        self.assert_rejected_on_every_path(
+            text, {"proposer_override": ("zzz", 0, 3)}, "proposer_override.validator")
+        # Past the last index, and the newcomer without a newcomer_epoch.
+        for vid in ("v0100", "newcomer"):
+            with pytest.raises(ConfigError, match="proposer_override.validator"):
+                with_overrides(loads_config(MINIMAL), proposer_override=(vid, 0, 3))
+        cfg = loads_config(MINIMAL + "newcomer_epoch: 5\n"
+                           "proposer_override: {validator: newcomer, from_epoch: 5, to_epoch: 8}\n")
+        assert cfg.proposer_override == ("newcomer", 5, 8)
+        # The newcomer cannot be elected before it joins.
+        with pytest.raises(ConfigError, match="before newcomer_epoch 5"):
+            with_overrides(cfg, proposer_override=("newcomer", 0, 3))
+        assert with_overrides(loads_config(MINIMAL),
+                              proposer_override=("v0099", 0, 3)).proposer_override[0] == "v0099"
+
+    def test_reversed_proposer_override_window_rejected(self):
+        text = MINIMAL + "proposer_override: {validator: v0001, from_epoch: 4, to_epoch: 2}\n"
+        self.assert_rejected_on_every_path(
+            text, {"proposer_override": ("v0001", 4, 2)}, "from_epoch 4 exceeds to_epoch 2")
+        assert loads_config(MINIMAL + "proposer_override: {validator: v0001, from_epoch: 4, "
+                            "to_epoch: 4}\n").proposer_override == ("v0001", 4, 4)
+
+    def test_motivation_intensity_length_checked(self):
+        text = MINIMAL + "motivation_intensities: {propose-block: [0.5]}\n"
+        intensities = dict(loads_config(MINIMAL).motivation_intensities, **{"propose-block": (0.5,)})
+        self.assert_rejected_on_every_path(
+            text, {"motivation_intensities": intensities},
+            r"motivation_intensities\.propose-block.*1 intensities, expected 3")
+        # Weights of another length need intensities of that length.
+        with pytest.raises(ConfigError, match="expected 2"):
+            loads_config(MINIMAL + "motivation_weights: [0.5, 0.5]\n")
 
     def test_direct_mapping_validation(self):
         with pytest.raises(ConfigError):

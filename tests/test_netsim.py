@@ -421,3 +421,45 @@ class TestReplay:
 def _rest():
     from pobsim.scoring import ActionKind
     return (ActionKind.PROPOSE, 1.0, 1.0, 0.9, False)
+
+
+class TestLatencyStreamPinning:
+    """Confirmation draws stay the stdlib's, value for value and in order.
+
+    No preset uses the fixed or uniform model, so the golden outputs
+    cannot catch a drift there.
+    """
+
+    @staticmethod
+    def stdlib_draw(model, rng):
+        if model.distribution == "fixed":
+            return model.mean_ms
+        if model.distribution == "uniform":
+            return rng.uniform(0.0, 2.0 * model.mean_ms)
+        return rng.expovariate(1.0 / model.mean_ms)
+
+    @pytest.mark.parametrize("dist", ["exponential", "fixed", "uniform"])
+    def test_samples_equal_sample_on_twin_streams(self, dist):
+        model = LatencyModel(dist, 37.5)
+        alive = [f"v{i:03d}" for i in range(60)]
+        weight_of = {v: 1.0 / 60 for v in alive}
+        streams = [random.Random(s) for s in (11, 12, 11, 12, 11, 12)]
+        _, _, samples = simulate_confirmation(alive, weight_of, Fraction(2, 3), model,
+                                              streams[0], streams[1], 5.0)
+        via_sample, via_stdlib = [], []
+        for _ in alive:
+            via_sample += [model.sample(streams[2]), model.sample(streams[3])]
+            via_stdlib += [self.stdlib_draw(model, streams[4]),
+                           self.stdlib_draw(model, streams[5])]
+        assert samples == via_sample == via_stdlib
+        assert len(set(samples)) == (1 if dist == "fixed" else len(samples))
+        for got, want in ((0, 2), (0, 4), (1, 3), (1, 5)):
+            assert streams[got].getstate() == streams[want].getstate()
+
+    @pytest.mark.parametrize("dist", ["exponential", "fixed", "uniform"])
+    def test_sampler_draws_equal_stdlib(self, dist):
+        model = LatencyModel(dist, 12.0)
+        a, b = random.Random(5), random.Random(5)
+        draw = model.sampler(a)
+        assert [draw() for _ in range(100)] == [self.stdlib_draw(model, b) for _ in range(100)]
+        assert a.getstate() == b.getstate()

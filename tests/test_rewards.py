@@ -1,23 +1,38 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.errors import RewardPoolError
-from pobsim.rewards import RewardSchedule, active_set, distribute
+from pobsim.rewards import Payout, RewardSchedule, distribute
 from pobsim.weights import WeightTable
+
+
+def paid(epoch_scores, beta):
+    """The active set as distribute pays it: the validators that get a payout."""
+    schedule = RewardSchedule(total_reward=100.0, base_reward=1.0, activity_threshold=beta)
+    table = WeightTable(dict.fromkeys(epoch_scores, 1.0))
+    return {p.validator for p in distribute(schedule, table, epoch_scores)}
 
 
 class TestActiveSet:
     def test_strict_inequality(self):
-        assert active_set({"a": 1.0, "b": 0.0}, beta=0.0) == {"a"}
+        assert paid({"a": 1.0, "b": 0.0}, beta=0.0) == {"a"}
 
     def test_negative_score_excluded(self):
-        assert active_set({"a": -5.0}, beta=0.0) == set()
+        assert paid({"a": -5.0}, beta=0.0) == set()
 
     def test_threshold_filter(self):
         scores = {"a": 0.5, "b": 0.6, "c": 0.4}
-        assert active_set(scores, beta=0.45) == {"a", "b"}
+        assert paid(scores, beta=0.45) == {"a", "b"}
+
+    def test_payouts_in_id_order(self):
+        scores = {"c": 1.0, "a": 1.0, "d": -1.0, "b": 1.0}
+        table = WeightTable(dict.fromkeys(scores, 0.25))
+        payouts = distribute(RewardSchedule(total_reward=10.0, base_reward=1.0), table, scores)
+        assert [p.validator for p in payouts] == ["a", "b", "c"]
 
 
 class TestDistribute:
@@ -105,3 +120,73 @@ class TestDistribute:
             RewardSchedule(total_reward=-1.0, base_reward=0.0)
         with pytest.raises(ValueError):
             RewardSchedule(total_reward=1.0, base_reward=-0.5)
+
+
+PAYOUT_FIELDS = ["validator", "base", "bonus", "activeness_multiplier", "total"]
+# Every field distinct, so a value written to the wrong slot shows.
+PAYOUT_ARGS = ("v0003", 0.5, 2.25, 1.125, 3.09375)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferencePayout:
+    """Payout as a plain frozen dataclass with the generated __init__."""
+
+    validator: str
+    base: float
+    bonus: float
+    activeness_multiplier: float
+    total: float
+
+
+ReferencePayout.__qualname__ = "Payout"
+
+
+class TestPayoutSemantics:
+    """The hand-written __init__ keeps every dataclass behavior of the payout."""
+
+    def test_fields_and_order(self):
+        assert [f.name for f in dataclasses.fields(Payout)] == PAYOUT_FIELDS
+        assert Payout.__slots__ == tuple(PAYOUT_FIELDS)
+
+    def test_frozen(self):
+        p = Payout(*PAYOUT_ARGS)
+        assert not hasattr(p, "__dict__")
+        for name in PAYOUT_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, getattr(p, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, name)
+
+    def test_matches_generated_init(self):
+        ref = ReferencePayout(*PAYOUT_ARGS)
+        for p in (Payout(*PAYOUT_ARGS), Payout(**dict(zip(PAYOUT_FIELDS, PAYOUT_ARGS)))):
+            assert repr(p) == repr(ref)
+            assert hash(p) == hash(ref)
+            assert dataclasses.asdict(p) == dataclasses.asdict(ref)
+            assert dataclasses.astuple(p) == PAYOUT_ARGS
+            assert p == Payout(*PAYOUT_ARGS)
+
+    def test_equality_sees_every_field(self):
+        p = Payout(*PAYOUT_ARGS)
+        changed = {"validator": "v0004", "base": 0.75, "bonus": 2.5,
+                   "activeness_multiplier": 1.0, "total": 3.0}
+        for name, value in changed.items():
+            other = dataclasses.replace(p, **{name: value})
+            assert getattr(other, name) == value
+            assert other != p
+            assert repr(other) == repr(dataclasses.replace(ReferencePayout(*PAYOUT_ARGS),
+                                                           **{name: value}))
+
+    def test_asdict_and_pickle(self):
+        p = Payout(*PAYOUT_ARGS)
+        assert list(dataclasses.asdict(p)) == PAYOUT_FIELDS
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p) and repr(copy) == repr(p)
+
+    def test_constructor_arguments_unchanged(self):
+        with pytest.raises(TypeError):
+            Payout(*PAYOUT_ARGS[:-1])
+        with pytest.raises(TypeError):
+            Payout(*PAYOUT_ARGS, 1.0)
+        with pytest.raises(TypeError):
+            Payout(**dict(zip(PAYOUT_FIELDS, PAYOUT_ARGS)), extra=1.0)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.scoring import (
+    SINGLE_KIND_DIVERSITY,
     ActionKind,
     ActivenessInputs,
     BehaviorRecord,
@@ -235,3 +238,124 @@ class TestDiversity:
 
     def test_empty(self):
         assert diversity_index([]) == 0.0
+
+
+def _reference_record_class():
+    """BehaviorRecord as a plain frozen dataclass with the generated __init__."""
+
+    def __post_init__(self):
+        if not 0.0 <= self.context_factor <= 1.0:
+            raise ValueError(f"context_factor {self.context_factor} outside [0, 1]")
+        if not 0.0 <= self.initiative <= 1.0:
+            raise ValueError(f"initiative {self.initiative} outside [0, 1]")
+        if self.epoch < 0:
+            raise ValueError("epoch must be >= 0")
+
+    return dataclasses.make_dataclass(
+        "BehaviorRecord",
+        [("actor", str), ("epoch", int), ("kind", ActionKind), ("base_utility", float),
+         ("context_factor", float), ("initiative", float), ("motivation", MotivationProfile),
+         ("is_fraud_ground_truth", bool, dataclasses.field(default=False))],
+        namespace={"__post_init__": __post_init__},
+        frozen=True, slots=True,
+    )
+
+
+ReferenceRecord = _reference_record_class()
+RECORD_FIELDS = ["actor", "epoch", "kind", "base_utility", "context_factor", "initiative",
+                 "motivation", "is_fraud_ground_truth"]
+# Every field distinct, so a value written to the wrong slot shows.
+RECORD_ARGS = ("v0007", 3, ActionKind.ORACLE, 1.25, 0.5, 0.75,
+               MotivationProfile((0.2, 0.9), (0.4, 0.6)), True)
+
+
+class TestBehaviorRecordSemantics:
+    """The hand-written __init__ keeps every dataclass behavior of the record."""
+
+    def test_fields_and_order(self):
+        assert [f.name for f in dataclasses.fields(BehaviorRecord)] == RECORD_FIELDS
+        assert [f.name for f in dataclasses.fields(ReferenceRecord)] == RECORD_FIELDS
+        assert BehaviorRecord.__slots__ == tuple(RECORD_FIELDS)
+        assert dataclasses.fields(BehaviorRecord)[-1].default is False
+
+    def test_frozen(self):
+        rec = BehaviorRecord(*RECORD_ARGS)
+        assert not hasattr(rec, "__dict__")
+        for name in RECORD_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, getattr(rec, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+            rec.extra = 1
+
+    @pytest.mark.parametrize("fraud", [False, True])
+    def test_matches_generated_init(self, fraud):
+        args = RECORD_ARGS[:-1] + (fraud,)
+        ref = ReferenceRecord(*args)
+        for rec in (BehaviorRecord(*args),
+                    BehaviorRecord(**dict(zip(RECORD_FIELDS, args)))):
+            assert repr(rec) == repr(ref)
+            assert hash(rec) == hash(ref)
+            assert dataclasses.asdict(rec) == dataclasses.asdict(ref)
+            assert dataclasses.astuple(rec) == dataclasses.astuple(ref)
+            assert tuple(getattr(rec, name) for name in RECORD_FIELDS) == args
+            assert rec == BehaviorRecord(*args)
+        assert BehaviorRecord(*RECORD_ARGS[:-1]) == BehaviorRecord(*RECORD_ARGS[:-1], False)
+
+    def test_equality_sees_every_field(self):
+        rec = BehaviorRecord(*RECORD_ARGS)
+        changed = {"actor": "v0008", "epoch": 4, "kind": ActionKind.PROPOSE,
+                   "base_utility": 1.5, "context_factor": 0.25, "initiative": 0.5,
+                   "motivation": MOT_NEUTRAL, "is_fraud_ground_truth": False}
+        for name, value in changed.items():
+            other = dataclasses.replace(rec, **{name: value})
+            assert getattr(other, name) == value
+            assert other != rec
+            assert repr(other) == repr(dataclasses.replace(ReferenceRecord(*RECORD_ARGS),
+                                                           **{name: value}))
+
+    def test_asdict_and_pickle(self):
+        rec = BehaviorRecord(*RECORD_ARGS)
+        as_dict = dataclasses.asdict(rec)
+        assert list(as_dict) == RECORD_FIELDS
+        assert as_dict["motivation"] == {"intensities": (0.2, 0.9), "weights": (0.4, 0.6)}
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec and hash(copy) == hash(rec) and repr(copy) == repr(rec)
+
+    def test_replace_checks_ranges(self):
+        rec = BehaviorRecord(*RECORD_ARGS)
+        with pytest.raises(ValueError, match=r"^initiative 1\.5 outside \[0, 1\]$"):
+            dataclasses.replace(rec, initiative=1.5)
+        with pytest.raises(ValueError, match=r"^epoch must be >= 0$"):
+            dataclasses.replace(rec, epoch=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("context_factor", 1.5), ("context_factor", -0.25), ("context_factor", math.nan),
+        ("initiative", 2.0), ("initiative", -1e-9), ("initiative", math.nan),
+        ("epoch", -1),
+    ])
+    def test_constructor_error_messages(self, name, value):
+        kwargs = dict(zip(RECORD_FIELDS, RECORD_ARGS), **{name: value})
+        with pytest.raises(ValueError) as expected:
+            ReferenceRecord(**kwargs)
+        with pytest.raises(ValueError) as got:
+            BehaviorRecord(**kwargs)
+        assert str(got.value) == str(expected.value)
+
+    def test_checks_run_in_field_order(self):
+        # Several bad fields: the first check's message wins, as before.
+        kwargs = dict(zip(RECORD_FIELDS, RECORD_ARGS), context_factor=2.0, initiative=3.0,
+                      epoch=-1)
+        with pytest.raises(ValueError, match="^context_factor"):
+            BehaviorRecord(**kwargs)
+        del kwargs["context_factor"]
+        with pytest.raises(ValueError, match="^initiative"):
+            BehaviorRecord(context_factor=0.5, **kwargs)
+
+
+class TestSingleKindDiversity:
+    def test_table_is_diversity_index_of_one_kind(self):
+        assert set(SINGLE_KIND_DIVERSITY) == set(ActionKind)
+        for kind in ActionKind:
+            assert SINGLE_KIND_DIVERSITY[kind] == diversity_index([kind])

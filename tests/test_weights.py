@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.errors import DegenerateElectionError
+from pobsim.metrics import election_prob
 from pobsim.weights import (
     WeightTable,
     apply_additive_slash,
     apply_multiplicative_slash,
-    election_probabilities,
     select_proposer,
     update_weights,
 )
@@ -190,9 +190,13 @@ class TestSelectProposer:
             assert abs(counts[v] / n - 0.25) < 0.02
 
     def test_mixture_closed_form(self):
-        probs = election_probabilities(WeightTable({"a": 0.9, "b": 0.1}), ["a", "b"], 0.1)
-        assert math.isclose(probs["a"], 0.86, abs_tol=1e-12)
-        assert math.isclose(probs["b"], 0.14, abs_tol=1e-12)
+        # The lottery's closed form, delta / n + (1 - delta) * w / total,
+        # lives in metrics.election_prob.
+        weights = {"a": 0.9, "b": 0.1}
+        assert math.isclose(election_prob(weights, "a", 0.1, "pob"), 0.86, abs_tol=1e-12)
+        assert math.isclose(election_prob(weights, "b", 0.1, "pob"), 0.14, abs_tol=1e-12)
+        assert election_prob(weights, "a", 0.1, "pos") == 0.9
+        assert election_prob(weights, "c", 0.1, "pob") == 0.0
 
     def test_deterministic_given_stream_state(self):
         t = WeightTable({f"v{i}": 0.1 for i in range(10)})
