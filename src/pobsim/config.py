@@ -200,9 +200,11 @@ class ScenarioConfig:
                     known += " or newcomer"
                 raise ConfigError("proposer_override.validator",
                                   f"unknown validator {vid!r} (known: {known})")
-            if from_epoch > to_epoch:
+            if from_epoch >= to_epoch:
+                # The window is [from_epoch, to_epoch): equal bounds elect no one.
                 raise ConfigError("proposer_override",
-                                  f"from_epoch {from_epoch} exceeds to_epoch {to_epoch}")
+                                  f"empty window: from_epoch {from_epoch} is not before "
+                                  f"to_epoch {to_epoch}")
             if vid == "newcomer" and from_epoch < self.newcomer_epoch:
                 raise ConfigError("proposer_override.from_epoch",
                                   f"{from_epoch} is before newcomer_epoch {self.newcomer_epoch}")

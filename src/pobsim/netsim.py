@@ -69,9 +69,6 @@ class LatencyModel:
         if self.mean_ms <= 0:
             raise ValueError("mean_ms must be > 0")
 
-    def sample(self, rng: random.Random) -> float:
-        return self.sampler(rng)()
-
     def sampler(self, rng: random.Random) -> Callable[[], float]:
         """A draw function bound to `rng`, for drawing many delays.
 
@@ -250,13 +247,12 @@ def simulate_confirmation(
     sample_vote = latency.sampler(rng_vote)
     samples: list[float] = []
     arrivals: list[float] = []
-    add_sample, add_arrival = samples.append, arrivals.append
     for _ in alive:
         d_prop = sample_proposal()
         d_vote = sample_vote()
-        add_sample(d_prop)
-        add_sample(d_vote)
-        add_arrival(processing_ms + d_prop + processing_ms + d_vote)
+        samples.append(d_prop)
+        samples.append(d_vote)
+        arrivals.append(processing_ms + d_prop + processing_ms + d_vote)
     weights = [weight_of[v] for v in alive]
     total = sum(weights)
     # Float comparison outside a slack band around the target; inside it
@@ -836,8 +832,9 @@ def run_trial(
         if protocol == "pob" and confirm_ms is not None:
             confirm_ms += config.processing_ms  # behavior-scoring stage
             if reports:
+                sample_delay = state.latency.sampler(rng_lat_watchdog)
                 committee_delays = [
-                    state.latency.sample(rng_lat_watchdog)
+                    sample_delay()
                     for _ in range(min(config.resolved_committee_size(), len(alive) - 1))
                 ]
                 extra = max(committee_delays) if committee_delays else 0.0

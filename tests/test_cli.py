@@ -108,6 +108,7 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         "proposer_override: {validator: zzz, from_epoch: 0, to_epoch: 3}\n",
         "proposer_override: {validator: v0001, from_epoch: 4, to_epoch: 2}\n",
+        "proposer_override: {validator: v0001, from_epoch: 4, to_epoch: 4}\n",
         "motivation_intensities: {propose-block: [0.5]}\n",
     ])
     def test_cross_field_config_error_exit_code(self, extra, tmp_path, capsys):

@@ -265,12 +265,16 @@ class TestOverrides:
         assert with_overrides(loads_config(MINIMAL),
                               proposer_override=("v0099", 0, 3)).proposer_override[0] == "v0099"
 
-    def test_reversed_proposer_override_window_rejected(self):
-        text = MINIMAL + "proposer_override: {validator: v0001, from_epoch: 4, to_epoch: 2}\n"
+    @pytest.mark.parametrize("from_epoch, to_epoch", [(4, 2), (4, 4)])
+    def test_empty_proposer_override_window_rejected(self, from_epoch, to_epoch):
+        # The window is half-open, so equal bounds override nothing either.
+        text = (MINIMAL + f"proposer_override: {{validator: v0001, from_epoch: {from_epoch}, "
+                f"to_epoch: {to_epoch}}}\n")
         self.assert_rejected_on_every_path(
-            text, {"proposer_override": ("v0001", 4, 2)}, "from_epoch 4 exceeds to_epoch 2")
+            text, {"proposer_override": ("v0001", from_epoch, to_epoch)},
+            f"empty window: from_epoch {from_epoch} is not before to_epoch {to_epoch}")
         assert loads_config(MINIMAL + "proposer_override: {validator: v0001, from_epoch: 4, "
-                            "to_epoch: 4}\n").proposer_override == ("v0001", 4, 4)
+                            "to_epoch: 5}\n").proposer_override == ("v0001", 4, 5)
 
     def test_motivation_intensity_length_checked(self):
         text = MINIMAL + "motivation_intensities: {propose-block: [0.5]}\n"
