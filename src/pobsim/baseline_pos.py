@@ -33,10 +33,6 @@ class StakeTable:
         if not 0.0 <= self.slash_fraction <= 1.0:
             raise ValueError("slash_fraction outside [0, 1]")
 
-    @property
-    def total(self) -> float:
-        return sum(self.stakes[v] for v in sorted(self.stakes))
-
 
 def pos_select_proposer(table: StakeTable, rng: random.Random,
                         active: Iterable[str] | None = None) -> str:

@@ -66,30 +66,26 @@ def extend_chain(
     proposer: str,
     utility: float,
     timestamp_ms: float,
-    signers: Iterable[str],
+    signers: frozenset[str],
     table: WeightTable,
-    roster: Optional[Sequence[str]] = None,
+    roster: Sequence[str],
 ) -> Block:
     """Append a block for an epoch whose behaviors sum to `utility`.
 
     Cumulative utility and signer weight are derived from the parent and
-    the current table. A frozenset of signers is kept as given, so blocks
-    signed by the same roster share one set. A caller that keeps the
-    signers as a sorted list of distinct ids passes it as `roster`; the
-    weight is then summed over it in that order, the order
-    `signer_weight` sorts into, without sorting again.
+    the current table. `roster` is the signer set as a sorted list of
+    distinct ids; the weight is summed over it in that order, the order
+    `signer_weight` sorts into. Blocks signed by the same roster share its
+    `signers` frozenset.
     """
-    weight = (
-        signer_weight(signers, table) if roster is None else _weight_in_order(roster, table)
-    )
     return Block(
         height=parent.height + 1,
         proposer=proposer,
         parent=parent,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
-        signer_weight=weight,
-        signers=frozenset(signers),
+        signer_weight=_weight_in_order(roster, table),
+        signers=signers,
     )
 
 

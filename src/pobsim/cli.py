@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration/trace error, 2 runtime error.
+Exit codes: 0 success, 1 configuration/trace error, 2 runtime error or
+any other exception, reported on one line without a traceback.
 The default output directory is $POBSIM_OUT (or ./pobsim-out) plus the
 scenario name.
 """
@@ -90,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an unexpected fault still ends in one line, not a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -253,9 +253,18 @@ def run_ic_check(
     out_dir: str | Path,
     discount: float = 0.95,
 ) -> dict:
-    """Run the empirical incentive comparison and write its report."""
-    from .incentive import empirical_ic
+    """Run the empirical incentive comparison and write its report.
 
+    Bad input fails as a ConfigError before the output directory exists.
+    """
+    from .incentive import empirical_ic, find_focal
+
+    if not 0.0 < discount < 1.0:
+        raise ConfigError("discount", f"{discount} outside (0, 1)")
+    try:
+        find_focal(config)
+    except ValueError as exc:
+        raise ConfigError("roster", str(exc)) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = config if config.protocol == "pob" else with_overrides(config, protocol="pob")

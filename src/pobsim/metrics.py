@@ -121,15 +121,17 @@ def suppression_time(trajectory: Sequence[float], drop_frac: float = 0.1) -> Opt
     return None
 
 
-def election_prob(weights: dict[str, float], vid: str, delta: float, protocol: str) -> float:
-    """Probability of `vid` being elected proposer from one epoch's weights."""
+def election_prob(weights: dict[str, float], vid: str, delta: float) -> float:
+    """Probability of `vid` being elected proposer from one epoch's weights.
+
+    The behavior-weighted lottery mixes a uniform share `delta` into the
+    weight-proportional one; the stake lottery is the case delta = 0.
+    """
     if vid not in weights:
         return 0.0
     total = sum(weights.values())
     proportional = weights[vid] / total if total > 0 else 0.0
-    if protocol == "pob":
-        return delta / len(weights) + (1.0 - delta) * proportional
-    return proportional
+    return delta / len(weights) + (1.0 - delta) * proportional
 
 
 def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> list[float]:
@@ -166,11 +168,11 @@ class TrialTally:
 
     def __init__(self, config: Optional[ScenarioConfig] = None, protocol: str = "pob"):
         self.config = config
-        self.protocol = protocol
         adversaries = adversary_ids(config) if config is not None else []
         self.first_adversary = adversaries[0] if adversaries else None
         self.join = config.newcomer_epoch if config is not None else None
-        self.delta = config.delta if config is not None else 0.0
+        # The stake lottery is the election rule at delta = 0.
+        self.delta = config.delta if config is not None and protocol == "pob" else 0.0
         self.epochs = 0
         # (epoch, actor, behavior index, value, accepted unless found guilty)
         self.frauds: list[tuple[int, str, int, float, bool]] = []
@@ -209,11 +211,11 @@ class TrialTally:
             if self.epochs == self.join:
                 self.alive_at_join = len(weights)
             self.newcomer_probs.append(
-                election_prob(weights, "newcomer", self.delta, self.protocol)
+                election_prob(weights, "newcomer", self.delta)
             )
         if self.first_adversary is not None:
             self.adversary_probs.append(
-                election_prob(weights, self.first_adversary, self.delta, self.protocol)
+                election_prob(weights, self.first_adversary, self.delta)
             )
         self.epochs += 1
 
@@ -317,19 +319,6 @@ def paired_loss_averted(pob: TrialTally, pos: TrialTally) -> float:
     pos_value = sum(o.value for o in pos_outcomes if o.accepted)
     pob_value = sum(o.value for o in pob_outcomes if o.accepted)
     return pos_value - pob_value
-
-
-def loss_averted(pob_ledgers: Sequence[EpochLedger], pos_ledgers: Sequence[EpochLedger]) -> float:
-    """paired_loss_averted over two lists of ledgers."""
-    return paired_loss_averted(tally_ledgers(pob_ledgers), tally_ledgers(pos_ledgers))
-
-
-def compute_trial_metrics(
-    ledgers: Sequence[EpochLedger],
-    config: ScenarioConfig,
-    protocol: str,
-) -> TrialMetrics:
-    return tally_ledgers(ledgers, config, protocol).metrics()
 
 
 # ---------------------------------------------------------------------------

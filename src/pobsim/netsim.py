@@ -31,7 +31,7 @@ from .baseline_pos import (
     pos_schedule_slash,
     pos_select_proposer,
 )
-from .chain import extend_chain, genesis_block
+from .chain import Block, extend_chain, genesis_block
 from .config import ScenarioConfig
 from .errors import TraceError
 from .rewards import Payout, RewardSchedule, distribute
@@ -340,42 +340,6 @@ def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
     return blocks
 
 
-def write_trace(path: str | Path, blocks: Sequence[TraceBlock], header: str = "") -> None:
-    out = []
-    if header:
-        out.extend(f"# {line}" for line in header.splitlines())
-    for b in blocks:
-        out.append(
-            f"{b.height},{b.proposer},{b.kind.value},{b.base_utility!r},"
-            f"{b.phi!r},{b.alpha!r},{int(b.is_exploit)}"
-        )
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
-
-
-def make_synthetic_trace(
-    n_blocks: int,
-    n_validators: int,
-    exploit_at: Optional[int],
-    exploit_value: float,
-    seed: int,
-) -> list[TraceBlock]:
-    """Generate an honest trace with one optional exploit block."""
-    rng = random.Random(seed)
-    ids = [f"v{i:04d}" for i in range(n_validators)]
-    blocks = []
-    for h in range(n_blocks):
-        proposer = ids[h % n_validators]
-        if exploit_at is not None and h == exploit_at:
-            blocks.append(
-                TraceBlock(h, proposer, ActionKind.FRAUD, -abs(exploit_value), 1.0, 1.0, True)
-            )
-            continue
-        u_b = round(rng.uniform(0.5, 1.5), 6)
-        alpha = round(rng.uniform(0.6, 1.0), 6)
-        blocks.append(TraceBlock(h, proposer, ActionKind.PROPOSE, u_b, 1.0, alpha, False))
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # Trial execution
 # ---------------------------------------------------------------------------
@@ -425,11 +389,9 @@ def _make_strategy(spec: adv.StrategySpec, coalitions: dict[str, object],
 @dataclass
 class _TrialState:
     config: ScenarioConfig
-    protocol: str
     hub: RngHub
     validators: dict[str, adv.ValidatorState]
     table: WeightTable
-    stakes: Optional[StakeTable]
     shape: adv.HonestShape
     latency: LatencyModel
     schedule: RewardSchedule
@@ -447,9 +409,23 @@ class _TrialState:
     joins: dict[int, list[str]] = field(default_factory=dict)
 
 
-def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialState:
+def _start_trial(config: ScenarioConfig, seed: int,
+                 protocol: str) -> tuple[_TrialState, _PobRules | _PosRules]:
+    """The trial's state and its protocol's rules."""
     hub = RngHub(seed)
     ids = config.validator_ids()
+    # One stake draw for both protocols, so paired runs start from the same shape: the
+    # baseline's stake table and, under `genesis_weights: stake`, the genesis weights.
+    if config.stake_distribution == "pareto":
+        stakes = pareto_stakes(ids, hub.stream("stake"), config.stake_alpha, config.stake_xmin)
+    else:
+        stakes = {vid: 1.0 for vid in ids}
+    state = _setup_trial(config, hub, ids, stakes)
+    return state, (_PobRules if protocol == "pob" else _PosRules)(state, stakes)
+
+
+def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str],
+                 stakes: Mapping[str, float]) -> _TrialState:
     shape = adv.HonestShape(
         base_utility_lo=config.honest_utility_lo,
         base_utility_hi=config.honest_utility_hi,
@@ -499,28 +475,11 @@ def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialStat
         strategy = _make_strategy(spec, coalitions, members_of[id(spec)])
         validators[vid] = adv.ValidatorState(vid=vid, strategy=strategy, role=spec.kind)
 
-    # Stakes: drawn once, shared by the PoS ladder and (optionally) the
-    # genesis weight distribution so paired runs start from the same shape.
-    stake_rng = hub.stream("stake")
-    if config.stake_distribution == "pareto":
-        stake_map = pareto_stakes(ids, stake_rng, config.stake_alpha, config.stake_xmin)
-    else:
-        stake_map = {vid: 1.0 for vid in ids}
-
     if config.genesis_weights == "stake":
-        total = sum(stake_map[v] for v in ids)
-        entries = {v: stake_map[v] / total for v in ids}
+        total = sum(stakes[v] for v in ids)
+        entries = {v: stakes[v] / total for v in ids}
     else:
         entries = {v: 1.0 / len(ids) for v in ids}
-    table = WeightTable(entries, epoch=0)
-
-    stakes = None
-    if protocol == "pos":
-        stakes = StakeTable(
-            stakes=dict(stake_map),
-            slash_delay_blocks=config.pos_slash_delay,
-            slash_fraction=config.pos_slash_fraction,
-        )
 
     if config.newcomer_epoch is not None:
         vid = "newcomer"
@@ -533,19 +492,12 @@ def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialStat
 
     state = _TrialState(
         config=config,
-        protocol=protocol,
         hub=hub,
         validators=validators,
-        table=table,
-        stakes=stakes,
+        table=WeightTable(entries, epoch=0),
         shape=shape,
         latency=LatencyModel(config.latency_distribution, config.latency_mean_ms),
-        schedule=RewardSchedule(
-            total_reward=config.r_total,
-            base_reward=config.resolved_r_base(),
-            activity_threshold=config.activity_threshold,
-            activeness_epsilon=config.epsilon,
-        ),
+        schedule=_reward_schedule(config),
         sybil_controller=sybil_controller,
         fork_cfg=fork_cfg,
     )
@@ -556,38 +508,73 @@ def _setup_trial(config: ScenarioConfig, seed: int, protocol: str) -> _TrialStat
     return state
 
 
+def _reward_schedule(config: ScenarioConfig) -> RewardSchedule:
+    return RewardSchedule(config.r_total, config.resolved_r_base(),
+                          config.activity_threshold, config.epsilon)
+
+
 def _set_roster(state: _TrialState, alive: list[str]) -> None:
     state.alive = alive
     state.signers = frozenset(alive)
 
 
-def _apply_joins(state: _TrialState, epoch: int) -> list[dict]:
-    """Admit the validators whose join epoch is `epoch`, then rebuild the roster."""
+# ---------------------------------------------------------------------------
+# Epoch stages shared by both protocols
+# ---------------------------------------------------------------------------
+
+def _apply_joins(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
+                 events: list[dict]) -> None:
+    """Admit the validators whose join epoch is `epoch`, then rebuild the roster.
+
+    Every joiner is a fresh id (the newcomer or a respawned Sybil), so
+    none is in the weight or stake table yet.
+    """
     joining = state.joins.pop(epoch, None)
     if not joining:
-        return []
-    events = []
+        return
     for vid in sorted(joining):
-        vs = state.validators[vid]
-        if vid not in state.table.entries:
-            join_weight = 0.0
-            if state.sybil_controller is not None and vid in state.sybil_controller.coalition_members:
-                join_weight = state.sybil_controller.join_weight
-            state.table = state.table.with_entry(vid, join_weight)
-            if join_weight > 0.0:
-                state.table = state.table.normalized()
-            if state.stakes is not None:
-                state.stakes.stakes[vid] = state.config.stake_xmin
-            events.append({"kind": "join", "id": vid, "role": vs.role, "epoch": epoch})
+        rules.admit(state, vid)
+        events.append({"kind": "join", "id": vid, "role": state.validators[vid].role,
+                       "epoch": epoch})
     _set_roster(state, sorted(state.alive + joining))
-    return events
 
 
-def _generate_behaviors(state: _TrialState, epoch: int, alive: list[str],
-                        proposer: str) -> list[BehaviorRecord]:
+def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
+           trace: Optional[Sequence[TraceBlock]], rng: random.Random) -> str:
+    """The trace's proposer, else an override's, else the protocol's lottery."""
+    if trace is not None:
+        return trace[epoch].proposer
+    override = state.config.proposer_override
+    if override is not None and override[1] <= epoch < override[2]:
+        return override[0]
+    return rules.elect(state, rng)
+
+
+def _behave(state: _TrialState, epoch: int, proposer: str,
+            trace: Optional[Sequence[TraceBlock]]) -> tuple[BehaviorRecord, ...]:
+    """Every alive validator's records for the epoch, in roster order.
+
+    Under a trace the proposer's action is the trace block's; the rest of
+    the network still validates every block, so scores stay live.
+    """
     behaviors: list[BehaviorRecord] = []
+    actors = state.alive
+    if trace is not None:
+        tb = trace[epoch]
+        motivation_kind = ActionKind.FRAUD if tb.is_exploit else tb.kind
+        behaviors.append(BehaviorRecord(
+            actor=tb.proposer,
+            epoch=epoch,
+            kind=tb.kind,
+            base_utility=tb.base_utility,
+            context_factor=tb.phi,
+            initiative=tb.alpha,
+            motivation=state.shape.motivation_for(motivation_kind),
+            is_fraud_ground_truth=tb.is_exploit,
+        ))
+        actors = [v for v in actors if v != tb.proposer]
     contexts = state.contexts
-    for vid in alive:
+    for vid in actors:
         ctx = contexts.get(vid)
         if ctx is None:
             ctx = contexts[vid] = adv.EpochContext(
@@ -601,7 +588,7 @@ def _generate_behaviors(state: _TrialState, epoch: int, alive: list[str],
         ctx.epoch = epoch
         ctx.is_proposer = vid == proposer
         behaviors.extend(state.validators[vid].strategy.behaviors(ctx))
-    return behaviors
+    return tuple(behaviors)
 
 
 @dataclass
@@ -707,6 +694,163 @@ def _build_reports(state: _TrialState, epoch: int, alive: list[str],
     return reports
 
 
+def _retire_convicted(state: _TrialState, verdicts: Sequence[Verdict], epoch: int) -> None:
+    """Retire the adaptive Sybils convicted this epoch and queue their respawns."""
+    controller = state.sybil_controller
+    if controller is None:
+        return
+    convicted = sorted(
+        {v.subject for v in verdicts if v.guilty and v.subject in controller.coalition_members}
+    )
+    if not convicted:
+        return
+    for vid in convicted:
+        state.validators[vid].retired_epoch = epoch
+        state.contexts.pop(vid, None)
+        state.table = state.table.without([vid])
+        state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
+    state.table = state.table.normalized()
+    retired = set(convicted)
+    _set_roster(state, [v for v in state.alive if v not in retired])
+    population = len(state.alive) + len(state.joins.get(epoch + 1, ()))
+    fresh, cap_events = controller.replacements(epoch, population, convicted)
+    state.pending_events.extend(cap_events)
+    for vid in fresh:
+        strategy = adv.AdaptiveSybilStrategy(controller.coalition_members, controller.fraud_value)
+        state.validators[vid] = adv.ValidatorState(
+            vid=vid, strategy=strategy, role="adaptive-sybil", join_epoch=epoch + 1)
+        state.joins.setdefault(epoch + 1, []).append(vid)
+
+
+# ---------------------------------------------------------------------------
+# Protocol rules: the one place the two protocols differ
+# ---------------------------------------------------------------------------
+#
+# A trial chooses one rules object and keeps it as a local of run_trial.
+# The rules hold only what their protocol uses and never point back at the
+# trial state, so a finished trial leaves no reference cycle to collect.
+# They call the protocol operations through this module's globals, where a
+# tracer can wrap them by name.
+
+class _PobRules:
+    """Behavior weighting: reports, committee verdicts and the weight update."""
+
+    protocol = "pob"
+
+    def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
+        self.committee_rng = state.hub.stream("committee")
+        self.watchdog_rng = state.hub.stream("latency/watchdog")
+
+    def land_slashes(self, epoch: int, events: list[dict]) -> tuple[str, ...]:
+        return ()
+
+    def weights(self, state: _TrialState) -> dict[str, float]:
+        entries = state.table.entries
+        return {v: entries[v] for v in state.alive}
+
+    def elect(self, state: _TrialState, rng: random.Random) -> str:
+        return select_proposer(state.table, state.alive, state.config.delta, rng)
+
+    def review(self, state: _TrialState, epoch: int, behaviors: Sequence[BehaviorRecord],
+               facts: _EpochFacts, confirm_ms: Optional[float],
+               ) -> tuple[Optional[float], tuple[Verdict, ...]]:
+        """Suspicion reports, the watchdog's delay on `confirm_ms`, and verdicts."""
+        config = state.config
+        alive = state.alive
+        reports = _build_reports(state, epoch, alive, behaviors, facts)
+        committee_size = min(config.resolved_committee_size(), len(alive) - 1)
+        if confirm_ms is not None:
+            confirm_ms += config.processing_ms  # behavior-scoring stage
+            if reports:
+                sample_delay = state.latency.sampler(self.watchdog_rng)
+                delays = [sample_delay() for _ in range(committee_size)]
+                confirm_ms += config.processing_ms + (max(delays) if delays else 0.0)
+        if not reports:
+            return confirm_ms, ()
+
+        def vote_fn(member: str, behavior: BehaviorRecord, _rng: random.Random):
+            return state.validators[member].strategy.committee_vote(behavior.actor, behavior)
+
+        table, verdicts = process_epoch_suspicions(
+            reports, state.table, config.penalty_policy(), config.theta, committee_size,
+            self.committee_rng, detection_accuracy=config.detection_accuracy,
+            vote_fn=vote_fn, offense_counts=state.offense_counts, eligible=alive)
+        state.table = table.normalized()
+        return confirm_ms, tuple(verdicts)
+
+    def settle(self, state: _TrialState, epoch: int,
+               scores: Mapping[str, float]) -> tuple[dict[str, float], WeightTable]:
+        """The weight update; rewards follow the updated table."""
+        state.table = update_weights(state.table, scores, state.config.rho)
+        return self.weights(state), state.table
+
+    def admit(self, state: _TrialState, vid: str) -> None:
+        controller = state.sybil_controller
+        join_weight = 0.0
+        if controller is not None and vid in controller.coalition_members:
+            join_weight = controller.join_weight
+        state.table = state.table.with_entry(vid, join_weight)
+        if join_weight > 0.0:
+            state.table = state.table.normalized()
+
+    def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
+        """The long-range fork attempt at trial end, if the roster has one."""
+        if state.fork_cfg is None or len(chain) <= 1:
+            return None
+        outcome = adv.long_range_fork_outcome(
+            chain, state.table, state.fork_cfg["compromised"],
+            min(state.fork_cfg["fork_depth"], len(chain) - 1),
+            claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0)
+        outcome["kind"] = "fork-outcome"
+        return outcome
+
+
+class _PosRules:
+    """The stake-weighted baseline: static stakes and a delayed slash."""
+
+    protocol = "pos"
+
+    def __init__(self, state: _TrialState, stakes: dict[str, float]):
+        config = state.config
+        self.stakes = StakeTable(stakes, config.pos_slash_delay, config.pos_slash_fraction)
+        self.detect_rng = state.hub.stream("pos-detection")
+
+    def land_slashes(self, epoch: int, events: list[dict]) -> tuple[str, ...]:
+        """Land the slashes due by `epoch`; returns every slashed id so far."""
+        for vid in pos_apply_due_slashes(self.stakes, epoch):
+            events.append({"kind": "pos-slash", "id": vid, "epoch": epoch})
+        return tuple(sorted(self.stakes.slashed))
+
+    def weights(self, state: _TrialState) -> dict[str, float]:
+        stakes = self.stakes.stakes
+        return {v: stakes[v] for v in state.alive}
+
+    def elect(self, state: _TrialState, rng: random.Random) -> str:
+        return pos_select_proposer(self.stakes, rng, state.alive)
+
+    def review(self, state: _TrialState, epoch: int, behaviors: Sequence[BehaviorRecord],
+               facts: _EpochFacts, confirm_ms: Optional[float],
+               ) -> tuple[Optional[float], tuple[Verdict, ...]]:
+        """The delayed-slash coin: each harmful record is detected at the configured rate."""
+        accuracy = state.config.detection_accuracy
+        for index in facts.harmful:
+            if self.detect_rng.random() < accuracy:
+                pos_schedule_slash(self.stakes, behaviors[index].actor, epoch)
+        return confirm_ms, ()
+
+    def settle(self, state: _TrialState, epoch: int,
+               scores: Mapping[str, float]) -> tuple[dict[str, float], WeightTable]:
+        """Stakes do not move; rewards follow them."""
+        weights_after = self.weights(state)
+        return weights_after, WeightTable(dict(weights_after), epoch)
+
+    def admit(self, state: _TrialState, vid: str) -> None:
+        self.stakes.stakes[vid] = state.config.stake_xmin
+
+    def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
+        return None
+
+
 def run_trial(
     config: ScenarioConfig,
     seed: int,
@@ -726,7 +870,7 @@ def run_trial(
             f"run_trial needs a concrete protocol, got {protocol!r} "
             "(resolve 'paired' at the experiment layer)"
         )
-    state = _setup_trial(config, seed, protocol)
+    state, rules = _start_trial(config, seed, protocol)
     config.validate_runtime()
     # Checked once per trial rather than on every per-epoch use.
     check_betas(config.betas)
@@ -753,206 +897,42 @@ def run_trial(
     chain = [genesis_block()]
     sim_time = 0.0
     election_rng = state.hub.stream("election")
-    committee_rng = state.hub.stream("committee")
     rng_lat_prop = state.hub.stream("latency/proposal")
     rng_lat_vote = state.hub.stream("latency/vote")
-    rng_lat_watchdog = state.hub.stream("latency/watchdog")
-    pos_detect_rng = state.hub.stream("pos-detection")
 
     for epoch in range(epochs):
         if finished is not None:
             sink(finished)
-        events: list[dict] = list(state.pending_events)
-        state.pending_events = []
-        events.extend(_apply_joins(state, epoch))
+        events, state.pending_events = state.pending_events, []
+        _apply_joins(state, rules, epoch, events)
+        neutralized = rules.land_slashes(epoch, events)
         alive = state.alive
-
-        neutralized: tuple[str, ...] = ()
-        if state.stakes is not None:
-            landed = pos_apply_due_slashes(state.stakes, epoch)
-            for vid in landed:
-                events.append({"kind": "pos-slash", "id": vid, "epoch": epoch})
-            neutralized = tuple(sorted(state.stakes.slashed))
-
-        weights_before = (
-            {v: state.table.entries[v] for v in alive}
-            if protocol == "pob"
-            else {v: state.stakes.stakes[v] for v in alive}
-        )
-
-        # --- proposer election -------------------------------------------
-        if trace is not None:
-            proposer = trace[epoch].proposer
-        elif config.proposer_override is not None and (
-            config.proposer_override[1] <= epoch < config.proposer_override[2]
-        ):
-            proposer = config.proposer_override[0]
-        elif protocol == "pob":
-            proposer = select_proposer(state.table, alive, config.delta, election_rng)
-        else:
-            proposer = pos_select_proposer(state.stakes, election_rng, alive)
-
-        # --- behaviors -----------------------------------------------------
-        if trace is not None:
-            # The trace dictates the proposer's action; the rest of the
-            # network still validates every block, so scores stay live.
-            tb = trace[epoch]
-            motivation_kind = ActionKind.FRAUD if tb.is_exploit else tb.kind
-            generated = [
-                BehaviorRecord(
-                    actor=tb.proposer,
-                    epoch=epoch,
-                    kind=tb.kind,
-                    base_utility=tb.base_utility,
-                    context_factor=tb.phi,
-                    initiative=tb.alpha,
-                    motivation=state.shape.motivation_for(motivation_kind),
-                    is_fraud_ground_truth=tb.is_exploit,
-                )
-            ]
-            validating = [v for v in alive if v != tb.proposer]
-            generated.extend(_generate_behaviors(state, epoch, validating, proposer))
-        else:
-            generated = _generate_behaviors(state, epoch, alive, proposer)
-        behaviors = tuple(generated)
+        weights_before = rules.weights(state)
+        proposer = _elect(state, rules, epoch, trace, election_rng)
+        behaviors = _behave(state, epoch, proposer, trace)
         facts = _epoch_facts(behaviors, alive, config.betas)
-        scores = facts.scores
-
-        # --- suspicion reports (protocol-observable facts only) ----------
-        reports: list[SuspicionReport] = []
-        if protocol == "pob":
-            reports = _build_reports(state, epoch, alive, behaviors, facts)
-
-        # --- block confirmation timing ------------------------------------
-        weight_of = weights_before
         confirmed, confirm_ms, samples = simulate_confirmation(
-            alive, weight_of, config.quorum, state.latency,
+            alive, weights_before, config.quorum, state.latency,
             rng_lat_prop, rng_lat_vote, config.processing_ms,
         )
-        if protocol == "pob" and confirm_ms is not None:
-            confirm_ms += config.processing_ms  # behavior-scoring stage
-            if reports:
-                sample_delay = state.latency.sampler(rng_lat_watchdog)
-                committee_delays = [
-                    sample_delay()
-                    for _ in range(min(config.resolved_committee_size(), len(alive) - 1))
-                ]
-                extra = max(committee_delays) if committee_delays else 0.0
-                confirm_ms += config.processing_ms + extra
+        confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
         sim_time += confirm_ms if confirm_ms is not None else 0.0
-
-        # --- watchdog / baseline detection --------------------------------
-        verdicts: tuple[Verdict, ...] = ()
-        if protocol == "pob":
-            if reports:
-                def vote_fn(member: str, behavior: BehaviorRecord, _rng: random.Random):
-                    return state.validators[member].strategy.committee_vote(
-                        behavior.actor, behavior
-                    )
-
-                state.table, verdict_list = process_epoch_suspicions(
-                    reports,
-                    state.table,
-                    config.penalty_policy(),
-                    config.theta,
-                    min(config.resolved_committee_size(), len(alive) - 1),
-                    committee_rng,
-                    detection_accuracy=config.detection_accuracy,
-                    vote_fn=vote_fn,
-                    offense_counts=state.offense_counts,
-                    eligible=alive,
-                )
-                verdicts = tuple(verdict_list)
-                state.table = state.table.normalized()
-        else:
-            for index in facts.harmful:
-                if pos_detect_rng.random() < config.detection_accuracy:
-                    pos_schedule_slash(state.stakes, behaviors[index].actor, epoch)
-
-        # --- weight update -------------------------------------------------
-        if protocol == "pob":
-            state.table = update_weights(state.table, scores, config.rho)
-
-        weights_after = (
-            {v: state.table.entries[v] for v in alive}
-            if protocol == "pob"
-            else {v: state.stakes.stakes[v] for v in alive}
-        )
-
-        # --- rewards ---------------------------------------------------------
-        reward_table = (
-            state.table if protocol == "pob" else WeightTable(dict(weights_after), epoch)
-        )
-        payouts = tuple(distribute(state.schedule, reward_table, scores, facts.activeness))
-
-        # --- chain + ledger ---------------------------------------------------
+        weights_after, reward_table = rules.settle(state, epoch, facts.scores)
+        payouts = tuple(distribute(state.schedule, reward_table, facts.scores, facts.activeness))
         if confirmed:
-            chain.append(
-                extend_chain(chain[-1], proposer, facts.utility, sim_time, state.signers,
-                             reward_table, roster=state.alive)
-            )
-
+            chain.append(extend_chain(chain[-1], proposer, facts.utility, sim_time,
+                                      state.signers, reward_table, roster=alive))
         finished = EpochLedger(
-            epoch=epoch,
-            protocol=protocol,
-            proposer=proposer,
-            behaviors=behaviors,
-            verdicts=verdicts,
-            payouts=payouts,
-            scores=scores,
-            activeness=facts.activeness,
-            weights_before=weights_before,
-            weights_after=weights_after,
-            confirmed=confirmed,
-            confirm_ms=confirm_ms,
-            latency_samples=tuple(samples),
-            neutralized=neutralized,
+            epoch=epoch, protocol=rules.protocol, proposer=proposer, behaviors=behaviors,
+            verdicts=verdicts, payouts=payouts, scores=facts.scores, activeness=facts.activeness,
+            weights_before=weights_before, weights_after=weights_after, confirmed=confirmed,
+            confirm_ms=confirm_ms, latency_samples=tuple(samples), neutralized=neutralized,
             events=tuple(events),
         )
+        _retire_convicted(state, verdicts, epoch)
 
-        # --- adaptive adversary controller ---------------------------------
-        if state.sybil_controller is not None and protocol == "pob":
-            convicted = sorted(
-                {v.subject for v in verdicts
-                 if v.guilty and v.subject in state.sybil_controller.coalition_members}
-            )
-            if convicted:
-                for vid in convicted:
-                    state.validators[vid].retired_epoch = epoch
-                    state.contexts.pop(vid, None)
-                    state.table = state.table.without([vid])
-                    state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
-                state.table = state.table.normalized()
-                retired = set(convicted)
-                _set_roster(state, [v for v in state.alive if v not in retired])
-                population = len(state.alive) + len(state.joins.get(epoch + 1, ()))
-                fresh, cap_events = state.sybil_controller.replacements(
-                    epoch, population, convicted
-                )
-                state.pending_events.extend(cap_events)
-                for vid in fresh:
-                    state.validators[vid] = adv.ValidatorState(
-                        vid=vid,
-                        strategy=adv.AdaptiveSybilStrategy(
-                            state.sybil_controller.coalition_members,
-                            state.sybil_controller.fraud_value,
-                        ),
-                        role="adaptive-sybil",
-                        join_epoch=epoch + 1,
-                    )
-                    state.joins.setdefault(epoch + 1, []).append(vid)
-
-    # --- long-range fork attempt (trial end) -------------------------------
-    if state.fork_cfg is not None and protocol == "pob" and len(chain) > 1:
-        depth = min(state.fork_cfg["fork_depth"], len(chain) - 1)
-        outcome = adv.long_range_fork_outcome(
-            chain,
-            state.table,
-            state.fork_cfg["compromised"],
-            depth,
-            claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0,
-        )
-        outcome["kind"] = "fork-outcome"
+    outcome = rules.fork(state, chain)
+    if outcome is not None:
         finished = dataclasses.replace(finished, events=finished.events + (outcome,))
     if finished is not None:
         sink(finished)
@@ -997,11 +977,5 @@ def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[dict[str,
                 table = apply_penalty(table, v.subject, Penalty(v.penalty_kind, v.penalty_value))
         table = table.normalized()
     table = update_weights(table, scores, config.rho)
-    schedule = RewardSchedule(
-        total_reward=config.r_total,
-        base_reward=config.resolved_r_base(),
-        activity_threshold=config.activity_threshold,
-        activeness_epsilon=config.epsilon,
-    )
-    payouts = tuple(distribute(schedule, table, scores, ledger.activeness))
+    payouts = tuple(distribute(_reward_schedule(config), table, scores, ledger.activeness))
     return dict(table.entries), payouts

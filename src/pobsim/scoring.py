@@ -176,14 +176,6 @@ def activeness_blend(freq_ratio: float, mean_initiative: float, diversity: float
     return b1 * freq_ratio + b2 * mean_initiative + b3 * diversity
 
 
-def flag_anomalous(a: ActivenessInputs, freq_threshold: float, quality_threshold: float) -> bool:
-    """True when a node is hyperactive but low-quality (scripted-looking)."""
-    if a.network_mean_actions <= 0:
-        raise ValueError("network_mean_actions must be > 0")
-    return looks_scripted(a.action_count / a.network_mean_actions, a.mean_initiative,
-                          a.diversity, freq_threshold, quality_threshold)
-
-
 def looks_scripted(freq_ratio: float, mean_initiative: float, diversity: float,
                    freq_threshold: float, quality_threshold: float) -> bool:
     """The anomaly rule on plain numbers.

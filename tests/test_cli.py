@@ -130,6 +130,33 @@ class TestCli:
         assert "ic_holds" in report
         assert "ic-check:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config_text,extra,field", [
+        # a roster without a deviating validator has no focal validator
+        ("protocol: pob\nn_validators: 5\nepochs: 3\ntrials: 1\n", [], "roster"),
+        (TINY.replace("protocol: paired", "protocol: pob"), ["--discount", "1.5"], "discount"),
+    ])
+    def test_ic_check_bad_input_exit_code(self, config_text, extra, field, tmp_path, capsys):
+        cfg = tmp_path / "ic.yaml"
+        cfg.write_text(config_text)
+        out = tmp_path / "ic-out"
+        assert main(["ic-check", str(cfg), "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unexpected_exception_is_one_line_exit_2(self, tiny_config, tmp_path,
+                                                     monkeypatch, capsys):
+        import pobsim.cli
+
+        def broken_run(*args, **kwargs):
+            raise KeyError("v0042")
+
+        monkeypatch.setattr(pobsim.cli, "run_scenario", broken_run)
+        assert main(["run", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: KeyError: 'v0042'\n"
+
 
 class TestPresetLibrary:
     def test_count_and_names(self):

@@ -9,8 +9,9 @@ from pobsim.metrics import (
     fraud_acceptance_rate,
     fraud_outcomes,
     gini,
-    loss_averted,
+    paired_loss_averted,
     suppression_time,
+    tally_ledgers,
 )
 from pobsim.netsim import EpochLedger
 from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile
@@ -177,7 +178,7 @@ class TestLossAverted:
     def test_identical_acceptance_sets(self):
         pob = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
         pos = [ledger(0, behaviors=[fraud("a", 0, 10.0)], protocol="pos")]
-        assert loss_averted(pob, pos) == 0.0
+        assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == 0.0
 
     def test_million_dollar_example(self):
         # baseline accepts 1.0M; behavior weighting accepts 0.25M
@@ -190,18 +191,18 @@ class TestLossAverted:
             ledger(0, behaviors=[fraud("a", 0, 250_000.0)], protocol="pos"),
             ledger(1, behaviors=[fraud("a", 1, 750_000.0)], protocol="pos"),
         ]
-        assert loss_averted(pob, pos) == pytest.approx(750_000.0)
+        assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == pytest.approx(750_000.0)
 
     def test_signed_result(self):
         pob = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
         pos = [ledger(0, behaviors=[fraud("a", 0, 10.0)], neutralized=("a",), protocol="pos")]
-        assert loss_averted(pob, pos) == pytest.approx(-10.0)
+        assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == pytest.approx(-10.0)
 
     def test_unpaired_trials_rejected(self):
         pob = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
         pos = [ledger(0, behaviors=[fraud("b", 0, 10.0)], protocol="pos")]
         with pytest.raises(ValueError):
-            loss_averted(pob, pos)
+            paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos))
 
 
 class TestAggregate:

@@ -14,15 +14,15 @@ from pobsim.netsim import (
     LatencyModel,
     TraceBlock,
     ledger_to_json,
-    make_synthetic_trace,
     parse_trace,
     replay_epoch,
     replay_trace,
     run_trial,
     simulate_confirmation,
-    write_trace,
 )
 from pobsim.scoring import ActivenessInputs, activeness, diversity_index, total_utility
+
+from traces import make_synthetic_trace, write_trace
 
 
 class ScriptedDelays:

@@ -15,7 +15,7 @@ from pobsim.scoring import (
     activeness,
     diversity_index,
     epoch_score,
-    flag_anomalous,
+    looks_scripted,
     motivation_utility,
     outcome_utility,
     total_utility,
@@ -184,21 +184,20 @@ class TestActiveness:
 
 
 class TestAnomalyFlag:
+    # looks_scripted(action count / network mean, mean initiative,
+    # diversity, frequency threshold, quality threshold)
     def test_hyperactive_low_quality_flagged(self):
-        a = ActivenessInputs(50, 10.0, 0.05, 0.05)
-        assert flag_anomalous(a, 3.0, 0.2) is True
+        assert looks_scripted(50 / 10.0, 0.05, 0.05, 3.0, 0.2) is True
 
     def test_normal_frequency_never_flagged(self):
-        a = ActivenessInputs(10, 10.0, 0.0, 0.0)
-        assert flag_anomalous(a, 3.0, 0.2) is False
+        assert looks_scripted(10 / 10.0, 0.0, 0.0, 3.0, 0.2) is False
 
     def test_high_quality_not_flagged(self):
-        a = ActivenessInputs(50, 10.0, 0.9, 0.9)
-        assert flag_anomalous(a, 3.0, 0.2) is False
+        assert looks_scripted(50 / 10.0, 0.9, 0.9, 3.0, 0.2) is False
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            flag_anomalous(ActivenessInputs(1, 1.0, 0.5, 0.5), 0.0, 0.2)
+            looks_scripted(1 / 1.0, 0.5, 0.5, 0.0, 0.2)
 
 
 class TestLabelIsolation:
@@ -222,7 +221,7 @@ class TestLabelIsolation:
         source = inspect.getsource(scoring)
         for name in ("motivation_utility", "outcome_utility", "total_utility",
                      "epoch_score", "activeness", "activeness_blend",
-                     "flag_anomalous", "looks_scripted"):
+                     "looks_scripted"):
             fn_source = inspect.getsource(getattr(scoring, name))
             assert "is_fraud_ground_truth" not in fn_source, name
 

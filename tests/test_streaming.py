@@ -5,11 +5,12 @@ the tally folded from that stream gives the same metrics as a pass over
 the full ledger list, that the streamed ledger files are the canonical
 JSON of that list, that the ledger writer's bytes are those of a plain
 `json.dumps` of the ledger as dicts, that memory does not grow with the
-epoch count, and that the incrementally kept alive roster is the naive
-recomputation.
+epoch count, that a finished trial leaves no reference cycle behind, and
+that the incrementally kept alive roster is the naive recomputation.
 """
 
 import dataclasses
+import gc
 import json
 import os
 import tracemalloc
@@ -77,10 +78,11 @@ def _reference_metrics(ledgers, config, protocol):
 
     latencies = [l.confirm_ms for l in ledgers if l.confirmed and l.confirm_ms is not None]
 
+    delta = config.delta if protocol == "pob" else 0.0  # the stake lottery is delta = 0
     newcomer = None
     join = config.newcomer_epoch
     if join is not None and join < len(ledgers):
-        traj = [election_prob(l.weights_before, "newcomer", config.delta, protocol)
+        traj = [election_prob(l.weights_before, "newcomer", delta)
                 for l in ledgers[join:]]
         target = config.adaptation_target_frac / len(ledgers[join].weights_before)
         newcomer = adaptation_time(traj, target, "rise")
@@ -88,7 +90,7 @@ def _reference_metrics(ledgers, config, protocol):
     suppression = None
     adversaries = adversary_ids(config)
     if adversaries:
-        traj = [election_prob(l.weights_before, adversaries[0], config.delta, protocol)
+        traj = [election_prob(l.weights_before, adversaries[0], delta)
                 for l in ledgers]
         suppression = suppression_time(traj, config.suppression_drop_frac)
 
@@ -334,6 +336,30 @@ def _traced_peak(config, out):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("protocol", ["pob", "pos"])
+@pytest.mark.parametrize("name", sorted(builtin_presets()))
+def test_trial_leaves_no_cyclic_garbage(name, protocol):
+    """A finished trial is freed by reference counting alone.
+
+    A reference cycle through the trial state would keep a whole trial
+    alive until the cyclic collector ran, so the next trial's peak memory
+    would include it.
+    """
+    preset = builtin_presets()[name]
+    config = preset.build()
+    config = with_overrides(config, epochs=min(EPOCHS, config.epochs), trials=1)
+    trace = None
+    if preset.trace is not None:
+        trace = parse_trace(bundled_trace_path())[480:520]
+    gc.collect()
+    gc.disable()
+    try:
+        run_trial(config, config.seed, protocol=protocol, trace=trace, sink=lambda l: None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_peak_memory_flat_in_epochs(tmp_path):

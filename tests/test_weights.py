@@ -193,10 +193,10 @@ class TestSelectProposer:
         # The lottery's closed form, delta / n + (1 - delta) * w / total,
         # lives in metrics.election_prob.
         weights = {"a": 0.9, "b": 0.1}
-        assert math.isclose(election_prob(weights, "a", 0.1, "pob"), 0.86, abs_tol=1e-12)
-        assert math.isclose(election_prob(weights, "b", 0.1, "pob"), 0.14, abs_tol=1e-12)
-        assert election_prob(weights, "a", 0.1, "pos") == 0.9
-        assert election_prob(weights, "c", 0.1, "pob") == 0.0
+        assert math.isclose(election_prob(weights, "a", 0.1), 0.86, abs_tol=1e-12)
+        assert math.isclose(election_prob(weights, "b", 0.1), 0.14, abs_tol=1e-12)
+        assert election_prob(weights, "a", 0.0) == 0.9  # the stake lottery
+        assert election_prob(weights, "c", 0.1) == 0.0
 
     def test_deterministic_given_stream_state(self):
         t = WeightTable({f"v{i}": 0.1 for i in range(10)})
