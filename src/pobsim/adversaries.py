@@ -41,7 +41,7 @@ class StrategySpec:
 
 
 _PARAM_SPECS: dict[str, dict[str, tuple[float, float]]] = {
-    # kind -> param -> (min, max); bools and ints are range-checked too
+    # kind -> param -> (min, max)
     "honest": {},
     "stealth": {"fraud_rate": (0.0, 1.0), "fraud_value": (0.0, float("inf"))},
     "sybil-burst": {
@@ -69,13 +69,24 @@ _PARAM_SPECS: dict[str, dict[str, tuple[float, float]]] = {
 }
 
 
+# Params the simulation reads as counts or epochs.
+_INT_PARAMS = frozenset({"sybil_count", "burst_epoch", "burst_every", "max_population",
+                         "fork_depth", "empty_block_run"})
+
+
 def validate_params(kind: str, params: dict) -> None:
+    """Raise ValueError unless every param is known, a number (not a bool),
+    integral where it is a count, and in range. Values are not converted."""
     allowed = _PARAM_SPECS[kind]
     for name, value in params.items():
         if name not in allowed:
             raise ValueError(f"strategy {kind!r} does not accept parameter {name!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{kind}.{name}={value!r} is not a number")
+        if name in _INT_PARAMS and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{kind}.{name}={value!r} is not a whole number")
         lo, hi = allowed[name]
-        if not (lo <= float(value) <= hi):
+        if not (lo <= value <= hi):
             raise ValueError(f"{kind}.{name}={value} outside [{lo}, {hi}]")
 
 

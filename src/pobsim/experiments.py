@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from .config import (
     ScenarioConfig,
     apply_sweep_point,
+    check_config,
     echo_config,
     with_overrides,
 )
@@ -180,7 +181,11 @@ def run_scenario(
     out_dir: str | Path,
     trace: Optional[Sequence[TraceBlock]] = None,
 ) -> dict:
-    """Run all trials, write outputs, return the summary mapping."""
+    """Run all trials, write outputs, return the summary mapping.
+
+    Bad input fails as a ConfigError before the output directory exists.
+    """
+    config = check_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_list = list(trace) if trace is not None else None
@@ -215,6 +220,7 @@ def sweep_points(config: ScenarioConfig) -> list[dict]:
 
 def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """Run every grid point and combine rows into one long-format CSV."""
+    config = check_config(config)
     points = sweep_points(config)
     params = sorted(config.sweep)
 
@@ -259,6 +265,7 @@ def run_ic_check(
     """
     from .incentive import empirical_ic, find_focal
 
+    config = check_config(config)
     if not 0.0 < discount < 1.0:
         raise ConfigError("discount", f"{discount} outside (0, 1)")
     try:

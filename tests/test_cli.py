@@ -3,6 +3,8 @@ import json
 import pytest
 
 from pobsim.cli import main
+from pobsim.config import echo_config, loads_config
+from pobsim.errors import ConfigError
 from pobsim.presets import builtin_presets
 
 TINY = """\
@@ -156,6 +158,39 @@ class TestCli:
         assert main(["run", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == "error: KeyError: 'v0042'\n"
+
+
+BAD_STRATEGY_PARAMS = [
+    ("stealth", "{fraud_rate: [0.1]}", "not a number"),
+    ("stealth", "{fraud_rate: null}", "not a number"),
+    ("stealth", "{fraud_value: true}", "not a number"),
+    ("griefing", "{empty_block_run: 2.5}", "not a whole number"),
+    ("sybil-burst", "{burst_epoch: 7.5}", "not a whole number"),
+]
+
+
+@pytest.mark.parametrize("kind,params,message", BAD_STRATEGY_PARAMS,
+                         ids=["list", "null", "bool", "fractional-run", "fractional-epoch"])
+def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, capsys):
+    text = TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
+                        f"kind: {kind}, params: {params}")
+    with pytest.raises(ConfigError, match=message) as err:
+        loads_config(text)
+    assert err.value.field == "roster[0]"
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'roster[0]'") and message in err
+    assert not out.exists()
+
+
+def test_integral_float_count_is_kept_as_written():
+    cfg = loads_config(TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
+                                    "kind: griefing, params: {empty_block_run: 4.0}"))
+    assert cfg.roster[0].spec.params == {"empty_block_run": 4.0}
+    assert "empty_block_run: 4.0" in echo_config(cfg)
 
 
 class TestPresetLibrary:

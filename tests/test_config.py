@@ -2,9 +2,12 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+import yaml
 
 from pobsim.config import (
+    SWEEPABLE,
     apply_sweep_point,
+    check_config,
     config_from_mapping,
     echo_config,
     load_config,
@@ -13,6 +16,7 @@ from pobsim.config import (
     with_overrides,
 )
 from pobsim.errors import ConfigError
+from pobsim.presets import builtin_presets
 
 MINIMAL = "protocol: pob\nn_validators: 100\n"
 
@@ -289,3 +293,68 @@ class TestOverrides:
     def test_direct_mapping_validation(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"protocol": "pob", "n_validators": 1})
+
+
+# One bad value per kind of field parser: (field, value as stored, as YAML).
+BAD_FIELDS = [
+    ("newcomer_epoch", 0, 0),
+    ("n_validators", 1, 1),
+    ("protocol", "pow", "pow"),
+    ("theta", Fraction(5), 5),
+    ("committee_size", -1, -1),
+    ("latency_distribution", "bogus", "bogus"),
+    ("betas", (0.5, 0.5, 0.5), [0.5, 0.5, 0.5]),
+    ("name", 3, 3),
+    ("emit_ledgers", "yes", "yes"),
+    ("motivation_weights", (0.5, 0.6, 0.2), [0.5, 0.6, 0.2]),
+    ("sweep", {"fizz": [1]}, {"fizz": [1]}),
+]
+
+
+class TestOneSchema:
+    @pytest.mark.parametrize("field,value,yaml_value", BAD_FIELDS,
+                             ids=[case[0] for case in BAD_FIELDS])
+    def test_bad_value_rejected_on_every_path(self, field, value, yaml_value):
+        text = yaml.safe_dump({"protocol": "pob", "n_validators": 100, field: yaml_value})
+        with pytest.raises(ConfigError) as err:
+            loads_config(text)
+        assert err.value.field.split(".")[0] == field
+        with pytest.raises(ConfigError) as err:
+            with_overrides(loads_config(MINIMAL), **{field: value})
+        assert err.value.field.split(".")[0] == field
+        if field in SWEEPABLE:
+            with pytest.raises(ConfigError) as err:
+                apply_sweep_point(loads_config(MINIMAL), {field: yaml_value})
+            assert err.value.field == f"sweep.{field}"
+
+    @pytest.mark.parametrize("line", ["rho: .nan", "epsilon: .inf", "r_total: 1" + "0" * 400])
+    def test_non_finite_number_rejected(self, line):
+        field = line.split(":")[0]
+        with pytest.raises(ConfigError, match="not a finite number") as err:
+            loads_config(MINIMAL + line + "\n")
+        assert err.value.field == field
+        with pytest.raises(ConfigError, match=f"sweep.{field}"):
+            loads_config(MINIMAL + f"sweep:\n  {field}: [{line.split(': ')[1]}]\n")
+
+    @pytest.mark.parametrize("name", sorted(builtin_presets()))
+    def test_preset_round_trip(self, name):
+        cfg = builtin_presets()[name].build()
+        assert check_config(cfg) == cfg
+        assert echo_config(loads_config(echo_config(cfg))) == echo_config(cfg)
+
+    def test_overrides_are_parsed_as_the_loader_parses(self):
+        cfg = with_overrides(loads_config(MINIMAL), theta="1/2", rho=1,
+                             betas=[0.5, 0.25, 0.25])
+        assert cfg.theta == Fraction(1, 2)
+        assert cfg.rho == 1.0 and isinstance(cfg.rho, float)
+        assert cfg.betas == (0.5, 0.25, 0.25)
+        assert cfg == loads_config(MINIMAL + 'theta: "1/2"\nrho: 1\nbetas: [0.5, 0.25, 0.25]\n')
+
+    def test_sweep_value_may_be_null_where_the_field_allows_it(self):
+        cfg = loads_config(MINIMAL + "sweep:\n  committee_size: [null, 9]\n")
+        assert apply_sweep_point(cfg, {"committee_size": None}).committee_size is None
+
+    def test_roster_past_the_last_validator_is_a_cross_field_error(self):
+        cfg = loads_config(MINIMAL + "roster:\n  - {range: [90, 100], kind: stealth}\n")
+        with pytest.raises(ConfigError, match=r"roster\[0\]\.range"):
+            with_overrides(cfg, n_validators=50)

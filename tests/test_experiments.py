@@ -152,3 +152,15 @@ class TestIcCheckRunner:
         assert (tmp_path / "ic.json").exists()
         saved = json.loads((tmp_path / "ic.json").read_text())
         assert saved["focal"] == report["focal"] == "v0009"
+
+
+class TestEntryPointsCheckConfig:
+    @pytest.mark.parametrize("entry", [run_scenario, run_sweep, run_ic_check])
+    def test_config_built_in_python_fails_before_output(self, entry, tmp_path):
+        cfg = ScenarioConfig(protocol="pob", n_validators=5, newcomer_epoch=0,
+                             sweep={"rho": [0.5]})
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            entry(cfg, out)
+        assert err.value.field == "newcomer_epoch"
+        assert not out.exists()
