@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import math
+from typing import Callable, Optional, Sequence
 
 from .chain import Block, fork_choice, signer_weight
-from .scoring import ActionKind, BehaviorRecord, MotivationProfile
+from .scoring import (ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile,
+                      check_record_ranges)
 from .weights import WeightTable
 
 STRATEGY_KINDS = (
@@ -75,14 +77,17 @@ _INT_PARAMS = frozenset({"sybil_count", "burst_epoch", "burst_every", "max_popul
 
 
 def validate_params(kind: str, params: dict) -> None:
-    """Raise ValueError unless every param is known, a number (not a bool),
-    integral where it is a count, and in range. Values are not converted."""
+    """Raise ValueError unless every param is known, a finite number (not a
+    bool), integral where it is a count, and in range. Values are not
+    converted."""
     allowed = _PARAM_SPECS[kind]
     for name, value in params.items():
         if name not in allowed:
             raise ValueError(f"strategy {kind!r} does not accept parameter {name!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{kind}.{name}={value!r} is not a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{kind}.{name}={value!r} is not finite")
         if name in _INT_PARAMS and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{kind}.{name}={value!r} is not a whole number")
         lo, hi = allowed[name]
@@ -100,9 +105,6 @@ class HonestShape:
     initiative_hi: float = 1.0
     oracle_rate: float = 0.0
     motivations: dict[ActionKind, MotivationProfile] = field(default_factory=dict)
-
-    def motivation_for(self, kind: ActionKind) -> MotivationProfile:
-        return self.motivations[kind]
 
 
 @dataclass
@@ -139,47 +141,56 @@ class ValidatorState:
         return self.join_epoch <= epoch and self.retired_epoch is None
 
 
-def _honest_epoch(ctx: EpochContext) -> list[BehaviorRecord]:
-    """One propose/validate record, plus an oracle report at `oracle_rate`.
+def draw_honest(cols: BehaviorColumns, shape: HonestShape, first: int,
+                draws: Sequence[Callable[[], float]], proposer: int) -> None:
+    """Honest records of positions first, first + 1, ..., drawn from their bound `random`s.
 
-    Each draw is `random.uniform`'s own `a + (b - a) * random()` on a
-    bound `random`, so the stream and its values are those of
-    `rng.uniform(a, b)`, in the same order.
+    A propose record at position `proposer`, a validate record elsewhere,
+    and an oracle report at `oracle_rate`. Each value is `random.uniform`'s
+    own `a + (b - a) * random()`: every stream and its values are those of
+    `rng.uniform(a, b)`. The initiative range check is one min/max.
     """
-    shape = ctx.shape
-    random = ctx.rng_behavior.random
-    kind = _PROPOSE if ctx.is_proposer else _VALIDATE
-    u_lo = shape.base_utility_lo
-    i_lo = shape.initiative_lo
-    i_span = shape.initiative_hi - i_lo
-    records = [
-        BehaviorRecord(ctx.vid, ctx.epoch, kind,
-                       u_lo + (shape.base_utility_hi - u_lo) * random(), 1.0,
-                       i_lo + i_span * random(), shape.motivations[kind])
-    ]
-    if shape.oracle_rate > 0.0 and random() < shape.oracle_rate:
-        records.append(
-            BehaviorRecord(ctx.vid, ctx.epoch, _ORACLE, 0.1 + (0.5 - 0.1) * random(), 1.0,
-                           i_lo + i_span * random(), shape.motivations[_ORACLE])
-        )
-    return records
+    u_lo, i_lo = shape.base_utility_lo, shape.initiative_lo
+    u_span, i_span = shape.base_utility_hi - u_lo, shape.initiative_hi - i_lo
+    start = len(cols.actor)
+    if not shape.oracle_rate > 0.0:  # one record each
+        kinds = [_VALIDATE] * len(draws)
+        if 0 <= proposer - first < len(draws):
+            kinds[proposer - first] = _PROPOSE
+        cols.actor.extend(range(first, first + len(draws)))
+        cols.kind.extend(kinds)
+        cols.base_utility.extend([u_lo + u_span * random() for random in draws])
+        cols.initiative.extend([i_lo + i_span * random() for random in draws])
+    else:
+        rate = shape.oracle_rate
+        actor, kind, base, initiative = cols.actor, cols.kind, cols.base_utility, cols.initiative
+        for pos, random in enumerate(draws, first):
+            actor.append(pos)
+            kind.append(_PROPOSE if pos == proposer else _VALIDATE)
+            base.append(u_lo + u_span * random())
+            initiative.append(i_lo + i_span * random())
+            if random() < rate:
+                actor.append(pos)
+                kind.append(_ORACLE)
+                base.append(0.1 + (0.5 - 0.1) * random())
+                initiative.append(i_lo + i_span * random())
+    rows = len(cols.actor) - start
+    cols.motivation.extend(map(shape.motivations.__getitem__, cols.kind[start:]))
+    cols.context_factor.extend([1.0] * rows)
+    cols.fraud.extend([False] * rows)
+    added = cols.initiative[start:]
+    if added and not (0.0 <= min(added) and max(added) <= 1.0):
+        for initiative in added:  # raises the first offending row's message
+            check_record_ranges(1.0, initiative)
 
 
 _PROPOSE, _VALIDATE, _ORACLE = ActionKind.PROPOSE, ActionKind.VALIDATE, ActionKind.ORACLE
 
 
-def fraud_record(ctx: EpochContext, value: float, kind: ActionKind = ActionKind.FRAUD) -> BehaviorRecord:
+def add_fraud(cols: BehaviorColumns, ctx: EpochContext, pos: int, value: float,
+              kind: ActionKind = ActionKind.FRAUD) -> None:
     """A fraudulent action: harmful outcome, deliberately initiated."""
-    return BehaviorRecord(
-        actor=ctx.vid,
-        epoch=ctx.epoch,
-        kind=kind,
-        base_utility=-abs(value),
-        context_factor=1.0,
-        initiative=1.0,
-        motivation=ctx.shape.motivation_for(kind),
-        is_fraud_ground_truth=True,
-    )
+    cols.add(pos, kind, -abs(value), 1.0, 1.0, ctx.shape.motivations[kind], True)
 
 
 class Strategy:
@@ -187,8 +198,16 @@ class Strategy:
 
     kind = "honest"
 
+    def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
+        """Append this epoch's records of the validator at roster position `pos`."""
+        draw_honest(cols, ctx.shape, pos, (ctx.rng_behavior.random,),
+                    pos if ctx.is_proposer else -1)
+
     def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
-        return _honest_epoch(ctx)
+        """This epoch's records as objects: what `emit` appends, built into records."""
+        cols = BehaviorColumns(ctx.epoch)
+        self.emit(ctx, cols, 0)
+        return list(cols.records((ctx.vid,)))
 
     def committee_vote(self, subject: str, behavior: BehaviorRecord) -> Optional[bool]:
         """Return a vote override, or None to use the honest vote model."""
@@ -210,10 +229,11 @@ class StealthStrategy(Strategy):
         self.fraud_rate = fraud_rate
         self.fraud_value = fraud_value
 
-    def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
+    def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
         if ctx.rng_adversary.random() < self.fraud_rate:
-            return [fraud_record(ctx, self.fraud_value)]
-        return _honest_epoch(ctx)
+            add_fraud(cols, ctx, pos, self.fraud_value)
+        else:
+            super().emit(ctx, cols, pos)
 
 
 class SybilCoalition:
@@ -248,11 +268,12 @@ class SybilBurstStrategy(Strategy):
     def __init__(self, coalition: SybilCoalition):
         self.coalition = coalition
 
-    def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
+    def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
         if self.coalition.bursting(ctx.epoch):
             per_sybil = self.coalition.fraud_value / max(1, len(self.coalition.members))
-            return [fraud_record(ctx, per_sybil)]
-        return _honest_epoch(ctx)
+            add_fraud(cols, ctx, pos, per_sybil)
+        else:
+            super().emit(ctx, cols, pos)
 
     def committee_vote(self, subject: str, behavior: BehaviorRecord) -> Optional[bool]:
         return subject not in self.coalition.members
@@ -267,8 +288,8 @@ class AdaptiveSybilStrategy(Strategy):
         self.coalition_members = coalition_members
         self.fraud_value = fraud_value
 
-    def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
-        return [fraud_record(ctx, self.fraud_value)]
+    def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
+        add_fraud(cols, ctx, pos, self.fraud_value)
 
     def committee_vote(self, subject: str, behavior: BehaviorRecord) -> Optional[bool]:
         return subject not in self.coalition_members
@@ -292,21 +313,13 @@ class GriefingStrategy(Strategy):
         self.low_initiative = low_initiative
         self.empty_blocks_published = 0
 
-    def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
+    def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
         if ctx.is_proposer and self.empty_blocks_published < self.empty_block_run:
             self.empty_blocks_published += 1
-            return [
-                BehaviorRecord(
-                    actor=ctx.vid,
-                    epoch=ctx.epoch,
-                    kind=ActionKind.PROPOSE,
-                    base_utility=self.utility_epsilon,
-                    context_factor=1.0,
-                    initiative=self.low_initiative,
-                    motivation=ctx.shape.motivation_for(ActionKind.IDLE),
-                )
-            ]
-        return _honest_epoch(ctx)
+            cols.add(pos, ActionKind.PROPOSE, self.utility_epsilon, 1.0, self.low_initiative,
+                     ctx.shape.motivations[ActionKind.IDLE])
+        else:
+            super().emit(ctx, cols, pos)
 
 
 class AdaptiveSybilController:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DegenerateElectionError
+from .weights import proportional_pick
 
 
 @dataclass
@@ -38,18 +39,17 @@ def pos_select_proposer(table: StakeTable, rng: random.Random,
                         active: Iterable[str] | None = None) -> str:
     """Strictly stake-proportional lottery."""
     ids = sorted(active) if active is not None else sorted(table.stakes)
-    if not ids:
+    return ids[stake_pick([table.stakes[v] for v in ids], rng)]
+
+
+def stake_pick(stakes: Sequence[float], rng: random.Random) -> int:
+    """The stake lottery over a stake list: the index of the proposer."""
+    if not stakes:
         raise ValueError("active set is empty")
-    total = sum(table.stakes[v] for v in ids)
+    total = sum(stakes)
     if total <= 0.0:
         raise DegenerateElectionError("total active stake is zero")
-    pick = rng.random() * total
-    acc = 0.0
-    for v in ids:
-        acc += table.stakes[v]
-        if pick < acc:
-            return v
-    return ids[-1]
+    return proportional_pick(stakes, total, rng)
 
 
 def pos_schedule_slash(table: StakeTable, offender: str, detection_block: int) -> None:

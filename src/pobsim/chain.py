@@ -50,15 +50,11 @@ def genesis_block() -> Block:
     )
 
 
-def _weight_in_order(ids: Iterable[str], table: WeightTable) -> float:
-    entries = table.entries
-    return sum(entries.get(s, 0.0) for s in ids)
-
-
 def signer_weight(signers: Iterable[str], table: WeightTable) -> float:
     """Current weight of the distinct signers, summed in id order."""
     distinct = signers if isinstance(signers, (set, frozenset)) else set(signers)
-    return _weight_in_order(sorted(distinct), table)
+    entries = table.entries
+    return sum(entries.get(s, 0.0) for s in sorted(distinct))
 
 
 def extend_chain(
@@ -67,16 +63,13 @@ def extend_chain(
     utility: float,
     timestamp_ms: float,
     signers: frozenset[str],
-    table: WeightTable,
-    roster: Sequence[str],
+    weights: Sequence[float],
 ) -> Block:
     """Append a block for an epoch whose behaviors sum to `utility`.
 
-    Cumulative utility and signer weight are derived from the parent and
-    the current table. `roster` is the signer set as a sorted list of
-    distinct ids; the weight is summed over it in that order, the order
-    `signer_weight` sorts into. Blocks signed by the same roster share its
-    `signers` frozenset.
+    `weights` are the signers' current weights in sorted id order; the
+    signer weight is their sum in that order, the order `signer_weight`
+    sorts into. Blocks signed by the same roster share its `signers`.
     """
     return Block(
         height=parent.height + 1,
@@ -84,7 +77,7 @@ def extend_chain(
         parent=parent,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
-        signer_weight=_weight_in_order(roster, table),
+        signer_weight=sum(weights),
         signers=signers,
     )
 

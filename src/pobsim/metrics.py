@@ -129,9 +129,13 @@ def election_prob(weights: dict[str, float], vid: str, delta: float) -> float:
     """
     if vid not in weights:
         return 0.0
-    total = sum(weights.values())
-    proportional = weights[vid] / total if total > 0 else 0.0
-    return delta / len(weights) + (1.0 - delta) * proportional
+    return lottery_share(weights[vid], sum(weights.values()), len(weights), delta)
+
+
+def lottery_share(weight: float, total: float, n: int, delta: float) -> float:
+    """A validator's election probability from its weight, the total and the roster size."""
+    proportional = weight / total if total > 0 else 0.0
+    return delta / n + (1.0 - delta) * proportional
 
 
 def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> list[float]:
@@ -187,37 +191,50 @@ class TrialTally:
         self.adversary_probs: list[float] = []
 
     def add(self, ledger: EpochLedger) -> None:
-        behaviors = ledger.behaviors
+        columns = ledger.columns  # run_trial's; None for a ledger made with keywords
+        if columns is None:
+            roster, weights = list(ledger.weights_before), list(ledger.weights_before.values())
+            labels = [b.is_fraud_ground_truth for b in ledger.behaviors]
+            frauds = [(i, b.actor, b.base_utility)
+                      for i, b in enumerate(ledger.behaviors) if labels[i]]
+        else:
+            roster, weights, c = columns.roster, columns.weights_before, columns.behaviors
+            labels = c.fraud
+            frauds = [(i, roster[c.actor[i]], c.base_utility[i])
+                      for i, fraud in enumerate(labels) if fraud] if True in labels else []
         for v in ledger.verdicts:
             if v.guilty:
                 self.guilty_keys.add((v.epoch, v.subject, v.behavior_index))
                 # a guilty verdict on a behavior that was not fraud
-                if not behaviors[v.behavior_index].is_fraud_ground_truth:
+                if not labels[v.behavior_index]:
                     self.false_positives += 1
-        for idx, b in enumerate(behaviors):
-            if b.is_fraud_ground_truth:
-                accepted = ledger.confirmed and b.actor not in ledger.neutralized
-                self.frauds.append((ledger.epoch, b.actor, idx, abs(b.base_utility), accepted))
+        for idx, actor, base_utility in frauds:
+            accepted = ledger.confirmed and actor not in ledger.neutralized
+            self.frauds.append((ledger.epoch, actor, idx, abs(base_utility), accepted))
 
-        weights = ledger.weights_before
         if self.initial_weights is None:
-            self.initial_weights = weights
-        self.seen_ids.update(weights)
+            self.initial_weights = dict(zip(roster, weights))
+        self.seen_ids.update(roster)
         self.proposals[ledger.proposer] = self.proposals.get(ledger.proposer, 0) + 1
         if ledger.confirmed and ledger.confirm_ms is not None:
             self.latencies.append(ledger.confirm_ms)
 
         if self.join is not None and self.epochs >= self.join:
             if self.epochs == self.join:
-                self.alive_at_join = len(weights)
-            self.newcomer_probs.append(
-                election_prob(weights, "newcomer", self.delta)
-            )
+                self.alive_at_join = len(roster)
+            self.newcomer_probs.append(self._election_prob(roster, weights, "newcomer"))
         if self.first_adversary is not None:
             self.adversary_probs.append(
-                election_prob(weights, self.first_adversary, self.delta)
-            )
+                self._election_prob(roster, weights, self.first_adversary))
         self.epochs += 1
+
+    def _election_prob(self, roster: list[str], weights: Sequence[float], vid: str) -> float:
+        """election_prob of `vid` from weights listed in roster order."""
+        try:
+            weight = weights[roster.index(vid)]
+        except ValueError:
+            return 0.0
+        return lottery_share(weight, sum(weights), len(weights), self.delta)
 
     def fraud_outcomes(self) -> list[FraudOutcome]:
         """Acceptance of every ground-truth fraud attempt.

@@ -17,11 +17,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from itertools import repeat
+from math import log as _log
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .baseline_pos import (
@@ -29,19 +32,20 @@ from .baseline_pos import (
     pareto_stakes,
     pos_apply_due_slashes,
     pos_schedule_slash,
-    pos_select_proposer,
+    stake_pick,
 )
 from .chain import Block, extend_chain, genesis_block
 from .config import ScenarioConfig
 from .errors import TraceError
-from .rewards import Payout, RewardSchedule, distribute
+from .rewards import Payout, RewardSchedule, distribute, split_pool
 from .rng import RngHub
 from .scoring import (
     SINGLE_KIND_DIVERSITY,
     ActionKind,
+    BehaviorColumns,
     BehaviorRecord,
     MotivationProfile,
-    activeness_blend,
+    activeness_column,
     check_betas,
     diversity_index,
     looks_scripted,
@@ -49,7 +53,7 @@ from .scoring import (
     total_utility,
 )
 from .watchdog import SuspicionReport, Verdict, process_epoch_suspicions
-from .weights import WeightTable, select_proposer, update_weights
+from .weights import WeightTable, dampened_pick, ema_step, normalize, update_weights
 
 
 # ---------------------------------------------------------------------------
@@ -70,27 +74,43 @@ class LatencyModel:
             raise ValueError("mean_ms must be > 0")
 
     def sampler(self, rng: random.Random) -> Callable[[], float]:
-        """A draw function bound to `rng`, for drawing many delays.
+        """A function drawing one delay from `rng` per call (see `draws`)."""
+        return lambda: self.draws(rng, 1)[0]
 
-        The distribution is dispatched once, here. Each draw is
-        `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)` (a fixed
-        delay draws nothing), so the stream and its values are unchanged.
-        """
+    def draws(self, rng: random.Random, n: int) -> list[float]:
+        """`n` delays, each `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)`
+        (a fixed delay draws nothing) as the stdlib's formula on a bound `random()`:
+        the same stream and values. A stream's own `expovariate` is called."""
         mean = self.mean_ms
         if self.distribution == "fixed":
-            return lambda: mean
+            return [mean] * n
+        high, rate = 2.0 * mean, 1.0 / mean
         if self.distribution == "uniform":
-            return partial(rng.uniform, 0.0, 2.0 * mean)
-        return partial(rng.expovariate, 1.0 / mean)
+            unit = rng.random
+            return [0.0 + (high - 0.0) * unit() for _ in range(n)]
+        if type(rng).expovariate is not random.Random.expovariate:
+            return [rng.expovariate(rate) for _ in range(n)]
+        unit = rng.random
+        return [-_log(1.0 - unit()) / rate for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Epoch ledger
 # ---------------------------------------------------------------------------
 
+# A run_trial ledger's contents: the epoch's sorted roster, its BehaviorColumns
+# and PoolSplit, and four float lists aligned with the roster.
+LedgerColumns = namedtuple("LedgerColumns", "roster behaviors payouts scores activeness "
+                                            "weights_before weights_after")
+
+
 @dataclass
 class EpochLedger:
-    """Append-only audit record of one epoch."""
+    """Append-only audit record of one epoch.
+
+    A ledger from run_trial keeps `columns` and builds `behaviors`, `payouts`
+    and the four {id: float} maps, in roster order, when each is first read.
+    """
 
     epoch: int
     protocol: str
@@ -107,6 +127,24 @@ class EpochLedger:
     latency_samples: tuple[float, ...]
     neutralized: tuple[str, ...] = ()
     events: tuple[dict, ...] = ()
+    columns: ClassVar[Optional["LedgerColumns"]] = None
+
+    @classmethod
+    def from_columns(cls, columns: LedgerColumns, **fields) -> "EpochLedger":
+        """A ledger of `fields`; the rest is built from `columns` when first read."""
+        ledger = cls.__new__(cls)
+        ledger.__dict__.update(fields, columns=columns)
+        return ledger
+
+    def __getattr__(self, name: str):
+        # Reached only for a field not set yet: a view of the columns, built once.
+        c = self.__dict__.get("columns")
+        if c is None or name == "roster" or name not in LedgerColumns._fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        column = getattr(c, name)
+        value = self.__dict__[name] = (column.records(c.roster) if name in ("behaviors", "payouts")
+                                       else dict(zip(c.roster, column)))
+        return value
 
 
 # One canonical ledger writer. It writes what
@@ -115,11 +153,18 @@ class EpochLedger:
 # them: keys are fixed fragments in sorted order, a finite float is its
 # repr, and anything else (None, bools, ints, NaN/Infinity, verdicts and
 # free-form events) goes through one encoder with json.dumps's settings.
+# A column-backed ledger is written from its columns, except for a field
+# that has been read or set, which is written as it stands.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode = _ENCODER.encode
 _string = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
-_VERDICT_FIELDS = tuple(f.name for f in dataclasses.fields(Verdict))
+_RECORD_FIELDS, _PAYOUT_FIELDS, _VERDICT_FIELDS = (
+    tuple(f.name for f in dataclasses.fields(cls)) for cls in (BehaviorRecord, Payout, Verdict))
+_KIND_JSON = {kind: _string(kind.value) for kind in ActionKind}
+_BEHAVIOR_JSON = ('{{"actor":{},"base_utility":{},"context_factor":{},"epoch":{},"initiative":{}'
+                  ',"is_fraud_ground_truth":{},"kind":{},"motivation":{}}}').format
+_PAYOUT_JSON = '{{"activeness_multiplier":{},"base":{},"bonus":{},"total":{},"validator":{}}}'.format
 
 
 def _value(x) -> str:
@@ -131,67 +176,72 @@ def _value(x) -> str:
             return s
     elif cls is int:
         return int.__repr__(x)
+    elif cls is bool:
+        return "true" if x else "false"
     return _encode(x)
 
 
-def _floats(xs: Sequence) -> str:
-    """A JSON array of numbers."""
+def _texts(values: Sequence) -> list[str]:
+    """Each value as a JSON scalar."""
     try:
-        s = ",".join(map(_float_repr, xs))
+        texts = list(map(_float_repr, values))
     except TypeError:  # an int or a bool among the floats
-        return _encode(list(xs))
-    if "n" in s:
-        return _encode(list(xs))
-    return "[" + s + "]"
+        return list(map(_value, values))
+    if "n" in "".join(texts):
+        return list(map(_value, values))
+    return texts
 
 
-def _float_map(m: Mapping) -> str:
-    """A JSON object of {id: number}, in sorted key order."""
-    keys = sorted(m)
-    try:
-        values = list(map(_float_repr, map(m.__getitem__, keys)))
-        names = list(map(_string, keys))
-    except TypeError:
-        return _encode(m)
-    if "n" in "".join(values):
-        return _encode(m)
-    return "{" + ",".join(map(":".join, zip(names, values))) + "}"
+def _map(ledger: EpochLedger, name: str, roster_names: Optional[list[str]]) -> str:
+    """A ledger map field as a JSON object in sorted key order."""
+    m = ledger.__dict__.get(name)
+    if m is None:
+        names, values = roster_names, getattr(ledger.columns, name)
+    else:
+        keys = sorted(m)
+        try:
+            names, values = list(map(_string, keys)), [m[k] for k in keys]
+        except TypeError:
+            return _encode(m)
+    return "{" + ",".join(map(":".join, zip(names, _texts(values)))) + "}"
 
 
-def _motivation(m: MotivationProfile) -> str:
-    return '{"intensities":' + _floats(m.intensities) + ',"weights":' + _floats(m.weights) + "}"
+def _motivations(profiles: Sequence[MotivationProfile]) -> Iterable[str]:
+    """Each profile's JSON, encoded once per distinct profile."""
+    distinct = {id(m): m for m in profiles}
+    texts = {key: '{"intensities":[' + ",".join(_texts(m.intensities)) + '],"weights":['
+                  + ",".join(_texts(m.weights)) + "]}" for key, m in distinct.items()}
+    return map(texts.__getitem__, map(id, profiles))
 
 
-def _behaviors(behaviors: Sequence[BehaviorRecord]) -> str:
-    motivations: dict[int, str] = {}  # id(profile) -> its JSON, once per ledger
-    parts = []
-    for b in behaviors:
-        m = b.motivation
-        motivation = motivations.get(id(m))
-        if motivation is None:
-            motivation = motivations[id(m)] = _motivation(m)
-        parts.append(
-            f'{{"actor":{_string(b.actor)}'
-            f',"base_utility":{_value(b.base_utility)}'
-            f',"context_factor":{_value(b.context_factor)}'
-            f',"epoch":{_value(b.epoch)}'
-            f',"initiative":{_value(b.initiative)}'
-            f',"is_fraud_ground_truth":{_value(b.is_fraud_ground_truth)}'
-            f',"kind":{_string(b.kind.value)}'
-            f',"motivation":{motivation}}}'
-        )
-    return "[" + ",".join(parts) + "]"
+def _behaviors(ledger: EpochLedger, roster_names: Optional[list[str]]) -> str:
+    records = ledger.__dict__.get("behaviors")
+    if records is None:
+        c = ledger.columns.behaviors
+        actor, epoch = map(roster_names.__getitem__, c.actor), repeat(_value(c.epoch))
+        kind, base, factor, initiative = c.kind, c.base_utility, c.context_factor, c.initiative
+        motivation, fraud = c.motivation, c.fraud
+    else:
+        actor, epoch, kind, base, factor, initiative, motivation, fraud = (
+            [getattr(b, f) for b in records] for f in _RECORD_FIELDS)
+        actor, epoch = map(_string, actor), _texts(epoch)
+    rows = map(_BEHAVIOR_JSON, actor, _texts(base), _texts(factor), epoch, _texts(initiative),
+               map(_value, fraud), map(_KIND_JSON.__getitem__, kind), _motivations(motivation))
+    return "[" + ",".join(rows) + "]"
 
 
-def _payouts(payouts: Sequence[Payout]) -> str:
-    return "[" + ",".join([
-        f'{{"activeness_multiplier":{_value(p.activeness_multiplier)}'
-        f',"base":{_value(p.base)}'
-        f',"bonus":{_value(p.bonus)}'
-        f',"total":{_value(p.total)}'
-        f',"validator":{_string(p.validator)}}}'
-        for p in payouts
-    ]) + "]"
+def _payouts(ledger: EpochLedger, roster_names: Optional[list[str]]) -> str:
+    payouts = ledger.__dict__.get("payouts")
+    if payouts is None:
+        split = ledger.columns.payouts
+        validator, base = map(roster_names.__getitem__, split.actives), repeat(_value(split.base))
+        bonus, multiplier, total = split.bonus, split.multiplier, split.total
+    else:
+        validator, base, bonus, multiplier, total = (
+            [getattr(p, f) for p in payouts] for f in _PAYOUT_FIELDS)
+        validator, base = map(_string, validator), _texts(base)
+    rows = map(_PAYOUT_JSON, _texts(multiplier), base, _texts(bonus), _texts(total), validator)
+    return "[" + ",".join(rows) + "]"
 
 
 def _verdicts(verdicts: Sequence[Verdict]) -> str:
@@ -200,22 +250,24 @@ def _verdicts(verdicts: Sequence[Verdict]) -> str:
 
 def ledger_to_json(ledger: EpochLedger) -> str:
     """Canonical serialization: sorted keys, shortest round-trip floats."""
+    columns = ledger.columns
+    names = list(map(_string, columns.roster)) if columns is not None else None
     return (
-        f'{{"activeness":{_float_map(ledger.activeness)}'
-        f',"behaviors":{_behaviors(ledger.behaviors)}'
+        f'{{"activeness":{_map(ledger, "activeness", names)}'
+        f',"behaviors":{_behaviors(ledger, names)}'
         f',"confirm_ms":{_value(ledger.confirm_ms)}'
         f',"confirmed":{_value(ledger.confirmed)}'
         f',"epoch":{_value(ledger.epoch)}'
         f',"events":{_encode(list(ledger.events))}'
-        f',"latency_samples":{_floats(ledger.latency_samples)}'
+        f',"latency_samples":[{",".join(_texts(ledger.latency_samples))}]'
         f',"neutralized":{_encode(list(ledger.neutralized))}'
-        f',"payouts":{_payouts(ledger.payouts)}'
+        f',"payouts":{_payouts(ledger, names)}'
         f',"proposer":{_string(ledger.proposer)}'
         f',"protocol":{_string(ledger.protocol)}'
-        f',"scores":{_float_map(ledger.scores)}'
+        f',"scores":{_map(ledger, "scores", names)}'
         f',"verdicts":{_verdicts(ledger.verdicts)}'
-        f',"weights_after":{_float_map(ledger.weights_after)}'
-        f',"weights_before":{_float_map(ledger.weights_before)}}}'
+        f',"weights_after":{_map(ledger, "weights_after", names)}'
+        f',"weights_before":{_map(ledger, "weights_before", names)}}}'
     )
 
 
@@ -225,7 +277,7 @@ def ledger_to_json(ledger: EpochLedger) -> str:
 
 def simulate_confirmation(
     alive: Sequence[str],
-    weight_of: Mapping[str, float],
+    weight_of: Mapping[str, float] | list[float],
     quorum: Fraction,
     latency: LatencyModel,
     rng_proposal: random.Random,
@@ -234,26 +286,24 @@ def simulate_confirmation(
 ) -> tuple[bool, Optional[float], list[float]]:
     """Run the proposal+vote pipeline on the simulated clock.
 
-    The proposal reaches validator i after one message delay; its vote
-    arrives one more delay later. Each stage adds a fixed processing
-    cost. Votes are counted in arrival order, ties in `alive` order, and
-    the block confirms the instant the accumulated yes-weight reaches
-    `quorum` times the total weight. Everyone votes yes here; dissent is
-    modeled at the behavior level, not the transport level.
+    `weight_of` maps each id to its weight, or lists the weights in `alive`
+    order. The proposal reaches validator i after one message delay (from
+    `rng_proposal`; a separate stream from `rng_vote`); its vote arrives one
+    more delay later. Each stage adds a fixed processing cost. Votes are
+    counted in arrival order, ties in `alive` order, and the block confirms
+    the instant the accumulated yes-weight reaches `quorum` times the total
+    weight. Everyone votes yes here; dissent is modeled at the behavior
+    level, not the transport level.
     """
     if not 0 < quorum <= 1:
         raise ValueError(f"quorum {quorum} outside (0, 1]")
-    sample_proposal = latency.sampler(rng_proposal)
-    sample_vote = latency.sampler(rng_vote)
-    samples: list[float] = []
-    arrivals: list[float] = []
-    for _ in alive:
-        d_prop = sample_proposal()
-        d_vote = sample_vote()
-        samples.append(d_prop)
-        samples.append(d_vote)
-        arrivals.append(processing_ms + d_prop + processing_ms + d_vote)
-    weights = [weight_of[v] for v in alive]
+    n = len(alive)
+    proposals, votes = latency.draws(rng_proposal, n), latency.draws(rng_vote, n)
+    samples = [0.0] * (2 * n)
+    samples[0::2] = proposals
+    samples[1::2] = votes
+    arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
+    weights = weight_of if isinstance(weight_of, list) else [weight_of[v] for v in alive]
     total = sum(weights)
     # Float comparison outside a slack band around the target; inside it
     # an exact rational check, so a vote landing exactly on the quorum
@@ -262,7 +312,7 @@ def simulate_confirmation(
     slack = 1e-12 * max(1.0, abs(total))
     above, below = target + slack, target - slack
     acc = 0.0
-    for i in sorted(range(len(arrivals)), key=arrivals.__getitem__):
+    for i in sorted(range(n), key=arrivals.__getitem__):
         acc += weights[i]
         if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
             return True, arrivals[i], samples
@@ -391,20 +441,21 @@ class _TrialState:
     config: ScenarioConfig
     hub: RngHub
     validators: dict[str, adv.ValidatorState]
-    table: WeightTable
     shape: adv.HonestShape
     latency: LatencyModel
     schedule: RewardSchedule
     offense_counts: dict[str, int] = field(default_factory=dict)
-    # One behavior context per validator, created when it first acts.
-    contexts: dict[str, adv.EpochContext] = field(default_factory=dict)
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
     fork_cfg: Optional[dict] = None
     pending_events: list[dict] = field(default_factory=list)
-    # The sorted ids alive this epoch and the signer set their blocks
-    # share. Rebuilt only when a validator joins or retires.
+    # The sorted ids alive this epoch, and what is aligned with them (_set_roster).
     alive: list[str] = field(default_factory=list)
-    signers: frozenset[str] = frozenset()
+    signers: frozenset[str] = frozenset()  # the signer set their blocks share
+    pos_of: dict[str, int] = field(default_factory=dict)  # id -> roster position
+    positions: list[int] = field(default_factory=list)  # 0, 1, ..., len(alive) - 1
+    # (first, draws, None) for a run of plain-honest validators from position
+    # `first` on, with each one's bound behavior random(); else (pos, context, strategy).
+    emitters: list[tuple] = field(default_factory=list)
     # join epoch -> ids that join then; every key is > 0
     joins: dict[int, list[str]] = field(default_factory=dict)
 
@@ -420,20 +471,14 @@ def _start_trial(config: ScenarioConfig, seed: int,
         stakes = pareto_stakes(ids, hub.stream("stake"), config.stake_alpha, config.stake_xmin)
     else:
         stakes = {vid: 1.0 for vid in ids}
-    state = _setup_trial(config, hub, ids, stakes)
+    state = _setup_trial(config, hub, ids)
     return state, (_PobRules if protocol == "pob" else _PosRules)(state, stakes)
 
 
-def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str],
-                 stakes: Mapping[str, float]) -> _TrialState:
-    shape = adv.HonestShape(
-        base_utility_lo=config.honest_utility_lo,
-        base_utility_hi=config.honest_utility_hi,
-        initiative_lo=config.honest_initiative_lo,
-        initiative_hi=config.honest_initiative_hi,
-        oracle_rate=config.oracle_rate,
-        motivations=_build_motivations(config),
-    )
+def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialState:
+    shape = adv.HonestShape(config.honest_utility_lo, config.honest_utility_hi,
+                            config.honest_initiative_lo, config.honest_initiative_hi,
+                            config.oracle_rate, _build_motivations(config))
 
     # Roster: per-index strategy specs, honest by default.
     specs: dict[str, adv.StrategySpec] = {vid: adv.StrategySpec("honest") for vid in ids}
@@ -475,12 +520,6 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str],
         strategy = _make_strategy(spec, coalitions, members_of[id(spec)])
         validators[vid] = adv.ValidatorState(vid=vid, strategy=strategy, role=spec.kind)
 
-    if config.genesis_weights == "stake":
-        total = sum(stakes[v] for v in ids)
-        entries = {v: stakes[v] / total for v in ids}
-    else:
-        entries = {v: 1.0 / len(ids) for v in ids}
-
     if config.newcomer_epoch is not None:
         vid = "newcomer"
         validators[vid] = adv.ValidatorState(
@@ -490,17 +529,10 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str],
             join_epoch=config.newcomer_epoch,
         )
 
-    state = _TrialState(
-        config=config,
-        hub=hub,
-        validators=validators,
-        table=WeightTable(entries, epoch=0),
-        shape=shape,
-        latency=LatencyModel(config.latency_distribution, config.latency_mean_ms),
-        schedule=_reward_schedule(config),
-        sybil_controller=sybil_controller,
-        fork_cfg=fork_cfg,
-    )
+    state = _TrialState(config, hub, validators, shape,
+                        LatencyModel(config.latency_distribution, config.latency_mean_ms),
+                        _reward_schedule(config), sybil_controller=sybil_controller,
+                        fork_cfg=fork_cfg)
     for vid, vs in validators.items():
         if vs.join_epoch > 0:
             state.joins.setdefault(vs.join_epoch, []).append(vid)
@@ -514,8 +546,23 @@ def _reward_schedule(config: ScenarioConfig) -> RewardSchedule:
 
 
 def _set_roster(state: _TrialState, alive: list[str]) -> None:
+    """Make `alive` the roster and rebuild what is aligned with it (but the rules' weights)."""
     state.alive = alive
     state.signers = frozenset(alive)
+    state.pos_of = {vid: pos for pos, vid in enumerate(alive)}
+    state.positions = list(range(len(alive)))
+    hub, emitters = state.hub, []
+    for pos, vid in enumerate(alive):
+        strategy = state.validators[vid].strategy
+        if type(strategy).emit is not adv.Strategy.emit:
+            emitters.append((pos, adv.EpochContext(0, vid, False, hub.stream(f"behavior/{vid}"),
+                                                   hub.stream(f"adversary/{vid}"), state.shape),
+                             strategy))
+        elif emitters and emitters[-1][2] is None:  # the run of plain-honest validators goes on
+            emitters[-1][1].append(hub.stream(f"behavior/{vid}").random)
+        else:
+            emitters.append((pos, [hub.stream(f"behavior/{vid}").random], None))
+    state.emitters = emitters
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +579,14 @@ def _apply_joins(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
     joining = state.joins.pop(epoch, None)
     if not joining:
         return
+    alive = list(state.alive)
     for vid in sorted(joining):
-        rules.admit(state, vid)
+        at = bisect_left(alive, vid)
+        alive.insert(at, vid)
+        rules.admit(state, vid, at)
         events.append({"kind": "join", "id": vid, "role": state.validators[vid].role,
                        "epoch": epoch})
-    _set_roster(state, sorted(state.alive + joining))
+    _set_roster(state, alive)
 
 
 def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
@@ -551,120 +601,99 @@ def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
 
 
 def _behave(state: _TrialState, epoch: int, proposer: str,
-            trace: Optional[Sequence[TraceBlock]]) -> tuple[BehaviorRecord, ...]:
+            trace: Optional[Sequence[TraceBlock]]) -> BehaviorColumns:
     """Every alive validator's records for the epoch, in roster order.
 
-    Under a trace the proposer's action is the trace block's; the rest of
-    the network still validates every block, so scores stay live.
+    Under a trace the proposer's action is the trace block's, in the
+    first row; the rest of the network still validates every block, so
+    scores stay live.
     """
-    behaviors: list[BehaviorRecord] = []
-    actors = state.alive
+    cols = BehaviorColumns(epoch)
+    proposer_pos = state.pos_of.get(proposer, -1)
+    skip = -1
     if trace is not None:
         tb = trace[epoch]
         motivation_kind = ActionKind.FRAUD if tb.is_exploit else tb.kind
-        behaviors.append(BehaviorRecord(
-            actor=tb.proposer,
-            epoch=epoch,
-            kind=tb.kind,
-            base_utility=tb.base_utility,
-            context_factor=tb.phi,
-            initiative=tb.alpha,
-            motivation=state.shape.motivation_for(motivation_kind),
-            is_fraud_ground_truth=tb.is_exploit,
-        ))
-        actors = [v for v in actors if v != tb.proposer]
-    contexts = state.contexts
-    for vid in actors:
-        ctx = contexts.get(vid)
-        if ctx is None:
-            ctx = contexts[vid] = adv.EpochContext(
-                epoch=epoch,
-                vid=vid,
-                is_proposer=False,
-                rng_behavior=state.hub.stream(f"behavior/{vid}"),
-                rng_adversary=state.hub.stream(f"adversary/{vid}"),
-                shape=state.shape,
-            )
-        ctx.epoch = epoch
-        ctx.is_proposer = vid == proposer
-        behaviors.extend(state.validators[vid].strategy.behaviors(ctx))
-    return tuple(behaviors)
+        skip = state.pos_of[tb.proposer]
+        cols.add(skip, tb.kind, tb.base_utility, tb.phi, tb.alpha,
+                 state.shape.motivations[motivation_kind], tb.is_exploit)
+        proposer_pos = -1
+    shape = state.shape
+    for first, source, strategy in state.emitters:
+        if strategy is None:  # `source` holds the run's draws
+            k = skip - first
+            if 0 <= k < len(source):  # the trace proposer does not draw
+                adv.draw_honest(cols, shape, first, source[:k], proposer_pos)
+                first, source = skip + 1, source[k + 1:]
+            adv.draw_honest(cols, shape, first, source, proposer_pos)
+        elif first != skip:  # `source` is the validator's context
+            source.epoch = epoch
+            source.is_proposer = first == proposer_pos
+            strategy.emit(source, cols, first)
+    return cols
 
 
 @dataclass
 class _EpochFacts:
-    """What the rest of an epoch reads about its behavior records.
+    """What the rest of an epoch reads about its behavior columns, computed once.
+    Lists are aligned with the roster; record indices are rows of the columns."""
 
-    Built in one pass over the records, so each record's utility and
-    each actor's activeness inputs are computed once.
-    """
-
-    scores: dict[str, float]  # alive id -> summed utility of its records
+    scores: list[float]  # summed utility of each validator's records
     utility: float  # summed utility of every record, in record order
-    harmful: list[int]  # indices of records with a negative outcome
-    first_index: dict[str, int]  # actor -> index of its first record
-    # actor -> (action count / network mean, mean initiative, diversity),
-    # for actors with records, in alive order
-    participation: dict[str, tuple[float, float, float]]
-    activeness: dict[str, float]  # alive id -> activeness
+    harmful: list[int]  # rows with a negative outcome
+    activeness: list[float]
+    # (first row, action count / network mean, mean initiative, diversity)
+    # of each actor whose activity could look scripted, in roster order
+    suspects: list[tuple[int, float, float, float]]
 
 
-def _epoch_facts(behaviors: Sequence[BehaviorRecord], alive: list[str],
-                 betas: tuple[float, float, float]) -> _EpochFacts:
-    scores = dict.fromkeys(alive, 0.0)
-    utilities: list[float] = []
-    harmful: list[int] = []
-    first_index: dict[str, int] = {}
-    # actor -> indices of its records, only for actors with more than one
-    repeats: dict[str, list[int]] = {}
-    for index, b in enumerate(behaviors):
-        outcome = outcome_utility(b)
-        u = b.motivation.utility + outcome  # total_utility(b)
-        utilities.append(u)
-        actor = b.actor
+def _epoch_facts(cols: BehaviorColumns, positions: list[int], betas: tuple[float, float, float],
+                 freq_threshold: float) -> _EpochFacts:
+    n = len(positions)
+    outcomes = [b * c * i for b, c, i in zip(cols.base_utility, cols.context_factor,
+                                             cols.initiative)]
+    utilities = [m.utility + o for m, o in zip(cols.motivation, outcomes)]  # total_utility
+    harmful = [row for row, o in enumerate(outcomes) if o < 0.0]
+    rows = len(utilities)  # every validator emits at least one record
+    mean_actions = rows / n
+    # Every one-record actor has this ratio; at or below the threshold none
+    # of them can look scripted.
+    one_record = 1 / mean_actions
+    single_suspect = one_record > freq_threshold
+    initiative, kind = cols.initiative, cols.kind
+
+    if cols.actor == positions and not single_suspect:  # one record each, in roster order
+        # A utility is never -0.0, so the score 0.0 + utility is the utility.
+        activeness = activeness_column(repeat(one_record), initiative,
+                                       map(SINGLE_KIND_DIVERSITY.__getitem__, kind), betas)
+        return _EpochFacts(utilities, sum(utilities), harmful, activeness, [])
+
+    scores = [0.0] * n
+    rows_of: list[list[int]] = [[] for _ in positions]
+    for row, (actor, u) in enumerate(zip(cols.actor, utilities)):
         scores[actor] += u
-        if outcome < 0.0:
-            harmful.append(index)
-        first = first_index.setdefault(actor, index)
-        if first != index:
-            indices = repeats.get(actor)
-            if indices is None:
-                repeats[actor] = [first, index]
-            else:
-                indices.append(index)
-
-    participation: dict[str, tuple[float, float, float]] = {}
-    if not behaviors or not alive:
-        act_map = dict.fromkeys(alive, 0.0)
-    else:
-        mean_actions = len(behaviors) / len(alive)
-        one_record = 1 / mean_actions
-        idle = activeness_blend(0.0, 0.0, 0.0, betas)
-        act_map = {}
-        for vid in alive:
-            first = first_index.get(vid)
-            if first is None:
-                act_map[vid] = idle
-                continue
-            indices = repeats.get(vid)
-            if indices is None:
-                b = behaviors[first]
-                inputs = (one_record, b.initiative, SINGLE_KIND_DIVERSITY[b.kind])
-            else:
-                n = len(indices)
-                inputs = (n / mean_actions,
-                          sum([behaviors[i].initiative for i in indices]) / n,
-                          diversity_index([behaviors[i].kind for i in indices]))
-            participation[vid] = inputs
-            act_map[vid] = activeness_blend(*inputs, betas)
-    return _EpochFacts(scores, sum(utilities), harmful, first_index, participation, act_map)
+        rows_of[actor].append(row)
+    inputs: list[tuple[float, float, float]] = []
+    suspects = []
+    for mine in rows_of:
+        count = len(mine)
+        if count == 1:
+            actor_inputs = (one_record, initiative[mine[0]], SINGLE_KIND_DIVERSITY[kind[mine[0]]])
+        else:
+            actor_inputs = (count / mean_actions, sum([initiative[i] for i in mine]) / count,
+                            diversity_index([kind[i] for i in mine]))
+        inputs.append(actor_inputs)
+        if count > 1 or single_suspect:
+            suspects.append((mine[0], *actor_inputs))
+    activeness = activeness_column(*zip(*inputs), betas)
+    return _EpochFacts(scores, sum(utilities), harmful, activeness, suspects)
 
 
-def _build_reports(state: _TrialState, epoch: int, alive: list[str],
-                   behaviors: Sequence[BehaviorRecord],
+def _build_reports(state: _TrialState, epoch: int, cols: BehaviorColumns,
                    facts: _EpochFacts) -> list[SuspicionReport]:
     """Suspicion channel: harmful outcomes plus anomalous activity patterns."""
     config = state.config
+    alive = state.alive
     reports: list[SuspicionReport] = []
     observe_rng = state.hub.stream("observe") if config.observe_prob < 1.0 else None
 
@@ -684,34 +713,32 @@ def _build_reports(state: _TrialState, epoch: int, alive: list[str],
                     )
 
     for index in facts.harmful:
-        add_reports(behaviors[index], index)
-    for vid, participation in facts.participation.items():
+        add_reports(cols.record(index, alive), index)
+    for index, *participation in facts.suspects:
         if looks_scripted(*participation, config.anomaly_freq_threshold,
                           config.anomaly_quality_threshold):
-            idx = facts.first_index[vid]
-            if outcome_utility(behaviors[idx]) >= 0.0:
-                add_reports(behaviors[idx], idx)
+            behavior = cols.record(index, alive)
+            if outcome_utility(behavior) >= 0.0:
+                add_reports(behavior, index)
     return reports
 
 
-def _retire_convicted(state: _TrialState, verdicts: Sequence[Verdict], epoch: int) -> None:
+def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
+                      verdicts: Sequence[Verdict], epoch: int) -> None:
     """Retire the adaptive Sybils convicted this epoch and queue their respawns."""
     controller = state.sybil_controller
     if controller is None:
         return
-    convicted = sorted(
-        {v.subject for v in verdicts if v.guilty and v.subject in controller.coalition_members}
-    )
-    if not convicted:
+    retired = {v.subject for v in verdicts if v.guilty and v.subject in controller.coalition_members}
+    if not retired:
         return
+    convicted = sorted(retired)
     for vid in convicted:
         state.validators[vid].retired_epoch = epoch
-        state.contexts.pop(vid, None)
-        state.table = state.table.without([vid])
         state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
-    state.table = state.table.normalized()
-    retired = set(convicted)
-    _set_roster(state, [v for v in state.alive if v not in retired])
+    kept = [pos for pos, vid in enumerate(state.alive) if vid not in retired]
+    rules.retire(kept)
+    _set_roster(state, [state.alive[pos] for pos in kept])
     population = len(state.alive) + len(state.joins.get(epoch + 1, ()))
     fresh, cap_events = controller.replacements(epoch, population, convicted)
     state.pending_events.extend(cap_events)
@@ -729,8 +756,10 @@ def _retire_convicted(state: _TrialState, verdicts: Sequence[Verdict], epoch: in
 # A trial chooses one rules object and keeps it as a local of run_trial.
 # The rules hold only what their protocol uses and never point back at the
 # trial state, so a finished trial leaves no reference cycle to collect.
-# They call the protocol operations through this module's globals, where a
-# tracer can wrap them by name.
+# Each keeps `weights`, its election and reward weights aligned with the
+# roster, as a new list on every change, so a ledger can keep the one it
+# got. They call the protocol operations through this module's globals,
+# where a tracer can wrap them by name.
 
 class _PobRules:
     """Behavior weighting: reports, committee verdicts and the weight update."""
@@ -740,30 +769,28 @@ class _PobRules:
     def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
         self.committee_rng = state.hub.stream("committee")
         self.watchdog_rng = state.hub.stream("latency/watchdog")
+        by_stake = state.config.genesis_weights == "stake"
+        self.weights = normalize([stakes[v] if by_stake else 1.0 for v in state.alive])
 
-    def land_slashes(self, epoch: int, events: list[dict]) -> tuple[str, ...]:
+    def land_slashes(self, state: _TrialState, epoch: int,
+                     events: list[dict]) -> tuple[str, ...]:
         return ()
 
-    def weights(self, state: _TrialState) -> dict[str, float]:
-        entries = state.table.entries
-        return {v: entries[v] for v in state.alive}
-
     def elect(self, state: _TrialState, rng: random.Random) -> str:
-        return select_proposer(state.table, state.alive, state.config.delta, rng)
+        return state.alive[dampened_pick(self.weights, state.config.delta, rng)]
 
-    def review(self, state: _TrialState, epoch: int, behaviors: Sequence[BehaviorRecord],
+    def review(self, state: _TrialState, epoch: int, behaviors: BehaviorColumns,
                facts: _EpochFacts, confirm_ms: Optional[float],
                ) -> tuple[Optional[float], tuple[Verdict, ...]]:
         """Suspicion reports, the watchdog's delay on `confirm_ms`, and verdicts."""
         config = state.config
         alive = state.alive
-        reports = _build_reports(state, epoch, alive, behaviors, facts)
+        reports = _build_reports(state, epoch, behaviors, facts)
         committee_size = min(config.resolved_committee_size(), len(alive) - 1)
         if confirm_ms is not None:
             confirm_ms += config.processing_ms  # behavior-scoring stage
             if reports:
-                sample_delay = state.latency.sampler(self.watchdog_rng)
-                delays = [sample_delay() for _ in range(committee_size)]
+                delays = state.latency.draws(self.watchdog_rng, committee_size)
                 confirm_ms += config.processing_ms + (max(delays) if delays else 0.0)
         if not reports:
             return confirm_ms, ()
@@ -772,34 +799,35 @@ class _PobRules:
             return state.validators[member].strategy.committee_vote(behavior.actor, behavior)
 
         table, verdicts = process_epoch_suspicions(
-            reports, state.table, config.penalty_policy(), config.theta, committee_size,
-            self.committee_rng, detection_accuracy=config.detection_accuracy,
-            vote_fn=vote_fn, offense_counts=state.offense_counts, eligible=alive)
-        state.table = table.normalized()
+            reports, WeightTable(dict(zip(alive, self.weights))), config.penalty_policy(),
+            config.theta, committee_size, self.committee_rng,
+            detection_accuracy=config.detection_accuracy, vote_fn=vote_fn,
+            offense_counts=state.offense_counts, eligible=alive)
+        self.weights = normalize(list(table.entries.values()))
         return confirm_ms, tuple(verdicts)
 
-    def settle(self, state: _TrialState, epoch: int,
-               scores: Mapping[str, float]) -> tuple[dict[str, float], WeightTable]:
-        """The weight update; rewards follow the updated table."""
-        state.table = update_weights(state.table, scores, state.config.rho)
-        return self.weights(state), state.table
+    def settle(self, state: _TrialState, scores: list[float]) -> list[float]:
+        """The weight update; rewards follow the updated weights."""
+        self.weights = ema_step(self.weights, scores, state.config.rho)
+        return self.weights
 
-    def admit(self, state: _TrialState, vid: str) -> None:
+    def admit(self, state: _TrialState, vid: str, at: int) -> None:
         controller = state.sybil_controller
-        join_weight = 0.0
-        if controller is not None and vid in controller.coalition_members:
-            join_weight = controller.join_weight
-        state.table = state.table.with_entry(vid, join_weight)
-        if join_weight > 0.0:
-            state.table = state.table.normalized()
+        sybil = controller is not None and vid in controller.coalition_members
+        join_weight = controller.join_weight if sybil else 0.0
+        weights = self.weights[:at] + [join_weight] + self.weights[at:]
+        self.weights = normalize(weights) if join_weight > 0.0 else weights
+
+    def retire(self, kept: list[int]) -> None:
+        self.weights = normalize([self.weights[pos] for pos in kept])
 
     def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
         """The long-range fork attempt at trial end, if the roster has one."""
         if state.fork_cfg is None or len(chain) <= 1:
             return None
         outcome = adv.long_range_fork_outcome(
-            chain, state.table, state.fork_cfg["compromised"],
-            min(state.fork_cfg["fork_depth"], len(chain) - 1),
+            chain, WeightTable(dict(zip(state.alive, self.weights))),
+            state.fork_cfg["compromised"], min(state.fork_cfg["fork_depth"], len(chain) - 1),
             claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0)
         outcome["kind"] = "fork-outcome"
         return outcome
@@ -814,38 +842,39 @@ class _PosRules:
         config = state.config
         self.stakes = StakeTable(stakes, config.pos_slash_delay, config.pos_slash_fraction)
         self.detect_rng = state.hub.stream("pos-detection")
+        self.weights = [stakes[v] for v in state.alive]
 
-    def land_slashes(self, epoch: int, events: list[dict]) -> tuple[str, ...]:
+    def land_slashes(self, state: _TrialState, epoch: int,
+                     events: list[dict]) -> tuple[str, ...]:
         """Land the slashes due by `epoch`; returns every slashed id so far."""
-        for vid in pos_apply_due_slashes(self.stakes, epoch):
+        landed = pos_apply_due_slashes(self.stakes, epoch)
+        for vid in landed:
             events.append({"kind": "pos-slash", "id": vid, "epoch": epoch})
+        if landed:
+            self.weights = [self.stakes.stakes[v] for v in state.alive]
         return tuple(sorted(self.stakes.slashed))
 
-    def weights(self, state: _TrialState) -> dict[str, float]:
-        stakes = self.stakes.stakes
-        return {v: stakes[v] for v in state.alive}
-
     def elect(self, state: _TrialState, rng: random.Random) -> str:
-        return pos_select_proposer(self.stakes, rng, state.alive)
+        return state.alive[stake_pick(self.weights, rng)]
 
-    def review(self, state: _TrialState, epoch: int, behaviors: Sequence[BehaviorRecord],
+    def review(self, state: _TrialState, epoch: int, behaviors: BehaviorColumns,
                facts: _EpochFacts, confirm_ms: Optional[float],
                ) -> tuple[Optional[float], tuple[Verdict, ...]]:
         """The delayed-slash coin: each harmful record is detected at the configured rate."""
         accuracy = state.config.detection_accuracy
         for index in facts.harmful:
             if self.detect_rng.random() < accuracy:
-                pos_schedule_slash(self.stakes, behaviors[index].actor, epoch)
+                pos_schedule_slash(self.stakes, state.alive[behaviors.actor[index]], epoch)
         return confirm_ms, ()
 
-    def settle(self, state: _TrialState, epoch: int,
-               scores: Mapping[str, float]) -> tuple[dict[str, float], WeightTable]:
+    def settle(self, state: _TrialState, scores: list[float]) -> list[float]:
         """Stakes do not move; rewards follow them."""
-        weights_after = self.weights(state)
-        return weights_after, WeightTable(dict(weights_after), epoch)
+        return self.weights
 
-    def admit(self, state: _TrialState, vid: str) -> None:
-        self.stakes.stakes[vid] = state.config.stake_xmin
+    def admit(self, state: _TrialState, vid: str, at: int) -> None:
+        stake = state.config.stake_xmin
+        self.stakes.stakes[vid] = stake
+        self.weights = self.weights[:at] + [stake] + self.weights[at:]
 
     def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
         return None
@@ -905,35 +934,36 @@ def run_trial(
             sink(finished)
         events, state.pending_events = state.pending_events, []
         _apply_joins(state, rules, epoch, events)
-        neutralized = rules.land_slashes(epoch, events)
+        neutralized = rules.land_slashes(state, epoch, events)
         alive = state.alive
-        weights_before = rules.weights(state)
+        weights_before = rules.weights
         proposer = _elect(state, rules, epoch, trace, election_rng)
         behaviors = _behave(state, epoch, proposer, trace)
-        facts = _epoch_facts(behaviors, alive, config.betas)
+        facts = _epoch_facts(behaviors, state.positions, config.betas,
+                             config.anomaly_freq_threshold)
         confirmed, confirm_ms, samples = simulate_confirmation(
             alive, weights_before, config.quorum, state.latency,
             rng_lat_prop, rng_lat_vote, config.processing_ms,
         )
         confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
         sim_time += confirm_ms if confirm_ms is not None else 0.0
-        weights_after, reward_table = rules.settle(state, epoch, facts.scores)
-        payouts = tuple(distribute(state.schedule, reward_table, facts.scores, facts.activeness))
+        weights_after = rules.settle(state, facts.scores)
+        payouts = split_pool(state.schedule, weights_after, facts.scores, facts.activeness)
         if confirmed:
             chain.append(extend_chain(chain[-1], proposer, facts.utility, sim_time,
-                                      state.signers, reward_table, roster=alive))
-        finished = EpochLedger(
-            epoch=epoch, protocol=rules.protocol, proposer=proposer, behaviors=behaviors,
-            verdicts=verdicts, payouts=payouts, scores=facts.scores, activeness=facts.activeness,
-            weights_before=weights_before, weights_after=weights_after, confirmed=confirmed,
-            confirm_ms=confirm_ms, latency_samples=tuple(samples), neutralized=neutralized,
-            events=tuple(events),
+                                      state.signers, weights_after))
+        finished = EpochLedger.from_columns(
+            LedgerColumns(alive, behaviors, payouts, facts.scores, facts.activeness,
+                          weights_before, weights_after),
+            epoch=epoch, protocol=rules.protocol, proposer=proposer, verdicts=verdicts,
+            confirmed=confirmed, confirm_ms=confirm_ms, latency_samples=tuple(samples),
+            neutralized=neutralized, events=tuple(events),
         )
-        _retire_convicted(state, verdicts, epoch)
+        _retire_convicted(state, rules, verdicts, epoch)
 
     outcome = rules.fork(state, chain)
     if outcome is not None:
-        finished = dataclasses.replace(finished, events=finished.events + (outcome,))
+        finished.events += (outcome,)
     if finished is not None:
         sink(finished)
     return ledgers

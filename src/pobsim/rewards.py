@@ -9,7 +9,8 @@ most engaged nodes; at epsilon = 0 the pool is conserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import repeat
+from typing import Mapping, Sequence
 
 from .errors import RewardPoolError
 from .scoring import slot_setters
@@ -53,13 +54,34 @@ class Payout:
 _set_validator, _set_base, _set_bonus, _set_activeness_multiplier, _set_total = slot_setters(Payout)
 
 
-def distribute(
-    schedule: RewardSchedule,
-    table: WeightTable,
-    epoch_scores: Mapping[str, float],
-    activeness: Mapping[str, float] | None = None,
-) -> list[Payout]:
-    """Split the epoch pool over the active set.
+@dataclass
+class PoolSplit:
+    """One epoch's payouts as columns: the paid roster positions, in roster order."""
+
+    actives: list[int]
+    base: float
+    bonus: list[float]
+    multiplier: list[float]
+    total: list[float]
+
+    def records(self, roster: Sequence[str]) -> tuple[Payout, ...]:
+        return tuple(map(Payout, map(roster.__getitem__, self.actives), repeat(self.base),
+                         self.bonus, self.multiplier, self.total))
+
+
+def distribute(schedule: RewardSchedule, table: WeightTable, epoch_scores: Mapping[str, float],
+               activeness: Mapping[str, float] | None = None) -> list[Payout]:
+    """`split_pool` over the scored ids in sorted order; missing activeness counts as 0."""
+    ids = sorted(epoch_scores)
+    activeness_of = activeness.get if activeness is not None else {}.get
+    split = split_pool(schedule, [table.entries[v] for v in ids], [epoch_scores[v] for v in ids],
+                       [activeness_of(v, 0.0) for v in ids])
+    return list(split.records(ids))
+
+
+def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Sequence[float],
+               activeness: Sequence[float]) -> PoolSplit:
+    """Split the epoch pool over the active set; the lists are aligned by roster position.
 
     The active set is every validator whose epoch score strictly exceeds
     the schedule's activity threshold. Each active validator receives
@@ -68,11 +90,10 @@ def distribute(
     active validator has zero weight the bonus is split uniformly.
     Raises RewardPoolError when the stipends alone exceed the pool.
     """
-    threshold = schedule.activity_threshold
-    actives = sorted([v for v, score in epoch_scores.items() if score > threshold])
+    base, threshold = schedule.base_reward, schedule.activity_threshold
+    actives = [p for p, score in enumerate(scores) if score > threshold]
     if not actives:
-        return []
-    base = schedule.base_reward
+        return PoolSplit([], base, [], [], [])
     stipend_total = base * len(actives)
     if stipend_total > schedule.total_reward:
         raise RewardPoolError(
@@ -80,16 +101,14 @@ def distribute(
             f"validators exceeds pool {schedule.total_reward}"
         )
     bonus_pool = schedule.total_reward - stipend_total
-    entries = table.entries
-    weights = [entries[v] for v in actives]
+    if len(actives) < len(scores):
+        weights = [weights[p] for p in actives]
+        activeness = [activeness[p] for p in actives]
     weight_total = sum(weights)
-    uniform_share = 1.0 / len(actives)
-    epsilon = schedule.activeness_epsilon
-    activeness_of = activeness.get if activeness is not None else {}.get
-    payouts: list[Payout] = []
-    append = payouts.append
-    for v, w in zip(actives, weights):
-        bonus = bonus_pool * (w / weight_total if weight_total > 0.0 else uniform_share)
-        multiplier = 1.0 + epsilon * activeness_of(v, 0.0)
-        append(Payout(v, base, bonus, multiplier, (base + bonus) * multiplier))
-    return payouts
+    if weight_total > 0.0:
+        bonus = [bonus_pool * (w / weight_total) for w in weights]
+    else:
+        bonus = [bonus_pool * (1.0 / len(actives))] * len(actives)
+    multiplier = [1.0 + schedule.activeness_epsilon * a for a in activeness]
+    return PoolSplit(actives, base, bonus, multiplier,
+                     [(base + b) * m for b, m in zip(bonus, multiplier)])

@@ -9,8 +9,9 @@ a validator is beyond raw utility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Sequence
 
 WEIGHT_SUM_TOL = 1e-9
@@ -95,10 +96,7 @@ class BehaviorRecord:
     # messages as a __post_init__, then one slot write per field.
     def __init__(self, actor, epoch, kind, base_utility, context_factor, initiative,
                  motivation, is_fraud_ground_truth=False):
-        if not 0.0 <= context_factor <= 1.0:
-            raise ValueError(f"context_factor {context_factor} outside [0, 1]")
-        if not 0.0 <= initiative <= 1.0:
-            raise ValueError(f"initiative {initiative} outside [0, 1]")
+        check_record_ranges(context_factor, initiative)
         if epoch < 0:
             raise ValueError("epoch must be >= 0")
         _set_actor(self, actor)
@@ -113,6 +111,51 @@ class BehaviorRecord:
 
 (_set_actor, _set_epoch, _set_kind, _set_base_utility, _set_context_factor,
  _set_initiative, _set_motivation, _set_is_fraud_ground_truth) = slot_setters(BehaviorRecord)
+
+
+def check_record_ranges(context_factor: float, initiative: float) -> None:
+    """The range checks of a behavior record's context factor and initiative."""
+    if not 0.0 <= context_factor <= 1.0:
+        raise ValueError(f"context_factor {context_factor} outside [0, 1]")
+    if not 0.0 <= initiative <= 1.0:
+        raise ValueError(f"initiative {initiative} outside [0, 1]")
+
+
+@dataclass(slots=True)
+class BehaviorColumns:
+    """One epoch's behavior records as parallel lists, in record order.
+
+    `actor` holds roster positions. Every row passes the record's range
+    checks: in `add`, or by its emitter for rows appended in bulk.
+    """
+
+    epoch: int
+    actor: list[int] = field(default_factory=list)
+    kind: list[ActionKind] = field(default_factory=list)
+    base_utility: list[float] = field(default_factory=list)
+    context_factor: list[float] = field(default_factory=list)
+    initiative: list[float] = field(default_factory=list)
+    motivation: list[MotivationProfile] = field(default_factory=list)
+    fraud: list[bool] = field(default_factory=list)
+
+    def add(self, actor: int, kind: ActionKind, base_utility: float, context_factor: float,
+            initiative: float, motivation: MotivationProfile, fraud: bool = False) -> None:
+        check_record_ranges(context_factor, initiative)
+        for column, value in zip((self.actor, self.kind, self.base_utility, self.context_factor,
+                                  self.initiative, self.motivation, self.fraud),
+                                 (actor, kind, base_utility, context_factor, initiative,
+                                  motivation, fraud)):
+            column.append(value)
+
+    def record(self, row: int, roster: Sequence[str]) -> BehaviorRecord:
+        return BehaviorRecord(roster[self.actor[row]], self.epoch, self.kind[row],
+                              self.base_utility[row], self.context_factor[row],
+                              self.initiative[row], self.motivation[row], self.fraud[row])
+
+    def records(self, roster: Sequence[str]) -> tuple[BehaviorRecord, ...]:
+        return tuple(map(BehaviorRecord, map(roster.__getitem__, self.actor),
+                         repeat(self.epoch), self.kind, self.base_utility, self.context_factor,
+                         self.initiative, self.motivation, self.fraud))
 
 
 @dataclass(frozen=True)
@@ -172,8 +215,14 @@ def activeness_blend(freq_ratio: float, mean_initiative: float, diversity: float
 
     `freq_ratio` is the node's action count over the network mean.
     """
+    return activeness_column((freq_ratio,), (mean_initiative,), (diversity,), betas)[0]
+
+
+def activeness_column(freq_ratios: Iterable[float], mean_initiatives: Iterable[float],
+                      diversities: Iterable[float], betas: Sequence[float]) -> list[float]:
+    """The activeness rule over aligned columns, one value per row."""
     b1, b2, b3 = betas
-    return b1 * freq_ratio + b2 * mean_initiative + b3 * diversity
+    return [b1 * f + b2 * i + b3 * d for f, i, d in zip(freq_ratios, mean_initiatives, diversities)]
 
 
 def looks_scripted(freq_ratio: float, mean_initiative: float, diversity: float,

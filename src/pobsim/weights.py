@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateElectionError
 
@@ -32,34 +32,42 @@ class WeightTable:
 
     @property
     def total(self) -> float:
-        return sum(self.entries[v] for v in sorted(self.entries))
+        """The summed weight, in entry order (sorted by id wherever netsim builds a table)."""
+        return sum(self.entries.values())
 
     def ids(self) -> list[str]:
         return sorted(self.entries)
 
     def normalized(self) -> "WeightTable":
         """Rescale to unit sum; uniform fallback when all mass is gone."""
-        total = self.total
-        n = len(self.entries)
-        if n == 0:
+        if not self.entries:
             return self
-        if total <= 0.0:
-            share = 1.0 / n
-            return WeightTable({v: share for v in self.entries}, self.epoch)
-        return WeightTable({v: w / total for v, w in self.entries.items()}, self.epoch)
+        return WeightTable(dict(zip(self.entries, normalize(list(self.entries.values())))),
+                           self.epoch)
 
-    def without(self, ids: Iterable[str]) -> "WeightTable":
-        gone = set(ids)
-        return WeightTable({v: w for v, w in self.entries.items() if v not in gone}, self.epoch)
 
-    def with_entry(self, vid: str, weight: float) -> "WeightTable":
-        entries = dict(self.entries)
-        entries[vid] = weight
-        return WeightTable(entries, self.epoch)
+
+def normalize(weights: Sequence[float]) -> list[float]:
+    """Weights rescaled to unit sum, summed in order; uniform when all mass is gone."""
+    total = sum(weights)
+    if total <= 0.0:
+        return [1.0 / len(weights)] * len(weights)
+    return [w / total for w in weights]
 
 
 def update_weights(table: WeightTable, epoch_scores: Mapping[str, float], rho: float) -> WeightTable:
-    """One EMA step: W <- (1 - rho) * W + rho * clamped-score share.
+    """`ema_step` over the table's ids in sorted order; an unscored id scores 0."""
+    ids = table.ids()
+    unknown = set(epoch_scores) - set(ids)
+    if unknown:
+        raise KeyError(f"scores for unknown validators: {sorted(unknown)}")
+    weights = ema_step([table.entries[v] for v in ids], [epoch_scores.get(v, 0.0) for v in ids],
+                       rho)
+    return WeightTable(dict(zip(ids, weights)), table.epoch + 1)
+
+
+def ema_step(weights: Sequence[float], scores: Sequence[float], rho: float) -> list[float]:
+    """One EMA step over aligned lists: W <- (1 - rho) * W + rho * clamped-score share.
 
     Negative scores are clamped to zero before computing shares (penalties
     are the watchdog's channel, not the share term). A zero clamped total
@@ -67,18 +75,12 @@ def update_weights(table: WeightTable, epoch_scores: Mapping[str, float], rho: f
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho {rho} outside [0, 1]")
-    ids = table.ids()
-    unknown = set(epoch_scores) - set(ids)
-    if unknown:
-        raise KeyError(f"scores for unknown validators: {sorted(unknown)}")
-    clamped = {v: max(0.0, epoch_scores.get(v, 0.0)) for v in ids}
-    total = sum(clamped[v] for v in ids)
-    n = len(ids)
-    entries: dict[str, float] = {}
-    for v in ids:
-        share = clamped[v] / total if total > 0.0 else 1.0 / n
-        entries[v] = (1.0 - rho) * table.entries[v] + rho * share
-    return WeightTable(entries, table.epoch + 1)
+    clamped = [s if s > 0.0 else 0.0 for s in scores]  # max(0.0, s), NaN to 0 included
+    total = sum(clamped)
+    keep = 1.0 - rho
+    if total > 0.0:
+        return [keep * w + rho * (c / total) for w, c in zip(weights, clamped)]
+    return [keep * w + rho * (1.0 / len(weights)) for w in weights]
 
 
 def apply_additive_slash(table: WeightTable, target: str, delta_w: float) -> WeightTable:
@@ -117,20 +119,28 @@ def select_proposer(
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta {delta} outside [0, 1]")
     ids = sorted(active)
-    if not ids:
+    return ids[dampened_pick([table.entries[v] for v in ids], delta, rng)]
+
+
+def dampened_pick(weights: Sequence[float], delta: float, rng: random.Random) -> int:
+    """The dampened lottery over a weight list: the index of the proposer."""
+    if not weights:
         raise ValueError("active set is empty")
-    total = sum(table.entries[v] for v in ids)
+    total = sum(weights)
     if total <= 0.0 and delta == 0.0:
         raise DegenerateElectionError("all active weights are zero and delta is 0")
-    if rng.random() < delta:
-        return ids[rng.randrange(len(ids))]
-    if total <= 0.0:
-        # delta > 0 but the proportional branch has no mass: uniform limit.
-        return ids[rng.randrange(len(ids))]
+    # Uniform with probability delta, and as the limit when no weight is left.
+    if rng.random() < delta or total <= 0.0:
+        return rng.randrange(len(weights))
+    return proportional_pick(weights, total, rng)
+
+
+def proportional_pick(weights: Sequence[float], total: float, rng: random.Random) -> int:
+    """The index whose running weight sum first exceeds random() * total."""
     pick = rng.random() * total
     acc = 0.0
-    for v in ids:
-        acc += table.entries[v]
+    for i, w in enumerate(weights):
+        acc += w
         if pick < acc:
-            return v
-    return ids[-1]
+            return i
+    return len(weights) - 1

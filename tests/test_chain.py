@@ -9,6 +9,11 @@ from pobsim.weights import WeightTable
 ROSTER = ["h0", "h1"]  # the honest signers of the main chain
 
 
+def roster_weights(table, roster=ROSTER):
+    """The roster's weights in roster order, as run_trial hands them to extend_chain."""
+    return [table.entries.get(v, 0.0) for v in roster]
+
+
 def _tip(signers, utility, proposer="p", table=None, height=1):
     parent = genesis_block()
     for h in range(1, height + 1):
@@ -23,11 +28,12 @@ def _tip(signers, utility, proposer="p", table=None, height=1):
 class TestBlocks:
     def test_extend_accumulates_utility_and_weight(self):
         table = WeightTable({"a": 0.6, "b": 0.4})
-        b1 = extend_chain(genesis_block(), "a", 2.0, 10.0, frozenset("ab"), table, ["a", "b"])
+        b1 = extend_chain(genesis_block(), "a", 2.0, 10.0, frozenset("ab"),
+                          roster_weights(table, ["a", "b"]))
         assert b1.height == 1
         assert b1.cumulative_utility == pytest.approx(2.0)
         assert b1.signer_weight == pytest.approx(1.0)
-        b2 = extend_chain(b1, "b", 3.0, 20.0, frozenset("a"), table, ["a"])
+        b2 = extend_chain(b1, "b", 3.0, 20.0, frozenset("a"), roster_weights(table, ["a"]))
         assert b2.cumulative_utility == pytest.approx(5.0)
         assert b2.signer_weight == pytest.approx(0.6)
 
@@ -37,7 +43,8 @@ class TestBlocks:
         table = WeightTable({v: rng.random() for v in ids}).normalized()
         roster = sorted(rng.sample(ids, 700))
         signers = frozenset(roster)
-        fast = extend_chain(genesis_block(), "v0000", 1.0, 0.0, signers, table, roster=roster)
+        fast = extend_chain(genesis_block(), "v0000", 1.0, 0.0, signers,
+                            roster_weights(table, roster))
         assert fast.signer_weight == signer_weight(signers, table)
         assert fast.signers is signers
 
@@ -81,7 +88,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(n_blocks):
             chain.append(
-                extend_chain(chain[-1], "h0", 1.0, 0.0, frozenset(ROSTER), table, ROSTER)
+                extend_chain(chain[-1], "h0", 1.0, 0.0, frozenset(ROSTER), roster_weights(table))
             )
         return chain
 
@@ -99,7 +106,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(20):
             chain.append(
-                extend_chain(chain[-1], "h0", 1.0, 0.0, frozenset(ROSTER), table, ROSTER)
+                extend_chain(chain[-1], "h0", 1.0, 0.0, frozenset(ROSTER), roster_weights(table))
             )
         out = long_range_fork_outcome(chain, table, ["atk"], fork_depth=10,
                                       claimed_utility_boost=1e6)

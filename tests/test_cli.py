@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from pobsim.adversaries import StrategySpec
 from pobsim.cli import main
-from pobsim.config import echo_config, loads_config
+from pobsim.config import RosterEntry, echo_config, loads_config, with_overrides
 from pobsim.errors import ConfigError
 from pobsim.presets import builtin_presets
 
@@ -166,11 +167,17 @@ BAD_STRATEGY_PARAMS = [
     ("stealth", "{fraud_value: true}", "not a number"),
     ("griefing", "{empty_block_run: 2.5}", "not a whole number"),
     ("sybil-burst", "{burst_epoch: 7.5}", "not a whole number"),
+    ("stealth", "{fraud_value: .inf}", "not finite"),
+    ("adaptive-sybil", "{join_weight: .inf}", "not finite"),
+    ("griefing", "{utility_epsilon: .inf}", "not finite"),
+    ("stealth", "{fraud_value: .nan}", "not finite"),
 ]
 
 
 @pytest.mark.parametrize("kind,params,message", BAD_STRATEGY_PARAMS,
-                         ids=["list", "null", "bool", "fractional-run", "fractional-epoch"])
+                         ids=["list", "null", "bool", "fractional-run", "fractional-epoch",
+                              "inf-fraud-value", "inf-join-weight", "inf-utility-epsilon",
+                              "nan-fraud-value"])
 def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, capsys):
     text = TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
                         f"kind: {kind}, params: {params}")
@@ -184,6 +191,22 @@ def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'roster[0]'") and message in err
     assert not out.exists()
+
+
+def test_non_finite_param_rejected_by_overrides():
+    spec = StrategySpec("stealth", {"fraud_value": 5.0})
+    spec.params["fraud_value"] = float("inf")  # set after the spec checked it
+    config = loads_config(TINY)
+    with pytest.raises(ConfigError, match="fraud_value=inf is not finite") as err:
+        with_overrides(config, roster=(RosterEntry(9, 10, spec),))
+    assert err.value.field == "roster[0]"
+
+
+def test_large_finite_params_keep_their_echo():
+    text = TINY.replace("fraud_value: 10.0", "fraud_value: 1.0e+300")
+    echo = echo_config(loads_config(text))
+    assert "fraud_value: 1.0e+300" in echo
+    assert loads_config(echo).roster == loads_config(text).roster
 
 
 def test_integral_float_count_is_kept_as_written():

@@ -1,0 +1,52 @@
+"""Pinned ledger bytes of three short runs that no golden preset covers.
+
+Each digest is the sha256 of every ledger's `ledger_to_json` line, in
+(protocol, epoch) order, of a 30-epoch run through the ledger sink that
+`experiments` uses. A change to the epoch pipeline must leave them as
+they are:
+
+- `case-b-fairness-100` with `oracle_rate: 0.5` and `epsilon: 0.5`:
+  actors with several records and activeness multipliers other than 1;
+- `case-d-adaptive-sybil`: joins, retirements and roster rebuilds;
+- `case-a-stealth`: fraud records and verdicts.
+"""
+
+import hashlib
+
+import pytest
+
+from pobsim.config import with_overrides
+from pobsim.netsim import ledger_to_json, run_trial
+from pobsim.presets import builtin_presets
+
+EPOCHS = 30
+
+PINNED = {
+    "case-b-fairness-100": (
+        {"oracle_rate": 0.5, "epsilon": 0.5},
+        "98bd86bbc625cc0e179b557042e61cccd6b4d89e3e4ab7cf3bd8264fc6cdb800",
+    ),
+    "case-d-adaptive-sybil": (
+        {}, "54d330f7a372961949273edc201441b7272fe9d71fbf8806f4254aaf64495462",
+    ),
+    "case-a-stealth": (
+        {}, "f328cd5094406c5097e4f85cda15f41be253bc4e16751ef00e1255e338474aa5",
+    ),
+}
+
+
+def ledger_digest(name: str, overrides: dict) -> str:
+    config = with_overrides(builtin_presets()[name].build(), epochs=EPOCHS, trials=1,
+                            **overrides)
+    protocols = ["pob", "pos"] if config.protocol == "paired" else [config.protocol]
+    digest = hashlib.sha256()
+    for protocol in protocols:
+        run_trial(config, config.seed, protocol=protocol,
+                  sink=lambda ledger: digest.update((ledger_to_json(ledger) + "\n").encode()))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_ledger_bytes_are_pinned(name):
+    overrides, expected = PINNED[name]
+    assert ledger_digest(name, overrides) == expected

@@ -1,0 +1,99 @@
+"""Ledgers that run_trial builds from columns, and the checks the columns keep.
+
+A ledger from `run_trial` holds its epoch's roster and columns and builds
+`behaviors`, `payouts` and the four {id: float} maps when they are first
+read. These tests check that such a ledger equals, and serializes like,
+one made with keywords from what it shows, that its maps keep roster
+order, and that honest draws written in bulk still fail the record's
+range check with the record's own message.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from pobsim.adversaries import EpochContext, HonestShape, HonestStrategy, StrategySpec, draw_honest
+from pobsim.config import (
+    DEFAULT_MOTIVATION_INTENSITIES,
+    DEFAULT_MOTIVATION_WEIGHTS,
+    RosterEntry,
+    ScenarioConfig,
+)
+from pobsim.netsim import EpochLedger, ledger_to_json, run_trial
+from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
+
+FIELDS = [f.name for f in dataclasses.fields(EpochLedger)]
+MAPS = ("scores", "activeness", "weights_before", "weights_after")
+
+
+@pytest.fixture(scope="module")
+def trials():
+    config = ScenarioConfig(
+        protocol="paired", n_validators=100, epochs=25, trials=1, seed=5, oracle_rate=0.5,
+        epsilon=0.5,
+        roster=(RosterEntry(90, 100, StrategySpec("stealth", {"fraud_rate": 0.2})),),
+    )
+    return {protocol: run_trial(config, config.seed, protocol=protocol)
+            for protocol in ("pob", "pos")}
+
+
+@pytest.mark.parametrize("protocol", ["pob", "pos"])
+def test_keyword_copy_equals_lazy_ledger(trials, protocol):
+    ledgers = trials[protocol]
+    assert any(len(l.columns.behaviors.actor) > len(l.columns.roster) for l in ledgers)
+    assert any(True in l.columns.behaviors.fraud for l in ledgers)
+    for ledger in ledgers:
+        from_columns = ledger_to_json(ledger)  # before any view is built
+        copy = EpochLedger(**{f: getattr(ledger, f) for f in FIELDS})
+        assert copy.columns is None
+        assert copy == ledger
+        assert ledger_to_json(copy) == from_columns
+        assert ledger_to_json(ledger) == from_columns  # now from the built views
+
+
+@pytest.mark.parametrize("protocol", ["pob", "pos"])
+def test_maps_keep_roster_order(trials, protocol):
+    for ledger in trials[protocol]:
+        roster = ledger.columns.roster
+        assert roster == sorted(roster)
+        for name in MAPS:
+            assert list(getattr(ledger, name)) == roster
+        assert [b.actor for b in ledger.behaviors] == sorted(b.actor for b in ledger.behaviors)
+        assert [p.validator for p in ledger.payouts] == sorted(p.validator for p in ledger.payouts)
+
+
+def test_views_are_built_once(trials):
+    ledger = trials["pob"][3]
+    assert ledger.behaviors is ledger.behaviors
+    assert ledger.scores is ledger.scores
+    with pytest.raises(AttributeError):
+        ledger.roster  # a column, not a ledger field
+
+
+def _shape(**bounds):
+    motivations = {
+        kind: MotivationProfile(DEFAULT_MOTIVATION_INTENSITIES[kind.value],
+                                DEFAULT_MOTIVATION_WEIGHTS)
+        for kind in ActionKind
+    }
+    return HonestShape(motivations=motivations, **bounds)
+
+
+def _ctx(seed, shape):
+    return EpochContext(0, f"v{seed}", False, random.Random(seed), random.Random(100 + seed),
+                        shape)
+
+
+# The messages BehaviorRecord raised for these streams when each honest
+# record was built as an object.
+@pytest.mark.parametrize("oracle_rate", [0.0, 0.5])
+def test_out_of_range_initiative_keeps_the_record_message(oracle_rate):
+    shape = _shape(initiative_hi=1.5, oracle_rate=oracle_rate)
+    with pytest.raises(ValueError, match=r"^initiative 1\.2821589626462724 outside \[0, 1\]$"):
+        HonestStrategy().behaviors(_ctx(0, shape))
+    # In bulk the check runs once over the cohort and names its first offending row.
+    cols = BehaviorColumns(0)
+    draws = [_ctx(seed, shape).rng_behavior.random for seed in (4, 3, 2)]
+    with pytest.raises(ValueError, match=r"^initiative 1\.0898063027663567 outside \[0, 1\]$"):
+        draw_honest(cols, shape, 0, draws, -1)

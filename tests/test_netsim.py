@@ -21,6 +21,7 @@ from pobsim.netsim import (
     simulate_confirmation,
 )
 from pobsim.scoring import ActivenessInputs, activeness, diversity_index, total_utility
+from pobsim.weights import WeightTable
 
 from traces import make_synthetic_trace, write_trace
 
@@ -363,10 +364,8 @@ class TestSinglePassFacts:
         sorting_weight = chain.signer_weight
         sorted_sums = []
 
-        def recording_extend_chain(parent, proposer, utility, at, signers, table, **kwargs):
-            blocks.append(extend(parent, proposer, utility, at, signers, table, **kwargs))
-            # the roster sum is bit-identical to sorting the signer set
-            assert blocks[-1].signer_weight == sorting_weight(signers, table)
+        def recording_extend_chain(*args):
+            blocks.append(extend(*args))
             return blocks[-1]
 
         def counting_signer_weight(*args):
@@ -400,6 +399,10 @@ class TestSinglePassFacts:
             for l, block in zip(confirmed, blocks):
                 cumulative += sum(total_utility(b) for b in l.behaviors)
                 assert block.cumulative_utility == cumulative
+                # the roster sum is bit-identical to sorting the signer set
+                assert block.signers == frozenset(l.weights_after)
+                assert block.signer_weight == sorting_weight(block.signers,
+                                                             WeightTable(l.weights_after))
 
 
 class TestReplay:

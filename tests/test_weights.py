@@ -29,11 +29,6 @@ class TestWeightTable:
         t = WeightTable({"a": 0.0, "b": 0.0}).normalized()
         assert t.entries == {"a": 0.5, "b": 0.5}
 
-    def test_without_and_with_entry(self):
-        t = WeightTable({"a": 0.5, "b": 0.5})
-        assert t.without(["b"]).entries == {"a": 0.5}
-        assert t.with_entry("c", 0.0).entries["c"] == 0.0
-
 
 class TestUpdateWeights:
     def test_rho_zero_is_identity(self):
