@@ -35,15 +35,8 @@ class StakeTable:
             raise ValueError("slash_fraction outside [0, 1]")
 
 
-def pos_select_proposer(table: StakeTable, rng: random.Random,
-                        active: Iterable[str] | None = None) -> str:
-    """Strictly stake-proportional lottery."""
-    ids = sorted(active) if active is not None else sorted(table.stakes)
-    return ids[stake_pick([table.stakes[v] for v in ids], rng)]
-
-
 def stake_pick(stakes: Sequence[float], rng: random.Random) -> int:
-    """The stake lottery over a stake list: the index of the proposer."""
+    """Strictly stake-proportional lottery over a stake list: the proposer's index."""
     if not stakes:
         raise ValueError("active set is empty")
     total = sum(stakes)

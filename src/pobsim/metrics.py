@@ -121,21 +121,21 @@ def suppression_time(trajectory: Sequence[float], drop_frac: float = 0.1) -> Opt
     return None
 
 
-def election_prob(weights: dict[str, float], vid: str, delta: float) -> float:
-    """Probability of `vid` being elected proposer from one epoch's weights.
+def election_prob(roster: Sequence[str], weights: Sequence[float], vid: str,
+                  delta: float) -> float:
+    """Probability of `vid` being elected proposer from one epoch's weights,
+    listed in `roster` order.
 
     The behavior-weighted lottery mixes a uniform share `delta` into the
     weight-proportional one; the stake lottery is the case delta = 0.
     """
-    if vid not in weights:
+    try:
+        weight = weights[roster.index(vid)]
+    except ValueError:
         return 0.0
-    return lottery_share(weights[vid], sum(weights.values()), len(weights), delta)
-
-
-def lottery_share(weight: float, total: float, n: int, delta: float) -> float:
-    """A validator's election probability from its weight, the total and the roster size."""
+    total = sum(weights)
     proportional = weight / total if total > 0 else 0.0
-    return delta / n + (1.0 - delta) * proportional
+    return delta / len(weights) + (1.0 - delta) * proportional
 
 
 def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> list[float]:
@@ -222,19 +222,11 @@ class TrialTally:
         if self.join is not None and self.epochs >= self.join:
             if self.epochs == self.join:
                 self.alive_at_join = len(roster)
-            self.newcomer_probs.append(self._election_prob(roster, weights, "newcomer"))
+            self.newcomer_probs.append(election_prob(roster, weights, "newcomer", self.delta))
         if self.first_adversary is not None:
             self.adversary_probs.append(
-                self._election_prob(roster, weights, self.first_adversary))
+                election_prob(roster, weights, self.first_adversary, self.delta))
         self.epochs += 1
-
-    def _election_prob(self, roster: list[str], weights: Sequence[float], vid: str) -> float:
-        """election_prob of `vid` from weights listed in roster order."""
-        try:
-            weight = weights[roster.index(vid)]
-        except ValueError:
-            return 0.0
-        return lottery_share(weight, sum(weights), len(weights), self.delta)
 
     def fraud_outcomes(self) -> list[FraudOutcome]:
         """Acceptance of every ground-truth fraud attempt.

@@ -22,7 +22,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import log as _log
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
@@ -79,19 +78,15 @@ class LatencyModel:
 
     def draws(self, rng: random.Random, n: int) -> list[float]:
         """`n` delays, each `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)`
-        (a fixed delay draws nothing) as the stdlib's formula on a bound `random()`:
-        the same stream and values. A stream's own `expovariate` is called."""
+        (a fixed delay draws nothing)."""
         mean = self.mean_ms
         if self.distribution == "fixed":
             return [mean] * n
-        high, rate = 2.0 * mean, 1.0 / mean
         if self.distribution == "uniform":
-            unit = rng.random
-            return [0.0 + (high - 0.0) * unit() for _ in range(n)]
-        if type(rng).expovariate is not random.Random.expovariate:
-            return [rng.expovariate(rate) for _ in range(n)]
-        unit = rng.random
-        return [-_log(1.0 - unit()) / rate for _ in range(n)]
+            high = 2.0 * mean
+            return [rng.uniform(0.0, high) for _ in range(n)]
+        rate = 1.0 / mean
+        return [rng.expovariate(rate) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,12 @@ class PoolSplit:
 
 def distribute(schedule: RewardSchedule, table: WeightTable, epoch_scores: Mapping[str, float],
                activeness: Mapping[str, float] | None = None) -> list[Payout]:
-    """`split_pool` over the scored ids in sorted order; missing activeness counts as 0."""
-    ids = sorted(epoch_scores)
+    """`split_pool` over the active ids in sorted order; missing activeness counts as 0.
+
+    Only active ids are looked up in `table`, so an inactive id needs no entry.
+    """
+    threshold = schedule.activity_threshold
+    ids = sorted([v for v, score in epoch_scores.items() if score > threshold])
     activeness_of = activeness.get if activeness is not None else {}.get
     split = split_pool(schedule, [table.entries[v] for v in ids], [epoch_scores[v] for v in ids],
                        [activeness_of(v, 0.0) for v in ids])

@@ -7,7 +7,7 @@ from pobsim.baseline_pos import (
     pareto_stakes,
     pos_apply_due_slashes,
     pos_schedule_slash,
-    pos_select_proposer,
+    stake_pick,
 )
 from pobsim.config import ScenarioConfig
 from pobsim.errors import DegenerateElectionError
@@ -16,30 +16,31 @@ from pobsim.netsim import run_trial
 
 class TestSelectProposer:
     def test_all_stake_one_holder(self):
-        table = StakeTable({"a": 1.0, "b": 0.0})
         rng = random.Random(0)
-        assert all(pos_select_proposer(table, rng) == "a" for _ in range(200))
+        assert all(stake_pick([1.0, 0.0], rng) == 0 for _ in range(200))
 
     def test_uniform_stakes_uniform_frequency(self):
-        table = StakeTable({v: 1.0 for v in "abcd"})
         rng = random.Random(9)
         n = 40_000
-        counts = {v: 0 for v in "abcd"}
+        counts = [0] * 4
         for _ in range(n):
-            counts[pos_select_proposer(table, rng)] += 1
-        for v in counts:
-            assert abs(counts[v] / n - 0.25) < 0.02
+            counts[stake_pick([1.0] * 4, rng)] += 1
+        for c in counts:
+            assert abs(c / n - 0.25) < 0.02
 
     def test_three_to_one_proportion(self):
-        table = StakeTable({"a": 3.0, "b": 1.0})
         rng = random.Random(17)
         n = 100_000
-        hits = sum(pos_select_proposer(table, rng) == "a" for _ in range(n))
+        hits = sum(stake_pick([3.0, 1.0], rng) == 0 for _ in range(n))
         assert abs(hits / n - 0.75) < 0.01
 
     def test_zero_total_stake(self):
         with pytest.raises(DegenerateElectionError):
-            pos_select_proposer(StakeTable({"a": 0.0}), random.Random(0))
+            stake_pick([0.0], random.Random(0))
+
+    def test_empty_stakes(self):
+        with pytest.raises(ValueError):
+            stake_pick([], random.Random(0))
 
 
 class TestSlashing:

@@ -51,6 +51,12 @@ class TestDistribute:
         assert payouts["a"].total == pytest.approx(70.0)
         assert payouts["b"].total == pytest.approx(30.0)
 
+    def test_inactive_id_needs_no_table_entry(self):
+        schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
+        payouts = distribute(schedule, WeightTable({"a": 1.0}), {"a": 1.0, "ghost": 0.0})
+        assert [p.validator for p in payouts] == ["a"]
+        assert payouts[0].total == pytest.approx(100.0)
+
     def test_no_active_validators(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         assert distribute(schedule, WeightTable({"a": 1.0}), {"a": -1.0}) == []

@@ -82,7 +82,8 @@ def _reference_metrics(ledgers, config, protocol):
     newcomer = None
     join = config.newcomer_epoch
     if join is not None and join < len(ledgers):
-        traj = [election_prob(l.weights_before, "newcomer", delta)
+        traj = [election_prob(list(l.weights_before), list(l.weights_before.values()),
+                              "newcomer", delta)
                 for l in ledgers[join:]]
         target = config.adaptation_target_frac / len(ledgers[join].weights_before)
         newcomer = adaptation_time(traj, target, "rise")
@@ -90,7 +91,8 @@ def _reference_metrics(ledgers, config, protocol):
     suppression = None
     adversaries = adversary_ids(config)
     if adversaries:
-        traj = [election_prob(l.weights_before, adversaries[0], delta)
+        traj = [election_prob(list(l.weights_before), list(l.weights_before.values()),
+                              adversaries[0], delta)
                 for l in ledgers]
         suppression = suppression_time(traj, config.suppression_drop_frac)
 
