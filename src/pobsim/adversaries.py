@@ -342,6 +342,10 @@ class AdaptiveSybilController:
     def register(self, members: Sequence[str]) -> None:
         self.coalition_members.update(members)
 
+    def strategy(self) -> AdaptiveSybilStrategy:
+        """A coalition member's strategy, for a registered or a respawned identity."""
+        return AdaptiveSybilStrategy(self.coalition_members, self.fraud_value)
+
     def replacements(
         self, epoch: int, population: int, convicted_sybils: Sequence[str]
     ) -> tuple[list[str], list[dict]]:
@@ -359,6 +363,9 @@ class AdaptiveSybilController:
             fresh.append(name)
         self.coalition_members.update(fresh)
         return fresh, events
+
+
+FORK_DEPTH = 100  # a long-range-fork entry's fork_depth when its params name none
 
 
 def long_range_fork_outcome(

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import yaml
 
-from .adversaries import StrategySpec
+from .adversaries import FORK_DEPTH, StrategySpec
 from .errors import ConfigError
 from .scoring import ActionKind
 from .watchdog import PenaltyPolicy
@@ -240,7 +240,9 @@ def _intensities(value, path) -> dict:
 
 
 def _roster(value, path) -> tuple[RosterEntry, ...]:
-    """Disjoint index ranges [lo, hi), each with a strategy.
+    """Disjoint index ranges [lo, hi), each with a strategy. At most one
+    entry is adaptive-sybil, and every long-range-fork entry has the same
+    fork depth.
 
     That `hi` is within `n_validators` is a cross-field check, made in
     `validate_runtime`.
@@ -265,6 +267,16 @@ def _roster(value, path) -> tuple[RosterEntry, ...]:
             spec = StrategySpec(item["kind"], dict(params))
         except ValueError as exc:
             raise ConfigError(at, str(exc)) from None
+        same = [j for j, e in enumerate(entries) if e.spec.kind == spec.kind]
+        if same and spec.kind == "adaptive-sybil":
+            raise ConfigError(at, f"roster[{same[0]}] is already 'adaptive-sybil'; "
+                                  "a trial has one respawn controller")
+        if same and spec.kind == "long-range-fork":
+            depth, first = (int(s.params.get("fork_depth", FORK_DEPTH))
+                            for s in (spec, entries[same[0]].spec))
+            if depth != first:
+                raise ConfigError(at, f"fork_depth {depth} differs from roster[{same[0]}]'s "
+                                      f"{first}; all long-range-fork keys fork together")
         entries.append(RosterEntry(lo, hi, spec))
     return tuple(entries)
 

@@ -39,8 +39,6 @@ from .metrics import (
 )
 from .netsim import EpochLedger, TraceBlock, ledger_to_json, run_trial
 
-_EXTRA_SUMMARY_FIELDS = ("fraud_attempted", "fraud_accepted", "fraud_accepted_value")
-
 
 def _trial_protocols(config: ScenarioConfig) -> list[str]:
     return ["pob", "pos"] if config.protocol == "paired" else [config.protocol]

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
@@ -71,10 +72,6 @@ class LatencyModel:
             raise ValueError(f"unknown latency distribution {self.distribution!r}")
         if self.mean_ms <= 0:
             raise ValueError("mean_ms must be > 0")
-
-    def sampler(self, rng: random.Random) -> Callable[[], float]:
-        """A function drawing one delay from `rng` per call (see `draws`)."""
-        return lambda: self.draws(rng, 1)[0]
 
     def draws(self, rng: random.Random, n: int) -> list[float]:
         """`n` delays, each `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)`
@@ -397,40 +394,6 @@ def _build_motivations(config: ScenarioConfig) -> dict[ActionKind, MotivationPro
     }
 
 
-def _make_strategy(spec: adv.StrategySpec, coalitions: dict[str, object],
-                   member_ids: Sequence[str]) -> adv.Strategy:
-    p = spec.params
-    if spec.kind == "honest":
-        return adv.HonestStrategy()
-    if spec.kind in ("stealth", "long-range-fork"):
-        return adv.StealthStrategy(
-            fraud_rate=p.get("fraud_rate", 0.05),
-            fraud_value=p.get("fraud_value", 50.0),
-        )
-    if spec.kind == "sybil-burst":
-        key = "sybil-burst"
-        if key not in coalitions:
-            coalitions[key] = adv.SybilCoalition(
-                members=member_ids,
-                burst_epoch=int(p.get("burst_epoch", 50)),
-                fraud_value=p.get("fraud_value", 50.0),
-                burst_every=int(p["burst_every"]) if "burst_every" in p else None,
-            )
-        return adv.SybilBurstStrategy(coalitions[key])
-    if spec.kind == "adaptive-sybil":
-        controller: adv.AdaptiveSybilController = coalitions["adaptive-controller"]
-        return adv.AdaptiveSybilStrategy(
-            controller.coalition_members, fraud_value=p.get("fraud_value", 1.0)
-        )
-    if spec.kind == "griefing":
-        return adv.GriefingStrategy(
-            empty_block_run=int(p.get("empty_block_run", 10)),
-            utility_epsilon=p.get("utility_epsilon", 0.01),
-            low_initiative=p.get("low_initiative", 0.1),
-        )
-    raise ValueError(f"unknown strategy kind {spec.kind!r}")
-
-
 @dataclass
 class _TrialState:
     config: ScenarioConfig
@@ -441,7 +404,9 @@ class _TrialState:
     schedule: RewardSchedule
     offense_counts: dict[str, int] = field(default_factory=dict)
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
-    fork_cfg: Optional[dict] = None
+    # the long-range-fork keys, sorted, and their one fork depth
+    compromised: list[str] = field(default_factory=list)
+    fork_depth: int = 0
     pending_events: list[dict] = field(default_factory=list)
     # The sorted ids alive this epoch, and what is aligned with them (_set_roster).
     alive: list[str] = field(default_factory=list)
@@ -471,67 +436,53 @@ def _start_trial(config: ScenarioConfig, seed: int,
 
 
 def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialState:
+    """The trial's actors: each roster entry's members get its strategy, the rest are honest."""
     shape = adv.HonestShape(config.honest_utility_lo, config.honest_utility_hi,
                             config.honest_initiative_lo, config.honest_initiative_hi,
                             config.oracle_rate, _build_motivations(config))
-
-    # Roster: per-index strategy specs, honest by default.
-    specs: dict[str, adv.StrategySpec] = {vid: adv.StrategySpec("honest") for vid in ids}
-    spec_members: dict[int, list[str]] = {}
-    for entry_idx, entry in enumerate(config.roster):
-        for i in range(entry.lo, entry.hi):
-            specs[ids[i]] = entry.spec
-            spec_members.setdefault(entry_idx, []).append(ids[i])
-
-    coalitions: dict[str, object] = {}
-    sybil_controller = None
-    fork_cfg = None
-    for entry_idx, entry in enumerate(config.roster):
-        members = spec_members.get(entry_idx, [])
-        if entry.spec.kind == "adaptive-sybil" and sybil_controller is None:
-            p = entry.spec.params
-            sybil_controller = adv.AdaptiveSybilController(
+    honest = adv.HonestStrategy()
+    validators = {vid: adv.ValidatorState(vid, honest, "honest") for vid in ids}
+    state = _TrialState(config, hub, validators, shape,
+                        LatencyModel(config.latency_distribution, config.latency_mean_ms),
+                        _reward_schedule(config))
+    for entry in config.roster:
+        kind, p, members = entry.spec.kind, entry.spec.params, ids[entry.lo:entry.hi]
+        if kind == "honest":
+            make = adv.HonestStrategy
+        elif kind == "sybil-burst":
+            coalition = adv.SybilCoalition(
+                members, burst_epoch=int(p.get("burst_epoch", 50)),
+                fraud_value=p.get("fraud_value", 50.0),
+                burst_every=int(p["burst_every"]) if "burst_every" in p else None)
+            make = partial(adv.SybilBurstStrategy, coalition)
+        elif kind == "adaptive-sybil":  # at most one such entry (config._roster)
+            state.sybil_controller = adv.AdaptiveSybilController(
                 spawn_rate=p.get("spawn_rate", 0.1),
                 join_weight=p.get("join_weight", 0.0),
                 fraud_value=p.get("fraud_value", 1.0),
                 max_population=int(p.get("max_population", 2 * config.n_validators)),
             )
-            sybil_controller.register(members)
-            coalitions["adaptive-controller"] = sybil_controller
-        if entry.spec.kind == "long-range-fork":
-            if fork_cfg is None:
-                fork_cfg = {
-                    "compromised": [],
-                    "fork_depth": int(entry.spec.params.get("fork_depth", 100)),
-                }
-            fork_cfg["compromised"] = sorted(set(fork_cfg["compromised"]) | set(members))
-
-    members_of: dict[int, list[str]] = {}
-    for vid in ids:
-        members_of.setdefault(id(specs[vid]), []).append(vid)
-    validators: dict[str, adv.ValidatorState] = {}
-    for vid in ids:
-        spec = specs[vid]
-        strategy = _make_strategy(spec, coalitions, members_of[id(spec)])
-        validators[vid] = adv.ValidatorState(vid=vid, strategy=strategy, role=spec.kind)
+            state.sybil_controller.register(members)
+            make = state.sybil_controller.strategy
+        elif kind == "griefing":
+            make = partial(adv.GriefingStrategy,
+                           empty_block_run=int(p.get("empty_block_run", 10)),
+                           utility_epsilon=p.get("utility_epsilon", 0.01),
+                           low_initiative=p.get("low_initiative", 0.1))
+        else:  # stealth, or long-range-fork: stealth frauds from keys that fork at trial end
+            make = partial(adv.StealthStrategy, fraud_rate=p.get("fraud_rate", 0.05),
+                           fraud_value=p.get("fraud_value", 50.0))
+            if kind == "long-range-fork":  # one fork depth for all (config._roster)
+                state.compromised = sorted(state.compromised + members)
+                state.fork_depth = int(p.get("fork_depth", adv.FORK_DEPTH))
+        for vid in members:
+            validators[vid] = adv.ValidatorState(vid, make(), kind)
 
     if config.newcomer_epoch is not None:
-        vid = "newcomer"
-        validators[vid] = adv.ValidatorState(
-            vid=vid,
-            strategy=adv.HonestStrategy(),
-            role="honest",
-            join_epoch=config.newcomer_epoch,
-        )
-
-    state = _TrialState(config, hub, validators, shape,
-                        LatencyModel(config.latency_distribution, config.latency_mean_ms),
-                        _reward_schedule(config), sybil_controller=sybil_controller,
-                        fork_cfg=fork_cfg)
-    for vid, vs in validators.items():
-        if vs.join_epoch > 0:
-            state.joins.setdefault(vs.join_epoch, []).append(vid)
-    _set_roster(state, sorted(v for v, vs in validators.items() if vs.join_epoch <= 0))
+        validators["newcomer"] = adv.ValidatorState("newcomer", honest, "honest",
+                                                    join_epoch=config.newcomer_epoch)
+        state.joins[config.newcomer_epoch] = ["newcomer"]
+    _set_roster(state, sorted(ids))
     return state
 
 
@@ -738,9 +689,8 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
     fresh, cap_events = controller.replacements(epoch, population, convicted)
     state.pending_events.extend(cap_events)
     for vid in fresh:
-        strategy = adv.AdaptiveSybilStrategy(controller.coalition_members, controller.fraud_value)
         state.validators[vid] = adv.ValidatorState(
-            vid=vid, strategy=strategy, role="adaptive-sybil", join_epoch=epoch + 1)
+            vid=vid, strategy=controller.strategy(), role="adaptive-sybil", join_epoch=epoch + 1)
         state.joins.setdefault(epoch + 1, []).append(vid)
 
 
@@ -818,11 +768,11 @@ class _PobRules:
 
     def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
         """The long-range fork attempt at trial end, if the roster has one."""
-        if state.fork_cfg is None or len(chain) <= 1:
+        if not state.compromised or len(chain) <= 1:
             return None
         outcome = adv.long_range_fork_outcome(
             chain, WeightTable(dict(zip(state.alive, self.weights))),
-            state.fork_cfg["compromised"], min(state.fork_cfg["fork_depth"], len(chain) - 1),
+            state.compromised, min(state.fork_depth, len(chain) - 1),
             claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0)
         outcome["kind"] = "fork-outcome"
         return outcome

@@ -13,7 +13,6 @@ from itertools import repeat
 from typing import Mapping, Sequence
 
 from .errors import RewardPoolError
-from .scoring import slot_setters
 from .weights import WeightTable
 
 
@@ -40,18 +39,6 @@ class Payout:
     bonus: float
     activeness_multiplier: float
     total: float
-
-    # Hand-written, so the dataclass keeps it: one slot write per field
-    # (see scoring.slot_setters).
-    def __init__(self, validator, base, bonus, activeness_multiplier, total):
-        _set_validator(self, validator)
-        _set_base(self, base)
-        _set_bonus(self, bonus)
-        _set_activeness_multiplier(self, activeness_multiplier)
-        _set_total(self, total)
-
-
-_set_validator, _set_base, _set_bonus, _set_activeness_multiplier, _set_total = slot_setters(Payout)
 
 
 @dataclass

@@ -9,7 +9,7 @@ a validator is beyond raw utility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -64,17 +64,6 @@ class MotivationProfile:
         )
 
 
-def slot_setters(cls) -> tuple:
-    """Each field's slot setter of a slotted dataclass, in field order.
-
-    A frozen dataclass's generated `__init__` fills each field through
-    `object.__setattr__`, which dispatches through the class on every
-    call. A slot's own descriptor writes it directly and, like
-    `object.__setattr__`, is not blocked by the frozen `__setattr__`.
-    """
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
 @dataclass(frozen=True, slots=True)
 class BehaviorRecord:
     """One action by one validator in one epoch.
@@ -92,25 +81,10 @@ class BehaviorRecord:
     motivation: MotivationProfile
     is_fraud_ground_truth: bool = False
 
-    # Hand-written, so the dataclass keeps it: the same checks and
-    # messages as a __post_init__, then one slot write per field.
-    def __init__(self, actor, epoch, kind, base_utility, context_factor, initiative,
-                 motivation, is_fraud_ground_truth=False):
-        check_record_ranges(context_factor, initiative)
-        if epoch < 0:
+    def __post_init__(self):
+        check_record_ranges(self.context_factor, self.initiative)
+        if self.epoch < 0:
             raise ValueError("epoch must be >= 0")
-        _set_actor(self, actor)
-        _set_epoch(self, epoch)
-        _set_kind(self, kind)
-        _set_base_utility(self, base_utility)
-        _set_context_factor(self, context_factor)
-        _set_initiative(self, initiative)
-        _set_motivation(self, motivation)
-        _set_is_fraud_ground_truth(self, is_fraud_ground_truth)
-
-
-(_set_actor, _set_epoch, _set_kind, _set_base_utility, _set_context_factor,
- _set_initiative, _set_motivation, _set_is_fraud_ground_truth) = slot_setters(BehaviorRecord)
 
 
 def check_record_ranges(context_factor: float, initiative: float) -> None:

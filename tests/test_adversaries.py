@@ -196,6 +196,16 @@ class TestAdaptiveSybil:
         assert events == []
         assert set(fresh) <= c.coalition_members
 
+    def test_controller_makes_every_member_strategy(self):
+        c = AdaptiveSybilController(fraud_value=3.0)
+        c.register(["s0"])
+        s = c.strategy()
+        fresh, _ = c.replacements(epoch=0, population=100, convicted_sybils=["s0"])
+        assert isinstance(s, AdaptiveSybilStrategy) and s.fraud_value == 3.0
+        # a registered member's strategy acquits the identities spawned after it
+        assert s.committee_vote(fresh[0], None) is False
+        assert c.strategy().coalition_members is s.coalition_members
+
     def test_controller_budget_caps_spawns(self):
         c = AdaptiveSybilController(spawn_rate=0.1, max_population=1000)
         convicted = [f"s{i}" for i in range(30)]

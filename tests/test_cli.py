@@ -193,6 +193,19 @@ def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,params", [("adaptive-sybil", "{}"),
+                                         ("long-range-fork", "{fork_depth: 20}")])
+def test_ambiguous_roster_exits_1_without_output(kind, params, tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TINY + f"  - {{range: [0, 2], kind: {kind}}}\n"
+                   + f"  - {{range: [3, 4], kind: {kind}, params: {params}}}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'roster[2]'") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_param_rejected_by_overrides():
     spec = StrategySpec("stealth", {"fraud_value": 5.0})
     spec.params["fraud_value"] = float("inf")  # set after the spec checked it

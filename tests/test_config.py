@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 import yaml
 
+from pobsim.adversaries import StrategySpec
 from pobsim.config import (
     SWEEPABLE,
+    RosterEntry,
     apply_sweep_point,
     check_config,
     config_from_mapping,
@@ -125,6 +127,31 @@ class TestRoster:
             loads_config(
                 MINIMAL + "roster:\n  - {range: [0, 1], kind: stealth, params: {bogus: 1}}\n"
             )
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("adaptive-sybil", "{}", "one respawn controller"),
+        ("long-range-fork", "{fork_depth: 20}", "fork_depth 20 differs"),
+    ], ids=["second-adaptive-sybil", "second-fork-depth"])
+    def test_ambiguous_second_entry_rejected(self, kind, params, message):
+        text = (MINIMAL + "roster:\n"
+                + f"  - {{range: [0, 2], kind: {kind}}}\n"
+                + "  - {range: [3, 4], kind: stealth}\n"
+                + f"  - {{range: [5, 6], kind: {kind}, params: {params}}}\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            loads_config(text)
+        assert err.value.field == "roster[2]" and "roster[0]" in str(err.value)
+        valid = loads_config(text.rsplit("  - ", 1)[0])
+        extra = RosterEntry(5, 6, StrategySpec(kind, yaml.safe_load(params)))
+        with pytest.raises(ConfigError, match=message) as err:
+            with_overrides(valid, roster=valid.roster + (extra,))
+        assert err.value.field == "roster[2]"
+
+    def test_long_range_fork_entries_with_one_depth_accepted(self):
+        cfg = loads_config(MINIMAL + "roster:\n"
+                           + "  - {range: [0, 2], kind: long-range-fork}\n"
+                           + "  - {range: [5, 6], kind: long-range-fork,"
+                           + " params: {fork_depth: 100, fraud_rate: 0.2}}\n")
+        assert [e.spec.kind for e in cfg.roster] == ["long-range-fork"] * 2
 
 
 class TestSweepConfig:

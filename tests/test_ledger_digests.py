@@ -1,4 +1,4 @@
-"""Pinned ledger bytes of three short runs that no golden preset covers.
+"""Pinned ledger bytes of six short runs that no golden preset covers.
 
 Each digest is the sha256 of every ledger's `ledger_to_json` line, in
 (protocol, epoch) order, of a 30-epoch run through the ledger sink that
@@ -8,18 +8,34 @@ they are:
 - `case-b-fairness-100` with `oracle_rate: 0.5` and `epsilon: 0.5`:
   actors with several records and activeness multipliers other than 1;
 - `case-d-adaptive-sybil`: joins, retirements and roster rebuilds;
-- `case-a-stealth`: fraud records and verdicts.
+- `case-a-stealth`: fraud records and verdicts;
+- `case-a-sybil` with bursts at epochs 10, 18 and 26: coalition frauds,
+  coalition votes and their verdicts, which the preset's epoch-50 burst
+  never reaches within 30 epochs;
+- `case-d-long-range`: stealth frauds of the compromised keys and the
+  trial-end fork outcome;
+- `case-d-griefing`: the proposer override seating the griefer.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from pobsim.adversaries import StrategySpec
 from pobsim.config import with_overrides
 from pobsim.netsim import ledger_to_json, run_trial
 from pobsim.presets import builtin_presets
 
 EPOCHS = 30
+
+
+def _early_bursts() -> tuple:
+    """`case-a-sybil`'s roster, bursting at epoch 10 and every 8 epochs after."""
+    (entry,) = builtin_presets()["case-a-sybil"].build().roster
+    params = {**entry.spec.params, "burst_epoch": 10, "burst_every": 8}
+    return (dataclasses.replace(entry, spec=StrategySpec(entry.spec.kind, params)),)
+
 
 PINNED = {
     "case-b-fairness-100": (
@@ -31,6 +47,16 @@ PINNED = {
     ),
     "case-a-stealth": (
         {}, "f328cd5094406c5097e4f85cda15f41be253bc4e16751ef00e1255e338474aa5",
+    ),
+    "case-a-sybil": (
+        {"roster": _early_bursts()},
+        "d37af83a9ca0e0728f63e7ba908e4a7ef507e4520d22ace699c82d436ff886c6",
+    ),
+    "case-d-long-range": (
+        {}, "653f58f548ebdbca83e8c1c1453f612e2e162688e559fe00ced2fceb4cfb5b6d",
+    ),
+    "case-d-griefing": (
+        {}, "53e30602fc53199bd4b7bce9f3d88bc83d0bb9e2f2e4de45e48bf63f548aa3ec",
     ),
 }
 

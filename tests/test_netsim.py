@@ -10,6 +10,7 @@ from pobsim.config import ScenarioConfig, RosterEntry
 from pobsim.adversaries import StrategySpec
 from pobsim.errors import ConfigError, TraceError
 from pobsim import chain, netsim
+from pobsim.rng import RngHub
 from pobsim.netsim import (
     LatencyModel,
     TraceBlock,
@@ -121,9 +122,9 @@ class TestLatencyModel:
     @pytest.mark.parametrize("dist", ["exponential", "fixed", "uniform"])
     def test_mean_within_five_percent(self, dist):
         model = LatencyModel(dist, mean_ms=50.0)
-        draw = model.sampler(random.Random(123))
+        rng = random.Random(123)
         n = 10_000
-        samples = [draw() for _ in range(n)]
+        samples = [model.draws(rng, 1)[0] for _ in range(n)]
         assert all(s >= 0 for s in samples)
         assert abs(sum(samples) / n - 50.0) / 50.0 < 0.05
 
@@ -355,6 +356,46 @@ class TestRunTrial:
             assert lp.confirm_ms == pytest.approx(lq.confirm_ms + cfg.processing_ms)
 
 
+class TestTrialSetup:
+    """Each roster entry builds the actors of its own members."""
+
+    def test_each_sybil_burst_entry_is_its_own_coalition(self):
+        cfg = small_config(protocol="paired", n_validators=20, epochs=8, roster=(
+            RosterEntry(10, 13, StrategySpec("sybil-burst",
+                                             {"burst_epoch": 3, "fraud_value": 30.0})),
+            RosterEntry(15, 20, StrategySpec("sybil-burst",
+                                             {"burst_epoch": 5, "fraud_value": 10.0})),
+        ))
+        ids = cfg.validator_ids()
+        first, second = ids[10:13], ids[15:20]
+        for protocol in ("pob", "pos"):
+            frauds = {(l.epoch, b.actor, b.base_utility)
+                      for l in run_trial(cfg, 3, protocol=protocol)
+                      for b in l.behaviors if b.is_fraud_ground_truth}
+            # each entry bursts at its own epoch, splitting its own value among its members
+            assert frauds == ({(3, v, -30.0 / 3) for v in first}
+                              | {(5, v, -10.0 / 5) for v in second})
+        state = netsim._setup_trial(cfg, RngHub(3), ids)
+        subjects = first + second + ["v0000"]
+        for coalition in (first, second):
+            for voter in coalition:
+                vote = state.validators[voter].strategy.committee_vote
+                assert [vote(s, None) for s in subjects] == [s not in coalition for s in subjects]
+
+    def test_long_range_fork_entries_pool_their_keys(self):
+        cfg = small_config(n_validators=20, roster=(
+            RosterEntry(15, 17, StrategySpec("long-range-fork", {"fork_depth": 5})),
+            RosterEntry(2, 4, StrategySpec("long-range-fork",
+                                           {"fork_depth": 5, "fraud_rate": 0.5})),
+        ))
+        state = netsim._setup_trial(cfg, RngHub(1), cfg.validator_ids())
+        assert state.compromised == ["v0002", "v0003", "v0015", "v0016"]
+        assert state.fork_depth == 5
+        ledgers = run_trial(cfg, 1)
+        (outcome,) = [e for e in ledgers[-1].events if e["kind"] == "fork-outcome"]
+        assert outcome["checkpoint_height"] == sum(l.confirmed for l in ledgers) - 5
+
+
 class TestSinglePassFacts:
     """The epoch's shared facts equal a naive per-actor recomputation."""
 
@@ -462,6 +503,6 @@ class TestLatencyStreamPinning:
     def test_sampler_draws_equal_stdlib(self, dist):
         model = LatencyModel(dist, 12.0)
         a, b = random.Random(5), random.Random(5)
-        draw = model.sampler(a)
-        assert [draw() for _ in range(100)] == [stdlib_draw(model, b) for _ in range(100)]
+        assert ([model.draws(a, 1)[0] for _ in range(100)]
+                == [stdlib_draw(model, b) for _ in range(100)])
         assert a.getstate() == b.getstate()
