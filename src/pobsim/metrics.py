@@ -191,17 +191,10 @@ class TrialTally:
         self.adversary_probs: list[float] = []
 
     def add(self, ledger: EpochLedger) -> None:
-        columns = ledger.columns  # run_trial's; None for a ledger made with keywords
-        if columns is None:
-            roster, weights = list(ledger.weights_before), list(ledger.weights_before.values())
-            labels = [b.is_fraud_ground_truth for b in ledger.behaviors]
-            frauds = [(i, b.actor, b.base_utility)
-                      for i, b in enumerate(ledger.behaviors) if labels[i]]
-        else:
-            roster, weights, c = columns.roster, columns.weights_before, columns.behaviors
-            labels = c.fraud
-            frauds = [(i, roster[c.actor[i]], c.base_utility[i])
-                      for i, fraud in enumerate(labels) if fraud] if True in labels else []
+        roster, weights, c = ledger.roster, ledger.roster_weights_before, ledger.behavior_rows
+        labels = c.fraud
+        frauds = [(i, roster[c.actor[i]], c.base_utility[i])
+                  for i, fraud in enumerate(labels) if fraud] if True in labels else []
         for v in ledger.verdicts:
             if v.guilty:
                 self.guilty_keys.add((v.epoch, v.subject, v.behavior_index))

@@ -18,13 +18,12 @@ import dataclasses
 import json
 import random
 from bisect import bisect_left
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .baseline_pos import (
@@ -35,9 +34,9 @@ from .baseline_pos import (
     stake_pick,
 )
 from .chain import Block, extend_chain, genesis_block
-from .config import ScenarioConfig
+from .config import ScenarioConfig, check_config
 from .errors import TraceError
-from .rewards import Payout, RewardSchedule, distribute, split_pool
+from .rewards import Payout, PoolSplit, RewardSchedule, distribute, split_pool
 from .rng import RngHub
 from .scoring import (
     SINGLE_KIND_DIVERSITY,
@@ -46,7 +45,6 @@ from .scoring import (
     BehaviorRecord,
     MotivationProfile,
     activeness_column,
-    check_betas,
     diversity_index,
     looks_scripted,
     outcome_utility,
@@ -90,69 +88,64 @@ class LatencyModel:
 # Epoch ledger
 # ---------------------------------------------------------------------------
 
-# A run_trial ledger's contents: the epoch's sorted roster, its BehaviorColumns
-# and PoolSplit, and four float lists aligned with the roster.
-LedgerColumns = namedtuple("LedgerColumns", "roster behaviors payouts scores activeness "
-                                            "weights_before weights_after")
+def _roster_map(column: str) -> cached_property:
+    """A view of the roster-aligned list `column` as {id: value}, built on first read."""
+    return cached_property(lambda ledger: dict(zip(ledger.roster, getattr(ledger, column))))
 
 
 @dataclass
 class EpochLedger:
     """Append-only audit record of one epoch.
 
-    A ledger from run_trial keeps `columns` and builds `behaviors`, `payouts`
-    and the four {id: float} maps, in roster order, when each is first read.
+    It keeps the epoch's sorted roster, its behavior columns and pool
+    split, and four float lists aligned with the roster. `behaviors`,
+    `payouts` and the four {id: float} maps are views of them, in roster
+    order, built when first read.
     """
 
     epoch: int
     protocol: str
     proposer: str
-    behaviors: tuple[BehaviorRecord, ...]
+    roster: list[str]  # the sorted alive ids
+    behavior_rows: BehaviorColumns
+    pool_split: PoolSplit
+    roster_scores: list[float]
+    roster_activeness: list[float]
+    roster_weights_before: list[float]
+    roster_weights_after: list[float]
     verdicts: tuple[Verdict, ...]
-    payouts: tuple[Payout, ...]
-    scores: dict[str, float]
-    activeness: dict[str, float]
-    weights_before: dict[str, float]
-    weights_after: dict[str, float]
     confirmed: bool
     confirm_ms: Optional[float]
     latency_samples: tuple[float, ...]
     neutralized: tuple[str, ...] = ()
     events: tuple[dict, ...] = ()
-    columns: ClassVar[Optional["LedgerColumns"]] = None
 
-    @classmethod
-    def from_columns(cls, columns: LedgerColumns, **fields) -> "EpochLedger":
-        """A ledger of `fields`; the rest is built from `columns` when first read."""
-        ledger = cls.__new__(cls)
-        ledger.__dict__.update(fields, columns=columns)
-        return ledger
+    scores = _roster_map("roster_scores")
+    activeness = _roster_map("roster_activeness")
+    weights_before = _roster_map("roster_weights_before")
+    weights_after = _roster_map("roster_weights_after")
 
-    def __getattr__(self, name: str):
-        # Reached only for a field not set yet: a view of the columns, built once.
-        c = self.__dict__.get("columns")
-        if c is None or name == "roster" or name not in LedgerColumns._fields:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        column = getattr(c, name)
-        value = self.__dict__[name] = (column.records(c.roster) if name in ("behaviors", "payouts")
-                                       else dict(zip(c.roster, column)))
-        return value
+    @cached_property
+    def behaviors(self) -> tuple[BehaviorRecord, ...]:
+        return self.behavior_rows.records(self.roster)
+
+    @cached_property
+    def payouts(self) -> tuple[Payout, ...]:
+        return self.pool_split.records(self.roster)
 
 
 # One canonical ledger writer. It writes what
 # json.dumps(..., sort_keys=True, separators=(",", ":")) writes for the
-# ledger's fields as plain dicts and lists, byte for byte, without building
-# them: keys are fixed fragments in sorted order, a finite float is its
-# repr, and anything else (None, bools, ints, NaN/Infinity, verdicts and
-# free-form events) goes through one encoder with json.dumps's settings.
-# A column-backed ledger is written from its columns, except for a field
-# that has been read or set, which is written as it stands.
+# ledger's views as plain dicts and lists, byte for byte, from its columns:
+# keys are fixed fragments in sorted order (the roster is sorted, so column
+# order is key order), a finite float is its repr, and anything else (None,
+# bools, ints, NaN/Infinity, verdicts and free-form events) goes through
+# one encoder with json.dumps's settings.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode = _ENCODER.encode
 _string = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
-_RECORD_FIELDS, _PAYOUT_FIELDS, _VERDICT_FIELDS = (
-    tuple(f.name for f in dataclasses.fields(cls)) for cls in (BehaviorRecord, Payout, Verdict))
+_VERDICT_FIELDS = tuple(f.name for f in dataclasses.fields(Verdict))
 _KIND_JSON = {kind: _string(kind.value) for kind in ActionKind}
 _BEHAVIOR_JSON = ('{{"actor":{},"base_utility":{},"context_factor":{},"epoch":{},"initiative":{}'
                   ',"is_fraud_ground_truth":{},"kind":{},"motivation":{}}}').format
@@ -184,17 +177,8 @@ def _texts(values: Sequence) -> list[str]:
     return texts
 
 
-def _map(ledger: EpochLedger, name: str, roster_names: Optional[list[str]]) -> str:
-    """A ledger map field as a JSON object in sorted key order."""
-    m = ledger.__dict__.get(name)
-    if m is None:
-        names, values = roster_names, getattr(ledger.columns, name)
-    else:
-        keys = sorted(m)
-        try:
-            names, values = list(map(_string, keys)), [m[k] for k in keys]
-        except TypeError:
-            return _encode(m)
+def _map(names: list[str], values: Sequence[float]) -> str:
+    """A roster-aligned list as a JSON object keyed by the roster's `names`."""
     return "{" + ",".join(map(":".join, zip(names, _texts(values)))) + "}"
 
 
@@ -206,33 +190,17 @@ def _motivations(profiles: Sequence[MotivationProfile]) -> Iterable[str]:
     return map(texts.__getitem__, map(id, profiles))
 
 
-def _behaviors(ledger: EpochLedger, roster_names: Optional[list[str]]) -> str:
-    records = ledger.__dict__.get("behaviors")
-    if records is None:
-        c = ledger.columns.behaviors
-        actor, epoch = map(roster_names.__getitem__, c.actor), repeat(_value(c.epoch))
-        kind, base, factor, initiative = c.kind, c.base_utility, c.context_factor, c.initiative
-        motivation, fraud = c.motivation, c.fraud
-    else:
-        actor, epoch, kind, base, factor, initiative, motivation, fraud = (
-            [getattr(b, f) for b in records] for f in _RECORD_FIELDS)
-        actor, epoch = map(_string, actor), _texts(epoch)
-    rows = map(_BEHAVIOR_JSON, actor, _texts(base), _texts(factor), epoch, _texts(initiative),
-               map(_value, fraud), map(_KIND_JSON.__getitem__, kind), _motivations(motivation))
+def _behaviors(c: BehaviorColumns, names: list[str]) -> str:
+    rows = map(_BEHAVIOR_JSON, map(names.__getitem__, c.actor), _texts(c.base_utility),
+               _texts(c.context_factor), repeat(_value(c.epoch)), _texts(c.initiative),
+               map(_value, c.fraud), map(_KIND_JSON.__getitem__, c.kind),
+               _motivations(c.motivation))
     return "[" + ",".join(rows) + "]"
 
 
-def _payouts(ledger: EpochLedger, roster_names: Optional[list[str]]) -> str:
-    payouts = ledger.__dict__.get("payouts")
-    if payouts is None:
-        split = ledger.columns.payouts
-        validator, base = map(roster_names.__getitem__, split.actives), repeat(_value(split.base))
-        bonus, multiplier, total = split.bonus, split.multiplier, split.total
-    else:
-        validator, base, bonus, multiplier, total = (
-            [getattr(p, f) for p in payouts] for f in _PAYOUT_FIELDS)
-        validator, base = map(_string, validator), _texts(base)
-    rows = map(_PAYOUT_JSON, _texts(multiplier), base, _texts(bonus), _texts(total), validator)
+def _payouts(split: PoolSplit, names: list[str]) -> str:
+    rows = map(_PAYOUT_JSON, _texts(split.multiplier), repeat(_value(split.base)),
+               _texts(split.bonus), _texts(split.total), map(names.__getitem__, split.actives))
     return "[" + ",".join(rows) + "]"
 
 
@@ -242,24 +210,23 @@ def _verdicts(verdicts: Sequence[Verdict]) -> str:
 
 def ledger_to_json(ledger: EpochLedger) -> str:
     """Canonical serialization: sorted keys, shortest round-trip floats."""
-    columns = ledger.columns
-    names = list(map(_string, columns.roster)) if columns is not None else None
+    names = list(map(_string, ledger.roster))
     return (
-        f'{{"activeness":{_map(ledger, "activeness", names)}'
-        f',"behaviors":{_behaviors(ledger, names)}'
+        f'{{"activeness":{_map(names, ledger.roster_activeness)}'
+        f',"behaviors":{_behaviors(ledger.behavior_rows, names)}'
         f',"confirm_ms":{_value(ledger.confirm_ms)}'
         f',"confirmed":{_value(ledger.confirmed)}'
         f',"epoch":{_value(ledger.epoch)}'
         f',"events":{_encode(list(ledger.events))}'
         f',"latency_samples":[{",".join(_texts(ledger.latency_samples))}]'
         f',"neutralized":{_encode(list(ledger.neutralized))}'
-        f',"payouts":{_payouts(ledger, names)}'
+        f',"payouts":{_payouts(ledger.pool_split, names)}'
         f',"proposer":{_string(ledger.proposer)}'
         f',"protocol":{_string(ledger.protocol)}'
-        f',"scores":{_map(ledger, "scores", names)}'
+        f',"scores":{_map(names, ledger.roster_scores)}'
         f',"verdicts":{_verdicts(ledger.verdicts)}'
-        f',"weights_after":{_map(ledger, "weights_after", names)}'
-        f',"weights_before":{_map(ledger, "weights_before", names)}}}'
+        f',"weights_after":{_map(names, ledger.roster_weights_after)}'
+        f',"weights_before":{_map(names, ledger.roster_weights_before)}}}'
     )
 
 
@@ -269,7 +236,7 @@ def ledger_to_json(ledger: EpochLedger) -> str:
 
 def simulate_confirmation(
     alive: Sequence[str],
-    weight_of: Mapping[str, float] | list[float],
+    weights: list[float],
     quorum: Fraction,
     latency: LatencyModel,
     rng_proposal: random.Random,
@@ -278,14 +245,14 @@ def simulate_confirmation(
 ) -> tuple[bool, Optional[float], list[float]]:
     """Run the proposal+vote pipeline on the simulated clock.
 
-    `weight_of` maps each id to its weight, or lists the weights in `alive`
-    order. The proposal reaches validator i after one message delay (from
-    `rng_proposal`; a separate stream from `rng_vote`); its vote arrives one
-    more delay later. Each stage adds a fixed processing cost. Votes are
-    counted in arrival order, ties in `alive` order, and the block confirms
-    the instant the accumulated yes-weight reaches `quorum` times the total
-    weight. Everyone votes yes here; dissent is modeled at the behavior
-    level, not the transport level.
+    `weights` lists the weights in `alive` order. The proposal reaches
+    validator i after one message delay (from `rng_proposal`; a separate
+    stream from `rng_vote`); its vote arrives one more delay later. Each
+    stage adds a fixed processing cost. Votes are counted in arrival order,
+    ties in `alive` order, and the block confirms the instant the
+    accumulated yes-weight reaches `quorum` times the total weight.
+    Everyone votes yes here; dissent is modeled at the behavior level, not
+    the transport level.
     """
     if not 0 < quorum <= 1:
         raise ValueError(f"quorum {quorum} outside (0, 1]")
@@ -295,7 +262,6 @@ def simulate_confirmation(
     samples[0::2] = proposals
     samples[1::2] = votes
     arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
-    weights = weight_of if isinstance(weight_of, list) else [weight_of[v] for v in alive]
     total = sum(weights)
     # Float comparison outside a slack band around the target; inside it
     # an exact rational check, so a vote landing exactly on the quorum
@@ -834,9 +800,11 @@ def run_trial(
 ) -> list[EpochLedger]:
     """Execute one seeded trial, handing each finished ledger to `sink`.
 
-    Without a sink the ledgers are collected and returned; with one the
-    trial keeps no ledger once `sink` returns, so its memory stays flat
-    in the epoch count, and the returned list is empty.
+    `config` is checked as the loader checks it (`check_config`) before
+    the trial starts. Without a sink the ledgers are collected and
+    returned; with one the trial keeps no ledger once `sink` returns, so
+    its memory stays flat in the epoch count, and the returned list is
+    empty.
     """
     protocol = protocol or config.protocol
     if protocol not in ("pob", "pos"):
@@ -844,12 +812,8 @@ def run_trial(
             f"run_trial needs a concrete protocol, got {protocol!r} "
             "(resolve 'paired' at the experiment layer)"
         )
+    config = check_config(config)
     state, rules = _start_trial(config, seed, protocol)
-    config.validate_runtime()
-    # Checked once per trial rather than on every per-epoch use.
-    check_betas(config.betas)
-    if not 0.0 <= config.delta <= 1.0:
-        raise ValueError(f"delta {config.delta} outside [0, 1]")
 
     epochs = len(trace) if trace is not None else config.epochs
     if trace is not None:
@@ -897,12 +861,10 @@ def run_trial(
         if confirmed:
             chain.append(extend_chain(chain[-1], proposer, facts.utility, sim_time,
                                       state.signers, weights_after))
-        finished = EpochLedger.from_columns(
-            LedgerColumns(alive, behaviors, payouts, facts.scores, facts.activeness,
-                          weights_before, weights_after),
-            epoch=epoch, protocol=rules.protocol, proposer=proposer, verdicts=verdicts,
-            confirmed=confirmed, confirm_ms=confirm_ms, latency_samples=tuple(samples),
-            neutralized=neutralized, events=tuple(events),
+        finished = EpochLedger(
+            epoch, rules.protocol, proposer, alive, behaviors, payouts, facts.scores,
+            facts.activeness, weights_before, weights_after, verdicts, confirmed, confirm_ms,
+            tuple(samples), neutralized, tuple(events),
         )
         _retire_convicted(state, rules, verdicts, epoch)
 

@@ -1,14 +1,12 @@
-"""Ledgers that run_trial builds from columns, and the checks the columns keep.
+"""The views of a ledger's columns, and the checks the columns keep.
 
-A ledger from `run_trial` holds its epoch's roster and columns and builds
+A ledger keeps its epoch's sorted roster and columns and builds
 `behaviors`, `payouts` and the four {id: float} maps when they are first
-read. These tests check that such a ledger equals, and serializes like,
-one made with keywords from what it shows, that its maps keep roster
-order, and that honest draws written in bulk still fail the record's
-range check with the record's own message.
+read. These tests check that the views show exactly the columns, in roster
+order, that each is built once, and that honest draws written in bulk
+still fail the record's range check with the record's own message.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -20,11 +18,11 @@ from pobsim.config import (
     RosterEntry,
     ScenarioConfig,
 )
-from pobsim.netsim import EpochLedger, ledger_to_json, run_trial
+from pobsim.netsim import ledger_to_json, run_trial
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 
-FIELDS = [f.name for f in dataclasses.fields(EpochLedger)]
-MAPS = ("scores", "activeness", "weights_before", "weights_after")
+MAPS = {"scores": "roster_scores", "activeness": "roster_activeness",
+        "weights_before": "roster_weights_before", "weights_after": "roster_weights_after"}
 
 
 @pytest.fixture(scope="module")
@@ -39,23 +37,27 @@ def trials():
 
 
 @pytest.mark.parametrize("protocol", ["pob", "pos"])
-def test_keyword_copy_equals_lazy_ledger(trials, protocol):
+def test_views_show_the_columns(trials, protocol):
     ledgers = trials[protocol]
-    assert any(len(l.columns.behaviors.actor) > len(l.columns.roster) for l in ledgers)
-    assert any(True in l.columns.behaviors.fraud for l in ledgers)
+    assert any(len(l.behavior_rows.actor) > len(l.roster) for l in ledgers)
+    assert any(True in l.behavior_rows.fraud for l in ledgers)
     for ledger in ledgers:
-        from_columns = ledger_to_json(ledger)  # before any view is built
-        copy = EpochLedger(**{f: getattr(ledger, f) for f in FIELDS})
-        assert copy.columns is None
-        assert copy == ledger
-        assert ledger_to_json(copy) == from_columns
-        assert ledger_to_json(ledger) == from_columns  # now from the built views
+        written = ledger_to_json(ledger)  # before any view is built
+        roster, rows, split = ledger.roster, ledger.behavior_rows, ledger.pool_split
+        for view, column in MAPS.items():
+            assert list(getattr(ledger, view).values()) == getattr(ledger, column)
+        assert ledger.behaviors == tuple(rows.record(i, roster) for i in range(len(rows.actor)))
+        assert [(p.validator, p.base, p.bonus, p.activeness_multiplier, p.total)
+                for p in ledger.payouts] == [
+            (roster[a], split.base, *x)
+            for a, *x in zip(split.actives, split.bonus, split.multiplier, split.total)]
+        assert ledger_to_json(ledger) == written  # reading the views changes no byte
 
 
 @pytest.mark.parametrize("protocol", ["pob", "pos"])
 def test_maps_keep_roster_order(trials, protocol):
     for ledger in trials[protocol]:
-        roster = ledger.columns.roster
+        roster = ledger.roster
         assert roster == sorted(roster)
         for name in MAPS:
             assert list(getattr(ledger, name)) == roster
@@ -65,10 +67,8 @@ def test_maps_keep_roster_order(trials, protocol):
 
 def test_views_are_built_once(trials):
     ledger = trials["pob"][3]
-    assert ledger.behaviors is ledger.behaviors
-    assert ledger.scores is ledger.scores
-    with pytest.raises(AttributeError):
-        ledger.roster  # a column, not a ledger field
+    for view in ("behaviors", "payouts", *MAPS):
+        assert getattr(ledger, view) is getattr(ledger, view)
 
 
 def _shape(**bounds):

@@ -14,26 +14,26 @@ from pobsim.metrics import (
     tally_ledgers,
 )
 from pobsim.netsim import EpochLedger
-from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile
+from pobsim.rewards import PoolSplit
+from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
 
 MOT = MotivationProfile((0.0,), (1.0,))
 
 
-def fraud(actor, epoch, value):
-    return BehaviorRecord(
-        actor=actor, epoch=epoch, kind=ActionKind.FRAUD, base_utility=-value,
-        context_factor=1.0, initiative=1.0, motivation=MOT, is_fraud_ground_truth=True,
-    )
-
-
-def ledger(epoch, behaviors=(), verdicts=(), neutralized=(), confirmed=True, protocol="pob"):
-    ids = {"a": 0.5, "b": 0.5}
+def ledger(epoch, frauds=(), verdicts=(), neutralized=(), confirmed=True, protocol="pob"):
+    """A two-validator column ledger with one fraud row per (actor, value) in `frauds`."""
+    roster = ["a", "b"]
+    rows = BehaviorColumns(epoch)
+    for actor, value in frauds:
+        rows.add(roster.index(actor), ActionKind.FRAUD, -value, 1.0, 1.0, MOT, True)
     return EpochLedger(
-        epoch=epoch, protocol=protocol, proposer="a", behaviors=tuple(behaviors),
-        verdicts=tuple(verdicts), payouts=(), scores={}, activeness={},
-        weights_before=dict(ids), weights_after=dict(ids), confirmed=confirmed,
-        confirm_ms=100.0, latency_samples=(), neutralized=tuple(neutralized),
+        epoch=epoch, protocol=protocol, proposer="a", roster=roster, behavior_rows=rows,
+        pool_split=PoolSplit([], 0.0, [], [], []),
+        roster_scores=[0.0, 0.0], roster_activeness=[0.0, 0.0],
+        roster_weights_before=[0.5, 0.5], roster_weights_after=[0.5, 0.5],
+        verdicts=tuple(verdicts), confirmed=confirmed, confirm_ms=100.0, latency_samples=(),
+        neutralized=tuple(neutralized),
     )
 
 
@@ -153,54 +153,54 @@ class TestSuppressionTime:
 
 class TestFraudOutcomes:
     def test_confirmed_unconvicted_accepted(self):
-        ledgers = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
+        ledgers = [ledger(0, frauds=[("a", 10.0)])]
         outcomes = fraud_outcomes(ledgers)
         assert len(outcomes) == 1
         assert outcomes[0].accepted and outcomes[0].value == 10.0
 
     def test_guilty_verdict_blocks_acceptance(self):
         ledgers = [
-            ledger(0, behaviors=[fraud("a", 0, 10.0)],
+            ledger(0, frauds=[("a", 10.0)],
                    verdicts=[guilty_verdict("a", 0, 0)])
         ]
         assert not fraud_outcomes(ledgers)[0].accepted
 
     def test_neutralized_actor_rejected(self):
-        ledgers = [ledger(0, behaviors=[fraud("a", 0, 10.0)], neutralized=("a",))]
+        ledgers = [ledger(0, frauds=[("a", 10.0)], neutralized=("a",))]
         assert not fraud_outcomes(ledgers)[0].accepted
 
     def test_unconfirmed_block_rejected(self):
-        ledgers = [ledger(0, behaviors=[fraud("a", 0, 10.0)], confirmed=False)]
+        ledgers = [ledger(0, frauds=[("a", 10.0)], confirmed=False)]
         assert not fraud_outcomes(ledgers)[0].accepted
 
 
 class TestLossAverted:
     def test_identical_acceptance_sets(self):
-        pob = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
-        pos = [ledger(0, behaviors=[fraud("a", 0, 10.0)], protocol="pos")]
+        pob = [ledger(0, frauds=[("a", 10.0)])]
+        pos = [ledger(0, frauds=[("a", 10.0)], protocol="pos")]
         assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == 0.0
 
     def test_million_dollar_example(self):
         # baseline accepts 1.0M; behavior weighting accepts 0.25M
         pob = [
-            ledger(0, behaviors=[fraud("a", 0, 250_000.0)]),
-            ledger(1, behaviors=[fraud("a", 1, 750_000.0)],
+            ledger(0, frauds=[("a", 250_000.0)]),
+            ledger(1, frauds=[("a", 750_000.0)],
                    verdicts=[guilty_verdict("a", 1, 0)]),
         ]
         pos = [
-            ledger(0, behaviors=[fraud("a", 0, 250_000.0)], protocol="pos"),
-            ledger(1, behaviors=[fraud("a", 1, 750_000.0)], protocol="pos"),
+            ledger(0, frauds=[("a", 250_000.0)], protocol="pos"),
+            ledger(1, frauds=[("a", 750_000.0)], protocol="pos"),
         ]
         assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == pytest.approx(750_000.0)
 
     def test_signed_result(self):
-        pob = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
-        pos = [ledger(0, behaviors=[fraud("a", 0, 10.0)], neutralized=("a",), protocol="pos")]
+        pob = [ledger(0, frauds=[("a", 10.0)])]
+        pos = [ledger(0, frauds=[("a", 10.0)], neutralized=("a",), protocol="pos")]
         assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == pytest.approx(-10.0)
 
     def test_unpaired_trials_rejected(self):
-        pob = [ledger(0, behaviors=[fraud("a", 0, 10.0)])]
-        pos = [ledger(0, behaviors=[fraud("b", 0, 10.0)], protocol="pos")]
+        pob = [ledger(0, frauds=[("a", 10.0)])]
+        pos = [ledger(0, frauds=[("b", 10.0)], protocol="pos")]
         with pytest.raises(ValueError):
             paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos))
 

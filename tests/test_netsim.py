@@ -39,8 +39,9 @@ class ScriptedDelays:
 
 
 def confirm_with_delays(weight_of, quorum, prop_delays, vote_delays, processing_ms=5.0):
+    alive = list(weight_of)
     return simulate_confirmation(
-        list(weight_of), weight_of, quorum, LatencyModel("exponential", 50.0),
+        alive, [weight_of[v] for v in alive], quorum, LatencyModel("exponential", 50.0),
         ScriptedDelays(prop_delays), ScriptedDelays(vote_delays), processing_ms)
 
 
@@ -73,9 +74,10 @@ def heap_confirmation(alive, weight_of, quorum, latency, rng_proposal, rng_vote,
 
 
 def assert_matches_heap(alive, weight_of, quorum, latency, seed, processing_ms=5.0):
-    args = (alive, weight_of, quorum, latency)
-    got = simulate_confirmation(*args, random.Random(seed), random.Random(seed + 1), processing_ms)
-    want = heap_confirmation(*args, random.Random(seed), random.Random(seed + 1), processing_ms)
+    got = simulate_confirmation(alive, [weight_of[v] for v in alive], quorum, latency,
+                                random.Random(seed), random.Random(seed + 1), processing_ms)
+    want = heap_confirmation(alive, weight_of, quorum, latency,
+                             random.Random(seed), random.Random(seed + 1), processing_ms)
     assert got == want
     return got
 
@@ -139,9 +141,8 @@ class TestLatencyModel:
 
 class TestConfirmBlock:
     def test_all_yes_confirms(self):
-        weights = {"a": 0.5, "b": 0.5}
         confirmed, t, samples = simulate_confirmation(
-            ["a", "b"], weights, Fraction(2, 3), LatencyModel("fixed", 10.0),
+            ["a", "b"], [0.5, 0.5], Fraction(2, 3), LatencyModel("fixed", 10.0),
             random.Random(0), random.Random(1), 5.0)
         assert confirmed and t == 30.0
         assert samples == [10.0] * 4
@@ -168,29 +169,28 @@ class TestConfirmBlock:
     def test_quorum_range(self):
         for quorum in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
             with pytest.raises(ValueError):
-                simulate_confirmation(["a"], {"a": 1.0}, quorum, LatencyModel("fixed", 10.0),
+                simulate_confirmation(["a"], [1.0], quorum, LatencyModel("fixed", 10.0),
                                       random.Random(0), random.Random(1), 5.0)
 
 
 class TestSimulateConfirmation:
     def test_deterministic(self):
-        table = {f"v{i}": 0.1 for i in range(10)}
+        alive = [f"v{i}" for i in range(10)]
         model = LatencyModel("exponential", 50.0)
         results = []
         for _ in range(2):
             r1, r2 = random.Random(1), random.Random(2)
             results.append(simulate_confirmation(
-                sorted(table), table, Fraction(2, 3), model, r1, r2, 5.0))
+                alive, [0.1] * 10, Fraction(2, 3), model, r1, r2, 5.0))
         assert results[0] == results[1]
         confirmed, t, samples = results[0]
         assert confirmed and t > 0 and len(samples) == 20
 
     def test_fixed_latency_quorum_time(self):
         # all votes arrive at 2*(proc + delay); confirmation at that instant
-        table = {"a": 0.5, "b": 0.5}
         model = LatencyModel("fixed", 10.0)
         confirmed, t, _ = simulate_confirmation(
-            ["a", "b"], table, Fraction(1, 2), model,
+            ["a", "b"], [0.5, 0.5], Fraction(1, 2), model,
             random.Random(0), random.Random(0), 5.0)
         assert confirmed
         assert t == pytest.approx(30.0)
@@ -341,9 +341,9 @@ class TestRunTrial:
         trace = make_synthetic_trace(5, 10, exploit_at=None, exploit_value=0.0, seed=1)
         for bad in (dict(betas=(0.5, 0.5, 0.5)), dict(betas=(1.5, -0.5, 0.0)), dict(delta=1.5)):
             for protocol in ("pob", "pos"):
-                with pytest.raises(ValueError):
+                with pytest.raises(ConfigError):
                     run_trial(small_config(**bad), 1, protocol=protocol)
-                with pytest.raises(ValueError):
+                with pytest.raises(ConfigError):
                     run_trial(small_config(**bad), 1, protocol=protocol, trace=trace)
 
     def test_latency_overhead_only_from_extra_stages(self):
@@ -394,6 +394,18 @@ class TestTrialSetup:
         ledgers = run_trial(cfg, 1)
         (outcome,) = [e for e in ledgers[-1].events if e["kind"] == "fork-outcome"]
         assert outcome["checkpoint_height"] == sum(l.confirmed for l in ledgers) - 5
+
+    @pytest.mark.parametrize("ranges, kind, message", [
+        ([(10, 13), (15, 18)], "adaptive-sybil", "already 'adaptive-sybil'"),
+        ([(0, 10), (5, 12)], "stealth", "index 5 assigned twice"),
+        ([(5, 3)], "stealth", r"\[5, 3\) is empty"),
+    ], ids=["two-adaptive-sybil", "overlapping", "empty"])
+    def test_run_trial_refuses_a_roster_the_loader_refuses(self, ranges, kind, message):
+        cfg = small_config(n_validators=20, roster=tuple(
+            RosterEntry(lo, hi, StrategySpec(kind, {})) for lo, hi in ranges))
+        for protocol in ("pob", "pos"):
+            with pytest.raises(ConfigError, match=message):
+                run_trial(cfg, 1, protocol=protocol)
 
 
 class TestSinglePassFacts:
@@ -487,9 +499,8 @@ class TestLatencyStreamPinning:
     def test_samples_equal_stdlib_on_twin_streams(self, dist):
         model = LatencyModel(dist, 37.5)
         alive = [f"v{i:03d}" for i in range(60)]
-        weight_of = {v: 1.0 / 60 for v in alive}
         streams = [random.Random(s) for s in (11, 12, 11, 12)]
-        _, _, samples = simulate_confirmation(alive, weight_of, Fraction(2, 3), model,
+        _, _, samples = simulate_confirmation(alive, [1.0 / 60] * 60, Fraction(2, 3), model,
                                               streams[0], streams[1], 5.0)
         via_stdlib = []
         for _ in alive:

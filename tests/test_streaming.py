@@ -33,8 +33,8 @@ from pobsim.metrics import (
 )
 from pobsim.netsim import EpochLedger, ledger_to_json, parse_trace, run_trial
 from pobsim.presets import builtin_presets, bundled_trace_path
-from pobsim.rewards import Payout
-from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile
+from pobsim.rewards import PoolSplit
+from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
 
 EPOCHS = 20
@@ -263,29 +263,41 @@ def test_ledger_writer_matches_reference_encoder(case):
 
 ODD_ID = 'q"b\\s\x01\u00e9'  # a quote, a backslash, a control character, a non-ASCII letter
 NON_FINITE = (float("nan"), float("inf"), float("-inf"), -0.0)
+MOTIVATION = MotivationProfile((0.5, 0.25), (0.5, 0.5))
+ROWS = (("v01", ActionKind.PROPOSE, 1.5, 1.0, 0.25, MOTIVATION, False),
+        ("v00", ActionKind.FRAUD, -2.0, 0.5, 0.75, MotivationProfile((1.0, 0.0), (0.5, 0.5)), True),
+        ("v02", ActionKind.IDLE, 0.0, 0.0, 0.0, MOTIVATION, False))
+ROSTER_LISTS = ("roster_scores", "roster_activeness", "roster_weights_before",
+                "roster_weights_after")
 
 
-def _ledger(**changes):
-    motivation = MotivationProfile((0.5, 0.25), (0.5, 0.5))
+def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, paid=(("v01", 0.5, 1.0, 1.75),
+                                                           ("v02", 0.0, 0.5, 0.5)),
+            base=1.25, **changes):
+    """A column ledger on the sorted `roster`.
+
+    Each of `rows` is (actor, kind, base utility, context factor, initiative,
+    motivation, fraud label), added through `BehaviorColumns.add`; each of
+    `paid` is (validator, bonus, multiplier, total), and each is paid `base`.
+    A roster-aligned list not in `changes` is a distinct fraction per position.
+    """
+    roster = list(roster)
+    assert roster == sorted(roster)
+    behaviors = BehaviorColumns(3)
+    for actor, *row in rows:
+        behaviors.add(roster.index(actor), *row)
+    split = PoolSplit([roster.index(p[0]) for p in paid], base,
+                      *([p[i] for p in paid] for i in (1, 2, 3)))
     fields = dict(
-        epoch=3, protocol="pob", proposer="v01",
-        behaviors=(
-            BehaviorRecord("v01", 3, ActionKind.PROPOSE, 1.5, 1.0, 0.25, motivation),
-            BehaviorRecord("v00", 3, ActionKind.FRAUD, -2.0, 0.5, 0.75,
-                           MotivationProfile((1.0, 0.0), (0.5, 0.5)), True),
-            BehaviorRecord("v02", 3, ActionKind.IDLE, 0.0, 0.0, 0.0, motivation),
-        ),
+        epoch=3, protocol="pob", proposer="v01", roster=roster, behavior_rows=behaviors,
+        pool_split=split,
         verdicts=(Verdict("v00", 3, 1, 0.75, 5, True, 0.125, "proportional", 0.5, 3),),
-        payouts=(Payout("v01", 1.25, 0.5, 1.0, 1.75), Payout("v02", 1.0, 0.0, 0.5, 0.5)),
-        # maps deliberately out of key order
-        scores={"v02": 0.1, "v00": -0.3, "v01": 0.7},
-        activeness={"v01": 1.0, "v02": 0.5, "v00": 0.25},
-        weights_before={"v02": 0.25, "v01": 0.5, "v00": 0.25},
-        weights_after={"v01": 0.625, "v00": 0.0, "v02": 0.375},
         confirmed=True, confirm_ms=123.456, latency_samples=(12.5, 0.1, 7.0),
         neutralized=("v00",),
         events=({"kind": "join", "validator": "v03", "epoch": 4, "note": "\u00e9"},),
     )
+    for k, name in enumerate(ROSTER_LISTS):
+        fields[name] = [(pos + 1) / (len(roster) + k + 2) for pos in range(len(roster))]
     fields.update(changes)
     return EpochLedger(**fields)
 
@@ -293,29 +305,26 @@ def _ledger(**changes):
 @pytest.mark.parametrize("changes", [
     {},
     {"confirm_ms": None, "confirmed": False},
-    {"behaviors": (), "payouts": (), "verdicts": (), "scores": {}, "activeness": {},
-     "weights_before": {}, "weights_after": {}, "latency_samples": (), "neutralized": (),
-     "events": ()},
-    {"proposer": ODD_ID, "neutralized": (ODD_ID,),
-     "behaviors": (BehaviorRecord(ODD_ID, 3, ActionKind.VALIDATE, 1.0, 1.0, 1.0,
-                                  MotivationProfile((0.5,), (1.0,))),),
-     "payouts": (Payout(ODD_ID, 1.0, 0.0, 1.0, 1.0),),
-     "scores": {ODD_ID: 1.0, "v00": 0.5}, "weights_after": {"z": 0.5, ODD_ID: 0.5},
+    {"roster": (), "rows": (), "paid": (), "verdicts": (), "latency_samples": (),
+     "neutralized": (), "events": ()},
+    {"roster": (ODD_ID, "v00", "z"), "proposer": ODD_ID, "neutralized": (ODD_ID,),
+     "rows": ((ODD_ID, ActionKind.VALIDATE, 1.0, 1.0, 1.0, MotivationProfile((0.5,), (1.0,)),
+               False),),
+     "paid": ((ODD_ID, 0.0, 1.0, 1.0),), "base": 1.0,
      "events": ({"kind": "join", "validator": ODD_ID},)},
     {"latency_samples": NON_FINITE + (1.0,), "confirm_ms": float("inf")},
-    {"scores": dict(zip(("d", "c", "b", "a"), NON_FINITE))},
-    {"weights_before": {"b": float("nan"), "a": 0.5}, "weights_after": {"a": -0.0},
-     "activeness": {"a": float("-inf")}},
-    {"behaviors": (BehaviorRecord("v01", 3, ActionKind.PROPOSE, float("nan"), -0.0, 1.0,
-                                  MotivationProfile((float("inf"), -0.0), (0.5, 0.5))),
-                   BehaviorRecord("v02", 3, ActionKind.PROPOSE, float("-inf"), 1.0, 0.0,
-                                  MotivationProfile((float("nan"),), (1.0,))))},
-    {"payouts": (Payout("v01", float("nan"), -0.0, float("inf"), float("-inf")),)},
+    {"roster": ("v00", "v01", "v02", "v03"), "roster_scores": list(NON_FINITE)},
+    {"roster_weights_before": [0.5, float("nan"), 0.25], "roster_weights_after": [-0.0, 0.5, 0.5],
+     "roster_activeness": [float("-inf"), 1.0, 0.5]},
+    {"rows": (("v01", ActionKind.PROPOSE, float("nan"), -0.0, 1.0,
+               MotivationProfile((float("inf"), -0.0), (0.5, 0.5)), False),
+              ("v02", ActionKind.PROPOSE, float("-inf"), 1.0, 0.0,
+               MotivationProfile((float("nan"),), (1.0,)), False))},
+    {"base": float("nan"), "paid": (("v01", -0.0, float("inf"), float("-inf")),)},
     # an int and a bool where a float belongs
-    {"confirm_ms": 7, "latency_samples": (1, 2.5, True), "scores": {"a": 1, "b": False},
-     "weights_after": {"a": True, "b": 0.5}, "payouts": (Payout("v01", 1, True, 0.5, 2),)},
-    {"behaviors": (BehaviorRecord("v01", 3, ActionKind.PROPOSE, 2, True, 0,
-                                  MotivationProfile((0.5, 0.25), (0.5, 0.5))),)},
+    {"confirm_ms": 7, "latency_samples": (1, 2.5, True), "roster_scores": [1, False, 0.5],
+     "roster_weights_after": [True, 0.5, 0.25], "base": 1, "paid": (("v01", True, 0.5, 2),)},
+    {"rows": (("v01", ActionKind.PROPOSE, 2, True, 0, MOTIVATION, False),)},
 ], ids=["plain", "unconfirmed", "empty", "odd-ids", "non-finite-latency",
         "non-finite-scores", "non-finite-weights", "non-finite-behaviors",
         "non-finite-payouts", "int-and-bool", "int-and-bool-behavior"])
