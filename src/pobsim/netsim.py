@@ -36,7 +36,7 @@ from .baseline_pos import (
 from .chain import Block, extend_chain, genesis_block
 from .config import ScenarioConfig, check_config
 from .errors import TraceError
-from .rewards import Payout, PoolSplit, RewardSchedule, distribute, split_pool
+from .rewards import Payout, PoolSplit, RewardSchedule, split_pool
 from .rng import RngHub
 from .scoring import (
     SINGLE_KIND_DIVERSITY,
@@ -50,8 +50,8 @@ from .scoring import (
     outcome_utility,
     total_utility,
 )
-from .watchdog import SuspicionReport, Verdict, process_epoch_suspicions
-from .weights import WeightTable, dampened_pick, ema_step, normalize, update_weights
+from .watchdog import Penalty, Verdict, process_epoch_suspicions, slash
+from .weights import WeightTable, dampened_pick, ema_step, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -601,38 +601,30 @@ def _epoch_facts(cols: BehaviorColumns, positions: list[int], betas: tuple[float
     return _EpochFacts(scores, sum(utilities), harmful, activeness, suspects)
 
 
-def _build_reports(state: _TrialState, epoch: int, cols: BehaviorColumns,
-                   facts: _EpochFacts) -> list[SuspicionReport]:
-    """Suspicion channel: harmful outcomes plus anomalous activity patterns."""
+def _sessions(state: _TrialState, cols: BehaviorColumns,
+              facts: _EpochFacts) -> list[tuple[int, int, int]]:
+    """Suspicion channel: a (subject position, row, reporter count) session per reported row.
+
+    Harmful rows come first, then the scripted-looking rows, each observed
+    by every other validator. Below `observe_prob` 1 each observer reports
+    on its own `observe` draw, and the count is the number that did; a row
+    no one reports convenes no session. At `observe_prob` 1 every observer
+    reports, but the count is recorded as 1.
+    """
     config = state.config
-    alive = state.alive
-    reports: list[SuspicionReport] = []
-    observe_rng = state.hub.stream("observe") if config.observe_prob < 1.0 else None
-
-    def add_reports(behavior: BehaviorRecord, index: int) -> None:
-        observers = [v for v in alive if v != behavior.actor]
-        if observe_rng is None:
-            if observers:
-                # All honest observers report; one record carries the count.
-                reports.append(
-                    SuspicionReport(behavior.actor, behavior, index, epoch, observers[0])
-                )
-        else:
-            for obs in observers:
-                if observe_rng.random() < config.observe_prob:
-                    reports.append(
-                        SuspicionReport(behavior.actor, behavior, index, epoch, obs)
-                    )
-
-    for index in facts.harmful:
-        add_reports(cols.record(index, alive), index)
-    for index, *participation in facts.suspects:
+    observers = len(state.alive) - 1
+    rows = list(facts.harmful)
+    for row, *participation in facts.suspects:
         if looks_scripted(*participation, config.anomaly_freq_threshold,
                           config.anomaly_quality_threshold):
-            behavior = cols.record(index, alive)
-            if outcome_utility(behavior) >= 0.0:
-                add_reports(behavior, index)
-    return reports
+            if outcome_utility(cols.record(row, state.alive)) >= 0.0:
+                rows.append(row)
+    if config.observe_prob < 1.0:
+        draw, p = state.hub.stream("observe").random, config.observe_prob
+        counts = [sum(draw() < p for _ in range(observers)) for _ in rows]
+    else:
+        counts = [min(observers, 1)] * len(rows)
+    return [(cols.actor[row], row, count) for row, count in zip(rows, counts) if count]
 
 
 def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
@@ -648,6 +640,7 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
     for vid in convicted:
         state.validators[vid].retired_epoch = epoch
         state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
+        state.hub.drop(f"behavior/{vid}", f"adversary/{vid}")  # respawns get fresh ids
     kept = [pos for pos, vid in enumerate(state.alive) if vid not in retired]
     rules.retire(kept)
     _set_roster(state, [state.alive[pos] for pos in kept])
@@ -693,28 +686,27 @@ class _PobRules:
     def review(self, state: _TrialState, epoch: int, behaviors: BehaviorColumns,
                facts: _EpochFacts, confirm_ms: Optional[float],
                ) -> tuple[Optional[float], tuple[Verdict, ...]]:
-        """Suspicion reports, the watchdog's delay on `confirm_ms`, and verdicts."""
+        """Suspicion sessions, the watchdog's delay on `confirm_ms`, and verdicts."""
         config = state.config
-        alive = state.alive
-        reports = _build_reports(state, epoch, behaviors, facts)
+        alive, validators = state.alive, state.validators
+        sessions = _sessions(state, behaviors, facts)
         committee_size = min(config.resolved_committee_size(), len(alive) - 1)
         if confirm_ms is not None:
             confirm_ms += config.processing_ms  # behavior-scoring stage
-            if reports:
+            if sessions:
                 delays = state.latency.draws(self.watchdog_rng, committee_size)
                 confirm_ms += config.processing_ms + (max(delays) if delays else 0.0)
-        if not reports:
+        if not sessions:
             return confirm_ms, ()
 
-        def vote_fn(member: str, behavior: BehaviorRecord, _rng: random.Random):
-            return state.validators[member].strategy.committee_vote(behavior.actor, behavior)
+        def vote_fn(member: int, behavior: BehaviorRecord) -> Optional[bool]:
+            return validators[alive[member]].strategy.committee_vote(behavior.actor, behavior)
 
-        table, verdicts = process_epoch_suspicions(
-            reports, WeightTable(dict(zip(alive, self.weights))), config.penalty_policy(),
-            config.theta, committee_size, self.committee_rng,
-            detection_accuracy=config.detection_accuracy, vote_fn=vote_fn,
-            offense_counts=state.offense_counts, eligible=alive)
-        self.weights = normalize(list(table.entries.values()))
+        weights, verdicts = process_epoch_suspicions(
+            sessions, alive, self.weights, behaviors, config.penalty_policy(), config.theta,
+            committee_size, self.committee_rng, state.offense_counts,
+            detection_accuracy=config.detection_accuracy, vote_fn=vote_fn)
+        self.weights = normalize(weights)
         return confirm_ms, tuple(verdicts)
 
     def settle(self, state: _TrialState, scores: list[float]) -> list[float]:
@@ -895,24 +887,23 @@ def replay_trace(
 def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[dict[str, float], tuple]:
     """Recompute an epoch's after-state from its recorded inputs.
 
-    Applies the recorded verdicts and re-runs the pure scoring, weight and
-    reward operations. Must reproduce the recorded weights and payouts
-    bit-exactly; anything else means the ledger or the pipeline drifted.
+    Applies the recorded verdicts and re-runs the trial's scoring, slash,
+    weight and reward kernels. Must reproduce the recorded weights and
+    payouts bit-exactly; anything else means the ledger or the pipeline drifted.
     """
     if ledger.protocol != "pob":
         raise ValueError("ledger replay is defined for the behavior-weighted protocol")
-    from .watchdog import Penalty, apply_penalty
-
-    table = WeightTable(dict(ledger.weights_before), ledger.epoch)
-    alive = sorted(ledger.weights_before)
-    scores = {v: 0.0 for v in alive}
-    for b in ledger.behaviors:
-        scores[b.actor] += total_utility(b)
+    roster = ledger.roster
+    weights = list(ledger.roster_weights_before)
+    scores = [0.0] * len(roster)
+    for actor, b in zip(ledger.behavior_rows.actor, ledger.behaviors):
+        scores[actor] += total_utility(b)
     if ledger.verdicts:
         for v in ledger.verdicts:
             if v.guilty:
-                table = apply_penalty(table, v.subject, Penalty(v.penalty_kind, v.penalty_value))
-        table = table.normalized()
-    table = update_weights(table, scores, config.rho)
-    payouts = tuple(distribute(_reward_schedule(config), table, scores, ledger.activeness))
-    return dict(table.entries), payouts
+                at = bisect_left(roster, v.subject)
+                weights[at] = slash(weights[at], Penalty(v.penalty_kind, v.penalty_value))
+        weights = normalize(weights)
+    weights = ema_step(weights, scores, config.rho)
+    split = split_pool(_reward_schedule(config), weights, scores, ledger.roster_activeness)
+    return dict(zip(roster, weights)), split.records(roster)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import RewardPoolError
-from .weights import WeightTable
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,6 @@ class PoolSplit:
     def records(self, roster: Sequence[str]) -> tuple[Payout, ...]:
         return tuple(map(Payout, map(roster.__getitem__, self.actives), repeat(self.base),
                          self.bonus, self.multiplier, self.total))
-
-
-def distribute(schedule: RewardSchedule, table: WeightTable, epoch_scores: Mapping[str, float],
-               activeness: Mapping[str, float] | None = None) -> list[Payout]:
-    """`split_pool` over the active ids in sorted order; missing activeness counts as 0.
-
-    Only active ids are looked up in `table`, so an inactive id needs no entry.
-    """
-    threshold = schedule.activity_threshold
-    ids = sorted([v for v, score in epoch_scores.items() if score > threshold])
-    activeness_of = activeness.get if activeness is not None else {}.get
-    split = split_pool(schedule, [table.entries[v] for v in ids], [epoch_scores[v] for v in ids],
-                       [activeness_of(v, 0.0) for v in ids])
-    return list(split.records(ids))
 
 
 def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Sequence[float],

@@ -33,3 +33,8 @@ class RngHub:
             rng = random.Random(derive_seed(self.root_seed, name))
             self._streams[name] = rng
         return rng
+
+    def drop(self, *names: str) -> None:
+        """Forget the named streams; a later `stream` call would restart one from its seed."""
+        for name in names:
+            self._streams.pop(name, None)

@@ -4,7 +4,7 @@ Suspicious behaviors are judged by committees sampled from the other
 validators. A verdict is guilty when the malicious-vote fraction reaches
 the threshold theta (compared as an exact rational, so a 2/3 bar cannot
 be flipped by float rounding). Guilty verdicts slash the subject's weight
-through the `weights` operations, with escalation for repeat offenders.
+in the roster-aligned weight list, with escalation for repeat offenders.
 """
 
 from __future__ import annotations
@@ -12,29 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .scoring import ActionKind, BehaviorRecord, outcome_utility
-from .weights import WeightTable, apply_additive_slash, apply_multiplicative_slash
-
-# vote_fn(member_id, behavior, rng) -> True (malicious) / False / None.
-# None means "no strategy override": fall back to the honest vote model.
-VoteFn = Callable[[str, BehaviorRecord, random.Random], Optional[bool]]
-
-
-@dataclass(frozen=True)
-class SuspicionReport:
-    """A validator flagging one behavior for committee review."""
-
-    subject: str
-    behavior: BehaviorRecord
-    behavior_index: int
-    epoch: int
-    reporter: str
-
-    def __post_init__(self):
-        if self.subject != self.behavior.actor:
-            raise ValueError("report subject must match the behavior's actor")
+from .scoring import ActionKind, BehaviorColumns, BehaviorRecord, outcome_utility
 
 
 @dataclass(frozen=True)
@@ -96,21 +76,6 @@ class PenaltyPolicy:
         return self.escalation[idx]
 
 
-def form_committee(
-    validators: Iterable[str],
-    subject: str,
-    size: int,
-    rng: random.Random,
-) -> set[str]:
-    """Uniform sample of `size` distinct validators, never the subject."""
-    pool = sorted(v for v in validators if v != subject)
-    if size < 0:
-        raise ValueError("committee size must be >= 0")
-    if size > len(pool):
-        raise ValueError(f"committee size {size} exceeds eligible pool of {len(pool)}")
-    return set(rng.sample(pool, size))
-
-
 def committee_vote(
     member: str,
     behavior: BehaviorRecord,
@@ -159,82 +124,69 @@ def compute_penalty(policy: PenaltyPolicy, behavior: BehaviorRecord, offense_cou
     return Penalty("multiplicative", policy.rho_p**esc)
 
 
-def apply_penalty(table: WeightTable, target: str, penalty: Penalty) -> WeightTable:
-    if penalty.kind == "additive":
-        return apply_additive_slash(table, target, penalty.value)
-    if penalty.kind == "multiplicative":
-        return apply_multiplicative_slash(table, target, penalty.value)
-    if penalty.kind == "full":
-        return apply_multiplicative_slash(table, target, 0.0)
-    raise ValueError(f"unknown penalty kind {penalty.kind!r}")
+def slash(weight: float, penalty: Penalty) -> float:
+    """The weight left after `penalty`: additive removes a `value` >= 0, floored at
+    zero; multiplicative keeps a `value` fraction in [0, 1); full leaves nothing."""
+    kind, value = penalty.kind, penalty.value
+    if kind == "additive" and value >= 0:
+        return max(0.0, weight - value)
+    if kind == "multiplicative" and 0.0 <= value < 1.0:
+        return weight * value
+    if kind == "full":
+        return 0.0
+    raise ValueError(f"no slash for {penalty!r}")
 
 
 def process_epoch_suspicions(
-    reports: Sequence[SuspicionReport],
-    table: WeightTable,
+    sessions: Sequence[tuple[int, int, int]],
+    roster: Sequence[str],
+    weights: Sequence[float],
+    cols: BehaviorColumns,
     policy: PenaltyPolicy,
     theta: Fraction,
     committee_size: int,
     rng: random.Random,
+    offense_counts: dict[str, int],
     *,
     detection_accuracy: float = 1.0,
-    vote_fn: Optional[VoteFn] = None,
-    offense_counts: Optional[dict[str, int]] = None,
-    eligible: Optional[Iterable[str]] = None,
-) -> tuple[WeightTable, list[Verdict]]:
-    """Convene one committee per distinct reported behavior and apply verdicts.
+    vote_fn: Optional[Callable[[int, BehaviorRecord], Optional[bool]]] = None,
+) -> tuple[list[float], list[Verdict]]:
+    """Convene one committee per session and apply its verdict.
 
-    Reports about the same behavior are merged into a single session (the
-    reporter count is kept for the record). Sessions run in deterministic
-    order: (epoch, subject, behavior index). Guilty verdicts slash the
-    subject and bump its offense count in `offense_counts` (mutated in
-    place when provided).
+    A session is (subject position, row of `cols`, reporter count).
+    Positions index the sorted `roster`, and `weights` is aligned with
+    it. Sessions run in (subject position, row) order, which is (subject
+    id, behavior index) order. Each committee is `rng.sample` of
+    `committee_size` roster positions without the subject's, and its
+    members vote in ascending position. `vote_fn(member position,
+    behavior)` may override a vote; None falls back to the honest vote
+    model. Guilty verdicts slash the subject in a copy of `weights` and
+    bump its offense count in `offense_counts`, in place.
     """
-    if offense_counts is None:
-        offense_counts = {}
-    pool = sorted(eligible) if eligible is not None else table.ids()
-
-    sessions: dict[tuple[int, str, int], list[SuspicionReport]] = {}
-    for r in reports:
-        sessions.setdefault((r.epoch, r.subject, r.behavior_index), []).append(r)
-
+    weights = list(weights)
+    others = len(roster) - 1
     verdicts: list[Verdict] = []
-    for key in sorted(sessions):
-        epoch, subject, behavior_index = key
-        group = sessions[key]
-        behavior = group[0].behavior
-        members = form_committee(pool, subject, committee_size, rng)
+    for subject_pos, row, reporters in sorted(sessions):
+        subject = roster[subject_pos]
+        behavior = cols.record(row, roster)
+        # Index m of the roster without the subject is position m, or m + 1 past the subject.
+        members = sorted(m + (m >= subject_pos) for m in rng.sample(range(others), committee_size))
         votes: list[bool] = []
-        for member in sorted(members):
-            vote = vote_fn(member, behavior, rng) if vote_fn is not None else None
+        for member in members:
+            vote = vote_fn(member, behavior) if vote_fn is not None else None
             if vote is None:
-                vote = committee_vote(member, behavior, detection_accuracy, rng)
+                vote = committee_vote(roster[member], behavior, detection_accuracy, rng)
             votes.append(vote)
         guilty, phi_x = decide(votes, theta) if votes else (False, Fraction(0))
-        removed = 0.0
-        penalty_kind = ""
-        penalty_value = 0.0
+        removed, penalty = 0.0, Penalty("", 0.0)
         if guilty:
             count = offense_counts.get(subject, 0)
             penalty = compute_penalty(policy, behavior, count)
-            before = table.weight(subject)
-            table = apply_penalty(table, subject, penalty)
-            removed = before - table.weight(subject)
+            before = weights[subject_pos]
+            weights[subject_pos] = slash(before, penalty)
+            removed = before - weights[subject_pos]
             offense_counts[subject] = count + 1
-            penalty_kind = penalty.kind
-            penalty_value = penalty.value
-        verdicts.append(
-            Verdict(
-                subject=subject,
-                epoch=epoch,
-                behavior_index=behavior_index,
-                malicious_fraction=float(phi_x),
-                committee_size=len(votes),
-                guilty=guilty,
-                penalty_applied=removed,
-                penalty_kind=penalty_kind,
-                penalty_value=penalty_value,
-                reporter_count=len(group),
-            )
-        )
-    return table, verdicts
+        verdicts.append(Verdict(
+            subject, cols.epoch, row, float(phi_x), len(votes), guilty, removed,
+            penalty_kind=penalty.kind, penalty_value=penalty.value, reporter_count=reporters))
+    return weights, verdicts

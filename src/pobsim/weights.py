@@ -1,9 +1,9 @@
-"""Validator weight table: EMA update, slashing, and dampened leader election.
+"""Validator weights: EMA update, normalization and dampened leader election.
 
 Weights are relative influence. The per-epoch update retains a (1 - rho)
 share of the old weight and folds in a rho share of the validator's slice
-of the epoch's clamped utility. Tables are values: every operation
-returns a new table and never mutates its input.
+of the epoch's clamped utility. The kernels work on lists aligned with
+the roster; `WeightTable` is an immutable {id: weight} snapshot over them.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class WeightTable:
             if w < 0:
                 raise ValueError(f"weight of {vid} is negative ({w})")
 
-    def weight(self, vid: str) -> float:
-        return self.entries[vid]
-
     @property
     def total(self) -> float:
         """The summed weight, in entry order (sorted by id wherever netsim builds a table)."""
@@ -37,14 +34,6 @@ class WeightTable:
 
     def ids(self) -> list[str]:
         return sorted(self.entries)
-
-    def normalized(self) -> "WeightTable":
-        """Rescale to unit sum; uniform fallback when all mass is gone."""
-        if not self.entries:
-            return self
-        return WeightTable(dict(zip(self.entries, normalize(list(self.entries.values())))),
-                           self.epoch)
-
 
 
 def normalize(weights: Sequence[float]) -> list[float]:
@@ -81,28 +70,6 @@ def ema_step(weights: Sequence[float], scores: Sequence[float], rho: float) -> l
     if total > 0.0:
         return [keep * w + rho * (c / total) for w, c in zip(weights, clamped)]
     return [keep * w + rho * (1.0 / len(weights)) for w in weights]
-
-
-def apply_additive_slash(table: WeightTable, target: str, delta_w: float) -> WeightTable:
-    """Subtract `delta_w` from the target's weight, floored at zero."""
-    if target not in table.entries:
-        raise KeyError(f"unknown validator {target!r}")
-    if delta_w < 0:
-        raise ValueError("delta_w must be >= 0")
-    entries = dict(table.entries)
-    entries[target] = max(0.0, entries[target] - delta_w)
-    return WeightTable(entries, table.epoch)
-
-
-def apply_multiplicative_slash(table: WeightTable, target: str, rho_p: float) -> WeightTable:
-    """Scale the target's weight by the retained fraction `rho_p`."""
-    if target not in table.entries:
-        raise KeyError(f"unknown validator {target!r}")
-    if not 0.0 <= rho_p < 1.0:
-        raise ValueError(f"rho_p {rho_p} outside [0, 1)")
-    entries = dict(table.entries)
-    entries[target] = entries[target] * rho_p
-    return WeightTable(entries, table.epoch)
 
 
 def select_proposer(

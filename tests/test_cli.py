@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pobsim
 from pobsim.adversaries import StrategySpec
 from pobsim.cli import main
 from pobsim.config import RosterEntry, echo_config, loads_config, with_overrides
@@ -227,6 +232,15 @@ def test_integral_float_count_is_kept_as_written():
                                     "kind: griefing, params: {empty_block_run: 4.0}"))
     assert cfg.roster[0].spec.params == {"empty_block_run": 4.0}
     assert "empty_block_run: 4.0" in echo_config(cfg)
+
+
+def test_python_dash_m_pobsim_help():
+    src = str(Path(pobsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "pobsim", "--help"], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout
 
 
 class TestPresetLibrary:

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from pobsim.config import ScenarioConfig, RosterEntry
+from pobsim.config import PenaltySettings, ScenarioConfig, RosterEntry, with_overrides
 from pobsim.adversaries import StrategySpec
 from pobsim.errors import ConfigError, TraceError
 from pobsim import chain, netsim
+from pobsim.presets import builtin_presets
 from pobsim.rng import RngHub
 from pobsim.netsim import (
     LatencyModel,
@@ -288,13 +289,16 @@ class TestRunTrial:
             if l.payouts:
                 assert math.isclose(total, cfg.r_total, abs_tol=1e-9)
 
-    def test_ledger_replay_reproduces_after_state(self):
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_ledger_replay_reproduces_after_state(self, mode):
         cfg = small_config(
             epochs=60,
             roster=(RosterEntry(9, 10, StrategySpec("stealth", {"fraud_rate": 0.2})),),
+            penalty=PenaltySettings(mode=mode),
         )
         ledgers = run_trial(cfg, 11)
-        assert any(l.verdicts for l in ledgers)  # make sure slashes happened
+        # make sure slashes of this mode happened
+        assert any(v.penalty_kind == mode for l in ledgers for v in l.verdicts)
         for l in ledgers:
             weights, payouts = replay_epoch(l, cfg)
             assert weights == l.weights_after
@@ -323,6 +327,26 @@ class TestRunTrial:
         spawned = {e["id"] for l in ledgers for e in l.events if e.get("kind") == "join"}
         assert spawned  # replacements actually happened
         assert all(l.proposer not in spawned for l in ledgers)
+
+    def test_retired_sybils_leave_no_streams(self, monkeypatch):
+        hubs = []
+
+        class RecordingHub(RngHub):
+            def __init__(self, root_seed):
+                super().__init__(root_seed)
+                hubs.append(self)
+
+        monkeypatch.setattr(netsim, "RngHub", RecordingHub)
+        cfg = with_overrides(builtin_presets()["case-d-adaptive-sybil"].build(), epochs=100,
+                             trials=1)
+        ledgers = run_trial(cfg, cfg.seed, protocol="pob")
+        retired = {e["id"] for l in ledgers for e in l.events if e["kind"] == "retire"}
+        (hub,) = hubs
+        owners = {name.split("/", 1)[1] for name in hub._streams
+                  if name.startswith(("behavior/", "adversary/"))}
+        assert retired
+        assert not owners & retired
+        assert owners <= set(ledgers[-1].roster)
 
     def test_partial_observation_probability(self):
         # with observe_prob 0 nobody files reports, so nothing is convicted

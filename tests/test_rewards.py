@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.errors import RewardPoolError
-from pobsim.rewards import Payout, RewardSchedule, distribute
-from pobsim.weights import WeightTable
+from pobsim.rewards import Payout, RewardSchedule, split_pool
+
+
+def payouts_of(schedule, weights, scores, activeness=None):
+    """`split_pool`'s payouts by id, over the sorted ids of `weights`."""
+    roster = sorted(weights)
+    activeness = activeness or {}
+    split = split_pool(schedule, [weights[v] for v in roster], [scores[v] for v in roster],
+                       [activeness.get(v, 0.0) for v in roster])
+    return {p.validator: p for p in split.records(roster)}
 
 
 def paid(epoch_scores, beta):
-    """The active set as distribute pays it: the validators that get a payout."""
+    """The active set as split_pool pays it: the validators that get a payout."""
     schedule = RewardSchedule(total_reward=100.0, base_reward=1.0, activity_threshold=beta)
-    table = WeightTable(dict.fromkeys(epoch_scores, 1.0))
-    return {p.validator for p in distribute(schedule, table, epoch_scores)}
+    return set(payouts_of(schedule, dict.fromkeys(epoch_scores, 1.0), epoch_scores))
 
 
 class TestActiveSet:
@@ -29,69 +36,65 @@ class TestActiveSet:
         assert paid(scores, beta=0.45) == {"a", "b"}
 
     def test_payouts_in_id_order(self):
-        scores = {"c": 1.0, "a": 1.0, "d": -1.0, "b": 1.0}
-        table = WeightTable(dict.fromkeys(scores, 0.25))
-        payouts = distribute(RewardSchedule(total_reward=10.0, base_reward=1.0), table, scores)
-        assert [p.validator for p in payouts] == ["a", "b", "c"]
+        # the roster is sorted by id, and payouts keep roster order
+        split = split_pool(RewardSchedule(total_reward=10.0, base_reward=1.0), [0.25] * 4,
+                           [1.0, 1.0, 1.0, -1.0], [0.0] * 4)
+        assert split.actives == [0, 1, 2]
+        assert [p.validator for p in split.records(["a", "b", "c", "d"])] == ["a", "b", "c"]
 
 
 class TestDistribute:
     def test_single_active_gets_whole_pool(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
-        table = WeightTable({"a": 0.5, "b": 0.5})
-        payouts = distribute(schedule, table, {"a": 1.0, "b": -1.0})
-        assert len(payouts) == 1
-        assert payouts[0].total == pytest.approx(100.0)
+        payouts = payouts_of(schedule, {"a": 0.5, "b": 0.5}, {"a": 1.0, "b": -1.0})
+        assert list(payouts) == ["a"]
+        assert payouts["a"].total == pytest.approx(100.0)
 
     def test_hand_worked_split(self):
         # bonus = 100 - 2*10 = 80; a: 10 + 80*0.75 = 70; b: 10 + 80*0.25 = 30
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
-        table = WeightTable({"a": 0.75, "b": 0.25})
-        payouts = {p.validator: p for p in distribute(schedule, table, {"a": 1.0, "b": 1.0})}
+        payouts = payouts_of(schedule, {"a": 0.75, "b": 0.25}, {"a": 1.0, "b": 1.0})
         assert payouts["a"].total == pytest.approx(70.0)
         assert payouts["b"].total == pytest.approx(30.0)
 
-    def test_inactive_id_needs_no_table_entry(self):
+    def test_inactive_weight_is_ignored(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
-        payouts = distribute(schedule, WeightTable({"a": 1.0}), {"a": 1.0, "ghost": 0.0})
-        assert [p.validator for p in payouts] == ["a"]
-        assert payouts[0].total == pytest.approx(100.0)
+        payouts = payouts_of(schedule, {"a": 1.0, "ghost": 5.0}, {"a": 1.0, "ghost": 0.0})
+        assert list(payouts) == ["a"]
+        assert payouts["a"].total == pytest.approx(100.0)
 
     def test_no_active_validators(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
-        assert distribute(schedule, WeightTable({"a": 1.0}), {"a": -1.0}) == []
+        split = split_pool(schedule, [1.0], [-1.0], [0.0])
+        assert split.actives == [] and split.records(["a"]) == ()
 
     def test_insufficient_pool(self):
         schedule = RewardSchedule(total_reward=15.0, base_reward=10.0)
-        table = WeightTable({"a": 0.5, "b": 0.5})
         with pytest.raises(RewardPoolError):
-            distribute(schedule, table, {"a": 1.0, "b": 1.0})
+            split_pool(schedule, [0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
 
     def test_zero_weight_actives_split_bonus_uniformly(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
-        table = WeightTable({"a": 0.0, "b": 0.0})
-        payouts = {p.validator: p for p in distribute(schedule, table, {"a": 1.0, "b": 1.0})}
+        payouts = payouts_of(schedule, {"a": 0.0, "b": 0.0}, {"a": 1.0, "b": 1.0})
         assert payouts["a"].total == pytest.approx(50.0)
         assert payouts["b"].total == pytest.approx(50.0)
 
     def test_zero_weight_active_gets_exactly_base(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
-        table = WeightTable({"a": 1.0, "b": 0.0})
-        payouts = {p.validator: p for p in distribute(schedule, table, {"a": 1.0, "b": 1.0})}
+        payouts = payouts_of(schedule, {"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 1.0})
         assert payouts["b"].total == pytest.approx(10.0)
 
     def test_activeness_multiplier(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0, activeness_epsilon=0.5)
-        table = WeightTable({"a": 1.0})
-        payouts = distribute(schedule, table, {"a": 1.0}, activeness={"a": 0.8})
-        p = payouts[0]
+        p = payouts_of(schedule, {"a": 1.0}, {"a": 1.0}, activeness={"a": 0.8})["a"]
         assert p.activeness_multiplier == pytest.approx(1.4)
         assert p.total == pytest.approx((p.base + p.bonus) * 1.4)
 
     def test_payout_invariant_total(self):
         schedule = RewardSchedule(total_reward=60.0, base_reward=5.0, activeness_epsilon=0.2)
-        table = WeightTable({"a": 0.6, "b": 0.4})
-        for p in distribute(schedule, table, {"a": 1.0, "b": 2.0}, {"a": 0.5, "b": 1.0}):
+        payouts = payouts_of(schedule, {"a": 0.6, "b": 0.4}, {"a": 1.0, "b": 2.0},
+                             {"a": 0.5, "b": 1.0})
+        for p in payouts.values():
             assert p.total == pytest.approx((p.base + p.bonus) * p.activeness_multiplier)
 
     @given(
@@ -99,27 +102,20 @@ class TestDistribute:
         st.lists(st.floats(-2.0, 5.0), min_size=10, max_size=10),
     )
     def test_conservation_at_zero_epsilon(self, weights, scores):
-        ids = [f"v{i}" for i in range(10)]
-        table = WeightTable(dict(zip(ids, weights + [0.0] * (10 - len(weights)))))
-        score_map = dict(zip(ids, scores))
         schedule = RewardSchedule(total_reward=100.0, base_reward=1.0)
-        payouts = distribute(schedule, table, score_map)
-        if payouts:
-            assert math.isclose(sum(p.total for p in payouts), 100.0, abs_tol=1e-9)
+        split = split_pool(schedule, weights + [0.0] * (10 - len(weights)), scores, [0.0] * 10)
+        if split.actives:
+            assert math.isclose(sum(split.total), 100.0, abs_tol=1e-9)
 
     def test_monotone_in_weight_among_equal_activeness(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=5.0)
-        table = WeightTable({"a": 0.5, "b": 0.3, "c": 0.2})
-        scores = {"a": 1.0, "b": 1.0, "c": 1.0}
-        payouts = {p.validator: p.total for p in distribute(schedule, table, scores)}
-        assert payouts["a"] >= payouts["b"] >= payouts["c"]
+        split = split_pool(schedule, [0.5, 0.3, 0.2], [1.0, 1.0, 1.0], [0.0] * 3)
+        assert split.total[0] >= split.total[1] >= split.total[2]
 
     def test_floor_at_base_reward(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=7.0)
-        table = WeightTable({"a": 1.0, "b": 0.0, "c": 0.0})
-        scores = {"a": 1.0, "b": 0.5, "c": 0.5}
-        for p in distribute(schedule, table, scores):
-            assert p.total >= 7.0 - 1e-12
+        split = split_pool(schedule, [1.0, 0.0, 0.0], [1.0, 0.5, 0.5], [0.0] * 3)
+        assert all(total >= 7.0 - 1e-12 for total in split.total)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

@@ -5,19 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile
+from pobsim.scoring import ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile
 from pobsim.watchdog import (
     Penalty,
     PenaltyPolicy,
-    SuspicionReport,
-    apply_penalty,
     committee_vote,
     compute_penalty,
     decide,
-    form_committee,
     process_epoch_suspicions,
+    slash,
 )
-from pobsim.weights import WeightTable
 
 MOT = MotivationProfile((0.0,), (1.0,))
 
@@ -29,28 +26,54 @@ def behavior(actor="x", u_b=-1.0, kind=ActionKind.FRAUD, epoch=0):
     )
 
 
+def seated(roster, subject, size, rng):
+    """The ids of the committee one session on `subject` convenes, in voting order."""
+    members = []
+
+    def vote_fn(member, behavior):
+        members.append(roster[member])
+        return True
+
+    at = roster.index(subject)
+    cols = BehaviorColumns(0)
+    cols.add(at, ActionKind.FRAUD, -1.0, 1.0, 1.0, MOT)
+    process_epoch_suspicions([(at, 0, 1)], roster, [1.0] * len(roster), cols, PenaltyPolicy(),
+                             Fraction(2, 3), size, rng, {}, vote_fn=vote_fn)
+    return members
+
+
 class TestFormCommittee:
     def test_full_complement(self):
-        got = form_committee(["a", "b", "c", "d"], "a", 3, random.Random(0))
-        assert got == {"b", "c", "d"}
+        assert seated(["a", "b", "c", "d"], "a", 3, random.Random(0)) == ["b", "c", "d"]
 
     def test_size_zero(self):
-        assert form_committee(["a", "b"], "a", 0, random.Random(0)) == set()
+        assert seated(["a", "b"], "a", 0, random.Random(0)) == []
 
     def test_size_too_large(self):
         with pytest.raises(ValueError):
-            form_committee(["a", "b", "c"], "a", 3, random.Random(0))
+            seated(["a", "b", "c"], "a", 3, random.Random(0))
 
     def test_subject_never_member(self):
-        validators = [f"v{i}" for i in range(20)]
+        validators = [f"v{i:02d}" for i in range(20)]
         rng = random.Random(5)
         for _ in range(500):
-            assert "v7" not in form_committee(validators, "v7", 8, rng)
+            assert "v07" not in seated(validators, "v07", 8, rng)
 
     def test_members_distinct(self):
         rng = random.Random(2)
-        members = form_committee([f"v{i}" for i in range(50)], "v0", 30, rng)
-        assert len(members) == 30
+        members = seated([f"v{i:02d}" for i in range(50)], "v00", 30, rng)
+        assert len(set(members)) == len(members) == 30
+
+    def test_same_members_as_a_sample_of_the_sorted_other_ids(self):
+        # random.sample's draws depend only on the pool's length and k, so
+        # sampling positions seats whom sampling the sorted ids would.
+        ids = [f"v{i:02d}" for i in range(30)]
+        rng = random.Random(9)
+        twin = random.Random()
+        for subject in ("v00", "v13", "v29", "v13"):
+            twin.setstate(rng.getstate())
+            expected = sorted(twin.sample(sorted(v for v in ids if v != subject), 7))
+            assert seated(ids, subject, 7, rng) == expected
 
 
 class TestCommitteeVote:
@@ -148,91 +171,79 @@ class TestComputePenalty:
 
 class TestApplyPenalty:
     def test_additive_composition(self):
-        table = WeightTable({"x": 0.4, "y": 0.6})
-        out = apply_penalty(table, "x", Penalty("additive", 0.1))
-        assert out.entries["x"] == pytest.approx(0.3)
+        assert slash(0.4, Penalty("additive", 0.1)) == pytest.approx(0.3)
 
     def test_full_wipes_weight(self):
-        table = WeightTable({"x": 0.4})
-        assert apply_penalty(table, "x", Penalty("full", 0.0)).entries["x"] == 0.0
+        assert slash(0.4, Penalty("full", 0.0)) == 0.0
 
 
-def _reports(b, reporters=("r",), index=0):
-    return [SuspicionReport(b.actor, b, index, b.epoch, r) for r in reporters]
+ROSTER = ["a", "b", "c", "x"]
+
+
+def columns(*rows):
+    """Epoch-0 behavior columns over ROSTER, one row per (actor id, base utility, kind)."""
+    cols = BehaviorColumns(0)
+    for actor, u_b, kind in rows:
+        cols.add(ROSTER.index(actor), kind, u_b, 1.0, 1.0, MOT)
+    return cols
 
 
 class TestProcessEpochSuspicions:
     def setup_method(self):
-        self.table = WeightTable({"x": 0.4, "a": 0.2, "b": 0.2, "c": 0.2})
+        self.weights = [0.2, 0.2, 0.2, 0.4]  # x holds 0.4
         self.policy = PenaltyPolicy(base_coefficient=1.0)
 
+    def review(self, sessions, cols, weights=None, policy=None, rng=None, counts=None):
+        return process_epoch_suspicions(
+            sessions, ROSTER, self.weights if weights is None else weights, cols,
+            policy or self.policy, Fraction(2, 3), 3, rng or random.Random(0),
+            {} if counts is None else counts, detection_accuracy=1.0)
+
     def test_no_reports(self):
-        table, verdicts = process_epoch_suspicions(
-            [], self.table, self.policy, Fraction(2, 3), 3, random.Random(0)
-        )
-        assert table.entries == self.table.entries
+        weights, verdicts = self.review([], columns())
+        assert weights == self.weights
         assert verdicts == []
 
     def test_guilty_composition(self):
-        # decide + compute_penalty + apply_additive_slash:
+        # decide + compute_penalty + slash:
         # unanimous committee, penalty 1.0 * |-0.1| = 0.1 on weight 0.4
-        b = behavior(actor="x", u_b=-0.1)
         counts = {}
-        table, verdicts = process_epoch_suspicions(
-            _reports(b), self.table, self.policy, Fraction(2, 3), 3,
-            random.Random(0), detection_accuracy=1.0, offense_counts=counts,
-        )
-        assert table.entries["x"] == pytest.approx(0.3)
+        weights, verdicts = self.review([(3, 0, 1)], columns(("x", -0.1, ActionKind.FRAUD)),
+                                        counts=counts)
+        assert weights[3] == pytest.approx(0.3)
+        assert self.weights[3] == 0.4  # the input list is left as it was
         assert len(verdicts) == 1
         v = verdicts[0]
         assert v.guilty and v.malicious_fraction == 1.0
+        assert (v.subject, v.epoch, v.behavior_index, v.committee_size) == ("x", 0, 0, 3)
         assert v.penalty_applied == pytest.approx(0.1)
         assert counts == {"x": 1}
 
     def test_not_guilty_leaves_table(self):
-        b = behavior(actor="x", u_b=0.5, kind=ActionKind.PROPOSE)
-        table, verdicts = process_epoch_suspicions(
-            _reports(b), self.table, self.policy, Fraction(2, 3), 3,
-            random.Random(0), detection_accuracy=1.0,
-        )
-        assert table.entries == self.table.entries
+        weights, verdicts = self.review([(3, 0, 1)], columns(("x", 0.5, ActionKind.PROPOSE)))
+        assert weights == self.weights
         assert verdicts[0].guilty is False
         assert verdicts[0].penalty_applied == 0.0
 
     def test_duplicate_reports_one_session(self):
-        b = behavior(actor="x", u_b=-0.1)
-        table, verdicts = process_epoch_suspicions(
-            _reports(b, reporters=("a", "b", "c")), self.table, self.policy,
-            Fraction(2, 3), 3, random.Random(0), detection_accuracy=1.0,
-        )
+        # three reporters of one behavior: one session records them all
+        weights, verdicts = self.review([(3, 0, 3)], columns(("x", -0.1, ActionKind.FRAUD)))
         assert len(verdicts) == 1
         assert verdicts[0].reporter_count == 3
         # one slash, not three
-        assert table.entries["x"] == pytest.approx(0.3)
+        assert weights[3] == pytest.approx(0.3)
 
     def test_deterministic_session_order(self):
-        b1 = behavior(actor="x", u_b=-0.1)
-        b2 = behavior(actor="a", u_b=-0.2)
-        reports = _reports(b2, index=1) + _reports(b1, index=0)
-        _, verdicts = process_epoch_suspicions(
-            reports, self.table, self.policy, Fraction(2, 3), 3,
-            random.Random(0), detection_accuracy=1.0,
-        )
+        cols = columns(("x", -0.1, ActionKind.FRAUD), ("a", -0.2, ActionKind.FRAUD))
+        _, verdicts = self.review([(3, 0, 1), (0, 1, 1)], cols)
         assert [(v.subject, v.behavior_index) for v in verdicts] == [("a", 1), ("x", 0)]
 
     def test_offense_count_escalates_across_calls(self):
         policy = PenaltyPolicy(base_coefficient=1.0, escalation=(1.0, 3.0))
         counts = {}
-        table = WeightTable({"x": 1.0, "a": 1.0, "b": 1.0, "c": 1.0})
-        b = behavior(actor="x", u_b=-0.1)
-        table, v1 = process_epoch_suspicions(
-            _reports(b), table, policy, Fraction(2, 3), 3, random.Random(0),
-            detection_accuracy=1.0, offense_counts=counts,
-        )
-        table, v2 = process_epoch_suspicions(
-            _reports(b), table, policy, Fraction(2, 3), 3, random.Random(1),
-            detection_accuracy=1.0, offense_counts=counts,
-        )
+        cols = columns(("x", -0.1, ActionKind.FRAUD))
+        weights, v1 = self.review([(3, 0, 1)], cols, [1.0] * 4, policy, random.Random(0), counts)
+        _, v2 = self.review([(3, 0, 1)], cols, weights, policy, random.Random(1), counts)
         assert v1[0].penalty_applied == pytest.approx(0.1)
         assert v2[0].penalty_applied == pytest.approx(0.3)
         assert counts == {"x": 2}

@@ -1,18 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.errors import DegenerateElectionError
 from pobsim.metrics import election_prob
-from pobsim.weights import (
-    WeightTable,
-    apply_additive_slash,
-    apply_multiplicative_slash,
-    select_proposer,
-    update_weights,
-)
+from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
+from pobsim.watchdog import Penalty, PenaltyPolicy, compute_penalty, process_epoch_suspicions, slash
+from pobsim.weights import WeightTable, normalize, select_proposer, update_weights
 
 
 class TestWeightTable:
@@ -21,13 +18,12 @@ class TestWeightTable:
             WeightTable({"a": -0.1})
 
     def test_normalized_unit_sum(self):
-        t = WeightTable({"a": 2.0, "b": 6.0}).normalized()
-        assert math.isclose(t.total, 1.0, abs_tol=1e-12)
-        assert math.isclose(t.entries["a"], 0.25, abs_tol=1e-12)
+        w = normalize([2.0, 6.0])
+        assert math.isclose(sum(w), 1.0, abs_tol=1e-12)
+        assert math.isclose(w[0], 0.25, abs_tol=1e-12)
 
     def test_normalized_zero_mass_falls_back_to_uniform(self):
-        t = WeightTable({"a": 0.0, "b": 0.0}).normalized()
-        assert t.entries == {"a": 0.5, "b": 0.5}
+        assert normalize([0.0, 0.0]) == [0.5, 0.5]
 
 
 class TestUpdateWeights:
@@ -88,49 +84,56 @@ class TestUpdateWeights:
         assert all(w >= 0 for w in out.entries.values())
 
 
+def additive(delta_w):
+    return Penalty("additive", delta_w)
+
+
+def multiplicative(rho_p):
+    return Penalty("multiplicative", rho_p)
+
+
 class TestSlashes:
     def test_additive_subtraction(self):
-        t = WeightTable({"a": 0.4, "b": 0.6})
-        assert apply_additive_slash(t, "a", 0.1).entries["a"] == pytest.approx(0.3)
+        assert slash(0.4, additive(0.1)) == pytest.approx(0.3)
 
     def test_additive_floors_at_zero(self):
-        t = WeightTable({"a": 0.05})
-        assert apply_additive_slash(t, "a", 0.2).entries["a"] == 0.0
+        assert slash(0.05, additive(0.2)) == 0.0
 
     def test_additive_zero_is_identity(self):
-        t = WeightTable({"a": 0.4})
-        assert apply_additive_slash(t, "a", 0.0).entries["a"] == 0.4
+        assert slash(0.4, additive(0.0)) == 0.4
 
     def test_multiplicative_scaling(self):
-        t = WeightTable({"a": 0.5})
-        assert apply_multiplicative_slash(t, "a", 0.2).entries["a"] == pytest.approx(0.1)
+        assert slash(0.5, multiplicative(0.2)) == pytest.approx(0.1)
 
     def test_multiplicative_eighty_percent_cut(self):
         # retained fraction 0.2 is an 80% slash
-        t = WeightTable({"a": 0.5})
-        out = apply_multiplicative_slash(t, "a", 0.2)
-        assert out.entries["a"] / t.entries["a"] == pytest.approx(0.2)
+        assert slash(0.5, multiplicative(0.2)) / 0.5 == pytest.approx(0.2)
 
     def test_zero_weight_fixed_point(self):
-        t = WeightTable({"a": 0.0})
-        assert apply_multiplicative_slash(t, "a", 0.5).entries["a"] == 0.0
+        assert slash(0.0, multiplicative(0.5)) == 0.0
 
-    def test_unknown_target(self):
-        with pytest.raises(KeyError):
-            apply_additive_slash(WeightTable({"a": 1.0}), "b", 0.1)
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            slash(1.0, Penalty("exotic", 0.1))
 
     def test_rho_p_range(self):
         with pytest.raises(ValueError):
-            apply_multiplicative_slash(WeightTable({"a": 1.0}), "a", 1.0)
+            slash(1.0, multiplicative(1.0))
+        with pytest.raises(ValueError):
+            slash(1.0, additive(-0.1))
 
     @given(st.floats(0, 2), st.floats(0, 0.999))
     def test_non_targets_untouched(self, delta_w, rho_p):
-        t = WeightTable({"a": 0.4, "b": 0.35, "c": 0.25})
-        out1 = apply_additive_slash(t, "b", delta_w)
-        out2 = apply_multiplicative_slash(t, "b", rho_p)
-        for other in ("a", "c"):
-            assert out1.entries[other] == t.entries[other]
-            assert out2.entries[other] == t.entries[other]
+        roster, weights = ["a", "b", "c"], [0.4, 0.35, 0.25]
+        cols = BehaviorColumns(0)
+        cols.add(1, ActionKind.FRAUD, -delta_w, 1.0, 1.0, MotivationProfile((0.0,), (1.0,)))
+        for policy in (PenaltyPolicy(), PenaltyPolicy(mode="multiplicative", rho_p=rho_p)):
+            out, (verdict,) = process_epoch_suspicions(
+                [(1, 0, 1)], roster, weights, cols, policy, Fraction(1, 2), 2,
+                random.Random(0), {}, vote_fn=lambda member, behavior: True)
+            assert verdict.guilty
+            assert out[1] == slash(0.35, compute_penalty(policy, cols.record(0, roster), 0))
+            assert (out[0], out[2]) == (0.4, 0.25)
 
 
 class TestZeroScoreDecay:
