@@ -385,7 +385,7 @@ def long_range_fork_outcome(
     if fork_depth < 0:
         raise ValueError("fork_depth must be >= 0")
     if fork_depth > len(main_chain) - 1:
-        raise ValueError(f"fork_depth {fork_depth} reaches past genesis (chain height {len(main_chain) - 1})")
+        raise ValueError(f"fork_depth {fork_depth} reaches past the {len(main_chain)} blocks given")
     main_tip = main_chain[-1]
     if fork_depth == 0:
         return {
@@ -399,20 +399,16 @@ def long_range_fork_outcome(
     signers = sorted(set(compromised))
     fork_signers = frozenset(signers)
     fork_weight = signer_weight(fork_signers, table)
-    tip = checkpoint
-    claimed = checkpoint.cumulative_utility + claimed_utility_boost
+    # The signers take turns proposing up to the canonical tip's height; only the tip matters.
     height_gap = main_tip.height - checkpoint.height
-    for i in range(height_gap):
-        proposer = signers[i % len(signers)] if signers else "attacker"
-        tip = Block(
-            height=tip.height + 1,
-            proposer=proposer,
-            parent=tip,
-            timestamp_ms=main_tip.timestamp_ms,
-            cumulative_utility=claimed,
-            signer_weight=fork_weight,
-            signers=fork_signers,
-        )
+    tip = Block(
+        height=main_tip.height,
+        proposer=signers[(height_gap - 1) % len(signers)] if signers else "attacker",
+        timestamp_ms=main_tip.timestamp_ms,
+        cumulative_utility=checkpoint.cumulative_utility + claimed_utility_boost,
+        signer_weight=fork_weight,
+        signers=fork_signers,
+    )
     winner = fork_choice(main_tip, tip, table)
     return {
         "adopted": winner is tip,

@@ -10,7 +10,7 @@ ties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .weights import WeightTable
 
@@ -20,29 +20,22 @@ class Block:
     """A chain entry: what fork choice and the long-range fork attempt read.
 
     The epoch's behaviors stay in its ledger; a block keeps only their
-    utility sum, folded into `cumulative_utility`.
+    utility sum, folded into `cumulative_utility`. It has no parent link,
+    so a trial keeps only the blocks it can still read.
     """
 
     height: int
     proposer: str
-    parent: Optional["Block"]
     timestamp_ms: float
     cumulative_utility: float
     signer_weight: float
     signers: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.parent is not None and self.height != self.parent.height + 1:
-            raise ValueError(
-                f"height {self.height} does not extend parent height {self.parent.height}"
-            )
 
 
 def genesis_block() -> Block:
     return Block(
         height=0,
         proposer="",
-        parent=None,
         timestamp_ms=0.0,
         cumulative_utility=0.0,
         signer_weight=0.0,
@@ -74,7 +67,6 @@ def extend_chain(
     return Block(
         height=parent.height + 1,
         proposer=proposer,
-        parent=parent,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
         signer_weight=sum(weights),

@@ -18,10 +18,12 @@ import dataclasses
 import json
 import random
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
+from math import log
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -36,7 +38,7 @@ from .baseline_pos import (
 from .chain import Block, extend_chain, genesis_block
 from .config import ScenarioConfig, check_config
 from .errors import TraceError
-from .rewards import Payout, PoolSplit, RewardSchedule, split_pool
+from .rewards import Payout, PoolSplit, RewardSchedule, split_pool, stipends
 from .rng import RngHub
 from .scoring import (
     SINGLE_KIND_DIVERSITY,
@@ -72,16 +74,17 @@ class LatencyModel:
             raise ValueError("mean_ms must be > 0")
 
     def draws(self, rng: random.Random, n: int) -> list[float]:
-        """`n` delays, each `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)`
-        (a fixed delay draws nothing)."""
+        """`n` delays, each what `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)`
+        returns, by the stdlib's own formula on `rng.random` (a fixed delay draws nothing)."""
         mean = self.mean_ms
         if self.distribution == "fixed":
             return [mean] * n
+        draw = rng.random
         if self.distribution == "uniform":
             high = 2.0 * mean
-            return [rng.uniform(0.0, high) for _ in range(n)]
+            return [0.0 + (high - 0.0) * draw() for _ in range(n)]
         rate = 1.0 / mean
-        return [rng.expovariate(rate) for _ in range(n)]
+        return [-log(1.0 - draw()) / rate for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +100,10 @@ def _roster_map(column: str) -> cached_property:
 class EpochLedger:
     """Append-only audit record of one epoch.
 
-    It keeps the epoch's sorted roster, its behavior columns and pool
-    split, and four float lists aligned with the roster. `behaviors`,
-    `payouts` and the four {id: float} maps are views of them, in roster
-    order, built when first read.
+    It stores the epoch's inputs: the sorted roster, behavior columns,
+    reward schedule, activeness blend, three roster-aligned float lists and
+    the delays. What follows from them (activeness, pool split, latency
+    samples and the record and {id: float} views) is built when first read.
     """
 
     epoch: int
@@ -108,15 +111,16 @@ class EpochLedger:
     proposer: str
     roster: list[str]  # the sorted alive ids
     behavior_rows: BehaviorColumns
-    pool_split: PoolSplit
+    schedule: RewardSchedule
+    betas: tuple[float, float, float]
     roster_scores: list[float]
-    roster_activeness: list[float]
     roster_weights_before: list[float]
     roster_weights_after: list[float]
     verdicts: tuple[Verdict, ...]
     confirmed: bool
     confirm_ms: Optional[float]
-    latency_samples: tuple[float, ...]
+    proposal_delays: list[float]
+    vote_delays: list[float]
     neutralized: tuple[str, ...] = ()
     events: tuple[dict, ...] = ()
 
@@ -124,6 +128,26 @@ class EpochLedger:
     activeness = _roster_map("roster_activeness")
     weights_before = _roster_map("roster_weights_before")
     weights_after = _roster_map("roster_weights_after")
+
+    @cached_property
+    def roster_activeness(self) -> list[float]:
+        if not self.roster:
+            return []
+        inputs = _activity(self.behavior_rows, len(self.roster))[1]
+        return activeness_column(*zip(*inputs), self.betas)
+
+    @cached_property
+    def pool_split(self) -> PoolSplit:
+        return split_pool(self.schedule, self.roster_weights_after, self.roster_scores,
+                          self.roster_activeness)
+
+    @cached_property
+    def latency_samples(self) -> list[float]:
+        """Each validator's proposal delay, then its vote delay, in roster order."""
+        samples = [0.0] * (2 * len(self.proposal_delays))
+        samples[0::2] = self.proposal_delays
+        samples[1::2] = self.vote_delays
+        return samples
 
     @cached_property
     def behaviors(self) -> tuple[BehaviorRecord, ...]:
@@ -242,26 +266,29 @@ def simulate_confirmation(
     rng_proposal: random.Random,
     rng_vote: random.Random,
     processing_ms: float,
-) -> tuple[bool, Optional[float], list[float]]:
+) -> tuple[Optional[float], list[float], list[float]]:
     """Run the proposal+vote pipeline on the simulated clock.
 
     `weights` lists the weights in `alive` order. The proposal reaches
     validator i after one message delay (from `rng_proposal`; a separate
     stream from `rng_vote`); its vote arrives one more delay later. Each
-    stage adds a fixed processing cost. Votes are counted in arrival order,
-    ties in `alive` order, and the block confirms the instant the
-    accumulated yes-weight reaches `quorum` times the total weight.
-    Everyone votes yes here; dissent is modeled at the behavior level, not
-    the transport level.
+    stage adds a fixed processing cost. Everyone votes yes here; dissent is
+    modeled at the behavior level, not the transport level. Returns the
+    confirmation time (`quorum_time` of the vote arrivals) and the proposal
+    and vote delays, in `alive` order.
     """
-    if not 0 < quorum <= 1:
-        raise ValueError(f"quorum {quorum} outside (0, 1]")
     n = len(alive)
     proposals, votes = latency.draws(rng_proposal, n), latency.draws(rng_vote, n)
-    samples = [0.0] * (2 * n)
-    samples[0::2] = proposals
-    samples[1::2] = votes
     arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
+    return quorum_time(arrivals, weights, quorum), proposals, votes
+
+
+def quorum_time(arrivals: Sequence[float], weights: Sequence[float],
+                quorum: Fraction) -> Optional[float]:
+    """The arrival at which the yes-weight, counted in arrival order (ties in
+    list order), first reaches `quorum` times the total; None if it never does."""
+    if not 0 < quorum <= 1:
+        raise ValueError(f"quorum {quorum} outside (0, 1]")
     total = sum(weights)
     # Float comparison outside a slack band around the target; inside it
     # an exact rational check, so a vote landing exactly on the quorum
@@ -270,11 +297,11 @@ def simulate_confirmation(
     slack = 1e-12 * max(1.0, abs(total))
     above, below = target + slack, target - slack
     acc = 0.0
-    for i in sorted(range(n), key=arrivals.__getitem__):
+    for i in sorted(range(len(arrivals)), key=arrivals.__getitem__):
         acc += weights[i]
         if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
-            return True, arrivals[i], samples
-    return False, None, samples
+            return arrivals[i]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -553,52 +580,54 @@ class _EpochFacts:
     scores: list[float]  # summed utility of each validator's records
     utility: float  # summed utility of every record, in record order
     harmful: list[int]  # rows with a negative outcome
-    activeness: list[float]
     # (first row, action count / network mean, mean initiative, diversity)
     # of each actor whose activity could look scripted, in roster order
     suspects: list[tuple[int, float, float, float]]
 
 
-def _epoch_facts(cols: BehaviorColumns, positions: list[int], betas: tuple[float, float, float],
+def _activity(cols: BehaviorColumns,
+              n: int) -> tuple[list[list[int]], list[tuple[float, float, float]]]:
+    """Each of the `n` roster positions' rows, and its activeness inputs: (action
+    count / network mean, mean initiative, diversity). Every position has a row."""
+    mean_actions = len(cols.actor) / n
+    one_record = 1 / mean_actions
+    initiative, kind = cols.initiative, cols.kind
+    rows_of: list[list[int]] = [[] for _ in range(n)]
+    for row, actor in enumerate(cols.actor):
+        rows_of[actor].append(row)
+    inputs = []
+    for mine in rows_of:
+        count = len(mine)
+        if count == 1:
+            inputs.append((one_record, initiative[mine[0]], SINGLE_KIND_DIVERSITY[kind[mine[0]]]))
+        else:
+            inputs.append((count / mean_actions, sum([initiative[i] for i in mine]) / count,
+                           diversity_index([kind[i] for i in mine])))
+    return rows_of, inputs
+
+
+def _epoch_facts(cols: BehaviorColumns, positions: list[int],
                  freq_threshold: float) -> _EpochFacts:
     n = len(positions)
     outcomes = [b * c * i for b, c, i in zip(cols.base_utility, cols.context_factor,
                                              cols.initiative)]
     utilities = [m.utility + o for m, o in zip(cols.motivation, outcomes)]  # total_utility
     harmful = [row for row, o in enumerate(outcomes) if o < 0.0]
-    rows = len(utilities)  # every validator emits at least one record
-    mean_actions = rows / n
-    # Every one-record actor has this ratio; at or below the threshold none
-    # of them can look scripted.
-    one_record = 1 / mean_actions
-    single_suspect = one_record > freq_threshold
-    initiative, kind = cols.initiative, cols.kind
-
-    if cols.actor == positions and not single_suspect:  # one record each, in roster order
-        # A utility is never -0.0, so the score 0.0 + utility is the utility.
-        activeness = activeness_column(repeat(one_record), initiative,
-                                       map(SINGLE_KIND_DIVERSITY.__getitem__, kind), betas)
-        return _EpochFacts(utilities, sum(utilities), harmful, activeness, [])
-
-    scores = [0.0] * n
-    rows_of: list[list[int]] = [[] for _ in positions]
-    for row, (actor, u) in enumerate(zip(cols.actor, utilities)):
-        scores[actor] += u
-        rows_of[actor].append(row)
-    inputs: list[tuple[float, float, float]] = []
+    # With one record each in roster order, the scores are the utilities (a
+    # utility is never -0.0, so the score 0.0 + utility is the utility).
+    scores = utilities
+    if cols.actor != positions:
+        scores = [0.0] * n
+        for actor, u in zip(cols.actor, utilities):
+            scores[actor] += u
+    # Each validator has a record, and a one-record actor has this action ratio;
+    # at or below the threshold, one record each leaves no suspect.
+    single_suspect = 1 / (len(utilities) / n) > freq_threshold
     suspects = []
-    for mine in rows_of:
-        count = len(mine)
-        if count == 1:
-            actor_inputs = (one_record, initiative[mine[0]], SINGLE_KIND_DIVERSITY[kind[mine[0]]])
-        else:
-            actor_inputs = (count / mean_actions, sum([initiative[i] for i in mine]) / count,
-                            diversity_index([kind[i] for i in mine]))
-        inputs.append(actor_inputs)
-        if count > 1 or single_suspect:
-            suspects.append((mine[0], *actor_inputs))
-    activeness = activeness_column(*zip(*inputs), betas)
-    return _EpochFacts(scores, sum(utilities), harmful, activeness, suspects)
+    if single_suspect or len(utilities) > n:
+        suspects = [(mine[0], *actor_inputs) for mine, actor_inputs in zip(*_activity(cols, n))
+                    if len(mine) > 1 or single_suspect]
+    return _EpochFacts(scores, sum(utilities), harmful, suspects)
 
 
 def _sessions(state: _TrialState, cols: BehaviorColumns,
@@ -725,12 +754,14 @@ class _PobRules:
         self.weights = normalize([self.weights[pos] for pos in kept])
 
     def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
-        """The long-range fork attempt at trial end, if the roster has one."""
-        if not state.compromised or len(chain) <= 1:
+        """The long-range fork attempt at trial end, if the roster has one.
+        `chain` holds at least the last `fork_depth + 1` blocks."""
+        height = chain[-1].height
+        if not state.compromised or height == 0:
             return None
         outcome = adv.long_range_fork_outcome(
             chain, WeightTable(dict(zip(state.alive, self.weights))),
-            state.compromised, min(state.fork_depth, len(chain) - 1),
+            state.compromised, min(state.fork_depth, height),
             claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0)
         outcome["kind"] = "fork-outcome"
         return outcome
@@ -824,11 +855,13 @@ def run_trial(
     # Each ledger goes to the sink once the next epoch starts; the last
     # one waits for the trial-end fork outcome.
     finished: Optional[EpochLedger] = None
-    chain = [genesis_block()]
+    # The blocks the trial-end fork can reach; older ones are dropped.
+    chain = deque([genesis_block()], maxlen=min(state.fork_depth, epochs) + 1)
     sim_time = 0.0
     election_rng = state.hub.stream("election")
     rng_lat_prop = state.hub.stream("latency/proposal")
     rng_lat_vote = state.hub.stream("latency/vote")
+    threshold = state.schedule.activity_threshold
 
     for epoch in range(epochs):
         if finished is not None:
@@ -840,23 +873,24 @@ def run_trial(
         weights_before = rules.weights
         proposer = _elect(state, rules, epoch, trace, election_rng)
         behaviors = _behave(state, epoch, proposer, trace)
-        facts = _epoch_facts(behaviors, state.positions, config.betas,
-                             config.anomaly_freq_threshold)
-        confirmed, confirm_ms, samples = simulate_confirmation(
+        facts = _epoch_facts(behaviors, state.positions, config.anomaly_freq_threshold)
+        confirm_ms, proposals, votes = simulate_confirmation(
             alive, weights_before, config.quorum, state.latency,
             rng_lat_prop, rng_lat_vote, config.processing_ms,
         )
+        confirmed = confirm_ms is not None
         confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
-        sim_time += confirm_ms if confirm_ms is not None else 0.0
+        sim_time += confirm_ms if confirmed else 0.0
         weights_after = rules.settle(state, facts.scores)
-        payouts = split_pool(state.schedule, weights_after, facts.scores, facts.activeness)
+        # split_pool's check, run here: the ledger splits the pool only when read
+        stipends(state.schedule, len([s for s in facts.scores if s > threshold]))
         if confirmed:
             chain.append(extend_chain(chain[-1], proposer, facts.utility, sim_time,
                                       state.signers, weights_after))
         finished = EpochLedger(
-            epoch, rules.protocol, proposer, alive, behaviors, payouts, facts.scores,
-            facts.activeness, weights_before, weights_after, verdicts, confirmed, confirm_ms,
-            tuple(samples), neutralized, tuple(events),
+            epoch, rules.protocol, proposer, alive, behaviors, state.schedule, config.betas,
+            facts.scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
+            proposals, votes, neutralized, tuple(events),
         )
         _retire_convicted(state, rules, verdicts, epoch)
 

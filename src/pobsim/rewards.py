@@ -55,6 +55,18 @@ class PoolSplit:
                          self.bonus, self.multiplier, self.total))
 
 
+def stipends(schedule: RewardSchedule, active_count: int) -> float:
+    """The base stipends of `active_count` active validators.
+    Raises RewardPoolError when they exceed the pool."""
+    total = schedule.base_reward * active_count
+    if total > schedule.total_reward:
+        raise RewardPoolError(
+            f"base stipend {schedule.base_reward} x {active_count} active "
+            f"validators exceeds pool {schedule.total_reward}"
+        )
+    return total
+
+
 def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Sequence[float],
                activeness: Sequence[float]) -> PoolSplit:
     """Split the epoch pool over the active set; the lists are aligned by roster position.
@@ -70,13 +82,7 @@ def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Seque
     actives = [p for p, score in enumerate(scores) if score > threshold]
     if not actives:
         return PoolSplit([], base, [], [], [])
-    stipend_total = base * len(actives)
-    if stipend_total > schedule.total_reward:
-        raise RewardPoolError(
-            f"base stipend {base} x {len(actives)} active "
-            f"validators exceeds pool {schedule.total_reward}"
-        )
-    bonus_pool = schedule.total_reward - stipend_total
+    bonus_pool = schedule.total_reward - stipends(schedule, len(actives))
     if len(actives) < len(scores):
         weights = [weights[p] for p in actives]
         activeness = [activeness[p] for p in actives]

@@ -14,15 +14,11 @@ def roster_weights(table, roster=ROSTER):
     return [table.entries.get(v, 0.0) for v in roster]
 
 
-def _tip(signers, utility, proposer="p", table=None, height=1):
-    parent = genesis_block()
-    for h in range(1, height + 1):
-        parent = Block(
-            height=h, proposer=proposer, parent=parent,
-            timestamp_ms=0.0, cumulative_utility=utility,
-            signer_weight=0.0, signers=frozenset(signers),
-        )
-    return parent
+def _tip(signers, utility, proposer="p", height=1):
+    return Block(
+        height=height, proposer=proposer, timestamp_ms=0.0, cumulative_utility=utility,
+        signer_weight=0.0, signers=frozenset(signers),
+    )
 
 
 class TestBlocks:
@@ -49,10 +45,12 @@ class TestBlocks:
         assert fast.signers is signers
 
     def test_height_must_extend_parent(self):
-        g = genesis_block()
-        with pytest.raises(ValueError):
-            Block(height=5, proposer="a", parent=g, timestamp_ms=0.0,
-                  cumulative_utility=0.0, signer_weight=0.0)
+        # A block keeps no parent; extend_chain builds it one height above.
+        block = genesis_block()
+        for height in range(1, 6):
+            block = extend_chain(block, "a", 1.0, 0.0, frozenset("a"), [1.0])
+            assert block.height == height
+        assert not hasattr(block, "parent")
 
 
 class TestForkChoice:
@@ -111,6 +109,18 @@ class TestLongRangeFork:
         out = long_range_fork_outcome(chain, table, ["atk"], fork_depth=10,
                                       claimed_utility_boost=1e6)
         assert out["adopted"] is True
+
+    @pytest.mark.parametrize("atk", [0.0, 0.6])
+    def test_last_depth_plus_one_blocks_suffice(self, atk):
+        # run_trial keeps only the blocks the trial-end fork can reach
+        table = WeightTable({"h0": 0.2, "h1": 0.8 - atk, "atk": atk})
+        chain = self._main_chain(20, table)
+        for depth in (1, 7, 20):
+            out = long_range_fork_outcome(chain, table, ["atk"], fork_depth=depth,
+                                          claimed_utility_boost=1e6)
+            assert out == long_range_fork_outcome(chain[-1 - depth:], table, ["atk"],
+                                                  fork_depth=depth, claimed_utility_boost=1e6)
+            assert out["checkpoint_height"] == 20 - depth and out["adopted"] is (atk > 0.5)
 
     def test_depth_zero_is_noop(self):
         table = WeightTable({"h0": 1.0})

@@ -2,7 +2,8 @@
 
 A ledger keeps its epoch's sorted roster and columns and builds
 `behaviors`, `payouts` and the four {id: float} maps when they are first
-read. These tests check that the views show exactly the columns, in roster
+read, as it does the activeness, pool split and latency samples they rest
+on. These tests check that the views show exactly the columns, in roster
 order, that each is built once, and that honest draws written in bulk
 still fail the record's range check with the record's own message.
 """
@@ -67,7 +68,7 @@ def test_maps_keep_roster_order(trials, protocol):
 
 def test_views_are_built_once(trials):
     ledger = trials["pob"][3]
-    for view in ("behaviors", "payouts", *MAPS):
+    for view in ("behaviors", "payouts", *MAPS, *MAPS.values(), "pool_split", "latency_samples"):
         assert getattr(ledger, view) is getattr(ledger, view)
 
 

@@ -14,7 +14,7 @@ from pobsim.metrics import (
     tally_ledgers,
 )
 from pobsim.netsim import EpochLedger
-from pobsim.rewards import PoolSplit
+from pobsim.rewards import RewardSchedule
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
 
@@ -22,17 +22,18 @@ MOT = MotivationProfile((0.0,), (1.0,))
 
 
 def ledger(epoch, frauds=(), verdicts=(), neutralized=(), confirmed=True, protocol="pob"):
-    """A two-validator column ledger with one fraud row per (actor, value) in `frauds`."""
+    """A two-validator ledger with one fraud row per (actor, value) in `frauds`,
+    built from its inputs; nothing here reads its activeness or payouts."""
     roster = ["a", "b"]
     rows = BehaviorColumns(epoch)
     for actor, value in frauds:
         rows.add(roster.index(actor), ActionKind.FRAUD, -value, 1.0, 1.0, MOT, True)
     return EpochLedger(
         epoch=epoch, protocol=protocol, proposer="a", roster=roster, behavior_rows=rows,
-        pool_split=PoolSplit([], 0.0, [], [], []),
-        roster_scores=[0.0, 0.0], roster_activeness=[0.0, 0.0],
-        roster_weights_before=[0.5, 0.5], roster_weights_after=[0.5, 0.5],
-        verdicts=tuple(verdicts), confirmed=confirmed, confirm_ms=100.0, latency_samples=(),
+        schedule=RewardSchedule(100.0, 0.0), betas=(1 / 3, 1 / 3, 1 / 3),
+        roster_scores=[0.0, 0.0], roster_weights_before=[0.5, 0.5],
+        roster_weights_after=[0.5, 0.5], verdicts=tuple(verdicts), confirmed=confirmed,
+        confirm_ms=100.0, proposal_delays=[25.0, 30.0], vote_delays=[20.0, 45.0],
         neutralized=tuple(neutralized),
     )
 

@@ -2,15 +2,18 @@ import heapq
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from pobsim.config import PenaltySettings, ScenarioConfig, RosterEntry, with_overrides
 from pobsim.adversaries import StrategySpec
-from pobsim.errors import ConfigError, TraceError
+from pobsim.errors import ConfigError, RewardPoolError, TraceError
+from pobsim.metrics import TrialTally
 from pobsim import chain, netsim
 from pobsim.presets import builtin_presets
+from pobsim.rewards import RewardSchedule, split_pool
 from pobsim.rng import RngHub
 from pobsim.netsim import (
     LatencyModel,
@@ -19,6 +22,7 @@ from pobsim.netsim import (
     parse_trace,
     replay_epoch,
     replay_trace,
+    quorum_time,
     run_trial,
     simulate_confirmation,
 )
@@ -26,24 +30,6 @@ from pobsim.scoring import ActivenessInputs, activeness, diversity_index, total_
 from pobsim.weights import WeightTable
 
 from traces import make_synthetic_trace, write_trace
-
-
-class ScriptedDelays:
-    """Stands in for the random stream of an exponential LatencyModel:
-    returns the listed delays in turn."""
-
-    def __init__(self, delays):
-        self._delays = iter(delays)
-
-    def expovariate(self, _rate):
-        return next(self._delays)
-
-
-def confirm_with_delays(weight_of, quorum, prop_delays, vote_delays, processing_ms=5.0):
-    alive = list(weight_of)
-    return simulate_confirmation(
-        alive, [weight_of[v] for v in alive], quorum, LatencyModel("exponential", 50.0),
-        ScriptedDelays(prop_delays), ScriptedDelays(vote_delays), processing_ms)
 
 
 def stdlib_draw(model, rng):
@@ -55,70 +41,73 @@ def stdlib_draw(model, rng):
     return rng.expovariate(1.0 / model.mean_ms)
 
 
-def heap_confirmation(alive, weight_of, quorum, latency, rng_proposal, rng_vote, processing_ms):
+def heap_quorum_time(arrivals, weights, quorum):
     """Reference: push every vote arrival on an event queue keyed by
     (time, insertion order), pop until the exact yes-weight reaches quorum."""
-    queue, samples = [], []
-    total = sum(weight_of[v] for v in alive)
-    for seq, vid in enumerate(alive):
-        d_prop = stdlib_draw(latency, rng_proposal)
-        d_vote = stdlib_draw(latency, rng_vote)
-        samples += [d_prop, d_vote]
-        heapq.heappush(queue, (processing_ms + d_prop + processing_ms + d_vote, seq, vid))
-    acc = 0.0
+    queue = [(at, seq) for seq, at in enumerate(arrivals)]
+    heapq.heapify(queue)
+    total, acc = sum(weights), 0.0
     while queue:
-        at, _, vid = heapq.heappop(queue)
-        acc += weight_of[vid]
+        at, seq = heapq.heappop(queue)
+        acc += weights[seq]
         if Fraction(acc) >= quorum * Fraction(total):
-            return True, at, samples
-    return False, None, samples
+            return at
+    return None
 
 
-def assert_matches_heap(alive, weight_of, quorum, latency, seed, processing_ms=5.0):
-    got = simulate_confirmation(alive, [weight_of[v] for v in alive], quorum, latency,
+def assert_matches_heap(weights, quorum, latency, seed, processing_ms=5.0):
+    """simulate_confirmation equals stdlib draws on twin streams, fed to the reference."""
+    n = len(weights)
+    got = simulate_confirmation([f"v{i:03d}" for i in range(n)], weights, quorum, latency,
                                 random.Random(seed), random.Random(seed + 1), processing_ms)
-    want = heap_confirmation(alive, weight_of, quorum, latency,
-                             random.Random(seed), random.Random(seed + 1), processing_ms)
-    assert got == want
+    rng_proposal, rng_vote = random.Random(seed), random.Random(seed + 1)
+    proposals = [stdlib_draw(latency, rng_proposal) for _ in range(n)]
+    votes = [stdlib_draw(latency, rng_vote) for _ in range(n)]
+    arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
+    assert got == (heap_quorum_time(arrivals, weights, quorum), proposals, votes)
     return got
 
 
 class TestSimClock:
     """Votes are counted on the simulated clock: in arrival order, ties in
-    the order of the validator list."""
+    list order."""
 
     def test_time_ordering(self):
         # the heaviest voter is listed first but arrives last
-        weights = {"a": 0.6, "b": 0.2, "c": 0.2}
-        confirmed, t, _ = confirm_with_delays(weights, Fraction(1, 2), [30.0, 1.0, 2.0],
-                                              [0.0, 0.0, 0.0])
-        assert confirmed and t == 5.0 + 30.0 + 5.0
+        assert quorum_time([40.0, 11.0, 12.0], [0.6, 0.2, 0.2], Fraction(1, 2)) == 40.0
 
     def test_ties_break_by_insertion(self):
         rng = random.Random(3)
-        alive = [f"v{i:02d}" for i in range(12)]
         for quorum in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
-            weight_of = {v: rng.choice([0.0, 0.1, 0.25, 1 / 3]) for v in alive}
-            # every vote arrives at 2 * (processing + delay)
-            assert assert_matches_heap(
-                alive, weight_of, quorum, LatencyModel("fixed", 10.0), seed=1)[:2] == (True, 30.0)
+            weights = [rng.choice([0.0, 0.1, 0.25, 1 / 3]) for _ in range(12)]
+            arrivals = [30.0] * 12
+            assert quorum_time(arrivals, weights, quorum) == 30.0
+            assert heap_quorum_time(arrivals, weights, quorum) == 30.0
         # The running sum is a float: with the tiny weights counted first it
         # reaches the total exactly; counted last, they are rounded away.
         tiny = 2.0 ** -53
-        assert assert_matches_heap(
-            ["a", "b", "c"], {"a": tiny, "b": tiny, "c": 1.0}, Fraction(1),
-            LatencyModel("fixed", 10.0), seed=1)[:2] == (True, 30.0)
+        assert quorum_time([30.0] * 3, [tiny, tiny, 1.0], Fraction(1)) == 30.0
+        assert quorum_time([30.0, 30.0, 10.0], [tiny, tiny, 1.0], Fraction(1)) is None
+
+    def test_equals_event_queue_reference(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            arrivals = [rng.choice([10.0, 20.0, rng.uniform(0.0, 50.0)]) for _ in range(n)]
+            weights = [rng.choice([0.0, rng.random(), 1.0 / n]) for _ in range(n)]
+            quorum = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)])
+            assert (quorum_time(arrivals, weights, quorum)
+                    == heap_quorum_time(arrivals, weights, quorum))
 
     def test_dequeue_times_non_decreasing(self):
-        # equals the event-queue reference on random weights and delays
+        # the draws and the scan together equal the event-queue reference
         rng = random.Random(0)
         for trial in range(200):
             n = rng.randint(1, 40)
-            alive = [f"v{i:03d}" for i in range(n)]
-            weight_of = {v: rng.choice([0.0, rng.random(), 1.0 / n]) for v in alive}
+            weights = [rng.choice([0.0, rng.random(), 1.0 / n]) for _ in range(n)]
             quorum = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)])
             dist = rng.choice(["exponential", "uniform"])
-            assert_matches_heap(alive, weight_of, quorum, LatencyModel(dist, 50.0), seed=trial)
+            assert_matches_heap(weights, quorum, LatencyModel(dist, 50.0), seed=trial)
 
 
 class TestLatencyModel:
@@ -142,33 +131,28 @@ class TestLatencyModel:
 
 class TestConfirmBlock:
     def test_all_yes_confirms(self):
-        confirmed, t, samples = simulate_confirmation(
+        t, proposals, votes = simulate_confirmation(
             ["a", "b"], [0.5, 0.5], Fraction(2, 3), LatencyModel("fixed", 10.0),
             random.Random(0), random.Random(1), 5.0)
-        assert confirmed and t == 30.0
-        assert samples == [10.0] * 4
+        assert t == 30.0
+        assert proposals == votes == [10.0] * 2
 
     def test_half_weight_below_two_thirds(self):
         # the first arrival carries half the weight: the block waits for the second
-        weights = {"a": 0.5, "b": 0.5}
-        confirmed, t, _ = confirm_with_delays(weights, Fraction(2, 3), [1.0, 4.0], [1.0, 4.0])
-        assert confirmed and t == 5.0 + 4.0 + 5.0 + 4.0
+        assert quorum_time([12.0, 18.0], [0.5, 0.5], Fraction(2, 3)) == 18.0
 
     def test_exact_quorum_boundary_confirms(self):
         # yes-weight exactly equals quorum * total: 2 of 3 at quorum 2/3
-        weights = {"a": 2.0, "b": 1.0}
-        confirmed, t, _ = confirm_with_delays(weights, Fraction(2, 3), [1.0, 4.0], [1.0, 4.0])
-        assert confirmed and t == 5.0 + 1.0 + 5.0 + 1.0
+        assert quorum_time([12.0, 18.0], [2.0, 1.0], Fraction(2, 3)) == 12.0
         # just below the boundary the first arrival is not enough
-        weights = {"a": 2.0, "b": 1.0 + 1e-9}
-        confirmed, t, _ = confirm_with_delays(weights, Fraction(2, 3), [1.0, 4.0], [1.0, 4.0])
-        assert confirmed and t == 5.0 + 4.0 + 5.0 + 4.0
+        assert quorum_time([12.0, 18.0], [2.0, 1.0 + 1e-9], Fraction(2, 3)) == 18.0
         for b in (1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-9):
-            assert_matches_heap(["a", "b"], {"a": 2.0, "b": b}, Fraction(2, 3),
-                                LatencyModel("uniform", 50.0), seed=5)
+            assert_matches_heap([2.0, b], Fraction(2, 3), LatencyModel("uniform", 50.0), seed=5)
 
     def test_quorum_range(self):
         for quorum in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                quorum_time([10.0], [1.0], quorum)
             with pytest.raises(ValueError):
                 simulate_confirmation(["a"], [1.0], quorum, LatencyModel("fixed", 10.0),
                                       random.Random(0), random.Random(1), 5.0)
@@ -184,16 +168,15 @@ class TestSimulateConfirmation:
             results.append(simulate_confirmation(
                 alive, [0.1] * 10, Fraction(2, 3), model, r1, r2, 5.0))
         assert results[0] == results[1]
-        confirmed, t, samples = results[0]
-        assert confirmed and t > 0 and len(samples) == 20
+        t, proposals, votes = results[0]
+        assert t > 0 and len(proposals) == len(votes) == 10
 
     def test_fixed_latency_quorum_time(self):
         # all votes arrive at 2*(proc + delay); confirmation at that instant
         model = LatencyModel("fixed", 10.0)
-        confirmed, t, _ = simulate_confirmation(
+        t, _, _ = simulate_confirmation(
             ["a", "b"], [0.5, 0.5], Fraction(1, 2), model,
             random.Random(0), random.Random(0), 5.0)
-        assert confirmed
         assert t == pytest.approx(30.0)
 
 
@@ -482,6 +465,93 @@ class TestSinglePassFacts:
                                                              WeightTable(l.weights_after))
 
 
+class TestLazyLedger:
+    """A ledger computes its activeness and pool split when first read, so a
+    trial whose sink reads neither pays for neither."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"split_pool": 0, "activeness_column": 0}
+        for name in calls:
+            real = getattr(netsim, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(netsim, name, counted)
+        return calls
+
+    def test_tally_only_trial_never_splits_the_pool(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        cfg = small_config(epochs=20, oracle_rate=0.5, epsilon=0.5)
+        for protocol in ("pob", "pos"):
+            run_trial(cfg, 3, protocol=protocol, sink=TrialTally(cfg, protocol).add)
+        assert calls == {"split_pool": 0, "activeness_column": 0}
+        ledgers = run_trial(cfg, 3)
+        assert calls == {"split_pool": 0, "activeness_column": 0}
+        for ledger in ledgers:
+            ledger_to_json(ledger)
+            ledger_to_json(ledger)
+        assert calls == {"split_pool": 20, "activeness_column": 20}
+
+    def test_lazy_columns_equal_an_eager_computation(self):
+        cfg = with_overrides(builtin_presets()["case-d-adaptive-sybil"].build(), epochs=40,
+                             trials=1)
+        ledgers = run_trial(cfg, cfg.seed, protocol="pob")
+        assert any(e["kind"] == "retire" for l in ledgers for e in l.events)
+        schedule = RewardSchedule(cfg.r_total, cfg.resolved_r_base(), cfg.activity_threshold,
+                                  cfg.epsilon)
+        for l in ledgers:
+            rows = l.behavior_rows
+            mean_actions = len(rows.actor) / len(l.roster)
+            eager = []
+            for pos in range(len(l.roster)):
+                mine = [i for i, actor in enumerate(rows.actor) if actor == pos]
+                eager.append(activeness(ActivenessInputs(
+                    len(mine), mean_actions, sum(rows.initiative[i] for i in mine) / len(mine),
+                    diversity_index(rows.kind[i] for i in mine), cfg.betas)))
+            assert l.roster_activeness == eager
+            assert l.pool_split == split_pool(schedule, l.roster_weights_after,
+                                              l.roster_scores, eager)
+            assert l.latency_samples[0::2] == l.proposal_delays
+            assert l.latency_samples[1::2] == l.vote_delays
+
+    def test_oversubscribed_pool_fails_in_its_epoch_unread(self):
+        # The newcomer's stipend oversubscribes the pool from its join epoch on,
+        # by less than the loader's tolerance.
+        cfg = small_config(epochs=12, newcomer_epoch=5, r_total=11.0, r_base=1.0 + 5e-11)
+        for protocol in ("pob", "pos"):
+            handed = []
+            with pytest.raises(RewardPoolError, match="x 11 active"):
+                run_trial(cfg, 2, protocol=protocol, sink=handed.append)
+            assert [l.epoch for l in handed] == [0, 1, 2, 3, 4]
+
+    def test_live_blocks_stay_within_the_fork_window(self, monkeypatch):
+        live, peak = weakref.WeakSet(), []
+        extend = netsim.extend_chain
+
+        def tracked_extend(*args):
+            block = extend(*args)
+            live.add(block)
+            return block
+
+        monkeypatch.setattr(netsim, "extend_chain", tracked_extend)
+        depth = 6
+        cfg = small_config(n_validators=20, epochs=400, roster=(
+            RosterEntry(16, 18, StrategySpec("long-range-fork", {"fork_depth": depth})),))
+        for protocol in ("pob", "pos"):
+            ledgers = run_trial(cfg, 4, protocol=protocol,
+                                sink=lambda ledger: peak.append(len(live)))
+            assert ledgers == [] and len(peak) == 400
+            assert max(peak) <= depth + 2
+            peak.clear()
+        ledgers = run_trial(cfg, 4, protocol="pob")
+        blocks = sum(l.confirmed for l in ledgers)
+        (outcome,) = [e for e in ledgers[-1].events if e["kind"] == "fork-outcome"]
+        assert blocks > 300 and outcome["checkpoint_height"] == blocks - depth
+
+
 class TestReplay:
     def test_empty_trace(self):
         assert replay_trace([], small_config()) == []
@@ -524,12 +594,11 @@ class TestLatencyStreamPinning:
         model = LatencyModel(dist, 37.5)
         alive = [f"v{i:03d}" for i in range(60)]
         streams = [random.Random(s) for s in (11, 12, 11, 12)]
-        _, _, samples = simulate_confirmation(alive, [1.0 / 60] * 60, Fraction(2, 3), model,
-                                              streams[0], streams[1], 5.0)
-        via_stdlib = []
-        for _ in alive:
-            via_stdlib += [stdlib_draw(model, streams[2]), stdlib_draw(model, streams[3])]
-        assert samples == via_stdlib
+        _, proposals, votes = simulate_confirmation(alive, [1.0 / 60] * 60, Fraction(2, 3),
+                                                    model, streams[0], streams[1], 5.0)
+        assert proposals == [stdlib_draw(model, streams[2]) for _ in alive]
+        assert votes == [stdlib_draw(model, streams[3]) for _ in alive]
+        samples = proposals + votes
         assert len(set(samples)) == (1 if dist == "fixed" else len(samples))
         for got, want in ((0, 2), (1, 3)):
             assert streams[got].getstate() == streams[want].getstate()

@@ -33,7 +33,7 @@ from pobsim.metrics import (
 )
 from pobsim.netsim import EpochLedger, ledger_to_json, parse_trace, run_trial
 from pobsim.presets import builtin_presets, bundled_trace_path
-from pobsim.rewards import PoolSplit
+from pobsim.rewards import RewardSchedule
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
 
@@ -267,33 +267,34 @@ MOTIVATION = MotivationProfile((0.5, 0.25), (0.5, 0.5))
 ROWS = (("v01", ActionKind.PROPOSE, 1.5, 1.0, 0.25, MOTIVATION, False),
         ("v00", ActionKind.FRAUD, -2.0, 0.5, 0.75, MotivationProfile((1.0, 0.0), (0.5, 0.5)), True),
         ("v02", ActionKind.IDLE, 0.0, 0.0, 0.0, MOTIVATION, False))
-ROSTER_LISTS = ("roster_scores", "roster_activeness", "roster_weights_before",
-                "roster_weights_after")
+ROSTER_LISTS = ("roster_scores", "roster_weights_before", "roster_weights_after")
+FILLER_ROW = (ActionKind.VALIDATE, 1.0, 1.0, 0.5, MOTIVATION, False)
+SCHEDULE = RewardSchedule(10.0, 1.25, activity_threshold=0.3, activeness_epsilon=0.5)
 
 
-def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, paid=(("v01", 0.5, 1.0, 1.75),
-                                                           ("v02", 0.0, 0.5, 0.5)),
-            base=1.25, **changes):
-    """A column ledger on the sorted `roster`.
+def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, **changes):
+    """A ledger on the sorted `roster`, built from its inputs.
 
     Each of `rows` is (actor, kind, base utility, context factor, initiative,
-    motivation, fraud label), added through `BehaviorColumns.add`; each of
-    `paid` is (validator, bonus, multiplier, total), and each is paid `base`.
-    A roster-aligned list not in `changes` is a distinct fraction per position.
+    motivation, fraud label), added through `BehaviorColumns.add`; a roster
+    id with no row in `rows` gets a `FILLER_ROW`, since activeness is
+    defined over an actor's records. A roster-aligned list not in `changes`
+    is a distinct fraction per position. The activeness and payouts follow
+    from these and from `schedule` and `betas`.
     """
     roster = list(roster)
     assert roster == sorted(roster)
     behaviors = BehaviorColumns(3)
     for actor, *row in rows:
         behaviors.add(roster.index(actor), *row)
-    split = PoolSplit([roster.index(p[0]) for p in paid], base,
-                      *([p[i] for p in paid] for i in (1, 2, 3)))
+    for vid in sorted(set(roster) - {row[0] for row in rows}):
+        behaviors.add(roster.index(vid), *FILLER_ROW)
     fields = dict(
         epoch=3, protocol="pob", proposer="v01", roster=roster, behavior_rows=behaviors,
-        pool_split=split,
+        schedule=SCHEDULE, betas=(0.5, 0.25, 0.25),
         verdicts=(Verdict("v00", 3, 1, 0.75, 5, True, 0.125, "proportional", 0.5, 3),),
-        confirmed=True, confirm_ms=123.456, latency_samples=(12.5, 0.1, 7.0),
-        neutralized=("v00",),
+        confirmed=True, confirm_ms=123.456, proposal_delays=[12.5, 7.0, 0.25],
+        vote_delays=[0.1, 3.0, 41.5], neutralized=("v00",),
         events=({"kind": "join", "validator": "v03", "epoch": 4, "note": "\u00e9"},),
     )
     for k, name in enumerate(ROSTER_LISTS):
@@ -305,29 +306,34 @@ def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, paid=(("v01", 0.5, 1.0, 1.7
 @pytest.mark.parametrize("changes", [
     {},
     {"confirm_ms": None, "confirmed": False},
-    {"roster": (), "rows": (), "paid": (), "verdicts": (), "latency_samples": (),
+    {"roster": (), "rows": (), "verdicts": (), "proposal_delays": [], "vote_delays": [],
      "neutralized": (), "events": ()},
     {"roster": (ODD_ID, "v00", "z"), "proposer": ODD_ID, "neutralized": (ODD_ID,),
      "rows": ((ODD_ID, ActionKind.VALIDATE, 1.0, 1.0, 1.0, MotivationProfile((0.5,), (1.0,)),
                False),),
-     "paid": ((ODD_ID, 0.0, 1.0, 1.0),), "base": 1.0,
-     "events": ({"kind": "join", "validator": ODD_ID},)},
-    {"latency_samples": NON_FINITE + (1.0,), "confirm_ms": float("inf")},
+     "schedule": RewardSchedule(10.0, 1.0), "events": ({"kind": "join", "validator": ODD_ID},)},
+    {"proposal_delays": [float("nan"), float("-inf"), 1.0],
+     "vote_delays": [float("inf"), -0.0, 2.0], "confirm_ms": float("inf")},
     {"roster": ("v00", "v01", "v02", "v03"), "roster_scores": list(NON_FINITE)},
+    # activeness -inf for v00 and v01 (initiative > 0) and nan for v02 (initiative 0)
     {"roster_weights_before": [0.5, float("nan"), 0.25], "roster_weights_after": [-0.0, 0.5, 0.5],
-     "roster_activeness": [float("-inf"), 1.0, 0.5]},
+     "betas": (0.5, float("-inf"), 0.0)},
     {"rows": (("v01", ActionKind.PROPOSE, float("nan"), -0.0, 1.0,
                MotivationProfile((float("inf"), -0.0), (0.5, 0.5)), False),
               ("v02", ActionKind.PROPOSE, float("-inf"), 1.0, 0.0,
                MotivationProfile((float("nan"),), (1.0,)), False))},
-    {"base": float("nan"), "paid": (("v01", -0.0, float("inf"), float("-inf")),)},
+    # v01: bonus -0.0, multiplier -inf, total -inf; v02: multiplier and total nan
+    {"schedule": RewardSchedule(10.0, 1.25, 0.3, float("inf")), "betas": (0.5, float("-inf"), 0.0),
+     "roster_weights_after": [0.5, -0.0, 0.5]},
+    {"schedule": RewardSchedule(10.0, float("nan"), 0.3)},
     # an int and a bool where a float belongs
-    {"confirm_ms": 7, "latency_samples": (1, 2.5, True), "roster_scores": [1, False, 0.5],
-     "roster_weights_after": [True, 0.5, 0.25], "base": 1, "paid": (("v01", True, 0.5, 2),)},
+    {"confirm_ms": 7, "proposal_delays": [1, True], "vote_delays": [2.5, 0],
+     "roster_scores": [1, False, 0.5], "roster_weights_after": [True, 0.5, 0.25],
+     "schedule": RewardSchedule(10, True, 0.3)},
     {"rows": (("v01", ActionKind.PROPOSE, 2, True, 0, MOTIVATION, False),)},
 ], ids=["plain", "unconfirmed", "empty", "odd-ids", "non-finite-latency",
         "non-finite-scores", "non-finite-weights", "non-finite-behaviors",
-        "non-finite-payouts", "int-and-bool", "int-and-bool-behavior"])
+        "non-finite-payouts", "nan-base", "int-and-bool", "int-and-bool-behavior"])
 def test_ledger_writer_matches_reference_on_edge_cases(changes):
     _assert_writer_matches_reference(_ledger(**changes))
 
