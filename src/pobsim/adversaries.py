@@ -19,80 +19,78 @@ from .scoring import (ActionKind, BehaviorColumns, BehaviorRecord, MotivationPro
                       check_record_ranges)
 from .weights import WeightTable
 
-STRATEGY_KINDS = (
-    "honest",
-    "stealth",
-    "sybil-burst",
-    "adaptive-sybil",
-    "long-range-fork",
-    "griefing",
-)
+_ABOVE_ZERO = math.ulp(0.0)  # the least float above 0: a lower bound that excludes 0
+
+# kind -> param -> (default, lo, hi), the one declaration of every strategy
+# param. A roster entry that names no value runs with the default; a given
+# value must lie in [lo, hi] (hi None: unbounded). A param is a count, read
+# as an int, exactly when its bounds are ints.
+PARAMS: dict[str, dict[str, tuple]] = {
+    "honest": {},
+    "stealth": {"fraud_rate": (0.05, _ABOVE_ZERO, 1.0), "fraud_value": (50.0, 0.0, None)},
+    "sybil-burst": {
+        "sybil_count": (None, 1, None),  # read by nothing; kept for the echo
+        "burst_epoch": (50, 0, None),
+        "fraud_value": (50.0, 0.0, None),
+        "burst_every": (None, 1, None),  # None: the coalition bursts once
+    },
+    "adaptive-sybil": {
+        "spawn_rate": (0.1, 0.0, 1.0),
+        "join_weight": (0.0, 0.0, None),
+        "fraud_value": (1.0, 0.0, None),
+        "max_population": (None, 2, None),  # None: 2 x n_validators (netsim._setup_trial)
+    },
+    "long-range-fork": {
+        "fork_depth": (100, 0, None),
+        "fraud_rate": (0.05, _ABOVE_ZERO, 1.0),
+        "fraud_value": (50.0, 0.0, None),
+    },
+    "griefing": {
+        "empty_block_run": (10, 0, None),
+        "utility_epsilon": (0.01, 0.0, None),
+        "low_initiative": (0.1, 0.0, 1.0),
+    },
+}
 
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Declarative strategy selection, as written in scenario configs."""
+    """Declarative strategy selection, as written in scenario configs.
+
+    `params` holds the values as given; `param` reads one resolved.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        """Raise ValueError unless the kind is known and every param is known, a
+        finite number (not a bool), integral where it is a count, and in range.
+        Values are not converted."""
+        table = PARAMS.get(self.kind)
+        if table is None:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        validate_params(self.kind, self.params)
+        for name, value in self.params.items():
+            if name not in table:
+                raise ValueError(f"strategy {self.kind!r} does not accept parameter {name!r}")
+            where = f"{self.kind}.{name}={value!r}"
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where} is not a number")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{where} is not finite")
+            _, lo, hi = table[name]
+            if isinstance(lo, int) and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{where} is not a whole number")
+            if value < lo or (hi is not None and value > hi):
+                low = "(0" if lo == _ABOVE_ZERO else f"[{lo}"
+                high = "inf)" if hi is None else f"{hi}]"
+                raise ValueError(f"{where} outside {low}, {high}")
 
-
-_PARAM_SPECS: dict[str, dict[str, tuple[float, float]]] = {
-    # kind -> param -> (min, max)
-    "honest": {},
-    "stealth": {"fraud_rate": (0.0, 1.0), "fraud_value": (0.0, float("inf"))},
-    "sybil-burst": {
-        "sybil_count": (1, float("inf")),
-        "burst_epoch": (0, float("inf")),
-        "fraud_value": (0.0, float("inf")),
-        "burst_every": (1, float("inf")),
-    },
-    "adaptive-sybil": {
-        "spawn_rate": (0.0, 1.0),
-        "join_weight": (0.0, float("inf")),
-        "fraud_value": (0.0, float("inf")),
-        "max_population": (2, float("inf")),
-    },
-    "long-range-fork": {
-        "fork_depth": (0, float("inf")),
-        "fraud_rate": (0.0, 1.0),
-        "fraud_value": (0.0, float("inf")),
-    },
-    "griefing": {
-        "empty_block_run": (0, float("inf")),
-        "utility_epsilon": (0.0, float("inf")),
-        "low_initiative": (0.0, 1.0),
-    },
-}
-
-
-# Params the simulation reads as counts or epochs.
-_INT_PARAMS = frozenset({"sybil_count", "burst_epoch", "burst_every", "max_population",
-                         "fork_depth", "empty_block_run"})
-
-
-def validate_params(kind: str, params: dict) -> None:
-    """Raise ValueError unless every param is known, a finite number (not a
-    bool), integral where it is a count, and in range. Values are not
-    converted."""
-    allowed = _PARAM_SPECS[kind]
-    for name, value in params.items():
-        if name not in allowed:
-            raise ValueError(f"strategy {kind!r} does not accept parameter {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{kind}.{name}={value!r} is not a number")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{kind}.{name}={value!r} is not finite")
-        if name in _INT_PARAMS and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{kind}.{name}={value!r} is not a whole number")
-        lo, hi = allowed[name]
-        if not (lo <= value <= hi):
-            raise ValueError(f"{kind}.{name}={value} outside [{lo}, {hi}]")
+    def param(self, name: str):
+        """The value given for `name`, else its default; an int when it is a count."""
+        default, lo, _ = PARAMS[self.kind][name]
+        value = self.params.get(name, default)
+        return int(value) if isinstance(lo, int) and value is not None else value
 
 
 @dataclass
@@ -223,9 +221,7 @@ class StealthStrategy(Strategy):
 
     kind = "stealth"
 
-    def __init__(self, fraud_rate: float = 0.05, fraud_value: float = 50.0):
-        if not 0.0 < fraud_rate <= 1.0:
-            raise ValueError("fraud_rate must be in (0, 1]")
+    def __init__(self, fraud_rate: float, fraud_value: float):
         self.fraud_rate = fraud_rate
         self.fraud_value = fraud_value
 
@@ -240,7 +236,7 @@ class SybilCoalition:
     """Shared state of a burst coalition: members and burst timing."""
 
     def __init__(self, members: Sequence[str], burst_epoch: int, fraud_value: float,
-                 burst_every: Optional[int] = None):
+                 burst_every: Optional[int]):
         self.members = set(members)
         self.burst_epoch = burst_epoch
         self.fraud_value = fraud_value
@@ -284,7 +280,7 @@ class AdaptiveSybilStrategy(Strategy):
 
     kind = "adaptive-sybil"
 
-    def __init__(self, coalition_members: set[str], fraud_value: float = 1.0):
+    def __init__(self, coalition_members: set[str], fraud_value: float):
         self.coalition_members = coalition_members
         self.fraud_value = fraud_value
 
@@ -306,8 +302,7 @@ class GriefingStrategy(Strategy):
 
     kind = "griefing"
 
-    def __init__(self, empty_block_run: int = 10, utility_epsilon: float = 0.01,
-                 low_initiative: float = 0.1):
+    def __init__(self, empty_block_run: int, utility_epsilon: float, low_initiative: float):
         self.empty_block_run = empty_block_run
         self.utility_epsilon = utility_epsilon
         self.low_initiative = low_initiative
@@ -330,8 +325,8 @@ class AdaptiveSybilController:
     logged into the ledger stream.
     """
 
-    def __init__(self, spawn_rate: float = 0.1, join_weight: float = 0.0,
-                 fraud_value: float = 1.0, max_population: int = 0):
+    def __init__(self, spawn_rate: float, join_weight: float, fraud_value: float,
+                 max_population: int):
         self.spawn_rate = spawn_rate
         self.join_weight = join_weight
         self.fraud_value = fraud_value
@@ -353,7 +348,7 @@ class AdaptiveSybilController:
         budget = int(self.spawn_rate * population)
         events: list[dict] = []
         want = min(len(convicted_sybils), budget)
-        if self.max_population and population + want > self.max_population:
+        if population + want > self.max_population:
             want = max(0, self.max_population - population)
             events.append({"kind": "population-cap", "epoch": epoch, "cap": self.max_population})
         fresh = []
@@ -363,9 +358,6 @@ class AdaptiveSybilController:
             fresh.append(name)
         self.coalition_members.update(fresh)
         return fresh, events
-
-
-FORK_DEPTH = 100  # a long-range-fork entry's fork_depth when its params name none
 
 
 def long_range_fork_outcome(
@@ -382,8 +374,6 @@ def long_range_fork_outcome(
     what decides is the signers' *current* weight versus the canonical
     tip's endorsement.
     """
-    if fork_depth < 0:
-        raise ValueError("fork_depth must be >= 0")
     if fork_depth > len(main_chain) - 1:
         raise ValueError(f"fork_depth {fork_depth} reaches past the {len(main_chain)} blocks given")
     main_tip = main_chain[-1]

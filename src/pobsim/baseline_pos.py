@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DegenerateElectionError
-from .weights import proportional_pick
+from .weights import left_sum, proportional_pick
 
 
 @dataclass
@@ -39,7 +39,7 @@ def stake_pick(stakes: Sequence[float], rng: random.Random) -> int:
     """Strictly stake-proportional lottery over a stake list: the proposer's index."""
     if not stakes:
         raise ValueError("active set is empty")
-    total = sum(stakes)
+    total = left_sum(stakes)
     if total <= 0.0:
         raise DegenerateElectionError("total active stake is zero")
     return proportional_pick(stakes, total, rng)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .weights import WeightTable
+from .weights import WeightTable, left_sum
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def signer_weight(signers: Iterable[str], table: WeightTable) -> float:
     """Current weight of the distinct signers, summed in id order."""
     distinct = signers if isinstance(signers, (set, frozenset)) else set(signers)
     entries = table.entries
-    return sum(entries.get(s, 0.0) for s in sorted(distinct))
+    return left_sum(entries.get(s, 0.0) for s in sorted(distinct))
 
 
 def extend_chain(
@@ -69,7 +69,7 @@ def extend_chain(
         proposer=proposer,
         timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
-        signer_weight=sum(weights),
+        signer_weight=left_sum(weights),
         signers=signers,
     )
 

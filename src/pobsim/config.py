@@ -25,10 +25,10 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import yaml
 
-from .adversaries import FORK_DEPTH, StrategySpec
+from .adversaries import StrategySpec
 from .errors import ConfigError
 from .scoring import ActionKind
-from .watchdog import PenaltyPolicy
+from .weights import left_sum
 
 PROTOCOLS = ("pob", "pos", "paired")
 
@@ -152,8 +152,8 @@ def _floats(lo=None, hi=None, length=None, unit_sum=False) -> Parser:
                     for i, v in enumerate(_require_type(value, list, path)))
         if length is not None and len(vec) != length:
             raise ConfigError(path, f"expected exactly {length} components")
-        if unit_sum and abs(sum(vec) - 1.0) > 1e-9:
-            raise ConfigError(path, f"components sum to {sum(vec)}, expected 1")
+        if unit_sum and abs(left_sum(vec) - 1.0) > 1e-9:
+            raise ConfigError(path, f"components sum to {left_sum(vec)}, expected 1")
         return vec
     return parse
 
@@ -213,6 +213,12 @@ def _parse_fields(cls, raw, path: str) -> dict:
 
 @dataclass(frozen=True)
 class PenaltySettings:
+    """The slash rule the watchdog applies to a guilty subject.
+
+    `escalation[f]` is the multiplier at offense count f (see
+    `watchdog.escalation`): it starts at 1 and does not decrease.
+    """
+
     mode: str = _field("additive", _choice("additive", "multiplicative"))
     base_coefficient: float = _field(1.0, _float(1e-12))
     escalation: tuple[float, ...] = _field((1.0,), _escalation)
@@ -272,8 +278,7 @@ def _roster(value, path) -> tuple[RosterEntry, ...]:
             raise ConfigError(at, f"roster[{same[0]}] is already 'adaptive-sybil'; "
                                   "a trial has one respawn controller")
         if same and spec.kind == "long-range-fork":
-            depth, first = (int(s.params.get("fork_depth", FORK_DEPTH))
-                            for s in (spec, entries[same[0]].spec))
+            depth, first = (s.param("fork_depth") for s in (spec, entries[same[0]].spec))
             if depth != first:
                 raise ConfigError(at, f"fork_depth {depth} differs from roster[{same[0]}]'s "
                                       f"{first}; all long-range-fork keys fork together")
@@ -381,15 +386,6 @@ class ScenarioConfig:
         if self.r_base is not None:
             return self.r_base
         return self.r_total / (2 * self.n_validators)
-
-    def penalty_policy(self) -> PenaltyPolicy:
-        return PenaltyPolicy(
-            base_coefficient=self.penalty.base_coefficient,
-            escalation=self.penalty.escalation,
-            mode=self.penalty.mode,
-            rho_p=self.penalty.rho_p,
-            full_slash_kinds=frozenset(ActionKind(k) for k in self.penalty.full_slash_kinds),
-        )
 
     def validator_ids(self) -> list[str]:
         """The configured validators' ids, in index order."""

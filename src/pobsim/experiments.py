@@ -16,6 +16,7 @@ Outputs per run directory:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -32,12 +33,12 @@ from .config import (
 from .errors import ConfigError
 from .metrics import (
     CSV_COLUMNS,
-    TrialMetrics,
     TrialTally,
     aggregate,
     paired_loss_averted,
 )
 from .netsim import EpochLedger, TraceBlock, ledger_to_json, run_trial
+from .weights import left_sum
 
 
 def _trial_protocols(config: ScenarioConfig) -> list[str]:
@@ -116,20 +117,8 @@ def write_trials_csv(path: Path, rows: Sequence[dict], extra_columns: Sequence[s
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            m: TrialMetrics = row["metrics"]
-            record = {
-                "trial": row["trial"],
-                "seed": row["seed"],
-                "protocol": row["protocol"],
-                "far": m.far,
-                "proposer_gini": m.proposer_gini,
-                "mean_latency_ms": m.mean_latency_ms,
-                "newcomer_adaptation_blocks": m.newcomer_adaptation_blocks,
-                "suppression_blocks": m.suppression_blocks,
-                "loss_averted": m.loss_averted,
-                "bottom_decile_share": m.bottom_decile_share,
-                "false_positives": m.false_positives,
-            }
+            record = {"trial": row["trial"], "seed": row["seed"], "protocol": row["protocol"],
+                      **dataclasses.asdict(row["metrics"])}
             for col in extra_columns:
                 record[col] = row.get(col)
             writer.writerow([_format_cell(record.get(c)) for c in columns])
@@ -168,10 +157,10 @@ def _latency_overhead(pob: dict, pos: dict, trials: Sequence[int]) -> Optional[f
     pos_mean = [pos[t].mean_latency_ms for t in trials]
     if not pob_mean or not pos_mean:
         return None
-    base = sum(pos_mean) / len(pos_mean)
+    base = left_sum(pos_mean) / len(pos_mean)
     if base <= 0:
         return None
-    return (sum(pob_mean) / len(pob_mean) - base) / base
+    return (left_sum(pob_mean) / len(pob_mean) - base) / base
 
 
 def run_scenario(

@@ -18,6 +18,7 @@ from .config import ScenarioConfig, RosterEntry, with_overrides
 from .adversaries import StrategySpec
 from .metrics import fraud_outcomes
 from .netsim import EpochLedger, run_trial
+from .weights import left_sum
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def find_focal(config: ScenarioConfig) -> tuple[str, int]:
     """The deviating validator: first non-honest roster slot."""
     for entry in config.roster:
         if entry.spec.kind != "honest":
-            return f"v{entry.lo:04d}", entry.lo
+            return config.validator_ids()[entry.lo], entry.lo
     raise ValueError("scenario has no deviating validator to compare against")
 
 
@@ -142,7 +143,7 @@ def empirical_ic(
             (d - h for d, h in zip(deviant_rounds, honest_rounds)), default=0.0
         )
         measured_delta_r = max(measured_delta_r, gain)
-        honest_round_means.append(sum(honest_rounds) / max(1, rounds))
+        honest_round_means.append(left_sum(honest_rounds) / max(1, rounds))
         for outcome in fraud_outcomes(deviant_ledgers):
             if outcome.actor == focal:
                 deviations_attempted += 1
@@ -156,7 +157,7 @@ def empirical_ic(
             }
         )
 
-    expected_honest = sum(honest_round_means) / max(1, len(honest_round_means))
+    expected_honest = left_sum(honest_round_means) / max(1, len(honest_round_means))
     slash_factor = (
         config.penalty.rho_p if config.penalty.mode == "multiplicative" else 0.0
     )
@@ -177,8 +178,8 @@ def empirical_ic(
     loss = future_loss(params)
     effective_loss = loss if detection_rate is None else detection_rate * loss
     effective_margin = effective_loss - measured_delta_r
-    honest_mean = sum(t["honest_discounted"] for t in per_trial) / max(1, trials)
-    deviant_mean = sum(t["deviant_discounted"] for t in per_trial) / max(1, trials)
+    honest_mean = left_sum(t["honest_discounted"] for t in per_trial) / max(1, trials)
+    deviant_mean = left_sum(t["deviant_discounted"] for t in per_trial) / max(1, trials)
     deviation_unprofitable_all = all(
         t["deviant_discounted"] < t["honest_discounted"] for t in per_trial
     )

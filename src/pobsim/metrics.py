@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .config import ScenarioConfig
 from .netsim import EpochLedger
+from .weights import left_sum
 
 CSV_COLUMNS = (
     "trial",
@@ -78,10 +79,10 @@ def gini(counts: Sequence[float]) -> Optional[float]:
     if values[0] < 0:
         raise ValueError("counts must be non-negative")
     n = len(values)
-    total = sum(values)
+    total = left_sum(values)
     if total <= 0:
         return None
-    weighted = sum((i + 1) * x for i, x in enumerate(values))
+    weighted = left_sum((i + 1) * x for i, x in enumerate(values))
     return (2.0 * weighted - (n + 1) * total) / (n * total)
 
 
@@ -133,7 +134,7 @@ def election_prob(roster: Sequence[str], weights: Sequence[float], vid: str,
         weight = weights[roster.index(vid)]
     except ValueError:
         return 0.0
-    total = sum(weights)
+    total = left_sum(weights)
     proportional = weight / total if total > 0 else 0.0
     return delta / len(weights) + (1.0 - delta) * proportional
 
@@ -143,18 +144,16 @@ def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> li
     shares = []
     for ledger in ledgers:
         w = ledger.weights_before
-        total = sum(w.values())
-        group = sum(w.get(v, 0.0) for v in ids)
+        total = left_sum(w.values())
+        group = left_sum(w.get(v, 0.0) for v in ids)
         shares.append(group / total if total > 0 else 0.0)
     return shares
 
 
 def adversary_ids(config: ScenarioConfig) -> list[str]:
-    ids = []
-    for entry in config.roster:
-        if entry.spec.kind != "honest":
-            ids.extend(f"v{i:04d}" for i in range(entry.lo, entry.hi))
-    return sorted(set(ids))
+    ids = config.validator_ids()
+    return sorted({vid for entry in config.roster if entry.spec.kind != "honest"
+                   for vid in ids[entry.lo:entry.hi]})
 
 
 class TrialTally:
@@ -258,13 +257,13 @@ class TrialTally:
         outcomes = self.fraud_outcomes()
         attempted = len(outcomes)
         accepted = sum(1 for o in outcomes if o.accepted)
-        accepted_value = sum(o.value for o in outcomes if o.accepted)
+        accepted_value = left_sum(o.value for o in outcomes if o.accepted)
 
         counts = self.proposer_counts()
         gini_value = gini(list(counts.values())) if counts else None
 
         latencies = self.latencies
-        mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
+        mean_latency = left_sum(latencies) / len(latencies) if latencies else 0.0
 
         newcomer_blocks: Optional[int] = None
         if self.newcomer_probs and self.alive_at_join:
@@ -318,8 +317,8 @@ def paired_loss_averted(pob: TrialTally, pos: TrialTally) -> float:
         (o.epoch, o.actor) for o in pob_outcomes
     ] != [(o.epoch, o.actor) for o in pos_outcomes]:
         raise ValueError("unpaired trials: fraud attempt streams differ")
-    pos_value = sum(o.value for o in pos_outcomes if o.accepted)
-    pob_value = sum(o.value for o in pob_outcomes if o.accepted)
+    pos_value = left_sum(o.value for o in pos_outcomes if o.accepted)
+    pob_value = left_sum(o.value for o in pob_outcomes if o.accepted)
     return pos_value - pob_value
 
 
@@ -333,10 +332,10 @@ def aggregate_values(values: Sequence[Optional[float]]) -> dict:
     n = len(present)
     if n == 0:
         return {"mean": None, "ci95": None, "n": 0}
-    mean = sum(present) / n
+    mean = left_sum(present) / n
     if n < 2:
         return {"mean": mean, "ci95": None, "n": n}
-    var = sum((x - mean) ** 2 for x in present) / (n - 1)
+    var = left_sum((x - mean) ** 2 for x in present) / (n - 1)
     half_width = Z_95 * math.sqrt(var) / math.sqrt(n)
     return {"mean": mean, "ci95": half_width, "n": n}
 

@@ -53,7 +53,7 @@ from .scoring import (
     total_utility,
 )
 from .watchdog import Penalty, Verdict, process_epoch_suspicions, slash
-from .weights import WeightTable, dampened_pick, ema_step, normalize
+from .weights import WeightTable, dampened_pick, ema_step, left_sum, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def quorum_time(arrivals: Sequence[float], weights: Sequence[float],
     list order), first reaches `quorum` times the total; None if it never does."""
     if not 0 < quorum <= 1:
         raise ValueError(f"quorum {quorum} outside (0, 1]")
-    total = sum(weights)
+    total = left_sum(weights)
     # Float comparison outside a slack band around the target; inside it
     # an exact rational check, so a vote landing exactly on the quorum
     # cannot flip on rounding.
@@ -439,35 +439,28 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
                         LatencyModel(config.latency_distribution, config.latency_mean_ms),
                         _reward_schedule(config))
     for entry in config.roster:
-        kind, p, members = entry.spec.kind, entry.spec.params, ids[entry.lo:entry.hi]
+        kind, param, members = entry.spec.kind, entry.spec.param, ids[entry.lo:entry.hi]
         if kind == "honest":
             make = adv.HonestStrategy
         elif kind == "sybil-burst":
-            coalition = adv.SybilCoalition(
-                members, burst_epoch=int(p.get("burst_epoch", 50)),
-                fraud_value=p.get("fraud_value", 50.0),
-                burst_every=int(p["burst_every"]) if "burst_every" in p else None)
+            coalition = adv.SybilCoalition(members, param("burst_epoch"), param("fraud_value"),
+                                           param("burst_every"))
             make = partial(adv.SybilBurstStrategy, coalition)
         elif kind == "adaptive-sybil":  # at most one such entry (config._roster)
+            cap = param("max_population")
             state.sybil_controller = adv.AdaptiveSybilController(
-                spawn_rate=p.get("spawn_rate", 0.1),
-                join_weight=p.get("join_weight", 0.0),
-                fraud_value=p.get("fraud_value", 1.0),
-                max_population=int(p.get("max_population", 2 * config.n_validators)),
-            )
+                param("spawn_rate"), param("join_weight"), param("fraud_value"),
+                2 * config.n_validators if cap is None else cap)
             state.sybil_controller.register(members)
             make = state.sybil_controller.strategy
         elif kind == "griefing":
-            make = partial(adv.GriefingStrategy,
-                           empty_block_run=int(p.get("empty_block_run", 10)),
-                           utility_epsilon=p.get("utility_epsilon", 0.01),
-                           low_initiative=p.get("low_initiative", 0.1))
+            make = partial(adv.GriefingStrategy, param("empty_block_run"),
+                           param("utility_epsilon"), param("low_initiative"))
         else:  # stealth, or long-range-fork: stealth frauds from keys that fork at trial end
-            make = partial(adv.StealthStrategy, fraud_rate=p.get("fraud_rate", 0.05),
-                           fraud_value=p.get("fraud_value", 50.0))
+            make = partial(adv.StealthStrategy, param("fraud_rate"), param("fraud_value"))
             if kind == "long-range-fork":  # one fork depth for all (config._roster)
                 state.compromised = sorted(state.compromised + members)
-                state.fork_depth = int(p.get("fork_depth", adv.FORK_DEPTH))
+                state.fork_depth = param("fork_depth")
         for vid in members:
             validators[vid] = adv.ValidatorState(vid, make(), kind)
 
@@ -601,7 +594,7 @@ def _activity(cols: BehaviorColumns,
         if count == 1:
             inputs.append((one_record, initiative[mine[0]], SINGLE_KIND_DIVERSITY[kind[mine[0]]]))
         else:
-            inputs.append((count / mean_actions, sum([initiative[i] for i in mine]) / count,
+            inputs.append((count / mean_actions, left_sum([initiative[i] for i in mine]) / count,
                            diversity_index([kind[i] for i in mine])))
     return rows_of, inputs
 
@@ -627,7 +620,7 @@ def _epoch_facts(cols: BehaviorColumns, positions: list[int],
     if single_suspect or len(utilities) > n:
         suspects = [(mine[0], *actor_inputs) for mine, actor_inputs in zip(*_activity(cols, n))
                     if len(mine) > 1 or single_suspect]
-    return _EpochFacts(scores, sum(utilities), harmful, suspects)
+    return _EpochFacts(scores, left_sum(utilities), harmful, suspects)
 
 
 def _sessions(state: _TrialState, cols: BehaviorColumns,
@@ -732,7 +725,7 @@ class _PobRules:
             return validators[alive[member]].strategy.committee_vote(behavior.actor, behavior)
 
         weights, verdicts = process_epoch_suspicions(
-            sessions, alive, self.weights, behaviors, config.penalty_policy(), config.theta,
+            sessions, alive, self.weights, behaviors, config.penalty, config.theta,
             committee_size, self.committee_rng, state.offense_counts,
             detection_accuracy=config.detection_accuracy, vote_fn=vote_fn)
         self.weights = normalize(weights)

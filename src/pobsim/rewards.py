@@ -13,6 +13,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .errors import RewardPoolError
+from .weights import left_sum
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Seque
     if len(actives) < len(scores):
         weights = [weights[p] for p in actives]
         activeness = [activeness[p] for p in actives]
-    weight_total = sum(weights)
+    weight_total = left_sum(weights)
     if weight_total > 0.0:
         bonus = [bonus_pool * (w / weight_total) for w in weights]
     else:

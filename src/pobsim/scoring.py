@@ -14,6 +14,8 @@ from enum import Enum
 from itertools import repeat
 from typing import Iterable, Sequence
 
+from .weights import left_sum
+
 WEIGHT_SUM_TOL = 1e-9
 
 
@@ -56,11 +58,11 @@ class MotivationProfile:
         for w in self.weights:
             if not 0.0 <= w <= 1.0:
                 raise ValueError(f"motivation weight {w} outside [0, 1]")
-        total = sum(self.weights)
+        total = left_sum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"motivation weights sum to {total}, expected 1")
         object.__setattr__(
-            self, "utility", sum(i * w for i, w in zip(self.intensities, self.weights))
+            self, "utility", left_sum(i * w for i, w in zip(self.intensities, self.weights))
         )
 
 
@@ -148,8 +150,9 @@ class ActivenessInputs:
 
 def check_betas(betas: Sequence[float]) -> None:
     """Raise ValueError unless the activeness blend weights are a convex mix."""
-    if abs(sum(betas) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"betas sum to {sum(betas)}, expected 1")
+    total = left_sum(betas)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"betas sum to {total}, expected 1")
     for b in betas:
         if not 0.0 <= b <= 1.0:
             raise ValueError(f"beta {b} outside [0, 1]")
@@ -171,25 +174,15 @@ def total_utility(b: BehaviorRecord) -> float:
 
 def epoch_score(behaviors: Iterable[BehaviorRecord], actor: str, epoch: int) -> float:
     """Cumulative utility of `actor` over the given epoch. Empty selection -> 0."""
-    return sum(total_utility(b) for b in behaviors if b.actor == actor and b.epoch == epoch)
+    return left_sum(total_utility(b) for b in behaviors if b.actor == actor and b.epoch == epoch)
 
 
 def activeness(a: ActivenessInputs) -> float:
     """Blend of relative frequency, mean initiative and diversity."""
     if a.network_mean_actions <= 0:
         raise ValueError("network_mean_actions must be > 0")
-    return activeness_blend(
-        a.action_count / a.network_mean_actions, a.mean_initiative, a.diversity, a.betas
-    )
-
-
-def activeness_blend(freq_ratio: float, mean_initiative: float, diversity: float,
-                     betas: Sequence[float]) -> float:
-    """The activeness rule on plain numbers, for callers that ran check_betas once.
-
-    `freq_ratio` is the node's action count over the network mean.
-    """
-    return activeness_column((freq_ratio,), (mean_initiative,), (diversity,), betas)[0]
+    return activeness_column((a.action_count / a.network_mean_actions,), (a.mean_initiative,),
+                             (a.diversity,), a.betas)[0]
 
 
 def activeness_column(freq_ratios: Iterable[float], mean_initiatives: Iterable[float],

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .scoring import ActionKind, BehaviorColumns, BehaviorRecord, outcome_utility
+from .config import PenaltySettings
+from .scoring import BehaviorColumns, BehaviorRecord, outcome_utility
 
 
 @dataclass(frozen=True)
@@ -43,37 +44,10 @@ class Verdict:
             raise ValueError("penalty_applied must be 0 for not-guilty verdicts")
 
 
-@dataclass(frozen=True)
-class PenaltyPolicy:
-    """Penalty coefficient, escalation schedule and slash mode.
-
-    `escalation[f]` is the multiplier applied at offense count f; counts
-    beyond the table reuse its last entry. The schedule must start at 1
-    and be non-decreasing.
-    """
-
-    base_coefficient: float = 1.0
-    escalation: tuple[float, ...] = (1.0,)
-    mode: str = "additive"
-    rho_p: float = 0.2
-    full_slash_kinds: frozenset[ActionKind] = frozenset({ActionKind.DOUBLE_SIGN})
-
-    def __post_init__(self):
-        if self.base_coefficient <= 0:
-            raise ValueError("base_coefficient must be > 0")
-        if self.mode not in ("additive", "multiplicative"):
-            raise ValueError(f"unknown penalty mode {self.mode!r}")
-        if not 0.0 <= self.rho_p < 1.0:
-            raise ValueError(f"rho_p {self.rho_p} outside [0, 1)")
-        if not self.escalation or self.escalation[0] != 1.0:
-            raise ValueError("escalation schedule must start at 1.0")
-        for a, b in zip(self.escalation, self.escalation[1:]):
-            if b < a or a < 1.0:
-                raise ValueError("escalation schedule must be non-decreasing and >= 1")
-
-    def multiplier(self, offense_count: int) -> float:
-        idx = min(offense_count, len(self.escalation) - 1)
-        return self.escalation[idx]
+def escalation(policy: PenaltySettings, offense_count: int) -> float:
+    """The multiplier at offense count `offense_count`; counts beyond the
+    schedule reuse its last entry."""
+    return policy.escalation[min(offense_count, len(policy.escalation) - 1)]
 
 
 def committee_vote(
@@ -105,7 +79,8 @@ def decide(verdict_votes: Sequence[bool], theta: Fraction) -> tuple[bool, Fracti
     return phi_x >= theta, phi_x
 
 
-def compute_penalty(policy: PenaltyPolicy, behavior: BehaviorRecord, offense_count: int) -> Penalty:
+def compute_penalty(policy: PenaltySettings, behavior: BehaviorRecord,
+                    offense_count: int) -> Penalty:
     """Penalty for a behavior already found guilty.
 
     Additive mode removes p * escalation(f) * |base utility| of weight
@@ -116,9 +91,9 @@ def compute_penalty(policy: PenaltyPolicy, behavior: BehaviorRecord, offense_cou
     """
     if offense_count < 0:
         raise ValueError("offense_count must be >= 0")
-    if behavior.kind in policy.full_slash_kinds:
+    if behavior.kind.value in policy.full_slash_kinds:
         return Penalty("full", 0.0)
-    esc = policy.multiplier(offense_count)
+    esc = escalation(policy, offense_count)
     if policy.mode == "additive":
         return Penalty("additive", policy.base_coefficient * esc * abs(behavior.base_utility))
     return Penalty("multiplicative", policy.rho_p**esc)
@@ -142,7 +117,7 @@ def process_epoch_suspicions(
     roster: Sequence[str],
     weights: Sequence[float],
     cols: BehaviorColumns,
-    policy: PenaltyPolicy,
+    policy: PenaltySettings,
     theta: Fraction,
     committee_size: int,
     rng: random.Random,

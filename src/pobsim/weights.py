@@ -8,11 +8,25 @@ the roster; `WeightTable` is an immutable {id: weight} snapshot over them.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateElectionError
+
+# Every float sum on the trial and output path adds left to right, so a
+# config and seed give the same bytes on every interpreter. Python 3.12
+# made `sum()` of floats a compensated sum, which rounds differently.
+# Before 3.12 the builtin adds left to right, bit for bit as the reduce
+# does, and several times faster.
+if sys.version_info >= (3, 12):
+    def left_sum(values: Iterable[float]) -> float:
+        return functools.reduce(operator.add, values, 0)
+else:
+    left_sum = sum
 
 
 @dataclass(frozen=True)
@@ -30,7 +44,7 @@ class WeightTable:
     @property
     def total(self) -> float:
         """The summed weight, in entry order (sorted by id wherever netsim builds a table)."""
-        return sum(self.entries.values())
+        return left_sum(self.entries.values())
 
     def ids(self) -> list[str]:
         return sorted(self.entries)
@@ -38,7 +52,7 @@ class WeightTable:
 
 def normalize(weights: Sequence[float]) -> list[float]:
     """Weights rescaled to unit sum, summed in order; uniform when all mass is gone."""
-    total = sum(weights)
+    total = left_sum(weights)
     if total <= 0.0:
         return [1.0 / len(weights)] * len(weights)
     return [w / total for w in weights]
@@ -65,7 +79,7 @@ def ema_step(weights: Sequence[float], scores: Sequence[float], rho: float) -> l
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho {rho} outside [0, 1]")
     clamped = [s if s > 0.0 else 0.0 for s in scores]  # max(0.0, s), NaN to 0 included
-    total = sum(clamped)
+    total = left_sum(clamped)
     keep = 1.0 - rho
     if total > 0.0:
         return [keep * w + rho * (c / total) for w, c in zip(weights, clamped)]
@@ -93,7 +107,7 @@ def dampened_pick(weights: Sequence[float], delta: float, rng: random.Random) ->
     """The dampened lottery over a weight list: the index of the proposer."""
     if not weights:
         raise ValueError("active set is empty")
-    total = sum(weights)
+    total = left_sum(weights)
     if total <= 0.0 and delta == 0.0:
         raise DegenerateElectionError("all active weights are zero and delta is 0")
     # Uniform with probability delta, and as the limit when no weight is left.

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pobsim.adversaries import (
+    PARAMS,
     AdaptiveSybilController,
     AdaptiveSybilStrategy,
     EpochContext,
@@ -39,6 +40,12 @@ def ctx(epoch=0, vid="v0", is_proposer=False, seed=0):
     )
 
 
+def params(kind, **given):
+    """Every param of `kind` by name, as a roster entry giving `given` runs it."""
+    spec = StrategySpec(kind, given)
+    return {name: spec.param(name) for name in PARAMS[kind]}
+
+
 class TestStrategySpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -54,6 +61,25 @@ class TestStrategySpec:
 
     def test_valid(self):
         StrategySpec("stealth", {"fraud_rate": 0.05, "fraud_value": 10.0})
+
+    def test_param_resolves_given_then_default(self):
+        spec = StrategySpec("sybil-burst", {"burst_epoch": 7.0, "fraud_value": 3})
+        assert spec.param("burst_epoch") == 7 and isinstance(spec.param("burst_epoch"), int)
+        assert spec.param("fraud_value") == 3  # a non-count keeps its given form
+        assert spec.param("burst_every") is None  # no default: the coalition bursts once
+        assert spec.params == {"burst_epoch": 7.0, "fraud_value": 3}  # kept as given
+        assert StrategySpec("long-range-fork").param("fork_depth") == 100
+
+    def test_counts_are_the_params_with_int_bounds(self):
+        counts = {(kind, name) for kind, table in PARAMS.items()
+                  for name, (_, lo, hi) in table.items() if isinstance(lo, int)}
+        assert counts == {("sybil-burst", "sybil_count"), ("sybil-burst", "burst_epoch"),
+                          ("sybil-burst", "burst_every"), ("adaptive-sybil", "max_population"),
+                          ("long-range-fork", "fork_depth"), ("griefing", "empty_block_run")}
+        for kind, table in PARAMS.items():
+            assert all(hi is None or type(hi) is type(lo) for _, lo, hi in table.values()), kind
+            defaults = {name: d for name, (d, _, _) in table.items() if d is not None}
+            assert StrategySpec(kind, defaults).params == defaults  # every default is in range
 
 
 class TestHonestStrategy:
@@ -106,15 +132,11 @@ class TestStealthStrategy:
         assert records[0].base_utility > 0
         assert not records[0].is_fraud_ground_truth
 
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            StealthStrategy(fraud_rate=0.0)
-
 
 class TestSybilBurst:
     def make(self, n=10, burst_epoch=5, value=1.0):
         members = [f"s{i}" for i in range(n)]
-        coalition = SybilCoalition(members, burst_epoch, value)
+        coalition = SybilCoalition(members, burst_epoch, value, None)
         return members, coalition
 
     def test_burst_splits_value(self):
@@ -153,7 +175,7 @@ class TestSybilBurst:
 
 class TestGriefing:
     def test_empty_block_when_elected(self):
-        s = GriefingStrategy(empty_block_run=10, utility_epsilon=0.01)
+        s = GriefingStrategy(**params("griefing", empty_block_run=10, utility_epsilon=0.01))
         records = s.behaviors(ctx(is_proposer=True))
         assert len(records) == 1
         assert records[0].kind == ActionKind.PROPOSE
@@ -161,14 +183,14 @@ class TestGriefing:
         assert records[0].initiative == pytest.approx(0.1)
 
     def test_never_negative_utility(self):
-        s = GriefingStrategy()
+        s = GriefingStrategy(**params("griefing"))
         for epoch in range(200):
             for r in s.behaviors(ctx(epoch=epoch, is_proposer=epoch % 2 == 0, seed=epoch)):
                 assert outcome_utility(r) >= 0.0
                 assert not r.is_fraud_ground_truth
 
     def test_run_length_capped(self):
-        s = GriefingStrategy(empty_block_run=3)
+        s = GriefingStrategy(**params("griefing", empty_block_run=3))
         empties = 0
         for epoch in range(10):
             records = s.behaviors(ctx(epoch=epoch, is_proposer=True, seed=epoch))
@@ -176,7 +198,7 @@ class TestGriefing:
         assert empties == 3
 
     def test_zero_run_is_honest(self):
-        s = GriefingStrategy(empty_block_run=0)
+        s = GriefingStrategy(**params("griefing", empty_block_run=0))
         records = s.behaviors(ctx(is_proposer=True))
         assert records[0].base_utility > 0.4
 
@@ -189,7 +211,7 @@ class TestAdaptiveSybil:
         assert records[0].is_fraud_ground_truth
 
     def test_controller_budget(self):
-        c = AdaptiveSybilController(spawn_rate=0.1, max_population=1000)
+        c = AdaptiveSybilController(**params("adaptive-sybil", max_population=1000))
         c.register(["s0", "s1"])
         fresh, events = c.replacements(epoch=3, population=100, convicted_sybils=["s0", "s1"])
         assert len(fresh) == 2
@@ -197,7 +219,8 @@ class TestAdaptiveSybil:
         assert set(fresh) <= c.coalition_members
 
     def test_controller_makes_every_member_strategy(self):
-        c = AdaptiveSybilController(fraud_value=3.0)
+        c = AdaptiveSybilController(**params("adaptive-sybil", fraud_value=3.0,
+                                             max_population=1000))
         c.register(["s0"])
         s = c.strategy()
         fresh, _ = c.replacements(epoch=0, population=100, convicted_sybils=["s0"])
@@ -207,19 +230,20 @@ class TestAdaptiveSybil:
         assert c.strategy().coalition_members is s.coalition_members
 
     def test_controller_budget_caps_spawns(self):
-        c = AdaptiveSybilController(spawn_rate=0.1, max_population=1000)
+        c = AdaptiveSybilController(**params("adaptive-sybil", max_population=1000))
         convicted = [f"s{i}" for i in range(30)]
         fresh, _ = c.replacements(epoch=0, population=100, convicted_sybils=convicted)
         assert len(fresh) == 10  # 10% of population
 
     def test_population_cap_stops_spawning(self):
-        c = AdaptiveSybilController(spawn_rate=0.5, max_population=102)
+        c = AdaptiveSybilController(**params("adaptive-sybil", spawn_rate=0.5,
+                                             max_population=102))
         fresh, events = c.replacements(epoch=0, population=100, convicted_sybils=["a"] * 10)
         assert len(fresh) <= 2
         assert any(e["kind"] == "population-cap" for e in events)
 
     def test_fresh_names_unique(self):
-        c = AdaptiveSybilController()
+        c = AdaptiveSybilController(**params("adaptive-sybil", max_population=1000))
         seen = set()
         for epoch in range(5):
             fresh, _ = c.replacements(epoch, 100, ["x"] * 3)

@@ -176,13 +176,15 @@ BAD_STRATEGY_PARAMS = [
     ("adaptive-sybil", "{join_weight: .inf}", "not finite"),
     ("griefing", "{utility_epsilon: .inf}", "not finite"),
     ("stealth", "{fraud_value: .nan}", "not finite"),
+    ("stealth", "{fraud_rate: 0}", "fraud_rate=0 outside"),
+    ("long-range-fork", "{fraud_rate: 0.0}", "fraud_rate=0.0 outside"),
 ]
 
 
 @pytest.mark.parametrize("kind,params,message", BAD_STRATEGY_PARAMS,
                          ids=["list", "null", "bool", "fractional-run", "fractional-epoch",
                               "inf-fraud-value", "inf-join-weight", "inf-utility-epsilon",
-                              "nan-fraud-value"])
+                              "nan-fraud-value", "zero-fraud-rate", "zero-fork-fraud-rate"])
 def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, capsys):
     text = TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
                         f"kind: {kind}, params: {params}")

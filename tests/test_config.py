@@ -7,6 +7,7 @@ import yaml
 from pobsim.adversaries import StrategySpec
 from pobsim.config import (
     SWEEPABLE,
+    PenaltySettings,
     RosterEntry,
     apply_sweep_point,
     check_config,
@@ -322,8 +323,9 @@ class TestOverrides:
             config_from_mapping({"protocol": "pob", "n_validators": 1})
 
 
-# One bad value per kind of field parser: (field, value as stored, as YAML).
-BAD_FIELDS = [
+# One bad value per kind of field parser, and each refusal of the penalty
+# block: (field, value as stored, as YAML).
+BAD_FIELDS = [pytest.param(*case, id=case[0]) for case in [
     ("newcomer_epoch", 0, 0),
     ("n_validators", 1, 1),
     ("protocol", "pow", "pow"),
@@ -335,12 +337,19 @@ BAD_FIELDS = [
     ("emit_ledgers", "yes", "yes"),
     ("motivation_weights", (0.5, 0.6, 0.2), [0.5, 0.6, 0.2]),
     ("sweep", {"fizz": [1]}, {"fizz": [1]}),
+]] + [
+    pytest.param("penalty", PenaltySettings(escalation=(2.0,)), {"escalation": [2.0]},
+                 id="penalty-escalation-start"),
+    pytest.param("penalty", PenaltySettings(escalation=(1.0, 0.5)), {"escalation": [1.0, 0.5]},
+                 id="penalty-escalation-decreasing"),
+    pytest.param("penalty", PenaltySettings(mode="exotic"), {"mode": "exotic"},
+                 id="penalty-mode"),
+    pytest.param("penalty", PenaltySettings(rho_p=1.0), {"rho_p": 1.0}, id="penalty-rho_p"),
 ]
 
 
 class TestOneSchema:
-    @pytest.mark.parametrize("field,value,yaml_value", BAD_FIELDS,
-                             ids=[case[0] for case in BAD_FIELDS])
+    @pytest.mark.parametrize("field,value,yaml_value", BAD_FIELDS)
     def test_bad_value_rejected_on_every_path(self, field, value, yaml_value):
         text = yaml.safe_dump({"protocol": "pob", "n_validators": 100, field: yaml_value})
         with pytest.raises(ConfigError) as err:

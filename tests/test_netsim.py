@@ -4,11 +4,13 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
 from pobsim.config import PenaltySettings, ScenarioConfig, RosterEntry, with_overrides
-from pobsim.adversaries import StrategySpec
+from pobsim.adversaries import PARAMS, StrategySpec
 from pobsim.errors import ConfigError, RewardPoolError, TraceError
 from pobsim.metrics import TrialTally
 from pobsim import chain, netsim
@@ -46,7 +48,7 @@ def heap_quorum_time(arrivals, weights, quorum):
     (time, insertion order), pop until the exact yes-weight reaches quorum."""
     queue = [(at, seq) for seq, at in enumerate(arrivals)]
     heapq.heapify(queue)
-    total, acc = sum(weights), 0.0
+    total, acc = reduce(add, weights, 0), 0.0  # summed left to right, as quorum_time does
     while queue:
         at, seq = heapq.heappop(queue)
         acc += weights[seq]
@@ -402,6 +404,18 @@ class TestTrialSetup:
         (outcome,) = [e for e in ledgers[-1].events if e["kind"] == "fork-outcome"]
         assert outcome["checkpoint_height"] == sum(l.confirmed for l in ledgers) - 5
 
+    @pytest.mark.parametrize("kind", [kind for kind in PARAMS if kind != "honest"])
+    def test_unnamed_params_run_as_the_table_defaults(self, kind):
+        named = {name: default for name, (default, _, _) in PARAMS[kind].items()
+                 if default is not None}
+        if kind == "adaptive-sybil":
+            named["max_population"] = 20  # 2 x n_validators, the one config-dependent default
+        bare, full = (small_config(epochs=60, roster=(RosterEntry(6, 10, StrategySpec(kind, p)),))
+                      for p in ({}, named))
+        for protocol in ("pob", "pos"):
+            assert ([ledger_to_json(l) for l in run_trial(bare, 5, protocol=protocol)]
+                    == [ledger_to_json(l) for l in run_trial(full, 5, protocol=protocol)])
+
     @pytest.mark.parametrize("ranges, kind, message", [
         ([(10, 13), (15, 18)], "adaptive-sybil", "already 'adaptive-sybil'"),
         ([(0, 10), (5, 12)], "stealth", "index 5 assigned twice"),
@@ -447,8 +461,9 @@ class TestSinglePassFacts:
                 mean_actions = len(l.behaviors) / len(alive)
                 for v in alive:
                     mine = [b for b in l.behaviors if b.actor == v]
-                    assert l.scores[v] == sum(total_utility(b) for b in mine)
-                    mean_initiative = sum(b.initiative for b in mine) / len(mine) if mine else 0.0
+                    assert l.scores[v] == reduce(add, (total_utility(b) for b in mine), 0)
+                    mean_initiative = (reduce(add, (b.initiative for b in mine), 0) / len(mine)
+                                       if mine else 0.0)
                     inputs = ActivenessInputs(len(mine), mean_actions, mean_initiative,
                                               diversity_index(b.kind for b in mine), cfg.betas)
                     assert l.activeness[v] == activeness(inputs)
@@ -457,7 +472,7 @@ class TestSinglePassFacts:
             assert sorted_sums == []  # extending the chain sorts no signer set
             cumulative = 0.0
             for l, block in zip(confirmed, blocks):
-                cumulative += sum(total_utility(b) for b in l.behaviors)
+                cumulative += reduce(add, (total_utility(b) for b in l.behaviors), 0)
                 assert block.cumulative_utility == cumulative
                 # the roster sum is bit-identical to sorting the signer set
                 assert block.signers == frozenset(l.weights_after)

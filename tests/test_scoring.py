@@ -220,7 +220,7 @@ class TestLabelIsolation:
         # scoring operation may consume it
         source = inspect.getsource(scoring)
         for name in ("motivation_utility", "outcome_utility", "total_utility",
-                     "epoch_score", "activeness", "activeness_blend",
+                     "epoch_score", "activeness", "activeness_column",
                      "looks_scripted"):
             fn_source = inspect.getsource(getattr(scoring, name))
             assert "is_fraud_ground_truth" not in fn_source, name

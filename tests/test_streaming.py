@@ -14,6 +14,8 @@ import gc
 import json
 import os
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -62,7 +64,8 @@ def _reference_loss_averted(pob_ledgers, pos_ledgers):
     pob, pos = _reference_outcomes(pob_ledgers), _reference_outcomes(pos_ledgers)
     if [o[:2] for o in pob] != [o[:2] for o in pos]:
         raise ValueError("unpaired trials: fraud attempt streams differ")
-    return sum(o[2] for o in pos if o[3]) - sum(o[2] for o in pob if o[3])
+    return (reduce(add, (o[2] for o in pos if o[3]), 0)
+            - reduce(add, (o[2] for o in pob if o[3]), 0))
 
 
 def _reference_metrics(ledgers, config, protocol):
@@ -110,7 +113,7 @@ def _reference_metrics(ledgers, config, protocol):
     return TrialMetrics(
         far=fraud_acceptance_rate(len(outcomes), len(accepted)),
         proposer_gini=gini(list(counts.values())) if counts else None,
-        mean_latency_ms=sum(latencies) / len(latencies) if latencies else 0.0,
+        mean_latency_ms=reduce(add, latencies, 0) / len(latencies) if latencies else 0.0,
         newcomer_adaptation_blocks=newcomer,
         suppression_blocks=suppression,
         loss_averted=None,
@@ -118,7 +121,7 @@ def _reference_metrics(ledgers, config, protocol):
         false_positives=false_positives,
         fraud_attempted=len(outcomes),
         fraud_accepted=len(accepted),
-        fraud_accepted_value=sum(o[2] for o in accepted),
+        fraud_accepted_value=reduce(add, (o[2] for o in accepted), 0),
     )
 
 

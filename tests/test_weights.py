@@ -8,8 +8,16 @@ from hypothesis import given, strategies as st
 from pobsim.errors import DegenerateElectionError
 from pobsim.metrics import election_prob
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
-from pobsim.watchdog import Penalty, PenaltyPolicy, compute_penalty, process_epoch_suspicions, slash
-from pobsim.weights import WeightTable, normalize, select_proposer, update_weights
+from pobsim.config import PenaltySettings
+from pobsim.watchdog import Penalty, compute_penalty, process_epoch_suspicions, slash
+from pobsim.weights import WeightTable, left_sum, normalize, select_proposer, update_weights
+
+
+def test_left_sum_adds_left_to_right_on_every_interpreter():
+    # 3.12's compensated builtin sum gives 1.0 here
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum(x for x in (1e16, 1.0, -1e16)) == 0.0
+    assert left_sum([]) == 0
 
 
 class TestWeightTable:
@@ -127,7 +135,7 @@ class TestSlashes:
         roster, weights = ["a", "b", "c"], [0.4, 0.35, 0.25]
         cols = BehaviorColumns(0)
         cols.add(1, ActionKind.FRAUD, -delta_w, 1.0, 1.0, MotivationProfile((0.0,), (1.0,)))
-        for policy in (PenaltyPolicy(), PenaltyPolicy(mode="multiplicative", rho_p=rho_p)):
+        for policy in (PenaltySettings(), PenaltySettings(mode="multiplicative", rho_p=rho_p)):
             out, (verdict,) = process_epoch_suspicions(
                 [(1, 0, 1)], roster, weights, cols, policy, Fraction(1, 2), 2,
                 random.Random(0), {}, vote_fn=lambda member, behavior: True)
