@@ -11,6 +11,12 @@ Outputs per run directory:
     summary.json  - per-protocol aggregates plus paired comparisons
     ledgers/      - canonical per-epoch JSON (only with emit_ledgers),
                     written by the worker as each epoch finishes
+
+A trial task runs tally-only halves one after the other, so one trial
+state is alive at a time. Halves that write ledgers step in lockstep,
+pob then pos each epoch, through one ledger writer state: the twins
+share most of their columns, and the writer formats each shared column
+once (netsim.ledger_to_json).
 """
 
 from __future__ import annotations
@@ -37,7 +43,13 @@ from .metrics import (
     aggregate,
     paired_loss_averted,
 )
-from .netsim import EpochLedger, TraceBlock, ledger_to_json, run_trial
+from .netsim import (
+    EpochLedger,
+    TraceBlock,
+    ledger_to_json,
+    run_trial,
+    trial_epochs,
+)
 from .weights import left_sum
 
 
@@ -45,14 +57,14 @@ def _trial_protocols(config: ScenarioConfig) -> list[str]:
     return ["pob", "pos"] if config.protocol == "paired" else [config.protocol]
 
 
-def _ledger_writer(led_dir: Path, tally: TrialTally):
-    """A run_trial sink that tallies each ledger and writes it to `led_dir`."""
+def _ledger_writer(led_dir: Path, tally: TrialTally, last: dict):
+    """A sink that tallies each ledger and writes it to `led_dir` with the writer state `last`."""
     led_dir.mkdir(parents=True, exist_ok=True)
 
     def sink(ledger: EpochLedger) -> None:
         tally.add(ledger)
         (led_dir / f"epoch-{ledger.epoch:05d}.json").write_text(
-            ledger_to_json(ledger) + "\n", encoding="utf-8"
+            ledger_to_json(ledger, last) + "\n", encoding="utf-8"
         )
 
     return sink
@@ -66,26 +78,33 @@ def _run_trial_task(
 ) -> dict:
     """One trial, all protocols; returns picklable rows.
 
-    Each epoch's ledger is streamed into the trial's metrics tally and,
-    when `ledger_root` is given, written under it from this process.
+    Each epoch's ledger is streamed into its protocol's metrics tally and,
+    when `ledger_root` is given, written under it from this process; then
+    the protocols step in lockstep (see the module docstring).
     """
     seed = config.seed + trial
-    rows: list[dict] = []
-    tallies: dict[str, TrialTally] = {}
-    for protocol in _trial_protocols(config):
-        tally = tallies[protocol] = TrialTally(config, protocol)
-        sink = tally.add
-        if ledger_root is not None:
-            sink = _ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}", tally)
-        run_trial(config, seed, protocol=protocol, trace=trace, sink=sink)
-        rows.append(
-            {"trial": trial, "seed": seed, "protocol": protocol, "metrics": tally.metrics()}
-        )
+    protocols = _trial_protocols(config)
+    tallies = {protocol: TrialTally(config, protocol) for protocol in protocols}
+    if ledger_root is None:
+        for protocol in protocols:
+            run_trial(config, seed, protocol=protocol, trace=trace, sink=tallies[protocol].add)
+    else:
+        last: dict = {}  # the writer state both halves share (netsim.ledger_to_json)
+        sinks = [_ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}",
+                                tallies[protocol], last) for protocol in protocols]
+        halves = [trial_epochs(config, seed, protocol, trace) for protocol in protocols]
+        try:
+            for ledgers in zip(*halves):  # every half has one ledger per epoch
+                for sink, ledger in zip(sinks, ledgers):
+                    sink(ledger)
+        finally:
+            for half in halves:
+                half.close()
+    rows = [{"trial": trial, "seed": seed, "protocol": protocol,
+             "metrics": tallies[protocol].metrics()} for protocol in protocols]
     if config.protocol == "paired":
-        averted = paired_loss_averted(tallies["pob"], tallies["pos"])
-        for row in rows:
-            if row["protocol"] == "pob":
-                row["metrics"].loss_averted = averted
+        rows[0]["metrics"].loss_averted = paired_loss_averted(  # the pob row
+            tallies["pob"], tallies["pos"])
     return {"trial": trial, "rows": rows}
 
 

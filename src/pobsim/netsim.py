@@ -7,25 +7,26 @@ ledger per epoch. The same loop can be driven from a block-trace file
 (replay mode) and can host the stake-weighted baseline protocol for
 paired comparisons.
 
-Determinism contract: run_trial is a pure function of (config, seed,
-protocol). All randomness flows through named substreams, every
-iteration order is sorted, so re-runs are bit-identical.
+Determinism contract: a trial (`trial_epochs`, and `run_trial` that
+drains it) is a pure function of (config, seed, protocol). All
+randomness flows through named substreams, every iteration order is
+sorted, so re-runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import marshal
 import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
 from math import log
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .baseline_pos import (
@@ -171,9 +172,6 @@ _string = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _VERDICT_FIELDS = tuple(f.name for f in dataclasses.fields(Verdict))
 _KIND_JSON = {kind: _string(kind.value) for kind in ActionKind}
-_BEHAVIOR_JSON = ('{{"actor":{},"base_utility":{},"context_factor":{},"epoch":{},"initiative":{}'
-                  ',"is_fraud_ground_truth":{},"kind":{},"motivation":{}}}').format
-_PAYOUT_JSON = '{{"activeness_multiplier":{},"base":{},"bonus":{},"total":{},"validator":{}}}'.format
 
 
 def _value(x) -> str:
@@ -201,56 +199,125 @@ def _texts(values: Sequence) -> list[str]:
     return texts
 
 
-def _map(names: list[str], values: Sequence[float]) -> str:
+def _names(roster: list[str]) -> list[str]:
+    return list(map(_string, roster))
+
+
+def _rows(n: int, *pieces) -> str:
+    """`n` rows joined, each the row's text of every piece in turn: a piece is a
+    list of `n` texts, or one text that every row repeats."""
+    width = len(pieces)
+    parts = [""] * (width * n)
+    for k, piece in enumerate(pieces):
+        parts[k::width] = [piece] * n if piece.__class__ is str else piece
+    return "".join(parts)
+
+
+def _map(values: Sequence[float], names: list[str]) -> str:
     """A roster-aligned list as a JSON object keyed by the roster's `names`."""
-    return "{" + ",".join(map(":".join, zip(names, _texts(values)))) + "}"
+    return "{" + _rows(len(names), names, ":", _texts(values), ",")[:-1] + "}"
 
 
-def _motivations(profiles: Sequence[MotivationProfile]) -> Iterable[str]:
+def _motivations(profiles: Sequence[MotivationProfile]) -> list[str]:
     """Each profile's JSON, encoded once per distinct profile."""
     distinct = {id(m): m for m in profiles}
     texts = {key: '{"intensities":[' + ",".join(_texts(m.intensities)) + '],"weights":['
                   + ",".join(_texts(m.weights)) + "]}" for key, m in distinct.items()}
-    return map(texts.__getitem__, map(id, profiles))
+    return list(map(texts.__getitem__, map(id, profiles)))
 
 
-def _behaviors(c: BehaviorColumns, names: list[str]) -> str:
-    rows = map(_BEHAVIOR_JSON, map(names.__getitem__, c.actor), _texts(c.base_utility),
-               _texts(c.context_factor), repeat(_value(c.epoch)), _texts(c.initiative),
-               map(_value, c.fraud), map(_KIND_JSON.__getitem__, c.kind),
-               _motivations(c.motivation))
-    return "[" + ",".join(rows) + "]"
+def _behaviors(base_utility: list[float], context_factor: list[float], initiative: list[float],
+               actor: list[int], fraud: list[bool], kinds: list[str], motivations: list[str],
+               epoch: int, names: list[str]) -> str:
+    rows = _rows(len(actor), '{"actor":', list(map(names.__getitem__, actor)),
+                 ',"base_utility":', _texts(base_utility),
+                 ',"context_factor":', _texts(context_factor), ',"epoch":', _value(epoch),
+                 ',"initiative":', _texts(initiative),
+                 ',"is_fraud_ground_truth":', list(map(_value, fraud)), ',"kind":', kinds,
+                 ',"motivation":', motivations, "},")
+    return "[" + rows[:-1] + "]"
 
 
-def _payouts(split: PoolSplit, names: list[str]) -> str:
-    rows = map(_PAYOUT_JSON, _texts(split.multiplier), repeat(_value(split.base)),
-               _texts(split.bonus), _texts(split.total), map(names.__getitem__, split.actives))
-    return "[" + ",".join(rows) + "]"
+def _payouts(total: list[float], bonus: list[float], multiplier: list[float], base: float,
+             actives: list[int], names: list[str]) -> str:
+    rows = _rows(len(actives), '{"activeness_multiplier":', _texts(multiplier),
+                 ',"base":', _value(base), ',"bonus":', _texts(bonus), ',"total":', _texts(total),
+                 ',"validator":', list(map(names.__getitem__, actives)), "},")
+    return "[" + rows[:-1] + "]"
+
+
+def _latency(proposals: list[float], votes: list[float]) -> str:
+    """The latency samples: each validator's proposal delay, then its vote delay."""
+    return "[" + _rows(len(proposals), _texts(proposals), ",", _texts(votes), ",")[:-1] + "]"
 
 
 def _verdicts(verdicts: Sequence[Verdict]) -> str:
     return _encode([{f: getattr(v, f) for f in _VERDICT_FIELDS} for v in verdicts])
 
 
-def ledger_to_json(ledger: EpochLedger) -> str:
-    """Canonical serialization: sorted keys, shortest round-trip floats."""
-    names = list(map(_string, ledger.roster))
+def _same(a, b) -> bool:
+    """Whether `a` and `b` write the same JSON: one object, or equal values of the same
+    types and bits. `==` alone is not enough: it takes -0.0 for 0.0 and True for 1
+    and 1.0, which each write differently; marshal writes each value's type and bits."""
+    if a is b:
+        return True
+    try:
+        return a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
+    except ValueError:  # a value marshal cannot write: no reuse
+        return False
+
+
+def ledger_to_json(ledger: EpochLedger, last: Optional[dict] = None) -> str:
+    """Canonical serialization: sorted keys, shortest round-trip floats.
+
+    `last` is the writer state that a trial's ledgers share: for each
+    protocol, the parts of the last ledger written, as (write, columns,
+    text). A part (the roster's names, each roster map, the behaviors, the
+    latency samples, the payouts) is one function of a few columns, and its
+    text is copied from an earlier part of the same function whose columns
+    are each `_same` as its own. A protocol hands out a new weight list on
+    every change (see the protocol rules), so an unchanged list is the same
+    object; a paired trial's halves draw the same behaviors and delays, so
+    their twin columns are equal.
+    """
+    last = {} if last is None else last
+    earlier = [known for parts in last.values() for known in parts]
+    written = last[ledger.protocol] = []
+
+    def part(write: Callable, *columns):
+        # Callers list a part's most changeable columns first, where a mismatch shows soonest.
+        for known in written + earlier:
+            if known[0] is write and all(map(_same, known[1], columns)):
+                text = known[2]
+                break
+        else:
+            text = write(*columns)
+        written.append((write, columns, text))
+        return text
+
+    names = part(_names, ledger.roster)
+    c, split = ledger.behavior_rows, ledger.pool_split
+    behaviors = part(_behaviors, c.base_utility, c.context_factor, c.initiative, c.actor,
+                     c.fraud, list(map(_KIND_JSON.__getitem__, c.kind)),
+                     _motivations(c.motivation), c.epoch, names)
+    payouts = part(_payouts, split.total, split.bonus, split.multiplier, split.base,
+                   split.actives, names)
     return (
-        f'{{"activeness":{_map(names, ledger.roster_activeness)}'
-        f',"behaviors":{_behaviors(ledger.behavior_rows, names)}'
+        f'{{"activeness":{part(_map, ledger.roster_activeness, names)}'
+        f',"behaviors":{behaviors}'
         f',"confirm_ms":{_value(ledger.confirm_ms)}'
         f',"confirmed":{_value(ledger.confirmed)}'
         f',"epoch":{_value(ledger.epoch)}'
         f',"events":{_encode(list(ledger.events))}'
-        f',"latency_samples":[{",".join(_texts(ledger.latency_samples))}]'
+        f',"latency_samples":{part(_latency, ledger.proposal_delays, ledger.vote_delays)}'
         f',"neutralized":{_encode(list(ledger.neutralized))}'
-        f',"payouts":{_payouts(ledger.pool_split, names)}'
+        f',"payouts":{payouts}'
         f',"proposer":{_string(ledger.proposer)}'
         f',"protocol":{_string(ledger.protocol)}'
-        f',"scores":{_map(names, ledger.roster_scores)}'
+        f',"scores":{part(_map, ledger.roster_scores, names)}'
         f',"verdicts":{_verdicts(ledger.verdicts)}'
-        f',"weights_after":{_map(names, ledger.roster_weights_after)}'
-        f',"weights_before":{_map(names, ledger.roster_weights_before)}}}'
+        f',"weights_after":{part(_map, ledger.roster_weights_after, names)}'
+        f',"weights_before":{part(_map, ledger.roster_weights_before, names)}}}'
     )
 
 
@@ -679,7 +746,7 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
 # Protocol rules: the one place the two protocols differ
 # ---------------------------------------------------------------------------
 #
-# A trial chooses one rules object and keeps it as a local of run_trial.
+# A trial chooses one rules object and keeps it as a local of trial_epochs.
 # The rules hold only what their protocol uses and never point back at the
 # trial state, so a finished trial leaves no reference cycle to collect.
 # Each keeps `weights`, its election and reward weights aligned with the
@@ -807,25 +874,25 @@ class _PosRules:
         return None
 
 
-def run_trial(
+def trial_epochs(
     config: ScenarioConfig,
     seed: int,
     protocol: Optional[str] = None,
     trace: Optional[Sequence[TraceBlock]] = None,
-    sink: Optional[Callable[[EpochLedger], None]] = None,
-) -> list[EpochLedger]:
-    """Execute one seeded trial, handing each finished ledger to `sink`.
+) -> Iterator[EpochLedger]:
+    """One seeded trial as a stream of its ledgers, one per epoch.
 
-    `config` is checked as the loader checks it (`check_config`) before
-    the trial starts. Without a sink the ledgers are collected and
-    returned; with one the trial keeps no ledger once `sink` returns, so
-    its memory stays flat in the epoch count, and the returned list is
-    empty.
+    Nothing runs until the first ledger is asked for: then `config` is
+    checked as the loader checks it (`check_config`) and the trial is set
+    up. Each ledger comes out once the next epoch starts (the last one
+    waits for the trial-end fork outcome), and the trial keeps none it has
+    handed out past the next epoch, so its memory stays flat in the epoch
+    count.
     """
     protocol = protocol or config.protocol
     if protocol not in ("pob", "pos"):
         raise ValueError(
-            f"run_trial needs a concrete protocol, got {protocol!r} "
+            f"a trial needs a concrete protocol, got {protocol!r} "
             "(resolve 'paired' at the experiment layer)"
         )
     config = check_config(config)
@@ -842,11 +909,6 @@ def run_trial(
                     "not in the configured validator set",
                 )
 
-    ledgers: list[EpochLedger] = []
-    if sink is None:
-        sink = ledgers.append
-    # Each ledger goes to the sink once the next epoch starts; the last
-    # one waits for the trial-end fork outcome.
     finished: Optional[EpochLedger] = None
     # The blocks the trial-end fork can reach; older ones are dropped.
     chain = deque([genesis_block()], maxlen=min(state.fork_depth, epochs) + 1)
@@ -858,7 +920,7 @@ def run_trial(
 
     for epoch in range(epochs):
         if finished is not None:
-            sink(finished)
+            yield finished
         events, state.pending_events = state.pending_events, []
         _apply_joins(state, rules, epoch, events)
         neutralized = rules.land_slashes(state, epoch, events)
@@ -891,7 +953,27 @@ def run_trial(
     if outcome is not None:
         finished.events += (outcome,)
     if finished is not None:
-        sink(finished)
+        yield finished
+
+
+def run_trial(
+    config: ScenarioConfig,
+    seed: int,
+    protocol: Optional[str] = None,
+    trace: Optional[Sequence[TraceBlock]] = None,
+    sink: Optional[Callable[[EpochLedger], None]] = None,
+) -> list[EpochLedger]:
+    """Execute one seeded trial (`trial_epochs`), handing each ledger to `sink`.
+
+    Without a sink the ledgers are collected and returned; with one the
+    trial keeps no ledger once `sink` returns, and the returned list is
+    empty.
+    """
+    ledgers: list[EpochLedger] = []
+    if sink is None:
+        sink = ledgers.append
+    for ledger in trial_epochs(config, seed, protocol, trace):
+        sink(ledger)
     return ledgers
 
 

@@ -3,8 +3,11 @@
 `run_trial` hands each finished ledger to a sink. These tests check that
 the tally folded from that stream gives the same metrics as a pass over
 the full ledger list, that the streamed ledger files are the canonical
-JSON of that list, that the ledger writer's bytes are those of a plain
-`json.dumps` of the ledger as dicts, that memory does not grow with the
+JSON of that list (also when a paired task steps its halves in lockstep
+through one writer state), that the ledger writer's bytes are those of a
+plain `json.dumps` of the ledger as dicts, that a shared writer state
+reuses a text only for columns that write the same bytes, that a task's
+halves set up once and fail cleanly, that memory does not grow with the
 epoch count, that a finished trial leaves no reference cycle behind, and
 that the incrementally kept alive roster is the naive recomputation.
 """
@@ -197,34 +200,6 @@ def _preset(name):
 # Tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(builtin_presets()))
-def test_streamed_tally_and_ledgers_match_ledger_list(name, tmp_path):
-    config, trace = _preset(name)
-    seed = config.seed
-    lists, tallies = {}, {}
-    for protocol in ("pob", "pos"):
-        ledgers = lists[protocol] = run_trial(config, seed, protocol=protocol, trace=trace)
-        assert len(ledgers) == (len(trace) if trace is not None else EPOCHS)
-        expected = repr(_reference_metrics(ledgers, config, protocol))
-
-        tally = tallies[protocol] = TrialTally(config, protocol)
-        assert run_trial(config, seed, protocol=protocol, trace=trace, sink=tally.add) == []
-        assert repr(tally.metrics()) == expected
-
-        # the experiment path: tally plus ledger files written by the task
-        single = with_overrides(config, protocol=protocol)
-        (row,) = experiments._run_trial_task(single, 0, trace, tmp_path)["rows"]
-        assert repr(row["metrics"]) == expected
-        led_dir = tmp_path / f"trial-000-{protocol}"
-        files = sorted(led_dir.iterdir())
-        assert [f.name for f in files] == [f"epoch-{i:05d}.json" for i in range(len(ledgers))]
-        for path, ledger in zip(files, ledgers):
-            assert path.read_bytes() == (ledger_to_json(ledger) + "\n").encode("utf-8")
-
-    assert _outcome(paired_loss_averted, tallies["pob"], tallies["pos"]) == _outcome(
-        _reference_loss_averted, lists["pob"], lists["pos"])
-
-
 def _capped_sybils(config):
     """The adaptive-Sybil roster with a population cap its respawns reach."""
     (entry,) = config.roster
@@ -249,12 +224,63 @@ WRITER_COVERAGE = {  # what a case's ledgers must carry for the check to mean mu
 }
 
 
-@pytest.mark.parametrize("case", sorted(WRITER_CASES))
-def test_ledger_writer_matches_reference_encoder(case):
+def _case(case):
+    """A writer case's config and trace."""
     name, variant = WRITER_CASES[case]
     config, trace = _preset(name)
-    if variant is not None:
-        config = variant(config)
+    return (config if variant is None else variant(config)), trace
+
+
+def _assert_ledger_files(led_dir, ledgers):
+    """`led_dir` holds exactly the canonical files of `ledgers`."""
+    files = sorted(led_dir.iterdir())
+    assert [f.name for f in files] == [f"epoch-{i:05d}.json" for i in range(len(ledgers))]
+    for path, ledger in zip(files, ledgers):
+        assert path.read_bytes() == (ledger_to_json(ledger) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_streamed_tally_and_ledgers_match_ledger_list(case, tmp_path):
+    config, trace = _case(case)
+    seed = config.seed
+    lists, tallies, expected = {}, {}, {}
+    for protocol in ("pob", "pos"):
+        ledgers = lists[protocol] = run_trial(config, seed, protocol=protocol, trace=trace)
+        assert len(ledgers) == (len(trace) if trace is not None else EPOCHS)
+        expected[protocol] = repr(_reference_metrics(ledgers, config, protocol))
+
+        tally = tallies[protocol] = TrialTally(config, protocol)
+        assert run_trial(config, seed, protocol=protocol, trace=trace, sink=tally.add) == []
+        assert repr(tally.metrics()) == expected[protocol]
+
+        # the experiment path: tally plus ledger files written by the task
+        single = with_overrides(config, protocol=protocol)
+        (row,) = experiments._run_trial_task(single, 0, trace, tmp_path)["rows"]
+        assert repr(row["metrics"]) == expected[protocol]
+        _assert_ledger_files(tmp_path / f"trial-000-{protocol}", ledgers)
+
+    averted = _outcome(paired_loss_averted, tallies["pob"], tallies["pos"])
+    assert averted == _outcome(_reference_loss_averted, lists["pob"], lists["pos"])
+
+    # A paired task steps both halves in lockstep through one writer state,
+    # and still writes each protocol exactly the files of its own run.
+    paired = with_overrides(config, protocol="paired")
+    if averted is ValueError:  # the halves' fraud attempts differ: the task refuses them
+        with pytest.raises(ValueError, match="unpaired"):
+            experiments._run_trial_task(paired, 0, trace, tmp_path / "paired")
+    else:
+        rows = experiments._run_trial_task(paired, 0, trace, tmp_path / "paired")["rows"]
+        assert [row["protocol"] for row in rows] == ["pob", "pos"]
+        assert repr(rows[0]["metrics"].loss_averted) == averted
+        rows[0]["metrics"].loss_averted = None
+        assert [repr(row["metrics"]) for row in rows] == [expected["pob"], expected["pos"]]
+    for protocol in ("pob", "pos"):
+        _assert_ledger_files(tmp_path / "paired" / f"trial-000-{protocol}", lists[protocol])
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_ledger_writer_matches_reference_encoder(case):
+    config, trace = _case(case)
     kinds = set()
     for protocol in ("pob", "pos"):
         for ledger in run_trial(config, config.seed, protocol=protocol, trace=trace):
@@ -339,6 +365,162 @@ def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, **changes):
         "non-finite-payouts", "nan-base", "int-and-bool", "int-and-bool-behavior"])
 def test_ledger_writer_matches_reference_on_edge_cases(changes):
     _assert_writer_matches_reference(_ledger(**changes))
+
+
+NAN_A, NAN_B = float("nan"), float("nan")
+
+
+class Weight(float):
+    """A float subclass, which marshal cannot write."""
+
+
+def _rows(*changes):
+    """ROWS with each (row, field, value) in `changes` set; fields index a row's tuple."""
+    rows = [list(row) for row in ROWS]
+    for row, at, value in changes:
+        rows[row][at] = value
+    return tuple(map(tuple, rows))
+
+
+# Ledgers written in turn, pob then pos then pob ..., through one writer
+# state. Each differs from the one before only in values that `==` takes for
+# equal but that write different bytes, or in NaNs, which are never equal.
+TWINS = {
+    "signed-zero-score": ({"roster_scores": [0.0, 0.5, 0.25]},
+                          {"roster_scores": [-0.0, 0.5, 0.25]},
+                          {"roster_scores": [0.0, 0.5, 0.25]}),
+    "int-float-bool-delay": ({"proposal_delays": [1, 7.0, 0.25]},
+                             {"proposal_delays": [1.0, 7.0, 0.25]},
+                             {"proposal_delays": [True, 7.0, 0.25]},
+                             {"proposal_delays": [1, 7.0, 0.25]}),
+    "int-bool-fraud": ({"rows": _rows((0, 6, False))}, {"rows": _rows((0, 6, 0))}),
+    "signed-zero-behavior": ({"rows": _rows((2, 2, 0.0))}, {"rows": _rows((2, 2, -0.0))}),
+    "separate-nans": ({"roster_weights_after": [NAN_A, 0.5, 0.5]},
+                      {"roster_weights_after": [NAN_B, 0.5, 0.5]}),
+    "zero-intensity": ({"rows": _rows((2, 5, MotivationProfile((0.0, 0.5), (0.5, 0.5))))},
+                       {"rows": _rows((2, 5, MotivationProfile((-0.0, 0.5), (0.5, 0.5))))}),
+    "float-subclass": ({"roster_scores": [Weight(0.5), 0.5, 0.25]},
+                       {"roster_scores": [Weight(0.5), 0.5, 0.25]}),
+}
+
+
+def _mis_written_twins(case):
+    """The indices of the case's ledgers whose shared-state JSON is not the reference's."""
+    last = {}  # the shared writer state
+    wrong = []
+    for i, changes in enumerate(TWINS[case]):
+        ledger = _ledger(protocol=("pob", "pos")[i % 2], **changes)
+        if ledger_to_json(ledger, last) != _reference_ledger_json(ledger):
+            wrong.append(i)
+    return wrong
+
+
+@pytest.mark.parametrize("case", sorted(TWINS))
+def test_shared_writer_state_reuses_only_same_bytes(case):
+    assert _mis_written_twins(case) == []
+
+
+def test_equality_alone_is_not_a_reuse_guard(monkeypatch):
+    monkeypatch.setattr(netsim, "_same", lambda a, b: a is b or a == b)
+    wrong = {case for case in TWINS if _mis_written_twins(case)}
+    # NaNs are never equal, motivations are compared as their texts, and equal
+    # float subclasses write equal texts
+    assert wrong == set(TWINS) - {"separate-nans", "zero-intensity", "float-subclass"}
+
+
+def test_shared_writer_state_formats_shared_columns_once(monkeypatch):
+    """Through one state, a paired replay's pos ledger formats none of the columns that
+    equal its pob twin's, and a pob ledger does not format its weights before, the last
+    ledger's weights after; every ledger is still the reference's bytes."""
+    config, trace = _preset("case-c-replay")
+    pob, pos = (run_trial(config, config.seed, protocol=p, trace=trace) for p in ("pob", "pos"))
+    formatted = []
+    texts_of = netsim._texts
+    monkeypatch.setattr(netsim, "_texts", lambda values: formatted.append(id(values))
+                        or texts_of(values))
+    last = {}  # the shared writer state
+    twin_columns = ("roster_scores", "roster_activeness", "proposal_delays", "vote_delays")
+    fully_shared = 0
+    for twins in zip(pob, pos):
+        for ledger in twins:
+            formatted.clear()
+            assert ledger_to_json(ledger, last) == _reference_ledger_json(ledger)
+            shared = [ledger.roster_weights_before] if ledger.epoch else []
+            if ledger.protocol == "pos":
+                equal = [getattr(ledger, c) for c in twin_columns
+                         if getattr(ledger, c) == getattr(twins[0], c)]
+                fully_shared += len(equal) == len(twin_columns)
+                shared += equal
+            assert not {id(column) for column in shared} & set(formatted)
+    assert fully_shared >= len(pob) - 1
+
+
+def _record_halves(monkeypatch):
+    """A log of each trial set-up and each ledger a task's tallies take, in order."""
+    log = []
+    start = netsim._start_trial
+
+    def recording_start(config, seed, protocol):
+        log.append(("set-up", protocol))
+        return start(config, seed, protocol)
+
+    class RecordingTally(TrialTally):
+        def add(self, ledger):
+            log.append((ledger.protocol, ledger.epoch))
+            super().add(ledger)
+
+    monkeypatch.setattr(netsim, "_start_trial", recording_start)
+    monkeypatch.setattr(experiments, "TrialTally", RecordingTally)
+    return log
+
+
+@pytest.mark.parametrize("ledgers", [False, True], ids=["tally-only", "ledgers"])
+def test_halves_set_up_once_and_alternate_only_when_writing(ledgers, monkeypatch, tmp_path):
+    config, _ = _preset("case-a-stealth")
+    assert config.protocol == "paired"
+    log = _record_halves(monkeypatch)
+    experiments._run_trial_task(config, 0, None, tmp_path if ledgers else None)
+    if ledgers:  # both set up, then pob then pos each epoch
+        expected = [("set-up", "pob"), ("set-up", "pos")] + [
+            (protocol, epoch) for epoch in range(EPOCHS) for protocol in ("pob", "pos")]
+    else:  # one after the other: pos sets up after pob's last ledger
+        expected = [("set-up", "pob"), *(("pob", epoch) for epoch in range(EPOCHS)),
+                    ("set-up", "pos"), *(("pos", epoch) for epoch in range(EPOCHS))]
+    assert log == expected
+
+
+class MidTrialError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("ledgers", [False, True], ids=["tally-only", "ledgers"])
+@pytest.mark.parametrize("failing", ["pob", "pos"])
+def test_mid_trial_error_reaches_run_scenario_and_closes_halves(failing, ledgers, monkeypatch,
+                                                                 tmp_path):
+    config, _ = _preset("case-a-stealth")
+    config = with_overrides(config, emit_ledgers=ledgers)
+    halves = []
+    epochs_of, elect = netsim.trial_epochs, netsim._elect
+
+    def recording_epochs(*args, **kwargs):
+        halves.append(epochs_of(*args, **kwargs))
+        return halves[-1]
+
+    def failing_elect(state, rules, epoch, *args):
+        if rules.protocol == failing and epoch == 7:
+            raise MidTrialError(f"{failing} fails at epoch 7")
+        return elect(state, rules, epoch, *args)
+
+    monkeypatch.setattr(netsim, "trial_epochs", recording_epochs)
+    monkeypatch.setattr(experiments, "trial_epochs", recording_epochs)
+    monkeypatch.setattr(netsim, "_elect", failing_elect)
+    with pytest.raises(MidTrialError) as caught:
+        experiments.run_scenario(config, tmp_path / "out")
+    assert caught.type is MidTrialError
+    assert str(caught.value) == f"{failing} fails at epoch 7"
+    # a tally-only pob failure stops the task before pos starts
+    assert len(halves) == (1 if failing == "pob" and not ledgers else 2)
+    assert all(half.gi_frame is None for half in halves)  # each finished or closed
 
 
 def test_fork_outcome_reaches_last_streamed_ledger():
