@@ -1,10 +1,12 @@
 """Validator strategies: the honest policy and every attack pattern.
 
-Strategies are pluggable behavior generators. Each validator owns one
-strategy instance; the simulation loop asks it for the epoch's behaviors
-and, when the validator sits on a committee, for a vote override.
-Strategy code never sees weight tables or ground-truth labels of other
-validators; it only knows its own role and coalition.
+Strategies are pluggable behavior generators, and a validator is its
+strategy: the trial keeps one instance per id, and the join event names
+its `kind`. The simulation loop asks it for the epoch's behaviors. Only
+a coalition strategy defines `committee_vote(subject id) -> bool`, which
+it casts when it sits on a committee; every other member votes by the
+watchdog's honest vote model. Strategy code never sees weight tables or
+ground-truth labels of other validators; it only knows its own coalition.
 """
 
 from __future__ import annotations
@@ -121,24 +123,6 @@ class EpochContext:
     shape: HonestShape
 
 
-@dataclass
-class ValidatorState:
-    """Identity, lifetime and the (label-only) role.
-
-    The `role` label and `strategy` internals are for the harness and
-    metrics; protocol operations receive only ids, behaviors and weights.
-    """
-
-    vid: str
-    strategy: "Strategy"
-    role: str
-    join_epoch: int = 0
-    retired_epoch: Optional[int] = None
-
-    def alive(self, epoch: int) -> bool:
-        return self.join_epoch <= epoch and self.retired_epoch is None
-
-
 def draw_honest(cols: BehaviorColumns, shape: HonestShape, first: int,
                 draws: Sequence[Callable[[], float]], proposer: int) -> None:
     """Honest records of positions first, first + 1, ..., drawn from their bound `random`s.
@@ -192,7 +176,7 @@ def add_fraud(cols: BehaviorColumns, ctx: EpochContext, pos: int, value: float,
 
 
 class Strategy:
-    """Base: honest behavior, honest committee votes."""
+    """Base: honest behavior. It has no `committee_vote`, so it votes by the honest model."""
 
     kind = "honest"
 
@@ -206,10 +190,6 @@ class Strategy:
         cols = BehaviorColumns(ctx.epoch)
         self.emit(ctx, cols, 0)
         return list(cols.records((ctx.vid,)))
-
-    def committee_vote(self, subject: str, behavior: BehaviorRecord) -> Optional[bool]:
-        """Return a vote override, or None to use the honest vote model."""
-        return None
 
 
 class HonestStrategy(Strategy):
@@ -271,7 +251,7 @@ class SybilBurstStrategy(Strategy):
         else:
             super().emit(ctx, cols, pos)
 
-    def committee_vote(self, subject: str, behavior: BehaviorRecord) -> Optional[bool]:
+    def committee_vote(self, subject: str) -> bool:
         return subject not in self.coalition.members
 
 
@@ -287,7 +267,7 @@ class AdaptiveSybilStrategy(Strategy):
     def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
         add_fraud(cols, ctx, pos, self.fraud_value)
 
-    def committee_vote(self, subject: str, behavior: BehaviorRecord) -> Optional[bool]:
+    def committee_vote(self, subject: str) -> bool:
         return subject not in self.coalition_members
 
 

@@ -397,6 +397,11 @@ class ScenarioConfig:
             if entry.hi > self.n_validators:
                 raise ConfigError(f"roster[{i}].range", f"[{entry.lo}, {entry.hi}) invalid "
                                   f"for {self.n_validators} validators")
+            if entry.spec.kind == "adaptive-sybil" and self.protocol == "paired":
+                # pob retires and respawns convicted Sybils and pos does not, so their
+                # fraud attempts differ and the pair has no loss averted.
+                raise ConfigError(f"roster[{i}]", "an adaptive-sybil roster cannot run paired; "
+                                  "run protocol pob and pos apart")
         n_types = len(self.motivation_weights)
         for kind, vec in sorted(self.motivation_intensities.items()):
             if len(vec) != n_types:

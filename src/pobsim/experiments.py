@@ -46,6 +46,7 @@ from .metrics import (
 from .netsim import (
     EpochLedger,
     TraceBlock,
+    check_trace,
     ledger_to_json,
     run_trial,
     trial_epochs,
@@ -189,12 +190,15 @@ def run_scenario(
 ) -> dict:
     """Run all trials, write outputs, return the summary mapping.
 
-    Bad input fails as a ConfigError before the output directory exists.
+    Bad input fails as a ConfigError or TraceError before the output
+    directory exists.
     """
     config = check_config(config)
+    trace_list = list(trace) if trace is not None else None
+    if trace_list is not None:
+        check_trace(config, trace_list)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace_list = list(trace) if trace is not None else None
 
     ledger_root = out / "ledgers" if config.emit_ledgers else None
     results = _run_tasks(

@@ -50,7 +50,6 @@ from .scoring import (
     activeness_column,
     diversity_index,
     looks_scripted,
-    outcome_utility,
     total_utility,
 )
 from .watchdog import Penalty, Verdict, process_epoch_suspicions, slash
@@ -442,6 +441,19 @@ def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
     return blocks
 
 
+def check_trace(config: ScenarioConfig, trace: Sequence[TraceBlock]) -> None:
+    """Raise TraceError at the first block whose proposer is not alive at its
+    epoch (its index in `trace`): a configured validator, or the newcomer
+    from `newcomer_epoch` on."""
+    join_epoch = dict.fromkeys(config.validator_ids(), 0)
+    if config.newcomer_epoch is not None:
+        join_epoch["newcomer"] = config.newcomer_epoch
+    for epoch, tb in enumerate(trace):
+        if join_epoch.get(tb.proposer, epoch + 1) > epoch:
+            raise TraceError(tb.height + 1, f"proposer {tb.proposer!r} (block height "
+                                            f"{tb.height}) not in the validator set at epoch {epoch}")
+
+
 # ---------------------------------------------------------------------------
 # Trial execution
 # ---------------------------------------------------------------------------
@@ -458,7 +470,7 @@ def _build_motivations(config: ScenarioConfig) -> dict[ActionKind, MotivationPro
 class _TrialState:
     config: ScenarioConfig
     hub: RngHub
-    validators: dict[str, adv.ValidatorState]
+    strategies: dict[str, adv.Strategy]  # id -> its strategy, for every id that ever joins
     shape: adv.HonestShape
     latency: LatencyModel
     schedule: RewardSchedule
@@ -476,6 +488,8 @@ class _TrialState:
     # (first, draws, None) for a run of plain-honest validators from position
     # `first` on, with each one's bound behavior random(); else (pos, context, strategy).
     emitters: list[tuple] = field(default_factory=list)
+    # roster position -> that member's coalition vote, for members whose strategy has one
+    voters: dict[int, Callable[[str], bool]] = field(default_factory=dict)
     # join epoch -> ids that join then; every key is > 0
     joins: dict[int, list[str]] = field(default_factory=dict)
 
@@ -501,8 +515,8 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
                             config.honest_initiative_lo, config.honest_initiative_hi,
                             config.oracle_rate, _build_motivations(config))
     honest = adv.HonestStrategy()
-    validators = {vid: adv.ValidatorState(vid, honest, "honest") for vid in ids}
-    state = _TrialState(config, hub, validators, shape,
+    strategies: dict[str, adv.Strategy] = dict.fromkeys(ids, honest)
+    state = _TrialState(config, hub, strategies, shape,
                         LatencyModel(config.latency_distribution, config.latency_mean_ms),
                         _reward_schedule(config))
     for entry in config.roster:
@@ -529,11 +543,10 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
                 state.compromised = sorted(state.compromised + members)
                 state.fork_depth = param("fork_depth")
         for vid in members:
-            validators[vid] = adv.ValidatorState(vid, make(), kind)
+            strategies[vid] = make()
 
     if config.newcomer_epoch is not None:
-        validators["newcomer"] = adv.ValidatorState("newcomer", honest, "honest",
-                                                    join_epoch=config.newcomer_epoch)
+        strategies["newcomer"] = honest
         state.joins[config.newcomer_epoch] = ["newcomer"]
     _set_roster(state, sorted(ids))
     return state
@@ -550,9 +563,11 @@ def _set_roster(state: _TrialState, alive: list[str]) -> None:
     state.signers = frozenset(alive)
     state.pos_of = {vid: pos for pos, vid in enumerate(alive)}
     state.positions = list(range(len(alive)))
-    hub, emitters = state.hub, []
+    hub, emitters, voters = state.hub, [], {}
     for pos, vid in enumerate(alive):
-        strategy = state.validators[vid].strategy
+        strategy = state.strategies[vid]
+        if hasattr(strategy, "committee_vote"):
+            voters[pos] = strategy.committee_vote
         if type(strategy).emit is not adv.Strategy.emit:
             emitters.append((pos, adv.EpochContext(0, vid, False, hub.stream(f"behavior/{vid}"),
                                                    hub.stream(f"adversary/{vid}"), state.shape),
@@ -562,6 +577,7 @@ def _set_roster(state: _TrialState, alive: list[str]) -> None:
         else:
             emitters.append((pos, [hub.stream(f"behavior/{vid}").random], None))
     state.emitters = emitters
+    state.voters = voters
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +599,7 @@ def _apply_joins(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
         at = bisect_left(alive, vid)
         alive.insert(at, vid)
         rules.admit(state, vid, at)
-        events.append({"kind": "join", "id": vid, "role": state.validators[vid].role,
+        events.append({"kind": "join", "id": vid, "role": state.strategies[vid].kind,
                        "epoch": epoch})
     _set_roster(state, alive)
 
@@ -639,6 +655,7 @@ class _EpochFacts:
 
     scores: list[float]  # summed utility of each validator's records
     utility: float  # summed utility of every record, in record order
+    outcomes: list[float]  # each row's outcome utility
     harmful: list[int]  # rows with a negative outcome
     # (first row, action count / network mean, mean initiative, diversity)
     # of each actor whose activity could look scripted, in roster order
@@ -687,33 +704,36 @@ def _epoch_facts(cols: BehaviorColumns, positions: list[int],
     if single_suspect or len(utilities) > n:
         suspects = [(mine[0], *actor_inputs) for mine, actor_inputs in zip(*_activity(cols, n))
                     if len(mine) > 1 or single_suspect]
-    return _EpochFacts(scores, left_sum(utilities), harmful, suspects)
+    return _EpochFacts(scores, left_sum(utilities), outcomes, harmful, suspects)
 
 
 def _sessions(state: _TrialState, cols: BehaviorColumns,
-              facts: _EpochFacts) -> list[tuple[int, int, int]]:
-    """Suspicion channel: a (subject position, row, reporter count) session per reported row.
+              facts: _EpochFacts) -> list[tuple[int, int, int, bool]]:
+    """Suspicion channel: a (subject position, row, reporter count, harmful)
+    session per reported row.
 
-    Harmful rows come first, then the scripted-looking rows, each observed
-    by every other validator. Below `observe_prob` 1 each observer reports
-    on its own `observe` draw, and the count is the number that did; a row
-    no one reports convenes no session. At `observe_prob` 1 every observer
-    reports, but the count is recorded as 1.
+    Harmful rows come first, then the scripted-looking rows with an outcome
+    of at least 0, each observed by every other validator. Below
+    `observe_prob` 1 each observer reports on its own `observe` draw, and
+    the count is the number that did; a row no one reports convenes no
+    session. At `observe_prob` 1 every observer reports, but the count is
+    recorded as 1.
     """
     config = state.config
     observers = len(state.alive) - 1
     rows = list(facts.harmful)
+    harmful = len(rows)
     for row, *participation in facts.suspects:
         if looks_scripted(*participation, config.anomaly_freq_threshold,
-                          config.anomaly_quality_threshold):
-            if outcome_utility(cols.record(row, state.alive)) >= 0.0:
-                rows.append(row)
+                          config.anomaly_quality_threshold) and facts.outcomes[row] >= 0.0:
+            rows.append(row)
     if config.observe_prob < 1.0:
         draw, p = state.hub.stream("observe").random, config.observe_prob
         counts = [sum(draw() < p for _ in range(observers)) for _ in rows]
     else:
         counts = [min(observers, 1)] * len(rows)
-    return [(cols.actor[row], row, count) for row, count in zip(rows, counts) if count]
+    return [(cols.actor[row], row, count, i < harmful)
+            for i, (row, count) in enumerate(zip(rows, counts)) if count]
 
 
 def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
@@ -727,7 +747,6 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
         return
     convicted = sorted(retired)
     for vid in convicted:
-        state.validators[vid].retired_epoch = epoch
         state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
         state.hub.drop(f"behavior/{vid}", f"adversary/{vid}")  # respawns get fresh ids
     kept = [pos for pos, vid in enumerate(state.alive) if vid not in retired]
@@ -737,8 +756,7 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
     fresh, cap_events = controller.replacements(epoch, population, convicted)
     state.pending_events.extend(cap_events)
     for vid in fresh:
-        state.validators[vid] = adv.ValidatorState(
-            vid=vid, strategy=controller.strategy(), role="adaptive-sybil", join_epoch=epoch + 1)
+        state.strategies[vid] = controller.strategy()
         state.joins.setdefault(epoch + 1, []).append(vid)
 
 
@@ -777,9 +795,8 @@ class _PobRules:
                ) -> tuple[Optional[float], tuple[Verdict, ...]]:
         """Suspicion sessions, the watchdog's delay on `confirm_ms`, and verdicts."""
         config = state.config
-        alive, validators = state.alive, state.validators
         sessions = _sessions(state, behaviors, facts)
-        committee_size = min(config.resolved_committee_size(), len(alive) - 1)
+        committee_size = min(config.resolved_committee_size(), len(state.alive) - 1)
         if confirm_ms is not None:
             confirm_ms += config.processing_ms  # behavior-scoring stage
             if sessions:
@@ -787,14 +804,10 @@ class _PobRules:
                 confirm_ms += config.processing_ms + (max(delays) if delays else 0.0)
         if not sessions:
             return confirm_ms, ()
-
-        def vote_fn(member: int, behavior: BehaviorRecord) -> Optional[bool]:
-            return validators[alive[member]].strategy.committee_vote(behavior.actor, behavior)
-
         weights, verdicts = process_epoch_suspicions(
-            sessions, alive, self.weights, behaviors, config.penalty, config.theta,
+            sessions, state.alive, self.weights, behaviors, config.penalty, config.theta,
             committee_size, self.committee_rng, state.offense_counts,
-            detection_accuracy=config.detection_accuracy, vote_fn=vote_fn)
+            config.detection_accuracy, state.voters)
         self.weights = normalize(weights)
         return confirm_ms, tuple(verdicts)
 
@@ -883,11 +896,11 @@ def trial_epochs(
     """One seeded trial as a stream of its ledgers, one per epoch.
 
     Nothing runs until the first ledger is asked for: then `config` is
-    checked as the loader checks it (`check_config`) and the trial is set
-    up. Each ledger comes out once the next epoch starts (the last one
-    waits for the trial-end fork outcome), and the trial keeps none it has
-    handed out past the next epoch, so its memory stays flat in the epoch
-    count.
+    checked as the loader checks it (`check_config`), a trace's proposers
+    are checked (`check_trace`) and the trial is set up. Each ledger comes
+    out once the next epoch starts (the last one waits for the trial-end
+    fork outcome), and the trial keeps none it has handed out past the
+    next epoch, so its memory stays flat in the epoch count.
     """
     protocol = protocol or config.protocol
     if protocol not in ("pob", "pos"):
@@ -896,18 +909,11 @@ def trial_epochs(
             "(resolve 'paired' at the experiment layer)"
         )
     config = check_config(config)
+    if trace is not None:
+        check_trace(config, trace)
     state, rules = _start_trial(config, seed, protocol)
 
     epochs = len(trace) if trace is not None else config.epochs
-    if trace is not None:
-        known = set(state.validators)
-        for tb in trace:
-            if tb.proposer not in known:
-                raise TraceError(
-                    tb.height + 1,
-                    f"proposer {tb.proposer!r} (block height {tb.height}) "
-                    "not in the configured validator set",
-                )
 
     finished: Optional[EpochLedger] = None
     # The blocks the trial-end fork can reach; older ones are dropped.

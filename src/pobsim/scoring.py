@@ -123,11 +123,6 @@ class BehaviorColumns:
                                   motivation, fraud)):
             column.append(value)
 
-    def record(self, row: int, roster: Sequence[str]) -> BehaviorRecord:
-        return BehaviorRecord(roster[self.actor[row]], self.epoch, self.kind[row],
-                              self.base_utility[row], self.context_factor[row],
-                              self.initiative[row], self.motivation[row], self.fraud[row])
-
     def records(self, roster: Sequence[str]) -> tuple[BehaviorRecord, ...]:
         return tuple(map(BehaviorRecord, map(roster.__getitem__, self.actor),
                          repeat(self.epoch), self.kind, self.base_utility, self.context_factor,

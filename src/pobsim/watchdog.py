@@ -1,10 +1,13 @@
 """Decentralized misbehavior review.
 
 Suspicious behaviors are judged by committees sampled from the other
-validators. A verdict is guilty when the malicious-vote fraction reaches
-the threshold theta (compared as an exact rational, so a 2/3 bar cannot
-be flipped by float rounding). Guilty verdicts slash the subject's weight
-in the roster-aligned weight list, with escalation for repeat offenders.
+validators. A member with a coalition vote casts it; every other member
+spots harm with the configured detection accuracy. A verdict is guilty
+when the malicious-vote fraction reaches the threshold theta (compared as
+an exact rational, so a 2/3 bar cannot be flipped by float rounding).
+Guilty verdicts slash the subject's weight in the roster-aligned weight
+list, with escalation for repeat offenders. The review reads behavior
+columns and roster positions; it builds no behavior record.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .config import PenaltySettings
-from .scoring import BehaviorColumns, BehaviorRecord, outcome_utility
+from .scoring import ActionKind, BehaviorColumns
 
 
 @dataclass(frozen=True)
@@ -50,25 +53,6 @@ def escalation(policy: PenaltySettings, offense_count: int) -> float:
     return policy.escalation[min(offense_count, len(policy.escalation) - 1)]
 
 
-def committee_vote(
-    member: str,
-    behavior: BehaviorRecord,
-    detection_accuracy: float,
-    rng: random.Random,
-) -> bool:
-    """Honest vote model: spot harm with the given accuracy.
-
-    A behavior is harmful when its outcome utility is negative. An honest
-    member votes "malicious" with probability `detection_accuracy` on
-    harmful behaviors and with probability 1 - accuracy otherwise.
-    """
-    if not 0.0 <= detection_accuracy <= 1.0:
-        raise ValueError(f"detection_accuracy {detection_accuracy} outside [0, 1]")
-    harmful = outcome_utility(behavior) < 0.0
-    p_malicious = detection_accuracy if harmful else 1.0 - detection_accuracy
-    return rng.random() < p_malicious
-
-
 def decide(verdict_votes: Sequence[bool], theta: Fraction) -> tuple[bool, Fraction]:
     """Tally votes against theta using exact rational arithmetic."""
     if not verdict_votes:
@@ -79,9 +63,9 @@ def decide(verdict_votes: Sequence[bool], theta: Fraction) -> tuple[bool, Fracti
     return phi_x >= theta, phi_x
 
 
-def compute_penalty(policy: PenaltySettings, behavior: BehaviorRecord,
+def compute_penalty(policy: PenaltySettings, kind: ActionKind, base_utility: float,
                     offense_count: int) -> Penalty:
-    """Penalty for a behavior already found guilty.
+    """Penalty for a behavior of `kind` and `base_utility` already found guilty.
 
     Additive mode removes p * escalation(f) * |base utility| of weight
     (magnitude: harmful behaviors carry negative base utility and the
@@ -91,11 +75,11 @@ def compute_penalty(policy: PenaltySettings, behavior: BehaviorRecord,
     """
     if offense_count < 0:
         raise ValueError("offense_count must be >= 0")
-    if behavior.kind.value in policy.full_slash_kinds:
+    if kind.value in policy.full_slash_kinds:
         return Penalty("full", 0.0)
     esc = escalation(policy, offense_count)
     if policy.mode == "additive":
-        return Penalty("additive", policy.base_coefficient * esc * abs(behavior.base_utility))
+        return Penalty("additive", policy.base_coefficient * esc * abs(base_utility))
     return Penalty("multiplicative", policy.rho_p**esc)
 
 
@@ -113,7 +97,7 @@ def slash(weight: float, penalty: Penalty) -> float:
 
 
 def process_epoch_suspicions(
-    sessions: Sequence[tuple[int, int, int]],
+    sessions: Sequence[tuple[int, int, int, bool]],
     roster: Sequence[str],
     weights: Sequence[float],
     cols: BehaviorColumns,
@@ -122,41 +106,40 @@ def process_epoch_suspicions(
     committee_size: int,
     rng: random.Random,
     offense_counts: dict[str, int],
-    *,
-    detection_accuracy: float = 1.0,
-    vote_fn: Optional[Callable[[int, BehaviorRecord], Optional[bool]]] = None,
+    detection_accuracy: float,
+    voters: Mapping[int, Callable[[str], bool]],
 ) -> tuple[list[float], list[Verdict]]:
     """Convene one committee per session and apply its verdict.
 
-    A session is (subject position, row of `cols`, reporter count).
-    Positions index the sorted `roster`, and `weights` is aligned with
-    it. Sessions run in (subject position, row) order, which is (subject
-    id, behavior index) order. Each committee is `rng.sample` of
-    `committee_size` roster positions without the subject's, and its
-    members vote in ascending position. `vote_fn(member position,
-    behavior)` may override a vote; None falls back to the honest vote
-    model. Guilty verdicts slash the subject in a copy of `weights` and
-    bump its offense count in `offense_counts`, in place.
+    A session is (subject position, row of `cols`, reporter count, whether
+    the row is harmful). Positions index the sorted `roster`, and
+    `weights` is aligned with it. Sessions run in (subject position, row)
+    order, which is (subject id, behavior index) order. Each committee is
+    `rng.sample` of `committee_size` roster positions without the
+    subject's, and its members vote in ascending position. A member with
+    an entry in `voters` votes `voters[member](subject id)`; any other
+    member votes malicious on one `rng` draw, with probability
+    `detection_accuracy` on a harmful row and 1 - accuracy otherwise.
+    Guilty verdicts slash the subject in a copy of `weights` and bump its
+    offense count in `offense_counts`, in place.
     """
+    if not 0.0 <= detection_accuracy <= 1.0:
+        raise ValueError(f"detection_accuracy {detection_accuracy} outside [0, 1]")
     weights = list(weights)
     others = len(roster) - 1
+    draw = rng.random
     verdicts: list[Verdict] = []
-    for subject_pos, row, reporters in sorted(sessions):
+    for subject_pos, row, reporters, harmful in sorted(sessions):
         subject = roster[subject_pos]
-        behavior = cols.record(row, roster)
+        p_malicious = detection_accuracy if harmful else 1.0 - detection_accuracy
         # Index m of the roster without the subject is position m, or m + 1 past the subject.
         members = sorted(m + (m >= subject_pos) for m in rng.sample(range(others), committee_size))
-        votes: list[bool] = []
-        for member in members:
-            vote = vote_fn(member, behavior) if vote_fn is not None else None
-            if vote is None:
-                vote = committee_vote(roster[member], behavior, detection_accuracy, rng)
-            votes.append(vote)
+        votes = [voters[m](subject) if m in voters else draw() < p_malicious for m in members]
         guilty, phi_x = decide(votes, theta) if votes else (False, Fraction(0))
         removed, penalty = 0.0, Penalty("", 0.0)
         if guilty:
             count = offense_counts.get(subject, 0)
-            penalty = compute_penalty(policy, behavior, count)
+            penalty = compute_penalty(policy, cols.kind[row], cols.base_utility[row], count)
             before = weights[subject_pos]
             weights[subject_pos] = slash(before, penalty)
             removed = before - weights[subject_pos]

@@ -104,7 +104,9 @@ class TestHonestStrategy:
                 assert not r.is_fraud_ground_truth
 
     def test_honest_vote_delegates_to_model(self):
-        assert HonestStrategy().committee_vote("anyone", None) is None
+        # only a coalition strategy votes itself; the watchdog's honest model votes for the rest
+        assert not hasattr(HonestStrategy(), "committee_vote")
+        assert not hasattr(StealthStrategy(0.5, 1.0), "committee_vote")
 
 
 class TestStealthStrategy:
@@ -169,8 +171,8 @@ class TestSybilBurst:
     def test_committee_collusion(self):
         members, coalition = self.make()
         s = SybilBurstStrategy(coalition)
-        assert s.committee_vote("s3", None) is False  # acquit coalition
-        assert s.committee_vote("honest9", None) is True  # convict others
+        assert s.committee_vote("s3") is False  # acquit coalition
+        assert s.committee_vote("honest9") is True  # convict others
 
 
 class TestGriefing:
@@ -226,7 +228,7 @@ class TestAdaptiveSybil:
         fresh, _ = c.replacements(epoch=0, population=100, convicted_sybils=["s0"])
         assert isinstance(s, AdaptiveSybilStrategy) and s.fraud_value == 3.0
         # a registered member's strategy acquits the identities spawned after it
-        assert s.committee_vote(fresh[0], None) is False
+        assert s.committee_vote(fresh[0]) is False
         assert c.strategy().coalition_members is s.coalition_members
 
     def test_controller_budget_caps_spawns(self):

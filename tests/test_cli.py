@@ -200,6 +200,23 @@ def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unpairable_roster_and_unknown_trace_proposer_exit_1_without_output(
+        workers, tmp_path, capsys):
+    paired_sybils = tmp_path / "paired-sybils.yaml"
+    paired_sybils.write_text(TINY.replace("kind: stealth, params: {fraud_rate: 0.2, "
+                                          "fraud_value: 10.0}", "kind: adaptive-sybil"))
+    trace, tiny = tmp_path / "unknown.trace", tmp_path / "tiny.yaml"
+    trace.write_text("0,v0001,propose-block,1.0,1.0,1.0,0\n1,vXXXX,propose-block,1.0,1.0,1.0,0\n")
+    tiny.write_text(TINY)
+    for argv, message in ((["run", str(paired_sybils)], "config field 'roster[0]'"),
+                          (["replay", str(trace), str(tiny)], "trace line 2: proposer 'vXXXX'")):
+        out = tmp_path / "out"
+        assert main(argv + ["--workers", workers, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,params", [("adaptive-sybil", "{}"),
                                          ("long-range-fork", "{fork_depth: 20}")])
 def test_ambiguous_roster_exits_1_without_output(kind, params, tmp_path, capsys):

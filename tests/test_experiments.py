@@ -1,14 +1,17 @@
 import csv
 import json
+import pickle
 
 import pytest
 
 from pobsim import experiments
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overrides
-from pobsim.errors import ConfigError
+from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_ic_check, run_scenario, run_sweep, sweep_points
 from pobsim.metrics import CSV_COLUMNS
+from pobsim.netsim import TraceBlock
+from pobsim.scoring import ActionKind
 
 
 def tiny_paired(**kw):
@@ -164,3 +167,35 @@ class TestEntryPointsCheckConfig:
             entry(cfg, out)
         assert err.value.field == "newcomer_epoch"
         assert not out.exists()
+
+
+UNKNOWN_PROPOSER = [TraceBlock(0, "v0001", ActionKind.PROPOSE, 1.0, 1.0, 1.0, False),
+                    TraceBlock(1, "vXXXX", ActionKind.PROPOSE, 1.0, 1.0, 1.0, False)]
+
+
+class TestBadInputBeforeOutput:
+    def test_errors_pickle_as_themselves(self):
+        for error, attr, value in ((ConfigError("roster[0]", "bad"), "field", "roster[0]"),
+                                   (TraceError(7, "bad"), "line_no", 7)):
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is type(error)
+            assert (str(copy), getattr(copy, attr)) == (str(error), value)
+
+    def test_trace_error_in_a_worker_reaches_the_caller(self):
+        with pytest.raises(TraceError, match="trace line 2: proposer 'vXXXX'"):
+            experiments._run_tasks(2, [(tiny_paired(trials=1), 0, UNKNOWN_PROPOSER, None)])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_trace_proposer(self, workers, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(TraceError, match="vXXXX"):
+            run_scenario(tiny_paired(workers=workers), out, trace=UNKNOWN_PROPOSER)
+        assert not out.exists()
+
+    def test_paired_adaptive_sybil_is_refused_at_load(self):
+        sybils = (RosterEntry(9, 10, StrategySpec("adaptive-sybil")),)
+        with pytest.raises(ConfigError) as err:
+            with_overrides(tiny_paired(protocol="pob", roster=sybils), protocol="paired")
+        assert err.value.field == "roster[0]"
+        for protocol in ("pob", "pos"):
+            assert with_overrides(tiny_paired(protocol=protocol, roster=sybils)).roster == sybils

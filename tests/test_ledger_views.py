@@ -20,7 +20,7 @@ from pobsim.config import (
     ScenarioConfig,
 )
 from pobsim.netsim import ledger_to_json, run_trial
-from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
+from pobsim.scoring import ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile
 
 MAPS = {"scores": "roster_scores", "activeness": "roster_activeness",
         "weights_before": "roster_weights_before", "weights_after": "roster_weights_after"}
@@ -47,7 +47,10 @@ def test_views_show_the_columns(trials, protocol):
         roster, rows, split = ledger.roster, ledger.behavior_rows, ledger.pool_split
         for view, column in MAPS.items():
             assert list(getattr(ledger, view).values()) == getattr(ledger, column)
-        assert ledger.behaviors == tuple(rows.record(i, roster) for i in range(len(rows.actor)))
+        assert ledger.behaviors == tuple(
+            BehaviorRecord(roster[rows.actor[i]], rows.epoch, rows.kind[i], rows.base_utility[i],
+                           rows.context_factor[i], rows.initiative[i], rows.motivation[i],
+                           rows.fraud[i]) for i in range(len(rows.actor)))
         assert [(p.validator, p.base, p.bonus, p.activeness_multiplier, p.total)
                 for p in ledger.payouts] == [
             (roster[a], split.base, *x)

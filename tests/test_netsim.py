@@ -386,10 +386,11 @@ class TestTrialSetup:
                               | {(5, v, -10.0 / 5) for v in second})
         state = netsim._setup_trial(cfg, RngHub(3), ids)
         subjects = first + second + ["v0000"]
+        assert sorted(state.voters) == [state.pos_of[v] for v in first + second]
         for coalition in (first, second):
             for voter in coalition:
-                vote = state.validators[voter].strategy.committee_vote
-                assert [vote(s, None) for s in subjects] == [s not in coalition for s in subjects]
+                vote = state.voters[state.pos_of[voter]]
+                assert [vote(s) for s in subjects] == [s not in coalition for s in subjects]
 
     def test_long_range_fork_entries_pool_their_keys(self):
         cfg = small_config(n_validators=20, roster=(
@@ -575,6 +576,13 @@ class TestReplay:
         trace = [TraceBlock(0, "vXXXX", *_rest())]
         with pytest.raises(TraceError):
             replay_trace(trace, small_config())
+
+    def test_newcomer_proposes_only_once_joined(self):
+        config = small_config(newcomer_epoch=2)
+        trace = [TraceBlock(h, p, *_rest()) for h, p in enumerate(["v0001", "v0002", "newcomer"])]
+        assert [l.proposer for l in replay_trace(trace, config)] == ["v0001", "v0002", "newcomer"]
+        with pytest.raises(TraceError, match=r"'newcomer' \(block height 2\) .* at epoch 1$"):
+            replay_trace(trace[1:], config)
 
     def test_honest_trace_zero_guilty(self):
         trace = make_synthetic_trace(40, 10, exploit_at=None, exploit_value=0.0, seed=1)

@@ -25,6 +25,7 @@ import pytest
 from pobsim import experiments, netsim
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig, with_overrides
+from pobsim.errors import ConfigError
 from pobsim.metrics import (
     TrialMetrics,
     TrialTally,
@@ -262,18 +263,20 @@ def test_streamed_tally_and_ledgers_match_ledger_list(case, tmp_path):
     averted = _outcome(paired_loss_averted, tallies["pob"], tallies["pos"])
     assert averted == _outcome(_reference_loss_averted, lists["pob"], lists["pos"])
 
+    if averted is ValueError:
+        # The halves' fraud attempts differ (pob respawns convicted adaptive
+        # Sybils, pos does not), so the loader refuses the pair before any trial.
+        with pytest.raises(ConfigError, match=r"config field 'roster\[0\]'.*cannot run paired"):
+            with_overrides(config, protocol="paired")
+        return
     # A paired task steps both halves in lockstep through one writer state,
     # and still writes each protocol exactly the files of its own run.
     paired = with_overrides(config, protocol="paired")
-    if averted is ValueError:  # the halves' fraud attempts differ: the task refuses them
-        with pytest.raises(ValueError, match="unpaired"):
-            experiments._run_trial_task(paired, 0, trace, tmp_path / "paired")
-    else:
-        rows = experiments._run_trial_task(paired, 0, trace, tmp_path / "paired")["rows"]
-        assert [row["protocol"] for row in rows] == ["pob", "pos"]
-        assert repr(rows[0]["metrics"].loss_averted) == averted
-        rows[0]["metrics"].loss_averted = None
-        assert [repr(row["metrics"]) for row in rows] == [expected["pob"], expected["pos"]]
+    rows = experiments._run_trial_task(paired, 0, trace, tmp_path / "paired")["rows"]
+    assert [row["protocol"] for row in rows] == ["pob", "pos"]
+    assert repr(rows[0]["metrics"].loss_averted) == averted
+    rows[0]["metrics"].loss_averted = None
+    assert [repr(row["metrics"]) for row in rows] == [expected["pob"], expected["pos"]]
     for protocol in ("pob", "pos"):
         _assert_ledger_files(tmp_path / "paired" / f"trial-000-{protocol}", lists[protocol])
 
@@ -575,6 +578,19 @@ def test_peak_memory_flat_in_epochs(tmp_path):
     assert long <= 1.5 * short, (short, long)
 
 
+def _event_rosters(config, ledgers):
+    """Each epoch's alive ids, recomputed from the configured ids and the
+    ledgers' events: a join takes effect in its epoch, a retirement (logged
+    in the next epoch's ledger) from the epoch after its own."""
+    events = [e for ledger in ledgers for e in ledger.events]
+    alive, rosters = set(config.validator_ids()), []
+    for epoch in range(len(ledgers)):
+        alive |= {e["id"] for e in events if e["kind"] == "join" and e["epoch"] == epoch}
+        alive -= {e["id"] for e in events if e["kind"] == "retire" and e["epoch"] == epoch - 1}
+        rosters.append(sorted(alive))
+    return rosters
+
+
 @pytest.mark.parametrize("name", ["case-d-adaptive-sybil", "case-b-fairness-100"])
 def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
     config, _ = _preset(name)
@@ -587,10 +603,8 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
         config = with_overrides(config, newcomer_epoch=first + 1)
     captured = {}
     checked = []
+    respawns = []  # (epoch, population, spawned count) of each respawn call
     setup, confirm = netsim._setup_trial, netsim.simulate_confirmation
-
-    def naive(state, epoch):
-        return sorted(v for v, vs in state.validators.items() if vs.alive(epoch))
 
     def capturing_setup(*args, **kwargs):
         state = captured["state"] = setup(*args, **kwargs)
@@ -598,18 +612,16 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
         if controller is not None:
             replacements = controller.replacements
 
-            def checked_replacements(epoch, population, convicted):
-                assert population == len(naive(state, epoch + 1))
-                return replacements(epoch, population, convicted)
+            def recorded_replacements(epoch, population, convicted):
+                fresh, events = replacements(epoch, population, convicted)
+                respawns.append((epoch, population, len(fresh)))
+                return fresh, events
 
-            controller.replacements = checked_replacements
+            controller.replacements = recorded_replacements
         return state
 
     def checking_confirmation(alive, *args):
-        state = captured["state"]
-        epoch = len(checked)
-        assert alive == naive(state, epoch)
-        assert state.signers == frozenset(alive)
+        assert captured["state"].signers == frozenset(alive)
         checked.append(tuple(alive))
         return confirm(alive, *args)
 
@@ -617,12 +629,21 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
     monkeypatch.setattr(netsim, "simulate_confirmation", checking_confirmation)
     for protocol in ("pob", "pos"):
         checked.clear()
+        respawns.clear()
         ledgers = run_trial(config, config.seed, protocol=protocol)
         assert len(checked) == len(ledgers) == 60
+        rosters = _event_rosters(config, ledgers)
+        assert checked == [tuple(r) for r in rosters]
+        assert [l.roster for l in ledgers] == rosters
+        # the population a respawn budget sees is everyone alive next epoch
+        # but the identities that respawn spawns
+        assert all(population + spawned == len(rosters[epoch + 1])
+                   for epoch, population, spawned in respawns if epoch + 1 < len(ledgers))
         kinds = {e["kind"] for l in ledgers for e in l.events}
         assert "join" in kinds
         if name == "case-d-adaptive-sybil" and protocol == "pob":
             # only the behavior-weighted run convicts and respawns
             assert "retire" in kinds
             assert sum(e["kind"] == "join" for l in ledgers for e in l.events) > 1
+            assert len(respawns) > 1
         assert len(set(checked)) > 1  # the roster did change

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from pobsim.config import PenaltySettings
-from pobsim.scoring import ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile
+from pobsim.adversaries import StrategySpec
+from pobsim.config import PenaltySettings, RosterEntry, with_overrides
+from pobsim.netsim import ledger_to_json, run_trial
+from pobsim.presets import builtin_presets
+from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import (
     Penalty,
-    committee_vote,
     compute_penalty,
     decide,
     process_epoch_suspicions,
@@ -17,28 +20,23 @@ from pobsim.watchdog import (
 )
 
 MOT = MotivationProfile((0.0,), (1.0,))
-
-
-def behavior(actor="x", u_b=-1.0, kind=ActionKind.FRAUD, epoch=0):
-    return BehaviorRecord(
-        actor=actor, epoch=epoch, kind=kind, base_utility=u_b,
-        context_factor=1.0, initiative=1.0, motivation=MOT,
-    )
+FRAUD = ActionKind.FRAUD
 
 
 def seated(roster, subject, size, rng):
     """The ids of the committee one session on `subject` convenes, in voting order."""
     members = []
 
-    def vote_fn(member, behavior):
+    def vote(member, subject):
         members.append(roster[member])
         return True
 
     at = roster.index(subject)
     cols = BehaviorColumns(0)
-    cols.add(at, ActionKind.FRAUD, -1.0, 1.0, 1.0, MOT)
-    process_epoch_suspicions([(at, 0, 1)], roster, [1.0] * len(roster), cols, PenaltySettings(),
-                             Fraction(2, 3), size, rng, {}, vote_fn=vote_fn)
+    cols.add(at, FRAUD, -1.0, 1.0, 1.0, MOT)
+    voters = {m: lambda subject, m=m: vote(m, subject) for m in range(len(roster))}
+    process_epoch_suspicions([(at, 0, 1, True)], roster, [1.0] * len(roster), cols,
+                             PenaltySettings(), Fraction(2, 3), size, rng, {}, 1.0, voters)
     return members
 
 
@@ -76,23 +74,45 @@ class TestFormCommittee:
             assert seated(ids, subject, 7, rng) == expected
 
 
+def malicious_fraction(harmful, accuracy, size, rng, voters=None):
+    """The malicious-vote fraction of one session's `size` members on roster position 0."""
+    roster = [f"v{i:06d}" for i in range(size + 1)]
+    cols = BehaviorColumns(0)
+    cols.add(0, FRAUD if harmful else ActionKind.PROPOSE, -1.0 if harmful else 1.0,
+             1.0, 1.0, MOT)
+    _, (verdict,) = process_epoch_suspicions(
+        [(0, 0, 1, harmful)], roster, [1.0] * len(roster), cols, PenaltySettings(),
+        Fraction(2, 3), size, rng, {}, accuracy, voters or {})
+    return verdict.malicious_fraction
+
+
 class TestCommitteeVote:
+    """A member without a coalition vote spots harm with the detection accuracy."""
+
     def test_perfect_detector_on_harmful(self):
-        assert committee_vote("m", behavior(u_b=-5.0), 1.0, random.Random(0)) is True
+        assert malicious_fraction(True, 1.0, 9, random.Random(0)) == 1.0
 
     def test_perfect_detector_on_beneficial(self):
-        assert committee_vote("m", behavior(u_b=5.0, kind=ActionKind.PROPOSE), 1.0,
-                              random.Random(0)) is False
+        assert malicious_fraction(False, 1.0, 9, random.Random(0)) == 0.0
 
     def test_bernoulli_frequency(self):
-        rng = random.Random(11)
         n = 100_000
-        hits = sum(committee_vote("m", behavior(u_b=-1.0), 0.9, rng) for _ in range(n))
-        assert abs(hits / n - 0.9) < 0.01
+        assert abs(malicious_fraction(True, 0.9, n, random.Random(11)) - 0.9) < 0.01
+        assert abs(malicious_fraction(False, 0.9, n, random.Random(11)) - 0.1) < 0.01
+
+    def test_one_draw_per_honest_member(self):
+        # coalition votes draw nothing: the honest members draw, in position order
+        rng, twin = random.Random(3), random.Random(3)
+        voters = {pos: lambda subject: False for pos in range(1, 11, 2)}
+        twin.sample(range(10), 10)
+        expected = sum(twin.random() < 0.7 for _ in range(5))
+        assert malicious_fraction(True, 0.7, 10, rng, voters) == expected / 10
+        assert rng.getstate() == twin.getstate()
 
     def test_accuracy_range(self):
-        with pytest.raises(ValueError):
-            committee_vote("m", behavior(), 1.0001, random.Random(0))
+        for accuracy in (-0.0001, 1.0001):
+            with pytest.raises(ValueError, match="detection_accuracy"):
+                malicious_fraction(True, accuracy, 3, random.Random(0))
 
 
 class TestDecide:
@@ -124,37 +144,37 @@ class TestDecide:
 class TestComputePenalty:
     def test_base_case(self):
         p = PenaltySettings(base_coefficient=1.0)
-        out = compute_penalty(p, behavior(u_b=-0.1), 0)
+        out = compute_penalty(p, FRAUD, -0.1, 0)
         assert out.kind == "additive"
         assert math.isclose(out.value, 0.1, abs_tol=1e-12)
 
     def test_raised_coefficient(self):
         p = PenaltySettings(base_coefficient=1.5)
-        out = compute_penalty(p, behavior(u_b=-0.1), 0)
+        out = compute_penalty(p, FRAUD, -0.1, 0)
         assert math.isclose(out.value, 0.15, abs_tol=1e-12)
 
     def test_double_sign_full_slash(self):
         p = PenaltySettings()
-        out = compute_penalty(p, behavior(kind=ActionKind.DOUBLE_SIGN), 0)
+        out = compute_penalty(p, ActionKind.DOUBLE_SIGN, -1.0, 0)
         assert out.kind == "full"
 
     def test_magnitude_not_sign(self):
         # harmful behaviors carry negative base utility; the slash must
         # still remove weight
         p = PenaltySettings(base_coefficient=2.0)
-        out = compute_penalty(p, behavior(u_b=-3.0), 0)
+        out = compute_penalty(p, FRAUD, -3.0, 0)
         assert out.value == pytest.approx(6.0)
 
     def test_escalation_monotone(self):
         p = PenaltySettings(base_coefficient=1.0, escalation=(1.0, 2.0, 4.0))
-        values = [compute_penalty(p, behavior(u_b=-1.0), f).value for f in range(5)]
+        values = [compute_penalty(p, FRAUD, -1.0, f).value for f in range(5)]
         assert values == [1.0, 2.0, 4.0, 4.0, 4.0]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_multiplicative_escalation_shrinks_retention(self):
         p = PenaltySettings(mode="multiplicative", rho_p=0.2, escalation=(1.0, 2.0))
-        first = compute_penalty(p, behavior(), 0)
-        second = compute_penalty(p, behavior(), 1)
+        first = compute_penalty(p, FRAUD, -1.0, 0)
+        second = compute_penalty(p, FRAUD, -1.0, 1)
         assert first.value == pytest.approx(0.2)
         assert second.value == pytest.approx(0.04)
 
@@ -187,7 +207,7 @@ class TestProcessEpochSuspicions:
         return process_epoch_suspicions(
             sessions, ROSTER, self.weights if weights is None else weights, cols,
             policy or self.policy, Fraction(2, 3), 3, rng or random.Random(0),
-            {} if counts is None else counts, detection_accuracy=1.0)
+            {} if counts is None else counts, 1.0, {})
 
     def test_no_reports(self):
         weights, verdicts = self.review([], columns())
@@ -198,7 +218,7 @@ class TestProcessEpochSuspicions:
         # decide + compute_penalty + slash:
         # unanimous committee, penalty 1.0 * |-0.1| = 0.1 on weight 0.4
         counts = {}
-        weights, verdicts = self.review([(3, 0, 1)], columns(("x", -0.1, ActionKind.FRAUD)),
+        weights, verdicts = self.review([(3, 0, 1, True)], columns(("x", -0.1, ActionKind.FRAUD)),
                                         counts=counts)
         assert weights[3] == pytest.approx(0.3)
         assert self.weights[3] == 0.4  # the input list is left as it was
@@ -210,14 +230,14 @@ class TestProcessEpochSuspicions:
         assert counts == {"x": 1}
 
     def test_not_guilty_leaves_table(self):
-        weights, verdicts = self.review([(3, 0, 1)], columns(("x", 0.5, ActionKind.PROPOSE)))
+        weights, verdicts = self.review([(3, 0, 1, False)], columns(("x", 0.5, ActionKind.PROPOSE)))
         assert weights == self.weights
         assert verdicts[0].guilty is False
         assert verdicts[0].penalty_applied == 0.0
 
     def test_duplicate_reports_one_session(self):
         # three reporters of one behavior: one session records them all
-        weights, verdicts = self.review([(3, 0, 3)], columns(("x", -0.1, ActionKind.FRAUD)))
+        weights, verdicts = self.review([(3, 0, 3, True)], columns(("x", -0.1, ActionKind.FRAUD)))
         assert len(verdicts) == 1
         assert verdicts[0].reporter_count == 3
         # one slash, not three
@@ -225,15 +245,15 @@ class TestProcessEpochSuspicions:
 
     def test_deterministic_session_order(self):
         cols = columns(("x", -0.1, ActionKind.FRAUD), ("a", -0.2, ActionKind.FRAUD))
-        _, verdicts = self.review([(3, 0, 1), (0, 1, 1)], cols)
+        _, verdicts = self.review([(3, 0, 1, True), (0, 1, 1, True)], cols)
         assert [(v.subject, v.behavior_index) for v in verdicts] == [("a", 1), ("x", 0)]
 
     def test_offense_count_escalates_across_calls(self):
         policy = PenaltySettings(base_coefficient=1.0, escalation=(1.0, 3.0))
         counts = {}
         cols = columns(("x", -0.1, ActionKind.FRAUD))
-        weights, v1 = self.review([(3, 0, 1)], cols, [1.0] * 4, policy, random.Random(0), counts)
-        _, v2 = self.review([(3, 0, 1)], cols, weights, policy, random.Random(1), counts)
+        weights, v1 = self.review([(3, 0, 1, True)], cols, [1.0] * 4, policy, random.Random(0), counts)
+        _, v2 = self.review([(3, 0, 1, True)], cols, weights, policy, random.Random(1), counts)
         assert v1[0].penalty_applied == pytest.approx(0.1)
         assert v2[0].penalty_applied == pytest.approx(0.3)
         assert counts == {"x": 2}
@@ -263,3 +283,35 @@ class TestFramingResistance:
         # with honest fraction exactly 1 - theta the coalition reaches theta
         guilty, _ = decide([True, True, False], Fraction(2, 3))
         assert guilty  # 2 adversaries of 3 == theta: framing succeeds
+
+
+def review_config():
+    """`case-a-stealth` at 20 validators, where every row can convene a committee.
+
+    One record each is an action ratio of 1, above the frequency threshold
+    0.5, and an honest row's initiative (at most 0.3) and diversity (1/3)
+    sit below the quality bar 0.5, so every honest row looks scripted and
+    is reviewed though it is not harmful. Sybils bursting at epochs 3, 7
+    and 11 cast coalition votes, and a stealth fraudster is convicted.
+    """
+    return with_overrides(
+        builtin_presets()["case-a-stealth"].build(), n_validators=20, epochs=12, trials=1,
+        honest_initiative_lo=0.1, honest_initiative_hi=0.3, anomaly_freq_threshold=0.5,
+        anomaly_quality_threshold=0.5, committee_size=7, roster=(
+            RosterEntry(15, 20, StrategySpec("sybil-burst", {"burst_epoch": 3,
+                                                             "burst_every": 4})),
+            RosterEntry(2, 3, StrategySpec("stealth", {"fraud_rate": 0.5}))))
+
+
+def test_review_of_scripted_looking_rows_is_pinned():
+    """The pob ledgers' bytes: the sha256 of every `ledger_to_json` line, in epoch order."""
+    config = review_config()
+    ledgers = run_trial(config, config.seed, protocol="pob")
+    verdicts = [(l.behaviors[v.behavior_index], v) for l in ledgers for v in l.verdicts]
+    assert (len(verdicts), sum(v.guilty for _, v in verdicts)) == (240, 22)
+    assert any(b.base_utility >= 0.0 for b, _ in verdicts)
+    assert any(b.is_fraud_ground_truth and b.actor >= "v0015" for b, _ in verdicts)
+    digest = hashlib.sha256()
+    for ledger in ledgers:
+        digest.update((ledger_to_json(ledger) + "\n").encode())
+    assert digest.hexdigest() == "785adf9a1a315eccc7091d7212b9ee759f040c271e300d403684a16dda128f33"

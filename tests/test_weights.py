@@ -137,10 +137,10 @@ class TestSlashes:
         cols.add(1, ActionKind.FRAUD, -delta_w, 1.0, 1.0, MotivationProfile((0.0,), (1.0,)))
         for policy in (PenaltySettings(), PenaltySettings(mode="multiplicative", rho_p=rho_p)):
             out, (verdict,) = process_epoch_suspicions(
-                [(1, 0, 1)], roster, weights, cols, policy, Fraction(1, 2), 2,
-                random.Random(0), {}, vote_fn=lambda member, behavior: True)
+                [(1, 0, 1, True)], roster, weights, cols, policy, Fraction(1, 2), 2,
+                random.Random(0), {}, 1.0, {0: lambda subject: True, 2: lambda subject: True})
             assert verdict.guilty
-            assert out[1] == slash(0.35, compute_penalty(policy, cols.record(0, roster), 0))
+            assert out[1] == slash(0.35, compute_penalty(policy, ActionKind.FRAUD, -delta_w, 0))
             assert (out[0], out[2]) == (0.4, 0.25)
 
 
