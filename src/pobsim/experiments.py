@@ -12,11 +12,15 @@ Outputs per run directory:
     ledgers/      - canonical per-epoch JSON (only with emit_ledgers),
                     written by the worker as each epoch finishes
 
-A trial task runs tally-only halves one after the other, so one trial
-state is alive at a time. Halves that write ledgers step in lockstep,
-pob then pos each epoch, through one ledger writer state: the twins
-share most of their columns, and the writer formats each shared column
-once (netsim.ledger_to_json).
+A paired trial is one loop over one trial state (netsim.trial_epochs):
+the behaviors, delays, facts, activity and arrival order are drawn and
+worked out once and shared, and each protocol's half elects, patches its
+proposer's record, finds its quorum and runs its own slashes, review,
+settlement, chain and fork on them. Each epoch yields the pob ledger,
+then the pos one. Ledgers go through one writer state: the twins share
+most of their columns, and the writer formats each shared column once
+(netsim.ledger_to_json). A roster whose draws depend on the protocol
+(netsim.shares_one_state) runs each protocol through that loop alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import dataclasses
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,7 +53,8 @@ from .netsim import (
     TraceBlock,
     check_trace,
     ledger_to_json,
-    run_trial,
+    run_trial,  # noqa: F401  not called here, but benchmarks/bench_trace.py wraps it
+    shares_one_state,
     trial_epochs,
 )
 from .weights import left_sum
@@ -79,28 +85,25 @@ def _run_trial_task(
 ) -> dict:
     """One trial, all protocols; returns picklable rows.
 
-    Each epoch's ledger is streamed into its protocol's metrics tally and,
-    when `ledger_root` is given, written under it from this process; then
-    the protocols step in lockstep (see the module docstring).
+    The protocols run through one `trial_epochs` loop (see the module
+    docstring). Each epoch's ledger is streamed into its protocol's
+    metrics tally and, when `ledger_root` is given, written under it from
+    this process.
     """
     seed = config.seed + trial
     protocols = _trial_protocols(config)
     tallies = {protocol: TrialTally(config, protocol) for protocol in protocols}
-    if ledger_root is None:
-        for protocol in protocols:
-            run_trial(config, seed, protocol=protocol, trace=trace, sink=tallies[protocol].add)
-    else:
-        last: dict = {}  # the writer state both halves share (netsim.ledger_to_json)
-        sinks = [_ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}",
-                                tallies[protocol], last) for protocol in protocols]
-        halves = [trial_epochs(config, seed, protocol, trace) for protocol in protocols]
-        try:
-            for ledgers in zip(*halves):  # every half has one ledger per epoch
-                for sink, ledger in zip(sinks, ledgers):
-                    sink(ledger)
-        finally:
-            for half in halves:
-                half.close()
+    sinks = {protocol: tallies[protocol].add for protocol in protocols}
+    if ledger_root is not None:
+        last: dict = {}  # the writer state every protocol shares (netsim.ledger_to_json)
+        sinks = {protocol: _ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}",
+                                          tallies[protocol], last) for protocol in protocols}
+    groups = [protocols] if shares_one_state(config, trace) else [[p] for p in protocols]
+    for group in groups:
+        with closing(trial_epochs(config, seed, group, trace)) as epochs:
+            for ledgers in epochs:
+                for ledger in ledgers:
+                    sinks[ledger.protocol](ledger)
     rows = [{"trial": trial, "seed": seed, "protocol": protocol,
              "metrics": tallies[protocol].metrics()} for protocol in protocols]
     if config.protocol == "paired":

@@ -8,9 +8,14 @@ ledger per epoch. The same loop can be driven from a block-trace file
 paired comparisons.
 
 Determinism contract: a trial (`trial_epochs`, and `run_trial` that
-drains it) is a pure function of (config, seed, protocol). All
+drains it) is a pure function of (config, seed, protocols). All
 randomness flows through named substreams, every iteration order is
-sorted, so re-runs are bit-identical.
+sorted, so re-runs are bit-identical. A paired trial is one loop over
+one trial state: the behaviors and delays are drawn once and shared, and
+so are the epoch's facts, activity and arrival order. Per protocol are
+its own copy of the election stream, its proposer's record, its quorum,
+slashes, review, settlement, chain and fork. So each protocol's ledgers
+are, byte for byte, those of a trial that runs that protocol alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import dataclasses
 import json
 import marshal
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +41,7 @@ from .baseline_pos import (
     pos_schedule_slash,
     stake_pick,
 )
-from .chain import Block, extend_chain, genesis_block
+from .chain import extend_chain, genesis_block
 from .config import ScenarioConfig, check_config
 from .errors import TraceError
 from .rewards import Payout, PoolSplit, RewardSchedule, split_pool, stipends
@@ -123,6 +128,9 @@ class EpochLedger:
     vote_delays: list[float]
     neutralized: tuple[str, ...] = ()
     events: tuple[dict, ...] = ()
+    # The epoch's activity, shared by the ledgers of every protocol that ran it
+    # (trial_epochs); a ledger built without one works out its own.
+    activity: Optional[_Activity] = field(default=None, repr=False, compare=False)
 
     scores = _roster_map("roster_scores")
     activeness = _roster_map("roster_activeness")
@@ -133,8 +141,8 @@ class EpochLedger:
     def roster_activeness(self) -> list[float]:
         if not self.roster:
             return []
-        inputs = _activity(self.behavior_rows, len(self.roster))[1]
-        return activeness_column(*zip(*inputs), self.betas)
+        activity = self.activity or _Activity(self.behavior_rows, len(self.roster), self.betas)
+        return activity.activeness
 
     @cached_property
     def pool_split(self) -> PoolSplit:
@@ -341,20 +349,32 @@ def simulate_confirmation(
     stage adds a fixed processing cost. Everyone votes yes here; dissent is
     modeled at the behavior level, not the transport level. Returns the
     confirmation time (`quorum_time` of the vote arrivals) and the proposal
-    and vote delays, in `alive` order.
+    and vote delays, in `alive` order. A trial runs the two steps apart:
+    it draws the arrivals once, and each protocol finds its own quorum.
     """
-    n = len(alive)
+    proposals, votes, arrivals, order = _arrivals(len(alive), latency, rng_proposal, rng_vote,
+                                                  processing_ms)
+    return quorum_time(arrivals, weights, quorum, order), proposals, votes
+
+
+def _arrivals(n: int, latency: LatencyModel, rng_proposal: random.Random,
+              rng_vote: random.Random, processing_ms: float,
+              ) -> tuple[list[float], list[float], list[float], list[int]]:
+    """The `n` proposal and vote delays, the vote arrival times, and the arrival order."""
     proposals, votes = latency.draws(rng_proposal, n), latency.draws(rng_vote, n)
     arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
-    return quorum_time(arrivals, weights, quorum), proposals, votes
+    return proposals, votes, arrivals, sorted(range(n), key=arrivals.__getitem__)
 
 
-def quorum_time(arrivals: Sequence[float], weights: Sequence[float],
-                quorum: Fraction) -> Optional[float]:
+def quorum_time(arrivals: Sequence[float], weights: Sequence[float], quorum: Fraction,
+                order: Optional[Sequence[int]] = None) -> Optional[float]:
     """The arrival at which the yes-weight, counted in arrival order (ties in
-    list order), first reaches `quorum` times the total; None if it never does."""
+    list order), first reaches `quorum` times the total; None if it never does.
+    `order` is that arrival order, when the caller has already sorted it."""
     if not 0 < quorum <= 1:
         raise ValueError(f"quorum {quorum} outside (0, 1]")
+    if order is None:
+        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
     total = left_sum(weights)
     # Float comparison outside a slack band around the target; inside it
     # an exact rational check, so a vote landing exactly on the quorum
@@ -363,7 +383,7 @@ def quorum_time(arrivals: Sequence[float], weights: Sequence[float],
     slack = 1e-12 * max(1.0, abs(total))
     above, below = target + slack, target - slack
     acc = 0.0
-    for i in sorted(range(len(arrivals)), key=arrivals.__getitem__):
+    for i in order:
         acc += weights[i]
         if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
             return arrivals[i]
@@ -386,6 +406,8 @@ class TraceBlock:
     phi: float
     alpha: float
     is_exploit: bool
+    # the 1-based line of the block in its trace file; None for a block built in code
+    line: Optional[int] = field(default=None, compare=False)
 
 
 def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
@@ -437,21 +459,31 @@ def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
         if is_exploit:
             kind = ActionKind.FRAUD
             base_utility = -abs(base_utility)
-        blocks.append(TraceBlock(height, proposer, kind, base_utility, phi, alpha, is_exploit))
+        blocks.append(TraceBlock(height, proposer, kind, base_utility, phi, alpha, is_exploit,
+                                 line_no))
     return blocks
 
 
 def check_trace(config: ScenarioConfig, trace: Sequence[TraceBlock]) -> None:
     """Raise TraceError at the first block whose proposer is not alive at its
     epoch (its index in `trace`): a configured validator, or the newcomer
-    from `newcomer_epoch` on."""
-    join_epoch = dict.fromkeys(config.validator_ids(), 0)
+    from `newcomer_epoch` on. An adaptive-sybil member is refused too, since
+    pob may retire it before the block's epoch. The error names the block's
+    line in its file; a block built in code counts as line index + 1."""
+    ids = config.validator_ids()
+    join_epoch = dict.fromkeys(ids, 0)
     if config.newcomer_epoch is not None:
         join_epoch["newcomer"] = config.newcomer_epoch
+    sybils = {vid for entry in config.roster if entry.spec.kind == "adaptive-sybil"
+              for vid in ids[entry.lo:entry.hi]}
     for epoch, tb in enumerate(trace):
+        line = epoch + 1 if tb.line is None else tb.line
+        where = f"proposer {tb.proposer!r} (block height {tb.height})"
         if join_epoch.get(tb.proposer, epoch + 1) > epoch:
-            raise TraceError(tb.height + 1, f"proposer {tb.proposer!r} (block height "
-                                            f"{tb.height}) not in the validator set at epoch {epoch}")
+            raise TraceError(line, f"{where} not in the validator set at epoch {epoch}")
+        if tb.proposer in sybils:
+            raise TraceError(line, f"{where} is an adaptive-sybil member, which pob may "
+                                   f"retire before epoch {epoch}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +506,6 @@ class _TrialState:
     shape: adv.HonestShape
     latency: LatencyModel
     schedule: RewardSchedule
-    offense_counts: dict[str, int] = field(default_factory=dict)
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
     # the long-range-fork keys, sorted, and their one fork depth
     compromised: list[str] = field(default_factory=list)
@@ -495,8 +526,8 @@ class _TrialState:
 
 
 def _start_trial(config: ScenarioConfig, seed: int,
-                 protocol: str) -> tuple[_TrialState, _PobRules | _PosRules]:
-    """The trial's state and its protocol's rules."""
+                 protocols: Sequence[str]) -> tuple[_TrialState, list[_PobRules | _PosRules]]:
+    """The trial's state and each protocol's rules, in `protocols` order."""
     hub = RngHub(seed)
     ids = config.validator_ids()
     # One stake draw for both protocols, so paired runs start from the same shape: the
@@ -506,7 +537,8 @@ def _start_trial(config: ScenarioConfig, seed: int,
     else:
         stakes = {vid: 1.0 for vid in ids}
     state = _setup_trial(config, hub, ids)
-    return state, (_PobRules if protocol == "pob" else _PosRules)(state, stakes)
+    rules = {"pob": _PobRules, "pos": _PosRules}
+    return state, [rules[protocol](state, stakes) for protocol in protocols]
 
 
 def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialState:
@@ -584,9 +616,10 @@ def _set_roster(state: _TrialState, alive: list[str]) -> None:
 # Epoch stages shared by both protocols
 # ---------------------------------------------------------------------------
 
-def _apply_joins(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
+def _apply_joins(state: _TrialState, halves: Sequence[_PobRules | _PosRules], epoch: int,
                  events: list[dict]) -> None:
-    """Admit the validators whose join epoch is `epoch`, then rebuild the roster.
+    """Admit the validators whose join epoch is `epoch` into every protocol's
+    rules, then rebuild the roster.
 
     Every joiner is a fresh id (the newcomer or a respawned Sybil), so
     none is in the weight or stake table yet.
@@ -598,30 +631,32 @@ def _apply_joins(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
     for vid in sorted(joining):
         at = bisect_left(alive, vid)
         alive.insert(at, vid)
-        rules.admit(state, vid, at)
+        for rules in halves:
+            rules.admit(state, vid, at)
         events.append({"kind": "join", "id": vid, "role": state.strategies[vid].kind,
                        "epoch": epoch})
     _set_roster(state, alive)
 
 
 def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
-           trace: Optional[Sequence[TraceBlock]], rng: random.Random) -> str:
+           trace: Optional[Sequence[TraceBlock]]) -> str:
     """The trace's proposer, else an override's, else the protocol's lottery."""
     if trace is not None:
         return trace[epoch].proposer
     override = state.config.proposer_override
     if override is not None and override[1] <= epoch < override[2]:
         return override[0]
-    return rules.elect(state, rng)
+    return rules.elect(state)
 
 
-def _behave(state: _TrialState, epoch: int, proposer: str,
+def _behave(state: _TrialState, epoch: int, proposer: Optional[str],
             trace: Optional[Sequence[TraceBlock]]) -> BehaviorColumns:
     """Every alive validator's records for the epoch, in roster order.
 
-    Under a trace the proposer's action is the trace block's, in the
-    first row; the rest of the network still validates every block, so
-    scores stay live.
+    Outside a trace `proposer` draws as the proposer; with None every
+    validator draws as a non-proposer (see `_as_proposer`). Under a trace
+    the proposer's action is the trace block's, in the first row; the rest
+    of the network still validates every block, so scores stay live.
     """
     cols = BehaviorColumns(epoch)
     proposer_pos = state.pos_of.get(proposer, -1)
@@ -655,6 +690,7 @@ class _EpochFacts:
 
     scores: list[float]  # summed utility of each validator's records
     utility: float  # summed utility of every record, in record order
+    utilities: list[float]  # each row's utility; the scores themselves with one row each
     outcomes: list[float]  # each row's outcome utility
     harmful: list[int]  # rows with a negative outcome
     # (first row, action count / network mean, mean initiative, diversity)
@@ -662,28 +698,46 @@ class _EpochFacts:
     suspects: list[tuple[int, float, float, float]]
 
 
-def _activity(cols: BehaviorColumns,
-              n: int) -> tuple[list[list[int]], list[tuple[float, float, float]]]:
-    """Each of the `n` roster positions' rows, and its activeness inputs: (action
-    count / network mean, mean initiative, diversity). Every position has a row."""
-    mean_actions = len(cols.actor) / n
-    one_record = 1 / mean_actions
-    initiative, kind = cols.initiative, cols.kind
-    rows_of: list[list[int]] = [[] for _ in range(n)]
-    for row, actor in enumerate(cols.actor):
-        rows_of[actor].append(row)
-    inputs = []
-    for mine in rows_of:
-        count = len(mine)
-        if count == 1:
-            inputs.append((one_record, initiative[mine[0]], SINGLE_KIND_DIVERSITY[kind[mine[0]]]))
-        else:
-            inputs.append((count / mean_actions, left_sum([initiative[i] for i in mine]) / count,
-                           diversity_index([kind[i] for i in mine])))
-    return rows_of, inputs
+class _Activity:
+    """An epoch's rows per roster position and activeness inputs, worked out on
+    first read. The suspects and every protocol's ledger of the epoch read one:
+    only a proposer's row differs between the protocols, and its propose kind
+    counts in the diversity as the validate kind it replaces."""
+
+    def __init__(self, cols: BehaviorColumns, n: int, betas: tuple[float, float, float]):
+        self.cols, self.n, self.betas = cols, n, betas
+
+    @cached_property
+    def per_position(self) -> tuple[list[list[int]], list[tuple[float, float, float]]]:
+        """Each of the `n` roster positions' rows, and its activeness inputs: (action
+        count / network mean, mean initiative, diversity). Every position has a row."""
+        cols, n = self.cols, self.n
+        mean_actions = len(cols.actor) / n
+        one_record = 1 / mean_actions
+        initiative, kind = cols.initiative, cols.kind
+        rows_of: list[list[int]] = [[] for _ in range(n)]
+        for row, actor in enumerate(cols.actor):
+            rows_of[actor].append(row)
+        inputs = []
+        for mine in rows_of:
+            count = len(mine)
+            if count == 1:
+                inputs.append((one_record, initiative[mine[0]],
+                               SINGLE_KIND_DIVERSITY[kind[mine[0]]]))
+            else:
+                inputs.append((count / mean_actions,
+                               left_sum([initiative[i] for i in mine]) / count,
+                               diversity_index([kind[i] for i in mine])))
+        return rows_of, inputs
+
+    @cached_property
+    def activeness(self) -> list[float]:
+        column = activeness_column(*zip(*self.per_position[1]), self.betas)
+        del self.per_position  # read by the facts only, which are made before any ledger is out
+        return column
 
 
-def _epoch_facts(cols: BehaviorColumns, positions: list[int],
+def _epoch_facts(cols: BehaviorColumns, activity: _Activity, positions: list[int],
                  freq_threshold: float) -> _EpochFacts:
     n = len(positions)
     outcomes = [b * c * i for b, c, i in zip(cols.base_utility, cols.context_factor,
@@ -702,9 +756,38 @@ def _epoch_facts(cols: BehaviorColumns, positions: list[int],
     single_suspect = 1 / (len(utilities) / n) > freq_threshold
     suspects = []
     if single_suspect or len(utilities) > n:
-        suspects = [(mine[0], *actor_inputs) for mine, actor_inputs in zip(*_activity(cols, n))
+        suspects = [(mine[0], *actor_inputs)
+                    for mine, actor_inputs in zip(*activity.per_position)
                     if len(mine) > 1 or single_suspect]
-    return _EpochFacts(scores, left_sum(utilities), outcomes, harmful, suspects)
+    return _EpochFacts(scores, left_sum(utilities), utilities, outcomes, harmful, suspects)
+
+
+def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
+                 proposer: str) -> tuple[BehaviorColumns, list[float], float]:
+    """The epoch's columns, scores and utility total as they are when `proposer`
+    draws as the proposer: its first row turned from the validate record that
+    `draw_honest` writes for a non-proposer into its propose record, with the
+    propose motivation and that row's utility. The draws are the same either
+    way. Inputs that do not change are returned as they are, and a list that
+    changes is copied, never changed in place. Outside a trace only, where the
+    actor column is sorted.
+    """
+    pos = state.pos_of.get(proposer)
+    row = -1 if pos is None else bisect_left(cols.actor, pos)
+    if row < 0 or cols.kind[row] is not ActionKind.VALIDATE:
+        return cols, facts.scores, facts.utility
+    motivation = state.shape.motivations[ActionKind.PROPOSE]
+    kind, motivations, utilities = cols.kind.copy(), cols.motivation.copy(), facts.utilities.copy()
+    kind[row], motivations[row] = ActionKind.PROPOSE, motivation
+    utilities[row] = motivation.utility + facts.outcomes[row]
+    scores = utilities  # one row each (_epoch_facts)
+    if facts.scores is not facts.utilities:
+        scores, score = facts.scores.copy(), 0.0
+        for u in utilities[row:bisect_right(cols.actor, pos)]:  # the proposer's rows
+            score += u
+        scores[pos] = score
+    return (dataclasses.replace(cols, kind=kind, motivation=motivations), scores,
+            left_sum(utilities))
 
 
 def _sessions(state: _TrialState, cols: BehaviorColumns,
@@ -764,20 +847,33 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
 # Protocol rules: the one place the two protocols differ
 # ---------------------------------------------------------------------------
 #
-# A trial chooses one rules object and keeps it as a local of trial_epochs.
-# The rules hold only what their protocol uses and never point back at the
-# trial state, so a finished trial leaves no reference cycle to collect.
-# Each keeps `weights`, its election and reward weights aligned with the
-# roster, as a new list on every change, so a ledger can keep the one it
-# got. They call the protocol operations through this module's globals,
-# where a tracer can wrap them by name.
+# A trial keeps one rules object per protocol as a local of trial_epochs:
+# its half of the trial. The rules hold only what their protocol uses and
+# never point back at the trial state, so a finished trial leaves no
+# reference cycle to collect. Each keeps `weights`, its election and reward
+# weights aligned with the roster, as a new list on every change, so a
+# ledger can keep the one it got. They call the protocol operations through
+# this module's globals, where a tracer can wrap them by name.
 
-class _PobRules:
+class _Half:
+    """What every protocol keeps apart: its own copy of the election stream,
+    from which the protocols draw different counts, and its chain and clock."""
+
+    def __init__(self, state: _TrialState):
+        self.election_rng = state.hub.fresh("election")
+        # The blocks the trial-end fork can reach; older ones are dropped.
+        self.chain = deque([genesis_block()], maxlen=state.fork_depth + 1)
+        self.sim_time = 0.0
+
+
+class _PobRules(_Half):
     """Behavior weighting: reports, committee verdicts and the weight update."""
 
     protocol = "pob"
 
     def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
+        super().__init__(state)
+        self.offense_counts: dict[str, int] = {}
         self.committee_rng = state.hub.stream("committee")
         self.watchdog_rng = state.hub.stream("latency/watchdog")
         by_stake = state.config.genesis_weights == "stake"
@@ -787,8 +883,8 @@ class _PobRules:
                      events: list[dict]) -> tuple[str, ...]:
         return ()
 
-    def elect(self, state: _TrialState, rng: random.Random) -> str:
-        return state.alive[dampened_pick(self.weights, state.config.delta, rng)]
+    def elect(self, state: _TrialState) -> str:
+        return state.alive[dampened_pick(self.weights, state.config.delta, self.election_rng)]
 
     def review(self, state: _TrialState, epoch: int, behaviors: BehaviorColumns,
                facts: _EpochFacts, confirm_ms: Optional[float],
@@ -806,7 +902,7 @@ class _PobRules:
             return confirm_ms, ()
         weights, verdicts = process_epoch_suspicions(
             sessions, state.alive, self.weights, behaviors, config.penalty, config.theta,
-            committee_size, self.committee_rng, state.offense_counts,
+            committee_size, self.committee_rng, self.offense_counts,
             config.detection_accuracy, state.voters)
         self.weights = normalize(weights)
         return confirm_ms, tuple(verdicts)
@@ -826,9 +922,10 @@ class _PobRules:
     def retire(self, kept: list[int]) -> None:
         self.weights = normalize([self.weights[pos] for pos in kept])
 
-    def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
+    def fork(self, state: _TrialState) -> Optional[dict]:
         """The long-range fork attempt at trial end, if the roster has one.
-        `chain` holds at least the last `fork_depth + 1` blocks."""
+        The chain holds at least the last `fork_depth + 1` blocks."""
+        chain = self.chain
         height = chain[-1].height
         if not state.compromised or height == 0:
             return None
@@ -840,12 +937,13 @@ class _PobRules:
         return outcome
 
 
-class _PosRules:
+class _PosRules(_Half):
     """The stake-weighted baseline: static stakes and a delayed slash."""
 
     protocol = "pos"
 
     def __init__(self, state: _TrialState, stakes: dict[str, float]):
+        super().__init__(state)
         config = state.config
         self.stakes = StakeTable(stakes, config.pos_slash_delay, config.pos_slash_fraction)
         self.detect_rng = state.hub.stream("pos-detection")
@@ -861,8 +959,8 @@ class _PosRules:
             self.weights = [self.stakes.stakes[v] for v in state.alive]
         return tuple(sorted(self.stakes.slashed))
 
-    def elect(self, state: _TrialState, rng: random.Random) -> str:
-        return state.alive[stake_pick(self.weights, rng)]
+    def elect(self, state: _TrialState) -> str:
+        return state.alive[stake_pick(self.weights, self.election_rng)]
 
     def review(self, state: _TrialState, epoch: int, behaviors: BehaviorColumns,
                facts: _EpochFacts, confirm_ms: Optional[float],
@@ -883,82 +981,110 @@ class _PosRules:
         self.stakes.stakes[vid] = stake
         self.weights = self.weights[:at] + [stake] + self.weights[at:]
 
-    def fork(self, state: _TrialState, chain: Sequence[Block]) -> Optional[dict]:
+    def fork(self, state: _TrialState) -> Optional[dict]:
         return None
+
+
+def shares_one_state(config: ScenarioConfig, trace: Optional[Sequence[TraceBlock]]) -> bool:
+    """Whether both protocols can run on one trial state, which draws every
+    record and delay once for both. They cannot when a draw depends on the
+    protocol: pob retires convicted adaptive Sybils, so the roster does; and
+    outside a trace a griefer's records depend on its being the proposer,
+    whom each protocol elects for itself."""
+    kinds = {entry.spec.kind for entry in config.roster}
+    return "adaptive-sybil" not in kinds and (trace is not None or "griefing" not in kinds)
 
 
 def trial_epochs(
     config: ScenarioConfig,
     seed: int,
-    protocol: Optional[str] = None,
+    protocols: Sequence[str],
     trace: Optional[Sequence[TraceBlock]] = None,
-) -> Iterator[EpochLedger]:
-    """One seeded trial as a stream of its ledgers, one per epoch.
+) -> Iterator[tuple[EpochLedger, ...]]:
+    """One seeded trial as a stream of its epochs: each epoch's ledgers, one
+    per protocol of `protocols`, in that order.
 
-    Nothing runs until the first ledger is asked for: then `config` is
+    The protocols share one trial state. Each epoch draws the behaviors
+    (every validator as a non-proposer when there are several protocols)
+    and the delays once, and works out the facts, the activity and the
+    arrival order once. Each protocol then elects its own proposer and
+    turns that proposer's record into a propose record (`_as_proposer`),
+    finds its own quorum in the shared arrival order, and runs its own
+    slashes, review, settlement, chain and fork. Several protocols need a
+    config that `shares_one_state`; a ValueError says so otherwise.
+
+    Nothing runs until the first epoch is asked for: then `config` is
     checked as the loader checks it (`check_config`), a trace's proposers
-    are checked (`check_trace`) and the trial is set up. Each ledger comes
-    out once the next epoch starts (the last one waits for the trial-end
+    are checked (`check_trace`) and the trial is set up. Each epoch comes
+    out once the next one starts (the last one waits for the trial-end
     fork outcome), and the trial keeps none it has handed out past the
     next epoch, so its memory stays flat in the epoch count.
     """
-    protocol = protocol or config.protocol
-    if protocol not in ("pob", "pos"):
+    protocols, distinct = tuple(protocols), set(protocols)
+    if not protocols or not distinct <= {"pob", "pos"} or len(distinct) < len(protocols):
         raise ValueError(
-            f"a trial needs a concrete protocol, got {protocol!r} "
+            f"a trial needs distinct concrete protocols, got {protocols!r} "
             "(resolve 'paired' at the experiment layer)"
         )
     config = check_config(config)
+    if len(protocols) > 1 and not shares_one_state(config, trace):
+        raise ValueError("this roster's draws depend on the protocol: run each protocol alone")
     if trace is not None:
         check_trace(config, trace)
-    state, rules = _start_trial(config, seed, protocol)
+    state, halves = _start_trial(config, seed, protocols)
 
     epochs = len(trace) if trace is not None else config.epochs
-
-    finished: Optional[EpochLedger] = None
-    # The blocks the trial-end fork can reach; older ones are dropped.
-    chain = deque([genesis_block()], maxlen=min(state.fork_depth, epochs) + 1)
-    sim_time = 0.0
-    election_rng = state.hub.stream("election")
+    finished: tuple[EpochLedger, ...] = ()
     rng_lat_prop = state.hub.stream("latency/proposal")
     rng_lat_vote = state.hub.stream("latency/vote")
     threshold = state.schedule.activity_threshold
 
     for epoch in range(epochs):
-        if finished is not None:
+        if finished:
             yield finished
         events, state.pending_events = state.pending_events, []
-        _apply_joins(state, rules, epoch, events)
-        neutralized = rules.land_slashes(state, epoch, events)
+        _apply_joins(state, halves, epoch, events)
         alive = state.alive
-        weights_before = rules.weights
-        proposer = _elect(state, rules, epoch, trace, election_rng)
-        behaviors = _behave(state, epoch, proposer, trace)
-        facts = _epoch_facts(behaviors, state.positions, config.anomaly_freq_threshold)
-        confirm_ms, proposals, votes = simulate_confirmation(
-            alive, weights_before, config.quorum, state.latency,
-            rng_lat_prop, rng_lat_vote, config.processing_ms,
-        )
-        confirmed = confirm_ms is not None
-        confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
-        sim_time += confirm_ms if confirmed else 0.0
-        weights_after = rules.settle(state, facts.scores)
-        # split_pool's check, run here: the ledger splits the pool only when read
-        stipends(state.schedule, len([s for s in facts.scores if s > threshold]))
-        if confirmed:
-            chain.append(extend_chain(chain[-1], proposer, facts.utility, sim_time,
-                                      state.signers, weights_after))
-        finished = EpochLedger(
-            epoch, rules.protocol, proposer, alive, behaviors, state.schedule, config.betas,
-            facts.scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
-            proposals, votes, neutralized, tuple(events),
-        )
-        _retire_convicted(state, rules, verdicts, epoch)
+        starts = []  # each protocol's (events, slashed ids, weights before, proposer)
+        for rules in halves:
+            own_events = list(events)
+            neutralized = rules.land_slashes(state, epoch, own_events)
+            starts.append((own_events, neutralized, rules.weights,
+                           _elect(state, rules, epoch, trace)))
+        cols = _behave(state, epoch, starts[0][3] if len(halves) == 1 else None, trace)
+        activity = _Activity(cols, len(alive), config.betas)
+        facts = _epoch_facts(cols, activity, state.positions, config.anomaly_freq_threshold)
+        proposals, votes, arrivals, order = _arrivals(
+            len(alive), state.latency, rng_lat_prop, rng_lat_vote, config.processing_ms)
+        ledgers = []
+        for rules, (own_events, neutralized, weights_before, proposer) in zip(halves, starts):
+            behaviors, scores, utility = cols, facts.scores, facts.utility
+            if trace is None:
+                behaviors, scores, utility = _as_proposer(state, cols, facts, proposer)
+            confirm_ms = quorum_time(arrivals, weights_before, config.quorum, order)
+            confirmed = confirm_ms is not None
+            confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
+            rules.sim_time += confirm_ms if confirmed else 0.0
+            weights_after = rules.settle(state, scores)
+            # split_pool's check, run here: the ledger splits the pool only when read
+            stipends(state.schedule, len([s for s in scores if s > threshold]))
+            if confirmed:
+                rules.chain.append(extend_chain(rules.chain[-1], proposer, utility,
+                                                rules.sim_time, state.signers, weights_after))
+            ledgers.append(EpochLedger(
+                epoch, rules.protocol, proposer, alive, behaviors, state.schedule, config.betas,
+                scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
+                proposals, votes, neutralized, tuple(own_events), activity,
+            ))
+        finished = tuple(ledgers)
+        for rules, ledger in zip(halves, finished):
+            _retire_convicted(state, rules, ledger.verdicts, epoch)
 
-    outcome = rules.fork(state, chain)
-    if outcome is not None:
-        finished.events += (outcome,)
-    if finished is not None:
+    for rules, ledger in zip(halves, finished):
+        outcome = rules.fork(state)
+        if outcome is not None:
+            ledger.events += (outcome,)
+    if finished:
         yield finished
 
 
@@ -969,7 +1095,8 @@ def run_trial(
     trace: Optional[Sequence[TraceBlock]] = None,
     sink: Optional[Callable[[EpochLedger], None]] = None,
 ) -> list[EpochLedger]:
-    """Execute one seeded trial (`trial_epochs`), handing each ledger to `sink`.
+    """Execute one seeded trial of one protocol (`trial_epochs`), handing each
+    ledger to `sink`.
 
     Without a sink the ledgers are collected and returned; with one the
     trial keeps no ledger once `sink` returns, and the returned list is
@@ -978,7 +1105,7 @@ def run_trial(
     ledgers: list[EpochLedger] = []
     if sink is None:
         sink = ledgers.append
-    for ledger in trial_epochs(config, seed, protocol, trace):
+    for (ledger,) in trial_epochs(config, seed, (protocol or config.protocol,), trace):
         sink(ledger)
     return ledgers
 

@@ -30,9 +30,13 @@ class RngHub:
     def stream(self, name: str) -> random.Random:
         rng = self._streams.get(name)
         if rng is None:
-            rng = random.Random(derive_seed(self.root_seed, name))
-            self._streams[name] = rng
+            rng = self._streams[name] = self.fresh(name)
         return rng
+
+    def fresh(self, name: str) -> random.Random:
+        """A new, uncached copy of stream `name` from its start: for consumers
+        that each draw the whole stream for themselves."""
+        return random.Random(derive_seed(self.root_seed, name))
 
     def drop(self, *names: str) -> None:
         """Forget the named streams; a later `stream` call would restart one from its seed."""

@@ -10,7 +10,7 @@ from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overri
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_ic_check, run_scenario, run_sweep, sweep_points
 from pobsim.metrics import CSV_COLUMNS
-from pobsim.netsim import TraceBlock
+from pobsim.netsim import TraceBlock, parse_trace
 from pobsim.scoring import ActionKind
 
 
@@ -190,6 +190,19 @@ class TestBadInputBeforeOutput:
         out = tmp_path / "out"
         with pytest.raises(TraceError, match="vXXXX"):
             run_scenario(tiny_paired(workers=workers), out, trace=UNKNOWN_PROPOSER)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_naming_an_adaptive_sybil_member(self, workers, tmp_path):
+        """pob may retire the member before its block, so the trace is refused up front."""
+        sybils = (RosterEntry(8, 10, StrategySpec("adaptive-sybil")),)
+        config = tiny_paired(protocol="pob", roster=sybils, workers=workers)
+        proposers = ["v0001", "v0002", "v0003", "v0008", "v0004"]
+        trace = parse_trace([f"{h},{p},propose-block,1.0,1.0,1.0,0"
+                             for h, p in enumerate(proposers)])
+        out = tmp_path / "out"
+        with pytest.raises(TraceError, match=r"trace line 4: proposer 'v0008' .*adaptive-sybil"):
+            run_scenario(config, out, trace=trace)
         assert not out.exists()
 
     def test_paired_adaptive_sybil_is_refused_at_load(self):

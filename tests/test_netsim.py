@@ -14,7 +14,7 @@ from pobsim.adversaries import PARAMS, StrategySpec
 from pobsim.errors import ConfigError, RewardPoolError, TraceError
 from pobsim.metrics import TrialTally
 from pobsim import chain, netsim
-from pobsim.presets import builtin_presets
+from pobsim.presets import builtin_presets, bundled_trace_path
 from pobsim.rewards import RewardSchedule, split_pool
 from pobsim.rng import RngHub
 from pobsim.netsim import (
@@ -228,6 +228,28 @@ class TestTraceIO:
     def test_exploit_flag_must_be_binary(self):
         with pytest.raises(TraceError):
             parse_trace(["0,v0001,propose-block,1.0,1.0,0.9,2"])
+
+
+class TestTraceLines:
+    """A trace error names the block's line in its file."""
+
+    def test_bundled_trace_line_is_height_plus_two(self):
+        trace = parse_trace(bundled_trace_path())
+        assert all(tb.line == tb.height + 2 for tb in trace)  # one comment line first
+        config = small_config()
+        first = next(tb for tb in trace if tb.proposer not in config.validator_ids())
+        with pytest.raises(TraceError) as err:
+            netsim.check_trace(config, trace)
+        assert err.value.line_no == first.height + 2
+        assert f"proposer {first.proposer!r} (block height {first.height})" in str(err.value)
+
+    def test_second_block_of_a_trace_from_height_one_is_line_two(self):
+        trace = parse_trace(["1,v0001,propose-block,1.0,1.0,0.9,0",
+                             "2,vXXXX,propose-block,1.0,1.0,0.9,0"])
+        assert [tb.line for tb in trace] == [1, 2]
+        with pytest.raises(TraceError) as err:
+            netsim.check_trace(small_config(), trace)
+        assert err.value.line_no == 2
 
 
 def small_config(**kw):
@@ -479,6 +501,59 @@ class TestSinglePassFacts:
                 assert block.signers == frozenset(l.weights_after)
                 assert block.signer_weight == sorting_weight(block.signers,
                                                              WeightTable(l.weights_after))
+
+
+class TestOneLoop:
+    """A paired trial runs both protocols in one loop over one trial state."""
+
+    @staticmethod
+    def _config():
+        return small_config(
+            protocol="paired", epochs=20, oracle_rate=0.5, epsilon=0.5, newcomer_epoch=5,
+            roster=(RosterEntry(8, 10, StrategySpec("stealth", {"fraud_rate": 0.3})),))
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["live", "griefer-under-trace"])
+    def test_each_protocol_writes_the_ledgers_of_its_run_alone(self, replay):
+        cfg, trace = self._config(), None
+        if replay:  # the trace's proposer never draws as the proposer, a griefer neither
+            cfg = with_overrides(cfg, roster=(RosterEntry(0, 2, StrategySpec("griefing")),))
+            trace = make_synthetic_trace(20, 10, exploit_at=12, exploit_value=5.0, seed=2)
+        paired = list(netsim.trial_epochs(cfg, 3, ("pob", "pos"), trace))
+        assert [tuple(l.protocol for l in ledgers) for ledgers in paired] == [("pob", "pos")] * 20
+        for k, protocol in enumerate(("pob", "pos")):
+            alone = run_trial(cfg, 3, protocol=protocol, trace=trace)
+            assert [ledger_to_json(ledgers[k]) for ledgers in paired] == list(
+                map(ledger_to_json, alone))
+        if not replay:
+            assert any(pob.proposer != pos.proposer for pob, pos in paired)
+
+    def test_paired_epoch_shares_its_draws_and_activeness(self, monkeypatch):
+        calls = TestLazyLedger._counting(monkeypatch)
+        for pob, pos in netsim.trial_epochs(self._config(), 3, ("pob", "pos")):
+            assert pob.proposal_delays is pos.proposal_delays
+            assert pob.vote_delays is pos.vote_delays
+            for column in ("actor", "base_utility", "context_factor", "initiative", "fraud"):
+                assert getattr(pob.behavior_rows, column) is getattr(pos.behavior_rows, column)
+            assert pob.roster_activeness is pos.roster_activeness
+            ledger_to_json(pob)
+            ledger_to_json(pos)
+        assert calls["activeness_column"] == 20  # once per epoch, for both ledgers
+
+    @pytest.mark.parametrize("protocols", [(), ("pob", "pob"), ("paired",), ("pob", "pow")])
+    def test_protocols_must_be_distinct_and_concrete(self, protocols):
+        with pytest.raises(ValueError, match="distinct concrete protocols"):
+            next(netsim.trial_epochs(small_config(), 1, protocols))
+
+    @pytest.mark.parametrize("kind", ["griefing", "adaptive-sybil"])
+    def test_protocol_dependent_rosters_run_alone(self, kind):
+        cfg = small_config(roster=(RosterEntry(8, 10, StrategySpec(kind)),))
+        trace = make_synthetic_trace(5, 8, exploit_at=None, exploit_value=0.0, seed=1)
+        assert not netsim.shares_one_state(cfg, None)
+        # under a trace no griefer draws as the proposer, but pob still retires Sybils
+        assert netsim.shares_one_state(cfg, trace) == (kind == "griefing")
+        with pytest.raises(ValueError, match="run each protocol alone"):
+            next(netsim.trial_epochs(cfg, 1, ("pob", "pos")))
+        assert len(list(netsim.trial_epochs(cfg, 1, ("pos",)))) == cfg.epochs
 
 
 class TestLazyLedger:

@@ -3,8 +3,8 @@
 `run_trial` hands each finished ledger to a sink. These tests check that
 the tally folded from that stream gives the same metrics as a pass over
 the full ledger list, that the streamed ledger files are the canonical
-JSON of that list (also when a paired task steps its halves in lockstep
-through one writer state), that the ledger writer's bytes are those of a
+JSON of that list (also when a paired task runs both protocols in one
+loop through one writer state), that the ledger writer's bytes are those of a
 plain `json.dumps` of the ledger as dicts, that a shared writer state
 reuses a text only for columns that write the same bytes, that a task's
 halves set up once and fail cleanly, that memory does not grow with the
@@ -269,7 +269,7 @@ def test_streamed_tally_and_ledgers_match_ledger_list(case, tmp_path):
         with pytest.raises(ConfigError, match=r"config field 'roster\[0\]'.*cannot run paired"):
             with_overrides(config, protocol="paired")
         return
-    # A paired task steps both halves in lockstep through one writer state,
+    # A paired task runs both protocols in one loop through one writer state,
     # and still writes each protocol exactly the files of its own run.
     paired = with_overrides(config, protocol="paired")
     rows = experiments._run_trial_task(paired, 0, trace, tmp_path / "paired")["rows"]
@@ -459,13 +459,14 @@ def test_shared_writer_state_formats_shared_columns_once(monkeypatch):
 
 
 def _record_halves(monkeypatch):
-    """A log of each trial set-up and each ledger a task's tallies take, in order."""
+    """A log of each trial set-up (with its protocols) and each ledger a task's
+    tallies take, in order."""
     log = []
     start = netsim._start_trial
 
-    def recording_start(config, seed, protocol):
-        log.append(("set-up", protocol))
-        return start(config, seed, protocol)
+    def recording_start(config, seed, protocols):
+        log.append(("set-up", tuple(protocols)))
+        return start(config, seed, protocols)
 
     class RecordingTally(TrialTally):
         def add(self, ledger):
@@ -478,18 +479,22 @@ def _record_halves(monkeypatch):
 
 
 @pytest.mark.parametrize("ledgers", [False, True], ids=["tally-only", "ledgers"])
-def test_halves_set_up_once_and_alternate_only_when_writing(ledgers, monkeypatch, tmp_path):
+def test_halves_set_up_once_and_alternate_each_epoch(ledgers, monkeypatch, tmp_path):
+    """A paired task sets its trial up once and takes both ledgers of each epoch,
+    pob then pos, whether or not it writes them. A roster whose draws depend on
+    the protocol (a griefer outside a trace) runs each protocol alone."""
+    log = _record_halves(monkeypatch)
     config, _ = _preset("case-a-stealth")
     assert config.protocol == "paired"
-    log = _record_halves(monkeypatch)
-    experiments._run_trial_task(config, 0, None, tmp_path if ledgers else None)
-    if ledgers:  # both set up, then pob then pos each epoch
-        expected = [("set-up", "pob"), ("set-up", "pos")] + [
-            (protocol, epoch) for epoch in range(EPOCHS) for protocol in ("pob", "pos")]
-    else:  # one after the other: pos sets up after pob's last ledger
-        expected = [("set-up", "pob"), *(("pob", epoch) for epoch in range(EPOCHS)),
-                    ("set-up", "pos"), *(("pos", epoch) for epoch in range(EPOCHS))]
-    assert log == expected
+    experiments._run_trial_task(config, 0, None, tmp_path / "stealth" if ledgers else None)
+    assert log == [("set-up", ("pob", "pos"))] + [
+        (protocol, epoch) for epoch in range(EPOCHS) for protocol in ("pob", "pos")]
+
+    log.clear()
+    griefing = with_overrides(_preset("case-d-griefing")[0], protocol="paired")
+    experiments._run_trial_task(griefing, 0, None, tmp_path / "griefing" if ledgers else None)
+    assert log == [("set-up", ("pob",)), *(("pob", epoch) for epoch in range(EPOCHS)),
+                   ("set-up", ("pos",)), *(("pos", epoch) for epoch in range(EPOCHS))]
 
 
 class MidTrialError(Exception):
@@ -500,30 +505,33 @@ class MidTrialError(Exception):
 @pytest.mark.parametrize("failing", ["pob", "pos"])
 def test_mid_trial_error_reaches_run_scenario_and_closes_halves(failing, ledgers, monkeypatch,
                                                                  tmp_path):
+    """An error in either protocol's half reaches the caller as itself, after the
+    one loop that runs both halves is closed."""
     config, _ = _preset("case-a-stealth")
     config = with_overrides(config, emit_ledgers=ledgers)
-    halves = []
+    loops = []
     epochs_of, elect = netsim.trial_epochs, netsim._elect
+    taken = []
 
     def recording_epochs(*args, **kwargs):
-        halves.append(epochs_of(*args, **kwargs))
-        return halves[-1]
+        loops.append(epochs_of(*args, **kwargs))
+        return loops[-1]
 
     def failing_elect(state, rules, epoch, *args):
+        taken.append((rules.protocol, epoch))
         if rules.protocol == failing and epoch == 7:
             raise MidTrialError(f"{failing} fails at epoch 7")
         return elect(state, rules, epoch, *args)
 
-    monkeypatch.setattr(netsim, "trial_epochs", recording_epochs)
     monkeypatch.setattr(experiments, "trial_epochs", recording_epochs)
     monkeypatch.setattr(netsim, "_elect", failing_elect)
     with pytest.raises(MidTrialError) as caught:
         experiments.run_scenario(config, tmp_path / "out")
     assert caught.type is MidTrialError
     assert str(caught.value) == f"{failing} fails at epoch 7"
-    # a tally-only pob failure stops the task before pos starts
-    assert len(halves) == (1 if failing == "pob" and not ledgers else 2)
-    assert all(half.gi_frame is None for half in halves)  # each finished or closed
+    assert len(loops) == 1 and loops[0].gi_frame is None  # one loop, closed
+    elections = [(protocol, epoch) for epoch in range(8) for protocol in ("pob", "pos")]
+    assert taken == elections[:elections.index((failing, 7)) + 1]
 
 
 def test_fork_outcome_reaches_last_streamed_ledger():
@@ -578,6 +586,31 @@ def test_peak_memory_flat_in_epochs(tmp_path):
     assert long <= 1.5 * short, (short, long)
 
 
+def test_paired_trial_peaks_near_one_protocol():
+    """Both protocols share one trial state, so a paired trial's peak is close
+    to one protocol's, not to two trials'."""
+    config = with_overrides(builtin_presets()["case-b-fairness-1000"].build(), epochs=20)
+
+    def single():
+        run_trial(config, config.seed, protocol="pob", sink=lambda ledger: None)
+
+    def paired():
+        for _ in netsim.trial_epochs(config, config.seed, ("pob", "pos")):
+            pass
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single()  # warm-up
+    one, both = peak(single), peak(paired)
+    assert both <= 1.15 * one, (one, both)
+
+
 def _event_rosters(config, ledgers):
     """Each epoch's alive ids, recomputed from the configured ids and the
     ledgers' events: a join takes effect in its epoch, a retirement (logged
@@ -601,13 +634,12 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
         ledgers = run_trial(config, config.seed, protocol="pob")
         first = min(e["epoch"] for l in ledgers for e in l.events if e["kind"] == "retire")
         config = with_overrides(config, newcomer_epoch=first + 1)
-    captured = {}
     checked = []
     respawns = []  # (epoch, population, spawned count) of each respawn call
-    setup, confirm = netsim._setup_trial, netsim.simulate_confirmation
+    setup, behave = netsim._setup_trial, netsim._behave
 
     def capturing_setup(*args, **kwargs):
-        state = captured["state"] = setup(*args, **kwargs)
+        state = setup(*args, **kwargs)
         controller = state.sybil_controller
         if controller is not None:
             replacements = controller.replacements
@@ -620,13 +652,14 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
             controller.replacements = recorded_replacements
         return state
 
-    def checking_confirmation(alive, *args):
-        assert captured["state"].signers == frozenset(alive)
-        checked.append(tuple(alive))
-        return confirm(alive, *args)
+    def checking_behave(state, *args):
+        assert state.signers == frozenset(state.alive)
+        assert state.positions == list(range(len(state.alive)))
+        checked.append(tuple(state.alive))
+        return behave(state, *args)
 
     monkeypatch.setattr(netsim, "_setup_trial", capturing_setup)
-    monkeypatch.setattr(netsim, "simulate_confirmation", checking_confirmation)
+    monkeypatch.setattr(netsim, "_behave", checking_behave)
     for protocol in ("pob", "pos"):
         checked.clear()
         respawns.clear()
