@@ -112,7 +112,8 @@ class EpochContext:
     """Everything a strategy may look at when emitting behaviors.
 
     The simulation keeps one context per validator for a whole trial and
-    sets `epoch` and `is_proposer` before each call.
+    sets `epoch` and `is_proposer` before each call. Only the griefer reads
+    `is_proposer`: its records depend on being the proposer.
     """
 
     epoch: int
@@ -124,23 +125,22 @@ class EpochContext:
 
 
 def draw_honest(cols: BehaviorColumns, shape: HonestShape, first: int,
-                draws: Sequence[Callable[[], float]], proposer: int) -> None:
+                draws: Sequence[Callable[[], float]]) -> None:
     """Honest records of positions first, first + 1, ..., drawn from their bound `random`s.
 
-    A propose record at position `proposer`, a validate record elsewhere,
-    and an oracle report at `oracle_rate`. Each value is `random.uniform`'s
-    own `a + (b - a) * random()`: every stream and its values are those of
+    A validate record each, and an oracle report at `oracle_rate`. A
+    proposer draws the same: the trial turns its validate record into its
+    propose record afterwards (`netsim._as_proposer`), so this writes no
+    propose record. Each value is `random.uniform`'s own
+    `a + (b - a) * random()`: every stream and its values are those of
     `rng.uniform(a, b)`. The initiative range check is one min/max.
     """
     u_lo, i_lo = shape.base_utility_lo, shape.initiative_lo
     u_span, i_span = shape.base_utility_hi - u_lo, shape.initiative_hi - i_lo
     start = len(cols.actor)
     if not shape.oracle_rate > 0.0:  # one record each
-        kinds = [_VALIDATE] * len(draws)
-        if 0 <= proposer - first < len(draws):
-            kinds[proposer - first] = _PROPOSE
         cols.actor.extend(range(first, first + len(draws)))
-        cols.kind.extend(kinds)
+        cols.kind.extend([_VALIDATE] * len(draws))
         cols.base_utility.extend([u_lo + u_span * random() for random in draws])
         cols.initiative.extend([i_lo + i_span * random() for random in draws])
     else:
@@ -148,7 +148,7 @@ def draw_honest(cols: BehaviorColumns, shape: HonestShape, first: int,
         actor, kind, base, initiative = cols.actor, cols.kind, cols.base_utility, cols.initiative
         for pos, random in enumerate(draws, first):
             actor.append(pos)
-            kind.append(_PROPOSE if pos == proposer else _VALIDATE)
+            kind.append(_VALIDATE)
             base.append(u_lo + u_span * random())
             initiative.append(i_lo + i_span * random())
             if random() < rate:
@@ -166,7 +166,7 @@ def draw_honest(cols: BehaviorColumns, shape: HonestShape, first: int,
             check_record_ranges(1.0, initiative)
 
 
-_PROPOSE, _VALIDATE, _ORACLE = ActionKind.PROPOSE, ActionKind.VALIDATE, ActionKind.ORACLE
+_VALIDATE, _ORACLE = ActionKind.VALIDATE, ActionKind.ORACLE
 
 
 def add_fraud(cols: BehaviorColumns, ctx: EpochContext, pos: int, value: float,
@@ -181,9 +181,9 @@ class Strategy:
     kind = "honest"
 
     def emit(self, ctx: EpochContext, cols: BehaviorColumns, pos: int) -> None:
-        """Append this epoch's records of the validator at roster position `pos`."""
-        draw_honest(cols, ctx.shape, pos, (ctx.rng_behavior.random,),
-                    pos if ctx.is_proposer else -1)
+        """Append this epoch's records of the validator at roster position `pos`.
+        Honest draws do not depend on `ctx.is_proposer` (see `draw_honest`)."""
+        draw_honest(cols, ctx.shape, pos, (ctx.rng_behavior.random,))
 
     def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
         """This epoch's records as objects: what `emit` appends, built into records."""

@@ -309,6 +309,12 @@ def _sweep(value, path) -> dict:
     return {param: list(values) for param, values in value.items()}
 
 
+@functools.lru_cache(maxsize=1)  # a trace check asks once per block, for one config
+def _validator_index(n: int) -> dict[str, int]:
+    """Each configured validator's id -> its index, for `n` validators."""
+    return {f"v{i:04d}": i for i in range(n)}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full parameterization of one experiment."""
@@ -389,7 +395,27 @@ class ScenarioConfig:
 
     def validator_ids(self) -> list[str]:
         """The configured validators' ids, in index order."""
-        return [f"v{i:04d}" for i in range(self.n_validators)]
+        return list(_validator_index(self.n_validators))
+
+    def proposer_refusal(self, vid: str, epoch: int) -> Optional[str]:
+        """Why `vid` may not be named the proposer at `epoch` (by a trace block
+        or `proposer_override`), or None when it may. It may be a configured
+        validator, or the newcomer from `newcomer_epoch` on; not an
+        adaptive-sybil member, since pob retires a convicted one and a named
+        proposer must stay on the roster. The reason reads after the id."""
+        if vid == "newcomer" and self.newcomer_epoch is not None:
+            if epoch < self.newcomer_epoch:
+                return f"is named before newcomer_epoch {self.newcomer_epoch}, at epoch {epoch}"
+            return None
+        index = _validator_index(self.n_validators).get(vid)
+        if index is None:
+            known = f"v0000 ... v{self.n_validators - 1:04d}"
+            if self.newcomer_epoch is not None:
+                known += " or newcomer"
+            return f"is not a validator (known: {known})"
+        if any(e.lo <= index < e.hi for e in self.roster if e.spec.kind == "adaptive-sybil"):
+            return "is an adaptive-sybil member, which pob retires once convicted"
+        return None
 
     def validate_runtime(self) -> None:
         """Cross-field checks that need the resolved values, and every sweep value."""
@@ -411,21 +437,14 @@ class ScenarioConfig:
                 )
         if self.proposer_override is not None:
             vid, from_epoch, to_epoch = self.proposer_override
-            if not ((vid == "newcomer" and self.newcomer_epoch is not None)
-                    or vid in self.validator_ids()):
-                known = f"v0000 ... v{self.n_validators - 1:04d}"
-                if self.newcomer_epoch is not None:
-                    known += " or newcomer"
-                raise ConfigError("proposer_override.validator",
-                                  f"unknown validator {vid!r} (known: {known})")
+            refusal = self.proposer_refusal(vid, from_epoch)
+            if refusal is not None:
+                raise ConfigError("proposer_override.validator", f"{vid!r} {refusal}")
             if from_epoch >= to_epoch:
                 # The window is [from_epoch, to_epoch): equal bounds elect no one.
                 raise ConfigError("proposer_override",
                                   f"empty window: from_epoch {from_epoch} is not before "
                                   f"to_epoch {to_epoch}")
-            if vid == "newcomer" and from_epoch < self.newcomer_epoch:
-                raise ConfigError("proposer_override.from_epoch",
-                                  f"{from_epoch} is before newcomer_epoch {self.newcomer_epoch}")
         for lo, hi in (("honest_utility_lo", "honest_utility_hi"),
                        ("honest_initiative_lo", "honest_initiative_hi")):
             if getattr(self, lo) > getattr(self, hi):

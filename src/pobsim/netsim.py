@@ -107,8 +107,9 @@ class EpochLedger:
 
     It stores the epoch's inputs: the sorted roster, behavior columns,
     reward schedule, activeness blend, three roster-aligned float lists and
-    the delays. What follows from them (activeness, pool split, latency
-    samples and the record and {id: float} views) is built when first read.
+    the delays. What follows from them (activeness, pool split and the
+    record and {id: float} views) is built when first read. The writer
+    interleaves the delays into the file's latency samples.
     """
 
     epoch: int
@@ -148,14 +149,6 @@ class EpochLedger:
     def pool_split(self) -> PoolSplit:
         return split_pool(self.schedule, self.roster_weights_after, self.roster_scores,
                           self.roster_activeness)
-
-    @cached_property
-    def latency_samples(self) -> list[float]:
-        """Each validator's proposal delay, then its vote delay, in roster order."""
-        samples = [0.0] * (2 * len(self.proposal_delays))
-        samples[0::2] = self.proposal_delays
-        samples[1::2] = self.vote_delays
-        return samples
 
     @cached_property
     def behaviors(self) -> tuple[BehaviorRecord, ...]:
@@ -332,35 +325,19 @@ def ledger_to_json(ledger: EpochLedger, last: Optional[dict] = None) -> str:
 # Block confirmation
 # ---------------------------------------------------------------------------
 
-def simulate_confirmation(
-    alive: Sequence[str],
-    weights: list[float],
-    quorum: Fraction,
-    latency: LatencyModel,
-    rng_proposal: random.Random,
-    rng_vote: random.Random,
-    processing_ms: float,
-) -> tuple[Optional[float], list[float], list[float]]:
-    """Run the proposal+vote pipeline on the simulated clock.
-
-    `weights` lists the weights in `alive` order. The proposal reaches
-    validator i after one message delay (from `rng_proposal`; a separate
-    stream from `rng_vote`); its vote arrives one more delay later. Each
-    stage adds a fixed processing cost. Everyone votes yes here; dissent is
-    modeled at the behavior level, not the transport level. Returns the
-    confirmation time (`quorum_time` of the vote arrivals) and the proposal
-    and vote delays, in `alive` order. A trial runs the two steps apart:
-    it draws the arrivals once, and each protocol finds its own quorum.
-    """
-    proposals, votes, arrivals, order = _arrivals(len(alive), latency, rng_proposal, rng_vote,
-                                                  processing_ms)
-    return quorum_time(arrivals, weights, quorum, order), proposals, votes
-
-
 def _arrivals(n: int, latency: LatencyModel, rng_proposal: random.Random,
               rng_vote: random.Random, processing_ms: float,
               ) -> tuple[list[float], list[float], list[float], list[int]]:
-    """The `n` proposal and vote delays, the vote arrival times, and the arrival order."""
+    """The proposal+vote pipeline of `n` validators on the simulated clock: the
+    proposal and vote delays, the vote arrival times, and the arrival order.
+
+    The proposal reaches validator i after one message delay (from
+    `rng_proposal`; a separate stream from `rng_vote`), and its vote arrives
+    one more delay later. Each stage adds a fixed processing cost. Everyone
+    votes yes here; dissent is modeled at the behavior level, not the
+    transport level. Each protocol finds its own confirmation time in this
+    one order (`quorum_time`).
+    """
     proposals, votes = latency.draws(rng_proposal, n), latency.draws(rng_vote, n)
     arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
     return proposals, votes, arrivals, sorted(range(n), key=arrivals.__getitem__)
@@ -465,25 +442,15 @@ def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
 
 
 def check_trace(config: ScenarioConfig, trace: Sequence[TraceBlock]) -> None:
-    """Raise TraceError at the first block whose proposer is not alive at its
-    epoch (its index in `trace`): a configured validator, or the newcomer
-    from `newcomer_epoch` on. An adaptive-sybil member is refused too, since
-    pob may retire it before the block's epoch. The error names the block's
-    line in its file; a block built in code counts as line index + 1."""
-    ids = config.validator_ids()
-    join_epoch = dict.fromkeys(ids, 0)
-    if config.newcomer_epoch is not None:
-        join_epoch["newcomer"] = config.newcomer_epoch
-    sybils = {vid for entry in config.roster if entry.spec.kind == "adaptive-sybil"
-              for vid in ids[entry.lo:entry.hi]}
+    """Raise TraceError at the first block whose proposer may not be named at
+    its epoch, the block's index in `trace` (`ScenarioConfig.proposer_refusal`
+    is the rule). The error names the block's line in its file; a block
+    built in code counts as line index + 1."""
     for epoch, tb in enumerate(trace):
-        line = epoch + 1 if tb.line is None else tb.line
-        where = f"proposer {tb.proposer!r} (block height {tb.height})"
-        if join_epoch.get(tb.proposer, epoch + 1) > epoch:
-            raise TraceError(line, f"{where} not in the validator set at epoch {epoch}")
-        if tb.proposer in sybils:
-            raise TraceError(line, f"{where} is an adaptive-sybil member, which pob may "
-                                   f"retire before epoch {epoch}")
+        refusal = config.proposer_refusal(tb.proposer, epoch)
+        if refusal is not None:
+            raise TraceError(epoch + 1 if tb.line is None else tb.line,
+                             f"proposer {tb.proposer!r} (block height {tb.height}) {refusal}")
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +620,12 @@ def _behave(state: _TrialState, epoch: int, proposer: Optional[str],
             trace: Optional[Sequence[TraceBlock]]) -> BehaviorColumns:
     """Every alive validator's records for the epoch, in roster order.
 
-    Outside a trace `proposer` draws as the proposer; with None every
-    validator draws as a non-proposer (see `_as_proposer`). Under a trace
-    the proposer's action is the trace block's, in the first row; the rest
-    of the network still validates every block, so scores stay live.
+    Every validator draws as a non-proposer: outside a trace each protocol
+    then turns its proposer's record into a propose record (`_as_proposer`).
+    `proposer` only tells a strategy that reads `is_proposer` (the
+    griefer) that it was elected; with None no one was. Under a trace the
+    proposer's action is the trace block's, in the first row; the rest of
+    the network still validates every block, so scores stay live.
     """
     cols = BehaviorColumns(epoch)
     proposer_pos = state.pos_of.get(proposer, -1)
@@ -673,9 +642,9 @@ def _behave(state: _TrialState, epoch: int, proposer: Optional[str],
         if strategy is None:  # `source` holds the run's draws
             k = skip - first
             if 0 <= k < len(source):  # the trace proposer does not draw
-                adv.draw_honest(cols, shape, first, source[:k], proposer_pos)
+                adv.draw_honest(cols, shape, first, source[:k])
                 first, source = skip + 1, source[k + 1:]
-            adv.draw_honest(cols, shape, first, source, proposer_pos)
+            adv.draw_honest(cols, shape, first, source)
         elif first != skip:  # `source` is the validator's context
             source.epoch = epoch
             source.is_proposer = first == proposer_pos
@@ -764,13 +733,17 @@ def _epoch_facts(cols: BehaviorColumns, activity: _Activity, positions: list[int
 
 def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
                  proposer: str) -> tuple[BehaviorColumns, list[float], float]:
-    """The epoch's columns, scores and utility total as they are when `proposer`
-    draws as the proposer: its first row turned from the validate record that
-    `draw_honest` writes for a non-proposer into its propose record, with the
-    propose motivation and that row's utility. The draws are the same either
-    way. Inputs that do not change are returned as they are, and a list that
-    changes is copied, never changed in place. Outside a trace only, where the
-    actor column is sorted.
+    """The epoch's columns, scores and utility total with `proposer`'s record
+    made its propose record: the one place a drawn record becomes one, for
+    every trial outside a trace (where the actor column is sorted).
+
+    Every validator draws as a non-proposer (`_behave`), so the proposer's
+    first row is the validate record `draw_honest` wrote; it becomes the
+    propose record, with the propose motivation and that row's utility. A
+    proposer draws the same values either way. A first row of another kind
+    (a fraud, or a griefer's own propose record) stays. Inputs that do not
+    change are returned as they are, and a list that changes is copied,
+    never changed in place, so the protocols of a paired epoch share them.
     """
     pos = state.pos_of.get(proposer)
     row = -1 if pos is None else bisect_left(cols.actor, pos)
@@ -1005,11 +978,10 @@ def trial_epochs(
     per protocol of `protocols`, in that order.
 
     The protocols share one trial state. Each epoch draws the behaviors
-    (every validator as a non-proposer when there are several protocols)
-    and the delays once, and works out the facts, the activity and the
-    arrival order once. Each protocol then elects its own proposer and
-    turns that proposer's record into a propose record (`_as_proposer`),
-    finds its own quorum in the shared arrival order, and runs its own
+    (every validator as a non-proposer) and the delays once, and works out
+    the facts, the activity and the arrival order once. Each protocol then
+    elects its own proposer and, outside a trace, turns that proposer's
+    record into a propose record (`_as_proposer`), finds its own quorum in the shared arrival order, and runs its own
     slashes, review, settlement, chain and fork. Several protocols need a
     config that `shares_one_state`; a ValueError says so otherwise.
 

@@ -90,10 +90,6 @@ class TestHonestStrategy:
         assert records[0].base_utility > 0
         assert records[0].kind == ActionKind.VALIDATE
 
-    def test_proposer_emits_proposal(self):
-        records = HonestStrategy().behaviors(ctx(is_proposer=True))
-        assert records[0].kind == ActionKind.PROPOSE
-
     def test_never_emits_fraud(self):
         s = HonestStrategy()
         c = ctx()
@@ -255,9 +251,11 @@ class TestAdaptiveSybil:
 
 
 def reference_honest_epoch(c):
-    """The honest records as built with rng.uniform and keyword arguments."""
+    """The honest records as built with rng.uniform and keyword arguments. A
+    proposer's first record is a validate record too: the trial, not the
+    strategy, makes it the propose record."""
     rng, s = c.rng_behavior, c.shape
-    kind = ActionKind.PROPOSE if c.is_proposer else ActionKind.VALIDATE
+    kind = ActionKind.VALIDATE
     records = [BehaviorRecord(
         actor=c.vid, epoch=c.epoch, kind=kind,
         base_utility=rng.uniform(s.base_utility_lo, s.base_utility_hi), context_factor=1.0,

@@ -18,8 +18,10 @@ from pobsim.config import (
     parse_rational,
     with_overrides,
 )
-from pobsim.errors import ConfigError
+from pobsim.errors import ConfigError, TraceError
+from pobsim.netsim import TraceBlock, check_trace
 from pobsim.presets import builtin_presets
+from pobsim.scoring import ActionKind
 
 MINIMAL = "protocol: pob\nn_validators: 100\n"
 
@@ -296,6 +298,31 @@ class TestOverrides:
             with_overrides(cfg, proposer_override=("newcomer", 0, 3))
         assert with_overrides(loads_config(MINIMAL),
                               proposer_override=("v0099", 0, 3)).proposer_override[0] == "v0099"
+
+    def test_trace_and_override_name_proposers_by_one_rule(self):
+        sybils = RosterEntry(8, 10, StrategySpec("adaptive-sybil"))
+        cfg = with_overrides(loads_config(MINIMAL), n_validators=10, newcomer_epoch=2,
+                             roster=(sybils,))
+        refused = set()
+        for vid in ("v0000", "v0007", "v0008", "v0009", "v0010", "newcomer", "zzz"):
+            for epoch in (0, 1, 2, 3):
+                refusal = cfg.proposer_refusal(vid, epoch)
+                trace = [TraceBlock(h, "v0000" if h < epoch else vid, ActionKind.PROPOSE,
+                                    1.0, 1.0, 1.0, False) for h in range(epoch + 1)]
+                if refusal is None:
+                    check_trace(cfg, trace)
+                    with_overrides(cfg, proposer_override=(vid, epoch, epoch + 1))
+                    continue
+                refused.add((vid, epoch))
+                with pytest.raises(TraceError) as trace_err:
+                    check_trace(cfg, trace)
+                assert str(trace_err.value).endswith(f") {refusal}")
+                with pytest.raises(ConfigError) as override_err:
+                    with_overrides(cfg, proposer_override=(vid, epoch, epoch + 1))
+                assert override_err.value.field == "proposer_override.validator"
+                assert str(override_err.value).endswith(f"{vid!r} {refusal}")
+        assert refused == {("newcomer", 0), ("newcomer", 1), *(
+            (vid, epoch) for vid in ("v0008", "v0009", "v0010", "zzz") for epoch in range(4))}
 
     @pytest.mark.parametrize("from_epoch, to_epoch", [(4, 2), (4, 4)])
     def test_empty_proposer_override_window_rejected(self, from_epoch, to_epoch):

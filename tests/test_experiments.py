@@ -205,6 +205,19 @@ class TestBadInputBeforeOutput:
             run_scenario(config, out, trace=trace)
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_override_naming_an_adaptive_sybil_member(self, workers, tmp_path):
+        """The override is held to the trace's rule: pob retires a convicted member,
+        and a retired id cannot go on being elected."""
+        sybils = (RosterEntry(8, 10, StrategySpec("adaptive-sybil")),)
+        config = tiny_paired(protocol="pob", epochs=12, roster=sybils, workers=workers,
+                             proposer_override=("v0008", 0, 12))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="adaptive-sybil member") as err:
+            run_scenario(config, out)
+        assert err.value.field == "proposer_override.validator"
+        assert not out.exists()
+
     def test_paired_adaptive_sybil_is_refused_at_load(self):
         sybils = (RosterEntry(9, 10, StrategySpec("adaptive-sybil")),)
         with pytest.raises(ConfigError) as err:

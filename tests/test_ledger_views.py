@@ -2,10 +2,10 @@
 
 A ledger keeps its epoch's sorted roster and columns and builds
 `behaviors`, `payouts` and the four {id: float} maps when they are first
-read, as it does the activeness, pool split and latency samples they rest
-on. These tests check that the views show exactly the columns, in roster
-order, that each is built once, and that honest draws written in bulk
-still fail the record's range check with the record's own message.
+read, as it does the activeness and pool split they rest on. These tests
+check that the views show exactly the columns, in roster order, that each
+is built once, and that honest draws written in bulk still fail the
+record's range check with the record's own message.
 """
 
 import random
@@ -71,7 +71,7 @@ def test_maps_keep_roster_order(trials, protocol):
 
 def test_views_are_built_once(trials):
     ledger = trials["pob"][3]
-    for view in ("behaviors", "payouts", *MAPS, *MAPS.values(), "pool_split", "latency_samples"):
+    for view in ("behaviors", "payouts", *MAPS, *MAPS.values(), "pool_split"):
         assert getattr(ledger, view) is getattr(ledger, view)
 
 
@@ -100,4 +100,4 @@ def test_out_of_range_initiative_keeps_the_record_message(oracle_rate):
     cols = BehaviorColumns(0)
     draws = [_ctx(seed, shape).rng_behavior.random for seed in (4, 3, 2)]
     with pytest.raises(ValueError, match=r"^initiative 1\.0898063027663567 outside \[0, 1\]$"):
-        draw_honest(cols, shape, 0, draws, -1)
+        draw_honest(cols, shape, 0, draws)

@@ -26,9 +26,9 @@ from pobsim.netsim import (
     replay_trace,
     quorum_time,
     run_trial,
-    simulate_confirmation,
 )
-from pobsim.scoring import ActivenessInputs, activeness, diversity_index, total_utility
+from pobsim.scoring import (ActionKind, ActivenessInputs, activeness, diversity_index,
+                            total_utility)
 from pobsim.weights import WeightTable
 
 from traces import make_synthetic_trace, write_trace
@@ -57,11 +57,19 @@ def heap_quorum_time(arrivals, weights, quorum):
     return None
 
 
+def confirm(weights, quorum, latency, rng_proposal, rng_vote, processing_ms=5.0):
+    """A block's confirmation time and its proposal and vote delays, as a trial
+    finds them: the arrivals drawn once, then the quorum scan in their order."""
+    proposals, votes, arrivals, order = netsim._arrivals(len(weights), latency, rng_proposal,
+                                                         rng_vote, processing_ms)
+    return quorum_time(arrivals, weights, quorum, order), proposals, votes
+
+
 def assert_matches_heap(weights, quorum, latency, seed, processing_ms=5.0):
-    """simulate_confirmation equals stdlib draws on twin streams, fed to the reference."""
+    """The drawn confirmation equals stdlib draws on twin streams, fed to the reference."""
     n = len(weights)
-    got = simulate_confirmation([f"v{i:03d}" for i in range(n)], weights, quorum, latency,
-                                random.Random(seed), random.Random(seed + 1), processing_ms)
+    got = confirm(weights, quorum, latency, random.Random(seed), random.Random(seed + 1),
+                  processing_ms)
     rng_proposal, rng_vote = random.Random(seed), random.Random(seed + 1)
     proposals = [stdlib_draw(latency, rng_proposal) for _ in range(n)]
     votes = [stdlib_draw(latency, rng_vote) for _ in range(n)]
@@ -133,9 +141,8 @@ class TestLatencyModel:
 
 class TestConfirmBlock:
     def test_all_yes_confirms(self):
-        t, proposals, votes = simulate_confirmation(
-            ["a", "b"], [0.5, 0.5], Fraction(2, 3), LatencyModel("fixed", 10.0),
-            random.Random(0), random.Random(1), 5.0)
+        t, proposals, votes = confirm([0.5, 0.5], Fraction(2, 3), LatencyModel("fixed", 10.0),
+                                      random.Random(0), random.Random(1))
         assert t == 30.0
         assert proposals == votes == [10.0] * 2
 
@@ -156,19 +163,17 @@ class TestConfirmBlock:
             with pytest.raises(ValueError):
                 quorum_time([10.0], [1.0], quorum)
             with pytest.raises(ValueError):
-                simulate_confirmation(["a"], [1.0], quorum, LatencyModel("fixed", 10.0),
-                                      random.Random(0), random.Random(1), 5.0)
+                confirm([1.0], quorum, LatencyModel("fixed", 10.0), random.Random(0),
+                        random.Random(1))
 
 
 class TestSimulateConfirmation:
     def test_deterministic(self):
-        alive = [f"v{i}" for i in range(10)]
         model = LatencyModel("exponential", 50.0)
         results = []
         for _ in range(2):
             r1, r2 = random.Random(1), random.Random(2)
-            results.append(simulate_confirmation(
-                alive, [0.1] * 10, Fraction(2, 3), model, r1, r2, 5.0))
+            results.append(confirm([0.1] * 10, Fraction(2, 3), model, r1, r2))
         assert results[0] == results[1]
         t, proposals, votes = results[0]
         assert t > 0 and len(proposals) == len(votes) == 10
@@ -176,9 +181,7 @@ class TestSimulateConfirmation:
     def test_fixed_latency_quorum_time(self):
         # all votes arrive at 2*(proc + delay); confirmation at that instant
         model = LatencyModel("fixed", 10.0)
-        t, _, _ = simulate_confirmation(
-            ["a", "b"], [0.5, 0.5], Fraction(1, 2), model,
-            random.Random(0), random.Random(0), 5.0)
+        t, _, _ = confirm([0.5, 0.5], Fraction(1, 2), model, random.Random(0), random.Random(0))
         assert t == pytest.approx(30.0)
 
 
@@ -278,6 +281,22 @@ class TestRunTrial:
         a = [ledger_to_json(l) for l in run_trial(cfg, 5)]
         b = [ledger_to_json(l) for l in run_trial(cfg, 5)]
         assert a == b
+
+    @pytest.mark.parametrize("oracle_rate", [0.0, 0.5])
+    def test_proposer_row_is_a_propose_record(self, oracle_rate):
+        # Every validator draws a validate record; the trial makes the proposer's
+        # first row its propose record, with the propose motivation and utility.
+        cfg = small_config(epochs=20, oracle_rate=oracle_rate)
+        propose_motivation = netsim._build_motivations(cfg)[ActionKind.PROPOSE]
+        for ledger in run_trial(cfg, 3, protocol="pob"):
+            rows, proposer = ledger.behavior_rows, ledger.proposer
+            first = rows.actor.index(ledger.roster.index(proposer))
+            assert [i for i, k in enumerate(rows.kind) if k is ActionKind.PROPOSE] == [first]
+            assert rows.motivation[first] == propose_motivation
+            record = ledger.behaviors[first]
+            assert (record.actor, record.kind) == (proposer, ActionKind.PROPOSE)
+            mine = [total_utility(b) for b in ledger.behaviors if b.actor == proposer]
+            assert ledger.scores[proposer] == reduce(add, mine, 0.0)
 
     def test_all_honest_no_verdicts(self):
         ledgers = run_trial(small_config(epochs=50), 3)
@@ -605,8 +624,9 @@ class TestLazyLedger:
             assert l.roster_activeness == eager
             assert l.pool_split == split_pool(schedule, l.roster_weights_after,
                                               l.roster_scores, eager)
-            assert l.latency_samples[0::2] == l.proposal_delays
-            assert l.latency_samples[1::2] == l.vote_delays
+            samples = json.loads(ledger_to_json(l))["latency_samples"]
+            assert samples[0::2] == l.proposal_delays
+            assert samples[1::2] == l.vote_delays
 
     def test_oversubscribed_pool_fails_in_its_epoch_unread(self):
         # The newcomer's stipend oversubscribes the pool from its join epoch on,
@@ -676,7 +696,6 @@ class TestReplay:
 
 
 def _rest():
-    from pobsim.scoring import ActionKind
     return (ActionKind.PROPOSE, 1.0, 1.0, 0.9, False)
 
 
@@ -690,12 +709,11 @@ class TestLatencyStreamPinning:
     @pytest.mark.parametrize("dist", ["exponential", "fixed", "uniform"])
     def test_samples_equal_stdlib_on_twin_streams(self, dist):
         model = LatencyModel(dist, 37.5)
-        alive = [f"v{i:03d}" for i in range(60)]
         streams = [random.Random(s) for s in (11, 12, 11, 12)]
-        _, proposals, votes = simulate_confirmation(alive, [1.0 / 60] * 60, Fraction(2, 3),
-                                                    model, streams[0], streams[1], 5.0)
-        assert proposals == [stdlib_draw(model, streams[2]) for _ in alive]
-        assert votes == [stdlib_draw(model, streams[3]) for _ in alive]
+        _, proposals, votes = confirm([1.0 / 60] * 60, Fraction(2, 3), model, streams[0],
+                                      streams[1])
+        assert proposals == [stdlib_draw(model, streams[2]) for _ in range(60)]
+        assert votes == [stdlib_draw(model, streams[3]) for _ in range(60)]
         samples = proposals + votes
         assert len(set(samples)) == (1 if dist == "fixed" else len(samples))
         for got, want in ((0, 2), (1, 3)):

@@ -162,7 +162,8 @@ def _reference_ledger_json(ledger):
         "weights_after": ledger.weights_after,
         "confirmed": ledger.confirmed,
         "confirm_ms": ledger.confirm_ms,
-        "latency_samples": list(ledger.latency_samples),
+        "latency_samples": [delay for pair in zip(ledger.proposal_delays, ledger.vote_delays)
+                            for delay in pair],
         "neutralized": list(ledger.neutralized),
         "events": list(ledger.events),
     }, sort_keys=True, separators=(",", ":"))
