@@ -17,13 +17,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import re
 import sys
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
-
-import yaml
 
 from .adversaries import StrategySpec
 from .errors import ConfigError
@@ -484,6 +483,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def loads_config(text: str) -> ScenarioConfig:
+    import yaml  # only a loaded config needs PyYAML; a run does not
     try:
         raw = yaml.safe_load(io.StringIO(text))
     except yaml.YAMLError as exc:
@@ -537,8 +537,63 @@ def config_to_mapping(config: ScenarioConfig) -> dict:
     return out
 
 
+# Strings PyYAML writes plain: a letter, then [A-Za-z0-9_./-], but not a
+# word its resolver reads as a bool or null; or an n/d rational.
+_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_./-]*|[0-9]+/[0-9]+")
+_BOOL_OR_NULL = {form for word in ("yes", "no", "true", "false", "on", "off", "null")
+                 for form in (word, word.capitalize(), word.upper())}
+
+
+class _NotCovered(Exception):
+    """A value `_echo_lines` does not write; PyYAML writes the echo instead."""
+
+
+def _echo_scalar(value) -> str:
+    """`value` as PyYAML's safe dumper writes it in block style."""
+    if value is None or type(value) in (bool, int):
+        return "null" if value is None else str(value).lower()  # True -> true
+    if type(value) is float:
+        text = repr(value).lower()
+        if "." not in text and "e" in text:
+            text = text.replace("e", ".0e", 1)  # 1e-05 -> 1.0e-05, a YAML float
+        return {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}.get(text, text)
+    if type(value) is str and _PLAIN.fullmatch(value) and value not in _BOOL_OR_NULL:
+        return value
+    if type(value) in (list, dict) and not value:
+        return "[]" if type(value) is list else "{}"
+    raise _NotCovered  # a nested sequence is one of these
+
+
+def _echo_lines(value, indent: str) -> list[str]:
+    """A mapping or sequence in PyYAML's block style, keys sorted: a
+    mapping nests two spaces, a sequence's items sit at its key's indent."""
+    lines = []
+    if type(value) is dict:
+        for key in sorted(value):  # every key is a schema name, short and plain
+            item = value[key]
+            if type(item) in (dict, list) and item:
+                lines.append(f"{indent}{_echo_scalar(key)}:")
+                lines += _echo_lines(item, indent + "  " if type(item) is dict else indent)
+            else:
+                lines.append(f"{indent}{_echo_scalar(key)}: {_echo_scalar(item)}")
+        return lines
+    for item in value:  # a mapping item's first key follows its "- "
+        nested = type(item) is dict and item
+        first, *rest = _echo_lines(item, indent + "  ") if nested else [_echo_scalar(item)]
+        lines += [f"{indent}- {first.lstrip()}", *rest]
+    return lines
+
+
 def echo_config(config: ScenarioConfig) -> str:
-    return yaml.safe_dump(config_to_mapping(config), sort_keys=True, default_flow_style=False)
+    """`config_to_mapping(config)` byte for byte as `yaml.safe_dump(..., sort_keys=True,
+    default_flow_style=False)` writes it, without loading PyYAML unless a value
+    is one `_echo_lines` does not cover (a string PyYAML quotes, say)."""
+    mapping = config_to_mapping(config)
+    try:
+        return "".join(line + "\n" for line in _echo_lines(mapping, ""))
+    except _NotCovered:
+        import yaml
+        return yaml.safe_dump(mapping, sort_keys=True, default_flow_style=False)
 
 
 def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:

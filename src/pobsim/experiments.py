@@ -29,7 +29,7 @@ import csv
 import dataclasses
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
@@ -112,16 +112,31 @@ def _run_trial_task(
     return {"trial": trial, "rows": rows}
 
 
-def _run_tasks(workers: int, tasks: Sequence[tuple]) -> list[dict]:
-    """Run `_run_trial_task(*task)` for every task, in a pool when workers > 1.
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first use, so a run without a pool does not load
+    it. benchmarks/bench_trace.py and the tests replace it here."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-    Results come back in task order whatever the worker count.
+
+def _run_tasks(workers: int, tasks: Sequence[tuple]) -> list[dict]:
+    """Run `_run_trial_task(*task)` for every task: in a pool of
+    min(workers, len(tasks)) processes when that is two or more, else here.
+
+    Results come back in task order whatever the worker count. When a task
+    fails, the tasks not yet started are cancelled before the error is raised.
     """
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_trial_task, *task) for task in tasks]
-            return [f.result() for f in futures]
-    return [_run_trial_task(*task) for task in tasks]
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return [_run_trial_task(*task) for task in tasks]
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)  # as replaced, if so
+    try:
+        futures = [pool.submit(_run_trial_task, *task) for task in tasks]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _format_cell(value) -> str:

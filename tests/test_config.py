@@ -12,6 +12,7 @@ from pobsim.config import (
     apply_sweep_point,
     check_config,
     config_from_mapping,
+    config_to_mapping,
     echo_config,
     load_config,
     loads_config,
@@ -215,6 +216,50 @@ class TestEcho:
         assert once.theta == Fraction(3, 4)
         assert once.epochs == 77
         assert once.roster == cfg.roster
+
+
+def assert_echo_is_pyyaml(cfg) -> None:
+    """The echo is what safe_dump writes, byte for byte, and reloads to `cfg`
+    with its resolved committee size and stipend, which the echo records."""
+    echo = echo_config(cfg)
+    assert echo == yaml.safe_dump(config_to_mapping(cfg), sort_keys=True, default_flow_style=False)
+    assert loads_config(echo) == dataclasses.replace(
+        cfg, committee_size=cfg.resolved_committee_size(), r_base=cfg.resolved_r_base())
+
+
+# Strings PyYAML quotes or escapes, and two it writes plain.
+ODD_STRINGS = ["yes", "Yes", "yEs", "null", "~", "1", "0.67", "a: b", "#x", "-x", "x y", "",
+               "n\u00e6vn", ("a name with spaces " * 6)[:100]]
+
+
+class TestEchoIsPyYamlByteForByte:
+    """The echo is written without PyYAML; it must be what safe_dump writes."""
+
+    @pytest.mark.parametrize("name", sorted(builtin_presets()))
+    def test_every_preset(self, name):
+        assert_echo_is_pyyaml(builtin_presets()[name].build())
+
+    @pytest.mark.parametrize("text", ODD_STRINGS)
+    def test_odd_name(self, text):
+        assert_echo_is_pyyaml(with_overrides(loads_config(MINIMAL), name=text))
+
+    @pytest.mark.parametrize("text", ODD_STRINGS)
+    def test_odd_override_id(self, text):
+        """The id is refused at load, but the echo still writes it as PyYAML does."""
+        cfg = dataclasses.replace(loads_config(MINIMAL), proposer_override=(text, 0, 1))
+        mapping = config_to_mapping(cfg)
+        assert echo_config(cfg) == yaml.safe_dump(mapping, sort_keys=True, default_flow_style=False)
+        assert yaml.safe_load(echo_config(cfg))["proposer_override"]["validator"] == text
+
+    @pytest.mark.parametrize("changes", [
+        {"quorum": 1},  # stored as Fraction(1), whose form is the string "1"
+        {"theta": "3/4", "sweep": {"quorum": ["0.67", "1/2", 1], "penalty.mode": ["additive"]}},
+        {"penalty": PenaltySettings(escalation=(1.0, 1e17)), "r_total": 1e-05, "roster": (
+            RosterEntry(0, 2, StrategySpec("griefing", {})),
+            RosterEntry(2, 3, StrategySpec("stealth", {"fraud_rate": 0.25})))},
+    ], ids=["quorum-1", "string-sweep-values", "floats-and-roster"])
+    def test_edge_values(self, changes):
+        assert_echo_is_pyyaml(with_overrides(loads_config(MINIMAL), **changes))
 
 
 class TestRational:

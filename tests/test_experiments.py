@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pobsim
 from pobsim import experiments
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overrides
@@ -133,19 +138,82 @@ class TestRunSweep:
             run_sweep(cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    def test_parallel_sweep_uses_one_pool(self, tmp_path, monkeypatch):
-        pools = []
-        real_pool = experiments.ProcessPoolExecutor
-
-        class CountingPool(real_pool):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    def test_parallel_sweep_uses_one_pool(self, tmp_path, pools):
         cfg = tiny_paired(epochs=5, workers=2, sweep={"rho": [0.5, 0.9]})
         run_sweep(cfg, tmp_path)
         assert pools == [2]
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The `max_workers` of every pool `_run_tasks` makes; each is a real process pool."""
+    made = []
+    real_pool = experiments.ProcessPoolExecutor  # imported on first use; replaced here
+
+    class CountingPool(real_pool):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+class TestPool:
+    def test_one_trial_at_two_workers_makes_no_pool(self, tmp_path, pools):
+        run_scenario(tiny_paired(trials=1, epochs=5, workers=2), tmp_path)
+        assert pools == []
+
+    def test_pool_has_no_more_processes_than_tasks(self, pools):
+        results = experiments._run_tasks(8, [(tiny_paired(epochs=5), t, None) for t in range(3)])
+        assert [r["trial"] for r in results] == [0, 1, 2]
+        assert pools == [3]
+
+    def test_failed_task_cancels_the_queued_ones(self, monkeypatch):
+        """The first failure shuts the pool down with cancel_futures, so the
+        trials queued behind it never run."""
+        shutdowns, futures = [], []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+            def shutdown(self, *args, **kwargs):
+                shutdowns.append(kwargs)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        slow = tiny_paired(trials=1, epochs=200)
+        tasks = [(tiny_paired(trials=1), 0, UNKNOWN_PROPOSER, None)]
+        tasks += [(slow, t, None) for t in range(1, 13)]
+        with pytest.raises(TraceError, match="vXXXX"):
+            experiments._run_tasks(2, tasks)
+        assert shutdowns == [{"cancel_futures": True}]
+        assert any(f.cancelled() for f in futures)
+
+
+# Imports pobsim as a run does and runs a 3-epoch preset config in-process;
+# prints which of the modules a run does not use were loaded.
+RUN_IMPORTS = """
+import sys, tempfile
+import pobsim, pobsim.cli, pobsim.presets
+from pobsim.config import with_overrides
+from pobsim.experiments import run_scenario
+preset = pobsim.presets.builtin_presets()["case-a-stealth"].build()
+with tempfile.TemporaryDirectory() as out:
+    run_scenario(with_overrides(preset, epochs=3, trials=2, workers=1), out)
+print(sorted({"yaml", "concurrent.futures.process", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def test_a_run_loads_no_yaml_and_no_pool():
+    src = str(Path(pobsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", RUN_IMPORTS], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestIcCheckRunner:
@@ -181,9 +249,11 @@ class TestBadInputBeforeOutput:
             assert type(copy) is type(error)
             assert (str(copy), getattr(copy, attr)) == (str(error), value)
 
-    def test_trace_error_in_a_worker_reaches_the_caller(self):
+    def test_trace_error_in_a_worker_reaches_the_caller(self, pools):
         with pytest.raises(TraceError, match="trace line 2: proposer 'vXXXX'"):
-            experiments._run_tasks(2, [(tiny_paired(trials=1), 0, UNKNOWN_PROPOSER, None)])
+            experiments._run_tasks(2, [(tiny_paired(trials=1), t, UNKNOWN_PROPOSER, None)
+                                       for t in range(2)])
+        assert pools == [2]  # two tasks, so the error crossed a process
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unknown_trace_proposer(self, workers, tmp_path):

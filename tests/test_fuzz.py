@@ -7,6 +7,13 @@ finishes a 3-epoch run whose outputs are the same with one worker and
 with two. The mappings mix valid and invalid values, and their
 `proposer_override` names a configured id, an unknown id, the newcomer or
 an adaptive-sybil member, whom pob may retire.
+
+A second property does the same for block traces, through `run_scenario`
+and the CLI's `replay`: a short trace whose proposers are configured,
+unknown, the newcomer before or after `newcomer_epoch`, or adaptive-sybil
+members either raises TraceError or ConfigError before the output directory
+exists, or runs to the same outputs with one worker and with two. Every
+config these draw that loads also echoes exactly as PyYAML writes it.
 """
 
 import tempfile
@@ -19,8 +26,12 @@ from hypothesis import HealthCheck, event, given, seed, settings, strategies as 
 from pobsim.adversaries import PARAMS
 from pobsim.cli import main
 from pobsim.config import ScenarioConfig, loads_config, with_overrides
-from pobsim.errors import ConfigError
+from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_scenario, run_sweep
+from pobsim.netsim import TraceBlock, parse_trace
+from pobsim.scoring import ActionKind
+from test_config import assert_echo_is_pyyaml
+from traces import write_trace
 
 ENTRY_POINTS = ("yaml", "overrides", "sweep", "cli")
 BASE = "protocol: pob\nn_validators: 4\nepochs: 3\ntrials: 2\n"
@@ -109,6 +120,94 @@ def test_bad_input_fails_before_output_else_workers_agree(entry, mapping):
             try:
                 run(entry, mapping, workers, out, scratch)
             except ConfigError:
+                assert not out.exists()
+                results.append(None)
+            else:
+                results.append(outputs(out))
+        assert results[0] == results[1]
+        assert results[0] is None or results[0]
+        event(f"{entry}: {'refused' if results[0] is None else 'ran'}")
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(mapping=scenarios())
+def test_every_loaded_config_echoes_as_pyyaml(mapping):
+    try:
+        config = loads_config(yaml.safe_dump(mapping))
+    except ConfigError:
+        return
+    assert_echo_is_pyyaml(config)
+
+
+@st.composite
+def traced_scenarios(draw):
+    """A 2-trial scenario and a 2-6 block trace whose proposers are configured,
+    unknown, the newcomer (before or after `newcomer_epoch`) or adaptive-sybil
+    members."""
+    n = draw(st.integers(2, 8))
+    mapping = {"protocol": draw(st.sampled_from(["pob", "pos", "paired"])), "n_validators": n,
+               "trials": 2, "seed": draw(st.integers(0, 999))}
+    sybils = []
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo + 1, n))
+        mapping["roster"] = [{"range": [lo, hi], "kind": "adaptive-sybil"}]
+        sybils = [f"v{i:04d}" for i in range(lo, hi)]
+    length = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        mapping["newcomer_epoch"] = draw(st.integers(1, length))
+    proposers = []
+    for _ in range(length):
+        named = draw(st.sampled_from(["configured"] * 8 + ["unknown", "newcomer", "sybil"]))
+        if named == "sybil" and sybils:
+            proposers.append(draw(st.sampled_from(sybils)))
+        elif named == "unknown":
+            proposers.append(draw(st.sampled_from([f"v{n:04d}", "zzz"])))
+        elif named == "newcomer":
+            proposers.append("newcomer")
+        else:
+            proposers.append(f"v{draw(st.integers(0, n - 1)):04d}")
+    height = draw(st.integers(0, 500))
+    trace = [TraceBlock(height + i, vid, draw(st.sampled_from(list(ActionKind))),
+                        draw(st.sampled_from([0.5, 1.0, 2.0])), 1.0, 1.0, draw(st.booleans()))
+             for i, vid in enumerate(proposers)]
+    return mapping, trace
+
+
+def replay(entry: str, mapping: dict, trace_path: Path, workers: int, out: Path,
+           scratch: Path) -> None:
+    """Replay the trace at `trace_path` through `mapping` with `workers`; raise
+    TraceError or ConfigError on bad input."""
+    if entry == "cli":
+        config_path = scratch / "scenario.yaml"
+        config_path.write_text(yaml.safe_dump(mapping))
+        status = main(["replay", str(trace_path), str(config_path), "--out", str(out),
+                       "--workers", str(workers)])
+        assert status in (0, 1)
+        if status == 1:
+            raise TraceError(0, "exit 1")
+        return
+    config = loads_config(yaml.safe_dump({**mapping, "workers": workers}))
+    run_scenario(config, out, trace=parse_trace(trace_path))
+
+
+@pytest.mark.parametrize("entry", ["api", "cli"])
+@seed(20261019)
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=traced_scenarios())
+def test_bad_trace_fails_before_output_else_workers_agree(entry, case):
+    mapping, trace = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        write_trace(scratch / "blocks.trace", trace)
+        results = []
+        for workers in (1, 2):
+            out = scratch / f"out-{workers}"
+            try:
+                replay(entry, mapping, scratch / "blocks.trace", workers, out, scratch)
+            except (ConfigError, TraceError):
                 assert not out.exists()
                 results.append(None)
             else:
