@@ -374,7 +374,6 @@ def long_range_fork_outcome(
     tip = Block(
         height=main_tip.height,
         proposer=signers[(height_gap - 1) % len(signers)] if signers else "attacker",
-        timestamp_ms=main_tip.timestamp_ms,
         cumulative_utility=checkpoint.cumulative_utility + claimed_utility_boost,
         signer_weight=fork_weight,
         signers=fork_signers,

@@ -26,7 +26,6 @@ class Block:
 
     height: int
     proposer: str
-    timestamp_ms: float
     cumulative_utility: float
     signer_weight: float
     signers: frozenset[str] = field(default_factory=frozenset)
@@ -36,7 +35,6 @@ def genesis_block() -> Block:
     return Block(
         height=0,
         proposer="",
-        timestamp_ms=0.0,
         cumulative_utility=0.0,
         signer_weight=0.0,
         signers=frozenset(),
@@ -54,7 +52,6 @@ def extend_chain(
     parent: Block,
     proposer: str,
     utility: float,
-    timestamp_ms: float,
     signers: frozenset[str],
     weights: Sequence[float],
 ) -> Block:
@@ -67,7 +64,6 @@ def extend_chain(
     return Block(
         height=parent.height + 1,
         proposer=proposer,
-        timestamp_ms=timestamp_ms,
         cumulative_utility=parent.cumulative_utility + utility,
         signer_weight=left_sum(weights),
         signers=signers,

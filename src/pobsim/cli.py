@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 configuration/trace error, 2 runtime error or
 any other exception, reported on one line without a traceback.
 The default output directory is $POBSIM_OUT (or ./pobsim-out) plus the
-scenario name.
+scenario name and the command's suffix (`_OUT_SUFFIX`).
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ from pathlib import Path
 from .config import ScenarioConfig, load_config, with_overrides
 from .errors import ConfigError, SimulationError, TraceError
 from .experiments import run_ic_check, run_scenario, run_sweep
-from .netsim import parse_trace
 from .presets import builtin_presets, bundled_trace_path
+from .trace import parse_trace
 
-
-def _default_out(name: str) -> Path:
-    root = os.environ.get("POBSIM_OUT", "pobsim-out")
-    return Path(root) / name
+_OUT_SUFFIX = {"sweep": "-sweep", "ic-check": "-ic", "replay": "-replay"}
+_DISCOUNT = 0.95
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,28 +49,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="behavior-weighted consensus simulator and PoS comparison harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a scenario config file")
-    p_run.add_argument("config", type=Path)
-    _add_common(p_run)
-
-    p_preset = sub.add_parser("preset", help="run a built-in scenario by name")
-    p_preset.add_argument("name")
-    _add_common(p_preset)
-
-    p_sweep = sub.add_parser("sweep", help="run the parameter grid of a config")
-    p_sweep.add_argument("config", type=Path)
-    _add_common(p_sweep)
-
-    p_ic = sub.add_parser("ic-check", help="paired honest-vs-deviating payoff check")
-    p_ic.add_argument("config", type=Path)
-    p_ic.add_argument("--discount", type=float, default=0.95)
-    _add_common(p_ic)
-
-    p_replay = sub.add_parser("replay", help="replay a block trace through a config")
-    p_replay.add_argument("trace", type=Path)
-    p_replay.add_argument("config", type=Path)
-    _add_common(p_replay)
+    for command, help_text, *positionals in (
+        ("run", "run a scenario config file", "config"),
+        ("preset", "run a built-in scenario by name", "name"),
+        ("sweep", "run the parameter grid of a config", "config"),
+        ("ic-check", "paired honest-vs-deviating payoff check", "config"),
+        ("replay", "replay a block trace through a config", "trace", "config"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        for name in positionals:
+            p.add_argument(name, type=str if name == "name" else Path)
+        if command == "ic-check":
+            p.add_argument("--discount", type=float, default=_DISCOUNT)
+        elif command == "preset":
+            p.set_defaults(discount=_DISCOUNT)  # what an ic-check preset runs with
+        _add_common(p)
 
     sub.add_parser("list-presets", help="list built-in scenarios")
     return parser
@@ -103,7 +94,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{name:24s} {preset.description}")
         return 0
 
-    if args.command == "preset":
+    command, suffix = args.command, _OUT_SUFFIX.get(args.command, "")
+    if command == "preset":
         presets = builtin_presets()
         if args.name not in presets:
             print(
@@ -113,60 +105,30 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             return 1
         preset = presets[args.name]
-        config = _apply_overrides(preset.build(), args)
-        out = args.out or _default_out(config.name)
+        config = preset.build()
         if preset.ic_check:
-            report = run_ic_check(config, out)
-            print(
-                f"ic-check: honest={report['honest_discounted_mean']:.3f} "
-                f"deviant={report['deviant_discounted_mean']:.3f} "
-                f"holds={report['ic_holds']}"
-            )
+            command = "ic-check"
         elif preset.trace is not None:
-            trace = parse_trace(bundled_trace_path())
-            run_scenario(config, out, trace=trace)
-        elif config.sweep:
-            run_sweep(config, out)
+            command, args.trace = "replay", bundled_trace_path()
         else:
-            run_scenario(config, out)
-        print(f"wrote {out}")
-        return 0
-
-    if args.command == "run":
-        config = _apply_overrides(load_config(args.config), args)
-        out = args.out or _default_out(config.name)
-        run_scenario(config, out)
-        print(f"wrote {out}")
-        return 0
-
-    if args.command == "sweep":
-        config = _apply_overrides(load_config(args.config), args)
-        out = args.out or _default_out(f"{config.name}-sweep")
-        run_sweep(config, out)
-        print(f"wrote {out}")
-        return 0
-
-    if args.command == "ic-check":
-        config = _apply_overrides(load_config(args.config), args)
-        out = args.out or _default_out(f"{config.name}-ic")
+            command = "sweep" if config.sweep else "run"
+    else:
+        config = load_config(args.config)
+    config = _apply_overrides(config, args)
+    out = args.out or Path(os.environ.get("POBSIM_OUT", "pobsim-out")) / (config.name + suffix)
+    if command == "ic-check":
         report = run_ic_check(config, out, discount=args.discount)
         print(
             f"ic-check: honest={report['honest_discounted_mean']:.3f} "
             f"deviant={report['deviant_discounted_mean']:.3f} "
             f"holds={report['ic_holds']}"
         )
-        print(f"wrote {out}")
-        return 0
-
-    if args.command == "replay":
-        config = _apply_overrides(load_config(args.config), args)
-        trace = parse_trace(args.trace)
-        out = args.out or _default_out(f"{config.name}-replay")
-        run_scenario(config, out, trace=trace)
-        print(f"wrote {out}")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    elif command == "sweep":
+        run_sweep(config, out)
+    else:
+        run_scenario(config, out, trace=parse_trace(args.trace) if command == "replay" else None)
+    print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .adversaries import StrategySpec
 from .errors import ConfigError
+from .rewards import RewardSchedule
 from .scoring import ActionKind
 from .weights import left_sum
 
@@ -391,6 +392,10 @@ class ScenarioConfig:
         if self.r_base is not None:
             return self.r_base
         return self.r_total / (2 * self.n_validators)
+
+    def reward_schedule(self) -> RewardSchedule:
+        return RewardSchedule(self.r_total, self.resolved_r_base(), self.activity_threshold,
+                              self.epsilon)
 
     def validator_ids(self) -> list[str]:
         """The configured validators' ids, in index order."""

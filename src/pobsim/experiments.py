@@ -19,7 +19,7 @@ proposer's record, finds its quorum and runs its own slashes, review,
 settlement, chain and fork on them. Each epoch yields the pob ledger,
 then the pos one. Ledgers go through one writer state: the twins share
 most of their columns, and the writer formats each shared column once
-(netsim.ledger_to_json). A roster whose draws depend on the protocol
+(ledger.ledger_to_json). A roster whose draws depend on the protocol
 (netsim.shares_one_state) runs each protocol through that loop alone.
 """
 
@@ -42,6 +42,7 @@ from .config import (
     with_overrides,
 )
 from .errors import ConfigError
+from .ledger import ledger_to_json
 from .metrics import (
     CSV_COLUMNS,
     TrialTally,
@@ -50,13 +51,11 @@ from .metrics import (
 )
 from .netsim import (
     EpochLedger,
-    TraceBlock,
-    check_trace,
-    ledger_to_json,
     run_trial,  # noqa: F401  not called here, but benchmarks/bench_trace.py wraps it
     shares_one_state,
     trial_epochs,
 )
+from .trace import TraceBlock, check_trace
 from .weights import left_sum
 
 
@@ -95,7 +94,7 @@ def _run_trial_task(
     tallies = {protocol: TrialTally(config, protocol) for protocol in protocols}
     sinks = {protocol: tallies[protocol].add for protocol in protocols}
     if ledger_root is not None:
-        last: dict = {}  # the writer state every protocol shares (netsim.ledger_to_json)
+        last: dict = {}  # the writer state every protocol shares (ledger.ledger_to_json)
         sinks = {protocol: _ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}",
                                           tallies[protocol], last) for protocol in protocols}
     groups = [protocols] if shares_one_state(config, trace) else [[p] for p in protocols]
@@ -209,9 +208,11 @@ def run_scenario(
     """Run all trials, write outputs, return the summary mapping.
 
     Bad input fails as a ConfigError or TraceError before the output
-    directory exists.
+    directory exists; so does a sweep grid, which only `run_sweep` runs.
     """
     config = check_config(config)
+    if config.sweep:
+        raise ConfigError("sweep", "one scenario run ignores the grid; run it as a sweep")
     trace_list = list(trace) if trace is not None else None
     if trace_list is not None:
         check_trace(config, trace_list)
@@ -247,8 +248,13 @@ def sweep_points(config: ScenarioConfig) -> list[dict]:
 
 
 def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
-    """Run every grid point and combine rows into one long-format CSV."""
+    """Run every grid point and combine rows into one long-format CSV.
+
+    A sweep writes no ledgers, so `emit_ledgers` is a ConfigError.
+    """
     config = check_config(config)
+    if config.emit_ledgers:
+        raise ConfigError("emit_ledgers", "a sweep writes no ledgers")
     points = sweep_points(config)
     params = sorted(config.sweep)
 
@@ -289,11 +295,15 @@ def run_ic_check(
 ) -> dict:
     """Run the empirical incentive comparison and write its report.
 
-    Bad input fails as a ConfigError before the output directory exists.
+    Bad input fails as a ConfigError before the output directory exists,
+    and so do a sweep grid and `emit_ledgers`, which it does not use.
     """
     from .incentive import empirical_ic, find_focal
 
     config = check_config(config)
+    for name in ("sweep", "emit_ledgers"):
+        if getattr(config, name):
+            raise ConfigError(name, "ic-check does not use it")
     if not 0.0 < discount < 1.0:
         raise ConfigError("discount", f"{discount} outside (0, 1)")
     try:

@@ -21,8 +21,6 @@ are, byte for byte, those of a trial that runs that protocol alone.
 from __future__ import annotations
 
 import dataclasses
-import json
-import marshal
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -31,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import log
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .baseline_pos import (
@@ -43,8 +41,7 @@ from .baseline_pos import (
 )
 from .chain import extend_chain, genesis_block
 from .config import ScenarioConfig, check_config
-from .errors import TraceError
-from .rewards import Payout, PoolSplit, RewardSchedule, split_pool, stipends
+from .rewards import Payout, PoolSplit, RewardSchedule, active_flags, split_pool, stipends
 from .rng import RngHub
 from .scoring import (
     SINGLE_KIND_DIVERSITY,
@@ -55,9 +52,9 @@ from .scoring import (
     activeness_column,
     diversity_index,
     looks_scripted,
-    total_utility,
 )
-from .watchdog import Penalty, Verdict, process_epoch_suspicions, slash
+from .trace import TraceBlock, check_trace, parse_trace
+from .watchdog import Verdict, process_epoch_suspicions
 from .weights import WeightTable, dampened_pick, ema_step, left_sum, normalize
 
 
@@ -109,7 +106,8 @@ class EpochLedger:
     reward schedule, activeness blend, three roster-aligned float lists and
     the delays. What follows from them (activeness, pool split and the
     record and {id: float} views) is built when first read. The writer
-    interleaves the delays into the file's latency samples.
+    (`ledger.ledger_to_json`) interleaves the delays into the file's latency
+    samples.
     """
 
     epoch: int
@@ -159,168 +157,6 @@ class EpochLedger:
         return self.pool_split.records(self.roster)
 
 
-# One canonical ledger writer. It writes what
-# json.dumps(..., sort_keys=True, separators=(",", ":")) writes for the
-# ledger's views as plain dicts and lists, byte for byte, from its columns:
-# keys are fixed fragments in sorted order (the roster is sorted, so column
-# order is key order), a finite float is its repr, and anything else (None,
-# bools, ints, NaN/Infinity, verdicts and free-form events) goes through
-# one encoder with json.dumps's settings.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_encode = _ENCODER.encode
-_string = json.encoder.encode_basestring_ascii
-_float_repr = float.__repr__
-_VERDICT_FIELDS = tuple(f.name for f in dataclasses.fields(Verdict))
-_KIND_JSON = {kind: _string(kind.value) for kind in ActionKind}
-
-
-def _value(x) -> str:
-    """A JSON scalar: repr for a finite float, the shared encoder otherwise."""
-    cls = x.__class__
-    if cls is float:
-        s = _float_repr(x)
-        if "n" not in s:  # "nan", "inf" and "-inf" are not JSON
-            return s
-    elif cls is int:
-        return int.__repr__(x)
-    elif cls is bool:
-        return "true" if x else "false"
-    return _encode(x)
-
-
-def _texts(values: Sequence) -> list[str]:
-    """Each value as a JSON scalar."""
-    try:
-        texts = list(map(_float_repr, values))
-    except TypeError:  # an int or a bool among the floats
-        return list(map(_value, values))
-    if "n" in "".join(texts):
-        return list(map(_value, values))
-    return texts
-
-
-def _names(roster: list[str]) -> list[str]:
-    return list(map(_string, roster))
-
-
-def _rows(n: int, *pieces) -> str:
-    """`n` rows joined, each the row's text of every piece in turn: a piece is a
-    list of `n` texts, or one text that every row repeats."""
-    width = len(pieces)
-    parts = [""] * (width * n)
-    for k, piece in enumerate(pieces):
-        parts[k::width] = [piece] * n if piece.__class__ is str else piece
-    return "".join(parts)
-
-
-def _map(values: Sequence[float], names: list[str]) -> str:
-    """A roster-aligned list as a JSON object keyed by the roster's `names`."""
-    return "{" + _rows(len(names), names, ":", _texts(values), ",")[:-1] + "}"
-
-
-def _motivations(profiles: Sequence[MotivationProfile]) -> list[str]:
-    """Each profile's JSON, encoded once per distinct profile."""
-    distinct = {id(m): m for m in profiles}
-    texts = {key: '{"intensities":[' + ",".join(_texts(m.intensities)) + '],"weights":['
-                  + ",".join(_texts(m.weights)) + "]}" for key, m in distinct.items()}
-    return list(map(texts.__getitem__, map(id, profiles)))
-
-
-def _behaviors(base_utility: list[float], context_factor: list[float], initiative: list[float],
-               actor: list[int], fraud: list[bool], kinds: list[str], motivations: list[str],
-               epoch: int, names: list[str]) -> str:
-    rows = _rows(len(actor), '{"actor":', list(map(names.__getitem__, actor)),
-                 ',"base_utility":', _texts(base_utility),
-                 ',"context_factor":', _texts(context_factor), ',"epoch":', _value(epoch),
-                 ',"initiative":', _texts(initiative),
-                 ',"is_fraud_ground_truth":', list(map(_value, fraud)), ',"kind":', kinds,
-                 ',"motivation":', motivations, "},")
-    return "[" + rows[:-1] + "]"
-
-
-def _payouts(total: list[float], bonus: list[float], multiplier: list[float], base: float,
-             actives: list[int], names: list[str]) -> str:
-    rows = _rows(len(actives), '{"activeness_multiplier":', _texts(multiplier),
-                 ',"base":', _value(base), ',"bonus":', _texts(bonus), ',"total":', _texts(total),
-                 ',"validator":', list(map(names.__getitem__, actives)), "},")
-    return "[" + rows[:-1] + "]"
-
-
-def _latency(proposals: list[float], votes: list[float]) -> str:
-    """The latency samples: each validator's proposal delay, then its vote delay."""
-    return "[" + _rows(len(proposals), _texts(proposals), ",", _texts(votes), ",")[:-1] + "]"
-
-
-def _verdicts(verdicts: Sequence[Verdict]) -> str:
-    return _encode([{f: getattr(v, f) for f in _VERDICT_FIELDS} for v in verdicts])
-
-
-def _same(a, b) -> bool:
-    """Whether `a` and `b` write the same JSON: one object, or equal values of the same
-    types and bits. `==` alone is not enough: it takes -0.0 for 0.0 and True for 1
-    and 1.0, which each write differently; marshal writes each value's type and bits."""
-    if a is b:
-        return True
-    try:
-        return a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
-    except ValueError:  # a value marshal cannot write: no reuse
-        return False
-
-
-def ledger_to_json(ledger: EpochLedger, last: Optional[dict] = None) -> str:
-    """Canonical serialization: sorted keys, shortest round-trip floats.
-
-    `last` is the writer state that a trial's ledgers share: for each
-    protocol, the parts of the last ledger written, as (write, columns,
-    text). A part (the roster's names, each roster map, the behaviors, the
-    latency samples, the payouts) is one function of a few columns, and its
-    text is copied from an earlier part of the same function whose columns
-    are each `_same` as its own. A protocol hands out a new weight list on
-    every change (see the protocol rules), so an unchanged list is the same
-    object; a paired trial's halves draw the same behaviors and delays, so
-    their twin columns are equal.
-    """
-    last = {} if last is None else last
-    earlier = [known for parts in last.values() for known in parts]
-    written = last[ledger.protocol] = []
-
-    def part(write: Callable, *columns):
-        # Callers list a part's most changeable columns first, where a mismatch shows soonest.
-        for known in written + earlier:
-            if known[0] is write and all(map(_same, known[1], columns)):
-                text = known[2]
-                break
-        else:
-            text = write(*columns)
-        written.append((write, columns, text))
-        return text
-
-    names = part(_names, ledger.roster)
-    c, split = ledger.behavior_rows, ledger.pool_split
-    behaviors = part(_behaviors, c.base_utility, c.context_factor, c.initiative, c.actor,
-                     c.fraud, list(map(_KIND_JSON.__getitem__, c.kind)),
-                     _motivations(c.motivation), c.epoch, names)
-    payouts = part(_payouts, split.total, split.bonus, split.multiplier, split.base,
-                   split.actives, names)
-    return (
-        f'{{"activeness":{part(_map, ledger.roster_activeness, names)}'
-        f',"behaviors":{behaviors}'
-        f',"confirm_ms":{_value(ledger.confirm_ms)}'
-        f',"confirmed":{_value(ledger.confirmed)}'
-        f',"epoch":{_value(ledger.epoch)}'
-        f',"events":{_encode(list(ledger.events))}'
-        f',"latency_samples":{part(_latency, ledger.proposal_delays, ledger.vote_delays)}'
-        f',"neutralized":{_encode(list(ledger.neutralized))}'
-        f',"payouts":{payouts}'
-        f',"proposer":{_string(ledger.proposer)}'
-        f',"protocol":{_string(ledger.protocol)}'
-        f',"scores":{part(_map, ledger.roster_scores, names)}'
-        f',"verdicts":{_verdicts(ledger.verdicts)}'
-        f',"weights_after":{part(_map, ledger.roster_weights_after, names)}'
-        f',"weights_before":{part(_map, ledger.roster_weights_before, names)}}}'
-    )
-
-
 # ---------------------------------------------------------------------------
 # Block confirmation
 # ---------------------------------------------------------------------------
@@ -365,92 +201,6 @@ def quorum_time(arrivals: Sequence[float], weights: Sequence[float], quorum: Fra
         if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
             return arrivals[i]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Block trace files
-# ---------------------------------------------------------------------------
-
-TRACE_KINDS = {k.value for k in ActionKind}
-
-
-@dataclass(frozen=True)
-class TraceBlock:
-    height: int
-    proposer: str
-    kind: ActionKind
-    base_utility: float
-    phi: float
-    alpha: float
-    is_exploit: bool
-    # the 1-based line of the block in its trace file; None for a block built in code
-    line: Optional[int] = field(default=None, compare=False)
-
-
-def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
-    """Parse a line-oriented block trace.
-
-    Format per line: height,proposer_id,kind,base_utility,phi,alpha,is_exploit
-    with `#` comments and blank lines allowed. Any deviation (wrong field
-    count, bad types, out-of-range values) raises TraceError with the
-    line number.
-    """
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = list(source)
-    blocks: list[TraceBlock] = []
-    last_height: Optional[int] = None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise TraceError(line_no, f"expected 7 fields, found {len(fields)}")
-        try:
-            height = int(fields[0])
-            base_utility = float(fields[3])
-            phi = float(fields[4])
-            alpha = float(fields[5])
-        except ValueError as exc:
-            raise TraceError(line_no, f"bad numeric field: {exc}") from None
-        proposer = fields[1].strip()
-        kind_str = fields[2].strip()
-        exploit_str = fields[6].strip()
-        if not proposer:
-            raise TraceError(line_no, "empty proposer id")
-        if kind_str not in TRACE_KINDS:
-            raise TraceError(line_no, f"unknown action kind {kind_str!r}")
-        if exploit_str not in ("0", "1"):
-            raise TraceError(line_no, f"is_exploit must be 0 or 1, found {exploit_str!r}")
-        if not 0.0 <= phi <= 1.0:
-            raise TraceError(line_no, f"phi {phi} outside [0, 1]")
-        if not 0.0 <= alpha <= 1.0:
-            raise TraceError(line_no, f"alpha {alpha} outside [0, 1]")
-        if last_height is not None and height != last_height + 1:
-            raise TraceError(line_no, f"height {height} does not follow {last_height}")
-        last_height = height
-        is_exploit = exploit_str == "1"
-        kind = ActionKind(kind_str)
-        if is_exploit:
-            kind = ActionKind.FRAUD
-            base_utility = -abs(base_utility)
-        blocks.append(TraceBlock(height, proposer, kind, base_utility, phi, alpha, is_exploit,
-                                 line_no))
-    return blocks
-
-
-def check_trace(config: ScenarioConfig, trace: Sequence[TraceBlock]) -> None:
-    """Raise TraceError at the first block whose proposer may not be named at
-    its epoch, the block's index in `trace` (`ScenarioConfig.proposer_refusal`
-    is the rule). The error names the block's line in its file; a block
-    built in code counts as line index + 1."""
-    for epoch, tb in enumerate(trace):
-        refusal = config.proposer_refusal(tb.proposer, epoch)
-        if refusal is not None:
-            raise TraceError(epoch + 1 if tb.line is None else tb.line,
-                             f"proposer {tb.proposer!r} (block height {tb.height}) {refusal}")
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +267,7 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
     strategies: dict[str, adv.Strategy] = dict.fromkeys(ids, honest)
     state = _TrialState(config, hub, strategies, shape,
                         LatencyModel(config.latency_distribution, config.latency_mean_ms),
-                        _reward_schedule(config))
+                        config.reward_schedule())
     for entry in config.roster:
         kind, param, members = entry.spec.kind, entry.spec.param, ids[entry.lo:entry.hi]
         if kind == "honest":
@@ -549,11 +299,6 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
         state.joins[config.newcomer_epoch] = ["newcomer"]
     _set_roster(state, sorted(ids))
     return state
-
-
-def _reward_schedule(config: ScenarioConfig) -> RewardSchedule:
-    return RewardSchedule(config.r_total, config.resolved_r_base(),
-                          config.activity_threshold, config.epsilon)
 
 
 def _set_roster(state: _TrialState, alive: list[str]) -> None:
@@ -830,13 +575,12 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
 
 class _Half:
     """What every protocol keeps apart: its own copy of the election stream,
-    from which the protocols draw different counts, and its chain and clock."""
+    from which the protocols draw different counts, and its chain."""
 
     def __init__(self, state: _TrialState):
         self.election_rng = state.hub.fresh("election")
         # The blocks the trial-end fork can reach; older ones are dropped.
         self.chain = deque([genesis_block()], maxlen=state.fork_depth + 1)
-        self.sim_time = 0.0
 
 
 class _PobRules(_Half):
@@ -1009,7 +753,6 @@ def trial_epochs(
     finished: tuple[EpochLedger, ...] = ()
     rng_lat_prop = state.hub.stream("latency/proposal")
     rng_lat_vote = state.hub.stream("latency/vote")
-    threshold = state.schedule.activity_threshold
 
     for epoch in range(epochs):
         if finished:
@@ -1036,13 +779,12 @@ def trial_epochs(
             confirm_ms = quorum_time(arrivals, weights_before, config.quorum, order)
             confirmed = confirm_ms is not None
             confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
-            rules.sim_time += confirm_ms if confirmed else 0.0
             weights_after = rules.settle(state, scores)
             # split_pool's check, run here: the ledger splits the pool only when read
-            stipends(state.schedule, len([s for s in scores if s > threshold]))
+            stipends(state.schedule, sum(active_flags(state.schedule, scores)))
             if confirmed:
                 rules.chain.append(extend_chain(rules.chain[-1], proposer, utility,
-                                                rules.sim_time, state.signers, weights_after))
+                                                state.signers, weights_after))
             ledgers.append(EpochLedger(
                 epoch, rules.protocol, proposer, alive, behaviors, state.schedule, config.betas,
                 scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
@@ -1093,31 +835,3 @@ def replay_trace(
     return run_trial(config, seed if seed is not None else config.seed,
                      protocol=protocol, trace=blocks)
 
-
-# ---------------------------------------------------------------------------
-# Ledger replay (audit-trail invariant)
-# ---------------------------------------------------------------------------
-
-def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[dict[str, float], tuple]:
-    """Recompute an epoch's after-state from its recorded inputs.
-
-    Applies the recorded verdicts and re-runs the trial's scoring, slash,
-    weight and reward kernels. Must reproduce the recorded weights and
-    payouts bit-exactly; anything else means the ledger or the pipeline drifted.
-    """
-    if ledger.protocol != "pob":
-        raise ValueError("ledger replay is defined for the behavior-weighted protocol")
-    roster = ledger.roster
-    weights = list(ledger.roster_weights_before)
-    scores = [0.0] * len(roster)
-    for actor, b in zip(ledger.behavior_rows.actor, ledger.behaviors):
-        scores[actor] += total_utility(b)
-    if ledger.verdicts:
-        for v in ledger.verdicts:
-            if v.guilty:
-                at = bisect_left(roster, v.subject)
-                weights[at] = slash(weights[at], Penalty(v.penalty_kind, v.penalty_value))
-        weights = normalize(weights)
-    weights = ema_step(weights, scores, config.rho)
-    split = split_pool(_reward_schedule(config), weights, scores, ledger.roster_activeness)
-    return dict(zip(roster, weights)), split.records(roster)

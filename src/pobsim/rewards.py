@@ -9,8 +9,9 @@ most engaged nodes; at epsilon = 0 the pool is conserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence
+from itertools import compress, repeat
+from operator import gt
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RewardPoolError
 from .weights import left_sum
@@ -56,6 +57,11 @@ class PoolSplit:
                          self.bonus, self.multiplier, self.total))
 
 
+def active_flags(schedule: RewardSchedule, scores: Iterable[float]) -> Iterator[bool]:
+    """Whether each validator is active: its epoch score strictly above the threshold."""
+    return map(gt, scores, repeat(schedule.activity_threshold))
+
+
 def stipends(schedule: RewardSchedule, active_count: int) -> float:
     """The base stipends of `active_count` active validators.
     Raises RewardPoolError when they exceed the pool."""
@@ -72,15 +78,14 @@ def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Seque
                activeness: Sequence[float]) -> PoolSplit:
     """Split the epoch pool over the active set; the lists are aligned by roster position.
 
-    The active set is every validator whose epoch score strictly exceeds
-    the schedule's activity threshold. Each active validator receives
-    base + bonus * (its weight share among actives), scaled by
-    (1 + epsilon * A_i). Inactive validators receive nothing. If every
+    The active set is the validators `active_flags` marks. Each active
+    validator receives base + bonus * (its weight share among actives),
+    scaled by (1 + epsilon * A_i). Inactive validators receive nothing. If every
     active validator has zero weight the bonus is split uniformly.
     Raises RewardPoolError when the stipends alone exceed the pool.
     """
-    base, threshold = schedule.base_reward, schedule.activity_threshold
-    actives = [p for p, score in enumerate(scores) if score > threshold]
+    base = schedule.base_reward
+    actives = list(compress(range(len(scores)), active_flags(schedule, scores)))
     if not actives:
         return PoolSplit([], base, [], [], [])
     bonus_pool = schedule.total_reward - stipends(schedule, len(actives))

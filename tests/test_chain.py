@@ -16,7 +16,7 @@ def roster_weights(table, roster=ROSTER):
 
 def _tip(signers, utility, proposer="p", height=1):
     return Block(
-        height=height, proposer=proposer, timestamp_ms=0.0, cumulative_utility=utility,
+        height=height, proposer=proposer, cumulative_utility=utility,
         signer_weight=0.0, signers=frozenset(signers),
     )
 
@@ -24,12 +24,12 @@ def _tip(signers, utility, proposer="p", height=1):
 class TestBlocks:
     def test_extend_accumulates_utility_and_weight(self):
         table = WeightTable({"a": 0.6, "b": 0.4})
-        b1 = extend_chain(genesis_block(), "a", 2.0, 10.0, frozenset("ab"),
+        b1 = extend_chain(genesis_block(), "a", 2.0, frozenset("ab"),
                           roster_weights(table, ["a", "b"]))
         assert b1.height == 1
         assert b1.cumulative_utility == pytest.approx(2.0)
         assert b1.signer_weight == pytest.approx(1.0)
-        b2 = extend_chain(b1, "b", 3.0, 20.0, frozenset("a"), roster_weights(table, ["a"]))
+        b2 = extend_chain(b1, "b", 3.0, frozenset("a"), roster_weights(table, ["a"]))
         assert b2.cumulative_utility == pytest.approx(5.0)
         assert b2.signer_weight == pytest.approx(0.6)
 
@@ -39,7 +39,7 @@ class TestBlocks:
         table = WeightTable(dict(zip(ids, normalize([rng.random() for _ in ids]))))
         roster = sorted(rng.sample(ids, 700))
         signers = frozenset(roster)
-        fast = extend_chain(genesis_block(), "v0000", 1.0, 0.0, signers,
+        fast = extend_chain(genesis_block(), "v0000", 1.0, signers,
                             roster_weights(table, roster))
         assert fast.signer_weight == signer_weight(signers, table)
         assert fast.signers is signers
@@ -48,7 +48,7 @@ class TestBlocks:
         # A block keeps no parent; extend_chain builds it one height above.
         block = genesis_block()
         for height in range(1, 6):
-            block = extend_chain(block, "a", 1.0, 0.0, frozenset("a"), [1.0])
+            block = extend_chain(block, "a", 1.0, frozenset("a"), [1.0])
             assert block.height == height
         assert not hasattr(block, "parent")
 
@@ -86,7 +86,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(n_blocks):
             chain.append(
-                extend_chain(chain[-1], "h0", 1.0, 0.0, frozenset(ROSTER), roster_weights(table))
+                extend_chain(chain[-1], "h0", 1.0, frozenset(ROSTER), roster_weights(table))
             )
         return chain
 
@@ -104,7 +104,7 @@ class TestLongRangeFork:
         chain = [genesis_block()]
         for _ in range(20):
             chain.append(
-                extend_chain(chain[-1], "h0", 1.0, 0.0, frozenset(ROSTER), roster_weights(table))
+                extend_chain(chain[-1], "h0", 1.0, frozenset(ROSTER), roster_weights(table))
             )
         out = long_range_fork_outcome(chain, table, ["atk"], fork_depth=10,
                                       claimed_utility_boost=1e6)

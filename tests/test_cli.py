@@ -217,6 +217,32 @@ def test_unpairable_roster_and_unknown_trace_proposer_exit_1_without_output(
         assert not out.exists()
 
 
+IGNORED = [  # (command, config text, extra arguments, the field the command would ignore)
+    ("run", TINY + "sweep:\n  rho: [0.5, 0.9]\n", [], "sweep"),
+    ("replay", TINY + "sweep:\n  rho: [0.5, 0.9]\n", [], "sweep"),
+    ("ic-check", TINY.replace("paired", "pob") + "sweep:\n  rho: [0.5, 0.9]\n", [], "sweep"),
+    ("sweep", TINY + "sweep:\n  rho: [0.5, 0.9]\n", ["--ledgers"], "emit_ledgers"),
+    ("ic-check", TINY.replace("paired", "pob"), ["--ledgers"], "emit_ledgers"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command,text,extra,field", IGNORED,
+                         ids=["run-sweep", "replay-sweep", "ic-check-sweep", "sweep-ledgers",
+                              "ic-check-ledgers"])
+def test_a_field_the_command_would_ignore_exits_1_without_output(
+        command, text, extra, field, workers, tmp_path, capsys):
+    cfg, trace = tmp_path / "scenario.yaml", tmp_path / "ok.trace"
+    cfg.write_text(text)
+    trace.write_text("0,v0001,propose-block,1.0,1.0,1.0,0\n")
+    out = tmp_path / "out"
+    positionals = [str(trace), str(cfg)] if command == "replay" else [str(cfg)]
+    argv = [command, *positionals, *extra, "--workers", workers, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,params", [("adaptive-sybil", "{}"),
                                          ("long-range-fork", "{fork_depth: 20}")])
 def test_ambiguous_roster_exits_1_without_output(kind, params, tmp_path, capsys):

@@ -20,7 +20,7 @@ from pobsim.config import (
     with_overrides,
 )
 from pobsim.errors import ConfigError, TraceError
-from pobsim.netsim import TraceBlock, check_trace
+from pobsim.trace import TraceBlock, check_trace
 from pobsim.presets import builtin_presets
 from pobsim.scoring import ActionKind
 

@@ -15,7 +15,7 @@ from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overri
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_ic_check, run_scenario, run_sweep, sweep_points
 from pobsim.metrics import CSV_COLUMNS
-from pobsim.netsim import TraceBlock, parse_trace
+from pobsim.trace import TraceBlock, parse_trace
 from pobsim.scoring import ActionKind
 
 
@@ -295,3 +295,30 @@ class TestBadInputBeforeOutput:
         assert err.value.field == "roster[0]"
         for protocol in ("pob", "pos"):
             assert with_overrides(tiny_paired(protocol=protocol, roster=sybils)).roster == sybils
+
+
+def test_names_the_benchmark_looks_up_resolve():
+    # benchmarks/child.py imports these, and benchmarks/bench_trace.py wraps them where
+    # they are bound; if one is gone, every benchmark run fails.
+    import pobsim.config
+    import pobsim.netsim
+    import pobsim.presets
+
+    names = {pobsim.netsim: ["parse_trace"],
+             experiments: ["run_scenario", "run_sweep", "run_ic_check", "run_trial",
+                           "ledger_to_json", "apply_sweep_point", "ProcessPoolExecutor"],
+             pobsim.presets: ["builtin_presets", "bundled_trace_path"],
+             pobsim.config: ["with_overrides"]}
+    for module, attrs in names.items():
+        for attr in attrs:
+            assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("order", ["pobsim.ledger, pobsim.trace, pobsim",
+                                   "pobsim.trace, pobsim.ledger, pobsim"])
+def test_modules_import_in_any_order(order):
+    src = str(Path(pobsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", f"import {order}"], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -28,7 +28,7 @@ from pobsim.cli import main
 from pobsim.config import ScenarioConfig, loads_config, with_overrides
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_scenario, run_sweep
-from pobsim.netsim import TraceBlock, parse_trace
+from pobsim.trace import TraceBlock, parse_trace
 from pobsim.scoring import ActionKind
 from test_config import assert_echo_is_pyyaml
 from traces import write_trace

@@ -30,7 +30,8 @@ import pytest
 
 from pobsim.adversaries import StrategySpec
 from pobsim.config import with_overrides
-from pobsim.netsim import ledger_to_json, run_trial, shares_one_state, trial_epochs
+from pobsim.ledger import ledger_to_json
+from pobsim.netsim import run_trial, shares_one_state, trial_epochs
 from pobsim.presets import builtin_presets
 
 EPOCHS = 30

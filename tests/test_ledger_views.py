@@ -19,7 +19,8 @@ from pobsim.config import (
     RosterEntry,
     ScenarioConfig,
 )
-from pobsim.netsim import ledger_to_json, run_trial
+from pobsim.ledger import ledger_to_json
+from pobsim.netsim import run_trial
 from pobsim.scoring import ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile
 
 MAPS = {"scores": "roster_scores", "activeness": "roster_activeness",

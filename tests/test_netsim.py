@@ -17,16 +17,9 @@ from pobsim import chain, netsim
 from pobsim.presets import builtin_presets, bundled_trace_path
 from pobsim.rewards import RewardSchedule, split_pool
 from pobsim.rng import RngHub
-from pobsim.netsim import (
-    LatencyModel,
-    TraceBlock,
-    ledger_to_json,
-    parse_trace,
-    replay_epoch,
-    replay_trace,
-    quorum_time,
-    run_trial,
-)
+from pobsim.ledger import ledger_to_json, replay_epoch
+from pobsim.netsim import LatencyModel, replay_trace, quorum_time, run_trial
+from pobsim.trace import TraceBlock, check_trace, parse_trace
 from pobsim.scoring import (ActionKind, ActivenessInputs, activeness, diversity_index,
                             total_utility)
 from pobsim.weights import WeightTable
@@ -242,7 +235,7 @@ class TestTraceLines:
         config = small_config()
         first = next(tb for tb in trace if tb.proposer not in config.validator_ids())
         with pytest.raises(TraceError) as err:
-            netsim.check_trace(config, trace)
+            check_trace(config, trace)
         assert err.value.line_no == first.height + 2
         assert f"proposer {first.proposer!r} (block height {first.height})" in str(err.value)
 
@@ -251,7 +244,7 @@ class TestTraceLines:
                              "2,vXXXX,propose-block,1.0,1.0,0.9,0"])
         assert [tb.line for tb in trace] == [1, 2]
         with pytest.raises(TraceError) as err:
-            netsim.check_trace(small_config(), trace)
+            check_trace(small_config(), trace)
         assert err.value.line_no == 2
 
 

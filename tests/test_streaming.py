@@ -23,6 +23,7 @@ from operator import add
 import pytest
 
 from pobsim import experiments, netsim
+from pobsim import ledger as writer
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig, with_overrides
 from pobsim.errors import ConfigError
@@ -37,7 +38,9 @@ from pobsim.metrics import (
     paired_loss_averted,
     suppression_time,
 )
-from pobsim.netsim import EpochLedger, ledger_to_json, parse_trace, run_trial
+from pobsim.ledger import ledger_to_json
+from pobsim.netsim import EpochLedger, run_trial
+from pobsim.trace import parse_trace
 from pobsim.presets import builtin_presets, bundled_trace_path
 from pobsim.rewards import RewardSchedule
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
@@ -425,7 +428,7 @@ def test_shared_writer_state_reuses_only_same_bytes(case):
 
 
 def test_equality_alone_is_not_a_reuse_guard(monkeypatch):
-    monkeypatch.setattr(netsim, "_same", lambda a, b: a is b or a == b)
+    monkeypatch.setattr(writer, "_same", lambda a, b: a is b or a == b)
     wrong = {case for case in TWINS if _mis_written_twins(case)}
     # NaNs are never equal, motivations are compared as their texts, and equal
     # float subclasses write equal texts
@@ -439,8 +442,8 @@ def test_shared_writer_state_formats_shared_columns_once(monkeypatch):
     config, trace = _preset("case-c-replay")
     pob, pos = (run_trial(config, config.seed, protocol=p, trace=trace) for p in ("pob", "pos"))
     formatted = []
-    texts_of = netsim._texts
-    monkeypatch.setattr(netsim, "_texts", lambda values: formatted.append(id(values))
+    texts_of = writer._texts
+    monkeypatch.setattr(writer, "_texts", lambda values: formatted.append(id(values))
                         or texts_of(values))
     last = {}  # the shared writer state
     twin_columns = ("roster_scores", "roster_activeness", "proposal_delays", "vote_delays")

@@ -8,7 +8,8 @@ import pytest
 
 from pobsim.adversaries import StrategySpec
 from pobsim.config import PenaltySettings, RosterEntry, with_overrides
-from pobsim.netsim import ledger_to_json, run_trial
+from pobsim.ledger import ledger_to_json
+from pobsim.netsim import run_trial
 from pobsim.presets import builtin_presets
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import (

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 from typing import Optional, Sequence
 
-from pobsim.netsim import TraceBlock
+from pobsim.trace import TraceBlock
 from pobsim.scoring import ActionKind
 
 
