@@ -32,7 +32,7 @@ import json
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .config import (
     ScenarioConfig,
@@ -120,19 +120,20 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _run_tasks(workers: int, tasks: Sequence[tuple]) -> list[dict]:
-    """Run `_run_trial_task(*task)` for every task: in a pool of
-    min(workers, len(tasks)) processes when that is two or more, else here.
+def _run_tasks(fn: Callable, workers: int, tasks: Sequence[tuple]) -> list:
+    """Run `fn(*task)` for every task (`_run_trial_task`, or ic-check's
+    `incentive._focal_arm`): in a pool of min(workers, len(tasks)) processes
+    when that is two or more, else here.
 
     Results come back in task order whatever the worker count. When a task
     fails, the tasks not yet started are cancelled before the error is raised.
     """
     workers = min(workers, len(tasks))
     if workers < 2:
-        return [_run_trial_task(*task) for task in tasks]
+        return [fn(*task) for task in tasks]
     pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)  # as replaced, if so
     try:
-        futures = [pool.submit(_run_trial_task, *task) for task in tasks]
+        futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -221,7 +222,7 @@ def run_scenario(
 
     ledger_root = out / "ledgers" if config.emit_ledgers else None
     results = _run_tasks(
-        config.workers,
+        _run_trial_task, config.workers,
         [(config, trial, trace_list, ledger_root) for trial in range(config.trials)],
     )
     rows = [row for result in results for row in result["rows"]]
@@ -263,7 +264,7 @@ def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     # Every (point, trial) task goes through one pool.
     results = iter(_run_tasks(
-        config.workers,
+        _run_trial_task, config.workers,
         [(sub, trial, None) for sub in subs for trial in range(sub.trials)],
     ))
 

@@ -11,13 +11,14 @@ includes the value of fraud the network actually let through.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Optional
 
 from .config import ScenarioConfig, RosterEntry, with_overrides
 from .adversaries import StrategySpec
-from .metrics import fraud_outcomes
-from .netsim import EpochLedger, run_trial
+from .experiments import _run_tasks
+from .metrics import TrialTally
+from .netsim import trial_epochs
 from .weights import left_sum
 
 
@@ -58,19 +59,26 @@ def check_ic(p: IncentiveParams) -> tuple[bool, float]:
 # Empirical check via paired simulation
 # ---------------------------------------------------------------------------
 
-def _focal_round_payoffs(
-    ledgers: list[EpochLedger], focal: str, rounds: int
-) -> list[float]:
-    """Protocol payout plus accepted fraud proceeds, per round."""
-    payoffs = [0.0] * rounds
-    for ledger in ledgers[:rounds]:
-        for payout in ledger.payouts:
-            if payout.validator == focal:
-                payoffs[ledger.epoch] += payout.total
-    for outcome in fraud_outcomes(ledgers[:rounds]):
-        if outcome.actor == focal and outcome.accepted:
+def _focal_arm(config: ScenarioConfig, seed: int, focal: str) -> tuple[list[float], list]:
+    """One arm of a paired trial, streamed through a pob `trial_epochs`: the
+    focal's payout plus accepted fraud value per round, and its fraud outcomes.
+
+    A focal off the roster (a retired adaptive Sybil) or not active is not paid.
+    """
+    payoffs = [0.0] * config.epochs
+    tally = TrialTally()
+    with closing(trial_epochs(config, seed, ("pob",))) as epochs:
+        for (ledger,) in epochs:
+            tally.add(ledger)
+            if focal in ledger.roster:
+                split, position = ledger.pool_split, ledger.roster.index(focal)
+                if position in split.actives:
+                    payoffs[ledger.epoch] += split.total[split.actives.index(position)]
+    outcomes = [outcome for outcome in tally.fraud_outcomes() if outcome.actor == focal]
+    for outcome in outcomes:
+        if outcome.accepted:
             payoffs[outcome.epoch] += outcome.value
-    return payoffs
+    return payoffs, outcomes
 
 
 def _discounted(payoffs: list[float], discount: float) -> float:
@@ -106,49 +114,37 @@ def find_focal(config: ScenarioConfig) -> tuple[str, int]:
     raise ValueError("scenario has no deviating validator to compare against")
 
 
-def empirical_ic(
-    config: ScenarioConfig,
-    discount: float = 0.95,
-    rounds: Optional[int] = None,
-    trials: Optional[int] = None,
-    immediate_penalty: float = 0.0,
-) -> dict:
+def empirical_ic(config: ScenarioConfig, discount: float = 0.95) -> dict:
     """Paired honest-vs-deviating simulation under common random numbers.
 
     Both arms of each pair share a root seed, so everything except the
-    focal validator's own choices is identical. Reports discounted
-    payoffs per arm, the measured per-round deviation gain, the implied
-    future loss, and whether the analytic condition held.
+    focal validator's own choices is identical. Each arm of each trial is a
+    task of `_run_tasks` (`config.workers`). Reports discounted payoffs per
+    arm, the measured per-round deviation gain, the implied future loss,
+    and whether the analytic condition held.
     """
     if not 0.0 < discount < 1.0:
         raise ValueError(f"discount {discount} outside (0, 1)")
     focal, focal_index = find_focal(config)
-    rounds = rounds if rounds is not None else config.epochs
-    trials = trials if trials is not None else config.trials
-    run_cfg = with_overrides(config, epochs=rounds)
-    honest_cfg = _honest_variant(run_cfg, focal_index)
+    rounds, trials = config.epochs, config.trials
+    honest_cfg = _honest_variant(config, focal_index)
+    seeds = [config.seed + k for k in range(trials)]
+    arms = iter(_run_tasks(_focal_arm, config.workers,
+                           [(arm_cfg, seed, focal) for seed in seeds
+                            for arm_cfg in (config, honest_cfg)]))
 
     per_trial = []
     measured_delta_r = 0.0
     honest_round_means = []
-    deviations_attempted = 0
-    deviations_punished = 0
-    for k in range(trials):
-        seed = config.seed + k
-        deviant_ledgers = run_trial(run_cfg, seed, protocol="pob")
-        honest_ledgers = run_trial(honest_cfg, seed, protocol="pob")
-        deviant_rounds = _focal_round_payoffs(deviant_ledgers, focal, rounds)
-        honest_rounds = _focal_round_payoffs(honest_ledgers, focal, rounds)
+    deviations = []  # the focal's fraud outcomes in the deviant arms
+    for seed in seeds:
+        (deviant_rounds, outcomes), (honest_rounds, _) = next(arms), next(arms)
         gain = max(
             (d - h for d, h in zip(deviant_rounds, honest_rounds)), default=0.0
         )
         measured_delta_r = max(measured_delta_r, gain)
         honest_round_means.append(left_sum(honest_rounds) / max(1, rounds))
-        for outcome in fraud_outcomes(deviant_ledgers):
-            if outcome.actor == focal:
-                deviations_attempted += 1
-                if not outcome.accepted:
-                    deviations_punished += 1
+        deviations += outcomes
         per_trial.append(
             {
                 "seed": seed,
@@ -163,7 +159,6 @@ def empirical_ic(
     )
     params = IncentiveParams(
         discount=discount,
-        immediate_penalty=immediate_penalty,
         slash_factor=slash_factor,
         expected_honest_reward=expected_honest,
         deviation_gain=measured_delta_r,
@@ -172,9 +167,8 @@ def empirical_ic(
     # The analytic condition assumes certain detection; committees are not
     # certain. Scaling the future loss by the measured detection rate gives
     # the condition the simulated mechanism actually enforces.
-    detection_rate = (
-        deviations_punished / deviations_attempted if deviations_attempted else None
-    )
+    punished = sum(1 for outcome in deviations if not outcome.accepted)
+    detection_rate = punished / len(deviations) if deviations else None
     loss = future_loss(params)
     effective_loss = loss if detection_rate is None else detection_rate * loss
     effective_margin = effective_loss - measured_delta_r

@@ -300,11 +300,6 @@ def tally_ledgers(
     return tally
 
 
-def fraud_outcomes(ledgers: Sequence[EpochLedger]) -> list[FraudOutcome]:
-    """Acceptance of every ground-truth fraud attempt (see TrialTally)."""
-    return tally_ledgers(ledgers).fraud_outcomes()
-
-
 def paired_loss_averted(pob: TrialTally, pos: TrialTally) -> float:
     """Accepted fraud value under the baseline minus under behavior weighting.
 

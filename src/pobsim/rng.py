@@ -10,13 +10,20 @@ identical draws on the streams they have in common.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:  # SHA-256 without hashlib and its OpenSSL library, as random.py takes SHA-512
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Stable 64-bit seed for substream `name` under `root_seed`."""
-    digest = hashlib.sha256(f"{root_seed}/{name}".encode("utf-8")).digest()
+    digest = sha256(f"{root_seed}/{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

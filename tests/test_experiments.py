@@ -165,7 +165,8 @@ class TestPool:
         assert pools == []
 
     def test_pool_has_no_more_processes_than_tasks(self, pools):
-        results = experiments._run_tasks(8, [(tiny_paired(epochs=5), t, None) for t in range(3)])
+        results = experiments._run_tasks(experiments._run_trial_task, 8,
+                                         [(tiny_paired(epochs=5), t, None) for t in range(3)])
         assert [r["trial"] for r in results] == [0, 1, 2]
         assert pools == [3]
 
@@ -188,7 +189,7 @@ class TestPool:
         tasks = [(tiny_paired(trials=1), 0, UNKNOWN_PROPOSER, None)]
         tasks += [(slow, t, None) for t in range(1, 13)]
         with pytest.raises(TraceError, match="vXXXX"):
-            experiments._run_tasks(2, tasks)
+            experiments._run_tasks(experiments._run_trial_task, 2, tasks)
         assert shutdowns == [{"cancel_futures": True}]
         assert any(f.cancelled() for f in futures)
 
@@ -203,7 +204,8 @@ from pobsim.experiments import run_scenario
 preset = pobsim.presets.builtin_presets()["case-a-stealth"].build()
 with tempfile.TemporaryDirectory() as out:
     run_scenario(with_overrides(preset, epochs=3, trials=2, workers=1), out)
-print(sorted({"yaml", "concurrent.futures.process", "multiprocessing"} & set(sys.modules)))
+print(sorted({"yaml", "hashlib", "pobsim.incentive", "concurrent.futures.process",
+              "multiprocessing"} & set(sys.modules)))
 """
 
 
@@ -223,6 +225,15 @@ class TestIcCheckRunner:
         assert (tmp_path / "ic.json").exists()
         saved = json.loads((tmp_path / "ic.json").read_text())
         assert saved["focal"] == report["focal"] == "v0009"
+
+    def test_arms_run_in_one_pool_to_the_same_report(self, tmp_path, pools):
+        """Each (trial, arm) is a pool task; the report is the bytes of an in-process run."""
+        cfg = tiny_paired(protocol="pob", epochs=20)
+        run_ic_check(cfg, tmp_path / "one")
+        run_ic_check(with_overrides(cfg, workers=2), tmp_path / "two")
+        assert pools == [2]
+        assert (tmp_path / "one" / "ic.json").read_bytes() == (
+            tmp_path / "two" / "ic.json").read_bytes()
 
 
 class TestEntryPointsCheckConfig:
@@ -251,8 +262,9 @@ class TestBadInputBeforeOutput:
 
     def test_trace_error_in_a_worker_reaches_the_caller(self, pools):
         with pytest.raises(TraceError, match="trace line 2: proposer 'vXXXX'"):
-            experiments._run_tasks(2, [(tiny_paired(trials=1), t, UNKNOWN_PROPOSER, None)
-                                       for t in range(2)])
+            experiments._run_tasks(experiments._run_trial_task, 2,
+                                   [(tiny_paired(trials=1), t, UNKNOWN_PROPOSER, None)
+                                    for t in range(2)])
         assert pools == [2]  # two tasks, so the error crossed a process
 
     @pytest.mark.parametrize("workers", [1, 2])

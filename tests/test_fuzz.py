@@ -1,12 +1,12 @@
 """Bad input fails before any trial runs, on every entry point.
 
 One property over random scenario mappings: each goes through the YAML
-loader, `with_overrides`, a sweep grid or the CLI, and either raises
-ConfigError (exit 1 from the CLI) before its output directory exists, or
-finishes a 3-epoch run whose outputs are the same with one worker and
-with two. The mappings mix valid and invalid values, and their
-`proposer_override` names a configured id, an unknown id, the newcomer or
-an adaptive-sybil member, whom pob may retire.
+loader, `with_overrides`, a sweep grid, the CLI or the CLI's `ic-check`,
+and either raises ConfigError (exit 1 from the CLI) before its output
+directory exists, or finishes a 3-epoch run whose outputs are the same
+with one worker and with two. The mappings mix valid and invalid values,
+and their `proposer_override` names a configured id, an unknown id, the
+newcomer or an adaptive-sybil member, whom pob may retire.
 
 A second property does the same for block traces, through `run_scenario`
 and the CLI's `replay`: a short trace whose proposers are configured,
@@ -33,7 +33,7 @@ from pobsim.scoring import ActionKind
 from test_config import assert_echo_is_pyyaml
 from traces import write_trace
 
-ENTRY_POINTS = ("yaml", "overrides", "sweep", "cli")
+ENTRY_POINTS = ("yaml", "overrides", "sweep", "cli", "ic-check")
 BASE = "protocol: pob\nn_validators: 4\nepochs: 3\ntrials: 2\n"
 
 
@@ -80,10 +80,10 @@ def scenarios(draw):
 
 def run(entry: str, mapping: dict, workers: int, out: Path, scratch: Path) -> None:
     """Run `mapping` through `entry` with `workers`; raise ConfigError on bad input."""
-    if entry == "cli":
+    if entry in ("cli", "ic-check"):
         path = scratch / "scenario.yaml"
         path.write_text(yaml.safe_dump(mapping))
-        command = "sweep" if "sweep" in mapping else "run"
+        command = entry if entry == "ic-check" else "sweep" if "sweep" in mapping else "run"
         status = main([command, str(path), "--out", str(out), "--workers", str(workers)])
         assert status in (0, 1)
         if status == 1:
@@ -112,6 +112,11 @@ def outputs(out: Path) -> dict:
 def test_bad_input_fails_before_output_else_workers_agree(entry, mapping):
     if entry == "sweep":
         mapping = {**mapping, "sweep": mapping.get("sweep") or {"delta": [0.1, 0.2]}}
+    if entry == "ic-check":  # a pob run with a deviator to compare, and no grid
+        mapping = {key: value for key, value in mapping.items() if key != "sweep"}
+        mapping["protocol"] = "pob"
+        if mapping.get("roster", [{}])[0].get("kind") in (None, "honest"):
+            mapping["roster"] = [{"range": [0, 1], "kind": "stealth"}]
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         results = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +11,10 @@ from pobsim.incentive import (
     empirical_ic,
     find_focal,
     future_loss,
+    _focal_arm,
     _honest_variant,
 )
+from pobsim.metrics import tally_ledgers
 from pobsim.netsim import run_trial
 
 
@@ -135,3 +139,65 @@ class TestEmpiricalIc:
     def test_discount_validation(self):
         with pytest.raises(ValueError):
             empirical_ic(tiny_ic_config(), discount=1.0)
+
+
+def reference_arm(config, seed, focal):
+    """The focal's payoffs and fraud outcomes from the full ledger list: one
+    `Payout` record per paid validator per epoch, then the focal's accepted
+    frauds. `_focal_arm` streams the trial instead."""
+    ledgers = run_trial(config, seed, protocol="pob")
+    payoffs = [0.0] * config.epochs
+    for ledger in ledgers:
+        for payout in ledger.payouts:
+            if payout.validator == focal:
+                payoffs[ledger.epoch] += payout.total
+    outcomes = [o for o in tally_ledgers(ledgers).fraud_outcomes() if o.actor == focal]
+    for outcome in outcomes:
+        if outcome.accepted:
+            payoffs[outcome.epoch] += outcome.value
+    return payoffs, outcomes, ledgers
+
+
+def unpaid_epochs(ledgers, focal):
+    return sum(1 for l in ledgers if focal not in {p.validator for p in l.payouts})
+
+
+class TestFocalArm:
+    """`_focal_arm` adds the same floats in the same order as the list logic."""
+
+    def assert_same_arm(self, config, seed, focal):
+        payoffs, outcomes = _focal_arm(config, seed, focal)
+        ref_payoffs, ref_outcomes, ledgers = reference_arm(config, seed, focal)
+        assert list(map(float.hex, payoffs)) == list(map(float.hex, ref_payoffs))
+        assert outcomes == ref_outcomes
+        return outcomes, ledgers
+
+    def test_stealth_focal(self):
+        # half-sighted committees: some of the focal's frauds pay, some are caught
+        outcomes, _ = self.assert_same_arm(tiny_ic_config(detection_accuracy=0.5), 3, "v0009")
+        assert {o.accepted for o in outcomes} == {True, False}
+
+    def test_focal_left_unpaid_by_the_activity_threshold(self):
+        cfg = _honest_variant(tiny_ic_config(activity_threshold=1.3), 9)
+        _, ledgers = self.assert_same_arm(cfg, 3, "v0009")
+        assert 0 < unpaid_epochs(ledgers, "v0009") < cfg.epochs
+
+    def test_adaptive_sybil_focal_retired_mid_trial(self):
+        cfg = tiny_ic_config(roster=(RosterEntry(8, 10, StrategySpec("adaptive-sybil")),))
+        focal, _ = find_focal(cfg)
+        _, ledgers = self.assert_same_arm(cfg, 3, focal)
+        on_roster = [focal in l.roster for l in ledgers]
+        assert on_roster[0] and not on_roster[-1]
+
+
+def test_memory_stays_flat_in_the_epoch_count():
+    """No ledger outlives its epoch, so four times the epochs is not four times the memory."""
+    peaks = []
+    for epochs in (100, 400):
+        tracemalloc.start()
+        try:
+            empirical_ic(tiny_ic_config(epochs=epochs, trials=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -7,7 +7,6 @@ from pobsim.metrics import (
     adaptation_time,
     aggregate_values,
     fraud_acceptance_rate,
-    fraud_outcomes,
     gini,
     paired_loss_averted,
     suppression_time,
@@ -19,6 +18,10 @@ from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
 
 MOT = MotivationProfile((0.0,), (1.0,))
+
+
+def fraud_outcomes(ledgers):
+    return tally_ledgers(ledgers).fraud_outcomes()
 
 
 def ledger(epoch, frauds=(), verdicts=(), neutralized=(), confirmed=True, protocol="pob"):
