@@ -17,8 +17,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 from .chain import Block, fork_choice, signer_weight
-from .scoring import (ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile,
-                      check_record_ranges)
+from .scoring import ActionKind, BehaviorColumns, MotivationProfile, check_record_ranges
 from .weights import WeightTable
 
 _ABOVE_ZERO = math.ulp(0.0)  # the least float above 0: a lower bound that excludes 0
@@ -184,12 +183,6 @@ class Strategy:
         """Append this epoch's records of the validator at roster position `pos`.
         Honest draws do not depend on `ctx.is_proposer` (see `draw_honest`)."""
         draw_honest(cols, ctx.shape, pos, (ctx.rng_behavior.random,))
-
-    def behaviors(self, ctx: EpochContext) -> list[BehaviorRecord]:
-        """This epoch's records as objects: what `emit` appends, built into records."""
-        cols = BehaviorColumns(ctx.epoch)
-        self.emit(ctx, cols, 0)
-        return list(cols.records((ctx.vid,)))
 
 
 class HonestStrategy(Strategy):

@@ -114,6 +114,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             command = "sweep" if config.sweep else "run"
     else:
         config = load_config(args.config)
+    if command == "replay" and args.epochs is not None:
+        raise ConfigError("epochs", "a replay runs one epoch per trace block")
     config = _apply_overrides(config, args)
     out = args.out or Path(os.environ.get("POBSIM_OUT", "pobsim-out")) / (config.name + suffix)
     if command == "ic-check":

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .adversaries import StrategySpec
-from .errors import ConfigError
-from .rewards import RewardSchedule
+from .errors import ConfigError, RewardPoolError
+from .rewards import RewardSchedule, stipends
 from .scoring import ActionKind
 from .weights import left_sum
 
@@ -459,13 +459,14 @@ class ScenarioConfig:
                 f"{self.resolved_committee_size()} exceeds n_validators - 1 "
                 f"= {self.n_validators - 1}",
             )
+        # The pool check of every epoch's split (rewards.stipends), for the most validators
+        # that can be active at once: the configured ones and the newcomer. A respawned
+        # Sybil only replaces a retired one, so no run can fail it once this passes.
         n_active_max = self.n_validators + (1 if self.newcomer_epoch is not None else 0)
-        if self.resolved_r_base() * n_active_max > self.r_total + 1e-9:
-            raise ConfigError(
-                "r_base",
-                f"stipend {self.resolved_r_base()} x {n_active_max} validators "
-                f"exceeds r_total {self.r_total}",
-            )
+        try:
+            stipends(self.reward_schedule(), n_active_max)
+        except RewardPoolError as exc:
+            raise ConfigError("r_base", str(exc)) from None
         for param, values in (self.sweep or {}).items():
             for value in values:
                 apply_sweep_point(self, {param: value})

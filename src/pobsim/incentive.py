@@ -66,7 +66,7 @@ def _focal_arm(config: ScenarioConfig, seed: int, focal: str) -> tuple[list[floa
     A focal off the roster (a retired adaptive Sybil) or not active is not paid.
     """
     payoffs = [0.0] * config.epochs
-    tally = TrialTally()
+    tally = TrialTally(config, "pob")
     with closing(trial_epochs(config, seed, ("pob",))) as epochs:
         for (ledger,) in epochs:
             tally.add(ledger)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import ScenarioConfig
 from .netsim import EpochLedger
-from .rewards import split_pool
+from .rewards import PoolSplit, split_pool
 from .scoring import ActionKind, MotivationProfile, total_utility
 from .watchdog import Penalty, Verdict, slash
 from .weights import ema_step, normalize
@@ -182,12 +182,14 @@ def ledger_to_json(ledger: EpochLedger, last: Optional[dict] = None) -> str:
     )
 
 
-def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[dict[str, float], tuple]:
+def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[list[float], PoolSplit]:
     """Recompute an epoch's after-state from its recorded inputs.
 
     Applies the recorded verdicts and re-runs the trial's scoring, slash,
-    weight and reward kernels. Must reproduce the recorded weights and
-    payouts bit-exactly; anything else means the ledger or the pipeline drifted.
+    weight and reward kernels. Returns the roster-aligned weights after the
+    epoch and the pool split, which must equal the ledger's
+    `roster_weights_after` and `pool_split` bit-exactly; anything else means
+    the ledger or the pipeline drifted.
     """
     if ledger.protocol != "pob":
         raise ValueError("ledger replay is defined for the behavior-weighted protocol")
@@ -203,5 +205,4 @@ def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[dict[str,
                 weights[at] = slash(weights[at], Penalty(v.penalty_kind, v.penalty_value))
         weights = normalize(weights)
     weights = ema_step(weights, scores, config.rho)
-    split = split_pool(config.reward_schedule(), weights, scores, ledger.roster_activeness)
-    return dict(zip(roster, weights)), split.records(roster)
+    return weights, split_pool(config.reward_schedule(), weights, scores, ledger.roster_activeness)

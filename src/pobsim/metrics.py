@@ -165,17 +165,16 @@ class TrialTally:
     per-epoch lists (confirm latencies, two election-probability
     trajectories). Sums are taken over those lists when a metric is read,
     in the order a pass over the full ledger list takes them, so the
-    results are bit-identical to it. Without a config only the fraud and
-    proposer facts are tallied.
+    results are bit-identical to it.
     """
 
-    def __init__(self, config: Optional[ScenarioConfig] = None, protocol: str = "pob"):
+    def __init__(self, config: ScenarioConfig, protocol: str):
         self.config = config
-        adversaries = adversary_ids(config) if config is not None else []
+        adversaries = adversary_ids(config)
         self.first_adversary = adversaries[0] if adversaries else None
-        self.join = config.newcomer_epoch if config is not None else None
+        self.join = config.newcomer_epoch
         # The stake lottery is the election rule at delta = 0.
-        self.delta = config.delta if config is not None and protocol == "pob" else 0.0
+        self.delta = config.delta if protocol == "pob" else 0.0
         self.epochs = 0
         # (epoch, actor, behavior index, value, accepted unless found guilty)
         self.frauds: list[tuple[int, str, int, float, bool]] = []
@@ -287,17 +286,6 @@ class TrialTally:
             fraud_accepted=accepted,
             fraud_accepted_value=accepted_value,
         )
-
-
-def tally_ledgers(
-    ledgers: Sequence[EpochLedger],
-    config: Optional[ScenarioConfig] = None,
-    protocol: str = "pob",
-) -> TrialTally:
-    tally = TrialTally(config, protocol)
-    for ledger in ledgers:
-        tally.add(ledger)
-    return tally
 
 
 def paired_loss_averted(pob: TrialTally, pos: TrialTally) -> float:

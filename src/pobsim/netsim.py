@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import log
-from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import adversaries as adv
@@ -41,7 +40,7 @@ from .baseline_pos import (
 )
 from .chain import extend_chain, genesis_block
 from .config import ScenarioConfig, check_config
-from .rewards import Payout, PoolSplit, RewardSchedule, active_flags, split_pool, stipends
+from .rewards import PoolSplit, RewardSchedule, split_pool
 from .rng import RngHub
 from .scoring import (
     SINGLE_KIND_DIVERSITY,
@@ -53,7 +52,8 @@ from .scoring import (
     diversity_index,
     looks_scripted,
 )
-from .trace import TraceBlock, check_trace, parse_trace
+from .trace import TraceBlock, check_trace
+from .trace import parse_trace  # noqa: F401  benchmarks/child.py and test_acceptance read it here
 from .watchdog import Verdict, process_epoch_suspicions
 from .weights import WeightTable, dampened_pick, ema_step, left_sum, normalize
 
@@ -93,21 +93,16 @@ class LatencyModel:
 # Epoch ledger
 # ---------------------------------------------------------------------------
 
-def _roster_map(column: str) -> cached_property:
-    """A view of the roster-aligned list `column` as {id: value}, built on first read."""
-    return cached_property(lambda ledger: dict(zip(ledger.roster, getattr(ledger, column))))
-
-
 @dataclass
 class EpochLedger:
     """Append-only audit record of one epoch.
 
     It stores the epoch's inputs: the sorted roster, behavior columns,
     reward schedule, activeness blend, three roster-aligned float lists and
-    the delays. What follows from them (activeness, pool split and the
-    record and {id: float} views) is built when first read. The writer
-    (`ledger.ledger_to_json`) interleaves the delays into the file's latency
-    samples.
+    the delays. What follows from them (activeness, pool split, the
+    behavior records and the {id: weight} map before the epoch) is built
+    when first read. The writer (`ledger.ledger_to_json`) interleaves the
+    delays into the file's latency samples.
     """
 
     epoch: int
@@ -131,11 +126,6 @@ class EpochLedger:
     # (trial_epochs); a ledger built without one works out its own.
     activity: Optional[_Activity] = field(default=None, repr=False, compare=False)
 
-    scores = _roster_map("roster_scores")
-    activeness = _roster_map("roster_activeness")
-    weights_before = _roster_map("roster_weights_before")
-    weights_after = _roster_map("roster_weights_after")
-
     @cached_property
     def roster_activeness(self) -> list[float]:
         if not self.roster:
@@ -153,8 +143,8 @@ class EpochLedger:
         return self.behavior_rows.records(self.roster)
 
     @cached_property
-    def payouts(self) -> tuple[Payout, ...]:
-        return self.pool_split.records(self.roster)
+    def weights_before(self) -> dict[str, float]:
+        return dict(zip(self.roster, self.roster_weights_before))
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +770,6 @@ def trial_epochs(
             confirmed = confirm_ms is not None
             confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
             weights_after = rules.settle(state, scores)
-            # split_pool's check, run here: the ledger splits the pool only when read
-            stipends(state.schedule, sum(active_flags(state.schedule, scores)))
             if confirmed:
                 rules.chain.append(extend_chain(rules.chain[-1], proposer, utility,
                                                 state.signers, weights_after))
@@ -807,31 +795,7 @@ def run_trial(
     seed: int,
     protocol: Optional[str] = None,
     trace: Optional[Sequence[TraceBlock]] = None,
-    sink: Optional[Callable[[EpochLedger], None]] = None,
 ) -> list[EpochLedger]:
-    """Execute one seeded trial of one protocol (`trial_epochs`), handing each
-    ledger to `sink`.
-
-    Without a sink the ledgers are collected and returned; with one the
-    trial keeps no ledger once `sink` returns, and the returned list is
-    empty.
-    """
-    ledgers: list[EpochLedger] = []
-    if sink is None:
-        sink = ledgers.append
-    for (ledger,) in trial_epochs(config, seed, (protocol or config.protocol,), trace):
-        sink(ledger)
-    return ledgers
-
-
-def replay_trace(
-    trace: Sequence[TraceBlock] | str | Path,
-    config: ScenarioConfig,
-    seed: Optional[int] = None,
-    protocol: Optional[str] = None,
-) -> list[EpochLedger]:
-    """Drive the epoch loop from a block trace instead of live strategies."""
-    blocks = parse_trace(trace) if isinstance(trace, (str, Path)) else list(trace)
-    return run_trial(config, seed if seed is not None else config.seed,
-                     protocol=protocol, trace=blocks)
-
+    """One seeded trial of one protocol (`trial_epochs`), its ledgers as a list."""
+    protocols = (protocol or config.protocol,)
+    return [ledger for (ledger,) in trial_epochs(config, seed, protocols, trace)]

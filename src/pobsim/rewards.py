@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import gt
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import RewardPoolError
 from .weights import left_sum
@@ -33,15 +33,6 @@ class RewardSchedule:
             raise ValueError("activeness_epsilon must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class Payout:
-    validator: str
-    base: float
-    bonus: float
-    activeness_multiplier: float
-    total: float
-
-
 @dataclass
 class PoolSplit:
     """One epoch's payouts as columns: the paid roster positions, in roster order."""
@@ -51,15 +42,6 @@ class PoolSplit:
     bonus: list[float]
     multiplier: list[float]
     total: list[float]
-
-    def records(self, roster: Sequence[str]) -> tuple[Payout, ...]:
-        return tuple(map(Payout, map(roster.__getitem__, self.actives), repeat(self.base),
-                         self.bonus, self.multiplier, self.total))
-
-
-def active_flags(schedule: RewardSchedule, scores: Iterable[float]) -> Iterator[bool]:
-    """Whether each validator is active: its epoch score strictly above the threshold."""
-    return map(gt, scores, repeat(schedule.activity_threshold))
 
 
 def stipends(schedule: RewardSchedule, active_count: int) -> float:
@@ -78,14 +60,16 @@ def split_pool(schedule: RewardSchedule, weights: Sequence[float], scores: Seque
                activeness: Sequence[float]) -> PoolSplit:
     """Split the epoch pool over the active set; the lists are aligned by roster position.
 
-    The active set is the validators `active_flags` marks. Each active
-    validator receives base + bonus * (its weight share among actives),
-    scaled by (1 + epsilon * A_i). Inactive validators receive nothing. If every
-    active validator has zero weight the bonus is split uniformly.
+    The active set is the validators whose epoch score is strictly above
+    `activity_threshold`. Each active validator receives base + bonus * (its
+    weight share among actives), scaled by (1 + epsilon * A_i). Inactive
+    validators receive nothing. If every active validator has zero weight
+    the bonus is split uniformly.
     Raises RewardPoolError when the stipends alone exceed the pool.
     """
     base = schedule.base_reward
-    actives = list(compress(range(len(scores)), active_flags(schedule, scores)))
+    active = map(gt, scores, repeat(schedule.activity_threshold))
+    actives = list(compress(range(len(scores)), active))
     if not actives:
         return PoolSplit([], base, [], [], [])
     bonus_pool = schedule.total_reward - stipends(schedule, len(actives))

@@ -6,6 +6,7 @@ with `#` comments and blank lines allowed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -33,8 +34,8 @@ class TraceBlock:
 def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
     """Parse a line-oriented block trace (see the module docstring).
 
-    Any deviation (wrong field count, bad types, out-of-range values)
-    raises TraceError with the line number.
+    Any deviation (wrong field count, bad types, a non-finite utility,
+    out-of-range values) raises TraceError with the line number.
     """
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
@@ -56,6 +57,8 @@ def parse_trace(source: str | Path | Iterable[str]) -> list[TraceBlock]:
             alpha = float(fields[5])
         except ValueError as exc:
             raise TraceError(line_no, f"bad numeric field: {exc}") from None
+        if not math.isfinite(base_utility):
+            raise TraceError(line_no, f"base_utility {base_utility} is not finite")
         proposer = fields[1].strip()
         kind_str = fields[2].strip()
         exploit_str = fields[6].strip()

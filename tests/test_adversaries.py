@@ -16,7 +16,8 @@ from pobsim.adversaries import (
     SybilCoalition,
 )
 from pobsim.config import DEFAULT_MOTIVATION_INTENSITIES, DEFAULT_MOTIVATION_WEIGHTS
-from pobsim.scoring import ActionKind, BehaviorRecord, MotivationProfile, outcome_utility
+from pobsim.scoring import (ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile,
+                            outcome_utility)
 
 
 def shape():
@@ -38,6 +39,13 @@ def ctx(epoch=0, vid="v0", is_proposer=False, seed=0):
         rng_adversary=random.Random(seed + 1),
         shape=shape(),
     )
+
+
+def behaviors(strategy, c):
+    """One epoch of `strategy` as records: what it emits, built into records."""
+    cols = BehaviorColumns(c.epoch)
+    strategy.emit(c, cols, 0)
+    return list(cols.records((c.vid,)))
 
 
 def params(kind, **given):
@@ -85,7 +93,7 @@ class TestStrategySpec:
 class TestHonestStrategy:
     def test_one_positive_behavior_per_epoch(self):
         s = HonestStrategy()
-        records = s.behaviors(ctx())
+        records = behaviors(s, ctx())
         assert len(records) == 1
         assert records[0].base_utility > 0
         assert records[0].kind == ActionKind.VALIDATE
@@ -95,7 +103,7 @@ class TestHonestStrategy:
         c = ctx()
         for epoch in range(10_000):
             c.epoch = epoch
-            for r in s.behaviors(c):
+            for r in behaviors(s, c):
                 assert r.kind in (ActionKind.PROPOSE, ActionKind.VALIDATE, ActionKind.ORACLE)
                 assert not r.is_fraud_ground_truth
 
@@ -108,7 +116,7 @@ class TestHonestStrategy:
 class TestStealthStrategy:
     def test_rate_one_always_fraud(self):
         s = StealthStrategy(fraud_rate=1.0, fraud_value=10.0)
-        records = s.behaviors(ctx())
+        records = behaviors(s, ctx())
         assert len(records) == 1
         assert records[0].kind == ActionKind.FRAUD
         assert records[0].base_utility == -10.0
@@ -121,12 +129,12 @@ class TestStealthStrategy:
         n = 10_000
         for epoch in range(n):
             c.epoch = epoch
-            frauds += sum(r.is_fraud_ground_truth for r in s.behaviors(c))
+            frauds += sum(r.is_fraud_ground_truth for r in behaviors(s, c))
         assert abs(frauds / n - 0.05) < 0.005
 
     def test_camouflage_is_honest_shaped(self):
         s = StealthStrategy(fraud_rate=0.0001, fraud_value=10.0)
-        records = s.behaviors(ctx(seed=4))
+        records = behaviors(s, ctx(seed=4))
         assert records[0].base_utility > 0
         assert not records[0].is_fraud_ground_truth
 
@@ -143,7 +151,7 @@ class TestSybilBurst:
         records = []
         for m in members:
             c = ctx(epoch=5, vid=m)
-            records.extend(strategies[m].behaviors(c))
+            records.extend(behaviors(strategies[m], c))
         assert len(records) == 10
         assert all(r.base_utility == pytest.approx(-0.1) for r in records)
         assert all(r.is_fraud_ground_truth for r in records)
@@ -151,7 +159,7 @@ class TestSybilBurst:
     def test_camouflage_before_burst(self):
         _, coalition = self.make(burst_epoch=5)
         s = SybilBurstStrategy(coalition)
-        records = s.behaviors(ctx(epoch=4, vid="s0"))
+        records = behaviors(s, ctx(epoch=4, vid="s0"))
         assert all(not r.is_fraud_ground_truth for r in records)
 
     def test_single_burst_by_default(self):
@@ -174,7 +182,7 @@ class TestSybilBurst:
 class TestGriefing:
     def test_empty_block_when_elected(self):
         s = GriefingStrategy(**params("griefing", empty_block_run=10, utility_epsilon=0.01))
-        records = s.behaviors(ctx(is_proposer=True))
+        records = behaviors(s, ctx(is_proposer=True))
         assert len(records) == 1
         assert records[0].kind == ActionKind.PROPOSE
         assert records[0].base_utility == pytest.approx(0.01)
@@ -183,7 +191,7 @@ class TestGriefing:
     def test_never_negative_utility(self):
         s = GriefingStrategy(**params("griefing"))
         for epoch in range(200):
-            for r in s.behaviors(ctx(epoch=epoch, is_proposer=epoch % 2 == 0, seed=epoch)):
+            for r in behaviors(s, ctx(epoch=epoch, is_proposer=epoch % 2 == 0, seed=epoch)):
                 assert outcome_utility(r) >= 0.0
                 assert not r.is_fraud_ground_truth
 
@@ -191,20 +199,20 @@ class TestGriefing:
         s = GriefingStrategy(**params("griefing", empty_block_run=3))
         empties = 0
         for epoch in range(10):
-            records = s.behaviors(ctx(epoch=epoch, is_proposer=True, seed=epoch))
+            records = behaviors(s, ctx(epoch=epoch, is_proposer=True, seed=epoch))
             empties += sum(1 for r in records if r.base_utility <= 0.011)
         assert empties == 3
 
     def test_zero_run_is_honest(self):
         s = GriefingStrategy(**params("griefing", empty_block_run=0))
-        records = s.behaviors(ctx(is_proposer=True))
+        records = behaviors(s, ctx(is_proposer=True))
         assert records[0].base_utility > 0.4
 
 
 class TestAdaptiveSybil:
     def test_always_misbehaves(self):
         s = AdaptiveSybilStrategy({"s0"}, fraud_value=2.0)
-        records = s.behaviors(ctx(vid="s0"))
+        records = behaviors(s, ctx(vid="s0"))
         assert records[0].base_utility == -2.0
         assert records[0].is_fraud_ground_truth
 
@@ -286,7 +294,7 @@ class TestHonestStreamPinning:
         for epoch in range(50):
             for c in (got, want):
                 c.epoch, c.is_proposer = epoch, epoch % 7 == 0
-            records = HonestStrategy().behaviors(got)
+            records = behaviors(HonestStrategy(), got)
             expected = reference_honest_epoch(want)
             assert records == expected
             assert [repr(r) for r in records] == [repr(r) for r in expected]

@@ -223,23 +223,49 @@ IGNORED = [  # (command, config text, extra arguments, the field the command wou
     ("ic-check", TINY.replace("paired", "pob") + "sweep:\n  rho: [0.5, 0.9]\n", [], "sweep"),
     ("sweep", TINY + "sweep:\n  rho: [0.5, 0.9]\n", ["--ledgers"], "emit_ledgers"),
     ("ic-check", TINY.replace("paired", "pob"), ["--ledgers"], "emit_ledgers"),
+    # a replay runs one epoch per trace block; the preset replays the bundled trace
+    ("replay", TINY, ["--epochs", "5"], "epochs"),
+    ("preset", "", ["--epochs", "5"], "epochs"),  # a preset reads no config file
 ]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("command,text,extra,field", IGNORED,
                          ids=["run-sweep", "replay-sweep", "ic-check-sweep", "sweep-ledgers",
-                              "ic-check-ledgers"])
+                              "ic-check-ledgers", "replay-epochs", "preset-replay-epochs"])
 def test_a_field_the_command_would_ignore_exits_1_without_output(
         command, text, extra, field, workers, tmp_path, capsys):
     cfg, trace = tmp_path / "scenario.yaml", tmp_path / "ok.trace"
     cfg.write_text(text)
     trace.write_text("0,v0001,propose-block,1.0,1.0,1.0,0\n")
     out = tmp_path / "out"
-    positionals = [str(trace), str(cfg)] if command == "replay" else [str(cfg)]
+    positionals = {"replay": [str(trace), str(cfg)],
+                   "preset": ["case-c-replay"]}.get(command, [str(cfg)])
     argv = [command, *positionals, *extra, "--workers", workers, "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+    assert not out.exists()
+
+
+# r_base x (n_validators + newcomer) over r_total by less than 1e-9: the first a few
+# ulps over, the second 100/11 as written, one ulp over.
+STIPENDS_OVER_THE_POOL = [
+    "protocol: pob\nn_validators: 3\nepochs: 5\ntrials: 2\nr_total: 1.0\n"
+    "r_base: 0.33333333334\ncommittee_size: 2\n",
+    "protocol: pob\nn_validators: 11\nepochs: 5\ntrials: 2\nr_total: 100.0\n"
+    "r_base: 9.090909090909092\n",
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("text", STIPENDS_OVER_THE_POOL, ids=["thirds", "elevenths"])
+def test_stipends_over_the_pool_exit_1_without_output(text, workers, tmp_path, capsys):
+    cfg = tmp_path / "stipends.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--workers", workers, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'r_base': base stipend") and "exceeds pool" in err
     assert not out.exists()
 
 

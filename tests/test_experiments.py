@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import pickle
@@ -324,6 +325,9 @@ def test_names_the_benchmark_looks_up_resolve():
     for module, attrs in names.items():
         for attr in attrs:
             assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+    # bench_trace.py binds a wrapped run_trial's arguments by these names
+    parameters = inspect.signature(experiments.run_trial).parameters
+    assert {"config", "protocol", "trace"} <= set(parameters)
 
 
 @pytest.mark.parametrize("order", ["pobsim.ledger, pobsim.trace, pobsim",

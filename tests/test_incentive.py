@@ -14,7 +14,7 @@ from pobsim.incentive import (
     _focal_arm,
     _honest_variant,
 )
-from pobsim.metrics import tally_ledgers
+from pobsim.metrics import TrialTally
 from pobsim.netsim import run_trial
 
 
@@ -118,7 +118,7 @@ class TestEmpiricalIc:
         honest = _honest_variant(cfg, 9)
         a = run_trial(honest, 5, protocol="pob")
         b = run_trial(_honest_variant(honest, 9), 5, protocol="pob")
-        assert [l.payouts for l in a] == [l.payouts for l in b]
+        assert [(l.roster, l.pool_split) for l in a] == [(l.roster, l.pool_split) for l in b]
 
     def test_report_shape_and_direction(self):
         report = empirical_ic(tiny_ic_config(), discount=0.9)
@@ -142,16 +142,19 @@ class TestEmpiricalIc:
 
 
 def reference_arm(config, seed, focal):
-    """The focal's payoffs and fraud outcomes from the full ledger list: one
-    `Payout` record per paid validator per epoch, then the focal's accepted
-    frauds. `_focal_arm` streams the trial instead."""
+    """The focal's payoffs and fraud outcomes from the full ledger list: a scan of
+    every paid validator per epoch, then the focal's accepted frauds from a
+    tally of every ledger. `_focal_arm` streams the trial instead."""
     ledgers = run_trial(config, seed, protocol="pob")
     payoffs = [0.0] * config.epochs
+    tally = TrialTally(config, "pob")
     for ledger in ledgers:
-        for payout in ledger.payouts:
-            if payout.validator == focal:
-                payoffs[ledger.epoch] += payout.total
-    outcomes = [o for o in tally_ledgers(ledgers).fraud_outcomes() if o.actor == focal]
+        split = ledger.pool_split
+        for position, total in zip(split.actives, split.total):
+            if ledger.roster[position] == focal:
+                payoffs[ledger.epoch] += total
+        tally.add(ledger)
+    outcomes = [o for o in tally.fraud_outcomes() if o.actor == focal]
     for outcome in outcomes:
         if outcome.accepted:
             payoffs[outcome.epoch] += outcome.value
@@ -159,7 +162,7 @@ def reference_arm(config, seed, focal):
 
 
 def unpaid_epochs(ledgers, focal):
-    return sum(1 for l in ledgers if focal not in {p.validator for p in l.payouts})
+    return sum(1 for l in ledgers if focal not in {l.roster[p] for p in l.pool_split.actives})
 
 
 class TestFocalArm:

@@ -91,8 +91,8 @@ def ledger_digest(name: str, overrides: dict) -> str:
     config = _config(name, overrides)
     digest = hashlib.sha256()
     for protocol in _protocols(config):
-        run_trial(config, config.seed, protocol=protocol,
-                  sink=lambda ledger: digest.update((ledger_to_json(ledger) + "\n").encode()))
+        for ledger in run_trial(config, config.seed, protocol=protocol):
+            digest.update((ledger_to_json(ledger) + "\n").encode())
     return digest.hexdigest()
 
 

@@ -1,11 +1,11 @@
 """The views of a ledger's columns, and the checks the columns keep.
 
 A ledger keeps its epoch's sorted roster and columns and builds
-`behaviors`, `payouts` and the four {id: float} maps when they are first
-read, as it does the activeness and pool split they rest on. These tests
-check that the views show exactly the columns, in roster order, that each
-is built once, and that honest draws written in bulk still fail the
-record's range check with the record's own message.
+`behaviors` and the `weights_before` map when they are first read, as it
+does the activeness and pool split. These tests check that the views show
+exactly the columns, in roster order, that each is built once, and that
+honest draws written in bulk still fail the record's range check with the
+record's own message.
 """
 
 import random
@@ -23,8 +23,8 @@ from pobsim.ledger import ledger_to_json
 from pobsim.netsim import run_trial
 from pobsim.scoring import ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile
 
-MAPS = {"scores": "roster_scores", "activeness": "roster_activeness",
-        "weights_before": "roster_weights_before", "weights_after": "roster_weights_after"}
+COLUMNS = ("roster_scores", "roster_activeness", "roster_weights_before",
+           "roster_weights_after")
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +45,12 @@ def test_views_show_the_columns(trials, protocol):
     assert any(True in l.behavior_rows.fraud for l in ledgers)
     for ledger in ledgers:
         written = ledger_to_json(ledger)  # before any view is built
-        roster, rows, split = ledger.roster, ledger.behavior_rows, ledger.pool_split
-        for view, column in MAPS.items():
-            assert list(getattr(ledger, view).values()) == getattr(ledger, column)
+        roster, rows = ledger.roster, ledger.behavior_rows
+        assert list(ledger.weights_before.values()) == ledger.roster_weights_before
         assert ledger.behaviors == tuple(
             BehaviorRecord(roster[rows.actor[i]], rows.epoch, rows.kind[i], rows.base_utility[i],
                            rows.context_factor[i], rows.initiative[i], rows.motivation[i],
                            rows.fraud[i]) for i in range(len(rows.actor)))
-        assert [(p.validator, p.base, p.bonus, p.activeness_multiplier, p.total)
-                for p in ledger.payouts] == [
-            (roster[a], split.base, *x)
-            for a, *x in zip(split.actives, split.bonus, split.multiplier, split.total)]
         assert ledger_to_json(ledger) == written  # reading the views changes no byte
 
 
@@ -64,15 +59,16 @@ def test_maps_keep_roster_order(trials, protocol):
     for ledger in trials[protocol]:
         roster = ledger.roster
         assert roster == sorted(roster)
-        for name in MAPS:
-            assert list(getattr(ledger, name)) == roster
+        assert list(ledger.weights_before) == roster
+        assert all(len(getattr(ledger, column)) == len(roster) for column in COLUMNS)
         assert [b.actor for b in ledger.behaviors] == sorted(b.actor for b in ledger.behaviors)
-        assert [p.validator for p in ledger.payouts] == sorted(p.validator for p in ledger.payouts)
+        actives = ledger.pool_split.actives
+        assert actives == sorted(set(actives)) and set(actives) <= set(range(len(roster)))
 
 
 def test_views_are_built_once(trials):
     ledger = trials["pob"][3]
-    for view in ("behaviors", "payouts", *MAPS, *MAPS.values(), "pool_split"):
+    for view in ("behaviors", "weights_before", "roster_activeness", "pool_split"):
         assert getattr(ledger, view) is getattr(ledger, view)
 
 
@@ -96,7 +92,7 @@ def _ctx(seed, shape):
 def test_out_of_range_initiative_keeps_the_record_message(oracle_rate):
     shape = _shape(initiative_hi=1.5, oracle_rate=oracle_rate)
     with pytest.raises(ValueError, match=r"^initiative 1\.2821589626462724 outside \[0, 1\]$"):
-        HonestStrategy().behaviors(_ctx(0, shape))
+        HonestStrategy().emit(_ctx(0, shape), BehaviorColumns(0), 0)
     # In bulk the check runs once over the cohort and names its first offending row.
     cols = BehaviorColumns(0)
     draws = [_ctx(seed, shape).rng_behavior.random for seed in (4, 3, 2)]

@@ -10,8 +10,9 @@ from pobsim.metrics import (
     gini,
     paired_loss_averted,
     suppression_time,
-    tally_ledgers,
+    TrialTally,
 )
+from pobsim.config import ScenarioConfig
 from pobsim.netsim import EpochLedger
 from pobsim.rewards import RewardSchedule
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
@@ -20,8 +21,16 @@ from pobsim.watchdog import Verdict
 MOT = MotivationProfile((0.0,), (1.0,))
 
 
+def tally(ledgers, protocol="pob"):
+    """The ledgers folded, in order, into a tally of a plain two-validator trial."""
+    folded = TrialTally(ScenarioConfig(protocol=protocol, n_validators=2), protocol)
+    for each in ledgers:
+        folded.add(each)
+    return folded
+
+
 def fraud_outcomes(ledgers):
-    return tally_ledgers(ledgers).fraud_outcomes()
+    return tally(ledgers).fraud_outcomes()
 
 
 def ledger(epoch, frauds=(), verdicts=(), neutralized=(), confirmed=True, protocol="pob"):
@@ -182,7 +191,7 @@ class TestLossAverted:
     def test_identical_acceptance_sets(self):
         pob = [ledger(0, frauds=[("a", 10.0)])]
         pos = [ledger(0, frauds=[("a", 10.0)], protocol="pos")]
-        assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == 0.0
+        assert paired_loss_averted(tally(pob), tally(pos, "pos")) == 0.0
 
     def test_million_dollar_example(self):
         # baseline accepts 1.0M; behavior weighting accepts 0.25M
@@ -195,18 +204,18 @@ class TestLossAverted:
             ledger(0, frauds=[("a", 250_000.0)], protocol="pos"),
             ledger(1, frauds=[("a", 750_000.0)], protocol="pos"),
         ]
-        assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == pytest.approx(750_000.0)
+        assert paired_loss_averted(tally(pob), tally(pos, "pos")) == pytest.approx(750_000.0)
 
     def test_signed_result(self):
         pob = [ledger(0, frauds=[("a", 10.0)])]
         pos = [ledger(0, frauds=[("a", 10.0)], neutralized=("a",), protocol="pos")]
-        assert paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos)) == pytest.approx(-10.0)
+        assert paired_loss_averted(tally(pob), tally(pos, "pos")) == pytest.approx(-10.0)
 
     def test_unpaired_trials_rejected(self):
         pob = [ledger(0, frauds=[("a", 10.0)])]
         pos = [ledger(0, frauds=[("b", 10.0)], protocol="pos")]
         with pytest.raises(ValueError):
-            paired_loss_averted(tally_ledgers(pob), tally_ledgers(pos))
+            paired_loss_averted(tally(pob), tally(pos, "pos"))
 
 
 class TestAggregate:

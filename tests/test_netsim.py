@@ -11,14 +11,14 @@ import pytest
 
 from pobsim.config import PenaltySettings, ScenarioConfig, RosterEntry, with_overrides
 from pobsim.adversaries import PARAMS, StrategySpec
-from pobsim.errors import ConfigError, RewardPoolError, TraceError
+from pobsim.errors import ConfigError, TraceError
 from pobsim.metrics import TrialTally
 from pobsim import chain, netsim
 from pobsim.presets import builtin_presets, bundled_trace_path
 from pobsim.rewards import RewardSchedule, split_pool
 from pobsim.rng import RngHub
 from pobsim.ledger import ledger_to_json, replay_epoch
-from pobsim.netsim import LatencyModel, replay_trace, quorum_time, run_trial
+from pobsim.netsim import LatencyModel, quorum_time, run_trial
 from pobsim.trace import TraceBlock, check_trace, parse_trace
 from pobsim.scoring import (ActionKind, ActivenessInputs, activeness, diversity_index,
                             total_utility)
@@ -214,6 +214,15 @@ class TestTraceIO:
         with pytest.raises(TraceError):
             parse_trace(["0,v0001,propose-block,1.0,1.5,0.9,0"])
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("exploit", ["0", "1"])
+    def test_non_finite_utility_rejected(self, value, exploit):
+        lines = ["1,v0001,propose-block,1.0,1.0,1.0,0",
+                 f"2,v0002,propose-block,{value},1.0,1.0,{exploit}"]
+        with pytest.raises(TraceError, match=r"^trace line 2: base_utility -?(inf|nan) "
+                                             r"is not finite$"):
+            parse_trace(lines)
+
     def test_height_must_be_sequential(self):
         with pytest.raises(TraceError):
             parse_trace([
@@ -289,7 +298,7 @@ class TestRunTrial:
             record = ledger.behaviors[first]
             assert (record.actor, record.kind) == (proposer, ActionKind.PROPOSE)
             mine = [total_utility(b) for b in ledger.behaviors if b.actor == proposer]
-            assert ledger.scores[proposer] == reduce(add, mine, 0.0)
+            assert ledger.roster_scores[ledger.roster.index(proposer)] == reduce(add, mine, 0.0)
 
     def test_all_honest_no_verdicts(self):
         ledgers = run_trial(small_config(epochs=50), 3)
@@ -299,13 +308,13 @@ class TestRunTrial:
     def test_weights_stay_normalized(self):
         ledgers = run_trial(small_config(epochs=40), 2)
         for l in ledgers:
-            assert math.isclose(sum(l.weights_after.values()), 1.0, abs_tol=1e-9)
+            assert math.isclose(sum(l.roster_weights_after), 1.0, abs_tol=1e-9)
 
     def test_reward_conservation_each_epoch(self):
         cfg = small_config(epochs=40)
         for l in run_trial(cfg, 2):
-            total = sum(p.total for p in l.payouts)
-            if l.payouts:
+            total = sum(l.pool_split.total)
+            if l.pool_split.actives:
                 assert math.isclose(total, cfg.r_total, abs_tol=1e-9)
 
     @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
@@ -319,9 +328,9 @@ class TestRunTrial:
         # make sure slashes of this mode happened
         assert any(v.penalty_kind == mode for l in ledgers for v in l.verdicts)
         for l in ledgers:
-            weights, payouts = replay_epoch(l, cfg)
-            assert weights == l.weights_after
-            assert payouts == l.payouts
+            weights, split = replay_epoch(l, cfg)
+            assert weights == l.roster_weights_after
+            assert split == l.pool_split
 
     def test_ledger_json_parses_canonically(self):
         ledgers = run_trial(small_config(epochs=3), 1)
@@ -494,14 +503,14 @@ class TestSinglePassFacts:
             for l in ledgers:
                 alive = sorted(l.weights_before)
                 mean_actions = len(l.behaviors) / len(alive)
-                for v in alive:
+                for pos, v in enumerate(alive):
                     mine = [b for b in l.behaviors if b.actor == v]
-                    assert l.scores[v] == reduce(add, (total_utility(b) for b in mine), 0)
+                    assert l.roster_scores[pos] == reduce(add, (total_utility(b) for b in mine), 0)
                     mean_initiative = (reduce(add, (b.initiative for b in mine), 0) / len(mine)
                                        if mine else 0.0)
                     inputs = ActivenessInputs(len(mine), mean_actions, mean_initiative,
                                               diversity_index(b.kind for b in mine), cfg.betas)
-                    assert l.activeness[v] == activeness(inputs)
+                    assert l.roster_activeness[pos] == activeness(inputs)
             confirmed = [l for l in ledgers if l.confirmed]
             assert len(blocks) == len(confirmed) > 0
             assert sorted_sums == []  # extending the chain sorts no signer set
@@ -510,9 +519,10 @@ class TestSinglePassFacts:
                 cumulative += reduce(add, (total_utility(b) for b in l.behaviors), 0)
                 assert block.cumulative_utility == cumulative
                 # the roster sum is bit-identical to sorting the signer set
-                assert block.signers == frozenset(l.weights_after)
+                weights_after = dict(zip(l.roster, l.roster_weights_after))
+                assert block.signers == frozenset(weights_after)
                 assert block.signer_weight == sorting_weight(block.signers,
-                                                             WeightTable(l.weights_after))
+                                                             WeightTable(weights_after))
 
 
 class TestOneLoop:
@@ -570,7 +580,7 @@ class TestOneLoop:
 
 class TestLazyLedger:
     """A ledger computes its activeness and pool split when first read, so a
-    trial whose sink reads neither pays for neither."""
+    trial whose reader reads neither pays for neither."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -589,7 +599,9 @@ class TestLazyLedger:
         calls = self._counting(monkeypatch)
         cfg = small_config(epochs=20, oracle_rate=0.5, epsilon=0.5)
         for protocol in ("pob", "pos"):
-            run_trial(cfg, 3, protocol=protocol, sink=TrialTally(cfg, protocol).add)
+            tally = TrialTally(cfg, protocol)
+            for (ledger,) in netsim.trial_epochs(cfg, 3, (protocol,)):
+                tally.add(ledger)
         assert calls == {"split_pool": 0, "activeness_column": 0}
         ledgers = run_trial(cfg, 3)
         assert calls == {"split_pool": 0, "activeness_column": 0}
@@ -621,15 +633,14 @@ class TestLazyLedger:
             assert samples[0::2] == l.proposal_delays
             assert samples[1::2] == l.vote_delays
 
-    def test_oversubscribed_pool_fails_in_its_epoch_unread(self):
-        # The newcomer's stipend oversubscribes the pool from its join epoch on,
-        # by less than the loader's tolerance.
+    def test_oversubscribed_pool_fails_at_load(self):
+        # The newcomer's stipend would oversubscribe the pool from its join epoch
+        # on, by 5.5e-10: the loader refuses it with the run's own pool check, so
+        # no trial starts, and an unread pool split cannot fail in its epoch.
         cfg = small_config(epochs=12, newcomer_epoch=5, r_total=11.0, r_base=1.0 + 5e-11)
         for protocol in ("pob", "pos"):
-            handed = []
-            with pytest.raises(RewardPoolError, match="x 11 active"):
-                run_trial(cfg, 2, protocol=protocol, sink=handed.append)
-            assert [l.epoch for l in handed] == [0, 1, 2, 3, 4]
+            with pytest.raises(ConfigError, match="x 11 active validators exceeds pool 11.0"):
+                next(netsim.trial_epochs(cfg, 2, (protocol,)))
 
     def test_live_blocks_stay_within_the_fork_window(self, monkeypatch):
         live, peak = weakref.WeakSet(), []
@@ -645,9 +656,9 @@ class TestLazyLedger:
         cfg = small_config(n_validators=20, epochs=400, roster=(
             RosterEntry(16, 18, StrategySpec("long-range-fork", {"fork_depth": depth})),))
         for protocol in ("pob", "pos"):
-            ledgers = run_trial(cfg, 4, protocol=protocol,
-                                sink=lambda ledger: peak.append(len(live)))
-            assert ledgers == [] and len(peak) == 400
+            for _ in netsim.trial_epochs(cfg, 4, (protocol,)):
+                peak.append(len(live))
+            assert len(peak) == 400
             assert max(peak) <= depth + 2
             peak.clear()
         ledgers = run_trial(cfg, 4, protocol="pob")
@@ -656,30 +667,35 @@ class TestLazyLedger:
         assert blocks > 300 and outcome["checkpoint_height"] == blocks - depth
 
 
+def replay(trace, config):
+    """A trial driven by `trace`, with the config's own seed."""
+    return run_trial(config, config.seed, trace=trace)
+
+
 class TestReplay:
     def test_empty_trace(self):
-        assert replay_trace([], small_config()) == []
+        assert replay([], small_config()) == []
 
     def test_unknown_proposer(self):
         trace = [TraceBlock(0, "vXXXX", *_rest())]
         with pytest.raises(TraceError):
-            replay_trace(trace, small_config())
+            replay(trace, small_config())
 
     def test_newcomer_proposes_only_once_joined(self):
         config = small_config(newcomer_epoch=2)
         trace = [TraceBlock(h, p, *_rest()) for h, p in enumerate(["v0001", "v0002", "newcomer"])]
-        assert [l.proposer for l in replay_trace(trace, config)] == ["v0001", "v0002", "newcomer"]
+        assert [l.proposer for l in replay(trace, config)] == ["v0001", "v0002", "newcomer"]
         with pytest.raises(TraceError, match=r"'newcomer' \(block height 2\) .* at epoch 1$"):
-            replay_trace(trace[1:], config)
+            replay(trace[1:], config)
 
     def test_honest_trace_zero_guilty(self):
         trace = make_synthetic_trace(40, 10, exploit_at=None, exploit_value=0.0, seed=1)
-        ledgers = replay_trace(trace, small_config())
+        ledgers = replay(trace, small_config())
         assert all(not l.verdicts for l in ledgers)
 
     def test_exploit_convicted_and_slashed(self):
         trace = make_synthetic_trace(40, 10, exploit_at=20, exploit_value=50.0, seed=1)
-        ledgers = replay_trace(trace, small_config())
+        ledgers = replay(trace, small_config())
         culprit = trace[20].proposer
         guilty = [(v.subject, v.epoch) for l in ledgers for v in l.verdicts if v.guilty]
         assert guilty == [(culprit, 20)]

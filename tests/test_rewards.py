@@ -1,21 +1,19 @@
-import dataclasses
 import math
-import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.errors import RewardPoolError
-from pobsim.rewards import Payout, RewardSchedule, split_pool
+from pobsim.rewards import RewardSchedule, split_pool
 
 
 def payouts_of(schedule, weights, scores, activeness=None):
-    """`split_pool`'s payouts by id, over the sorted ids of `weights`."""
+    """`split_pool`'s payout totals by id, over the sorted ids of `weights`."""
     roster = sorted(weights)
     activeness = activeness or {}
     split = split_pool(schedule, [weights[v] for v in roster], [scores[v] for v in roster],
                        [activeness.get(v, 0.0) for v in roster])
-    return {p.validator: p for p in split.records(roster)}
+    return {roster[a]: total for a, total in zip(split.actives, split.total)}
 
 
 def paid(epoch_scores, beta):
@@ -40,7 +38,6 @@ class TestActiveSet:
         split = split_pool(RewardSchedule(total_reward=10.0, base_reward=1.0), [0.25] * 4,
                            [1.0, 1.0, 1.0, -1.0], [0.0] * 4)
         assert split.actives == [0, 1, 2]
-        assert [p.validator for p in split.records(["a", "b", "c", "d"])] == ["a", "b", "c"]
 
 
 class TestDistribute:
@@ -48,25 +45,25 @@ class TestDistribute:
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         payouts = payouts_of(schedule, {"a": 0.5, "b": 0.5}, {"a": 1.0, "b": -1.0})
         assert list(payouts) == ["a"]
-        assert payouts["a"].total == pytest.approx(100.0)
+        assert payouts["a"] == pytest.approx(100.0)
 
     def test_hand_worked_split(self):
         # bonus = 100 - 2*10 = 80; a: 10 + 80*0.75 = 70; b: 10 + 80*0.25 = 30
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         payouts = payouts_of(schedule, {"a": 0.75, "b": 0.25}, {"a": 1.0, "b": 1.0})
-        assert payouts["a"].total == pytest.approx(70.0)
-        assert payouts["b"].total == pytest.approx(30.0)
+        assert payouts["a"] == pytest.approx(70.0)
+        assert payouts["b"] == pytest.approx(30.0)
 
     def test_inactive_weight_is_ignored(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         payouts = payouts_of(schedule, {"a": 1.0, "ghost": 5.0}, {"a": 1.0, "ghost": 0.0})
         assert list(payouts) == ["a"]
-        assert payouts["a"].total == pytest.approx(100.0)
+        assert payouts["a"] == pytest.approx(100.0)
 
     def test_no_active_validators(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         split = split_pool(schedule, [1.0], [-1.0], [0.0])
-        assert split.actives == [] and split.records(["a"]) == ()
+        assert split.actives == [] and split.total == []
 
     def test_insufficient_pool(self):
         schedule = RewardSchedule(total_reward=15.0, base_reward=10.0)
@@ -76,26 +73,26 @@ class TestDistribute:
     def test_zero_weight_actives_split_bonus_uniformly(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         payouts = payouts_of(schedule, {"a": 0.0, "b": 0.0}, {"a": 1.0, "b": 1.0})
-        assert payouts["a"].total == pytest.approx(50.0)
-        assert payouts["b"].total == pytest.approx(50.0)
+        assert payouts["a"] == pytest.approx(50.0)
+        assert payouts["b"] == pytest.approx(50.0)
 
     def test_zero_weight_active_gets_exactly_base(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0)
         payouts = payouts_of(schedule, {"a": 1.0, "b": 0.0}, {"a": 1.0, "b": 1.0})
-        assert payouts["b"].total == pytest.approx(10.0)
+        assert payouts["b"] == pytest.approx(10.0)
 
     def test_activeness_multiplier(self):
         schedule = RewardSchedule(total_reward=100.0, base_reward=10.0, activeness_epsilon=0.5)
-        p = payouts_of(schedule, {"a": 1.0}, {"a": 1.0}, activeness={"a": 0.8})["a"]
-        assert p.activeness_multiplier == pytest.approx(1.4)
-        assert p.total == pytest.approx((p.base + p.bonus) * 1.4)
+        split = split_pool(schedule, [1.0], [1.0], [0.8])
+        assert split.multiplier == [pytest.approx(1.4)]
+        assert split.total == [pytest.approx((split.base + split.bonus[0]) * 1.4)]
 
     def test_payout_invariant_total(self):
         schedule = RewardSchedule(total_reward=60.0, base_reward=5.0, activeness_epsilon=0.2)
-        payouts = payouts_of(schedule, {"a": 0.6, "b": 0.4}, {"a": 1.0, "b": 2.0},
-                             {"a": 0.5, "b": 1.0})
-        for p in payouts.values():
-            assert p.total == pytest.approx((p.base + p.bonus) * p.activeness_multiplier)
+        split = split_pool(schedule, [0.6, 0.4], [1.0, 2.0], [0.5, 1.0])
+        assert split.actives == [0, 1]
+        for bonus, multiplier, total in zip(split.bonus, split.multiplier, split.total):
+            assert total == pytest.approx((split.base + bonus) * multiplier)
 
     @given(
         st.lists(st.floats(0.0, 5.0), min_size=1, max_size=10),
@@ -122,73 +119,3 @@ class TestDistribute:
             RewardSchedule(total_reward=-1.0, base_reward=0.0)
         with pytest.raises(ValueError):
             RewardSchedule(total_reward=1.0, base_reward=-0.5)
-
-
-PAYOUT_FIELDS = ["validator", "base", "bonus", "activeness_multiplier", "total"]
-# Every field distinct, so a value written to the wrong slot shows.
-PAYOUT_ARGS = ("v0003", 0.5, 2.25, 1.125, 3.09375)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReferencePayout:
-    """Payout as a plain frozen dataclass with the generated __init__."""
-
-    validator: str
-    base: float
-    bonus: float
-    activeness_multiplier: float
-    total: float
-
-
-ReferencePayout.__qualname__ = "Payout"
-
-
-class TestPayoutSemantics:
-    """The hand-written __init__ keeps every dataclass behavior of the payout."""
-
-    def test_fields_and_order(self):
-        assert [f.name for f in dataclasses.fields(Payout)] == PAYOUT_FIELDS
-        assert Payout.__slots__ == tuple(PAYOUT_FIELDS)
-
-    def test_frozen(self):
-        p = Payout(*PAYOUT_ARGS)
-        assert not hasattr(p, "__dict__")
-        for name in PAYOUT_FIELDS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(p, name, getattr(p, name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(p, name)
-
-    def test_matches_generated_init(self):
-        ref = ReferencePayout(*PAYOUT_ARGS)
-        for p in (Payout(*PAYOUT_ARGS), Payout(**dict(zip(PAYOUT_FIELDS, PAYOUT_ARGS)))):
-            assert repr(p) == repr(ref)
-            assert hash(p) == hash(ref)
-            assert dataclasses.asdict(p) == dataclasses.asdict(ref)
-            assert dataclasses.astuple(p) == PAYOUT_ARGS
-            assert p == Payout(*PAYOUT_ARGS)
-
-    def test_equality_sees_every_field(self):
-        p = Payout(*PAYOUT_ARGS)
-        changed = {"validator": "v0004", "base": 0.75, "bonus": 2.5,
-                   "activeness_multiplier": 1.0, "total": 3.0}
-        for name, value in changed.items():
-            other = dataclasses.replace(p, **{name: value})
-            assert getattr(other, name) == value
-            assert other != p
-            assert repr(other) == repr(dataclasses.replace(ReferencePayout(*PAYOUT_ARGS),
-                                                           **{name: value}))
-
-    def test_asdict_and_pickle(self):
-        p = Payout(*PAYOUT_ARGS)
-        assert list(dataclasses.asdict(p)) == PAYOUT_FIELDS
-        copy = pickle.loads(pickle.dumps(p))
-        assert copy == p and hash(copy) == hash(p) and repr(copy) == repr(p)
-
-    def test_constructor_arguments_unchanged(self):
-        with pytest.raises(TypeError):
-            Payout(*PAYOUT_ARGS[:-1])
-        with pytest.raises(TypeError):
-            Payout(*PAYOUT_ARGS, 1.0)
-        with pytest.raises(TypeError):
-            Payout(**dict(zip(PAYOUT_FIELDS, PAYOUT_ARGS)), extra=1.0)

@@ -1,7 +1,7 @@
 """Streamed trials: the metrics tally, the ledger writer and flat memory.
 
-`run_trial` hands each finished ledger to a sink. These tests check that
-the tally folded from that stream gives the same metrics as a pass over
+`trial_epochs` hands out each ledger as its epoch ends. These tests check
+that the tally folded from that stream gives the same metrics as a pass over
 the full ledger list, that the streamed ledger files are the canonical
 JSON of that list (also when a paired task runs both protocols in one
 loop through one writer state), that the ledger writer's bytes are those of a
@@ -152,17 +152,21 @@ def _reference_ledger_json(ledger):
             "is_fraud_ground_truth": b.is_fraud_ground_truth,
         }
 
+    roster, split = ledger.roster, ledger.pool_split
     return json.dumps({
         "epoch": ledger.epoch,
         "protocol": ledger.protocol,
         "proposer": ledger.proposer,
         "behaviors": [behavior(b) for b in ledger.behaviors],
         "verdicts": [dataclasses.asdict(v) for v in ledger.verdicts],
-        "payouts": [dataclasses.asdict(p) for p in ledger.payouts],
-        "scores": ledger.scores,
-        "activeness": ledger.activeness,
-        "weights_before": ledger.weights_before,
-        "weights_after": ledger.weights_after,
+        "payouts": [{"validator": roster[a], "base": split.base, "bonus": bonus,
+                     "activeness_multiplier": multiplier, "total": total}
+                    for a, bonus, multiplier, total in zip(split.actives, split.bonus,
+                                                            split.multiplier, split.total)],
+        "scores": dict(zip(roster, ledger.roster_scores)),
+        "activeness": dict(zip(roster, ledger.roster_activeness)),
+        "weights_before": dict(zip(roster, ledger.roster_weights_before)),
+        "weights_after": dict(zip(roster, ledger.roster_weights_after)),
         "confirmed": ledger.confirmed,
         "confirm_ms": ledger.confirm_ms,
         "latency_samples": [delay for pair in zip(ledger.proposal_delays, ledger.vote_delays)
@@ -255,7 +259,8 @@ def test_streamed_tally_and_ledgers_match_ledger_list(case, tmp_path):
         expected[protocol] = repr(_reference_metrics(ledgers, config, protocol))
 
         tally = tallies[protocol] = TrialTally(config, protocol)
-        assert run_trial(config, seed, protocol=protocol, trace=trace, sink=tally.add) == []
+        for (ledger,) in netsim.trial_epochs(config, seed, (protocol,), trace):
+            tally.add(ledger)
         assert repr(tally.metrics()) == expected[protocol]
 
         # the experiment path: tally plus ledger files written by the task
@@ -540,9 +545,11 @@ def test_mid_trial_error_reaches_run_scenario_and_closes_halves(failing, ledgers
 
 def test_fork_outcome_reaches_last_streamed_ledger():
     config, _ = _preset("case-d-long-range")
-    streamed = []
-    run_trial(config, config.seed, protocol="pob", sink=streamed.append)
-    assert [e["kind"] for e in streamed[-1].events] == ["fork-outcome"]
+    streamed, kinds = [], []
+    for (ledger,) in netsim.trial_epochs(config, config.seed, ("pob",)):
+        kinds.append([e["kind"] for e in ledger.events])  # as handed out
+        streamed.append(ledger)
+    assert kinds[-1] == ["fork-outcome"]
     assert streamed == run_trial(config, config.seed, protocol="pob")
 
 
@@ -573,7 +580,8 @@ def test_trial_leaves_no_cyclic_garbage(name, protocol):
     gc.collect()
     gc.disable()
     try:
-        run_trial(config, config.seed, protocol=protocol, trace=trace, sink=lambda l: None)
+        for _ in netsim.trial_epochs(config, config.seed, (protocol,), trace):
+            pass
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -596,7 +604,8 @@ def test_paired_trial_peaks_near_one_protocol():
     config = with_overrides(builtin_presets()["case-b-fairness-1000"].build(), epochs=20)
 
     def single():
-        run_trial(config, config.seed, protocol="pob", sink=lambda ledger: None)
+        for _ in netsim.trial_epochs(config, config.seed, ("pob",)):
+            pass
 
     def paired():
         for _ in netsim.trial_epochs(config, config.seed, ("pob", "pos")):
