@@ -117,6 +117,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "replay" and args.epochs is not None:
         raise ConfigError("epochs", "a replay runs one epoch per trace block")
     config = _apply_overrides(config, args)
+    trace = None
+    if command == "replay":
+        trace = parse_trace(args.trace)
+        config = with_overrides(config, epochs=len(trace))  # so config.echo names what ran
     out = args.out or Path(os.environ.get("POBSIM_OUT", "pobsim-out")) / (config.name + suffix)
     if command == "ic-check":
         report = run_ic_check(config, out, discount=args.discount)
@@ -128,7 +132,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif command == "sweep":
         run_sweep(config, out)
     else:
-        run_scenario(config, out, trace=parse_trace(args.trace) if command == "replay" else None)
+        run_scenario(config, out, trace=trace)
     print(f"wrote {out}")
     return 0
 

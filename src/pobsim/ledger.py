@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .config import ScenarioConfig
 from .netsim import EpochLedger
 from .rewards import PoolSplit, split_pool
-from .scoring import ActionKind, MotivationProfile, total_utility
+from .scoring import ActionKind, MotivationProfile, utility_columns
 from .watchdog import Penalty, Verdict, slash
 from .weights import ema_step, normalize
 
@@ -196,8 +196,8 @@ def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[list[floa
     roster = ledger.roster
     weights = list(ledger.roster_weights_before)
     scores = [0.0] * len(roster)
-    for actor, b in zip(ledger.behavior_rows.actor, ledger.behaviors):
-        scores[actor] += total_utility(b)
+    for actor, u in zip(ledger.behavior_rows.actor, utility_columns(ledger.behavior_rows)[1]):
+        scores[actor] += u
     if ledger.verdicts:
         for v in ledger.verdicts:
             if v.guilty:

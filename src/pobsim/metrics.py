@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .config import ScenarioConfig
 from .netsim import EpochLedger
-from .weights import left_sum
+from .weights import election_prob, left_sum
 
 CSV_COLUMNS = (
     "trial",
@@ -120,23 +120,6 @@ def suppression_time(trajectory: Sequence[float], drop_frac: float = 0.1) -> Opt
         elif peak > 0 and value < drop_frac * peak:
             return i
     return None
-
-
-def election_prob(roster: Sequence[str], weights: Sequence[float], vid: str,
-                  delta: float) -> float:
-    """Probability of `vid` being elected proposer from one epoch's weights,
-    listed in `roster` order.
-
-    The behavior-weighted lottery mixes a uniform share `delta` into the
-    weight-proportional one; the stake lottery is the case delta = 0.
-    """
-    try:
-        weight = weights[roster.index(vid)]
-    except ValueError:
-        return 0.0
-    total = left_sum(weights)
-    proportional = weight / total if total > 0 else 0.0
-    return delta / len(weights) + (1.0 - delta) * proportional
 
 
 def weight_share_trajectory(ledgers: Sequence[EpochLedger], ids: set[str]) -> list[float]:

@@ -31,13 +31,6 @@ from math import log
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import adversaries as adv
-from .baseline_pos import (
-    StakeTable,
-    pareto_stakes,
-    pos_apply_due_slashes,
-    pos_schedule_slash,
-    stake_pick,
-)
 from .chain import extend_chain, genesis_block
 from .config import ScenarioConfig, check_config
 from .rewards import PoolSplit, RewardSchedule, split_pool
@@ -51,11 +44,20 @@ from .scoring import (
     activeness_column,
     diversity_index,
     looks_scripted,
+    utility_columns,
 )
 from .trace import TraceBlock, check_trace
 from .trace import parse_trace  # noqa: F401  benchmarks/child.py and test_acceptance read it here
 from .watchdog import Verdict, process_epoch_suspicions
-from .weights import WeightTable, dampened_pick, ema_step, left_sum, normalize
+from .weights import (
+    WeightTable,
+    dampened_pick,
+    ema_step,
+    left_sum,
+    normalize,
+    pareto_stakes,
+    stake_pick,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +240,7 @@ def _start_trial(config: ScenarioConfig, seed: int,
     hub = RngHub(seed)
     ids = config.validator_ids()
     # One stake draw for both protocols, so paired runs start from the same shape: the
-    # baseline's stake table and, under `genesis_weights: stake`, the genesis weights.
+    # baseline's stakes and, under `genesis_weights: stake`, the genesis weights.
     if config.stake_distribution == "pareto":
         stakes = pareto_stakes(ids, hub.stream("stake"), config.stake_alpha, config.stake_xmin)
     else:
@@ -324,7 +326,7 @@ def _apply_joins(state: _TrialState, halves: Sequence[_PobRules | _PosRules], ep
     rules, then rebuild the roster.
 
     Every joiner is a fresh id (the newcomer or a respawned Sybil), so
-    none is in the weight or stake table yet.
+    none is in any protocol's weights yet.
     """
     joining = state.joins.pop(epoch, None)
     if not joining:
@@ -444,9 +446,7 @@ class _Activity:
 def _epoch_facts(cols: BehaviorColumns, activity: _Activity, positions: list[int],
                  freq_threshold: float) -> _EpochFacts:
     n = len(positions)
-    outcomes = [b * c * i for b, c, i in zip(cols.base_utility, cols.context_factor,
-                                             cols.initiative)]
-    utilities = [m.utility + o for m, o in zip(cols.motivation, outcomes)]  # total_utility
+    outcomes, utilities = utility_columns(cols)
     harmful = [row for row, o in enumerate(outcomes) if o < 0.0]
     # With one record each in roster order, the scores are the utilities (a
     # utility is never -0.0, so the score 0.0 + utility is the utility).
@@ -645,26 +645,32 @@ class _PobRules(_Half):
 
 
 class _PosRules(_Half):
-    """The stake-weighted baseline: static stakes and a delayed slash."""
+    """The stake-weighted baseline: static stakes, and a slash that lands
+    `pos_slash_delay` epochs after an offender's first detection. Until
+    then the offender keeps proposing at full stake; there is no escalation."""
 
     protocol = "pos"
 
-    def __init__(self, state: _TrialState, stakes: dict[str, float]):
+    def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
         super().__init__(state)
-        config = state.config
-        self.stakes = StakeTable(stakes, config.pos_slash_delay, config.pos_slash_fraction)
         self.detect_rng = state.hub.stream("pos-detection")
-        self.weights = [stakes[v] for v in state.alive]
+        self.weights = [stakes[v] for v in state.alive]  # the stakes
+        self.pending: dict[str, int] = {}  # offender -> epoch its slash lands
+        self.slashed: set[str] = set()
 
     def land_slashes(self, state: _TrialState, epoch: int,
                      events: list[dict]) -> tuple[str, ...]:
         """Land the slashes due by `epoch`; returns every slashed id so far."""
-        landed = pos_apply_due_slashes(self.stakes, epoch)
-        for vid in landed:
-            events.append({"kind": "pos-slash", "id": vid, "epoch": epoch})
+        landed = sorted(vid for vid, due in self.pending.items() if due <= epoch)
         if landed:
-            self.weights = [self.stakes.stakes[v] for v in state.alive]
-        return tuple(sorted(self.stakes.slashed))
+            keep, weights = 1.0 - state.config.pos_slash_fraction, list(self.weights)
+            for vid in landed:
+                weights[state.pos_of[vid]] *= keep
+                del self.pending[vid]
+                events.append({"kind": "pos-slash", "id": vid, "epoch": epoch})
+            self.weights = weights
+            self.slashed.update(landed)
+        return tuple(sorted(self.slashed))
 
     def elect(self, state: _TrialState) -> str:
         return state.alive[stake_pick(self.weights, self.election_rng)]
@@ -672,11 +678,14 @@ class _PosRules(_Half):
     def review(self, state: _TrialState, epoch: int, behaviors: BehaviorColumns,
                facts: _EpochFacts, confirm_ms: Optional[float],
                ) -> tuple[Optional[float], tuple[Verdict, ...]]:
-        """The delayed-slash coin: each harmful record is detected at the configured rate."""
+        """The delayed-slash coin: each harmful record is detected at the configured
+        rate, and an offender's first detection schedules its slash."""
         accuracy = state.config.detection_accuracy
         for index in facts.harmful:
             if self.detect_rng.random() < accuracy:
-                pos_schedule_slash(self.stakes, state.alive[behaviors.actor[index]], epoch)
+                offender = state.alive[behaviors.actor[index]]
+                if offender not in self.pending and offender not in self.slashed:
+                    self.pending[offender] = epoch + state.config.pos_slash_delay
         return confirm_ms, ()
 
     def settle(self, state: _TrialState, scores: list[float]) -> list[float]:
@@ -684,9 +693,7 @@ class _PosRules(_Half):
         return self.weights
 
     def admit(self, state: _TrialState, vid: str, at: int) -> None:
-        stake = state.config.stake_xmin
-        self.stakes.stakes[vid] = stake
-        self.weights = self.weights[:at] + [stake] + self.weights[at:]
+        self.weights = self.weights[:at] + [state.config.stake_xmin] + self.weights[at:]
 
     def fork(self, state: _TrialState) -> Optional[dict]:
         return None

@@ -167,6 +167,13 @@ def total_utility(b: BehaviorRecord) -> float:
     return b.motivation.utility + outcome_utility(b)
 
 
+def utility_columns(cols: BehaviorColumns) -> tuple[list[float], list[float]]:
+    """`outcome_utility` and `total_utility` of every row of `cols`, in row order."""
+    outcomes = [b * c * i for b, c, i in zip(cols.base_utility, cols.context_factor,
+                                             cols.initiative)]
+    return outcomes, [m.utility + o for m, o in zip(cols.motivation, outcomes)]
+
+
 def epoch_score(behaviors: Iterable[BehaviorRecord], actor: str, epoch: int) -> float:
     """Cumulative utility of `actor` over the given epoch. Empty selection -> 0."""
     return left_sum(total_utility(b) for b in behaviors if b.actor == actor and b.epoch == epoch)

@@ -1,9 +1,12 @@
-"""Validator weights: EMA update, normalization and dampened leader election.
+"""Validator weights: EMA update, normalization and both election lotteries.
 
 Weights are relative influence. The per-epoch update retains a (1 - rho)
 share of the old weight and folds in a rho share of the validator's slice
 of the epoch's clamped utility. The kernels work on lists aligned with
 the roster; `WeightTable` is an immutable {id: weight} snapshot over them.
+The behavior-weighted protocol elects with `dampened_pick`, the PoS
+baseline with `stake_pick` over its stakes (drawn by `pareto_stakes`),
+and `election_prob` is the closed form of both.
 """
 
 from __future__ import annotations
@@ -116,6 +119,16 @@ def dampened_pick(weights: Sequence[float], delta: float, rng: random.Random) ->
     return proportional_pick(weights, total, rng)
 
 
+def stake_pick(stakes: Sequence[float], rng: random.Random) -> int:
+    """Strictly stake-proportional lottery over a stake list: the proposer's index."""
+    if not stakes:
+        raise ValueError("active set is empty")
+    total = left_sum(stakes)
+    if total <= 0.0:
+        raise DegenerateElectionError("total active stake is zero")
+    return proportional_pick(stakes, total, rng)
+
+
 def proportional_pick(weights: Sequence[float], total: float, rng: random.Random) -> int:
     """The index whose running weight sum first exceeds random() * total."""
     pick = rng.random() * total
@@ -125,3 +138,32 @@ def proportional_pick(weights: Sequence[float], total: float, rng: random.Random
         if pick < acc:
             return i
     return len(weights) - 1
+
+
+def election_prob(roster: Sequence[str], weights: Sequence[float], vid: str,
+                  delta: float) -> float:
+    """Probability of `vid` being elected proposer from one epoch's weights,
+    listed in `roster` order.
+
+    The behavior-weighted lottery mixes a uniform share `delta` into the
+    weight-proportional one; the stake lottery is the case delta = 0.
+    """
+    try:
+        weight = weights[roster.index(vid)]
+    except ValueError:
+        return 0.0
+    total = left_sum(weights)
+    proportional = weight / total if total > 0 else 0.0
+    return delta / len(weights) + (1.0 - delta) * proportional
+
+
+def pareto_stakes(ids: Iterable[str], rng: random.Random, alpha: float = 1.6,
+                  xmin: float = 1.0) -> dict[str, float]:
+    """Heavy-tailed stake draw via inverse CDF: x = xmin * u^(-1/alpha)."""
+    if alpha <= 1.0:
+        raise ValueError("alpha must be > 1 for a finite mean")
+    out = {}
+    for vid in sorted(ids):
+        u = 1.0 - rng.random()  # in (0, 1]
+        out[vid] = xmin * u ** (-1.0 / alpha)
+    return out

@@ -2,16 +2,13 @@ import random
 
 import pytest
 
-from pobsim.baseline_pos import (
-    StakeTable,
-    pareto_stakes,
-    pos_apply_due_slashes,
-    pos_schedule_slash,
-    stake_pick,
-)
-from pobsim.config import ScenarioConfig
+from pobsim import netsim
+from pobsim.adversaries import StrategySpec
+from pobsim.config import RosterEntry, ScenarioConfig
 from pobsim.errors import DegenerateElectionError
 from pobsim.netsim import run_trial
+from pobsim.scoring import BehaviorColumns
+from pobsim.weights import pareto_stakes, stake_pick
 
 
 class TestSelectProposer:
@@ -43,39 +40,77 @@ class TestSelectProposer:
             stake_pick([], random.Random(0))
 
 
+def _pos_rules(delay: int, fraction: float) -> tuple[netsim._TrialState, netsim._PosRules]:
+    """A three-validator pos trial's state and rules; every stake is 1 and
+    every harmful record is detected."""
+    config = ScenarioConfig(protocol="pos", n_validators=3, stake_distribution="equal",
+                            detection_accuracy=1.0, pos_slash_delay=delay,
+                            pos_slash_fraction=fraction)
+    state, (rules,) = netsim._start_trial(config, 0, ("pos",))
+    return state, rules
+
+
+def _detect(state: netsim._TrialState, rules: netsim._PosRules, vid: str, epoch: int) -> None:
+    """Review an epoch whose one harmful record is `vid`'s."""
+    cols = BehaviorColumns(epoch, actor=[state.pos_of[vid]])
+    facts = netsim._EpochFacts(scores=[], utility=0.0, utilities=[], outcomes=[], harmful=[0],
+                               suspects=[])
+    assert rules.review(state, epoch, cols, facts, None) == (None, ())
+
+
 class TestSlashing:
     def test_delay_semantics(self):
-        table = StakeTable({"a": 2.0}, slash_delay_blocks=100, slash_fraction=1.0)
-        pos_schedule_slash(table, "a", detection_block=10)
-        for block in range(10, 110):
-            pos_apply_due_slashes(table, block)
-            assert table.stakes["a"] == 2.0, f"slashed early at block {block}"
-        landed = pos_apply_due_slashes(table, 110)
-        assert landed == ["a"]
-        assert table.stakes["a"] == 0.0
+        state, rules = _pos_rules(delay=100, fraction=1.0)
+        _detect(state, rules, "v0001", epoch=10)
+        for epoch in range(10, 110):
+            events = []
+            assert rules.land_slashes(state, epoch, events) == ()
+            assert rules.weights == [1.0, 1.0, 1.0], f"slashed early at epoch {epoch}"
+            assert events == []
+        events = []
+        assert rules.land_slashes(state, 110, events) == ("v0001",)
+        assert rules.weights == [1.0, 0.0, 1.0]
+        assert events == [{"kind": "pos-slash", "id": "v0001", "epoch": 110}]
 
     def test_full_slash_fraction(self):
-        table = StakeTable({"a": 5.0}, slash_delay_blocks=0, slash_fraction=1.0)
-        pos_schedule_slash(table, "a", 3)
-        assert pos_apply_due_slashes(table, 3) == ["a"]
-        assert table.stakes["a"] == 0.0
-        assert table.slashed == {"a"} and not table.pending
+        state, rules = _pos_rules(delay=0, fraction=1.0)
+        before = rules.weights
+        _detect(state, rules, "v0000", epoch=3)
+        assert rules.land_slashes(state, 3, []) == ("v0000",)
+        assert rules.weights == [0.0, 1.0, 1.0]
+        assert before == [1.0, 1.0, 1.0]  # a new list: a ledger keeps the one it got
+        assert rules.slashed == {"v0000"} and not rules.pending
+        assert rules.land_slashes(state, 4, []) == ("v0000",)  # every slashed id so far
 
     def test_half_slash(self):
-        table = StakeTable({"a": 2.0}, slash_delay_blocks=0, slash_fraction=0.5)
-        pos_schedule_slash(table, "a", 0)
-        assert pos_apply_due_slashes(table, 0) == ["a"]
-        assert table.stakes["a"] == 1.0
+        state, rules = _pos_rules(delay=0, fraction=0.5)
+        _detect(state, rules, "v0002", epoch=0)
+        assert rules.land_slashes(state, 0, []) == ("v0002",)
+        assert rules.weights == [1.0, 1.0, 0.5]
 
     def test_first_detection_wins(self):
-        table = StakeTable({"a": 2.0}, slash_delay_blocks=10, slash_fraction=1.0)
-        pos_schedule_slash(table, "a", 5)
-        pos_schedule_slash(table, "a", 50)  # ignored
-        assert table.pending["a"] == 15
+        state, rules = _pos_rules(delay=10, fraction=1.0)
+        _detect(state, rules, "v0000", epoch=5)
+        _detect(state, rules, "v0000", epoch=50)  # ignored
+        assert rules.pending == {"v0000": 15}
+        rules.land_slashes(state, 15, [])
+        _detect(state, rules, "v0000", epoch=60)  # already slashed: ignored too
+        assert not rules.pending
 
-    def test_unknown_offender(self):
-        with pytest.raises(KeyError):
-            pos_schedule_slash(StakeTable({"a": 1.0}), "zzz", 0)
+    def test_landed_slashes_halve_the_stakes_the_election_reads(self):
+        config = ScenarioConfig(
+            protocol="pos", n_validators=100, epochs=30, pos_slash_delay=3,
+            pos_slash_fraction=0.5,
+            roster=(RosterEntry(90, 100, StrategySpec("stealth", {"fraud_rate": 0.2})),))
+        ledgers = run_trial(config, 42)
+        stakes = dict(ledgers[0].weights_before)
+        landed = [(e["epoch"], e["id"]) for ledger in ledgers for e in ledger.events
+                  if e["kind"] == "pos-slash"]
+        assert len(landed) == 10
+        for epoch, vid in landed:
+            assert ledgers[epoch].weights_before[vid] == stakes[vid] * 0.5
+            assert vid in ledgers[epoch].neutralized
+            assert vid not in ledgers[epoch - 1].neutralized
 
 
 class TestParetoStakes:

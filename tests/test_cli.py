@@ -92,6 +92,20 @@ class TestCli:
         trace.write_text("0,v0000,propose-block,1.0\n")
         assert main(["replay", str(trace), str(tiny_config)]) == 1
 
+    def test_replay_echoes_the_epochs_it_runs(self, tiny_config, tmp_path):
+        # The config sets `epochs: 15`; a replay runs one epoch per trace block.
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0,v0001,propose-block,1.0,1.0,1.0,0\n1,v0002,propose-block,1.0,1.0,1.0,0\n")
+        out = tmp_path / "replay-out"
+        assert main(["replay", str(trace), str(tiny_config), "--out", str(out),
+                     "--trials", "1", "--ledgers"]) == 0
+        echo = (out / "config.echo").read_text().splitlines()
+        assert "epochs: 2" in echo and "epochs: 15" not in echo
+        assert len(list((out / "ledgers").rglob("*.json"))) == 2 * 2  # per protocol
+        preset_out = tmp_path / "preset-out"
+        assert main(["preset", "case-c-replay", "--out", str(preset_out), "--trials", "1"]) == 0
+        assert "epochs: 1000" in (preset_out / "config.echo").read_text().splitlines()
+
     def test_sweep_command(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"
         cfg.write_text(TINY.replace("protocol: paired", "protocol: pob")

@@ -5,8 +5,11 @@ loader, `with_overrides`, a sweep grid, the CLI or the CLI's `ic-check`,
 and either raises ConfigError (exit 1 from the CLI) before its output
 directory exists, or finishes a 3-epoch run whose outputs are the same
 with one worker and with two. The mappings mix valid and invalid values,
-and their `proposer_override` names a configured id, an unknown id, the
-newcomer or an adaptive-sybil member, whom pob may retire.
+their `proposer_override` names a configured id, an unknown id, the
+newcomer or an adaptive-sybil member, whom pob may retire, and their pos
+slash delay is short enough for a slash to land within the run. Every
+built-in preset but the replay also runs through the CLI's `preset` at 3
+epochs to the same outputs with one worker and with two.
 
 A second property does the same for block traces, through `run_scenario`
 and the CLI's `replay`: a short trace whose proposers are configured,
@@ -21,13 +24,22 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, event, given, seed, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    event,
+    example,
+    given,
+    seed,
+    settings,
+    strategies as st,
+)
 
 from pobsim.adversaries import PARAMS
 from pobsim.cli import main
 from pobsim.config import ScenarioConfig, loads_config, with_overrides
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_scenario, run_sweep
+from pobsim.presets import builtin_presets
 from pobsim.trace import TraceBlock, parse_trace
 from pobsim.scoring import ActionKind
 from test_config import assert_echo_is_pyyaml
@@ -35,6 +47,12 @@ from traces import write_trace
 
 ENTRY_POINTS = ("yaml", "overrides", "sweep", "cli", "ic-check")
 BASE = "protocol: pob\nn_validators: 4\nepochs: 3\ntrials: 2\n"
+# A stealth validator that attempts a fraud every epoch, so pos slashes land
+# within 3 epochs: few drawn mappings get there at default strategy params.
+LANDS_POS_SLASHES = {"protocol": "paired", "n_validators": 4, "epochs": 3, "trials": 2,
+                     "seed": 7, "roster": [{"range": [3, 4], "kind": "stealth",
+                                             "params": {"fraud_rate": 1.0}}],
+                     "pos_slash_delay": 1, "pos_slash_fraction": 0.5}
 
 
 @st.composite
@@ -73,6 +91,9 @@ def scenarios(draw):
                          ("quorum", ["1/2", "3/4", 1, "0"]), ("oracle_rate", [0.0, 0.5])):
         if draw(st.booleans()):
             mapping[name] = draw(st.sampled_from(values))
+    # Short enough for a pos slash to land within the 3 epochs; -1 is refused.
+    mapping["pos_slash_delay"] = draw(st.integers(-1, 3))
+    mapping["pos_slash_fraction"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
     if draw(st.booleans()):
         mapping["sweep"] = {"delta": [0.1, draw(st.sampled_from([0.2, 0.3, 2.0]))]}
     return mapping
@@ -109,6 +130,7 @@ def outputs(out: Path) -> dict:
 @settings(max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mapping=scenarios())
+@example(mapping=LANDS_POS_SLASHES)
 def test_bad_input_fails_before_output_else_workers_agree(entry, mapping):
     if entry == "sweep":
         mapping = {**mapping, "sweep": mapping.get("sweep") or {"delta": [0.1, 0.2]}}
@@ -132,6 +154,18 @@ def test_bad_input_fails_before_output_else_workers_agree(entry, mapping):
         assert results[0] == results[1]
         assert results[0] is None or results[0]
         event(f"{entry}: {'refused' if results[0] is None else 'ran'}")
+
+
+@pytest.mark.parametrize("name", sorted(name for name, preset in builtin_presets().items()
+                                         if preset.trace is None))
+def test_every_preset_runs_the_same_with_one_worker_and_two(name, tmp_path):
+    results = []
+    for workers in (1, 2):
+        out = tmp_path / f"out-{workers}"
+        assert main(["preset", name, "--epochs", "3", "--trials", "2", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        results.append(outputs(out))
+    assert results[0] == results[1] and results[0]
 
 
 @seed(20261019)

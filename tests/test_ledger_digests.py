@@ -1,4 +1,4 @@
-"""Pinned ledger bytes of eight short runs that no golden preset covers.
+"""Pinned ledger bytes of nine short runs that no golden preset covers.
 
 Each digest is the sha256 of every ledger's `ledger_to_json` line, in
 (protocol, epoch) order, of a 30-epoch run. Every digest must hold both
@@ -20,7 +20,12 @@ epoch pipeline must leave them as they are:
   same run paired, which runs each protocol alone;
 - `case-b-fairness-100` with `newcomer_epoch: 10` and the newcomer as the
   proposer override for epochs 12 to 17: a join, and both protocols of
-  a paired epoch seating the same proposer.
+  a paired epoch seating the same proposer;
+- `case-a-stealth` with ten stealth validators at `fraud_rate: 0.2`,
+  `pos_slash_delay: 3` and `pos_slash_fraction: 0.5`: pos slashes that
+  land within 30 epochs (ten of them, two each at epochs 7 and 11), and
+  the elections that read the halved stakes. The default delay of 100
+  epochs lands none in any other pin or golden digest.
 """
 
 import dataclasses
@@ -29,7 +34,7 @@ import hashlib
 import pytest
 
 from pobsim.adversaries import StrategySpec
-from pobsim.config import with_overrides
+from pobsim.config import RosterEntry, with_overrides
 from pobsim.ledger import ledger_to_json
 from pobsim.netsim import run_trial, shares_one_state, trial_epochs
 from pobsim.presets import builtin_presets
@@ -73,6 +78,11 @@ PINNED = {
     "case-b-fairness-100/newcomer-override": (
         {"newcomer_epoch": 10, "proposer_override": ("newcomer", 12, 18)},
         "35bc8f983b9e8a21cc8144bae9047c1c010a1514c08eea6684b574ddd3a874e2",
+    ),
+    "case-a-stealth/pos-slash": (
+        {"roster": (RosterEntry(90, 100, StrategySpec("stealth", {"fraud_rate": 0.2})),),
+         "pos_slash_delay": 3, "pos_slash_fraction": 0.5},
+        "bb5fef20086be7e59054f34d960279746067bee730dce99f1754569d47d5ca8b",
     ),
 }
 

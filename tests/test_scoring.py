@@ -205,16 +205,16 @@ class TestLabelIsolation:
         """The fraud label exists for measurement only.
 
         Protocol logic (scoring math, weights, committees, rewards, the
-        baseline) must not mention it at all; the type declaration in
-        scoring.py is the single allowed occurrence.
+        rules of both protocols) must not mention it at all; the type
+        declaration in scoring.py is the single allowed occurrence.
         """
         import inspect
 
-        from pobsim import baseline_pos, rewards, scoring, watchdog, weights
+        from pobsim import netsim, rewards, scoring, watchdog, weights
 
-        for module in (weights, watchdog, rewards, baseline_pos):
-            source = inspect.getsource(module)
-            assert "is_fraud_ground_truth" not in source, module.__name__
+        for part in (weights, watchdog, rewards, netsim._PosRules, netsim._PobRules):
+            source = inspect.getsource(part)
+            assert "is_fraud_ground_truth" not in source, part.__name__
 
         # scoring declares the field (with its warning docstring) but no
         # scoring operation may consume it

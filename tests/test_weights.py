@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pobsim.errors import DegenerateElectionError
-from pobsim.metrics import election_prob
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.config import PenaltySettings
 from pobsim.watchdog import Penalty, compute_penalty, process_epoch_suspicions, slash
-from pobsim.weights import WeightTable, left_sum, normalize, select_proposer, update_weights
+from pobsim.weights import (
+    WeightTable,
+    election_prob,
+    left_sum,
+    normalize,
+    select_proposer,
+    update_weights,
+)
 
 
 def test_left_sum_adds_left_to_right_on_every_interpreter():
@@ -197,7 +203,7 @@ class TestSelectProposer:
 
     def test_mixture_closed_form(self):
         # The lottery's closed form, delta / n + (1 - delta) * w / total,
-        # lives in metrics.election_prob.
+        # is election_prob.
         roster, weights = ["a", "b"], [0.9, 0.1]
         assert math.isclose(election_prob(roster, weights, "a", 0.1), 0.86, abs_tol=1e-12)
         assert math.isclose(election_prob(roster, weights, "b", 0.1), 0.14, abs_tol=1e-12)
