@@ -3,9 +3,12 @@
 Configs are single YAML documents (key: value with nesting). Every field
 of `ScenarioConfig` and `PenaltySettings` carries its parser, a function
 from the field's YAML form to the stored value that raises ConfigError
-naming the field. The dataclasses are the one schema: the loader,
-`check_config`, `with_overrides` and sweep points all parse through it,
-and the echo writes each stored value back in the form the loader reads.
+naming the field. The dataclasses are the one schema, and a config is
+checked when it is made: `ScenarioConfig`'s constructor parses every
+field from its YAML form and runs the cross-field checks, so the loader,
+a preset's `build()`, `dataclasses.replace`, `with_overrides` and sweep
+points all refuse a bad value with the same ConfigError. The echo writes
+each stored value back in the form the loader reads.
 Unknown keys are rejected anywhere in the tree. Supermajority thresholds
 are stored as exact rationals ("2/3" stays two thirds, never
 0.6666...7), because a float threshold silently flips edge-case
@@ -317,7 +320,7 @@ def _validator_index(n: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full parameterization of one experiment."""
+    """Full parameterization of one experiment, valid from the moment it exists."""
 
     protocol: str = _field(MISSING, _choice(*PROTOCOLS))
     n_validators: int = _field(MISSING, _int(2))
@@ -382,6 +385,15 @@ class ScenarioConfig:
     dollars_per_unit: float = _field(1.0, _float(0.0))  # read by nothing; kept for the echo
     adaptation_target_frac: float = _field(0.8, _float(0.0, 1.0))
     suppression_drop_frac: float = _field(0.1, _float(0.0, 1.0))
+
+    def __post_init__(self):
+        """Parse every field from its YAML form, as the loader does, and store
+        the parsed values; then the cross-field checks. A bad value is a
+        ConfigError naming its field. Unpickling does not call this, so a
+        pool worker's copy is not parsed again."""
+        for name, value in _parse_fields(ScenarioConfig, _yaml_fields(self), "").items():
+            object.__setattr__(self, name, value)
+        self.validate_runtime()
 
     def resolved_committee_size(self) -> int:
         if self.committee_size is not None:
@@ -473,14 +485,12 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Loading, checking and echo
+# Loading and echo
 # ---------------------------------------------------------------------------
 
 def config_from_mapping(raw: Mapping) -> ScenarioConfig:
     """Parse a mapping field by field, fill in defaults and run the cross-field checks."""
-    config = ScenarioConfig(**_parse_fields(ScenarioConfig, raw, ""))
-    config.validate_runtime()
-    return config
+    return ScenarioConfig(**_parse_fields(ScenarioConfig, raw, ""))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -518,18 +528,14 @@ def _yaml_form(value):
 
 
 def _yaml_fields(config: ScenarioConfig) -> dict:
-    """Every stored field in the form the loader reads."""
+    """Every stored field in the form the loader reads. Only a stored
+    override, a 3-tuple, becomes a mapping; any other value stays as it is
+    for its parser to refuse."""
     out = {f.name: _yaml_form(getattr(config, f.name)) for f in dataclasses.fields(config)}
-    if isinstance(out["proposer_override"], list):
+    override = config.proposer_override
+    if type(override) is tuple and len(override) == len(_OVERRIDE_KEYS):
         out["proposer_override"] = dict(zip(_OVERRIDE_KEYS, out["proposer_override"]))
     return out
-
-
-def check_config(config: ScenarioConfig) -> ScenarioConfig:
-    """`config` read back through the loader: each field parsed from its
-    YAML form, then `validate_runtime`. Returns the parsed config, equal
-    to `config` when it was already valid; a bad field is a ConfigError."""
-    return config_from_mapping(_yaml_fields(config))
 
 
 def config_to_mapping(config: ScenarioConfig) -> dict:
@@ -604,7 +610,7 @@ def echo_config(config: ScenarioConfig) -> str:
 
 def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
     """A copy of `config` with `changes`, parsed and checked as the loader does."""
-    return check_config(dataclasses.replace(config, **changes))
+    return dataclasses.replace(config, **changes)
 
 
 def apply_sweep_point(config: ScenarioConfig, point: Mapping[str, Any]) -> ScenarioConfig:
@@ -626,6 +632,4 @@ def apply_sweep_point(config: ScenarioConfig, point: Mapping[str, Any]) -> Scena
             changes[param] = _parsers(ScenarioConfig)[param](value, path)
     if penalty_changes:
         changes["penalty"] = dataclasses.replace(config.penalty, **penalty_changes)
-    out = dataclasses.replace(config, sweep=None, **changes)
-    out.validate_runtime()
-    return out
+    return dataclasses.replace(config, sweep=None, **changes)

@@ -37,7 +37,6 @@ from typing import Callable, Optional, Sequence
 from .config import (
     ScenarioConfig,
     apply_sweep_point,
-    check_config,
     echo_config,
     with_overrides,
 )
@@ -208,10 +207,10 @@ def run_scenario(
 ) -> dict:
     """Run all trials, write outputs, return the summary mapping.
 
-    Bad input fails as a ConfigError or TraceError before the output
-    directory exists; so does a sweep grid, which only `run_sweep` runs.
+    `config` was checked when it was made. A trace that does not fit it
+    fails as a TraceError before the output directory exists, and so does
+    a sweep grid (a ConfigError), which only `run_sweep` runs.
     """
-    config = check_config(config)
     if config.sweep:
         raise ConfigError("sweep", "one scenario run ignores the grid; run it as a sweep")
     trace_list = list(trace) if trace is not None else None
@@ -251,15 +250,16 @@ def sweep_points(config: ScenarioConfig) -> list[dict]:
 def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
     """Run every grid point and combine rows into one long-format CSV.
 
-    A sweep writes no ledgers, so `emit_ledgers` is a ConfigError.
+    `config`, and with it every grid value, was checked when it was made.
+    A sweep writes no ledgers, so `emit_ledgers` is a ConfigError before
+    the output directory exists.
     """
-    config = check_config(config)
     if config.emit_ledgers:
         raise ConfigError("emit_ledgers", "a sweep writes no ledgers")
     points = sweep_points(config)
     params = sorted(config.sweep)
 
-    subs = [apply_sweep_point(config, point) for point in points]  # a bad point fails here
+    subs = [apply_sweep_point(config, point) for point in points]  # each checked as it is made
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # Every (point, trial) task goes through one pool.
@@ -296,12 +296,12 @@ def run_ic_check(
 ) -> dict:
     """Run the empirical incentive comparison and write its report.
 
-    Bad input fails as a ConfigError before the output directory exists,
-    and so do a sweep grid and `emit_ledgers`, which it does not use.
+    `config` was checked when it was made. A sweep grid, `emit_ledgers`
+    (which it does not use), a bad `discount` and a roster with no deviator
+    fail as a ConfigError before the output directory exists.
     """
     from .incentive import empirical_ic, find_focal
 
-    config = check_config(config)
     for name in ("sweep", "emit_ledgers"):
         if getattr(config, name):
             raise ConfigError(name, "ic-check does not use it")

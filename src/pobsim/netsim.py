@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .chain import extend_chain, genesis_block
-from .config import ScenarioConfig, check_config
+from .config import ScenarioConfig
 from .rewards import PoolSplit, RewardSchedule, split_pool
 from .rng import RngHub
 from .scoring import (
@@ -66,16 +66,11 @@ from .weights import (
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Message-delay sampler. Sampled delays are always >= 0."""
+    """Message-delay sampler. A config's `latency_distribution` and
+    `latency_mean_ms` (> 0) make one, so sampled delays are always >= 0."""
 
     distribution: str = "exponential"
     mean_ms: float = 50.0
-
-    def __post_init__(self):
-        if self.distribution not in ("exponential", "fixed", "uniform"):
-            raise ValueError(f"unknown latency distribution {self.distribution!r}")
-        if self.mean_ms <= 0:
-            raise ValueError("mean_ms must be > 0")
 
     def draws(self, rng: random.Random, n: int) -> list[float]:
         """`n` delays, each what `rng.uniform(0, 2 * mean)` or `rng.expovariate(1 / mean)`
@@ -726,12 +721,12 @@ def trial_epochs(
     slashes, review, settlement, chain and fork. Several protocols need a
     config that `shares_one_state`; a ValueError says so otherwise.
 
-    Nothing runs until the first epoch is asked for: then `config` is
-    checked as the loader checks it (`check_config`), a trace's proposers
-    are checked (`check_trace`) and the trial is set up. Each epoch comes
-    out once the next one starts (the last one waits for the trial-end
-    fork outcome), and the trial keeps none it has handed out past the
-    next epoch, so its memory stays flat in the epoch count.
+    `config` was checked when it was made. Nothing runs until the first
+    epoch is asked for: then a trace's proposers are checked
+    (`check_trace`) and the trial is set up. Each epoch comes out once the
+    next one starts (the last one waits for the trial-end fork outcome),
+    and the trial keeps none it has handed out past the next epoch, so its
+    memory stays flat in the epoch count.
     """
     protocols, distinct = tuple(protocols), set(protocols)
     if not protocols or not distinct <= {"pob", "pos"} or len(distinct) < len(protocols):
@@ -739,7 +734,6 @@ def trial_epochs(
             f"a trial needs distinct concrete protocols, got {protocols!r} "
             "(resolve 'paired' at the experiment layer)"
         )
-    config = check_config(config)
     if len(protocols) > 1 and not shares_one_state(config, trace):
         raise ValueError("this roster's draws depend on the protocol: run each protocol alone")
     if trace is not None:

@@ -19,18 +19,13 @@ from .weights import left_sum
 
 @dataclass(frozen=True)
 class RewardSchedule:
+    """The pool terms of a config (`ScenarioConfig.reward_schedule`), whose
+    fields keep `r_total`, `r_base` and `epsilon` >= 0."""
+
     total_reward: float
     base_reward: float
     activity_threshold: float = 0.0
     activeness_epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.total_reward < 0:
-            raise ValueError("total_reward must be >= 0")
-        if self.base_reward < 0:
-            raise ValueError("base_reward must be >= 0")
-        if self.activeness_epsilon < 0:
-            raise ValueError("activeness_epsilon must be >= 0")
 
 
 @dataclass

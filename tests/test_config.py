@@ -1,16 +1,18 @@
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 import yaml
 
+import pobsim.config
 from pobsim.adversaries import StrategySpec
 from pobsim.config import (
     SWEEPABLE,
     PenaltySettings,
     RosterEntry,
+    ScenarioConfig,
     apply_sweep_point,
-    check_config,
     config_from_mapping,
     config_to_mapping,
     echo_config,
@@ -21,7 +23,7 @@ from pobsim.config import (
 )
 from pobsim.errors import ConfigError, TraceError
 from pobsim.trace import TraceBlock, check_trace
-from pobsim.presets import builtin_presets
+from pobsim.presets import Preset, builtin_presets
 from pobsim.scoring import ActionKind
 
 MINIMAL = "protocol: pob\nn_validators: 100\n"
@@ -245,8 +247,10 @@ class TestEchoIsPyYamlByteForByte:
 
     @pytest.mark.parametrize("text", ODD_STRINGS)
     def test_odd_override_id(self, text):
-        """The id is refused at load, but the echo still writes it as PyYAML does."""
-        cfg = dataclasses.replace(loads_config(MINIMAL), proposer_override=(text, 0, 1))
+        """No config holds such an id (the constructor refuses it), but the echo
+        writes a nested odd string as PyYAML does: set past the constructor."""
+        cfg = loads_config(MINIMAL)
+        object.__setattr__(cfg, "proposer_override", (text, 0, 1))
         mapping = config_to_mapping(cfg)
         assert echo_config(cfg) == yaml.safe_dump(mapping, sort_keys=True, default_flow_style=False)
         assert yaml.safe_load(echo_config(cfg))["proposer_override"]["validator"] == text
@@ -318,14 +322,13 @@ class TestOverrides:
 
     @staticmethod
     def assert_rejected_on_every_path(text, changes, match):
-        """The loader, with_overrides and a sweep point all raise ConfigError."""
+        """The loader, with_overrides and the constructor all raise ConfigError."""
         with pytest.raises(ConfigError, match=match):
             loads_config(text)
         with pytest.raises(ConfigError, match=match):
             with_overrides(loads_config(MINIMAL), **changes)
-        unchecked = dataclasses.replace(loads_config(MINIMAL), **changes)
         with pytest.raises(ConfigError, match=match):
-            apply_sweep_point(unchecked, {"rho": 0.5})
+            ScenarioConfig(**{"protocol": "pob", "n_validators": 100, **changes})
 
     def test_unknown_proposer_override_rejected(self):
         text = MINIMAL + "proposer_override: {validator: zzz, from_epoch: 0, to_epoch: 3}\n"
@@ -423,17 +426,52 @@ BAD_FIELDS = [pytest.param(*case, id=case[0]) for case in [
 class TestOneSchema:
     @pytest.mark.parametrize("field,value,yaml_value", BAD_FIELDS)
     def test_bad_value_rejected_on_every_path(self, field, value, yaml_value):
-        text = yaml.safe_dump({"protocol": "pob", "n_validators": 100, field: yaml_value})
-        with pytest.raises(ConfigError) as err:
-            loads_config(text)
-        assert err.value.field.split(".")[0] == field
-        with pytest.raises(ConfigError) as err:
-            with_overrides(loads_config(MINIMAL), **{field: value})
-        assert err.value.field.split(".")[0] == field
+        """The loader and every way to make a config in Python: the constructor,
+        `dataclasses.replace`, `with_overrides`, a preset's `build()` and a sweep
+        point or grid."""
+        base = {"protocol": "pob", "n_validators": 100}
+        preset = Preset("bad", "one bad field",
+                        build=lambda: ScenarioConfig(**{**base, field: value}))
+        for make in (lambda: loads_config(yaml.safe_dump({**base, field: yaml_value})),
+                     lambda: ScenarioConfig(**{**base, field: value}),
+                     lambda: dataclasses.replace(loads_config(MINIMAL), **{field: value}),
+                     lambda: with_overrides(loads_config(MINIMAL), **{field: value}),
+                     preset.build):
+            with pytest.raises(ConfigError) as err:
+                make()
+            assert err.value.field.split(".")[0] == field
         if field in SWEEPABLE:
             with pytest.raises(ConfigError) as err:
                 apply_sweep_point(loads_config(MINIMAL), {field: yaml_value})
             assert err.value.field == f"sweep.{field}"
+            with pytest.raises(ConfigError) as err:
+                ScenarioConfig(**base, sweep={field: [yaml_value]})
+            assert err.value.field == f"sweep.{field}"
+
+    def test_listed_override_is_refused(self):
+        """The constructor reads a stored override, a tuple, as the loader's
+        mapping; a list is still no override, from YAML or from Python."""
+        with pytest.raises(ConfigError, match="found list") as err:
+            loads_config(MINIMAL + "proposer_override: [v0001, 0, 3]\n")
+        assert err.value.field == "proposer_override"
+        with pytest.raises(ConfigError, match="found list") as err:
+            with_overrides(loads_config(MINIMAL), proposer_override=["v0001", 0, 3])
+        assert err.value.field == "proposer_override"
+        cfg = with_overrides(loads_config(MINIMAL), proposer_override=("v0001", 0, 3))
+        assert cfg.proposer_override == ("v0001", 0, 3)
+
+    def test_unpickled_config_is_equal_and_not_parsed_again(self, monkeypatch):
+        # A pool worker gets its config pickled; unpickling does not call the constructor.
+        cfg = builtin_presets()["case-a-stealth"].build()
+        data = pickle.dumps(cfg)
+
+        def refuse(*args):
+            raise AssertionError("parsed again")
+
+        monkeypatch.setattr(pobsim.config, "_parse_fields", refuse)
+        assert pickle.loads(data) == cfg
+        with pytest.raises(AssertionError, match="parsed again"):
+            dataclasses.replace(cfg)
 
     @pytest.mark.parametrize("line", ["rho: .nan", "epsilon: .inf", "r_total: 1" + "0" * 400])
     def test_non_finite_number_rejected(self, line):
@@ -447,7 +485,7 @@ class TestOneSchema:
     @pytest.mark.parametrize("name", sorted(builtin_presets()))
     def test_preset_round_trip(self, name):
         cfg = builtin_presets()[name].build()
-        assert check_config(cfg) == cfg
+        assert dataclasses.replace(cfg) == cfg  # parsed again from its YAML form: no change
         assert echo_config(loads_config(echo_config(cfg))) == echo_config(cfg)
 
     def test_overrides_are_parsed_as_the_loader_parses(self):

@@ -134,9 +134,9 @@ class TestRunSweep:
             ).read_bytes()
 
     def test_bad_sweep_point_fails_before_output(self, tmp_path):
-        cfg = tiny_paired(epochs=5, sweep={"rho": [0.5], "delta": [0.1, 2.0]})
         with pytest.raises(ConfigError, match="sweep.delta"):
-            run_sweep(cfg, tmp_path / "out")
+            run_sweep(tiny_paired(epochs=5, sweep={"rho": [0.5], "delta": [0.1, 2.0]}),
+                      tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_parallel_sweep_uses_one_pool(self, tmp_path, pools):
@@ -240,11 +240,10 @@ class TestIcCheckRunner:
 class TestEntryPointsCheckConfig:
     @pytest.mark.parametrize("entry", [run_scenario, run_sweep, run_ic_check])
     def test_config_built_in_python_fails_before_output(self, entry, tmp_path):
-        cfg = ScenarioConfig(protocol="pob", n_validators=5, newcomer_epoch=0,
-                             sweep={"rho": [0.5]})
         out = tmp_path / "out"
         with pytest.raises(ConfigError) as err:
-            entry(cfg, out)
+            entry(ScenarioConfig(protocol="pob", n_validators=5, newcomer_epoch=0,
+                                 sweep={"rho": [0.5]}), out)
         assert err.value.field == "newcomer_epoch"
         assert not out.exists()
 
@@ -293,11 +292,10 @@ class TestBadInputBeforeOutput:
         """The override is held to the trace's rule: pob retires a convicted member,
         and a retired id cannot go on being elected."""
         sybils = (RosterEntry(8, 10, StrategySpec("adaptive-sybil")),)
-        config = tiny_paired(protocol="pob", epochs=12, roster=sybils, workers=workers,
-                             proposer_override=("v0008", 0, 12))
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="adaptive-sybil member") as err:
-            run_scenario(config, out)
+            run_scenario(tiny_paired(protocol="pob", epochs=12, roster=sybils, workers=workers,
+                                     proposer_override=("v0008", 0, 12)), out)
         assert err.value.field == "proposer_override.validator"
         assert not out.exists()
 

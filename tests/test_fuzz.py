@@ -1,15 +1,19 @@
 """Bad input fails before any trial runs, on every entry point.
 
 One property over random scenario mappings: each goes through the YAML
-loader, `with_overrides`, a sweep grid, the CLI or the CLI's `ic-check`,
-and either raises ConfigError (exit 1 from the CLI) before its output
-directory exists, or finishes a 3-epoch run whose outputs are the same
-with one worker and with two. The mappings mix valid and invalid values,
-their `proposer_override` names a configured id, an unknown id, the
-newcomer or an adaptive-sybil member, whom pob may retire, and their pos
-slash delay is short enough for a slash to land within the run. Every
-built-in preset but the replay also runs through the CLI's `preset` at 3
-epochs to the same outputs with one worker and with two.
+loader, `with_overrides`, the `ScenarioConfig` constructor, a sweep grid,
+the CLI or the CLI's `ic-check`, and either raises ConfigError (exit 1
+from the CLI) before its output directory exists, or finishes a 3-epoch
+run whose outputs are the same with one worker and with two. The
+constructor also refuses a mapping with the loader's field, or makes the
+loader's config. The mappings mix valid and invalid values, their roster
+entry's strategy params lie now and then within their bounds and once in
+a while just outside them, their `proposer_override` names a configured
+id, an unknown id, the newcomer or an adaptive-sybil member, whom pob may
+retire, and their pos slash delay is short enough for a slash to land
+within the run. Every built-in preset but the replay also runs through
+the CLI's `preset` at 3 epochs to the same outputs with one worker and
+with two.
 
 A second property does the same for block traces, through `run_scenario`
 and the CLI's `replay`: a short trace whose proposers are configured,
@@ -19,6 +23,10 @@ exists, or runs to the same outputs with one worker and with two. Every
 config these draw that loads also echoes exactly as PyYAML writes it.
 """
 
+import csv
+import dataclasses
+import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -34,9 +42,9 @@ from hypothesis import (
     strategies as st,
 )
 
-from pobsim.adversaries import PARAMS
+from pobsim.adversaries import PARAMS, StrategySpec
 from pobsim.cli import main
-from pobsim.config import ScenarioConfig, loads_config, with_overrides
+from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overrides
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_scenario, run_sweep
 from pobsim.presets import builtin_presets
@@ -45,14 +53,42 @@ from pobsim.scoring import ActionKind
 from test_config import assert_echo_is_pyyaml
 from traces import write_trace
 
-ENTRY_POINTS = ("yaml", "overrides", "sweep", "cli", "ic-check")
+ENTRY_POINTS = ("yaml", "overrides", "python", "sweep", "cli", "ic-check")
 BASE = "protocol: pob\nn_validators: 4\nepochs: 3\ntrials: 2\n"
 # A stealth validator that attempts a fraud every epoch, so pos slashes land
-# within 3 epochs: few drawn mappings get there at default strategy params.
+# within 3 epochs: few drawn mappings get there.
 LANDS_POS_SLASHES = {"protocol": "paired", "n_validators": 4, "epochs": 3, "trials": 2,
                      "seed": 7, "roster": [{"range": [3, 4], "kind": "stealth",
                                              "params": {"fraud_rate": 1.0}}],
                      "pos_slash_delay": 1, "pos_slash_fraction": 0.5}
+
+
+def param_values(lo, hi, outside: bool):
+    """Values within [lo, hi] of a PARAMS entry (hi None: a few steps above lo),
+    or, when `outside`, the nearest values just outside it."""
+    count = isinstance(lo, int)
+    if outside:
+        below = lo - 1 if count else math.nextafter(lo, -math.inf)
+        above = [] if hi is None else [hi + 1 if count else math.nextafter(hi, math.inf)]
+        return st.sampled_from([below, *above])
+    top = (lo + 5 if count else lo + 100.0) if hi is None else hi
+    if count:  # a burst_epoch of 0 to 2 lands within the 3 epochs
+        return st.integers(lo, top)
+    # A fraud_rate of 1 attempts a fraud every epoch.
+    return st.one_of(st.just(top), st.floats(lo, top, allow_subnormal=True))
+
+
+@st.composite
+def strategy_params(draw, kind):
+    """Now and then each param of `kind` from its bounds; once in a while one of
+    them just outside, which the loader refuses."""
+    bounds = {name: (lo, hi) for name, (_, lo, hi) in PARAMS[kind].items()}
+    params = {name: draw(param_values(*bounds[name], outside=False))
+              for name in bounds if draw(st.sampled_from([False, True, True]))}
+    if params and draw(st.integers(0, 7)) == 0:
+        name = draw(st.sampled_from(sorted(params)))
+        params[name] = draw(param_values(*bounds[name], outside=True))
+    return params
 
 
 @st.composite
@@ -68,7 +104,8 @@ def scenarios(draw):
         lo = draw(st.integers(0, n - 1))
         hi = draw(st.one_of(st.integers(lo + 1, n),
                             st.sampled_from([lo, n + 1])))  # empty, or past the last index
-        mapping["roster"] = [{"range": [lo, hi], "kind": kind}]
+        mapping["roster"] = [{"range": [lo, hi], "kind": kind,
+                              "params": draw(strategy_params(kind))}]
         if kind == "adaptive-sybil":
             sybils = [f"v{i:04d}" for i in range(lo, min(hi, n))]
     if draw(st.booleans()):
@@ -99,6 +136,45 @@ def scenarios(draw):
     return mapping
 
 
+def stored_form(mapping: dict) -> dict:
+    """`mapping`'s values in the form a config stores them: roster entries as
+    RosterEntry (an entry whose params StrategySpec refuses stays a mapping,
+    which the constructor reads too) and the override as a tuple."""
+    stored = dict(mapping)
+    if "roster" in stored:
+        stored["roster"] = []
+        for item in mapping["roster"]:
+            try:
+                spec = StrategySpec(item["kind"], item.get("params", {}))
+            except ValueError:
+                stored["roster"].append(item)
+            else:
+                stored["roster"].append(RosterEntry(*item["range"], spec))
+    if "proposer_override" in stored:
+        stored["proposer_override"] = tuple(mapping["proposer_override"].values())
+    return stored
+
+
+def construct(mapping: dict) -> ScenarioConfig:
+    """`ScenarioConfig(**...)` of `mapping`'s stored form, which raises the
+    loader's ConfigError or makes the loader's config. The loader reads the
+    mapping in the schema's field order, as the constructor parses it, so
+    both meet the same bad value first."""
+    names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    text = yaml.safe_dump({key: mapping[key] for key in names if key in mapping},
+                          sort_keys=False)
+    try:
+        loaded = loads_config(text)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(**stored_form(mapping))
+        assert err.value.field == exc.field
+        raise
+    config = ScenarioConfig(**stored_form(mapping))
+    assert config == loaded
+    return config
+
+
 def run(entry: str, mapping: dict, workers: int, out: Path, scratch: Path) -> None:
     """Run `mapping` through `entry` with `workers`; raise ConfigError on bad input."""
     if entry in ("cli", "ic-check"):
@@ -114,6 +190,8 @@ def run(entry: str, mapping: dict, workers: int, out: Path, scratch: Path) -> No
         config = with_overrides(loads_config(BASE), workers=workers, **{
             key: tuple(value.values()) if key == "proposer_override" else value
             for key, value in mapping.items()})
+    elif entry == "python":
+        config = construct({**mapping, "workers": workers})
     else:  # yaml; a sweep grid loads through the YAML loader too
         config = loads_config(yaml.safe_dump({**mapping, "workers": workers}))
     assert isinstance(config, ScenarioConfig)
@@ -123,6 +201,13 @@ def run(entry: str, mapping: dict, workers: int, out: Path, scratch: Path) -> No
 def outputs(out: Path) -> dict:
     """Every output file but the echo, which records `workers`."""
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config.echo"}
+
+
+def attempted_fraud(files: dict) -> bool:
+    """Whether a trial in a run's CSV attempted a fraud: its `far` is defined."""
+    rows = (row for name in ("trials.csv", "sweep.csv") if name in files
+            for row in csv.DictReader(io.StringIO(files[name].decode())))
+    return any(row["far"] for row in rows)
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -154,6 +239,8 @@ def test_bad_input_fails_before_output_else_workers_agree(entry, mapping):
         assert results[0] == results[1]
         assert results[0] is None or results[0]
         event(f"{entry}: {'refused' if results[0] is None else 'ran'}")
+        if results[0] is not None and attempted_fraud(results[0]):
+            event(f"{entry}: attempted a fraud")
 
 
 @pytest.mark.parametrize("name", sorted(name for name, preset in builtin_presets().items()

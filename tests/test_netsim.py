@@ -124,12 +124,15 @@ class TestLatencyModel:
         assert abs(sum(samples) / n - 50.0) / 50.0 < 0.05
 
     def test_unknown_distribution(self):
-        with pytest.raises(ValueError):
-            LatencyModel("gamma", 50.0)
+        # A LatencyModel is made only from a config, which refuses the value.
+        with pytest.raises(ConfigError) as err:
+            small_config(latency_distribution="gamma", latency_mean_ms=50.0)
+        assert err.value.field == "latency_distribution"
 
     def test_positive_mean_required(self):
-        with pytest.raises(ValueError):
-            LatencyModel("fixed", 0.0)
+        with pytest.raises(ConfigError) as err:
+            small_config(latency_distribution="fixed", latency_mean_ms=0.0)
+        assert err.value.field == "latency_mean_ms"
 
 
 class TestConfirmBlock:
@@ -466,11 +469,11 @@ class TestTrialSetup:
         ([(5, 3)], "stealth", r"\[5, 3\) is empty"),
     ], ids=["two-adaptive-sybil", "overlapping", "empty"])
     def test_run_trial_refuses_a_roster_the_loader_refuses(self, ranges, kind, message):
-        cfg = small_config(n_validators=20, roster=tuple(
-            RosterEntry(lo, hi, StrategySpec(kind, {})) for lo, hi in ranges))
         for protocol in ("pob", "pos"):
             with pytest.raises(ConfigError, match=message):
-                run_trial(cfg, 1, protocol=protocol)
+                run_trial(small_config(n_validators=20, roster=tuple(
+                    RosterEntry(lo, hi, StrategySpec(kind, {})) for lo, hi in ranges)),
+                    1, protocol=protocol)
 
 
 class TestSinglePassFacts:
@@ -635,12 +638,12 @@ class TestLazyLedger:
 
     def test_oversubscribed_pool_fails_at_load(self):
         # The newcomer's stipend would oversubscribe the pool from its join epoch
-        # on, by 5.5e-10: the loader refuses it with the run's own pool check, so
+        # on, by 5.5e-10: the config is refused when made, by the run's own pool check, so
         # no trial starts, and an unread pool split cannot fail in its epoch.
-        cfg = small_config(epochs=12, newcomer_epoch=5, r_total=11.0, r_base=1.0 + 5e-11)
         for protocol in ("pob", "pos"):
             with pytest.raises(ConfigError, match="x 11 active validators exceeds pool 11.0"):
-                next(netsim.trial_epochs(cfg, 2, (protocol,)))
+                next(netsim.trial_epochs(small_config(epochs=12, newcomer_epoch=5, r_total=11.0,
+                                                      r_base=1.0 + 5e-11), 2, (protocol,)))
 
     def test_live_blocks_stay_within_the_fork_window(self, monkeypatch):
         live, peak = weakref.WeakSet(), []

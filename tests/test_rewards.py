@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pobsim.errors import RewardPoolError
+from pobsim.config import ScenarioConfig
+from pobsim.errors import ConfigError, RewardPoolError
 from pobsim.rewards import RewardSchedule, split_pool
 
 
@@ -115,7 +116,8 @@ class TestDistribute:
         assert all(total >= 7.0 - 1e-12 for total in split.total)
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            RewardSchedule(total_reward=-1.0, base_reward=0.0)
-        with pytest.raises(ValueError):
-            RewardSchedule(total_reward=1.0, base_reward=-0.5)
+        # A RewardSchedule is made only from a config, which refuses a negative pool term.
+        for field, value in (("r_total", -1.0), ("r_base", -0.5), ("epsilon", -0.1)):
+            with pytest.raises(ConfigError) as err:
+                ScenarioConfig(protocol="pob", n_validators=10, **{field: value})
+            assert err.value.field == field
