@@ -4,7 +4,7 @@ Chains are compared by the *current* weight of the validators endorsing
 each tip, not by accumulated utility: a fork signed only by keys that
 have since lost their weight loses to the canonical chain no matter how
 much utility it claims. Cumulative utility and proposer id only break
-ties.
+ties. A trial builds blocks only for a long-range fork (`netsim._PobRules`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ randomness flows through named substreams, every iteration order is
 sorted, so re-runs are bit-identical. A paired trial is one loop over
 one trial state: the behaviors and delays are drawn once and shared, and
 so are the epoch's facts, activity and arrival order. Per protocol are
-its own copy of the election stream, its proposer's record, its quorum,
-slashes, review, settlement, chain and fork. So each protocol's ledgers
-are, byte for byte, those of a trial that runs that protocol alone.
+its own streams, its proposer's record, quorum, slashes, review and
+settlement, and pob's chain for a long-range fork. So each protocol's
+ledgers are, byte for byte, those of a trial that runs that protocol alone.
 """
 
 from __future__ import annotations
@@ -211,9 +211,6 @@ class _TrialState:
     latency: LatencyModel
     schedule: RewardSchedule
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
-    # the long-range-fork keys, sorted, and their one fork depth
-    compromised: list[str] = field(default_factory=list)
-    fork_depth: int = 0
     pending_events: list[dict] = field(default_factory=list)
     # The sorted ids alive this epoch, and what is aligned with them (_set_roster).
     alive: list[str] = field(default_factory=list)
@@ -273,11 +270,8 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
         elif kind == "griefing":
             make = partial(adv.GriefingStrategy, param("empty_block_run"),
                            param("utility_epsilon"), param("low_initiative"))
-        else:  # stealth, or long-range-fork: stealth frauds from keys that fork at trial end
+        else:  # stealth, or long-range-fork: stealth frauds from keys pob forks (_PobRules)
             make = partial(adv.StealthStrategy, param("fraud_rate"), param("fraud_value"))
-            if kind == "long-range-fork":  # one fork depth for all (config._roster)
-                state.compromised = sorted(state.compromised + members)
-                state.fork_depth = param("fork_depth")
         for vid in members:
             strategies[vid] = make()
 
@@ -390,7 +384,6 @@ class _EpochFacts:
     Lists are aligned with the roster; record indices are rows of the columns."""
 
     scores: list[float]  # summed utility of each validator's records
-    utility: float  # summed utility of every record, in record order
     utilities: list[float]  # each row's utility; the scores themselves with one row each
     outcomes: list[float]  # each row's outcome utility
     harmful: list[int]  # rows with a negative outcome
@@ -458,12 +451,12 @@ def _epoch_facts(cols: BehaviorColumns, activity: _Activity, positions: list[int
         suspects = [(mine[0], *actor_inputs)
                     for mine, actor_inputs in zip(*activity.per_position)
                     if len(mine) > 1 or single_suspect]
-    return _EpochFacts(scores, left_sum(utilities), utilities, outcomes, harmful, suspects)
+    return _EpochFacts(scores, utilities, outcomes, harmful, suspects)
 
 
 def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
-                 proposer: str) -> tuple[BehaviorColumns, list[float], float]:
-    """The epoch's columns, scores and utility total with `proposer`'s record
+                 proposer: str) -> tuple[BehaviorColumns, list[float], list[float]]:
+    """The epoch's columns, scores and row utilities with `proposer`'s record
     made its propose record: the one place a drawn record becomes one, for
     every trial outside a trace (where the actor column is sorted).
 
@@ -478,7 +471,7 @@ def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
     pos = state.pos_of.get(proposer)
     row = -1 if pos is None else bisect_left(cols.actor, pos)
     if row < 0 or cols.kind[row] is not ActionKind.VALIDATE:
-        return cols, facts.scores, facts.utility
+        return cols, facts.scores, facts.utilities
     motivation = state.shape.motivations[ActionKind.PROPOSE]
     kind, motivations, utilities = cols.kind.copy(), cols.motivation.copy(), facts.utilities.copy()
     kind[row], motivations[row] = ActionKind.PROPOSE, motivation
@@ -489,18 +482,17 @@ def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
         for u in utilities[row:bisect_right(cols.actor, pos)]:  # the proposer's rows
             score += u
         scores[pos] = score
-    return (dataclasses.replace(cols, kind=kind, motivation=motivations), scores,
-            left_sum(utilities))
+    return dataclasses.replace(cols, kind=kind, motivation=motivations), scores, utilities
 
 
-def _sessions(state: _TrialState, cols: BehaviorColumns,
-              facts: _EpochFacts) -> list[tuple[int, int, int, bool]]:
+def _sessions(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
+              observe_rng: random.Random) -> list[tuple[int, int, int, bool]]:
     """Suspicion channel: a (subject position, row, reporter count, harmful)
     session per reported row.
 
     Harmful rows come first, then the scripted-looking rows with an outcome
     of at least 0, each observed by every other validator. Below
-    `observe_prob` 1 each observer reports on its own `observe` draw, and
+    `observe_prob` 1 each observer reports on its own `observe_rng` draw, and
     the count is the number that did; a row no one reports convenes no
     session. At `observe_prob` 1 every observer reports, but the count is
     recorded as 1.
@@ -514,7 +506,7 @@ def _sessions(state: _TrialState, cols: BehaviorColumns,
                           config.anomaly_quality_threshold) and facts.outcomes[row] >= 0.0:
             rows.append(row)
     if config.observe_prob < 1.0:
-        draw, p = state.hub.stream("observe").random, config.observe_prob
+        draw, p = observe_rng.random, config.observe_prob
         counts = [sum(draw() < p for _ in range(observers)) for _ in rows]
     else:
         counts = [min(observers, 1)] * len(rows)
@@ -550,36 +542,37 @@ def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
 # Protocol rules: the one place the two protocols differ
 # ---------------------------------------------------------------------------
 #
-# A trial keeps one rules object per protocol as a local of trial_epochs:
-# its half of the trial. The rules hold only what their protocol uses and
-# never point back at the trial state, so a finished trial leaves no
-# reference cycle to collect. Each keeps `weights`, its election and reward
-# weights aligned with the roster, as a new list on every change, so a
-# ledger can keep the one it got. They call the protocol operations through
-# this module's globals, where a tracer can wrap them by name.
+# A trial keeps one rules object per protocol as a local of trial_epochs.
+# The rules hold only what their protocol uses, each stream only it draws
+# as its own `RngHub.fresh` copy, and never point back at the trial state,
+# so a finished trial leaves no reference cycle to collect. Each keeps
+# `weights`, its election and reward weights aligned with the roster, as a
+# new list on every change, so a ledger can keep the one it got, and
+# `chain`, the blocks its trial-end fork reads (None without a fork). They
+# call the protocol operations through this module's globals, where a
+# tracer can wrap them by name.
 
-class _Half:
-    """What every protocol keeps apart: its own copy of the election stream,
-    from which the protocols draw different counts, and its chain."""
-
-    def __init__(self, state: _TrialState):
-        self.election_rng = state.hub.fresh("election")
-        # The blocks the trial-end fork can reach; older ones are dropped.
-        self.chain = deque([genesis_block()], maxlen=state.fork_depth + 1)
-
-
-class _PobRules(_Half):
-    """Behavior weighting: reports, committee verdicts and the weight update."""
+class _PobRules:
+    """Behavior weighting: reports, committee verdicts, the weight update and the fork."""
 
     protocol = "pob"
 
     def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
-        super().__init__(state)
+        config, hub = state.config, state.hub
+        self.election_rng = hub.fresh("election")
+        self.committee_rng = hub.fresh("committee")
+        self.watchdog_rng = hub.fresh("latency/watchdog")
+        self.observe_rng = hub.fresh("observe")
         self.offense_counts: dict[str, int] = {}
-        self.committee_rng = state.hub.stream("committee")
-        self.watchdog_rng = state.hub.stream("latency/watchdog")
-        by_stake = state.config.genesis_weights == "stake"
+        by_stake = config.genesis_weights == "stake"
         self.weights = normalize([stakes[v] if by_stake else 1.0 for v in state.alive])
+        # The long-range-fork keys, sorted, and their one fork depth (config._roster).
+        forks = [entry for entry in config.roster if entry.spec.kind == "long-range-fork"]
+        ids = config.validator_ids()
+        self.compromised = sorted(vid for entry in forks for vid in ids[entry.lo:entry.hi])
+        self.fork_depth = forks[0].spec.param("fork_depth") if forks else 0
+        # The blocks the fork can reach, older ones dropped; no chain without a fork.
+        self.chain = deque([genesis_block()], maxlen=self.fork_depth + 1) if forks else None
 
     def land_slashes(self, state: _TrialState, epoch: int,
                      events: list[dict]) -> tuple[str, ...]:
@@ -593,7 +586,7 @@ class _PobRules(_Half):
                ) -> tuple[Optional[float], tuple[Verdict, ...]]:
         """Suspicion sessions, the watchdog's delay on `confirm_ms`, and verdicts."""
         config = state.config
-        sessions = _sessions(state, behaviors, facts)
+        sessions = _sessions(state, behaviors, facts, self.observe_rng)
         committee_size = min(config.resolved_committee_size(), len(state.alive) - 1)
         if confirm_ms is not None:
             confirm_ms += config.processing_ms  # behavior-scoring stage
@@ -625,30 +618,31 @@ class _PobRules(_Half):
         self.weights = normalize([self.weights[pos] for pos in kept])
 
     def fork(self, state: _TrialState) -> Optional[dict]:
-        """The long-range fork attempt at trial end, if the roster has one.
+        """The long-range fork attempt at trial end, once a block is confirmed.
         The chain holds at least the last `fork_depth + 1` blocks."""
         chain = self.chain
         height = chain[-1].height
-        if not state.compromised or height == 0:
+        if height == 0:
             return None
         outcome = adv.long_range_fork_outcome(
             chain, WeightTable(dict(zip(state.alive, self.weights))),
-            state.compromised, min(state.fork_depth, height),
+            self.compromised, min(self.fork_depth, height),
             claimed_utility_boost=abs(chain[-1].cumulative_utility) + 1000.0)
         outcome["kind"] = "fork-outcome"
         return outcome
 
 
-class _PosRules(_Half):
+class _PosRules:
     """The stake-weighted baseline: static stakes, and a slash that lands
     `pos_slash_delay` epochs after an offender's first detection. Until
     then the offender keeps proposing at full stake; there is no escalation."""
 
     protocol = "pos"
+    chain = None  # no fork
 
     def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
-        super().__init__(state)
-        self.detect_rng = state.hub.stream("pos-detection")
+        self.election_rng = state.hub.fresh("election")
+        self.detect_rng = state.hub.fresh("pos-detection")
         self.weights = [stakes[v] for v in state.alive]  # the stakes
         self.pending: dict[str, int] = {}  # offender -> epoch its slash lands
         self.slashed: set[str] = set()
@@ -690,9 +684,6 @@ class _PosRules(_Half):
     def admit(self, state: _TrialState, vid: str, at: int) -> None:
         self.weights = self.weights[:at] + [state.config.stake_xmin] + self.weights[at:]
 
-    def fork(self, state: _TrialState) -> Optional[dict]:
-        return None
-
 
 def shares_one_state(config: ScenarioConfig, trace: Optional[Sequence[TraceBlock]]) -> bool:
     """Whether both protocols can run on one trial state, which draws every
@@ -717,14 +708,15 @@ def trial_epochs(
     (every validator as a non-proposer) and the delays once, and works out
     the facts, the activity and the arrival order once. Each protocol then
     elects its own proposer and, outside a trace, turns that proposer's
-    record into a propose record (`_as_proposer`), finds its own quorum in the shared arrival order, and runs its own
-    slashes, review, settlement, chain and fork. Several protocols need a
-    config that `shares_one_state`; a ValueError says so otherwise.
+    record into a propose record (`_as_proposer`), finds its own quorum in the shared
+    arrival order, and runs its own slashes, review and settlement, and the blocks and
+    fork of its `chain` if it keeps one (pob under a long-range-fork entry). Several
+    protocols need a config that `shares_one_state`; a ValueError says so otherwise.
 
     `config` was checked when it was made. Nothing runs until the first
     epoch is asked for: then a trace's proposers are checked
     (`check_trace`) and the trial is set up. Each epoch comes out once the
-    next one starts (the last one waits for the trial-end fork outcome),
+    next one starts (the last one waits for a trial-end fork outcome),
     and the trial keeps none it has handed out past the next epoch, so its
     memory stays flat in the epoch count.
     """
@@ -764,15 +756,15 @@ def trial_epochs(
             len(alive), state.latency, rng_lat_prop, rng_lat_vote, config.processing_ms)
         ledgers = []
         for rules, (own_events, neutralized, weights_before, proposer) in zip(halves, starts):
-            behaviors, scores, utility = cols, facts.scores, facts.utility
+            behaviors, scores, utilities = cols, facts.scores, facts.utilities
             if trace is None:
-                behaviors, scores, utility = _as_proposer(state, cols, facts, proposer)
+                behaviors, scores, utilities = _as_proposer(state, cols, facts, proposer)
             confirm_ms = quorum_time(arrivals, weights_before, config.quorum, order)
             confirmed = confirm_ms is not None
             confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
             weights_after = rules.settle(state, scores)
-            if confirmed:
-                rules.chain.append(extend_chain(rules.chain[-1], proposer, utility,
+            if confirmed and rules.chain is not None:
+                rules.chain.append(extend_chain(rules.chain[-1], proposer, left_sum(utilities),
                                                 state.signers, weights_after))
             ledgers.append(EpochLedger(
                 epoch, rules.protocol, proposer, alive, behaviors, state.schedule, config.betas,
@@ -784,7 +776,7 @@ def trial_epochs(
             _retire_convicted(state, rules, ledger.verdicts, epoch)
 
     for rules, ledger in zip(halves, finished):
-        outcome = rules.fork(state)
+        outcome = rules.fork(state) if rules.chain is not None else None
         if outcome is not None:
             ledger.events += (outcome,)
     if finished:

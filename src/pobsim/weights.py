@@ -120,12 +120,13 @@ def dampened_pick(weights: Sequence[float], delta: float, rng: random.Random) ->
 
 
 def stake_pick(stakes: Sequence[float], rng: random.Random) -> int:
-    """Strictly stake-proportional lottery over a stake list: the proposer's index."""
+    """Strictly stake-proportional lottery over a stake list: the proposer's index.
+    Uniform when no stake is left, the limit `dampened_pick` takes too."""
     if not stakes:
         raise ValueError("active set is empty")
     total = left_sum(stakes)
     if total <= 0.0:
-        raise DegenerateElectionError("total active stake is zero")
+        return rng.randrange(len(stakes))
     return proportional_pick(stakes, total, rng)
 
 
@@ -146,14 +147,15 @@ def election_prob(roster: Sequence[str], weights: Sequence[float], vid: str,
     listed in `roster` order.
 
     The behavior-weighted lottery mixes a uniform share `delta` into the
-    weight-proportional one; the stake lottery is the case delta = 0.
+    weight-proportional one; the stake lottery is the case delta = 0. Both
+    are uniform when no weight is left.
     """
     try:
         weight = weights[roster.index(vid)]
     except ValueError:
         return 0.0
     total = left_sum(weights)
-    proportional = weight / total if total > 0 else 0.0
+    proportional = weight / total if total > 0 else 1.0 / len(weights)
     return delta / len(weights) + (1.0 - delta) * proportional
 
 

@@ -5,10 +5,9 @@ import pytest
 from pobsim import netsim
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig
-from pobsim.errors import DegenerateElectionError
 from pobsim.netsim import run_trial
 from pobsim.scoring import BehaviorColumns
-from pobsim.weights import pareto_stakes, stake_pick
+from pobsim.weights import election_prob, pareto_stakes, stake_pick
 
 
 class TestSelectProposer:
@@ -32,8 +31,13 @@ class TestSelectProposer:
         assert abs(hits / n - 0.75) < 0.01
 
     def test_zero_total_stake(self):
-        with pytest.raises(DegenerateElectionError):
-            stake_pick([0.0], random.Random(0))
+        # Every stake slashed away: the lottery's limit is uniform, one
+        # randrange draw on the election stream, and its closed form agrees.
+        rng, twin = random.Random(0), random.Random(0)
+        picks = [stake_pick([0.0] * 4, rng) for _ in range(4000)]
+        assert picks == [twin.randrange(4) for _ in range(4000)]
+        assert min(picks.count(i) for i in range(4)) > 900
+        assert election_prob(["a", "b", "c", "d"], [0.0] * 4, "b", 0.0) == 0.25
 
     def test_empty_stakes(self):
         with pytest.raises(ValueError):
@@ -53,8 +57,7 @@ def _pos_rules(delay: int, fraction: float) -> tuple[netsim._TrialState, netsim.
 def _detect(state: netsim._TrialState, rules: netsim._PosRules, vid: str, epoch: int) -> None:
     """Review an epoch whose one harmful record is `vid`'s."""
     cols = BehaviorColumns(epoch, actor=[state.pos_of[vid]])
-    facts = netsim._EpochFacts(scores=[], utility=0.0, utilities=[], outcomes=[], harmful=[0],
-                               suspects=[])
+    facts = netsim._EpochFacts(scores=[], utilities=[], outcomes=[], harmful=[0], suspects=[])
     assert rules.review(state, epoch, cols, facts, None) == (None, ())
 
 

@@ -296,6 +296,20 @@ def test_ambiguous_roster_exits_1_without_output(kind, params, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_pos_run_whose_every_stake_is_slashed_runs_to_the_end(tmp_path):
+    # Both validators' stakes are slashed away by epoch 2; the stake lottery then
+    # elects uniformly, the limit the behavior lottery takes with no weight left.
+    cfg = tmp_path / "slashed.yaml"
+    cfg.write_text("protocol: pos\nn_validators: 2\nepochs: 3\ntrials: 2\nseed: 0\n"
+                   "pos_slash_delay: 0\npos_slash_fraction: 1.0\n"
+                   "roster:\n  - {range: [0, 2], kind: adaptive-sybil}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    for name in ("config.echo", "trials.csv", "summary.json"):
+        assert (out / name).stat().st_size > 0
+    assert len((out / "trials.csv").read_text().splitlines()) == 1 + 2
+
+
 def test_non_finite_param_rejected_by_overrides():
     spec = StrategySpec("stealth", {"fraud_value": 5.0})
     spec.params["fraud_value"] = float("inf")  # set after the spec checked it

@@ -444,9 +444,9 @@ class TestTrialSetup:
             RosterEntry(2, 4, StrategySpec("long-range-fork",
                                            {"fork_depth": 5, "fraud_rate": 0.5})),
         ))
-        state = netsim._setup_trial(cfg, RngHub(1), cfg.validator_ids())
-        assert state.compromised == ["v0002", "v0003", "v0015", "v0016"]
-        assert state.fork_depth == 5
+        _, (rules,) = netsim._start_trial(cfg, 1, ("pob",))
+        assert rules.compromised == ["v0002", "v0003", "v0015", "v0016"]
+        assert rules.fork_depth == 5
         ledgers = run_trial(cfg, 1)
         (outcome,) = [e for e in ledgers[-1].events if e["kind"] == "fork-outcome"]
         assert outcome["checkpoint_height"] == sum(l.confirmed for l in ledgers) - 5
@@ -495,12 +495,14 @@ class TestSinglePassFacts:
 
         monkeypatch.setattr(netsim, "extend_chain", recording_extend_chain)
         monkeypatch.setattr(chain, "signer_weight", counting_signer_weight)
+        # Stealth frauds from keys that fork at trial end: only pob keeps a chain.
         cfg = small_config(
             epochs=80, oracle_rate=0.3, epsilon=0.5, betas=(0.5, 0.3, 0.2),
-            roster=(RosterEntry(7, 10, StrategySpec("stealth", {"fraud_rate": 0.2})),),
+            roster=(RosterEntry(7, 10, StrategySpec("long-range-fork", {"fraud_rate": 0.2})),),
         )
         for protocol in ("pob", "pos"):
             blocks.clear()
+            sorted_sums.clear()
             ledgers = run_trial(cfg, 11, protocol=protocol)
             assert any(v.guilty for l in ledgers for v in l.verdicts) == (protocol == "pob")
             for l in ledgers:
@@ -515,8 +517,11 @@ class TestSinglePassFacts:
                                               diversity_index(b.kind for b in mine), cfg.betas)
                     assert l.roster_activeness[pos] == activeness(inputs)
             confirmed = [l for l in ledgers if l.confirmed]
-            assert len(blocks) == len(confirmed) > 0
-            assert sorted_sums == []  # extending the chain sorts no signer set
+            assert len(confirmed) > 0
+            assert len(blocks) == (len(confirmed) if protocol == "pob" else 0)
+            # extending the chain sorts no signer set; pob's fork choice at trial end
+            # sorts each of its two tips' signers
+            assert len(sorted_sums) == (2 if protocol == "pob" else 0)
             cumulative = 0.0
             for l, block in zip(confirmed, blocks):
                 cumulative += reduce(add, (total_utility(b) for b in l.behaviors), 0)
@@ -526,6 +531,61 @@ class TestSinglePassFacts:
                 assert block.signers == frozenset(weights_after)
                 assert block.signer_weight == sorting_weight(block.signers,
                                                              WeightTable(weights_after))
+
+
+class TestRulesOwnWhatOnlyTheyRead:
+    """Each protocol's rules own their streams, and only a fork keeps a chain."""
+
+    def test_no_block_is_built_that_no_fork_reads(self, monkeypatch):
+        calls = []
+        extend = netsim.extend_chain
+
+        def counting_extend_chain(*args):
+            calls.append(args)
+            return extend(*args)
+
+        monkeypatch.setattr(netsim, "extend_chain", counting_extend_chain)
+        presets = builtin_presets()
+        stealth = with_overrides(presets["case-a-stealth"].build(), epochs=20, protocol="paired")
+        assert len(list(netsim.trial_epochs(stealth, stealth.seed, ("pob", "pos")))) == 20
+        replayed = presets["case-c-replay"].build()
+        window = parse_trace(bundled_trace_path())[480:520]  # the benchmark's golden window
+        assert len(list(netsim.trial_epochs(replayed, replayed.seed, ("pob", "pos"),
+                                            window))) == 40
+        assert calls == []
+        long_range = with_overrides(presets["case-d-long-range"].build(), epochs=30)
+        for protocol in ("pob", "pos"):
+            ledgers = run_trial(long_range, long_range.seed, protocol=protocol)
+            confirmed = sum(l.confirmed for l in ledgers)
+            assert confirmed > 0
+            assert len(calls) == (confirmed if protocol == "pob" else 0)
+            forks = [e for l in ledgers for e in l.events if e["kind"] == "fork-outcome"]
+            assert len(forks) == (protocol == "pob")
+            calls.clear()
+
+    @pytest.mark.parametrize("protocol, streams", [
+        ("pob", {"election_rng": "election", "committee_rng": "committee",
+                 "watchdog_rng": "latency/watchdog", "observe_rng": "observe"}),
+        ("pos", {"election_rng": "election", "detect_rng": "pos-detection"}),
+    ])
+    def test_each_rules_object_draws_its_own_streams(self, protocol, streams):
+        config = small_config(observe_prob=0.5)
+
+        def draws(rules):
+            return {attr: [getattr(rules, attr).random() for _ in range(5)] for attr in streams}
+
+        # What the hub's cached stream of each name draws from its start.
+        hub = RngHub(3)
+        expected = {attr: [hub.stream(name).random() for _ in range(5)]
+                    for attr, name in streams.items()}
+        _, (lone,) = netsim._start_trial(config, 3, (protocol,))
+        assert draws(lone) == expected
+        state, (first,) = netsim._start_trial(config, 3, (protocol,))
+        second = type(first)(state, dict.fromkeys(state.alive, 1.0))
+        for attr in streams:
+            assert getattr(first, attr) is not getattr(second, attr)
+        assert draws(first) == expected
+        assert draws(second) == expected
 
 
 class TestOneLoop:
