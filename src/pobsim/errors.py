@@ -2,7 +2,7 @@
 
 Plain ``ValueError`` / ``KeyError`` are used for garden-variety bad inputs;
 the classes here exist where callers need to tell failure modes apart
-(config loading, trace parsing, degenerate elections, reward pools).
+(config loading, trace parsing, reward pools).
 """
 
 
@@ -30,10 +30,6 @@ class TraceError(SimulationError):
 
     def __reduce__(self):
         return type(self), (self.line_no, self.message)
-
-
-class DegenerateElectionError(SimulationError):
-    """No probability mass to elect a proposer from."""
 
 
 class RewardPoolError(SimulationError):

@@ -86,22 +86,10 @@ def gini(counts: Sequence[float]) -> Optional[float]:
     return (2.0 * weighted - (n + 1) * total) / (n * total)
 
 
-def adaptation_time(
-    trajectory: Sequence[float],
-    target_share: float,
-    mode: str,
-) -> Optional[int]:
-    """First index at which the trajectory crosses the target.
-
-    rise: first block with value >= target_share; fall: first block with
-    value < target_share. None when the crossing never happens.
-    """
-    if mode not in ("rise", "fall"):
-        raise ValueError(f"mode must be rise or fall, got {mode!r}")
+def adaptation_time(trajectory: Sequence[float], target_share: float) -> Optional[int]:
+    """First block with value >= target_share; None when it never rises that far."""
     for i, value in enumerate(trajectory):
-        if mode == "rise" and value >= target_share:
-            return i
-        if mode == "fall" and value < target_share:
+        if value >= target_share:
             return i
     return None
 
@@ -250,7 +238,7 @@ class TrialTally:
         newcomer_blocks: Optional[int] = None
         if self.newcomer_probs and self.alive_at_join:
             target = config.adaptation_target_frac / self.alive_at_join
-            newcomer_blocks = adaptation_time(self.newcomer_probs, target, "rise")
+            newcomer_blocks = adaptation_time(self.newcomer_probs, target)
 
         suppression: Optional[int] = None
         if self.first_adversary is not None:

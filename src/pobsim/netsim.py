@@ -25,7 +25,6 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from math import log
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -56,6 +55,7 @@ from .weights import (
     left_sum,
     normalize,
     pareto_stakes,
+    quorum_time,
     stake_pick,
 )
 
@@ -159,35 +159,11 @@ def _arrivals(n: int, latency: LatencyModel, rng_proposal: random.Random,
     one more delay later. Each stage adds a fixed processing cost. Everyone
     votes yes here; dissent is modeled at the behavior level, not the
     transport level. Each protocol finds its own confirmation time in this
-    one order (`quorum_time`).
+    one order (`weights.quorum_time`).
     """
     proposals, votes = latency.draws(rng_proposal, n), latency.draws(rng_vote, n)
     arrivals = [processing_ms + p + processing_ms + v for p, v in zip(proposals, votes)]
     return proposals, votes, arrivals, sorted(range(n), key=arrivals.__getitem__)
-
-
-def quorum_time(arrivals: Sequence[float], weights: Sequence[float], quorum: Fraction,
-                order: Optional[Sequence[int]] = None) -> Optional[float]:
-    """The arrival at which the yes-weight, counted in arrival order (ties in
-    list order), first reaches `quorum` times the total; None if it never does.
-    `order` is that arrival order, when the caller has already sorted it."""
-    if not 0 < quorum <= 1:
-        raise ValueError(f"quorum {quorum} outside (0, 1]")
-    if order is None:
-        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
-    total = left_sum(weights)
-    # Float comparison outside a slack band around the target; inside it
-    # an exact rational check, so a vote landing exactly on the quorum
-    # cannot flip on rounding.
-    target = float(quorum) * total
-    slack = 1e-12 * max(1.0, abs(total))
-    above, below = target + slack, target - slack
-    acc = 0.0
-    for i in order:
-        acc += weights[i]
-        if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
-            return arrivals[i]
-    return None
 
 
 # ---------------------------------------------------------------------------

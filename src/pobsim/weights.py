@@ -1,4 +1,5 @@
-"""Validator weights: EMA update, normalization and both election lotteries.
+"""Validator weights: EMA update, normalization, both election lotteries
+and the block quorum.
 
 Weights are relative influence. The per-epoch update retains a (1 - rho)
 share of the old weight and folds in a rho share of the validator's slice
@@ -6,7 +7,11 @@ of the epoch's clamped utility. The kernels work on lists aligned with
 the roster; `WeightTable` is an immutable {id: weight} snapshot over them.
 The behavior-weighted protocol elects with `dampened_pick`, the PoS
 baseline with `stake_pick` over its stakes (drawn by `pareto_stakes`),
-and `election_prob` is the closed form of both.
+and `election_prob` is the closed form of both. A block confirms when the
+weight of its votes reaches the quorum (`quorum_time`).
+
+When no weight is left, both lotteries elect uniformly (`proportional_pick`)
+and a block confirms nothing.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ import operator
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-from .errors import DegenerateElectionError
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Sequence
 
 # Every float sum on the trial and output path adds left to right, so a
 # config and seed give the same bytes on every interpreter. Python 3.12
@@ -107,31 +111,26 @@ def select_proposer(
 
 
 def dampened_pick(weights: Sequence[float], delta: float, rng: random.Random) -> int:
-    """The dampened lottery over a weight list: the index of the proposer."""
-    if not weights:
-        raise ValueError("active set is empty")
-    total = left_sum(weights)
-    if total <= 0.0 and delta == 0.0:
-        raise DegenerateElectionError("all active weights are zero and delta is 0")
-    # Uniform with probability delta, and as the limit when no weight is left.
-    if rng.random() < delta or total <= 0.0:
+    """The dampened lottery over a weight list: the index of the proposer,
+    uniform with probability delta and weight-proportional otherwise."""
+    if rng.random() < delta:
         return rng.randrange(len(weights))
-    return proportional_pick(weights, total, rng)
+    return proportional_pick(weights, rng)
 
 
 def stake_pick(stakes: Sequence[float], rng: random.Random) -> int:
-    """Strictly stake-proportional lottery over a stake list: the proposer's index.
-    Uniform when no stake is left, the limit `dampened_pick` takes too."""
-    if not stakes:
+    """Strictly stake-proportional lottery over a stake list: the proposer's index."""
+    return proportional_pick(stakes, rng)
+
+
+def proportional_pick(weights: Sequence[float], rng: random.Random) -> int:
+    """The index whose running weight sum first exceeds random() * total;
+    uniform (one `randrange`) when no weight is left."""
+    if not weights:
         raise ValueError("active set is empty")
-    total = left_sum(stakes)
+    total = left_sum(weights)
     if total <= 0.0:
-        return rng.randrange(len(stakes))
-    return proportional_pick(stakes, total, rng)
-
-
-def proportional_pick(weights: Sequence[float], total: float, rng: random.Random) -> int:
-    """The index whose running weight sum first exceeds random() * total."""
+        return rng.randrange(len(weights))
     pick = rng.random() * total
     acc = 0.0
     for i, w in enumerate(weights):
@@ -157,6 +156,30 @@ def election_prob(roster: Sequence[str], weights: Sequence[float], vid: str,
     total = left_sum(weights)
     proportional = weight / total if total > 0 else 1.0 / len(weights)
     return delta / len(weights) + (1.0 - delta) * proportional
+
+
+def quorum_time(arrivals: Sequence[float], weights: Sequence[float], quorum: Fraction,
+                order: Sequence[int]) -> Optional[float]:
+    """The arrival at which the yes-weight, counted in `order` (the arrival
+    order, ties in list order), first reaches `quorum` times the total; None
+    if it never does, and None when no weight is left to vote."""
+    if not 0 < quorum <= 1:
+        raise ValueError(f"quorum {quorum} outside (0, 1]")
+    total = left_sum(weights)
+    if total <= 0.0:
+        return None
+    # Float comparison outside a slack band around the target; inside it
+    # an exact rational check, so a vote landing exactly on the quorum
+    # cannot flip on rounding.
+    target = float(quorum) * total
+    slack = 1e-12 * max(1.0, total)
+    above, below = target + slack, target - slack
+    acc = 0.0
+    for i in order:
+        acc += weights[i]
+        if acc > above or (acc >= below and Fraction(acc) >= quorum * Fraction(total)):
+            return arrivals[i]
+    return None
 
 
 def pareto_stakes(ids: Iterable[str], rng: random.Random, alpha: float = 1.6,

@@ -134,18 +134,10 @@ class TestGini:
 
 class TestAdaptationTime:
     def test_constant_at_fair_share(self):
-        assert adaptation_time([0.1, 0.1, 0.1], 0.1, "rise") == 0
-
-    def test_monotone_decay_crossing(self):
-        traj = [1.0 - 0.09 * i for i in range(20)]  # falls below 0.15 at i=10
-        assert adaptation_time(traj, 0.15, "fall") == 10
+        assert adaptation_time([0.1, 0.1, 0.1], 0.1) == 0
 
     def test_never_crossing(self):
-        assert adaptation_time([0.0, 0.0], 0.5, "rise") is None
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            adaptation_time([1.0], 0.5, "sideways")
+        assert adaptation_time([0.0, 0.0], 0.5) is None
 
 
 class TestSuppressionTime:

@@ -18,11 +18,11 @@ from pobsim.presets import builtin_presets, bundled_trace_path
 from pobsim.rewards import RewardSchedule, split_pool
 from pobsim.rng import RngHub
 from pobsim.ledger import ledger_to_json, replay_epoch
-from pobsim.netsim import LatencyModel, quorum_time, run_trial
+from pobsim.netsim import LatencyModel, run_trial
 from pobsim.trace import TraceBlock, check_trace, parse_trace
 from pobsim.scoring import (ActionKind, ActivenessInputs, activeness, diversity_index,
                             total_utility)
-from pobsim.weights import WeightTable
+from pobsim.weights import WeightTable, quorum_time
 
 from traces import make_synthetic_trace, write_trace
 
@@ -38,16 +38,23 @@ def stdlib_draw(model, rng):
 
 def heap_quorum_time(arrivals, weights, quorum):
     """Reference: push every vote arrival on an event queue keyed by
-    (time, insertion order), pop until the exact yes-weight reaches quorum."""
+    (time, insertion order), pop until the exact yes-weight reaches quorum.
+    With no weight to vote, no quorum is reached."""
     queue = [(at, seq) for seq, at in enumerate(arrivals)]
     heapq.heapify(queue)
     total, acc = reduce(add, weights, 0), 0.0  # summed left to right, as quorum_time does
-    while queue:
+    while queue and total > 0:
         at, seq = heapq.heappop(queue)
         acc += weights[seq]
         if Fraction(acc) >= quorum * Fraction(total):
             return at
     return None
+
+
+def scan(arrivals, weights, quorum):
+    """`quorum_time` over the arrivals in their sorted order, as a trial passes it."""
+    return quorum_time(arrivals, weights, quorum, sorted(range(len(arrivals)),
+                                                         key=arrivals.__getitem__))
 
 
 def confirm(weights, quorum, latency, rng_proposal, rng_vote, processing_ms=5.0):
@@ -77,20 +84,20 @@ class TestSimClock:
 
     def test_time_ordering(self):
         # the heaviest voter is listed first but arrives last
-        assert quorum_time([40.0, 11.0, 12.0], [0.6, 0.2, 0.2], Fraction(1, 2)) == 40.0
+        assert scan([40.0, 11.0, 12.0], [0.6, 0.2, 0.2], Fraction(1, 2)) == 40.0
 
     def test_ties_break_by_insertion(self):
         rng = random.Random(3)
         for quorum in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
             weights = [rng.choice([0.0, 0.1, 0.25, 1 / 3]) for _ in range(12)]
             arrivals = [30.0] * 12
-            assert quorum_time(arrivals, weights, quorum) == 30.0
+            assert scan(arrivals, weights, quorum) == 30.0
             assert heap_quorum_time(arrivals, weights, quorum) == 30.0
         # The running sum is a float: with the tiny weights counted first it
         # reaches the total exactly; counted last, they are rounded away.
         tiny = 2.0 ** -53
-        assert quorum_time([30.0] * 3, [tiny, tiny, 1.0], Fraction(1)) == 30.0
-        assert quorum_time([30.0, 30.0, 10.0], [tiny, tiny, 1.0], Fraction(1)) is None
+        assert scan([30.0] * 3, [tiny, tiny, 1.0], Fraction(1)) == 30.0
+        assert scan([30.0, 30.0, 10.0], [tiny, tiny, 1.0], Fraction(1)) is None
 
     def test_equals_event_queue_reference(self):
         rng = random.Random(0)
@@ -99,7 +106,7 @@ class TestSimClock:
             arrivals = [rng.choice([10.0, 20.0, rng.uniform(0.0, 50.0)]) for _ in range(n)]
             weights = [rng.choice([0.0, rng.random(), 1.0 / n]) for _ in range(n)]
             quorum = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)])
-            assert (quorum_time(arrivals, weights, quorum)
+            assert (scan(arrivals, weights, quorum)
                     == heap_quorum_time(arrivals, weights, quorum))
 
     def test_dequeue_times_non_decreasing(self):
@@ -144,20 +151,28 @@ class TestConfirmBlock:
 
     def test_half_weight_below_two_thirds(self):
         # the first arrival carries half the weight: the block waits for the second
-        assert quorum_time([12.0, 18.0], [0.5, 0.5], Fraction(2, 3)) == 18.0
+        assert scan([12.0, 18.0], [0.5, 0.5], Fraction(2, 3)) == 18.0
 
     def test_exact_quorum_boundary_confirms(self):
         # yes-weight exactly equals quorum * total: 2 of 3 at quorum 2/3
-        assert quorum_time([12.0, 18.0], [2.0, 1.0], Fraction(2, 3)) == 12.0
+        assert scan([12.0, 18.0], [2.0, 1.0], Fraction(2, 3)) == 12.0
         # just below the boundary the first arrival is not enough
-        assert quorum_time([12.0, 18.0], [2.0, 1.0 + 1e-9], Fraction(2, 3)) == 18.0
+        assert scan([12.0, 18.0], [2.0, 1.0 + 1e-9], Fraction(2, 3)) == 18.0
         for b in (1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-9):
             assert_matches_heap([2.0, b], Fraction(2, 3), LatencyModel("uniform", 50.0), seed=5)
+
+    def test_no_weight_confirms_nothing(self):
+        # With every weight at zero the target is zero; no vote may reach it.
+        for n in (1, 3):
+            assert scan([10.0 * (i + 1) for i in range(n)], [0.0] * n, Fraction(2, 3)) is None
+        t, _, _ = confirm([0.0, 0.0], Fraction(2, 3), LatencyModel("fixed", 10.0),
+                          random.Random(0), random.Random(1))
+        assert t is None
 
     def test_quorum_range(self):
         for quorum in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
             with pytest.raises(ValueError):
-                quorum_time([10.0], [1.0], quorum)
+                quorum_time([10.0], [1.0], quorum, [0])
             with pytest.raises(ValueError):
                 confirm([1.0], quorum, LatencyModel("fixed", 10.0), random.Random(0),
                         random.Random(1))
@@ -274,6 +289,18 @@ def with_overrides_observe(cfg, prob):
 class TestRunTrial:
     def test_zero_epochs(self):
         assert run_trial(small_config(epochs=0), 1) == []
+
+    def test_pos_chain_with_every_stake_slashed_confirms_nothing(self):
+        # Both validators are detected in epoch 0 and slashed in full at once:
+        # from epoch 1 no stake is left, and no block confirms on zero weight.
+        cfg = small_config(protocol="pos", n_validators=2, epochs=5, seed=0,
+                           pos_slash_delay=0, pos_slash_fraction=1.0,
+                           roster=(RosterEntry(0, 2, StrategySpec("adaptive-sybil", {})),))
+        ledgers = run_trial(cfg, 0)
+        assert ledgers[0].confirmed and ledgers[0].confirm_ms is not None
+        for ledger in ledgers[1:]:
+            assert list(ledger.weights_before.values()) == [0.0, 0.0]
+            assert (ledger.confirmed, ledger.confirm_ms) == (False, None)
 
     def test_paired_protocol_must_be_resolved(self):
         with pytest.raises(ValueError):

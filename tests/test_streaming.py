@@ -96,7 +96,7 @@ def _reference_metrics(ledgers, config, protocol):
                               "newcomer", delta)
                 for l in ledgers[join:]]
         target = config.adaptation_target_frac / len(ledgers[join].weights_before)
-        newcomer = adaptation_time(traj, target, "rise")
+        newcomer = adaptation_time(traj, target)
 
     suppression = None
     adversaries = adversary_ids(config)

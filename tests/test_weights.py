@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pobsim.errors import DegenerateElectionError
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.config import PenaltySettings
 from pobsim.watchdog import Penalty, compute_penalty, process_epoch_suspicions, slash
 from pobsim.weights import (
     WeightTable,
+    dampened_pick,
     election_prob,
     left_sum,
     normalize,
@@ -180,10 +180,18 @@ class TestSelectProposer:
         with pytest.raises(ValueError):
             select_proposer(WeightTable({"a": 1.0}), [], 0.5, random.Random(0))
 
-    def test_all_zero_weights_with_zero_delta(self):
-        t = WeightTable({"a": 0.0, "b": 0.0})
-        with pytest.raises(DegenerateElectionError):
-            select_proposer(t, ["a", "b"], 0.0, random.Random(0))
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_all_zero_weights_draw_the_uniform_limit(self, delta):
+        # With no weight left the lottery is uniform at every delta: the delta
+        # coin, then one randrange, as election_prob's 1/n says.
+        weights, rng, twin = [0.0] * 5, random.Random(11), random.Random(11)
+        for _ in range(200):
+            twin.random()
+            assert dampened_pick(weights, delta, rng) == twin.randrange(5)
+        roster = ["a", "b", "c", "d", "e"]
+        assert all(election_prob(roster, weights, v, delta) == 0.2 for v in roster)
+        with pytest.raises(ValueError):
+            dampened_pick([], delta, random.Random(0))
 
     def test_all_zero_weights_with_positive_delta_is_uniform(self):
         t = WeightTable({"a": 0.0, "b": 0.0})
