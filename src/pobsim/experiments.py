@@ -12,15 +12,19 @@ Outputs per run directory:
     ledgers/      - canonical per-epoch JSON (only with emit_ledgers),
                     written by the worker as each epoch finishes
 
+A sweep writes `sweep.csv` and `sweep_summary.json` instead, through the
+same flow (`_run_points`), with the rows and a summary of every grid point.
+
 A paired trial is one loop over one trial state (netsim.trial_epochs):
-the behaviors, delays, facts, activity and arrival order are drawn and
-worked out once and shared, and each protocol's half elects, patches its
-proposer's record, finds its quorum and runs its own slashes, review,
-settlement, chain and fork on them. Each epoch yields the pob ledger,
-then the pos one. Ledgers go through one writer state: the twins share
-most of their columns, and the writer formats each shared column once
-(ledger.ledger_to_json). A roster whose draws depend on the protocol
-(netsim.shares_one_state) runs each protocol through that loop alone.
+the behaviors, delays, arrival order and epoch facts (netsim._EpochFacts,
+which both protocols' ledgers hold) are drawn and worked out once and
+shared, and each protocol's half elects, patches its proposer's record,
+finds its quorum and runs its own slashes, review, settlement, chain and
+fork on them. Each epoch yields the pob ledger, then the pos one. Ledgers
+go through one writer state: the twins share most of their columns, and
+the writer formats each shared column once (ledger.ledger_to_json). A
+roster whose draws depend on the protocol (netsim.shares_one_state) runs
+each protocol through that loop alone.
 """
 
 from __future__ import annotations
@@ -200,6 +204,43 @@ def _latency_overhead(pob: dict, pos: dict, trials: Sequence[int]) -> Optional[f
     return (left_sum(pob_mean) / len(pob_mean) - base) / base
 
 
+def _run_points(config: ScenarioConfig, out_dir: str | Path, points: Sequence[dict],
+                subs: Sequence[ScenarioConfig], trace: Optional[list[TraceBlock]] = None) -> dict:
+    """Run every trial of each grid point's config in `subs`, in one pool, and write
+    the run directory: a scenario is the one point {} of `config` itself, a sweep
+    keys each point's summary by its label. Each point's rows are sorted by
+    (trial, protocol) and carry the point's values."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ledger_root = out / "ledgers" if config.emit_ledgers else None
+    results = iter(_run_tasks(
+        _run_trial_task, config.workers,
+        [(sub, trial, trace, ledger_root) for sub in subs for trial in range(sub.trials)],
+    ))
+    params = sorted(config.sweep or ())
+    all_rows: list[dict] = []
+    summaries: dict[str, dict] = {}
+    for point, sub in zip(points, subs):
+        rows = [row for result in itertools.islice(results, sub.trials)
+                for row in result["rows"]]
+        rows.sort(key=lambda r: (r["trial"], r["protocol"]))
+        for row in rows:
+            row.update(point)
+        all_rows.extend(rows)
+        summaries[",".join(f"{p}={point[p]}" for p in params)] = _summarize(sub, rows)
+
+    if config.sweep:
+        csv_name, summary_name, summary = "sweep.csv", "sweep_summary.json", summaries
+    else:
+        csv_name, summary_name, summary = "trials.csv", "summary.json", summaries[""]
+    (out / "config.echo").write_text(echo_config(config), encoding="utf-8")
+    write_trials_csv(out / csv_name, all_rows, extra_columns=params)
+    (out / summary_name).write_text(
+        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    return summary
+
+
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | Path,
@@ -216,24 +257,7 @@ def run_scenario(
     trace_list = list(trace) if trace is not None else None
     if trace_list is not None:
         check_trace(config, trace_list)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    ledger_root = out / "ledgers" if config.emit_ledgers else None
-    results = _run_tasks(
-        _run_trial_task, config.workers,
-        [(config, trial, trace_list, ledger_root) for trial in range(config.trials)],
-    )
-    rows = [row for result in results for row in result["rows"]]
-    rows.sort(key=lambda r: (r["trial"], r["protocol"]))
-
-    (out / "config.echo").write_text(echo_config(config), encoding="utf-8")
-    write_trials_csv(out / "trials.csv", rows)
-    summary = _summarize(config, rows)
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return summary
+    return _run_points(config, out_dir, [{}], [config], trace_list)
 
 
 def sweep_points(config: ScenarioConfig) -> list[dict]:
@@ -257,36 +281,8 @@ def run_sweep(config: ScenarioConfig, out_dir: str | Path) -> dict:
     if config.emit_ledgers:
         raise ConfigError("emit_ledgers", "a sweep writes no ledgers")
     points = sweep_points(config)
-    params = sorted(config.sweep)
-
     subs = [apply_sweep_point(config, point) for point in points]  # each checked as it is made
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # Every (point, trial) task goes through one pool.
-    results = iter(_run_tasks(
-        _run_trial_task, config.workers,
-        [(sub, trial, None) for sub in subs for trial in range(sub.trials)],
-    ))
-
-    all_rows: list[dict] = []
-    summaries: dict[str, dict] = {}
-    for point, sub in zip(points, subs):
-        point_label = ",".join(f"{p}={point[p]}" for p in params)
-        rows = [row for result in itertools.islice(results, sub.trials)
-                for row in result["rows"]]
-        rows.sort(key=lambda r: (r["trial"], r["protocol"]))
-        for row in rows:
-            for p in params:
-                row[p] = point[p]
-        all_rows.extend(rows)
-        summaries[point_label] = _summarize(sub, rows)
-
-    (out / "config.echo").write_text(echo_config(config), encoding="utf-8")
-    write_trials_csv(out / "sweep.csv", all_rows, extra_columns=params)
-    (out / "sweep_summary.json").write_text(
-        json.dumps(summaries, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return summaries
+    return _run_points(config, out_dir, points, subs)
 
 
 def run_ic_check(

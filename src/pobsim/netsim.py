@@ -12,7 +12,9 @@ drains it) is a pure function of (config, seed, protocols). All
 randomness flows through named substreams, every iteration order is
 sorted, so re-runs are bit-identical. A paired trial is one loop over
 one trial state: the behaviors and delays are drawn once and shared, and
-so are the epoch's facts, activity and arrival order. Per protocol are
+so are the arrival order and the epoch's facts (`_EpochFacts`: utilities,
+scores and harmful rows, then rows per position and activeness when first
+read), which every ledger of the epoch holds. Per protocol are
 its own streams, its proposer's record, quorum, slashes, review and
 settlement, and pob's chain for a long-range fork. So each protocol's
 ledgers are, byte for byte, those of a trial that runs that protocol alone.
@@ -95,9 +97,9 @@ class EpochLedger:
     """Append-only audit record of one epoch.
 
     It stores the epoch's inputs: the sorted roster, behavior columns,
-    reward schedule, activeness blend, three roster-aligned float lists and
-    the delays. What follows from them (activeness, pool split, the
-    behavior records and the {id: weight} map before the epoch) is built
+    reward schedule, the epoch's facts, three roster-aligned float lists
+    and the delays. The activeness is the facts' own; the pool split, the
+    behavior records and the {id: weight} map before the epoch are built
     when first read. The writer (`ledger.ledger_to_json`) interleaves the
     delays into the file's latency samples.
     """
@@ -108,7 +110,7 @@ class EpochLedger:
     roster: list[str]  # the sorted alive ids
     behavior_rows: BehaviorColumns
     schedule: RewardSchedule
-    betas: tuple[float, float, float]
+    facts: _EpochFacts = field(compare=False, repr=False)  # shared by the epoch's ledgers
     roster_scores: list[float]
     roster_weights_before: list[float]
     roster_weights_after: list[float]
@@ -119,16 +121,10 @@ class EpochLedger:
     vote_delays: list[float]
     neutralized: tuple[str, ...] = ()
     events: tuple[dict, ...] = ()
-    # The epoch's activity, shared by the ledgers of every protocol that ran it
-    # (trial_epochs); a ledger built without one works out its own.
-    activity: Optional[_Activity] = field(default=None, repr=False, compare=False)
 
-    @cached_property
+    @property
     def roster_activeness(self) -> list[float]:
-        if not self.roster:
-            return []
-        activity = self.activity or _Activity(self.behavior_rows, len(self.roster), self.betas)
-        return activity.activeness
+        return self.facts.activeness
 
     @cached_property
     def pool_split(self) -> PoolSplit:
@@ -354,34 +350,36 @@ def _behave(state: _TrialState, epoch: int, proposer: Optional[str],
     return cols
 
 
-@dataclass
 class _EpochFacts:
-    """What the rest of an epoch reads about its behavior columns, computed once.
-    Lists are aligned with the roster; record indices are rows of the columns."""
+    """What the rest of an epoch reads about its behavior columns, one object
+    shared by every protocol and every ledger of the epoch. Lists are aligned
+    with the roster; record indices are rows of the columns.
 
-    scores: list[float]  # summed utility of each validator's records
-    utilities: list[float]  # each row's utility; the scores themselves with one row each
-    outcomes: list[float]  # each row's outcome utility
-    harmful: list[int]  # rows with a negative outcome
-    # (first row, action count / network mean, mean initiative, diversity)
-    # of each actor whose activity could look scripted, in roster order
-    suspects: list[tuple[int, float, float, float]]
+    The outcomes, utilities, harmful rows and scores are computed when it is
+    made. Each roster position's rows and activeness are worked out on first
+    read: only a proposer's row differs between the protocols, and its
+    propose kind counts in the diversity as the validate kind it replaces.
+    """
 
-
-class _Activity:
-    """An epoch's rows per roster position and activeness inputs, worked out on
-    first read. The suspects and every protocol's ledger of the epoch read one:
-    only a proposer's row differs between the protocols, and its propose kind
-    counts in the diversity as the validate kind it replaces."""
-
-    def __init__(self, cols: BehaviorColumns, n: int, betas: tuple[float, float, float]):
-        self.cols, self.n, self.betas = cols, n, betas
+    def __init__(self, cols: BehaviorColumns, positions: list[int],
+                 betas: tuple[float, float, float]):
+        self.cols, self.positions, self.betas = cols, positions, betas
+        self.outcomes, self.utilities = utility_columns(cols)  # per row
+        self.harmful = [row for row, o in enumerate(self.outcomes) if o < 0.0]
+        # The summed utility of each validator's records. With one record each in
+        # roster order, the scores are the utilities (a utility is never -0.0, so
+        # the score 0.0 + utility is the utility).
+        self.scores = self.utilities
+        if cols.actor != positions:
+            self.scores = [0.0] * len(positions)
+            for actor, u in zip(cols.actor, self.utilities):
+                self.scores[actor] += u
 
     @cached_property
     def per_position(self) -> tuple[list[list[int]], list[tuple[float, float, float]]]:
-        """Each of the `n` roster positions' rows, and its activeness inputs: (action
-        count / network mean, mean initiative, diversity). Every position has a row."""
-        cols, n = self.cols, self.n
+        """Each roster position's rows, and its activeness inputs: (action count
+        / network mean, mean initiative, diversity). Every position has a row."""
+        cols, n = self.cols, len(self.positions)
         mean_actions = len(cols.actor) / n
         one_record = 1 / mean_actions
         initiative, kind = cols.initiative, cols.kind
@@ -402,32 +400,11 @@ class _Activity:
 
     @cached_property
     def activeness(self) -> list[float]:
+        if not self.positions:  # no roster, no rows
+            return []
         column = activeness_column(*zip(*self.per_position[1]), self.betas)
-        del self.per_position  # read by the facts only, which are made before any ledger is out
+        del self.per_position  # read by `_sessions` only, which runs before any ledger is out
         return column
-
-
-def _epoch_facts(cols: BehaviorColumns, activity: _Activity, positions: list[int],
-                 freq_threshold: float) -> _EpochFacts:
-    n = len(positions)
-    outcomes, utilities = utility_columns(cols)
-    harmful = [row for row, o in enumerate(outcomes) if o < 0.0]
-    # With one record each in roster order, the scores are the utilities (a
-    # utility is never -0.0, so the score 0.0 + utility is the utility).
-    scores = utilities
-    if cols.actor != positions:
-        scores = [0.0] * n
-        for actor, u in zip(cols.actor, utilities):
-            scores[actor] += u
-    # Each validator has a record, and a one-record actor has this action ratio;
-    # at or below the threshold, one record each leaves no suspect.
-    single_suspect = 1 / (len(utilities) / n) > freq_threshold
-    suspects = []
-    if single_suspect or len(utilities) > n:
-        suspects = [(mine[0], *actor_inputs)
-                    for mine, actor_inputs in zip(*activity.per_position)
-                    if len(mine) > 1 or single_suspect]
-    return _EpochFacts(scores, utilities, outcomes, harmful, suspects)
 
 
 def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
@@ -452,7 +429,7 @@ def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
     kind, motivations, utilities = cols.kind.copy(), cols.motivation.copy(), facts.utilities.copy()
     kind[row], motivations[row] = ActionKind.PROPOSE, motivation
     utilities[row] = motivation.utility + facts.outcomes[row]
-    scores = utilities  # one row each (_epoch_facts)
+    scores = utilities  # one row each (_EpochFacts)
     if facts.scores is not facts.utilities:
         scores, score = facts.scores.copy(), 0.0
         for u in utilities[row:bisect_right(cols.actor, pos)]:  # the proposer's rows
@@ -466,21 +443,28 @@ def _sessions(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
     """Suspicion channel: a (subject position, row, reporter count, harmful)
     session per reported row.
 
-    Harmful rows come first, then the scripted-looking rows with an outcome
-    of at least 0, each observed by every other validator. Below
-    `observe_prob` 1 each observer reports on its own `observe_rng` draw, and
-    the count is the number that did; a row no one reports convenes no
-    session. At `observe_prob` 1 every observer reports, but the count is
-    recorded as 1.
+    Harmful rows come first, then the first row of each actor whose activity
+    looks scripted, with an outcome of at least 0, in roster order. Each is
+    observed by every other validator. Below `observe_prob` 1 each observer
+    reports on its own `observe_rng` draw, and the count is the number that
+    did; a row no one reports convenes no session. At `observe_prob` 1 every
+    observer reports, but the count is recorded as 1.
     """
     config = state.config
     observers = len(state.alive) - 1
     rows = list(facts.harmful)
     harmful = len(rows)
-    for row, *participation in facts.suspects:
-        if looks_scripted(*participation, config.anomaly_freq_threshold,
-                          config.anomaly_quality_threshold) and facts.outcomes[row] >= 0.0:
-            rows.append(row)
+    # Each validator has a record, and a one-record actor has this action ratio;
+    # at or below the threshold, one record each leaves no actor to check.
+    n, records = len(facts.positions), len(facts.utilities)
+    single_suspect = 1 / (records / n) > config.anomaly_freq_threshold
+    if single_suspect or records > n:
+        for mine, participation in zip(*facts.per_position):
+            if ((len(mine) > 1 or single_suspect)
+                    and looks_scripted(*participation, config.anomaly_freq_threshold,
+                                       config.anomaly_quality_threshold)
+                    and facts.outcomes[mine[0]] >= 0.0):
+                rows.append(mine[0])
     if config.observe_prob < 1.0:
         draw, p = observe_rng.random, config.observe_prob
         counts = [sum(draw() < p for _ in range(observers)) for _ in rows]
@@ -682,7 +666,8 @@ def trial_epochs(
 
     The protocols share one trial state. Each epoch draws the behaviors
     (every validator as a non-proposer) and the delays once, and works out
-    the facts, the activity and the arrival order once. Each protocol then
+    the arrival order and one `_EpochFacts`, which every ledger of the epoch
+    holds, so their activeness is worked out once too. Each protocol then
     elects its own proposer and, outside a trace, turns that proposer's
     record into a propose record (`_as_proposer`), finds its own quorum in the shared
     arrival order, and runs its own slashes, review and settlement, and the blocks and
@@ -726,8 +711,7 @@ def trial_epochs(
             starts.append((own_events, neutralized, rules.weights,
                            _elect(state, rules, epoch, trace)))
         cols = _behave(state, epoch, starts[0][3] if len(halves) == 1 else None, trace)
-        activity = _Activity(cols, len(alive), config.betas)
-        facts = _epoch_facts(cols, activity, state.positions, config.anomaly_freq_threshold)
+        facts = _EpochFacts(cols, state.positions, config.betas)
         proposals, votes, arrivals, order = _arrivals(
             len(alive), state.latency, rng_lat_prop, rng_lat_vote, config.processing_ms)
         ledgers = []
@@ -743,9 +727,9 @@ def trial_epochs(
                 rules.chain.append(extend_chain(rules.chain[-1], proposer, left_sum(utilities),
                                                 state.signers, weights_after))
             ledgers.append(EpochLedger(
-                epoch, rules.protocol, proposer, alive, behaviors, state.schedule, config.betas,
+                epoch, rules.protocol, proposer, alive, behaviors, state.schedule, facts,
                 scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
-                proposals, votes, neutralized, tuple(own_events), activity,
+                proposals, votes, neutralized, tuple(own_events),
             ))
         finished = tuple(ledgers)
         for rules, ledger in zip(halves, finished):

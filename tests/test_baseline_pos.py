@@ -6,7 +6,7 @@ from pobsim import netsim
 from pobsim.adversaries import StrategySpec
 from pobsim.config import RosterEntry, ScenarioConfig
 from pobsim.netsim import run_trial
-from pobsim.scoring import BehaviorColumns
+from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.weights import election_prob, pareto_stakes, stake_pick
 
 
@@ -56,8 +56,11 @@ def _pos_rules(delay: int, fraction: float) -> tuple[netsim._TrialState, netsim.
 
 def _detect(state: netsim._TrialState, rules: netsim._PosRules, vid: str, epoch: int) -> None:
     """Review an epoch whose one harmful record is `vid`'s."""
-    cols = BehaviorColumns(epoch, actor=[state.pos_of[vid]])
-    facts = netsim._EpochFacts(scores=[], utilities=[], outcomes=[], harmful=[0], suspects=[])
+    cols = BehaviorColumns(epoch)
+    cols.add(state.pos_of[vid], ActionKind.FRAUD, -1.0, 1.0, 1.0, MotivationProfile((0.0,), (1.0,)),
+             True)
+    facts = netsim._EpochFacts(cols, state.positions, state.config.betas)
+    assert facts.harmful == [0]
     assert rules.review(state, epoch, cols, facts, None) == (None, ())
 
 

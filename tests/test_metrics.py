@@ -13,7 +13,7 @@ from pobsim.metrics import (
     TrialTally,
 )
 from pobsim.config import ScenarioConfig
-from pobsim.netsim import EpochLedger
+from pobsim.netsim import EpochLedger, _EpochFacts
 from pobsim.rewards import RewardSchedule
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
@@ -42,7 +42,8 @@ def ledger(epoch, frauds=(), verdicts=(), neutralized=(), confirmed=True, protoc
         rows.add(roster.index(actor), ActionKind.FRAUD, -value, 1.0, 1.0, MOT, True)
     return EpochLedger(
         epoch=epoch, protocol=protocol, proposer="a", roster=roster, behavior_rows=rows,
-        schedule=RewardSchedule(100.0, 0.0), betas=(1 / 3, 1 / 3, 1 / 3),
+        schedule=RewardSchedule(100.0, 0.0),
+        facts=_EpochFacts(rows, [0, 1], (1 / 3, 1 / 3, 1 / 3)),
         roster_scores=[0.0, 0.0], roster_weights_before=[0.5, 0.5],
         roster_weights_after=[0.5, 0.5], verdicts=tuple(verdicts), confirmed=confirmed,
         confirm_ms=100.0, proposal_delays=[25.0, 30.0], vote_delays=[20.0, 45.0],

@@ -646,6 +646,7 @@ class TestOneLoop:
             assert pob.vote_delays is pos.vote_delays
             for column in ("actor", "base_utility", "context_factor", "initiative", "fraud"):
                 assert getattr(pob.behavior_rows, column) is getattr(pos.behavior_rows, column)
+            assert pob.facts is pos.facts
             assert pob.roster_activeness is pos.roster_activeness
             ledger_to_json(pob)
             ledger_to_json(pos)
@@ -699,6 +700,20 @@ class TestLazyLedger:
             ledger_to_json(ledger)
             ledger_to_json(ledger)
         assert calls == {"split_pool": 20, "activeness_column": 20}
+
+    def test_pos_only_trial_never_groups_rows(self, monkeypatch):
+        # Oracle reports give some validators several rows, but only pob's review and a
+        # ledger's activeness read the rows per position, and a tally reads neither.
+        def grouped(kinds):
+            raise AssertionError("a pos-only tally grouped an actor's rows")
+
+        monkeypatch.setattr(netsim, "diversity_index", grouped)
+        cfg = small_config(protocol="pos", epochs=10, oracle_rate=0.5)
+        tally = TrialTally(cfg, "pos")
+        for (ledger,) in netsim.trial_epochs(cfg, 3, ("pos",)):
+            assert len(ledger.behavior_rows.actor) > len(ledger.roster)
+            tally.add(ledger)
+        assert tally.metrics().mean_latency_ms > 0.0
 
     def test_lazy_columns_equal_an_eager_computation(self):
         cfg = with_overrides(builtin_presets()["case-d-adaptive-sybil"].build(), epochs=40,

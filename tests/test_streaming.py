@@ -321,7 +321,7 @@ def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, **changes):
     id with no row in `rows` gets a `FILLER_ROW`, since activeness is
     defined over an actor's records. A roster-aligned list not in `changes`
     is a distinct fraction per position. The activeness and payouts follow
-    from these and from `schedule` and `betas`.
+    from these and from `schedule` and `betas`, through the epoch's facts.
     """
     roster = list(roster)
     assert roster == sorted(roster)
@@ -341,6 +341,7 @@ def _ledger(roster=("v00", "v01", "v02"), rows=ROWS, **changes):
     for k, name in enumerate(ROSTER_LISTS):
         fields[name] = [(pos + 1) / (len(roster) + k + 2) for pos in range(len(roster))]
     fields.update(changes)
+    fields["facts"] = netsim._EpochFacts(behaviors, list(range(len(roster))), fields.pop("betas"))
     return EpochLedger(**fields)
 
 
