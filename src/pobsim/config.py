@@ -1,14 +1,17 @@
 """Scenario configuration: schema, defaults, loading and echo.
 
 Configs are single YAML documents (key: value with nesting). Every field
-of `ScenarioConfig` and `PenaltySettings` carries its parser, a function
-from the field's YAML form to the stored value that raises ConfigError
-naming the field. The dataclasses are the one schema, and a config is
-checked when it is made: `ScenarioConfig`'s constructor parses every
-field from its YAML form and runs the cross-field checks, so the loader,
-a preset's `build()`, `dataclasses.replace`, `with_overrides` and sweep
-points all refuse a bad value with the same ConfigError. The echo writes
-each stored value back in the form the loader reads.
+of `ScenarioConfig` and of its blocks `PenaltySettings` and
+`ProposerOverride` carries its parser, a function from the field's YAML
+form to the stored value that raises ConfigError naming the field, and
+says whether a sweep grid may vary it. The dataclasses are the one
+schema, and a config is checked when it is made: `ScenarioConfig`'s
+constructor parses every field from its YAML form and runs the
+cross-field checks. That is the one parse path: the loader, a preset's
+`build()`, `dataclasses.replace`, `with_overrides` and sweep points (set
+on the config's YAML form) all refuse a bad value with the same
+ConfigError. The echo writes each stored value back in the form the
+loader reads.
 Unknown keys are rejected anywhere in the tree. Supermajority thresholds
 are stored as exact rationals ("2/3" stays two thirds, never
 0.6666...7), because a float threshold silently flips edge-case
@@ -46,24 +49,6 @@ DEFAULT_MOTIVATION_INTENSITIES = {
 }
 _KINDS = tuple(k.value for k in ActionKind)
 
-# Parameters a sweep grid may vary, addressed by dotted path.
-SWEEPABLE = (
-    "rho",
-    "delta",
-    "theta",
-    "quorum",
-    "detection_accuracy",
-    "committee_size",
-    "epsilon",
-    "r_total",
-    "activity_threshold",
-    "penalty.base_coefficient",
-    "penalty.mode",
-    "penalty.rho_p",
-    "pos_slash_delay",
-    "pos_slash_fraction",
-)
-
 
 def parse_rational(value: Any, field_name: str) -> Fraction:
     """Accept "2/3", decimal strings, ints and floats; store exactly."""
@@ -93,11 +78,13 @@ def format_rational(value: Fraction) -> str:
 Parser = Callable[[Any, str], Any]
 
 
-def _field(default, parse: Parser):
-    """A dataclass field whose metadata carries its parser."""
+def _field(default, parse: Parser, sweep: bool = False):
+    """A dataclass field whose metadata carries its parser, and whether a
+    sweep grid may vary it."""
+    metadata = {"parse": parse, "sweep": sweep}
     if isinstance(default, dict):
-        return field(default_factory=lambda: dict(default), metadata={"parse": parse})
-    return field(default=default, metadata={"parse": parse})
+        return field(default_factory=lambda: dict(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @functools.cache
@@ -214,6 +201,11 @@ def _parse_fields(cls, raw, path: str) -> dict:
     return {key: parsers[key](value, prefix + key) for key, value in raw.items()}
 
 
+def _block(cls) -> Parser:
+    """A declared dataclass, parsed from its mapping field by field."""
+    return lambda value, path: cls(**_parse_fields(cls, value, path))
+
+
 @dataclass(frozen=True)
 class PenaltySettings:
     """The slash rule the watchdog applies to a guilty subject.
@@ -222,11 +214,24 @@ class PenaltySettings:
     `watchdog.escalation`): it starts at 1 and does not decrease.
     """
 
-    mode: str = _field("additive", _choice("additive", "multiplicative"))
-    base_coefficient: float = _field(1.0, _float(1e-12))
+    mode: str = _field("additive", _choice("additive", "multiplicative"), sweep=True)
+    base_coefficient: float = _field(1.0, _float(1e-12), sweep=True)
     escalation: tuple[float, ...] = _field((1.0,), _escalation)
-    rho_p: float = _field(0.2, _retained_fraction)
+    rho_p: float = _field(0.2, _retained_fraction, sweep=True)
     full_slash_kinds: tuple[str, ...] = _field(("double-sign",), _action_kinds)
+
+
+@dataclass(frozen=True)
+class ProposerOverride:
+    """`validator` is named the proposer in the epochs [from_epoch, to_epoch).
+
+    Who may be named, and that the window is not empty, are cross-field
+    checks, made in `validate_runtime`.
+    """
+
+    validator: str = _field(MISSING, _typed(str))
+    from_epoch: int = _field(MISSING, _int(0))
+    to_epoch: int = _field(MISSING, _int(0))
 
 
 @dataclass(frozen=True)
@@ -234,10 +239,6 @@ class RosterEntry:
     lo: int
     hi: int  # half-open
     spec: StrategySpec
-
-
-def _penalty(value, path) -> PenaltySettings:
-    return PenaltySettings(**_parse_fields(PenaltySettings, value, path))
 
 
 def _intensities(value, path) -> dict:
@@ -289,24 +290,21 @@ def _roster(value, path) -> tuple[RosterEntry, ...]:
     return tuple(entries)
 
 
-_OVERRIDE_KEYS = ("validator", "from_epoch", "to_epoch")
-
-
-def _proposer_override(value, path) -> tuple[str, int, int]:
-    _check_unknown(_require_type(value, dict, path), _OVERRIDE_KEYS, path)
-    for key in _OVERRIDE_KEYS:
-        if key not in value:
-            raise ConfigError(f"{path}.{key}", "required key missing")
-    return (str(value["validator"]),
-            *(_num(value[key], f"{path}.{key}", lo=0, integer=True) for key in _OVERRIDE_KEYS[1:]))
+@functools.cache
+def sweepable() -> tuple[str, ...]:
+    """The parameters a sweep grid may vary, by dotted path: the fields
+    declared with `sweep=True`, the penalty block's as `penalty.<name>`."""
+    def tagged(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.metadata["sweep"]]
+    return (*tagged(ScenarioConfig), *(f"penalty.{name}" for name in tagged(PenaltySettings)))
 
 
 def _sweep(value, path) -> dict:
     """Value lists by sweepable parameter; `validate_runtime` applies each value."""
     for param, values in _require_type(value, dict, path).items():
-        if param not in SWEEPABLE:
+        if param not in sweepable():
             raise ConfigError(f"{path}.{param}",
-                              f"not a sweepable parameter (allowed: {', '.join(SWEEPABLE)})")
+                              f"not a sweepable parameter (allowed: {', '.join(sweepable())})")
         if not _require_type(values, list, f"{path}.{param}"):
             raise ConfigError(f"{path}.{param}", "empty value list")
     return {param: list(values) for param, values in value.items()}
@@ -331,23 +329,24 @@ class ScenarioConfig:
     workers: int = _field(1, _int(1))
 
     # protocol parameters
-    rho: float = _field(0.9, _float(0.0, 1.0))
-    delta: float = _field(0.05, _float(0.0, 1.0))
-    theta: Fraction = _field(Fraction(2, 3), _share)
-    quorum: Fraction = _field(Fraction(2, 3), _share)
-    committee_size: Optional[int] = _field(None, _optional(_int(0)))  # None -> min(30, N - 1)
-    detection_accuracy: float = _field(0.9, _float(0.0, 1.0))
+    rho: float = _field(0.9, _float(0.0, 1.0), sweep=True)
+    delta: float = _field(0.05, _float(0.0, 1.0), sweep=True)
+    theta: Fraction = _field(Fraction(2, 3), _share, sweep=True)
+    quorum: Fraction = _field(Fraction(2, 3), _share, sweep=True)
+    committee_size: Optional[int] = _field(  # None -> min(30, N - 1)
+        None, _optional(_int(0)), sweep=True)
+    detection_accuracy: float = _field(0.9, _float(0.0, 1.0), sweep=True)
     observe_prob: float = _field(1.0, _float(0.0, 1.0))
     detection_window: int = _field(1, _int(1))  # read by nothing; kept for the echo
     anomaly_freq_threshold: float = _field(3.0, _float(1e-12))
     anomaly_quality_threshold: float = _field(0.2, _float(1e-12))
-    penalty: PenaltySettings = _field(PenaltySettings(), _penalty)
+    penalty: PenaltySettings = _field(PenaltySettings(), _block(PenaltySettings))
 
     # rewards
-    r_total: float = _field(100.0, _float(0.0))
+    r_total: float = _field(100.0, _float(0.0), sweep=True)
     r_base: Optional[float] = _field(None, _optional(_float(0.0)))  # None -> r_total / (2 N)
-    activity_threshold: float = _field(0.0, _float())
-    epsilon: float = _field(0.0, _float(0.0))
+    activity_threshold: float = _field(0.0, _float(), sweep=True)
+    epsilon: float = _field(0.0, _float(0.0), sweep=True)
     betas: tuple[float, float, float] = _field(
         (1 / 3, 1 / 3, 1 / 3), _floats(0.0, 1.0, length=3, unit_sum=True))
 
@@ -357,8 +356,8 @@ class ScenarioConfig:
     processing_ms: float = _field(5.0, _float(0.0))
 
     # PoS baseline
-    pos_slash_delay: int = _field(100, _int(0))
-    pos_slash_fraction: float = _field(1.0, _float(0.0, 1.0))
+    pos_slash_delay: int = _field(100, _int(0), sweep=True)
+    pos_slash_fraction: float = _field(1.0, _float(0.0, 1.0), sweep=True)
     stake_distribution: str = _field("pareto", _choice("pareto", "equal"))
     stake_alpha: float = _field(1.6, _float(1.0 + 1e-9))
     stake_xmin: float = _field(1.0, _float(1e-12))
@@ -377,7 +376,8 @@ class ScenarioConfig:
     # scenario devices
     roster: tuple[RosterEntry, ...] = _field((), _roster)
     newcomer_epoch: Optional[int] = _field(None, _optional(_int(1)))
-    proposer_override: Optional[tuple[str, int, int]] = _field(None, _optional(_proposer_override))
+    proposer_override: Optional[ProposerOverride] = _field(
+        None, _optional(_block(ProposerOverride)))
     sweep: Optional[dict] = _field(None, _optional(_sweep))
 
     # reporting
@@ -451,16 +451,17 @@ class ScenarioConfig:
                     f"motivation_intensities.{kind}",
                     f"{len(vec)} intensities, expected {n_types} (one per motivation weight)",
                 )
-        if self.proposer_override is not None:
-            vid, from_epoch, to_epoch = self.proposer_override
-            refusal = self.proposer_refusal(vid, from_epoch)
+        override = self.proposer_override
+        if override is not None:
+            refusal = self.proposer_refusal(override.validator, override.from_epoch)
             if refusal is not None:
-                raise ConfigError("proposer_override.validator", f"{vid!r} {refusal}")
-            if from_epoch >= to_epoch:
+                raise ConfigError("proposer_override.validator",
+                                  f"{override.validator!r} {refusal}")
+            if override.from_epoch >= override.to_epoch:
                 # The window is [from_epoch, to_epoch): equal bounds elect no one.
                 raise ConfigError("proposer_override",
-                                  f"empty window: from_epoch {from_epoch} is not before "
-                                  f"to_epoch {to_epoch}")
+                                  f"empty window: from_epoch {override.from_epoch} is not "
+                                  f"before to_epoch {override.to_epoch}")
         for lo, hi in (("honest_utility_lo", "honest_utility_hi"),
                        ("honest_initiative_lo", "honest_initiative_hi")):
             if getattr(self, lo) > getattr(self, hi):
@@ -522,20 +523,14 @@ def _yaml_form(value):
     if isinstance(value, RosterEntry):
         return {"range": [value.lo, value.hi], "kind": value.spec.kind,
                 "params": _yaml_form(value.spec.params)}
-    if isinstance(value, PenaltySettings):
+    if isinstance(value, (PenaltySettings, ProposerOverride)):
         return _yaml_form(dataclasses.asdict(value))
     return value
 
 
 def _yaml_fields(config: ScenarioConfig) -> dict:
-    """Every stored field in the form the loader reads. Only a stored
-    override, a 3-tuple, becomes a mapping; any other value stays as it is
-    for its parser to refuse."""
-    out = {f.name: _yaml_form(getattr(config, f.name)) for f in dataclasses.fields(config)}
-    override = config.proposer_override
-    if type(override) is tuple and len(override) == len(_OVERRIDE_KEYS):
-        out["proposer_override"] = dict(zip(_OVERRIDE_KEYS, out["proposer_override"]))
-    return out
+    """Every stored field in the form the loader reads."""
+    return {f.name: _yaml_form(getattr(config, f.name)) for f in dataclasses.fields(config)}
 
 
 def config_to_mapping(config: ScenarioConfig) -> dict:
@@ -614,22 +609,22 @@ def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
 
 
 def apply_sweep_point(config: ScenarioConfig, point: Mapping[str, Any]) -> ScenarioConfig:
-    """Return a copy of `config` with the swept parameters set.
-
-    Each value goes through its field's parser, so a bad grid point is a
-    ConfigError naming `sweep.<param>`, raised before any trial.
+    """A copy of `config` with no grid and the point's values, set on its
+    YAML form (`penalty.<name>` in the penalty block) and built through the
+    constructor. A value that the constructor refuses, by the field's parser
+    or by a cross-field check, is a ConfigError naming `sweep.<param>` with
+    the constructor's message, raised before any trial.
     """
-    changes: dict[str, Any] = {}
-    penalty_changes: dict[str, Any] = {}
+    raw = {**_yaml_fields(config), "sweep": None}
     for param, value in point.items():
-        path = f"sweep.{param}"
-        if param not in SWEEPABLE:
-            raise ConfigError(path, "not a sweepable parameter")
-        if param.startswith("penalty."):
-            key = param.split(".", 1)[1]
-            penalty_changes[key] = _parsers(PenaltySettings)[key](value, path)
-        else:
-            changes[param] = _parsers(ScenarioConfig)[param](value, path)
-    if penalty_changes:
-        changes["penalty"] = dataclasses.replace(config.penalty, **penalty_changes)
-    return dataclasses.replace(config, sweep=None, **changes)
+        if param not in sweepable():
+            raise ConfigError(f"sweep.{param}", "not a sweepable parameter")
+        *block, key = param.split(".")
+        (raw[block[0]] if block else raw)[key] = value
+    try:
+        return ScenarioConfig(**raw)
+    except ConfigError as exc:
+        # A cross-field check names the field it blames (r_base for stipends
+        # over an r_total), which may not be the point's.
+        param = exc.field if exc.field in point else next(iter(point))
+        raise ConfigError(f"sweep.{param}", exc.message) from None

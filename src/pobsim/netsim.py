@@ -309,8 +309,8 @@ def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
     if trace is not None:
         return trace[epoch].proposer
     override = state.config.proposer_override
-    if override is not None and override[1] <= epoch < override[2]:
-        return override[0]
+    if override is not None and override.from_epoch <= epoch < override.to_epoch:
+        return override.validator
     return rules.elect(state)
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from .config import (
     PenaltySettings,
+    ProposerOverride,
     RosterEntry,
     ScenarioConfig,
 )
@@ -176,7 +177,7 @@ def _case_d_griefing() -> ScenarioConfig:
         roster=(
             RosterEntry(0, 1, StrategySpec("griefing", {"empty_block_run": 10})),
         ),
-        proposer_override=("v0000", 0, 10),
+        proposer_override=ProposerOverride("v0000", 0, 10),
     )
 
 

@@ -7,9 +7,10 @@ import yaml
 
 import pobsim.config
 from pobsim.adversaries import StrategySpec
+from pobsim.cli import main
 from pobsim.config import (
-    SWEEPABLE,
     PenaltySettings,
+    ProposerOverride,
     RosterEntry,
     ScenarioConfig,
     apply_sweep_point,
@@ -19,6 +20,7 @@ from pobsim.config import (
     load_config,
     loads_config,
     parse_rational,
+    sweepable,
     with_overrides,
 )
 from pobsim.errors import ConfigError, TraceError
@@ -197,6 +199,29 @@ class TestSweepConfig:
         assert out.theta == Fraction(1, 2)
         assert out.sweep is None
 
+    @pytest.mark.parametrize("base,param,values", [
+        ("protocol: pob\nn_validators: 10\nr_base: 1.0\n", "r_total", [100.0, 5.0]),
+        ("protocol: pob\nn_validators: 10\n", "committee_size", [10]),
+    ], ids=["stipends-over-the-pool", "committee-past-the-population"])
+    def test_cross_field_refusal_of_a_grid_value_names_the_grid_field(
+            self, base, param, values, tmp_path, capsys):
+        """The cross-field check's message, on the grid field, from the loader,
+        a sweep point and the CLI, which writes no output directory."""
+        with pytest.raises(ConfigError) as plain:
+            with_overrides(loads_config(base), **{param: values[-1]})
+        text = base + f"sweep:\n  {param}: {values}\n"
+        with pytest.raises(ConfigError) as err:
+            loads_config(text)
+        assert (err.value.field, err.value.message) == (f"sweep.{param}", plain.value.message)
+        with pytest.raises(ConfigError) as err:
+            apply_sweep_point(loads_config(base), {param: values[-1]})
+        assert (err.value.field, err.value.message) == (f"sweep.{param}", plain.value.message)
+        (tmp_path / "grid.yaml").write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", str(tmp_path / "grid.yaml"), "--out", str(out)]) == 1
+        assert f"error: config field 'sweep.{param}': {plain.value.message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEcho:
     def test_echo_includes_every_effective_value(self):
@@ -250,7 +275,7 @@ class TestEchoIsPyYamlByteForByte:
         """No config holds such an id (the constructor refuses it), but the echo
         writes a nested odd string as PyYAML does: set past the constructor."""
         cfg = loads_config(MINIMAL)
-        object.__setattr__(cfg, "proposer_override", (text, 0, 1))
+        object.__setattr__(cfg, "proposer_override", ProposerOverride(text, 0, 1))
         mapping = config_to_mapping(cfg)
         assert echo_config(cfg) == yaml.safe_dump(mapping, sort_keys=True, default_flow_style=False)
         assert yaml.safe_load(echo_config(cfg))["proposer_override"]["validator"] == text
@@ -333,19 +358,20 @@ class TestOverrides:
     def test_unknown_proposer_override_rejected(self):
         text = MINIMAL + "proposer_override: {validator: zzz, from_epoch: 0, to_epoch: 3}\n"
         self.assert_rejected_on_every_path(
-            text, {"proposer_override": ("zzz", 0, 3)}, "proposer_override.validator")
+            text, {"proposer_override": ProposerOverride("zzz", 0, 3)},
+            "proposer_override.validator")
         # Past the last index, and the newcomer without a newcomer_epoch.
         for vid in ("v0100", "newcomer"):
             with pytest.raises(ConfigError, match="proposer_override.validator"):
-                with_overrides(loads_config(MINIMAL), proposer_override=(vid, 0, 3))
+                with_overrides(loads_config(MINIMAL), proposer_override=ProposerOverride(vid, 0, 3))
         cfg = loads_config(MINIMAL + "newcomer_epoch: 5\n"
                            "proposer_override: {validator: newcomer, from_epoch: 5, to_epoch: 8}\n")
-        assert cfg.proposer_override == ("newcomer", 5, 8)
+        assert cfg.proposer_override == ProposerOverride("newcomer", 5, 8)
         # The newcomer cannot be elected before it joins.
         with pytest.raises(ConfigError, match="before newcomer_epoch 5"):
-            with_overrides(cfg, proposer_override=("newcomer", 0, 3))
-        assert with_overrides(loads_config(MINIMAL),
-                              proposer_override=("v0099", 0, 3)).proposer_override[0] == "v0099"
+            with_overrides(cfg, proposer_override=ProposerOverride("newcomer", 0, 3))
+        assert with_overrides(loads_config(MINIMAL), proposer_override=ProposerOverride(
+            "v0099", 0, 3)).proposer_override.validator == "v0099"
 
     def test_trace_and_override_name_proposers_by_one_rule(self):
         sybils = RosterEntry(8, 10, StrategySpec("adaptive-sybil"))
@@ -359,14 +385,14 @@ class TestOverrides:
                                     1.0, 1.0, 1.0, False) for h in range(epoch + 1)]
                 if refusal is None:
                     check_trace(cfg, trace)
-                    with_overrides(cfg, proposer_override=(vid, epoch, epoch + 1))
+                    with_overrides(cfg, proposer_override=ProposerOverride(vid, epoch, epoch + 1))
                     continue
                 refused.add((vid, epoch))
                 with pytest.raises(TraceError) as trace_err:
                     check_trace(cfg, trace)
                 assert str(trace_err.value).endswith(f") {refusal}")
                 with pytest.raises(ConfigError) as override_err:
-                    with_overrides(cfg, proposer_override=(vid, epoch, epoch + 1))
+                    with_overrides(cfg, proposer_override=ProposerOverride(vid, epoch, epoch + 1))
                 assert override_err.value.field == "proposer_override.validator"
                 assert str(override_err.value).endswith(f"{vid!r} {refusal}")
         assert refused == {("newcomer", 0), ("newcomer", 1), *(
@@ -378,10 +404,10 @@ class TestOverrides:
         text = (MINIMAL + f"proposer_override: {{validator: v0001, from_epoch: {from_epoch}, "
                 f"to_epoch: {to_epoch}}}\n")
         self.assert_rejected_on_every_path(
-            text, {"proposer_override": ("v0001", from_epoch, to_epoch)},
+            text, {"proposer_override": ProposerOverride("v0001", from_epoch, to_epoch)},
             f"empty window: from_epoch {from_epoch} is not before to_epoch {to_epoch}")
         assert loads_config(MINIMAL + "proposer_override: {validator: v0001, from_epoch: 4, "
-                            "to_epoch: 5}\n").proposer_override == ("v0001", 4, 5)
+                            "to_epoch: 5}\n").proposer_override == ProposerOverride("v0001", 4, 5)
 
     def test_motivation_intensity_length_checked(self):
         text = MINIMAL + "motivation_intensities: {propose-block: [0.5]}\n"
@@ -423,6 +449,15 @@ BAD_FIELDS = [pytest.param(*case, id=case[0]) for case in [
 ]
 
 
+# A value within the bounds of each sweepable parameter, in its YAML form.
+VALID_SWEEP_VALUES = {
+    "rho": 0.5, "delta": 0.1, "theta": "1/2", "quorum": "3/4", "committee_size": 9,
+    "detection_accuracy": 0.8, "r_total": 50.0, "activity_threshold": 0.1, "epsilon": 0.01,
+    "pos_slash_delay": 3, "pos_slash_fraction": 0.5, "penalty.mode": "multiplicative",
+    "penalty.base_coefficient": 2.0, "penalty.rho_p": 0.5,
+}
+
+
 class TestOneSchema:
     @pytest.mark.parametrize("field,value,yaml_value", BAD_FIELDS)
     def test_bad_value_rejected_on_every_path(self, field, value, yaml_value):
@@ -440,7 +475,7 @@ class TestOneSchema:
             with pytest.raises(ConfigError) as err:
                 make()
             assert err.value.field.split(".")[0] == field
-        if field in SWEEPABLE:
+        if field in sweepable():
             with pytest.raises(ConfigError) as err:
                 apply_sweep_point(loads_config(MINIMAL), {field: yaml_value})
             assert err.value.field == f"sweep.{field}"
@@ -448,17 +483,36 @@ class TestOneSchema:
                 ScenarioConfig(**base, sweep={field: [yaml_value]})
             assert err.value.field == f"sweep.{field}"
 
+    def test_sweepable_names_are_the_tagged_fields(self):
+        assert set(sweepable()) == set(VALID_SWEEP_VALUES)
+
+    @pytest.mark.parametrize("param", sweepable())
+    def test_sweep_point_is_the_loaders_config(self, param):
+        """A sweep point is built as the loader builds the config with its value."""
+        value = VALID_SWEEP_VALUES[param]
+        *block, key = param.split(".")
+        mapping = {"protocol": "pob", "n_validators": 100,
+                   **({block[0]: {key: value}} if block else {key: value})}
+        point = apply_sweep_point(loads_config(MINIMAL + f"sweep:\n  {param}: [{value}]\n"),
+                                  {param: value})
+        assert point == loads_config(yaml.safe_dump(mapping))
+        assert point != loads_config(MINIMAL)
+
     def test_listed_override_is_refused(self):
-        """The constructor reads a stored override, a tuple, as the loader's
-        mapping; a list is still no override, from YAML or from Python."""
+        """The constructor reads a stored override, a ProposerOverride, as the
+        loader's mapping; a list is no override, from YAML or from Python, and
+        neither is a tuple."""
         with pytest.raises(ConfigError, match="found list") as err:
             loads_config(MINIMAL + "proposer_override: [v0001, 0, 3]\n")
         assert err.value.field == "proposer_override"
-        with pytest.raises(ConfigError, match="found list") as err:
-            with_overrides(loads_config(MINIMAL), proposer_override=["v0001", 0, 3])
-        assert err.value.field == "proposer_override"
-        cfg = with_overrides(loads_config(MINIMAL), proposer_override=("v0001", 0, 3))
-        assert cfg.proposer_override == ("v0001", 0, 3)
+        for listed in (["v0001", 0, 3], ("v0001", 0, 3)):
+            with pytest.raises(ConfigError, match="found list") as err:
+                with_overrides(loads_config(MINIMAL), proposer_override=listed)
+            assert err.value.field == "proposer_override"
+        cfg = with_overrides(loads_config(MINIMAL), proposer_override=ProposerOverride("v0001", 0, 3))
+        assert cfg.proposer_override == ProposerOverride("v0001", 0, 3)
+        assert cfg == with_overrides(loads_config(MINIMAL), proposer_override={
+            "validator": "v0001", "from_epoch": 0, "to_epoch": 3})
 
     def test_unpickled_config_is_equal_and_not_parsed_again(self, monkeypatch):
         # A pool worker gets its config pickled; unpickling does not call the constructor.

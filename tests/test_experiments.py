@@ -12,7 +12,13 @@ import pytest
 import pobsim
 from pobsim import experiments
 from pobsim.adversaries import StrategySpec
-from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overrides
+from pobsim.config import (
+    ProposerOverride,
+    RosterEntry,
+    ScenarioConfig,
+    loads_config,
+    with_overrides,
+)
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_ic_check, run_scenario, run_sweep, sweep_points
 from pobsim.metrics import CSV_COLUMNS
@@ -295,7 +301,7 @@ class TestBadInputBeforeOutput:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="adaptive-sybil member") as err:
             run_scenario(tiny_paired(protocol="pob", epochs=12, roster=sybils, workers=workers,
-                                     proposer_override=("v0008", 0, 12)), out)
+                                     proposer_override=ProposerOverride("v0008", 0, 12)), out)
         assert err.value.field == "proposer_override.validator"
         assert not out.exists()
 

@@ -10,10 +10,11 @@ loader's config. The mappings mix valid and invalid values, their roster
 entry's strategy params lie now and then within their bounds and once in
 a while just outside them, their `proposer_override` names a configured
 id, an unknown id, the newcomer or an adaptive-sybil member, whom pob may
-retire, and their pos slash delay is short enough for a slash to land
-within the run. Every built-in preset but the replay also runs through
-the CLI's `preset` at 3 epochs to the same outputs with one worker and
-with two.
+retire, their pos slash delay is short enough for a slash to land
+within the run, and their sweep grid varies one or two of the schema's
+sweepable parameters, now and then with a value the loader refuses.
+Every built-in preset but the replay also runs through the CLI's
+`preset` at 3 epochs to the same outputs with one worker and with two.
 
 A second property does the same for block traces, through `run_scenario`
 and the CLI's `replay`: a short trace whose proposers are configured,
@@ -44,7 +45,14 @@ from hypothesis import (
 
 from pobsim.adversaries import PARAMS, StrategySpec
 from pobsim.cli import main
-from pobsim.config import RosterEntry, ScenarioConfig, loads_config, with_overrides
+from pobsim.config import (
+    ProposerOverride,
+    RosterEntry,
+    ScenarioConfig,
+    loads_config,
+    sweepable,
+    with_overrides,
+)
 from pobsim.errors import ConfigError, TraceError
 from pobsim.experiments import run_scenario, run_sweep
 from pobsim.presets import builtin_presets
@@ -61,6 +69,26 @@ LANDS_POS_SLASHES = {"protocol": "paired", "n_validators": 4, "epochs": 3, "tria
                      "seed": 7, "roster": [{"range": [3, 4], "kind": "stealth",
                                              "params": {"fraud_rate": 1.0}}],
                      "pos_slash_delay": 1, "pos_slash_fraction": 0.5}
+# Grids that the fixed seed's draws may miss: the penalty block's mode and
+# retained fraction, and a committee of n, which the cross-field check refuses.
+PENALTY_GRID = {"protocol": "paired", "n_validators": 4, "epochs": 3, "trials": 2,
+                "sweep": {"penalty.mode": ["additive", "multiplicative"], "penalty.rho_p": [0.5]}}
+COMMITTEE_OF_N = {"protocol": "pob", "n_validators": 4, "epochs": 3, "trials": 2,
+                  "sweep": {"committee_size": [1, 4]}}
+
+
+def sweep_values(n: int) -> dict:
+    """Each sweepable parameter's grid values at `n` validators: (values
+    within its bounds, values the loader refuses). A committee of `n`
+    exceeds the n - 1 others, a cross-field refusal."""
+    return {"rho": ([0.5, 0.95], [1.5]), "delta": ([0.1, 0.3], [2.0]),
+            "theta": (["1/2", "3/4", 1], ["0"]), "quorum": (["1/2", "3/4"], ["3/2"]),
+            "committee_size": ([None, 1], [n]), "detection_accuracy": ([0.5, 1.0], [-0.1]),
+            "r_total": ([50.0, 100.0], [-1.0]), "activity_threshold": ([0.0, 0.5], ["oops"]),
+            "epsilon": ([0.0, 0.1], [-0.1]), "pos_slash_delay": ([1, 3], [-1]),
+            "pos_slash_fraction": ([0.5, 1.0], [1.5]),
+            "penalty.mode": (["additive", "multiplicative"], ["linear"]),
+            "penalty.base_coefficient": ([0.5, 2.0], [0.0]), "penalty.rho_p": ([0.0, 0.5], [1.0])}
 
 
 def param_values(lo, hi, outside: bool):
@@ -132,14 +160,22 @@ def scenarios(draw):
     mapping["pos_slash_delay"] = draw(st.integers(-1, 3))
     mapping["pos_slash_fraction"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
     if draw(st.booleans()):
-        mapping["sweep"] = {"delta": [0.1, draw(st.sampled_from([0.2, 0.3, 2.0]))]}
+        grid = {}
+        for name in draw(st.lists(st.sampled_from(sweepable()), min_size=1, max_size=2,
+                                  unique=True)):
+            within, refused = sweep_values(n)[name]
+            grid[name] = draw(st.lists(st.sampled_from(within), min_size=1, max_size=2,
+                                       unique=True))
+            if draw(st.integers(0, 7)) == 0:
+                grid[name].append(draw(st.sampled_from(refused)))
+        mapping["sweep"] = grid
     return mapping
 
 
 def stored_form(mapping: dict) -> dict:
     """`mapping`'s values in the form a config stores them: roster entries as
     RosterEntry (an entry whose params StrategySpec refuses stays a mapping,
-    which the constructor reads too) and the override as a tuple."""
+    which the constructor reads too) and the override as a ProposerOverride."""
     stored = dict(mapping)
     if "roster" in stored:
         stored["roster"] = []
@@ -151,7 +187,7 @@ def stored_form(mapping: dict) -> dict:
             else:
                 stored["roster"].append(RosterEntry(*item["range"], spec))
     if "proposer_override" in stored:
-        stored["proposer_override"] = tuple(mapping["proposer_override"].values())
+        stored["proposer_override"] = ProposerOverride(**mapping["proposer_override"])
     return stored
 
 
@@ -188,7 +224,7 @@ def run(entry: str, mapping: dict, workers: int, out: Path, scratch: Path) -> No
         return
     if entry == "overrides":
         config = with_overrides(loads_config(BASE), workers=workers, **{
-            key: tuple(value.values()) if key == "proposer_override" else value
+            key: ProposerOverride(**value) if key == "proposer_override" else value
             for key, value in mapping.items()})
     elif entry == "python":
         config = construct({**mapping, "workers": workers})
@@ -216,6 +252,8 @@ def attempted_fraud(files: dict) -> bool:
           suppress_health_check=[HealthCheck.too_slow])
 @given(mapping=scenarios())
 @example(mapping=LANDS_POS_SLASHES)
+@example(mapping=PENALTY_GRID)
+@example(mapping=COMMITTEE_OF_N)
 def test_bad_input_fails_before_output_else_workers_agree(entry, mapping):
     if entry == "sweep":
         mapping = {**mapping, "sweep": mapping.get("sweep") or {"delta": [0.1, 0.2]}}

@@ -34,7 +34,7 @@ import hashlib
 import pytest
 
 from pobsim.adversaries import StrategySpec
-from pobsim.config import RosterEntry, with_overrides
+from pobsim.config import ProposerOverride, RosterEntry, with_overrides
 from pobsim.ledger import ledger_to_json
 from pobsim.netsim import run_trial, shares_one_state, trial_epochs
 from pobsim.presets import builtin_presets
@@ -76,7 +76,7 @@ PINNED = {
         "24696b5633ec6288fdd7c99662cc69fcf094d56606c315e8664cfb72d8949338",
     ),
     "case-b-fairness-100/newcomer-override": (
-        {"newcomer_epoch": 10, "proposer_override": ("newcomer", 12, 18)},
+        {"newcomer_epoch": 10, "proposer_override": ProposerOverride("newcomer", 12, 18)},
         "35bc8f983b9e8a21cc8144bae9047c1c010a1514c08eea6684b574ddd3a874e2",
     ),
     "case-a-stealth/pos-slash": (
