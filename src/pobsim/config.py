@@ -481,8 +481,11 @@ class ScenarioConfig:
         except RewardPoolError as exc:
             raise ConfigError("r_base", str(exc)) from None
         for param, values in (self.sweep or {}).items():
-            for value in values:
-                apply_sweep_point(self, {param: value})
+            points = [apply_sweep_point(self, {param: value}) for value in values]
+            for i, point in enumerate(points):
+                if (first := points.index(point)) < i:  # parses as an earlier value does
+                    raise ConfigError(f"sweep.{param}", f"{values[i]!r} repeats "
+                                      f"{values[first]!r}; a grid runs each value once")
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,6 @@ class _TrialState:
     emitters: list[tuple] = field(default_factory=list)
     # roster position -> that member's coalition vote, for members whose strategy has one
     voters: dict[int, Callable[[str], bool]] = field(default_factory=dict)
-    # join epoch -> ids that join then; every key is > 0
-    joins: dict[int, list[str]] = field(default_factory=dict)
 
 
 def _start_trial(config: ScenarioConfig, seed: int,
@@ -249,7 +247,6 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
 
     if config.newcomer_epoch is not None:
         strategies["newcomer"] = honest
-        state.joins[config.newcomer_epoch] = ["newcomer"]
     _set_roster(state, sorted(ids))
     return state
 
@@ -280,28 +277,6 @@ def _set_roster(state: _TrialState, alive: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # Epoch stages shared by both protocols
 # ---------------------------------------------------------------------------
-
-def _apply_joins(state: _TrialState, halves: Sequence[_PobRules | _PosRules], epoch: int,
-                 events: list[dict]) -> None:
-    """Admit the validators whose join epoch is `epoch` into every protocol's
-    rules, then rebuild the roster.
-
-    Every joiner is a fresh id (the newcomer or a respawned Sybil), so
-    none is in any protocol's weights yet.
-    """
-    joining = state.joins.pop(epoch, None)
-    if not joining:
-        return
-    alive = list(state.alive)
-    for vid in sorted(joining):
-        at = bisect_left(alive, vid)
-        alive.insert(at, vid)
-        for rules in halves:
-            rules.admit(state, vid, at)
-        events.append({"kind": "join", "id": vid, "role": state.strategies[vid].kind,
-                       "epoch": epoch})
-    _set_roster(state, alive)
-
 
 def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
            trace: Optional[Sequence[TraceBlock]]) -> str:
@@ -474,28 +449,42 @@ def _sessions(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
             for i, (row, count) in enumerate(zip(rows, counts)) if count]
 
 
-def _retire_convicted(state: _TrialState, rules: _PobRules | _PosRules,
-                      verdicts: Sequence[Verdict], epoch: int) -> None:
-    """Retire the adaptive Sybils convicted this epoch and queue their respawns."""
+def _change_roster(state: _TrialState, halves: Sequence[_PobRules | _PosRules],
+                   ledgers: Sequence[EpochLedger], epoch: int, last: bool) -> None:
+    """The one roster change after `epoch`, rebuilt once: retire the adaptive
+    Sybils convicted in it, then admit the next epoch's joiners (the newcomer
+    and the granted respawns, each a fresh id) in sorted order. Its events go to
+    the next epoch's ledgers. After the `last` epoch only the retirements land:
+    the trial-end fork reads them, and no epoch follows for a joiner."""
     controller = state.sybil_controller
-    if controller is None:
+    members = controller.coalition_members if controller is not None else ()
+    convicted = sorted({v.subject for ledger in ledgers for v in ledger.verdicts
+                        if v.guilty and v.subject in members})
+    joining = ["newcomer"] if not last and epoch + 1 == state.config.newcomer_epoch else []
+    if not convicted and not joining:
         return
-    retired = {v.subject for v in verdicts if v.guilty and v.subject in controller.coalition_members}
-    if not retired:
-        return
-    convicted = sorted(retired)
+    events, retired = state.pending_events, set(convicted)
     for vid in convicted:
-        state.pending_events.append({"kind": "retire", "id": vid, "epoch": epoch})
+        events.append({"kind": "retire", "id": vid, "epoch": epoch})
         state.hub.drop(f"behavior/{vid}", f"adversary/{vid}")  # respawns get fresh ids
     kept = [pos for pos, vid in enumerate(state.alive) if vid not in retired]
-    rules.retire(kept)
-    _set_roster(state, [state.alive[pos] for pos in kept])
-    population = len(state.alive) + len(state.joins.get(epoch + 1, ()))
-    fresh, cap_events = controller.replacements(epoch, population, convicted)
-    state.pending_events.extend(cap_events)
-    for vid in fresh:
-        state.strategies[vid] = controller.strategy()
-        state.joins.setdefault(epoch + 1, []).append(vid)
+    alive = [state.alive[pos] for pos in kept]
+    if convicted and not last:
+        fresh, cap_events = controller.replacements(epoch, len(alive) + len(joining), convicted)
+        events.extend(cap_events)
+        for vid in fresh:
+            state.strategies[vid] = controller.strategy()
+        joining += fresh
+    joined = []  # (position on insertion, id)
+    for vid in sorted(joining):
+        at = bisect_left(alive, vid)
+        alive.insert(at, vid)
+        joined.append((at, vid))
+        events.append({"kind": "join", "id": vid, "role": state.strategies[vid].kind,
+                       "epoch": epoch + 1})
+    for rules in halves:
+        rules.reshape(state, kept, joined)
+    _set_roster(state, alive)
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +556,19 @@ class _PobRules:
         self.weights = ema_step(self.weights, scores, state.config.rho)
         return self.weights
 
-    def admit(self, state: _TrialState, vid: str, at: int) -> None:
-        controller = state.sybil_controller
-        sybil = controller is not None and vid in controller.coalition_members
-        join_weight = controller.join_weight if sybil else 0.0
-        weights = self.weights[:at] + [join_weight] + self.weights[at:]
-        self.weights = normalize(weights) if join_weight > 0.0 else weights
-
-    def retire(self, kept: list[int]) -> None:
-        self.weights = normalize([self.weights[pos] for pos in kept])
+    def reshape(self, state: _TrialState, kept: list[int],
+                joined: list[tuple[int, str]]) -> None:
+        """The kept weights renormalized if any retired, then a respawned Sybil's
+        `join_weight` or the newcomer's 0 inserted for each joiner."""
+        weights, controller = self.weights, state.sybil_controller
+        if len(kept) < len(weights):
+            weights = normalize([weights[pos] for pos in kept])
+        for at, vid in joined:
+            join_weight = 0.0 if vid == "newcomer" else controller.join_weight
+            weights = weights[:at] + [join_weight] + weights[at:]
+            if join_weight > 0.0:
+                weights = normalize(weights)
+        self.weights = weights
 
     def fork(self, state: _TrialState) -> Optional[dict]:
         """The long-range fork attempt at trial end, once a block is confirmed.
@@ -641,8 +634,13 @@ class _PosRules:
         """Stakes do not move; rewards follow them."""
         return self.weights
 
-    def admit(self, state: _TrialState, vid: str, at: int) -> None:
-        self.weights = self.weights[:at] + [state.config.stake_xmin] + self.weights[at:]
+    def reshape(self, state: _TrialState, kept: list[int],
+                joined: list[tuple[int, str]]) -> None:
+        """The `kept` positions' stakes, and `stake_xmin` for each joiner."""
+        stakes = [self.weights[pos] for pos in kept]
+        for at, _ in joined:
+            stakes.insert(at, state.config.stake_xmin)
+        self.weights = stakes
 
 
 def shares_one_state(config: ScenarioConfig, trace: Optional[Sequence[TraceBlock]]) -> bool:
@@ -702,7 +700,6 @@ def trial_epochs(
         if finished:
             yield finished
         events, state.pending_events = state.pending_events, []
-        _apply_joins(state, halves, epoch, events)
         alive = state.alive
         starts = []  # each protocol's (events, slashed ids, weights before, proposer)
         for rules in halves:
@@ -732,8 +729,7 @@ def trial_epochs(
                 proposals, votes, neutralized, tuple(own_events),
             ))
         finished = tuple(ledgers)
-        for rules, ledger in zip(halves, finished):
-            _retire_convicted(state, rules, ledger.verdicts, epoch)
+        _change_roster(state, halves, finished, epoch, epoch == epochs - 1)
 
     for rules, ledger in zip(halves, finished):
         outcome = rules.fork(state) if rules.chain is not None else None

@@ -222,6 +222,26 @@ class TestSweepConfig:
         assert f"error: config field 'sweep.{param}': {plain.value.message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param,values,again", [
+        ("theta", '[0.5, "1/2"]', "'1/2'"),
+        ("rho", "[0.5, 0.9, 0.5]", "0.5"),
+        ("rho", "[1, 1.0]", "1.0"),
+        ("penalty.mode", "[additive, additive]", "'additive'"),
+    ], ids=["fraction-and-float", "same-float", "int-and-float", "penalty-block"])
+    def test_a_repeated_grid_value_is_refused(self, param, values, again, tmp_path, capsys):
+        """Two grid values that parse alike would run one config twice under two
+        labels: the later one is refused on the grid field, before any output."""
+        text = MINIMAL + f"sweep:\n  {param}: {values}\n"
+        with pytest.raises(ConfigError) as err:
+            loads_config(text)
+        assert err.value.field == f"sweep.{param}"
+        assert err.value.message.startswith(f"{again} repeats ")
+        (tmp_path / "grid.yaml").write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", str(tmp_path / "grid.yaml"), "--out", str(out)]) == 1
+        assert f"error: config field 'sweep.{param}': {again} repeats " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEcho:
     def test_echo_includes_every_effective_value(self):

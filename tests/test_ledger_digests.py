@@ -1,4 +1,4 @@
-"""Pinned ledger bytes of nine short runs that no golden preset covers.
+"""Pinned ledger bytes of eleven short runs that no golden preset covers.
 
 Each digest is the sha256 of every ledger's `ledger_to_json` line, in
 (protocol, epoch) order, of a 30-epoch run. Every digest must hold both
@@ -25,7 +25,14 @@ epoch pipeline must leave them as they are:
   `pos_slash_delay: 3` and `pos_slash_fraction: 0.5`: pos slashes that
   land within 30 epochs (ten of them, two each at epochs 7 and 11), and
   the elections that read the halved stakes. The default delay of 100
-  epochs lands none in any other pin or golden digest.
+  epochs lands none in any other pin or golden digest;
+- `case-d-adaptive-sybil` with adaptive Sybils on [90, 95) at
+  `join_weight: 0.01` and `max_population: 100`, long-range-fork keys on
+  [95, 100) at `fork_depth: 20`, and `newcomer_epoch: 12`: the newcomer
+  joining with the respawns, the population cap in epoch 11's roster
+  change, joins above weight 0, and a trial-end fork that reads the roster
+  after epoch 29's retirements; and the same run as `protocol: pos`, where
+  the newcomer is the one join.
 """
 
 import dataclasses
@@ -40,6 +47,12 @@ from pobsim.netsim import run_trial, shares_one_state, trial_epochs
 from pobsim.presets import builtin_presets
 
 EPOCHS = 30
+# Adaptive Sybils that join above weight 0 up to a cap, and keys that fork at trial end.
+CAP_AND_FORK = (
+    RosterEntry(90, 95, StrategySpec("adaptive-sybil", {"join_weight": 0.01,
+                                                         "max_population": 100})),
+    RosterEntry(95, 100, StrategySpec("long-range-fork", {"fork_depth": 20})),
+)
 
 
 def _early_bursts() -> tuple:
@@ -83,6 +96,14 @@ PINNED = {
         {"roster": (RosterEntry(90, 100, StrategySpec("stealth", {"fraud_rate": 0.2})),),
          "pos_slash_delay": 3, "pos_slash_fraction": 0.5},
         "bb5fef20086be7e59054f34d960279746067bee730dce99f1754569d47d5ca8b",
+    ),
+    "case-d-adaptive-sybil/cap-newcomer-fork": (
+        {"newcomer_epoch": 12, "roster": CAP_AND_FORK},
+        "060f4a7b6f7e3eaf63493c5e4ca16088b2bca21950fdb64930c6a7d11e1db7ce",
+    ),
+    "case-d-adaptive-sybil/pos-newcomer-fork": (
+        {"protocol": "pos", "newcomer_epoch": 12, "roster": CAP_AND_FORK},
+        "97afdf7476cf1d519ff46456ea51214d60c42039c0d2f99423002dc87a55a7ff",
     ),
 }
 
@@ -134,4 +155,6 @@ def test_ledger_bytes_are_pinned(name):
 def test_only_protocol_dependent_rosters_run_alone():
     alone = {name for name, (overrides, _) in PINNED.items()
              if not shares_one_state(_config(name, overrides), None)}
-    assert alone == {"case-d-adaptive-sybil", "case-d-griefing", "case-d-griefing/paired"}
+    assert alone == {"case-d-adaptive-sybil", "case-d-adaptive-sybil/cap-newcomer-fork",
+                     "case-d-adaptive-sybil/pos-newcomer-fork", "case-d-griefing",
+                     "case-d-griefing/paired"}

@@ -406,6 +406,24 @@ class TestRunTrial:
         assert not owners & retired
         assert owners <= set(ledgers[-1].roster)
 
+    def test_roster_is_rebuilt_at_most_once_per_epoch(self, monkeypatch):
+        """The full-scale adaptive-Sybil trial retires and respawns after most
+        epochs; each epoch's retirements and the next epoch's joins are one
+        rebuild, and set-up is one more."""
+        rebuilds = []
+        set_roster = netsim._set_roster
+
+        def counting_set_roster(state, alive):
+            rebuilds.append(len(alive))
+            set_roster(state, alive)
+
+        monkeypatch.setattr(netsim, "_set_roster", counting_set_roster)
+        cfg = builtin_presets()["case-d-adaptive-sybil"].build()
+        ledgers = run_trial(cfg, cfg.seed, protocol="pob")
+        changed = [l for l in ledgers if any(e["kind"] in ("retire", "join") for e in l.events)]
+        assert len(ledgers) == cfg.epochs and len(changed) > cfg.epochs // 2
+        assert len(rebuilds) <= cfg.epochs + 1
+
     def test_partial_observation_probability(self):
         # with observe_prob 0 nobody files reports, so nothing is convicted
         cfg = small_config(
