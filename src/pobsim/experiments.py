@@ -15,16 +15,12 @@ Outputs per run directory:
 A sweep writes `sweep.csv` and `sweep_summary.json` instead, through the
 same flow (`_run_points`), with the rows and a summary of every grid point.
 
-A paired trial is one loop over one trial state (netsim.trial_epochs):
-the behaviors, delays, arrival order and epoch facts (netsim._EpochFacts,
-which both protocols' ledgers hold) are drawn and worked out once and
-shared, and each protocol's half elects, patches its proposer's record,
-finds its quorum and runs its own slashes, review, settlement, chain and
-fork on them. Each epoch yields the pob ledger, then the pos one. Ledgers
-go through one writer state: the twins share most of their columns, and
-the writer formats each shared column once (ledger.ledger_to_json). A
-roster whose draws depend on the protocol (netsim.shares_one_state) runs
-each protocol through that loop alone.
+A paired trial is one netsim.trial_epochs call, which decides whether both
+protocols share one trial state (its behaviors, delays, arrival order and
+epoch facts) or run a state each. Each epoch yields the pob ledger, then the
+pos one, as soon as it is done. Ledgers go through one writer state: the
+twins share most of their columns, and the writer formats each shared column
+once (ledger.ledger_to_json).
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from .metrics import (
 from .netsim import (
     EpochLedger,
     run_trial,  # noqa: F401  not called here, but benchmarks/bench_trace.py wraps it
-    shares_one_state,
     trial_epochs,
 )
 from .trace import TraceBlock, check_trace
@@ -87,7 +82,7 @@ def _run_trial_task(
 ) -> dict:
     """One trial, all protocols; returns picklable rows.
 
-    The protocols run through one `trial_epochs` loop (see the module
+    The protocols run through one `trial_epochs` call (see the module
     docstring). Each epoch's ledger is streamed into its protocol's
     metrics tally and, when `ledger_root` is given, written under it from
     this process.
@@ -100,12 +95,10 @@ def _run_trial_task(
         last: dict = {}  # the writer state every protocol shares (ledger.ledger_to_json)
         sinks = {protocol: _ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}",
                                           tallies[protocol], last) for protocol in protocols}
-    groups = [protocols] if shares_one_state(config, trace) else [[p] for p in protocols]
-    for group in groups:
-        with closing(trial_epochs(config, seed, group, trace)) as epochs:
-            for ledgers in epochs:
-                for ledger in ledgers:
-                    sinks[ledger.protocol](ledger)
+    with closing(trial_epochs(config, seed, protocols, trace)) as epochs:
+        for ledgers in epochs:
+            for ledger in ledgers:
+                sinks[ledger.protocol](ledger)
     rows = [{"trial": trial, "seed": seed, "protocol": protocol,
              "metrics": tallies[protocol].metrics()} for protocol in protocols]
     if config.protocol == "paired":

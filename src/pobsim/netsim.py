@@ -10,14 +10,15 @@ paired comparisons.
 Determinism contract: a trial (`trial_epochs`, and `run_trial` that
 drains it) is a pure function of (config, seed, protocols). All
 randomness flows through named substreams, every iteration order is
-sorted, so re-runs are bit-identical. A paired trial is one loop over
-one trial state: the behaviors and delays are drawn once and shared, and
-so are the arrival order and the epoch's facts (`_EpochFacts`: utilities,
-scores and harmful rows, then rows per position and activeness when first
-read), which every ledger of the epoch holds. Per protocol are
-its own streams, its proposer's record, quorum, slashes, review and
-settlement, and pob's chain for a long-range fork. So each protocol's
-ledgers are, byte for byte, those of a trial that runs that protocol alone.
+sorted, so re-runs are bit-identical. A paired trial is one loop, over
+one trial state where the roster `shares_one_state`: the behaviors and
+delays are drawn once and shared, and so are the arrival order and the
+epoch's facts (`_EpochFacts`: utilities, scores and harmful rows, then rows
+per position and activeness when first read), which every ledger of the
+epoch holds. Per protocol are its own streams, its proposer's record,
+quorum, slashes, review and settlement, and pob's chain for a long-range
+fork. Other rosters run a state per protocol, in step. Either way each
+protocol's ledgers are, byte for byte, those of its trial alone.
 """
 
 from __future__ import annotations
@@ -181,6 +182,7 @@ class _TrialState:
     strategies: dict[str, adv.Strategy]  # id -> its strategy, for every id that ever joins
     shape: adv.HonestShape
     latency: LatencyModel
+    delay_rngs: tuple[random.Random, random.Random]  # the proposal and vote delay streams
     schedule: RewardSchedule
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
     pending_events: list[dict] = field(default_factory=list)
@@ -221,6 +223,7 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
     strategies: dict[str, adv.Strategy] = dict.fromkeys(ids, honest)
     state = _TrialState(config, hub, strategies, shape,
                         LatencyModel(config.latency_distribution, config.latency_mean_ms),
+                        (hub.stream("latency/proposal"), hub.stream("latency/vote")),
                         config.reward_schedule())
     for entry in config.roster:
         kind, param, members = entry.spec.kind, entry.spec.param, ids[entry.lo:entry.hi]
@@ -454,8 +457,8 @@ def _change_roster(state: _TrialState, halves: Sequence[_PobRules | _PosRules],
     """The one roster change after `epoch`, rebuilt once: retire the adaptive
     Sybils convicted in it, then admit the next epoch's joiners (the newcomer
     and the granted respawns, each a fresh id) in sorted order. Its events go to
-    the next epoch's ledgers. After the `last` epoch only the retirements land:
-    the trial-end fork reads them, and no epoch follows for a joiner."""
+    the next epoch's ledgers. After the `last` epoch only the retirements land, in
+    its own: the trial-end fork reads them, and no epoch follows for a joiner."""
     controller = state.sybil_controller
     members = controller.coalition_members if controller is not None else ()
     convicted = sorted({v.subject for ledger in ledgers for v in ledger.verdicts
@@ -653,6 +656,55 @@ def shares_one_state(config: ScenarioConfig, trace: Optional[Sequence[TraceBlock
     return "adaptive-sybil" not in kinds and (trace is not None or "griefing" not in kinds)
 
 
+def _run_epoch(state: _TrialState, halves: Sequence[_PobRules | _PosRules], epoch: int,
+               trace: Optional[Sequence[TraceBlock]], last: bool) -> list[EpochLedger]:
+    """One epoch of one trial state, ended by its roster change (`_change_roster`):
+    the ledger of each of its protocols, in `halves` order. The behaviors (each
+    validator as a non-proposer) and delays are drawn, and the arrival order and
+    `_EpochFacts` worked out, once for them all. Each protocol then elects, makes
+    its proposer's record a propose record outside a trace (`_as_proposer`), finds
+    its quorum, and runs its own slashes, review, settlement and `chain`. The
+    `last` epoch's ledgers end with its retirements, then the trial-end fork."""
+    config = state.config
+    events, state.pending_events = state.pending_events, []
+    alive = state.alive
+    starts = []  # each protocol's (events, slashed ids, weights before, proposer)
+    for rules in halves:
+        own_events = list(events)
+        neutralized = rules.land_slashes(state, epoch, own_events)
+        starts.append((own_events, neutralized, rules.weights,
+                       _elect(state, rules, epoch, trace)))
+    cols = _behave(state, epoch, starts[0][3] if len(halves) == 1 else None, trace)
+    facts = _EpochFacts(cols, state.positions, config.betas)
+    proposals, votes, arrivals, order = _arrivals(
+        len(alive), state.latency, *state.delay_rngs, config.processing_ms)
+    ledgers = []
+    for rules, (own_events, neutralized, weights_before, proposer) in zip(halves, starts):
+        behaviors, scores, utilities = cols, facts.scores, facts.utilities
+        if trace is None:
+            behaviors, scores, utilities = _as_proposer(state, cols, facts, proposer)
+        confirm_ms = quorum_time(arrivals, weights_before, config.quorum, order)
+        confirmed = confirm_ms is not None
+        confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
+        weights_after = rules.settle(state, scores)
+        if confirmed and rules.chain is not None:
+            rules.chain.append(extend_chain(rules.chain[-1], proposer, left_sum(utilities),
+                                            state.signers, weights_after))
+        ledgers.append(EpochLedger(
+            epoch, rules.protocol, proposer, alive, behaviors, state.schedule, facts,
+            scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
+            proposals, votes, neutralized, tuple(own_events),
+        ))
+    _change_roster(state, halves, ledgers, epoch, last)
+    if last:  # its retirements reach its ledgers, then the trial-end fork
+        for rules, ledger in zip(halves, ledgers):
+            ledger.events += tuple(state.pending_events)
+            outcome = rules.fork(state) if rules.chain is not None else None
+            if outcome is not None:
+                ledger.events += (outcome,)
+    return ledgers
+
+
 def trial_epochs(
     config: ScenarioConfig,
     seed: int,
@@ -662,22 +714,15 @@ def trial_epochs(
     """One seeded trial as a stream of its epochs: each epoch's ledgers, one
     per protocol of `protocols`, in that order.
 
-    The protocols share one trial state. Each epoch draws the behaviors
-    (every validator as a non-proposer) and the delays once, and works out
-    the arrival order and one `_EpochFacts`, which every ledger of the epoch
-    holds, so their activeness is worked out once too. Each protocol then
-    elects its own proposer and, outside a trace, turns that proposer's
-    record into a propose record (`_as_proposer`), finds its own quorum in the shared
-    arrival order, and runs its own slashes, review and settlement, and the blocks and
-    fork of its `chain` if it keeps one (pob under a long-range-fork entry). Several
-    protocols need a config that `shares_one_state`; a ValueError says so otherwise.
+    The protocols share one trial state where the config `shares_one_state`,
+    and each runs on a state of its own otherwise; each state is the trial of
+    its protocols alone. The states advance in step, one epoch each
+    (`_run_epoch`), and each epoch is handed out once every state has run it.
 
     `config` was checked when it was made. Nothing runs until the first
     epoch is asked for: then a trace's proposers are checked
-    (`check_trace`) and the trial is set up. Each epoch comes out once the
-    next one starts (the last one waits for a trial-end fork outcome),
-    and the trial keeps none it has handed out past the next epoch, so its
-    memory stays flat in the epoch count.
+    (`check_trace`) and the trial is set up. The trial keeps no epoch it
+    has handed out, so its memory stays flat in the epoch count.
     """
     protocols, distinct = tuple(protocols), set(protocols)
     if not protocols or not distinct <= {"pob", "pos"} or len(distinct) < len(protocols):
@@ -685,58 +730,16 @@ def trial_epochs(
             f"a trial needs distinct concrete protocols, got {protocols!r} "
             "(resolve 'paired' at the experiment layer)"
         )
-    if len(protocols) > 1 and not shares_one_state(config, trace):
-        raise ValueError("this roster's draws depend on the protocol: run each protocol alone")
     if trace is not None:
         check_trace(config, trace)
-    state, halves = _start_trial(config, seed, protocols)
-
+    groups = [protocols] if shares_one_state(config, trace) else [(p,) for p in protocols]
+    states = [_start_trial(config, seed, group) for group in groups]
     epochs = len(trace) if trace is not None else config.epochs
-    finished: tuple[EpochLedger, ...] = ()
-    rng_lat_prop = state.hub.stream("latency/proposal")
-    rng_lat_vote = state.hub.stream("latency/vote")
-
     for epoch in range(epochs):
-        if finished:
-            yield finished
-        events, state.pending_events = state.pending_events, []
-        alive = state.alive
-        starts = []  # each protocol's (events, slashed ids, weights before, proposer)
-        for rules in halves:
-            own_events = list(events)
-            neutralized = rules.land_slashes(state, epoch, own_events)
-            starts.append((own_events, neutralized, rules.weights,
-                           _elect(state, rules, epoch, trace)))
-        cols = _behave(state, epoch, starts[0][3] if len(halves) == 1 else None, trace)
-        facts = _EpochFacts(cols, state.positions, config.betas)
-        proposals, votes, arrivals, order = _arrivals(
-            len(alive), state.latency, rng_lat_prop, rng_lat_vote, config.processing_ms)
-        ledgers = []
-        for rules, (own_events, neutralized, weights_before, proposer) in zip(halves, starts):
-            behaviors, scores, utilities = cols, facts.scores, facts.utilities
-            if trace is None:
-                behaviors, scores, utilities = _as_proposer(state, cols, facts, proposer)
-            confirm_ms = quorum_time(arrivals, weights_before, config.quorum, order)
-            confirmed = confirm_ms is not None
-            confirm_ms, verdicts = rules.review(state, epoch, behaviors, facts, confirm_ms)
-            weights_after = rules.settle(state, scores)
-            if confirmed and rules.chain is not None:
-                rules.chain.append(extend_chain(rules.chain[-1], proposer, left_sum(utilities),
-                                                state.signers, weights_after))
-            ledgers.append(EpochLedger(
-                epoch, rules.protocol, proposer, alive, behaviors, state.schedule, facts,
-                scores, weights_before, weights_after, verdicts, confirmed, confirm_ms,
-                proposals, votes, neutralized, tuple(own_events),
-            ))
-        finished = tuple(ledgers)
-        _change_roster(state, halves, finished, epoch, epoch == epochs - 1)
-
-    for rules, ledger in zip(halves, finished):
-        outcome = rules.fork(state) if rules.chain is not None else None
-        if outcome is not None:
-            ledger.events += (outcome,)
-    if finished:
-        yield finished
+        ledgers: list[EpochLedger] = []
+        for state, halves in states:
+            ledgers += _run_epoch(state, halves, epoch, trace, epoch == epochs - 1)
+        yield tuple(ledgers)
 
 
 def run_trial(

@@ -3,13 +3,14 @@
 Each digest is the sha256 of every ledger's `ledger_to_json` line, in
 (protocol, epoch) order, of a 30-epoch run. Every digest must hold both
 ways a trial runs: one protocol at a time through `run_trial`, and both
-protocols in one `trial_epochs` loop (each alone where the roster's draws
-depend on the protocol, as `experiments` runs them). A change to the
-epoch pipeline must leave them as they are:
+protocols in one `trial_epochs` call, as `experiments` runs them (on one
+trial state, or on a state each where the roster's draws depend on the
+protocol). A change to the epoch pipeline must leave them as they are:
 
 - `case-b-fairness-100` with `oracle_rate: 0.5` and `epsilon: 0.5`:
   actors with several records and activeness multipliers other than 1;
-- `case-d-adaptive-sybil`: joins, retirements and roster rebuilds;
+- `case-d-adaptive-sybil`: joins, retirements and roster rebuilds, and
+  the last epoch's retirements in its own ledger;
 - `case-a-stealth`: fraud records and verdicts;
 - `case-a-sybil` with bursts at epochs 10, 18 and 26: coalition frauds,
   coalition votes and their verdicts, which the preset's epoch-50 burst
@@ -17,7 +18,7 @@ epoch pipeline must leave them as they are:
 - `case-d-long-range`: stealth frauds of the compromised keys and the
   trial-end fork outcome;
 - `case-d-griefing`: the proposer override seating the griefer, and the
-  same run paired, which runs each protocol alone;
+  same run paired, which runs each protocol on a state of its own;
 - `case-b-fairness-100` with `newcomer_epoch: 10` and the newcomer as the
   proposer override for epochs 12 to 17: a join, and both protocols of
   a paired epoch seating the same proposer;
@@ -31,7 +32,8 @@ epoch pipeline must leave them as they are:
   [95, 100) at `fork_depth: 20`, and `newcomer_epoch: 12`: the newcomer
   joining with the respawns, the population cap in epoch 11's roster
   change, joins above weight 0, and a trial-end fork that reads the roster
-  after epoch 29's retirements; and the same run as `protocol: pos`, where
+  after epoch 29's retirements, which epoch 29's ledger lists before the
+  fork outcome; and the same run as `protocol: pos`, where
   the newcomer is the one join.
 """
 
@@ -68,7 +70,7 @@ PINNED = {
         "98bd86bbc625cc0e179b557042e61cccd6b4d89e3e4ab7cf3bd8264fc6cdb800",
     ),
     "case-d-adaptive-sybil": (
-        {}, "54d330f7a372961949273edc201441b7272fe9d71fbf8806f4254aaf64495462",
+        {}, "c85f1983c21da646ebfd467689e43c2ddc33b383de897f2d091de3b24d0aaaab",
     ),
     "case-a-stealth": (
         {}, "f328cd5094406c5097e4f85cda15f41be253bc4e16751ef00e1255e338474aa5",
@@ -99,7 +101,7 @@ PINNED = {
     ),
     "case-d-adaptive-sybil/cap-newcomer-fork": (
         {"newcomer_epoch": 12, "roster": CAP_AND_FORK},
-        "060f4a7b6f7e3eaf63493c5e4ca16088b2bca21950fdb64930c6a7d11e1db7ce",
+        "c81567237706f4668d97b19271293c211f3cc97fdc1019dc09434f629ef926e6",
     ),
     "case-d-adaptive-sybil/pos-newcomer-fork": (
         {"protocol": "pos", "newcomer_epoch": 12, "roster": CAP_AND_FORK},
@@ -128,17 +130,15 @@ def ledger_digest(name: str, overrides: dict) -> str:
 
 
 def one_loop_digest(name: str, overrides: dict) -> str:
-    """The digest of the case's protocols' ledgers from one `trial_epochs` loop of
-    both protocols, or of each protocol alone where the roster cannot share one."""
+    """The digest of the case's protocols' ledgers from one `trial_epochs` call of
+    both protocols."""
     config = _config(name, overrides)
     both = ("pob", "pos")
-    groups = [both] if shares_one_state(config, None) else [(p,) for p in _protocols(config)]
     lines: dict[str, list[str]] = {protocol: [] for protocol in both}
-    for group in groups:
-        for ledgers in trial_epochs(config, config.seed, group):
-            assert [ledger.protocol for ledger in ledgers] == list(group)
-            for ledger in ledgers:
-                lines[ledger.protocol].append(ledger_to_json(ledger) + "\n")
+    for ledgers in trial_epochs(config, config.seed, both):
+        assert [ledger.protocol for ledger in ledgers] == list(both)
+        for ledger in ledgers:
+            lines[ledger.protocol].append(ledger_to_json(ledger) + "\n")
     digest = hashlib.sha256()
     for protocol in _protocols(config):
         digest.update("".join(lines[protocol]).encode())

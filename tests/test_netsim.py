@@ -634,7 +634,8 @@ class TestRulesOwnWhatOnlyTheyRead:
 
 
 class TestOneLoop:
-    """A paired trial runs both protocols in one loop over one trial state."""
+    """A paired trial runs both protocols in one loop, over one trial state where
+    the roster's draws do not depend on the protocol."""
 
     @staticmethod
     def _config():
@@ -677,14 +678,18 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("kind", ["griefing", "adaptive-sybil"])
     def test_protocol_dependent_rosters_run_alone(self, kind):
+        """A roster whose draws depend on the protocol runs each protocol on a
+        state of its own, in the same call: each writes its ledgers of its run alone."""
         cfg = small_config(roster=(RosterEntry(8, 10, StrategySpec(kind)),))
         trace = make_synthetic_trace(5, 8, exploit_at=None, exploit_value=0.0, seed=1)
         assert not netsim.shares_one_state(cfg, None)
         # under a trace no griefer draws as the proposer, but pob still retires Sybils
         assert netsim.shares_one_state(cfg, trace) == (kind == "griefing")
-        with pytest.raises(ValueError, match="run each protocol alone"):
-            next(netsim.trial_epochs(cfg, 1, ("pob", "pos")))
-        assert len(list(netsim.trial_epochs(cfg, 1, ("pos",)))) == cfg.epochs
+        paired = list(netsim.trial_epochs(cfg, 1, ("pob", "pos")))
+        assert [tuple(l.protocol for l in ledgers) for ledgers in paired] == [("pob", "pos")] * cfg.epochs
+        for k, protocol in enumerate(("pob", "pos")):
+            assert [ledger_to_json(ledgers[k]) for ledgers in paired] == list(
+                map(ledger_to_json, run_trial(cfg, 1, protocol=protocol)))
 
 
 class TestLazyLedger:

@@ -8,8 +8,10 @@ loop through one writer state), that the ledger writer's bytes are those of a
 plain `json.dumps` of the ledger as dicts, that a shared writer state
 reuses a text only for columns that write the same bytes, that a task's
 halves set up once and fail cleanly, that memory does not grow with the
-epoch count, that a finished trial leaves no reference cycle behind, and
-that the incrementally kept alive roster is the naive recomputation.
+epoch count and no handed-out epoch but the last outlives the next one's
+work, that a finished trial leaves no reference cycle behind, that the
+incrementally kept alive roster is the naive recomputation, and that every
+convicted adaptive Sybil's retirement reaches a ledger.
 """
 
 import dataclasses
@@ -492,7 +494,8 @@ def _record_halves(monkeypatch):
 def test_halves_set_up_once_and_alternate_each_epoch(ledgers, monkeypatch, tmp_path):
     """A paired task sets its trial up once and takes both ledgers of each epoch,
     pob then pos, whether or not it writes them. A roster whose draws depend on
-    the protocol (a griefer outside a trace) runs each protocol alone."""
+    the protocol (a griefer outside a trace) sets up a state per protocol, and
+    still takes pob then pos each epoch."""
     log = _record_halves(monkeypatch)
     config, _ = _preset("case-a-stealth")
     assert config.protocol == "paired"
@@ -503,8 +506,8 @@ def test_halves_set_up_once_and_alternate_each_epoch(ledgers, monkeypatch, tmp_p
     log.clear()
     griefing = with_overrides(_preset("case-d-griefing")[0], protocol="paired")
     experiments._run_trial_task(griefing, 0, None, tmp_path / "griefing" if ledgers else None)
-    assert log == [("set-up", ("pob",)), *(("pob", epoch) for epoch in range(EPOCHS)),
-                   ("set-up", ("pos",)), *(("pos", epoch) for epoch in range(EPOCHS))]
+    assert log == [("set-up", ("pob",)), ("set-up", ("pos",))] + [
+        (protocol, epoch) for epoch in range(EPOCHS) for protocol in ("pob", "pos")]
 
 
 class MidTrialError(Exception):
@@ -552,6 +555,36 @@ def test_fork_outcome_reaches_last_streamed_ledger():
         streamed.append(ledger)
     assert kinds[-1] == ["fork-outcome"]
     assert streamed == run_trial(config, config.seed, protocol="pob")
+
+
+@pytest.mark.parametrize("name", ["case-a-stealth", "case-d-griefing"])
+def test_no_epoch_outlives_the_next_one(name, monkeypatch):
+    """While a paired task works an epoch out, no ledger older than the epoch its
+    tallies took last is alive: the trial keeps one epoch at a time, also where
+    its two states advance in step."""
+    config = with_overrides(_preset(name)[0], protocol="paired")
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, EpochLedger)]  # kept, so ids stay
+    known = set(map(id, before))
+    taken, checks = [-1], []  # the epoch taken last; (it, the oldest live ledger's) per draw
+    arrivals = netsim._arrivals
+
+    def checking_arrivals(*args):
+        alive = [o.epoch for o in gc.get_objects()
+                 if isinstance(o, EpochLedger) and id(o) not in known]
+        checks.append((taken[0], min(alive, default=taken[0])))
+        return arrivals(*args)
+
+    class TakingTally(TrialTally):
+        def add(self, ledger):
+            taken[0] = ledger.epoch
+            super().add(ledger)
+
+    monkeypatch.setattr(netsim, "_arrivals", checking_arrivals)
+    monkeypatch.setattr(experiments, "TrialTally", TakingTally)
+    experiments._run_trial_task(config, 0, None)
+    assert len(checks) == EPOCHS * (1 if netsim.shares_one_state(config, None) else 2)
+    assert all(oldest >= last for last, oldest in checks), checks
 
 
 def _traced_peak(config, out):
@@ -623,6 +656,22 @@ def test_paired_trial_peaks_near_one_protocol():
     single()  # warm-up
     one, both = peak(single), peak(paired)
     assert both <= 1.15 * one, (one, both)
+
+
+def test_every_convicted_sybil_retires_in_a_ledger():
+    """The retire events across a trial's ledgers, the last epoch's included,
+    name each adaptive Sybil a guilty verdict convicted, once."""
+    config, _ = _preset("case-d-adaptive-sybil")
+    ledgers = run_trial(config, config.seed, protocol="pob")
+    events = [e for ledger in ledgers for e in ledger.events]
+    ids = config.validator_ids()
+    sybils = {vid for entry in config.roster if entry.spec.kind == "adaptive-sybil"
+              for vid in ids[entry.lo:entry.hi]}
+    sybils |= {e["id"] for e in events if e["kind"] == "join" and e["role"] == "adaptive-sybil"}
+    convicted = {v.subject for ledger in ledgers for v in ledger.verdicts
+                 if v.guilty and v.subject in sybils}
+    assert any(v.subject in convicted for v in ledgers[-1].verdicts)  # the last epoch convicts
+    assert sorted(e["id"] for e in events if e["kind"] == "retire") == sorted(convicted)
 
 
 def _event_rosters(config, ledgers):
