@@ -15,12 +15,13 @@ Outputs per run directory:
 A sweep writes `sweep.csv` and `sweep_summary.json` instead, through the
 same flow (`_run_points`), with the rows and a summary of every grid point.
 
-A paired trial is one netsim.trial_epochs call, which decides whether both
-protocols share one trial state (its behaviors, delays, arrival order and
-epoch facts) or run a state each. Each epoch yields the pob ledger, then the
-pos one, as soon as it is done. Ledgers go through one writer state: the
-twins share most of their columns, and the writer formats each shared column
-once (ledger.ledger_to_json).
+A trial task is one netsim.trial_epochs call, which decides whether both
+protocols of a paired trial share one trial state (its behaviors, delays,
+arrival order and epoch facts) or run a state each, and one loop over its
+epochs: each epoch yields the pob ledger, then the pos one, as soon as it is
+done, and the loop adds each to its protocol's tally and, with ledgers on,
+writes it. Ledgers go through one writer state: the twins share most of their
+columns, and the writer formats each shared column once (ledger.ledger_to_json).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .metrics import (
     paired_loss_averted,
 )
 from .netsim import (
-    EpochLedger,
     run_trial,  # noqa: F401  not called here, but benchmarks/bench_trace.py wraps it
     trial_epochs,
 )
@@ -61,19 +61,6 @@ def _trial_protocols(config: ScenarioConfig) -> list[str]:
     return ["pob", "pos"] if config.protocol == "paired" else [config.protocol]
 
 
-def _ledger_writer(led_dir: Path, tally: TrialTally, last: dict):
-    """A sink that tallies each ledger and writes it to `led_dir` with the writer state `last`."""
-    led_dir.mkdir(parents=True, exist_ok=True)
-
-    def sink(ledger: EpochLedger) -> None:
-        tally.add(ledger)
-        (led_dir / f"epoch-{ledger.epoch:05d}.json").write_text(
-            ledger_to_json(ledger, last) + "\n", encoding="utf-8"
-        )
-
-    return sink
-
-
 def _run_trial_task(
     config: ScenarioConfig,
     trial: int,
@@ -83,22 +70,25 @@ def _run_trial_task(
     """One trial, all protocols; returns picklable rows.
 
     The protocols run through one `trial_epochs` call (see the module
-    docstring). Each epoch's ledger is streamed into its protocol's
-    metrics tally and, when `ledger_root` is given, written under it from
-    this process.
+    docstring), and one loop takes each epoch's ledgers: it adds each to its
+    protocol's metrics tally and, when `ledger_root` is given, writes it
+    under that root from this process, through one writer state.
     """
     seed = config.seed + trial
     protocols = _trial_protocols(config)
     tallies = {protocol: TrialTally(config, protocol) for protocol in protocols}
-    sinks = {protocol: tallies[protocol].add for protocol in protocols}
-    if ledger_root is not None:
-        last: dict = {}  # the writer state every protocol shares (ledger.ledger_to_json)
-        sinks = {protocol: _ledger_writer(ledger_root / f"trial-{trial:03d}-{protocol}",
-                                          tallies[protocol], last) for protocol in protocols}
+    dirs = {} if ledger_root is None else {
+        protocol: ledger_root / f"trial-{trial:03d}-{protocol}" for protocol in protocols}
+    for led_dir in dirs.values():
+        led_dir.mkdir(parents=True, exist_ok=True)
+    last: dict = {}  # the writer state every protocol shares (ledger.ledger_to_json)
     with closing(trial_epochs(config, seed, protocols, trace)) as epochs:
         for ledgers in epochs:
             for ledger in ledgers:
-                sinks[ledger.protocol](ledger)
+                tallies[ledger.protocol].add(ledger)
+                if dirs:
+                    (dirs[ledger.protocol] / f"epoch-{ledger.epoch:05d}.json").write_text(
+                        ledger_to_json(ledger, last) + "\n", encoding="utf-8")
     rows = [{"trial": trial, "seed": seed, "protocol": protocol,
              "metrics": tallies[protocol].metrics()} for protocol in protocols]
     if config.protocol == "paired":

@@ -88,14 +88,15 @@ def _motivations(profiles: Sequence[MotivationProfile]) -> list[str]:
 
 
 def _behaviors(base_utility: list[float], context_factor: list[float], initiative: list[float],
-               actor: list[int], fraud: list[bool], kinds: list[str], motivations: list[str],
-               epoch: int, names: list[str]) -> str:
+               actor: list[int], fraud: list[bool], kind: list[ActionKind],
+               motivation: list[MotivationProfile], epoch: int, names: list[str]) -> str:
     rows = _rows(len(actor), '{"actor":', list(map(names.__getitem__, actor)),
                  ',"base_utility":', _texts(base_utility),
                  ',"context_factor":', _texts(context_factor), ',"epoch":', _value(epoch),
                  ',"initiative":', _texts(initiative),
-                 ',"is_fraud_ground_truth":', list(map(_value, fraud)), ',"kind":', kinds,
-                 ',"motivation":', motivations, "},")
+                 ',"is_fraud_ground_truth":', list(map(_value, fraud)),
+                 ',"kind":', list(map(_KIND_JSON.__getitem__, kind)),
+                 ',"motivation":', _motivations(motivation), "},")
     return "[" + rows[:-1] + "]"
 
 
@@ -159,8 +160,7 @@ def ledger_to_json(ledger: EpochLedger, last: Optional[dict] = None) -> str:
     names = part(_names, ledger.roster)
     c, split = ledger.behavior_rows, ledger.pool_split
     behaviors = part(_behaviors, c.base_utility, c.context_factor, c.initiative, c.actor,
-                     c.fraud, list(map(_KIND_JSON.__getitem__, c.kind)),
-                     _motivations(c.motivation), c.epoch, names)
+                     c.fraud, c.kind, c.motivation, c.epoch, names)
     payouts = part(_payouts, split.total, split.bonus, split.multiplier, split.base,
                    split.actives, names)
     return (

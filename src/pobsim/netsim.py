@@ -4,8 +4,8 @@ One trial = one seeded run of the full pipeline: proposer election,
 behavior generation, latency-delayed block confirmation, misbehavior
 review, weight update and reward distribution, with an append-only
 ledger per epoch. The same loop can be driven from a block-trace file
-(replay mode) and can host the stake-weighted baseline protocol for
-paired comparisons.
+(replay mode: the trial state holds the blocks as its `trace`) and can
+host the stake-weighted baseline protocol for paired comparisons.
 
 Determinism contract: a trial (`trial_epochs`, and `run_trial` that
 drains it) is a pure function of (config, seed, protocols). All
@@ -185,6 +185,7 @@ class _TrialState:
     delay_rngs: tuple[random.Random, random.Random]  # the proposal and vote delay streams
     schedule: RewardSchedule
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
+    trace: Optional[Sequence[TraceBlock]] = None  # a replay's blocks, one per epoch
     pending_events: list[dict] = field(default_factory=list)
     # The sorted ids alive this epoch, and what is aligned with them (_set_roster).
     alive: list[str] = field(default_factory=list)
@@ -198,9 +199,11 @@ class _TrialState:
     voters: dict[int, Callable[[str], bool]] = field(default_factory=dict)
 
 
-def _start_trial(config: ScenarioConfig, seed: int,
-                 protocols: Sequence[str]) -> tuple[_TrialState, list[_PobRules | _PosRules]]:
-    """The trial's state and each protocol's rules, in `protocols` order."""
+def _start_trial(config: ScenarioConfig, seed: int, protocols: Sequence[str],
+                 trace: Optional[Sequence[TraceBlock]] = None,
+                 ) -> tuple[_TrialState, list[_PobRules | _PosRules]]:
+    """The trial's state, replaying `trace` if given, and each protocol's rules, in
+    `protocols` order."""
     hub = RngHub(seed)
     ids = config.validator_ids()
     # One stake draw for both protocols, so paired runs start from the same shape: the
@@ -210,6 +213,7 @@ def _start_trial(config: ScenarioConfig, seed: int,
     else:
         stakes = {vid: 1.0 for vid in ids}
     state = _setup_trial(config, hub, ids)
+    state.trace = trace
     rules = {"pob": _PobRules, "pos": _PosRules}
     return state, [rules[protocol](state, stakes) for protocol in protocols]
 
@@ -281,19 +285,17 @@ def _set_roster(state: _TrialState, alive: list[str]) -> None:
 # Epoch stages shared by both protocols
 # ---------------------------------------------------------------------------
 
-def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int,
-           trace: Optional[Sequence[TraceBlock]]) -> str:
+def _elect(state: _TrialState, rules: _PobRules | _PosRules, epoch: int) -> str:
     """The trace's proposer, else an override's, else the protocol's lottery."""
-    if trace is not None:
-        return trace[epoch].proposer
+    if state.trace is not None:
+        return state.trace[epoch].proposer
     override = state.config.proposer_override
     if override is not None and override.from_epoch <= epoch < override.to_epoch:
         return override.validator
     return rules.elect(state)
 
 
-def _behave(state: _TrialState, epoch: int, proposer: Optional[str],
-            trace: Optional[Sequence[TraceBlock]]) -> BehaviorColumns:
+def _behave(state: _TrialState, epoch: int, proposer: Optional[str]) -> BehaviorColumns:
     """Every alive validator's records for the epoch, in roster order.
 
     Every validator draws as a non-proposer: outside a trace each protocol
@@ -306,8 +308,8 @@ def _behave(state: _TrialState, epoch: int, proposer: Optional[str],
     cols = BehaviorColumns(epoch)
     proposer_pos = state.pos_of.get(proposer, -1)
     skip = -1
-    if trace is not None:
-        tb = trace[epoch]
+    if state.trace is not None:
+        tb = state.trace[epoch]
         motivation_kind = ActionKind.FRAUD if tb.is_exploit else tb.kind
         skip = state.pos_of[tb.proposer]
         cols.add(skip, tb.kind, tb.base_utility, tb.phi, tb.alpha,
@@ -602,6 +604,7 @@ class _PosRules:
         self.weights = [stakes[v] for v in state.alive]  # the stakes
         self.pending: dict[str, int] = {}  # offender -> epoch its slash lands
         self.slashed: set[str] = set()
+        self.neutralized: tuple[str, ...] = ()  # the slashed ids, sorted
 
     def land_slashes(self, state: _TrialState, epoch: int,
                      events: list[dict]) -> tuple[str, ...]:
@@ -615,7 +618,8 @@ class _PosRules:
                 events.append({"kind": "pos-slash", "id": vid, "epoch": epoch})
             self.weights = weights
             self.slashed.update(landed)
-        return tuple(sorted(self.slashed))
+            self.neutralized = tuple(sorted(self.slashed))
+        return self.neutralized
 
     def elect(self, state: _TrialState) -> str:
         return state.alive[stake_pick(self.weights, self.election_rng)]
@@ -657,14 +661,15 @@ def shares_one_state(config: ScenarioConfig, trace: Optional[Sequence[TraceBlock
 
 
 def _run_epoch(state: _TrialState, halves: Sequence[_PobRules | _PosRules], epoch: int,
-               trace: Optional[Sequence[TraceBlock]], last: bool) -> list[EpochLedger]:
+               last: bool) -> list[EpochLedger]:
     """One epoch of one trial state, ended by its roster change (`_change_roster`):
     the ledger of each of its protocols, in `halves` order. The behaviors (each
-    validator as a non-proposer) and delays are drawn, and the arrival order and
-    `_EpochFacts` worked out, once for them all. Each protocol then elects, makes
-    its proposer's record a propose record outside a trace (`_as_proposer`), finds
-    its quorum, and runs its own slashes, review, settlement and `chain`. The
-    `last` epoch's ledgers end with its retirements, then the trial-end fork."""
+    validator as a non-proposer, or a replay's block from `state.trace`) and
+    delays are drawn, and the arrival order and `_EpochFacts` worked out, once for
+    them all. Each protocol then elects, makes its proposer's record a propose
+    record outside a trace (`_as_proposer`), finds its quorum, and runs its own
+    slashes, review, settlement and `chain`. The `last` epoch's ledgers end with
+    its retirements, then the trial-end fork."""
     config = state.config
     events, state.pending_events = state.pending_events, []
     alive = state.alive
@@ -673,15 +678,15 @@ def _run_epoch(state: _TrialState, halves: Sequence[_PobRules | _PosRules], epoc
         own_events = list(events)
         neutralized = rules.land_slashes(state, epoch, own_events)
         starts.append((own_events, neutralized, rules.weights,
-                       _elect(state, rules, epoch, trace)))
-    cols = _behave(state, epoch, starts[0][3] if len(halves) == 1 else None, trace)
+                       _elect(state, rules, epoch)))
+    cols = _behave(state, epoch, starts[0][3] if len(halves) == 1 else None)
     facts = _EpochFacts(cols, state.positions, config.betas)
     proposals, votes, arrivals, order = _arrivals(
         len(alive), state.latency, *state.delay_rngs, config.processing_ms)
     ledgers = []
     for rules, (own_events, neutralized, weights_before, proposer) in zip(halves, starts):
         behaviors, scores, utilities = cols, facts.scores, facts.utilities
-        if trace is None:
+        if state.trace is None:
             behaviors, scores, utilities = _as_proposer(state, cols, facts, proposer)
         confirm_ms = quorum_time(arrivals, weights_before, config.quorum, order)
         confirmed = confirm_ms is not None
@@ -721,8 +726,9 @@ def trial_epochs(
 
     `config` was checked when it was made. Nothing runs until the first
     epoch is asked for: then a trace's proposers are checked
-    (`check_trace`) and the trial is set up. The trial keeps no epoch it
-    has handed out, so its memory stays flat in the epoch count.
+    (`check_trace`) and the trial is set up, each state holding the trace
+    (`_start_trial`), so no stage below takes it. The trial keeps no epoch
+    it has handed out, so its memory stays flat in the epoch count.
     """
     protocols, distinct = tuple(protocols), set(protocols)
     if not protocols or not distinct <= {"pob", "pos"} or len(distinct) < len(protocols):
@@ -733,12 +739,12 @@ def trial_epochs(
     if trace is not None:
         check_trace(config, trace)
     groups = [protocols] if shares_one_state(config, trace) else [(p,) for p in protocols]
-    states = [_start_trial(config, seed, group) for group in groups]
+    states = [_start_trial(config, seed, group, trace) for group in groups]
     epochs = len(trace) if trace is not None else config.epochs
     for epoch in range(epochs):
         ledgers: list[EpochLedger] = []
         for state, halves in states:
-            ledgers += _run_epoch(state, halves, epoch, trace, epoch == epochs - 1)
+            ledgers += _run_epoch(state, halves, epoch, epoch == epochs - 1)
         yield tuple(ledgers)
 
 

@@ -438,9 +438,8 @@ def test_shared_writer_state_reuses_only_same_bytes(case):
 def test_equality_alone_is_not_a_reuse_guard(monkeypatch):
     monkeypatch.setattr(writer, "_same", lambda a, b: a is b or a == b)
     wrong = {case for case in TWINS if _mis_written_twins(case)}
-    # NaNs are never equal, motivations are compared as their texts, and equal
-    # float subclasses write equal texts
-    assert wrong == set(TWINS) - {"separate-nans", "zero-intensity", "float-subclass"}
+    # NaNs are never equal, and equal float subclasses write equal texts
+    assert wrong == set(TWINS) - {"separate-nans", "float-subclass"}
 
 
 def test_shared_writer_state_formats_shared_columns_once(monkeypatch):
@@ -470,15 +469,33 @@ def test_shared_writer_state_formats_shared_columns_once(monkeypatch):
     assert fully_shared >= len(pob) - 1
 
 
+def test_paired_replay_twin_reuses_its_behaviors_text(monkeypatch):
+    """On one trial state a paired replay's pos ledger holds its pob twin's behavior
+    columns, so the writer reuses their text and maps no motivation to text again."""
+    config, trace = _preset("case-c-replay")
+    mapped = []
+    motivations = writer._motivations
+    monkeypatch.setattr(writer, "_motivations", lambda profiles: mapped.append(profiles)
+                        or motivations(profiles))
+    last = {}  # the shared writer state
+    epochs = 0
+    for pob, pos in netsim.trial_epochs(config, config.seed, ("pob", "pos"), trace):
+        assert pos.behavior_rows is pob.behavior_rows
+        for ledger in (pob, pos):
+            assert ledger_to_json(ledger, last) == _reference_ledger_json(ledger)
+        epochs += 1
+    assert len(mapped) == epochs == len(trace)
+
+
 def _record_halves(monkeypatch):
     """A log of each trial set-up (with its protocols) and each ledger a task's
     tallies take, in order."""
     log = []
     start = netsim._start_trial
 
-    def recording_start(config, seed, protocols):
+    def recording_start(config, seed, protocols, *args):
         log.append(("set-up", tuple(protocols)))
-        return start(config, seed, protocols)
+        return start(config, seed, protocols, *args)
 
     class RecordingTally(TrialTally):
         def add(self, ledger):
