@@ -1,12 +1,13 @@
 """Validator strategies: the honest policy and every attack pattern.
 
 Strategies are pluggable behavior generators, and a validator is its
-strategy: the trial keeps one instance per id, and the join event names
-its `kind`. The simulation loop asks it for the epoch's behaviors. Only
-a coalition strategy defines `committee_vote(subject id) -> bool`, which
-it casts when it sits on a committee; every other member votes by the
-watchdog's honest vote model. Strategy code never sees weight tables or
-ground-truth labels of other validators; it only knows its own coalition.
+strategy: the trial keeps one instance per alive id, from its join to
+its retirement, and the join event names its `kind`. The simulation loop
+asks it for the epoch's behaviors. Only a coalition strategy defines
+`committee_vote(subject id) -> bool`, which it casts when it sits on a
+committee; every other member votes by the watchdog's honest vote model.
+Strategy code never sees weight tables or ground-truth labels of other
+validators; it only knows its own coalition.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ PARAMS: dict[str, dict[str, tuple]] = {
         "spawn_rate": (0.1, 0.0, 1.0),
         "join_weight": (0.0, 0.0, None),
         "fraud_value": (1.0, 0.0, None),
-        "max_population": (None, 2, None),  # None: 2 x n_validators (netsim._setup_trial)
+        "max_population": (None, 2, None),  # None: 2 x n_validators (netsim._start_trial)
     },
     "long-range-fork": {
         "fork_depth": (100, 0, None),

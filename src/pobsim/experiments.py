@@ -39,7 +39,6 @@ from .config import (
     ScenarioConfig,
     apply_sweep_point,
     echo_config,
-    with_overrides,
 )
 from .errors import ConfigError
 from .ledger import ledger_to_json
@@ -292,8 +291,7 @@ def run_ic_check(
         raise ConfigError("roster", str(exc)) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = config if config.protocol == "pob" else with_overrides(config, protocol="pob")
-    report = empirical_ic(base, discount=discount)
+    report = empirical_ic(config, discount=discount)
     (out / "config.echo").write_text(echo_config(config), encoding="utf-8")
     (out / "ic.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"

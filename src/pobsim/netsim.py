@@ -179,7 +179,6 @@ def _build_motivations(config: ScenarioConfig) -> dict[ActionKind, MotivationPro
 class _TrialState:
     config: ScenarioConfig
     hub: RngHub
-    strategies: dict[str, adv.Strategy]  # id -> its strategy, for every id that ever joins
     shape: adv.HonestShape
     latency: LatencyModel
     delay_rngs: tuple[random.Random, random.Random]  # the proposal and vote delay streams
@@ -187,6 +186,10 @@ class _TrialState:
     sybil_controller: Optional[adv.AdaptiveSybilController] = None
     trace: Optional[Sequence[TraceBlock]] = None  # a replay's blocks, one per epoch
     pending_events: list[dict] = field(default_factory=list)
+    # id -> (its strategy, its behavior stream's bound random() if the strategy is
+    # plain honest, else its EpochContext), made when it joins (_join) and deleted
+    # when it retires (_change_roster), so only alive ids have an entry.
+    members: dict[str, tuple] = field(default_factory=dict)
     # The sorted ids alive this epoch, and what is aligned with them (_set_roster).
     alive: list[str] = field(default_factory=list)
     signers: frozenset[str] = frozenset()  # the signer set their blocks share
@@ -203,7 +206,8 @@ def _start_trial(config: ScenarioConfig, seed: int, protocols: Sequence[str],
                  trace: Optional[Sequence[TraceBlock]] = None,
                  ) -> tuple[_TrialState, list[_PobRules | _PosRules]]:
     """The trial's state, replaying `trace` if given, and each protocol's rules, in
-    `protocols` order."""
+    `protocols` order. Each roster entry's members join with its strategy, the
+    rest of the configured ids as honest validators."""
     hub = RngHub(seed)
     ids = config.validator_ids()
     # One stake draw for both protocols, so paired runs start from the same shape: the
@@ -212,23 +216,14 @@ def _start_trial(config: ScenarioConfig, seed: int, protocols: Sequence[str],
         stakes = pareto_stakes(ids, hub.stream("stake"), config.stake_alpha, config.stake_xmin)
     else:
         stakes = {vid: 1.0 for vid in ids}
-    state = _setup_trial(config, hub, ids)
-    state.trace = trace
-    rules = {"pob": _PobRules, "pos": _PosRules}
-    return state, [rules[protocol](state, stakes) for protocol in protocols]
-
-
-def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialState:
-    """The trial's actors: each roster entry's members get its strategy, the rest are honest."""
     shape = adv.HonestShape(config.honest_utility_lo, config.honest_utility_hi,
                             config.honest_initiative_lo, config.honest_initiative_hi,
                             config.oracle_rate, _build_motivations(config))
-    honest = adv.HonestStrategy()
-    strategies: dict[str, adv.Strategy] = dict.fromkeys(ids, honest)
-    state = _TrialState(config, hub, strategies, shape,
+    state = _TrialState(config, hub, shape,
                         LatencyModel(config.latency_distribution, config.latency_mean_ms),
                         (hub.stream("latency/proposal"), hub.stream("latency/vote")),
-                        config.reward_schedule())
+                        config.reward_schedule(), trace=trace)
+    strategies: dict[str, adv.Strategy] = dict.fromkeys(ids, adv.HonestStrategy())
     for entry in config.roster:
         kind, param, members = entry.spec.kind, entry.spec.param, ids[entry.lo:entry.hi]
         if kind == "honest":
@@ -251,32 +246,41 @@ def _setup_trial(config: ScenarioConfig, hub: RngHub, ids: list[str]) -> _TrialS
             make = partial(adv.StealthStrategy, param("fraud_rate"), param("fraud_value"))
         for vid in members:
             strategies[vid] = make()
-
-    if config.newcomer_epoch is not None:
-        strategies["newcomer"] = honest
+    for vid, strategy in strategies.items():
+        _join(state, vid, strategy)
     _set_roster(state, sorted(ids))
-    return state
+    rules = {"pob": _PobRules, "pos": _PosRules}
+    return state, [rules[protocol](state, stakes) for protocol in protocols]
+
+
+def _join(state: _TrialState, vid: str, strategy: adv.Strategy) -> None:
+    """Make `vid` a member with `strategy`: the one place its streams are asked for."""
+    behavior = state.hub.stream(f"behavior/{vid}")
+    if type(strategy).emit is adv.Strategy.emit:  # plain honest
+        state.members[vid] = strategy, behavior.random
+    else:
+        state.members[vid] = strategy, adv.EpochContext(
+            0, vid, False, behavior, state.hub.stream(f"adversary/{vid}"), state.shape)
 
 
 def _set_roster(state: _TrialState, alive: list[str]) -> None:
-    """Make `alive` the roster and rebuild what is aligned with it (but the rules' weights)."""
+    """Make `alive` the roster and regroup its members into what is aligned with
+    it (but the rules' weights)."""
     state.alive = alive
     state.signers = frozenset(alive)
     state.pos_of = {vid: pos for pos, vid in enumerate(alive)}
     state.positions = list(range(len(alive)))
-    hub, emitters, voters = state.hub, [], {}
+    emitters, voters = [], {}
     for pos, vid in enumerate(alive):
-        strategy = state.strategies[vid]
+        strategy, source = state.members[vid]
         if hasattr(strategy, "committee_vote"):
             voters[pos] = strategy.committee_vote
-        if type(strategy).emit is not adv.Strategy.emit:
-            emitters.append((pos, adv.EpochContext(0, vid, False, hub.stream(f"behavior/{vid}"),
-                                                   hub.stream(f"adversary/{vid}"), state.shape),
-                             strategy))
+        if isinstance(source, adv.EpochContext):
+            emitters.append((pos, source, strategy))
         elif emitters and emitters[-1][2] is None:  # the run of plain-honest validators goes on
-            emitters[-1][1].append(hub.stream(f"behavior/{vid}").random)
+            emitters[-1][1].append(source)
         else:
-            emitters.append((pos, [hub.stream(f"behavior/{vid}").random], None))
+            emitters.append((pos, [source], None))
     state.emitters = emitters
     state.voters = voters
 
@@ -460,32 +464,35 @@ def _change_roster(state: _TrialState, halves: Sequence[_PobRules | _PosRules],
     Sybils convicted in it, then admit the next epoch's joiners (the newcomer
     and the granted respawns, each a fresh id) in sorted order. Its events go to
     the next epoch's ledgers. After the `last` epoch only the retirements land, in
-    its own: the trial-end fork reads them, and no epoch follows for a joiner."""
+    its own: the trial-end fork reads them, and no epoch follows for a joiner.
+    A retired id is forgotten: its member entry, its coalition membership and,
+    in pob's `reshape`, its offense count go, as no id joins twice."""
     controller = state.sybil_controller
-    members = controller.coalition_members if controller is not None else ()
+    coalition = controller.coalition_members if controller is not None else set()
     convicted = sorted({v.subject for ledger in ledgers for v in ledger.verdicts
-                        if v.guilty and v.subject in members})
-    joining = ["newcomer"] if not last and epoch + 1 == state.config.newcomer_epoch else []
+                        if v.guilty and v.subject in coalition})
+    newcomer = not last and epoch + 1 == state.config.newcomer_epoch
+    joining = {"newcomer": adv.HonestStrategy()} if newcomer else {}  # id -> its strategy
     if not convicted and not joining:
         return
     events, retired = state.pending_events, set(convicted)
     for vid in convicted:
         events.append({"kind": "retire", "id": vid, "epoch": epoch})
-        state.hub.drop(f"behavior/{vid}", f"adversary/{vid}")  # respawns get fresh ids
+        del state.members[vid]
+    coalition -= retired
     kept = [pos for pos, vid in enumerate(state.alive) if vid not in retired]
     alive = [state.alive[pos] for pos in kept]
     if convicted and not last:
         fresh, cap_events = controller.replacements(epoch, len(alive) + len(joining), convicted)
         events.extend(cap_events)
-        for vid in fresh:
-            state.strategies[vid] = controller.strategy()
-        joining += fresh
+        joining.update((vid, controller.strategy()) for vid in fresh)
     joined = []  # (position on insertion, id)
     for vid in sorted(joining):
         at = bisect_left(alive, vid)
         alive.insert(at, vid)
         joined.append((at, vid))
-        events.append({"kind": "join", "id": vid, "role": state.strategies[vid].kind,
+        _join(state, vid, joining[vid])
+        events.append({"kind": "join", "id": vid, "role": joining[vid].kind,
                        "epoch": epoch + 1})
     for rules in halves:
         rules.reshape(state, kept, joined)
@@ -498,8 +505,8 @@ def _change_roster(state: _TrialState, halves: Sequence[_PobRules | _PosRules],
 #
 # A trial keeps one rules object per protocol as a local of trial_epochs.
 # The rules hold only what their protocol uses, each stream only it draws
-# as its own `RngHub.fresh` copy, and never point back at the trial state,
-# so a finished trial leaves no reference cycle to collect. Each keeps
+# as its own `RngHub.stream` generator, and never point back at the trial
+# state, so a finished trial leaves no reference cycle to collect. Each keeps
 # `weights`, its election and reward weights aligned with the roster, as a
 # new list on every change, so a ledger can keep the one it got, and
 # `chain`, the blocks its trial-end fork reads (None without a fork). They
@@ -513,10 +520,10 @@ class _PobRules:
 
     def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
         config, hub = state.config, state.hub
-        self.election_rng = hub.fresh("election")
-        self.committee_rng = hub.fresh("committee")
-        self.watchdog_rng = hub.fresh("latency/watchdog")
-        self.observe_rng = hub.fresh("observe")
+        self.election_rng = hub.stream("election")
+        self.committee_rng = hub.stream("committee")
+        self.watchdog_rng = hub.stream("latency/watchdog")
+        self.observe_rng = hub.stream("observe")
         self.offense_counts: dict[str, int] = {}
         by_stake = config.genesis_weights == "stake"
         self.weights = normalize([stakes[v] if by_stake else 1.0 for v in state.alive])
@@ -563,11 +570,14 @@ class _PobRules:
 
     def reshape(self, state: _TrialState, kept: list[int],
                 joined: list[tuple[int, str]]) -> None:
-        """The kept weights renormalized if any retired, then a respawned Sybil's
-        `join_weight` or the newcomer's 0 inserted for each joiner."""
+        """The kept weights renormalized and the retired ids' offense counts
+        dropped if any retired, then a respawned Sybil's `join_weight` or the
+        newcomer's 0 inserted for each joiner."""
         weights, controller = self.weights, state.sybil_controller
         if len(kept) < len(weights):
             weights = normalize([weights[pos] for pos in kept])
+            stay = {state.alive[pos] for pos in kept}
+            self.offense_counts = {vid: n for vid, n in self.offense_counts.items() if vid in stay}
         for at, vid in joined:
             join_weight = 0.0 if vid == "newcomer" else controller.join_weight
             weights = weights[:at] + [join_weight] + weights[at:]
@@ -599,8 +609,8 @@ class _PosRules:
     chain = None  # no fork
 
     def __init__(self, state: _TrialState, stakes: Mapping[str, float]):
-        self.election_rng = state.hub.fresh("election")
-        self.detect_rng = state.hub.fresh("pos-detection")
+        self.election_rng = state.hub.stream("election")
+        self.detect_rng = state.hub.stream("pos-detection")
         self.weights = [stakes[v] for v in state.alive]  # the stakes
         self.pending: dict[str, int] = {}  # offender -> epoch its slash lands
         self.slashed: set[str] = set()
@@ -728,7 +738,8 @@ def trial_epochs(
     epoch is asked for: then a trace's proposers are checked
     (`check_trace`) and the trial is set up, each state holding the trace
     (`_start_trial`), so no stage below takes it. The trial keeps no epoch
-    it has handed out, so its memory stays flat in the epoch count.
+    it has handed out and nothing of an id it has retired, so its memory
+    stays flat in the epoch count.
     """
     protocols, distinct = tuple(protocols), set(protocols)
     if not protocols or not distinct <= {"pob", "pos"} or len(distinct) < len(protocols):

@@ -1,9 +1,8 @@
 """Built-in scenario library.
 
-Each preset is a ready-to-run ScenarioConfig at desk scale: all ten
-together took 21.5 s at full scale with --workers 2 on a 2-vCPU host. The
-two fairness presets differ only in network size; the replay preset
-bundles a synthetic 1000-block trace with a single exploit.
+Each preset is a ready-to-run ScenarioConfig at desk scale. The two
+fairness presets differ only in network size; the replay preset bundles
+a synthetic 1000-block trace with a single exploit.
 """
 
 from __future__ import annotations
@@ -87,9 +86,8 @@ def _case_b_100() -> ScenarioConfig:
 
 
 def _case_b_1000() -> ScenarioConfig:
-    # Identical to the 100-validator scenario apart from network size.
-    # A full run took 15.5 s at --workers 2 on a 2-vCPU host; smoke tests
-    # override epochs/trials down (e.g. --epochs 20 --trials 2).
+    # Identical to the 100-validator scenario apart from network size. Smoke
+    # tests override epochs/trials down (e.g. --epochs 20 --trials 2).
     return ScenarioConfig(
         protocol="paired",
         n_validators=1000,

@@ -387,24 +387,54 @@ class TestRunTrial:
         assert all(l.proposer not in spawned for l in ledgers)
 
     def test_retired_sybils_leave_no_streams(self, monkeypatch):
-        hubs = []
+        """A retirement forgets the id: its member entry (strategy and streams),
+        its coalition membership and its offense count."""
+        started = []
+        start_trial = netsim._start_trial
 
-        class RecordingHub(RngHub):
-            def __init__(self, root_seed):
-                super().__init__(root_seed)
-                hubs.append(self)
+        def capturing_start(*args):
+            started.append(start_trial(*args))
+            return started[-1]
 
-        monkeypatch.setattr(netsim, "RngHub", RecordingHub)
+        monkeypatch.setattr(netsim, "_start_trial", capturing_start)
         cfg = with_overrides(builtin_presets()["case-d-adaptive-sybil"].build(), epochs=100,
                              trials=1)
         ledgers = run_trial(cfg, cfg.seed, protocol="pob")
         retired = {e["id"] for l in ledgers for e in l.events if e["kind"] == "retire"}
-        (hub,) = hubs
-        owners = {name.split("/", 1)[1] for name in hub._streams
-                  if name.startswith(("behavior/", "adversary/"))}
-        assert retired
-        assert not owners & retired
-        assert owners <= set(ledgers[-1].roster)
+        ((state, (rules,)),) = started
+        alive = set(state.alive)
+        assert retired and not retired & alive
+        assert set(state.members) == alive
+        assert state.sybil_controller.coalition_members <= alive
+        assert set(rules.offense_counts) <= alive
+
+    @pytest.mark.parametrize("name", ["case-d-adaptive-sybil", "case-b-fairness-100"])
+    def test_each_consumer_asks_for_a_stream_once(self, name, monkeypatch):
+        """Each validator's streams are made once, when it joins, and each rules
+        object asks for its own streams once: only the two rules over one paired
+        state ask one hub for the same name, `election`."""
+        asked = []  # per hub, each name asked of it
+
+        class RecordingHub(RngHub):
+            def __init__(self, root_seed):
+                super().__init__(root_seed)
+                asked.append([])
+
+            def stream(self, name):
+                asked[-1].append(name)
+                return super().stream(name)
+
+        monkeypatch.setattr(netsim, "RngHub", RecordingHub)
+        cfg = builtin_presets()[name].build()
+        protocols = ("pob", "pos") if cfg.protocol == "paired" else (cfg.protocol,)
+        if cfg.newcomer_epoch is not None:
+            cfg = with_overrides(cfg, epochs=cfg.newcomer_epoch + 2)
+        events = [e for ledgers in netsim.trial_epochs(cfg, cfg.seed, protocols)
+                  for ledger in ledgers for e in ledger.events]
+        assert "join" in {e["kind"] for e in events}  # the roster changed
+        (names,) = asked
+        repeated = {n: names.count(n) for n in set(names) if names.count(n) > 1}
+        assert repeated == ({"election": 2} if len(protocols) == 2 else {})
 
     def test_roster_is_rebuilt_at_most_once_per_epoch(self, monkeypatch):
         """The full-scale adaptive-Sybil trial retires and respawns after most
@@ -475,7 +505,7 @@ class TestTrialSetup:
             # each entry bursts at its own epoch, splitting its own value among its members
             assert frauds == ({(3, v, -30.0 / 3) for v in first}
                               | {(5, v, -10.0 / 5) for v in second})
-        state = netsim._setup_trial(cfg, RngHub(3), ids)
+        state, _ = netsim._start_trial(cfg, 3, ("pob",))
         subjects = first + second + ["v0000"]
         assert sorted(state.voters) == [state.pos_of[v] for v in first + second]
         for coalition in (first, second):
@@ -619,10 +649,12 @@ class TestRulesOwnWhatOnlyTheyRead:
         def draws(rules):
             return {attr: [getattr(rules, attr).random() for _ in range(5)] for attr in streams}
 
-        # What the hub's cached stream of each name draws from its start.
+        # What the hub's stream of each name draws from its start.
         hub = RngHub(3)
-        expected = {attr: [hub.stream(name).random() for _ in range(5)]
-                    for attr, name in streams.items()}
+        expected = {}
+        for attr, name in streams.items():
+            rng = hub.stream(name)
+            expected[attr] = [rng.random() for _ in range(5)]
         _, (lone,) = netsim._start_trial(config, 3, (protocol,))
         assert draws(lone) == expected
         state, (first,) = netsim._start_trial(config, 3, (protocol,))

@@ -675,6 +675,26 @@ def test_paired_trial_peaks_near_one_protocol():
     assert both <= 1.15 * one, (one, both)
 
 
+def test_adaptive_sybil_trial_peaks_flat_in_epochs():
+    """A retired Sybil leaves nothing behind in the trial, so a pob adaptive-Sybil
+    trial, which retires and respawns after most epochs, peaks flat in its epochs."""
+    config = _preset("case-d-adaptive-sybil")[0]
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            for _ in netsim.trial_epochs(with_overrides(config, epochs=epochs), config.seed,
+                                         ("pob",)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5)  # warm-up
+    short, long = peak(100), peak(400)
+    assert long <= 1.2 * short, (short, long)
+
+
 def test_every_convicted_sybil_retires_in_a_ledger():
     """The retire events across a trial's ledgers, the last epoch's included,
     name each adaptive Sybil a guilty verdict convicted, once."""
@@ -716,10 +736,10 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
         config = with_overrides(config, newcomer_epoch=first + 1)
     checked = []
     respawns = []  # (epoch, population, spawned count) of each respawn call
-    setup, behave = netsim._setup_trial, netsim._behave
+    start, behave = netsim._start_trial, netsim._behave
 
-    def capturing_setup(*args, **kwargs):
-        state = setup(*args, **kwargs)
+    def capturing_start(*args, **kwargs):
+        state, rules = start(*args, **kwargs)
         controller = state.sybil_controller
         if controller is not None:
             replacements = controller.replacements
@@ -730,7 +750,7 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
                 return fresh, events
 
             controller.replacements = recorded_replacements
-        return state
+        return state, rules
 
     def checking_behave(state, *args):
         assert state.signers == frozenset(state.alive)
@@ -738,7 +758,7 @@ def test_alive_roster_matches_naive_recomputation(name, monkeypatch):
         checked.append(tuple(state.alive))
         return behave(state, *args)
 
-    monkeypatch.setattr(netsim, "_setup_trial", capturing_setup)
+    monkeypatch.setattr(netsim, "_start_trial", capturing_start)
     monkeypatch.setattr(netsim, "_behave", checking_behave)
     for protocol in ("pob", "pos"):
         checked.clear()
