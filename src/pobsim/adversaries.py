@@ -111,13 +111,12 @@ class HonestShape:
 class EpochContext:
     """Everything a strategy may look at when emitting behaviors.
 
-    The simulation keeps one context per validator for a whole trial and
-    sets `epoch` and `is_proposer` before each call. Only the griefer reads
-    `is_proposer`: its records depend on being the proposer.
+    The simulation keeps one context per validator from its join (`netsim._join`)
+    and sets `epoch` and `is_proposer` before each call; `emit` gets its position.
+    Only the griefer reads `is_proposer`: its records depend on being the proposer.
     """
 
     epoch: int
-    vid: str
     is_proposer: bool
     rng_behavior: random.Random
     rng_adversary: random.Random

@@ -91,13 +91,11 @@ def _discounted(payoffs: list[float], discount: float) -> float:
 
 
 def _honest_variant(config: ScenarioConfig, focal_index: int) -> ScenarioConfig:
-    """Same scenario, but the focal validator plays honestly."""
+    """Same scenario, but the focal validator, the first member of its roster
+    entry (`find_focal`), plays honestly; the rest of its entry keeps its spec."""
     roster = []
     for entry in config.roster:
-        if entry.lo <= focal_index < entry.hi:
-            # Split the range around the focal validator.
-            if entry.lo < focal_index:
-                roster.append(RosterEntry(entry.lo, focal_index, entry.spec))
+        if entry.lo == focal_index:
             roster.append(RosterEntry(focal_index, focal_index + 1, StrategySpec("honest")))
             if focal_index + 1 < entry.hi:
                 roster.append(RosterEntry(focal_index + 1, entry.hi, entry.spec))

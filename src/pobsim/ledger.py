@@ -14,9 +14,9 @@ from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
 from .config import ScenarioConfig
-from .netsim import EpochLedger
+from .netsim import EpochLedger, _EpochFacts
 from .rewards import PoolSplit, split_pool
-from .scoring import ActionKind, MotivationProfile, utility_columns
+from .scoring import ActionKind, MotivationProfile
 from .watchdog import Penalty, Verdict, slash
 from .weights import ema_step, normalize
 
@@ -185,9 +185,9 @@ def ledger_to_json(ledger: EpochLedger, last: Optional[dict] = None) -> str:
 def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[list[float], PoolSplit]:
     """Recompute an epoch's after-state from its recorded inputs.
 
-    Applies the recorded verdicts and re-runs the trial's scoring, slash,
-    weight and reward kernels. Returns the roster-aligned weights after the
-    epoch and the pool split, which must equal the ledger's
+    Applies the recorded verdicts and re-runs the trial's kernels: scores
+    (`_EpochFacts`), slash, weight and reward. Returns the roster-aligned
+    weights after the epoch and the pool split, which must equal the ledger's
     `roster_weights_after` and `pool_split` bit-exactly; anything else means
     the ledger or the pipeline drifted.
     """
@@ -195,9 +195,7 @@ def replay_epoch(ledger: EpochLedger, config: ScenarioConfig) -> tuple[list[floa
         raise ValueError("ledger replay is defined for the behavior-weighted protocol")
     roster = ledger.roster
     weights = list(ledger.roster_weights_before)
-    scores = [0.0] * len(roster)
-    for actor, u in zip(ledger.behavior_rows.actor, utility_columns(ledger.behavior_rows)[1]):
-        scores[actor] += u
+    scores = _EpochFacts(ledger.behavior_rows, list(range(len(roster))), config.betas).scores
     if ledger.verdicts:
         for v in ledger.verdicts:
             if v.guilty:

@@ -152,6 +152,7 @@ class TrialTally:
         self.guilty_keys: set[tuple[int, str, int]] = set()
         self.false_positives = 0
         self.seen_ids: set[str] = set()
+        self.last_roster: Optional[list[str]] = None  # a new list only where the roster changed
         self.proposals: dict[str, int] = {}
         self.initial_weights: Optional[dict[str, float]] = None
         self.latencies: list[float] = []
@@ -176,7 +177,9 @@ class TrialTally:
 
         if self.initial_weights is None:
             self.initial_weights = dict(zip(roster, weights))
-        self.seen_ids.update(roster)
+        if roster is not self.last_roster:
+            self.seen_ids.update(roster)
+            self.last_roster = roster
         self.proposals[ledger.proposer] = self.proposals.get(ledger.proposer, 0) + 1
         if ledger.confirmed and ledger.confirm_ms is not None:
             self.latencies.append(ledger.confirm_ms)

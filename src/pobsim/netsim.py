@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import log
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import adversaries as adv
 from .chain import extend_chain, genesis_block
@@ -198,8 +198,6 @@ class _TrialState:
     # (first, draws, None) for a run of plain-honest validators from position
     # `first` on, with each one's bound behavior random(); else (pos, context, strategy).
     emitters: list[tuple] = field(default_factory=list)
-    # roster position -> that member's coalition vote, for members whose strategy has one
-    voters: dict[int, Callable[[str], bool]] = field(default_factory=dict)
 
 
 def _start_trial(config: ScenarioConfig, seed: int, protocols: Sequence[str],
@@ -260,21 +258,19 @@ def _join(state: _TrialState, vid: str, strategy: adv.Strategy) -> None:
         state.members[vid] = strategy, behavior.random
     else:
         state.members[vid] = strategy, adv.EpochContext(
-            0, vid, False, behavior, state.hub.stream(f"adversary/{vid}"), state.shape)
+            0, False, behavior, state.hub.stream(f"adversary/{vid}"), state.shape)
 
 
 def _set_roster(state: _TrialState, alive: list[str]) -> None:
-    """Make `alive` the roster and regroup its members into what is aligned with
-    it (but the rules' weights)."""
+    """Make `alive` the roster and regroup its members into the emitters (the
+    rest aligned with it is the rules' weights)."""
     state.alive = alive
     state.signers = frozenset(alive)
     state.pos_of = {vid: pos for pos, vid in enumerate(alive)}
     state.positions = list(range(len(alive)))
-    emitters, voters = [], {}
+    emitters = []
     for pos, vid in enumerate(alive):
         strategy, source = state.members[vid]
-        if hasattr(strategy, "committee_vote"):
-            voters[pos] = strategy.committee_vote
         if isinstance(source, adv.EpochContext):
             emitters.append((pos, source, strategy))
         elif emitters and emitters[-1][2] is None:  # the run of plain-honest validators goes on
@@ -282,7 +278,6 @@ def _set_roster(state: _TrialState, alive: list[str]) -> None:
         else:
             emitters.append((pos, [source], None))
     state.emitters = emitters
-    state.voters = voters
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +345,9 @@ class _EpochFacts:
         self.cols, self.positions, self.betas = cols, positions, betas
         self.outcomes, self.utilities = utility_columns(cols)  # per row
         self.harmful = [row for row, o in enumerate(self.outcomes) if o < 0.0]
-        # The summed utility of each validator's records. With one record each in
-        # roster order, the scores are the utilities (a utility is never -0.0, so
-        # the score 0.0 + utility is the utility).
+        # The summed utility of each validator's records: the one score rule, which
+        # `ledger.replay_epoch` runs too. With one record each in roster order, the
+        # scores are the utilities (a utility is never -0.0, so 0.0 + it is itself).
         self.scores = self.utilities
         if cols.actor != positions:
             self.scores = [0.0] * len(positions)
@@ -414,11 +409,9 @@ def _as_proposer(state: _TrialState, cols: BehaviorColumns, facts: _EpochFacts,
     kind[row], motivations[row] = ActionKind.PROPOSE, motivation
     utilities[row] = motivation.utility + facts.outcomes[row]
     scores = utilities  # one row each (_EpochFacts)
-    if facts.scores is not facts.utilities:
-        scores, score = facts.scores.copy(), 0.0
-        for u in utilities[row:bisect_right(cols.actor, pos)]:  # the proposer's rows
-            score += u
-        scores[pos] = score
+    if facts.scores is not facts.utilities:  # the facts' rule over the proposer's rows
+        scores = facts.scores.copy()
+        scores[pos] = left_sum(utilities[row:bisect_right(cols.actor, pos)])
     return dataclasses.replace(cols, kind=kind, motivation=motivations), scores, utilities
 
 
@@ -556,10 +549,12 @@ class _PobRules:
                 confirm_ms += config.processing_ms + (max(delays) if delays else 0.0)
         if not sessions:
             return confirm_ms, ()
+        voters = {pos: vote for pos, vid in enumerate(state.alive)  # the coalition votes
+                  if (vote := getattr(state.members[vid][0], "committee_vote", None)) is not None}
         weights, verdicts = process_epoch_suspicions(
             sessions, state.alive, self.weights, behaviors, config.penalty, config.theta,
             committee_size, self.committee_rng, self.offense_counts,
-            config.detection_accuracy, state.voters)
+            config.detection_accuracy, voters)
         self.weights = normalize(weights)
         return confirm_ms, tuple(verdicts)
 

@@ -30,10 +30,9 @@ def shape():
     return HonestShape(motivations=motivations)
 
 
-def ctx(epoch=0, vid="v0", is_proposer=False, seed=0):
+def ctx(epoch=0, is_proposer=False, seed=0):
     return EpochContext(
         epoch=epoch,
-        vid=vid,
         is_proposer=is_proposer,
         rng_behavior=random.Random(seed),
         rng_adversary=random.Random(seed + 1),
@@ -41,11 +40,11 @@ def ctx(epoch=0, vid="v0", is_proposer=False, seed=0):
     )
 
 
-def behaviors(strategy, c):
-    """One epoch of `strategy` as records: what it emits, built into records."""
+def behaviors(strategy, c, vid="v0"):
+    """One epoch of `strategy` as records: what it emits as `vid`, built into records."""
     cols = BehaviorColumns(c.epoch)
     strategy.emit(c, cols, 0)
-    return list(cols.records((c.vid,)))
+    return list(cols.records((vid,)))
 
 
 def params(kind, **given):
@@ -150,8 +149,7 @@ class TestSybilBurst:
         strategies = {m: SybilBurstStrategy(coalition) for m in members}
         records = []
         for m in members:
-            c = ctx(epoch=5, vid=m)
-            records.extend(behaviors(strategies[m], c))
+            records.extend(behaviors(strategies[m], ctx(epoch=5), m))
         assert len(records) == 10
         assert all(r.base_utility == pytest.approx(-0.1) for r in records)
         assert all(r.is_fraud_ground_truth for r in records)
@@ -159,7 +157,7 @@ class TestSybilBurst:
     def test_camouflage_before_burst(self):
         _, coalition = self.make(burst_epoch=5)
         s = SybilBurstStrategy(coalition)
-        records = behaviors(s, ctx(epoch=4, vid="s0"))
+        records = behaviors(s, ctx(epoch=4), "s0")
         assert all(not r.is_fraud_ground_truth for r in records)
 
     def test_single_burst_by_default(self):
@@ -212,7 +210,7 @@ class TestGriefing:
 class TestAdaptiveSybil:
     def test_always_misbehaves(self):
         s = AdaptiveSybilStrategy({"s0"}, fraud_value=2.0)
-        records = behaviors(s, ctx(vid="s0"))
+        records = behaviors(s, ctx(), "s0")
         assert records[0].base_utility == -2.0
         assert records[0].is_fraud_ground_truth
 
@@ -258,20 +256,20 @@ class TestAdaptiveSybil:
                 seen.add(name)
 
 
-def reference_honest_epoch(c):
+def reference_honest_epoch(c, vid):
     """The honest records as built with rng.uniform and keyword arguments. A
     proposer's first record is a validate record too: the trial, not the
     strategy, makes it the propose record."""
     rng, s = c.rng_behavior, c.shape
     kind = ActionKind.VALIDATE
     records = [BehaviorRecord(
-        actor=c.vid, epoch=c.epoch, kind=kind,
+        actor=vid, epoch=c.epoch, kind=kind,
         base_utility=rng.uniform(s.base_utility_lo, s.base_utility_hi), context_factor=1.0,
         initiative=rng.uniform(s.initiative_lo, s.initiative_hi), motivation=s.motivations[kind],
     )]
     if s.oracle_rate > 0.0 and rng.random() < s.oracle_rate:
         records.append(BehaviorRecord(
-            actor=c.vid, epoch=c.epoch, kind=ActionKind.ORACLE,
+            actor=vid, epoch=c.epoch, kind=ActionKind.ORACLE,
             base_utility=rng.uniform(0.1, 0.5), context_factor=1.0,
             initiative=rng.uniform(s.initiative_lo, s.initiative_hi),
             motivation=s.motivations[ActionKind.ORACLE],
@@ -285,7 +283,7 @@ class TestHonestStreamPinning:
     @pytest.mark.parametrize("oracle_rate", [0.0, 0.5])
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_records_equal_uniform_on_twin_streams(self, oracle_rate, seed):
-        got, want = ctx(vid="v0042", seed=seed), ctx(vid="v0042", seed=seed)
+        got, want = ctx(seed=seed), ctx(seed=seed)
         for c in (got, want):
             c.shape.oracle_rate = oracle_rate
             c.shape.base_utility_lo, c.shape.base_utility_hi = 0.3, 1.7
@@ -294,8 +292,8 @@ class TestHonestStreamPinning:
         for epoch in range(50):
             for c in (got, want):
                 c.epoch, c.is_proposer = epoch, epoch % 7 == 0
-            records = behaviors(HonestStrategy(), got)
-            expected = reference_honest_epoch(want)
+            records = behaviors(HonestStrategy(), got, "v0042")
+            expected = reference_honest_epoch(want, "v0042")
             assert records == expected
             assert [repr(r) for r in records] == [repr(r) for r in expected]
             oracles += len(records) - 1

@@ -112,6 +112,27 @@ class TestEmpiricalIc:
         kinds = {(e.lo, e.hi): e.spec.kind for e in honest.roster}
         assert kinds == {(9, 10): "honest"}
 
+    def test_honest_variant_keeps_the_rest_of_the_focal_entry(self):
+        stealth = StrategySpec("stealth", {"fraud_rate": 0.5, "fraud_value": 20.0})
+        burst = StrategySpec("sybil-burst", {"burst_epoch": 2, "fraud_value": 6.0})
+        cfg = tiny_ic_config(epochs=10, roster=(RosterEntry(2, 5, stealth),
+                                                RosterEntry(7, 9, burst)))
+        focal, idx = find_focal(cfg)
+        assert (focal, idx) == ("v0002", 2)
+        honest = _honest_variant(cfg, idx)
+        assert honest.roster == (RosterEntry(2, 3, StrategySpec("honest")),
+                                 RosterEntry(3, 5, stealth), RosterEntry(7, 9, burst))
+
+        def frauds(config):
+            return {(l.epoch, b.actor, b.base_utility) for l in run_trial(config, 5, "pob")
+                    for b in l.behaviors if b.is_fraud_ground_truth}
+
+        deviant = frauds(cfg)
+        # Only the focal stops: its entry's other members and the burst fraud as before.
+        assert {actor for _, actor, _ in deviant} == {"v0002", "v0003", "v0004", "v0007",
+                                                      "v0008"}
+        assert frauds(honest) == {f for f in deviant if f[1] != "v0002"}
+
     def test_identical_policies_identical_payoffs(self):
         # the honest twin of an honest validator is the same simulation
         cfg = tiny_ic_config()

@@ -82,8 +82,7 @@ def _shape(**bounds):
 
 
 def _ctx(seed, shape):
-    return EpochContext(0, f"v{seed}", False, random.Random(seed), random.Random(100 + seed),
-                        shape)
+    return EpochContext(0, False, random.Random(seed), random.Random(100 + seed), shape)
 
 
 # The messages BehaviorRecord raised for these streams when each honest

@@ -12,8 +12,10 @@ from pobsim.metrics import (
     suppression_time,
     TrialTally,
 )
-from pobsim.config import ScenarioConfig
+from pobsim import netsim
+from pobsim.config import ScenarioConfig, with_overrides
 from pobsim.netsim import EpochLedger, _EpochFacts
+from pobsim.presets import builtin_presets
 from pobsim.rewards import RewardSchedule
 from pobsim.scoring import ActionKind, BehaviorColumns, MotivationProfile
 from pobsim.watchdog import Verdict
@@ -178,6 +180,48 @@ class TestFraudOutcomes:
     def test_unconfirmed_block_rejected(self):
         ledgers = [ledger(0, frauds=[("a", 10.0)], confirmed=False)]
         assert not fraud_outcomes(ledgers)[0].accepted
+
+
+class TestTrialTallies:
+    """A tally of real trials against references recomputed from their ledgers."""
+
+    @pytest.mark.parametrize("preset, changes, protocols", [
+        # retirements and respawns change the roster in many epochs
+        ("case-d-adaptive-sybil", {"epochs": 40}, ("pob",)),
+        # one change: the newcomer joins both protocols' rosters
+        ("case-b-fairness-100", {"epochs": 40, "newcomer_epoch": 20}, ("pob", "pos")),
+    ])
+    def test_proposer_counts_cover_every_roster(self, preset, changes, protocols):
+        config = with_overrides(builtin_presets()[preset].build(), **changes)
+        tallies = {protocol: TrialTally(config, protocol) for protocol in protocols}
+        reference = {protocol: {} for protocol in protocols}
+        for ledgers in netsim.trial_epochs(config, config.seed, protocols):
+            for ledger in ledgers:
+                tallies[ledger.protocol].add(ledger)
+                counts = reference[ledger.protocol]
+                for vid in ledger.roster:  # the union of every epoch's roster
+                    counts.setdefault(vid, 0)
+                counts[ledger.proposer] += 1
+        for protocol in protocols:
+            counts = reference[protocol]
+            assert len(counts) > config.n_validators  # someone joined
+            assert tallies[protocol].proposer_counts() == counts
+
+    def test_false_positives_count_guilty_verdicts_on_honest_rows(self):
+        # Every validator files an oracle report each epoch, so every one looks
+        # scripted to these thresholds; at accuracy 0 a committee member votes
+        # malicious on a row that is not harmful, so honest rows are convicted.
+        config = ScenarioConfig(protocol="pob", n_validators=6, epochs=6, oracle_rate=1.0,
+                                anomaly_freq_threshold=0.5, anomaly_quality_threshold=1.0,
+                                detection_accuracy=0.0)
+        ledgers = netsim.run_trial(config, config.seed)
+        false_positives = sum(1 for ledger in ledgers for v in ledger.verdicts
+                              if v.guilty and not ledger.behavior_rows.fraud[v.behavior_index])
+        assert false_positives > 0
+        folded = TrialTally(config, "pob")
+        for each in ledgers:
+            folded.add(each)
+        assert folded.metrics().false_positives == false_positives  # a trial row's count
 
 
 class TestLossAverted:

@@ -489,7 +489,7 @@ class TestRunTrial:
 class TestTrialSetup:
     """Each roster entry builds the actors of its own members."""
 
-    def test_each_sybil_burst_entry_is_its_own_coalition(self):
+    def test_each_sybil_burst_entry_is_its_own_coalition(self, monkeypatch):
         cfg = small_config(protocol="paired", n_validators=20, epochs=8, roster=(
             RosterEntry(10, 13, StrategySpec("sybil-burst",
                                              {"burst_epoch": 3, "fraud_value": 30.0})),
@@ -498,6 +498,13 @@ class TestTrialSetup:
         ))
         ids = cfg.validator_ids()
         first, second = ids[10:13], ids[15:20]
+        process, committees = netsim.process_epoch_suspicions, []
+
+        def spy(*args):
+            committees.append(args[-1])  # pob's review hands the coalition votes last
+            return process(*args)
+
+        monkeypatch.setattr(netsim, "process_epoch_suspicions", spy)
         for protocol in ("pob", "pos"):
             frauds = {(l.epoch, b.actor, b.base_utility)
                       for l in run_trial(cfg, 3, protocol=protocol)
@@ -505,13 +512,14 @@ class TestTrialSetup:
             # each entry bursts at its own epoch, splitting its own value among its members
             assert frauds == ({(3, v, -30.0 / 3) for v in first}
                               | {(5, v, -10.0 / 5) for v in second})
-        state, _ = netsim._start_trial(cfg, 3, ("pob",))
+        assert committees  # both bursts convene pob committees
         subjects = first + second + ["v0000"]
-        assert sorted(state.voters) == [state.pos_of[v] for v in first + second]
-        for coalition in (first, second):
-            for voter in coalition:
-                vote = state.voters[state.pos_of[voter]]
-                assert [vote(s) for s in subjects] == [s not in coalition for s in subjects]
+        for voters in committees:  # the roster stays the sorted ids
+            assert sorted(voters) == [ids.index(v) for v in first + second]
+            for coalition in (first, second):
+                for voter in coalition:
+                    vote = voters[ids.index(voter)]
+                    assert [vote(s) for s in subjects] == [s not in coalition for s in subjects]
 
     def test_long_range_fork_entries_pool_their_keys(self):
         cfg = small_config(n_validators=20, roster=(
