@@ -24,9 +24,10 @@ from .weights import WeightTable
 _ABOVE_ZERO = math.ulp(0.0)  # the least float above 0: a lower bound that excludes 0
 
 # kind -> param -> (default, lo, hi), the one declaration of every strategy
-# param. A roster entry that names no value runs with the default; a given
-# value must lie in [lo, hi] (hi None: unbounded). A param is a count, read
-# as an int, exactly when its bounds are ints.
+# param. A roster entry that names no value runs with the default. A given
+# value is parsed by config's number parser (`config._roster`): it must lie
+# in [lo, hi] (hi None: unbounded), and it is a count, which must be an int,
+# exactly when its bounds are ints; any other value is stored as a float.
 PARAMS: dict[str, dict[str, tuple]] = {
     "honest": {},
     "stealth": {"fraud_rate": (0.05, _ABOVE_ZERO, 1.0), "fraud_value": (50.0, 0.0, None)},
@@ -59,40 +60,16 @@ PARAMS: dict[str, dict[str, tuple]] = {
 class StrategySpec:
     """Declarative strategy selection, as written in scenario configs.
 
-    `params` holds the values as given; `param` reads one resolved.
+    `params` holds the values as config parsed them (`config._roster`
+    checks each against `PARAMS`); `param` reads one, else its default.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        """Raise ValueError unless the kind is known and every param is known, a
-        finite number (not a bool), integral where it is a count, and in range.
-        Values are not converted."""
-        table = PARAMS.get(self.kind)
-        if table is None:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        for name, value in self.params.items():
-            if name not in table:
-                raise ValueError(f"strategy {self.kind!r} does not accept parameter {name!r}")
-            where = f"{self.kind}.{name}={value!r}"
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} is not a number")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{where} is not finite")
-            _, lo, hi = table[name]
-            if isinstance(lo, int) and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{where} is not a whole number")
-            if value < lo or (hi is not None and value > hi):
-                low = "(0" if lo == _ABOVE_ZERO else f"[{lo}"
-                high = "inf)" if hi is None else f"{hi}]"
-                raise ValueError(f"{where} outside {low}, {high}")
-
     def param(self, name: str):
-        """The value given for `name`, else its default; an int when it is a count."""
-        default, lo, _ = PARAMS[self.kind][name]
-        value = self.params.get(name, default)
-        return int(value) if isinstance(lo, int) and value is not None else value
+        """The value given for `name`, else its default."""
+        return self.params.get(name, PARAMS[self.kind][name][0])
 
 
 @dataclass

@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .adversaries import StrategySpec
+from .adversaries import PARAMS, StrategySpec
 from .errors import ConfigError, RewardPoolError
 from .rewards import RewardSchedule, stipends
 from .scoring import ActionKind
@@ -250,7 +250,10 @@ def _intensities(value, path) -> dict:
 
 
 def _roster(value, path) -> tuple[RosterEntry, ...]:
-    """Disjoint index ranges [lo, hi), each with a strategy. At most one
+    """Disjoint index ranges [lo, hi), each with a strategy. The kind is one
+    of `adversaries.PARAMS`; each param is one it declares for the kind,
+    parsed by `_num` within its bounds (a count when they are ints) and
+    stored parsed. No params, or null, runs every default. At most one
     entry is adaptive-sybil, and every long-range-fork entry has the same
     fork depth.
 
@@ -272,11 +275,15 @@ def _roster(value, path) -> tuple[RosterEntry, ...]:
         clash = [max(lo, e.lo) for e in entries if e.lo < hi and lo < e.hi]
         if clash:
             raise ConfigError(f"{at}.range", f"index {min(clash)} assigned twice")
-        params = _require_type(item.get("params") or {}, dict, f"{at}.params")
-        try:
-            spec = StrategySpec(item["kind"], dict(params))
-        except ValueError as exc:
-            raise ConfigError(at, str(exc)) from None
+        kind = _choice(*PARAMS)(item["kind"], f"{at}.kind")
+        params = _optional(_typed(dict))(item.get("params"), f"{at}.params") or {}
+        _check_unknown(params, PARAMS[kind], f"{at}.params")
+        parsed = {}
+        for name, value in params.items():
+            _, least, most = PARAMS[kind][name]
+            parsed[name] = _num(value, f"{at}.params.{name}", least, most,
+                                integer=isinstance(least, int))
+        spec = StrategySpec(kind, parsed)
         same = [j for j, e in enumerate(entries) if e.spec.kind == spec.kind]
         if same and spec.kind == "adaptive-sybil":
             raise ConfigError(at, f"roster[{same[0]}] is already 'adaptive-sybil'; "

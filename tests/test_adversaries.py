@@ -15,7 +15,9 @@ from pobsim.adversaries import (
     SybilBurstStrategy,
     SybilCoalition,
 )
-from pobsim.config import DEFAULT_MOTIVATION_INTENSITIES, DEFAULT_MOTIVATION_WEIGHTS
+from pobsim.config import (DEFAULT_MOTIVATION_INTENSITIES, DEFAULT_MOTIVATION_WEIGHTS,
+                           config_from_mapping)
+from pobsim.errors import ConfigError
 from pobsim.scoring import (ActionKind, BehaviorColumns, BehaviorRecord, MotivationProfile,
                             outcome_utility)
 
@@ -47,35 +49,51 @@ def behaviors(strategy, c, vid="v0"):
     return list(cols.records((vid,)))
 
 
+def parsed(kind, given=None):
+    """The StrategySpec that a roster entry of `kind` giving `given` stores."""
+    return config_from_mapping({"protocol": "pob", "n_validators": 2, "roster": [
+        {"range": [0, 1], "kind": kind, "params": given}]}).roster[0].spec
+
+
 def params(kind, **given):
     """Every param of `kind` by name, as a roster entry giving `given` runs it."""
-    spec = StrategySpec(kind, given)
+    spec = parsed(kind, given)
     return {name: spec.param(name) for name in PARAMS[kind]}
 
 
 class TestStrategySpec:
+    """A roster entry's kind and params are checked by config's parsers,
+    each error at its path, and stored parsed."""
+
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            StrategySpec("mining")
+        with pytest.raises(ConfigError, match="not one of") as err:
+            parsed("mining")
+        assert err.value.field == "roster[0].kind"
 
     def test_unknown_param(self):
-        with pytest.raises(ValueError):
-            StrategySpec("stealth", {"cleverness": 3})
+        with pytest.raises(ConfigError, match="unknown key") as err:
+            parsed("stealth", {"cleverness": 3})
+        assert err.value.field == "roster[0].params.cleverness"
 
     def test_param_range(self):
-        with pytest.raises(ValueError):
-            StrategySpec("stealth", {"fraud_rate": 2.0})
+        with pytest.raises(ConfigError, match="above allowed maximum") as err:
+            parsed("stealth", {"fraud_rate": 2.0})
+        assert err.value.field == "roster[0].params.fraud_rate"
 
     def test_valid(self):
-        StrategySpec("stealth", {"fraud_rate": 0.05, "fraud_value": 10.0})
+        given = {"fraud_rate": 0.05, "fraud_value": 10.0}
+        assert parsed("stealth", given) == StrategySpec("stealth", given)
 
     def test_param_resolves_given_then_default(self):
-        spec = StrategySpec("sybil-burst", {"burst_epoch": 7.0, "fraud_value": 3})
+        spec = parsed("sybil-burst", {"burst_epoch": 7, "fraud_value": 3})
         assert spec.param("burst_epoch") == 7 and isinstance(spec.param("burst_epoch"), int)
-        assert spec.param("fraud_value") == 3  # a non-count keeps its given form
+        assert spec.param("fraud_value") == 3.0 and isinstance(spec.param("fraud_value"), float)
         assert spec.param("burst_every") is None  # no default: the coalition bursts once
-        assert spec.params == {"burst_epoch": 7.0, "fraud_value": 3}  # kept as given
-        assert StrategySpec("long-range-fork").param("fork_depth") == 100
+        assert spec.params == {"burst_epoch": 7, "fraud_value": 3.0}  # stored parsed
+        assert parsed("long-range-fork").param("fork_depth") == 100
+        with pytest.raises(ConfigError, match="found float") as err:
+            parsed("sybil-burst", {"burst_epoch": 7.0})  # a count is an int, as epochs is
+        assert err.value.field == "roster[0].params.burst_epoch"
 
     def test_counts_are_the_params_with_int_bounds(self):
         counts = {(kind, name) for kind, table in PARAMS.items()
@@ -86,7 +104,9 @@ class TestStrategySpec:
         for kind, table in PARAMS.items():
             assert all(hi is None or type(hi) is type(lo) for _, lo, hi in table.values()), kind
             defaults = {name: d for name, (d, _, _) in table.items() if d is not None}
-            assert StrategySpec(kind, defaults).params == defaults  # every default is in range
+            stored = parsed(kind, defaults).params  # every default is in range
+            assert stored == defaults
+            assert all(type(value) is type(table[name][1]) for name, value in stored.items())
 
 
 class TestHonestStrategy:

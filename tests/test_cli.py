@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,38 +181,57 @@ class TestCli:
         assert err == "error: KeyError: 'v0042'\n"
 
 
-BAD_STRATEGY_PARAMS = [
-    ("stealth", "{fraud_rate: [0.1]}", "not a number"),
-    ("stealth", "{fraud_rate: null}", "not a number"),
-    ("stealth", "{fraud_value: true}", "not a number"),
-    ("griefing", "{empty_block_run: 2.5}", "not a whole number"),
-    ("sybil-burst", "{burst_epoch: 7.5}", "not a whole number"),
-    ("stealth", "{fraud_value: .inf}", "not finite"),
-    ("adaptive-sybil", "{join_weight: .inf}", "not finite"),
-    ("griefing", "{utility_epsilon: .inf}", "not finite"),
-    ("stealth", "{fraud_value: .nan}", "not finite"),
-    ("stealth", "{fraud_rate: 0}", "fraud_rate=0 outside"),
-    ("long-range-fork", "{fraud_rate: 0.0}", "fraud_rate=0.0 outside"),
+BAD_STRATEGY_PARAMS = [  # (kind, params, the field the error names, its message)
+    ("stealth", "{fraud_rate: [0.1]}", "roster[0].params.fraud_rate", "found list"),
+    ("stealth", "{fraud_rate: null}", "roster[0].params.fraud_rate", "found NoneType"),
+    ("stealth", "{fraud_value: true}", "roster[0].params.fraud_value", "found bool"),
+    ("griefing", "{empty_block_run: 2.5}", "roster[0].params.empty_block_run", "found float"),
+    ("sybil-burst", "{burst_epoch: 7.5}", "roster[0].params.burst_epoch", "found float"),
+    ("stealth", "{fraud_value: .inf}", "roster[0].params.fraud_value", "not a finite number"),
+    ("adaptive-sybil", "{join_weight: .inf}", "roster[0].params.join_weight",
+     "not a finite number"),
+    ("griefing", "{utility_epsilon: .inf}", "roster[0].params.utility_epsilon",
+     "not a finite number"),
+    ("stealth", "{fraud_value: .nan}", "roster[0].params.fraud_value", "not a finite number"),
+    ("stealth", "{fraud_rate: 0}", "roster[0].params.fraud_rate", "value 0.0 below allowed"),
+    ("long-range-fork", "{fraud_rate: 0.0}", "roster[0].params.fraud_rate",
+     "value 0.0 below allowed"),
+    # a params value that is falsy but not a mapping is no "no params"
+    ("stealth", "false", "roster[0].params", "found bool"),
+    ("stealth", "0", "roster[0].params", "found int"),
+    ("stealth", "[]", "roster[0].params", "found list"),
+    ("stealth", "''", "roster[0].params", "found str"),
+    ("stealth", "{cleverness: 3}", "roster[0].params.cleverness", "unknown key"),
+    ("mining", "{}", "roster[0].kind", "not one of"),
+    ("[a]", "{}", "roster[0].kind", "not one of"),  # unhashable kinds
+    ("{a: 1}", "{}", "roster[0].kind", "not one of"),
 ]
 
 
-@pytest.mark.parametrize("kind,params,message", BAD_STRATEGY_PARAMS,
+@pytest.mark.parametrize("kind,params,field,message", BAD_STRATEGY_PARAMS,
                          ids=["list", "null", "bool", "fractional-run", "fractional-epoch",
                               "inf-fraud-value", "inf-join-weight", "inf-utility-epsilon",
-                              "nan-fraud-value", "zero-fraud-rate", "zero-fork-fraud-rate"])
-def test_bad_strategy_param_is_a_config_error(kind, params, message, tmp_path, capsys):
+                              "nan-fraud-value", "zero-fraud-rate", "zero-fork-fraud-rate",
+                              "false-params", "zero-params", "list-params", "empty-string-params",
+                              "unknown-param", "unknown-kind", "list-kind", "mapping-kind"])
+def test_bad_strategy_param_is_a_config_error(kind, params, field, message, tmp_path, capsys):
     text = TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
                         f"kind: {kind}, params: {params}")
-    with pytest.raises(ConfigError, match=message) as err:
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
         loads_config(text)
-    assert err.value.field == "roster[0]"
+    assert err.value.field == field
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config field 'roster[0]'") and message in err
+    assert err.startswith(f"error: config field '{field}'") and message in err
     assert not out.exists()
+
+
+def test_null_params_runs_the_defaults():
+    cfg = loads_config(TINY.replace("{fraud_rate: 0.2, fraud_value: 10.0}", "null"))
+    assert cfg.roster[0].spec.params == {}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -311,12 +331,11 @@ def test_pos_run_whose_every_stake_is_slashed_runs_to_the_end(tmp_path):
 
 
 def test_non_finite_param_rejected_by_overrides():
-    spec = StrategySpec("stealth", {"fraud_value": 5.0})
-    spec.params["fraud_value"] = float("inf")  # set after the spec checked it
+    spec = StrategySpec("stealth", {"fraud_value": float("inf")})
     config = loads_config(TINY)
-    with pytest.raises(ConfigError, match="fraud_value=inf is not finite") as err:
+    with pytest.raises(ConfigError, match="not a finite number") as err:
         with_overrides(config, roster=(RosterEntry(9, 10, spec),))
-    assert err.value.field == "roster[0]"
+    assert err.value.field == "roster[0].params.fraud_value"
 
 
 def test_large_finite_params_keep_their_echo():
@@ -326,11 +345,30 @@ def test_large_finite_params_keep_their_echo():
     assert loads_config(echo).roster == loads_config(text).roster
 
 
-def test_integral_float_count_is_kept_as_written():
-    cfg = loads_config(TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
-                                    "kind: griefing, params: {empty_block_run: 4.0}"))
-    assert cfg.roster[0].spec.params == {"empty_block_run": 4.0}
-    assert "empty_block_run: 4.0" in echo_config(cfg)
+def test_integral_float_count_is_refused():
+    # A count is an int, as every count field is (epochs: 4.0 is refused too).
+    with pytest.raises(ConfigError, match="found float") as err:
+        loads_config(TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
+                                  "kind: griefing, params: {empty_block_run: 4.0}"))
+    assert err.value.field == "roster[0].params.empty_block_run"
+
+
+def test_float_param_outputs_do_not_depend_on_its_spelling(tmp_path):
+    # fraud_value is stored as a float whether it is written 10 or 10.0, so the
+    # echo, the trial rows and every ledger are the same bytes.
+    runs = []
+    for spelling in ("10", "10.0"):
+        cfg = tmp_path / f"fraud-{spelling}.yaml"
+        cfg.write_text(TINY.replace("epochs: 15", "epochs: 20")
+                       .replace("fraud_value: 10.0", f"fraud_value: {spelling}"))
+        out = tmp_path / f"out-{spelling}"
+        assert main(["run", str(cfg), "--ledgers", "--out", str(out)]) == 0
+        runs.append(out)
+    files = [sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file()) for run in runs]
+    assert files[0] == files[1] and len(files[0]) == 3 + 2 * 2 * 20
+    for name in files[0]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    assert "fraud_value: 10.0" in (runs[0] / "config.echo").read_text()
 
 
 def test_python_dash_m_pobsim_help():

@@ -174,18 +174,12 @@ def scenarios(draw):
 
 def stored_form(mapping: dict) -> dict:
     """`mapping`'s values in the form a config stores them: roster entries as
-    RosterEntry (an entry whose params StrategySpec refuses stays a mapping,
-    which the constructor reads too) and the override as a ProposerOverride."""
+    RosterEntry, whose params the constructor parses, and the override as a
+    ProposerOverride."""
     stored = dict(mapping)
     if "roster" in stored:
-        stored["roster"] = []
-        for item in mapping["roster"]:
-            try:
-                spec = StrategySpec(item["kind"], item.get("params", {}))
-            except ValueError:
-                stored["roster"].append(item)
-            else:
-                stored["roster"].append(RosterEntry(*item["range"], spec))
+        stored["roster"] = [RosterEntry(*item["range"], StrategySpec(item["kind"], item["params"]))
+                            for item in mapping["roster"]]
     if "proposer_override" in stored:
         stored["proposer_override"] = ProposerOverride(**mapping["proposer_override"])
     return stored
