@@ -14,23 +14,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-import math
 from typing import Callable, Optional, Sequence
 
 from .chain import Block, fork_choice, signer_weight
 from .scoring import ActionKind, BehaviorColumns, MotivationProfile, check_record_ranges
 from .weights import WeightTable
 
-_ABOVE_ZERO = math.ulp(0.0)  # the least float above 0: a lower bound that excludes 0
+
+class Open(float):
+    """A bound that its interval excludes: `Open(0.0)` as a minimum admits
+    only values above 0. Config's number parser reads it (`config._num`)."""
+
 
 # kind -> param -> (default, lo, hi), the one declaration of every strategy
 # param. A roster entry that names no value runs with the default. A given
 # value is parsed by config's number parser (`config._roster`): it must lie
-# in [lo, hi] (hi None: unbounded), and it is a count, which must be an int,
-# exactly when its bounds are ints; any other value is stored as a float.
+# in [lo, hi] (hi None: unbounded; an `Open` end excluded), and it is a
+# count, which must be an int, exactly when its bounds are ints; any other
+# value is stored as a float.
 PARAMS: dict[str, dict[str, tuple]] = {
     "honest": {},
-    "stealth": {"fraud_rate": (0.05, _ABOVE_ZERO, 1.0), "fraud_value": (50.0, 0.0, None)},
+    "stealth": {"fraud_rate": (0.05, Open(0.0), 1.0), "fraud_value": (50.0, 0.0, None)},
     "sybil-burst": {
         "sybil_count": (None, 1, None),  # read by nothing; kept for the echo
         "burst_epoch": (50, 0, None),
@@ -45,7 +49,7 @@ PARAMS: dict[str, dict[str, tuple]] = {
     },
     "long-range-fork": {
         "fork_depth": (100, 0, None),
-        "fraud_rate": (0.05, _ABOVE_ZERO, 1.0),
+        "fraud_rate": (0.05, Open(0.0), 1.0),
         "fraud_value": (50.0, 0.0, None),
     },
     "griefing": {

@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from .adversaries import PARAMS, StrategySpec
+from .adversaries import PARAMS, Open, StrategySpec
 from .errors import ConfigError, RewardPoolError
 from .rewards import RewardSchedule, stipends
 from .scoring import ActionKind
@@ -101,6 +101,8 @@ def _require_type(value, types, path):
 
 
 def _num(value, path, lo=None, hi=None, integer=False):
+    """A finite number, an int if `integer`, in [lo, hi]: an end that is None
+    is unbounded, and an `Open` end is excluded. An error prints the interval."""
     if integer:
         _require_type(value, int, path)
     else:
@@ -108,10 +110,12 @@ def _num(value, path, lo=None, hi=None, integer=False):
         if not -sys.float_info.max <= value <= sys.float_info.max:  # also false for nan
             raise ConfigError(path, "not a finite number")
         value = float(value)
-    if lo is not None and value < lo:
-        raise ConfigError(path, f"value {value} below allowed minimum {lo}")
-    if hi is not None and value > hi:
-        raise ConfigError(path, f"value {value} above allowed maximum {hi}")
+    low, high = isinstance(lo, Open), isinstance(hi, Open)
+    if (lo is not None and (value <= lo if low else value < lo)
+            or hi is not None and (value >= hi if high else value > hi)):
+        left = "(-inf" if lo is None else f"{'(' if low else '['}{lo:g}"
+        right = "inf)" if hi is None else f"{hi:g}{')' if high else ']'}"
+        raise ConfigError(path, f"{value} outside {left}, {right}")
     return value
 
 
@@ -169,13 +173,6 @@ def _escalation(value, path) -> tuple[float, ...]:
     return esc
 
 
-def _retained_fraction(value, path) -> float:
-    rho_p = _num(value, path, lo=0.0)
-    if rho_p >= 1.0:
-        raise ConfigError(path, f"{rho_p} outside [0, 1)")
-    return rho_p
-
-
 def _action_kinds(value, path) -> tuple[str, ...]:
     return tuple(_choice(*_KINDS)(k, path) for k in _require_type(value, list, path))
 
@@ -183,9 +180,10 @@ def _action_kinds(value, path) -> tuple[str, ...]:
 def _check_unknown(mapping: Mapping, allowed: Sequence[str], path: str) -> None:
     unknown = set(mapping) - set(allowed)
     if unknown:
+        keys = f"allowed: {', '.join(sorted(allowed))}" if allowed else "the mapping takes no keys"
         raise ConfigError(
             f"{path}.{min(unknown, key=str)}" if path else min(unknown, key=str),
-            f"unknown key (allowed: {', '.join(sorted(allowed))})",
+            f"unknown key ({keys})",
         )
 
 
@@ -215,9 +213,9 @@ class PenaltySettings:
     """
 
     mode: str = _field("additive", _choice("additive", "multiplicative"), sweep=True)
-    base_coefficient: float = _field(1.0, _float(1e-12), sweep=True)
+    base_coefficient: float = _field(1.0, _float(Open(0.0)), sweep=True)
     escalation: tuple[float, ...] = _field((1.0,), _escalation)
-    rho_p: float = _field(0.2, _retained_fraction, sweep=True)
+    rho_p: float = _field(0.2, _float(0.0, Open(1.0)), sweep=True)
     full_slash_kinds: tuple[str, ...] = _field(("double-sign",), _action_kinds)
 
 
@@ -345,8 +343,8 @@ class ScenarioConfig:
     detection_accuracy: float = _field(0.9, _float(0.0, 1.0), sweep=True)
     observe_prob: float = _field(1.0, _float(0.0, 1.0))
     detection_window: int = _field(1, _int(1))  # read by nothing; kept for the echo
-    anomaly_freq_threshold: float = _field(3.0, _float(1e-12))
-    anomaly_quality_threshold: float = _field(0.2, _float(1e-12))
+    anomaly_freq_threshold: float = _field(3.0, _float(Open(0.0)))
+    anomaly_quality_threshold: float = _field(0.2, _float(Open(0.0)))
     penalty: PenaltySettings = _field(PenaltySettings(), _block(PenaltySettings))
 
     # rewards
@@ -359,15 +357,15 @@ class ScenarioConfig:
 
     # network
     latency_distribution: str = _field("exponential", _choice("exponential", "fixed", "uniform"))
-    latency_mean_ms: float = _field(50.0, _float(1e-9))
+    latency_mean_ms: float = _field(50.0, _float(Open(0.0)))
     processing_ms: float = _field(5.0, _float(0.0))
 
     # PoS baseline
     pos_slash_delay: int = _field(100, _int(0), sweep=True)
     pos_slash_fraction: float = _field(1.0, _float(0.0, 1.0), sweep=True)
     stake_distribution: str = _field("pareto", _choice("pareto", "equal"))
-    stake_alpha: float = _field(1.6, _float(1.0 + 1e-9))
-    stake_xmin: float = _field(1.0, _float(1e-12))
+    stake_alpha: float = _field(1.6, _float(Open(1.0)))
+    stake_xmin: float = _field(1.0, _float(Open(0.0)))
     genesis_weights: str = _field("uniform", _choice("uniform", "stake"))
 
     # honest behavior shape

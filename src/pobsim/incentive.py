@@ -14,8 +14,7 @@ import dataclasses
 from contextlib import closing
 from dataclasses import dataclass
 
-from .config import ScenarioConfig, RosterEntry, with_overrides
-from .adversaries import StrategySpec
+from .config import ScenarioConfig
 from .experiments import _run_tasks
 from .metrics import TrialTally
 from .netsim import trial_epochs
@@ -59,15 +58,19 @@ def check_ic(p: IncentiveParams) -> tuple[bool, float]:
 # Empirical check via paired simulation
 # ---------------------------------------------------------------------------
 
-def _focal_arm(config: ScenarioConfig, seed: int, focal: str) -> tuple[list[float], list]:
+def _focal_arm(config: ScenarioConfig, seed: int, focal: str,
+               honest: bool) -> tuple[list[float], list]:
     """One arm of a paired trial, streamed through a pob `trial_epochs`: the
     focal's payout plus accepted fraud value per round, and its fraud outcomes.
+    In the `honest` arm the focal plays honestly, and its roster entry keeps
+    its coalition: its fraud split, its votes and its fork keys.
 
     A focal off the roster (a retired adaptive Sybil) or not active is not paid.
     """
     payoffs = [0.0] * config.epochs
     tally = TrialTally(config, "pob")
-    with closing(trial_epochs(config, seed, ("pob",))) as epochs:
+    with closing(trial_epochs(config, seed, ("pob",),
+                              honest=(focal,) if honest else ())) as epochs:
         for (ledger,) in epochs:
             tally.add(ledger)
             if focal in ledger.roster:
@@ -90,46 +93,32 @@ def _discounted(payoffs: list[float], discount: float) -> float:
     return total
 
 
-def _honest_variant(config: ScenarioConfig, focal_index: int) -> ScenarioConfig:
-    """Same scenario, but the focal validator, the first member of its roster
-    entry (`find_focal`), plays honestly; the rest of its entry keeps its spec."""
-    roster = []
-    for entry in config.roster:
-        if entry.lo == focal_index:
-            roster.append(RosterEntry(focal_index, focal_index + 1, StrategySpec("honest")))
-            if focal_index + 1 < entry.hi:
-                roster.append(RosterEntry(focal_index + 1, entry.hi, entry.spec))
-        else:
-            roster.append(entry)
-    return with_overrides(config, roster=tuple(roster))
-
-
-def find_focal(config: ScenarioConfig) -> tuple[str, int]:
+def find_focal(config: ScenarioConfig) -> str:
     """The deviating validator: first non-honest roster slot."""
     for entry in config.roster:
         if entry.spec.kind != "honest":
-            return config.validator_ids()[entry.lo], entry.lo
+            return config.validator_ids()[entry.lo]
     raise ValueError("scenario has no deviating validator to compare against")
 
 
 def empirical_ic(config: ScenarioConfig, discount: float = 0.95) -> dict:
     """Paired honest-vs-deviating simulation under common random numbers.
 
-    Both arms of each pair share a root seed, so everything except the
-    focal validator's own choices is identical. Each arm of each trial is a
-    task of `_run_tasks` (`config.workers`). Reports discounted payoffs per
-    arm, the measured per-round deviation gain, the implied future loss,
-    and whether the analytic condition held.
+    Both arms of each pair run `config` from one root seed, the honest arm
+    with the focal validator swapped for an honest one (`_focal_arm`), so
+    everything except the focal's own choices is identical. Each arm of each
+    trial is a task of `_run_tasks` (`config.workers`). Reports discounted
+    payoffs per arm, the measured per-round deviation gain, the implied
+    future loss, and whether the analytic condition held.
     """
     if not 0.0 < discount < 1.0:
         raise ValueError(f"discount {discount} outside (0, 1)")
-    focal, focal_index = find_focal(config)
+    focal = find_focal(config)
     rounds, trials = config.epochs, config.trials
-    honest_cfg = _honest_variant(config, focal_index)
     seeds = [config.seed + k for k in range(trials)]
     arms = iter(_run_tasks(_focal_arm, config.workers,
-                           [(arm_cfg, seed, focal) for seed in seeds
-                            for arm_cfg in (config, honest_cfg)]))
+                           [(config, seed, focal, honest) for seed in seeds
+                            for honest in (False, True)]))
 
     per_trial = []
     measured_delta_r = 0.0

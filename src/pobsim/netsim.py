@@ -201,11 +201,12 @@ class _TrialState:
 
 
 def _start_trial(config: ScenarioConfig, seed: int, protocols: Sequence[str],
-                 trace: Optional[Sequence[TraceBlock]] = None,
+                 trace: Optional[Sequence[TraceBlock]] = None, honest: Sequence[str] = (),
                  ) -> tuple[_TrialState, list[_PobRules | _PosRules]]:
     """The trial's state, replaying `trace` if given, and each protocol's rules, in
     `protocols` order. Each roster entry's members join with its strategy, the
-    rest of the configured ids as honest validators."""
+    rest of the configured ids as honest validators. The ids in `honest` join
+    as honest validators too; their entries are otherwise made as configured."""
     hub = RngHub(seed)
     ids = config.validator_ids()
     # One stake draw for both protocols, so paired runs start from the same shape: the
@@ -244,6 +245,8 @@ def _start_trial(config: ScenarioConfig, seed: int, protocols: Sequence[str],
             make = partial(adv.StealthStrategy, param("fraud_rate"), param("fraud_value"))
         for vid in members:
             strategies[vid] = make()
+    for vid in honest:
+        strategies[vid] = adv.HonestStrategy()
     for vid, strategy in strategies.items():
         _join(state, vid, strategy)
     _set_roster(state, sorted(ids))
@@ -720,6 +723,7 @@ def trial_epochs(
     seed: int,
     protocols: Sequence[str],
     trace: Optional[Sequence[TraceBlock]] = None,
+    honest: Sequence[str] = (),
 ) -> Iterator[tuple[EpochLedger, ...]]:
     """One seeded trial as a stream of its epochs: each epoch's ledgers, one
     per protocol of `protocols`, in that order.
@@ -732,7 +736,8 @@ def trial_epochs(
     `config` was checked when it was made. Nothing runs until the first
     epoch is asked for: then a trace's proposers are checked
     (`check_trace`) and the trial is set up, each state holding the trace
-    (`_start_trial`), so no stage below takes it. The trial keeps no epoch
+    (`_start_trial`), so no stage below takes it. The ids in `honest` play
+    honestly (ic-check's honest arm). The trial keeps no epoch
     it has handed out and nothing of an id it has retired, so its memory
     stays flat in the epoch count.
     """
@@ -745,7 +750,7 @@ def trial_epochs(
     if trace is not None:
         check_trace(config, trace)
     groups = [protocols] if shares_one_state(config, trace) else [(p,) for p in protocols]
-    states = [_start_trial(config, seed, group, trace) for group in groups]
+    states = [_start_trial(config, seed, group, trace, honest) for group in groups]
     epochs = len(trace) if trace is not None else config.epochs
     for epoch in range(epochs):
         ledgers: list[EpochLedger] = []

@@ -193,15 +193,18 @@ BAD_STRATEGY_PARAMS = [  # (kind, params, the field the error names, its message
     ("griefing", "{utility_epsilon: .inf}", "roster[0].params.utility_epsilon",
      "not a finite number"),
     ("stealth", "{fraud_value: .nan}", "roster[0].params.fraud_value", "not a finite number"),
-    ("stealth", "{fraud_rate: 0}", "roster[0].params.fraud_rate", "value 0.0 below allowed"),
+    ("stealth", "{fraud_rate: 0}", "roster[0].params.fraud_rate", "0.0 outside (0, 1]"),
     ("long-range-fork", "{fraud_rate: 0.0}", "roster[0].params.fraud_rate",
-     "value 0.0 below allowed"),
+     "0.0 outside (0, 1]"),
+    ("stealth", "{fraud_rate: 1.5}", "roster[0].params.fraud_rate", "1.5 outside (0, 1]"),
     # a params value that is falsy but not a mapping is no "no params"
     ("stealth", "false", "roster[0].params", "found bool"),
     ("stealth", "0", "roster[0].params", "found int"),
     ("stealth", "[]", "roster[0].params", "found list"),
     ("stealth", "''", "roster[0].params", "found str"),
-    ("stealth", "{cleverness: 3}", "roster[0].params.cleverness", "unknown key"),
+    ("stealth", "{cleverness: 3}", "roster[0].params.cleverness",
+     "unknown key (allowed: fraud_rate, fraud_value)"),
+    ("honest", "{x: 1}", "roster[0].params.x", "unknown key (the mapping takes no keys)"),
     ("mining", "{}", "roster[0].kind", "not one of"),
     ("[a]", "{}", "roster[0].kind", "not one of"),  # unhashable kinds
     ("{a: 1}", "{}", "roster[0].kind", "not one of"),
@@ -212,8 +215,9 @@ BAD_STRATEGY_PARAMS = [  # (kind, params, the field the error names, its message
                          ids=["list", "null", "bool", "fractional-run", "fractional-epoch",
                               "inf-fraud-value", "inf-join-weight", "inf-utility-epsilon",
                               "nan-fraud-value", "zero-fraud-rate", "zero-fork-fraud-rate",
-                              "false-params", "zero-params", "list-params", "empty-string-params",
-                              "unknown-param", "unknown-kind", "list-kind", "mapping-kind"])
+                              "large-fraud-rate", "false-params", "zero-params", "list-params",
+                              "empty-string-params", "unknown-param", "honest-param",
+                              "unknown-kind", "list-kind", "mapping-kind"])
 def test_bad_strategy_param_is_a_config_error(kind, params, field, message, tmp_path, capsys):
     text = TINY.replace("kind: stealth, params: {fraud_rate: 0.2, fraud_value: 10.0}",
                         f"kind: {kind}, params: {params}")

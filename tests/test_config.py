@@ -63,6 +63,36 @@ class TestLoad:
         assert err.value.field == "rho"
         assert "1" in str(err.value)
 
+    @pytest.mark.parametrize("key,bound,inside,interval", [
+        ("anomaly_freq_threshold", 0.0, 1e-300, "(0, inf)"),
+        ("anomaly_quality_threshold", 0.0, 1e-300, "(0, inf)"),
+        ("latency_mean_ms", 0.0, 1e-10, "(0, inf)"),
+        ("stake_alpha", 1.0, 1.0 + 2 ** -52, "(1, inf)"),
+        ("stake_xmin", 0.0, 1e-300, "(0, inf)"),
+        ("penalty.base_coefficient", 0.0, 1e-300, "(0, inf)"),
+        ("penalty.rho_p", 1.0, 1.0 - 2 ** -53, "[0, 1)"),
+    ])
+    def test_open_end_refuses_its_bound_and_names_the_interval(self, key, bound, inside,
+                                                              interval):
+        """An open end refuses the bound itself, and no stand-in for it: the
+        nearest value inside is a valid config."""
+        *block, name = key.split(".")
+        def mapping(value):
+            return {"protocol": "pob", "n_validators": 100,
+                    **({block[0]: {name: value}} if block else {name: value})}
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(mapping(bound))
+        assert str(err.value) == f"config field '{key}': {bound} outside {interval}"
+        config_from_mapping(mapping(inside))
+
+    def test_closed_ends_name_the_interval(self):
+        for text, message in (("rho: 1.5\n", "'rho': 1.5 outside [0, 1]"),
+                              ("epochs: -1\n", "'epochs': -1 outside [0, inf)"),
+                              ("r_total: -1\n", "'r_total': -1.0 outside [0, inf)")):
+            with pytest.raises(ConfigError) as err:
+                loads_config(MINIMAL + text)
+            assert str(err.value) == f"config field {message}"
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError) as err:
             loads_config(MINIMAL + "fizzle: 3\n")

@@ -43,7 +43,7 @@ from hypothesis import (
     strategies as st,
 )
 
-from pobsim.adversaries import PARAMS, StrategySpec
+from pobsim.adversaries import PARAMS, Open, StrategySpec
 from pobsim.cli import main
 from pobsim.config import (
     ProposerOverride,
@@ -92,18 +92,19 @@ def sweep_values(n: int) -> dict:
 
 
 def param_values(lo, hi, outside: bool):
-    """Values within [lo, hi] of a PARAMS entry (hi None: a few steps above lo),
-    or, when `outside`, the nearest values just outside it."""
-    count = isinstance(lo, int)
+    """Values within [lo, hi] of a PARAMS entry (hi None: a few steps above lo;
+    an `Open` lo excluded), or, when `outside`, the nearest values just outside it."""
+    count, open_lo = isinstance(lo, int), isinstance(lo, Open)
     if outside:
-        below = lo - 1 if count else math.nextafter(lo, -math.inf)
+        below = lo - 1 if count else float(lo) if open_lo else math.nextafter(lo, -math.inf)
         above = [] if hi is None else [hi + 1 if count else math.nextafter(hi, math.inf)]
         return st.sampled_from([below, *above])
     top = (lo + 5 if count else lo + 100.0) if hi is None else hi
     if count:  # a burst_epoch of 0 to 2 lands within the 3 epochs
         return st.integers(lo, top)
     # A fraud_rate of 1 attempts a fraud every epoch.
-    return st.one_of(st.just(top), st.floats(lo, top, allow_subnormal=True))
+    return st.one_of(st.just(top), st.floats(float(lo), top, exclude_min=open_lo,
+                                             allow_subnormal=True))
 
 
 @st.composite

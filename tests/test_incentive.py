@@ -12,10 +12,9 @@ from pobsim.incentive import (
     find_focal,
     future_loss,
     _focal_arm,
-    _honest_variant,
 )
 from pobsim.metrics import TrialTally
-from pobsim.netsim import run_trial
+from pobsim.netsim import _start_trial, trial_epochs
 
 
 class TestFutureLoss:
@@ -96,50 +95,78 @@ def tiny_ic_config(**kw):
     return ScenarioConfig(**defaults)
 
 
+def burst_focal_config():
+    """A three-member sybil-burst focal entry over [2, 5) that bursts at epoch 2."""
+    burst = StrategySpec("sybil-burst", {"burst_epoch": 2, "fraud_value": 6.0})
+    return tiny_ic_config(epochs=4, trials=1, roster=(RosterEntry(2, 5, burst),))
+
+
+def frauds(config, seed, honest=()):
+    """(epoch, actor, value) of every fraud of a pob trial, `honest` playing honestly."""
+    return {(l.epoch, b.actor, b.base_utility)
+            for (l,) in trial_epochs(config, seed, ("pob",), honest=honest)
+            for b in l.behaviors if b.is_fraud_ground_truth}
+
+
 class TestEmpiricalIc:
     def test_focal_detection(self):
         cfg = tiny_ic_config()
-        focal, idx = find_focal(cfg)
-        assert focal == "v0009" and idx == 9
+        assert find_focal(cfg) == "v0009"
 
     def test_no_deviator_rejected(self):
         with pytest.raises(ValueError):
             find_focal(ScenarioConfig(protocol="pob", n_validators=10))
 
-    def test_honest_variant_replaces_only_focal(self):
+    def test_honest_arm_swaps_only_the_focal(self):
         cfg = tiny_ic_config()
-        honest = _honest_variant(cfg, 9)
-        kinds = {(e.lo, e.hi): e.spec.kind for e in honest.roster}
-        assert kinds == {(9, 10): "honest"}
+        (deviant, _), (honest, _) = (_start_trial(cfg, 5, ("pob",), honest=swap)
+                                     for swap in ((), ("v0009",)))
+        kinds = {vid: (deviant.members[vid][0].kind, honest.members[vid][0].kind)
+                 for vid in cfg.validator_ids()}
+        assert {vid: pair for vid, pair in kinds.items() if pair[0] != pair[1]} == {
+            "v0009": ("stealth", "honest")}
 
-    def test_honest_variant_keeps_the_rest_of_the_focal_entry(self):
+    def test_honest_arm_keeps_the_rest_of_the_focal_entry(self):
         stealth = StrategySpec("stealth", {"fraud_rate": 0.5, "fraud_value": 20.0})
         burst = StrategySpec("sybil-burst", {"burst_epoch": 2, "fraud_value": 6.0})
         cfg = tiny_ic_config(epochs=10, roster=(RosterEntry(2, 5, stealth),
                                                 RosterEntry(7, 9, burst)))
-        focal, idx = find_focal(cfg)
-        assert (focal, idx) == ("v0002", 2)
-        honest = _honest_variant(cfg, idx)
-        assert honest.roster == (RosterEntry(2, 3, StrategySpec("honest")),
-                                 RosterEntry(3, 5, stealth), RosterEntry(7, 9, burst))
-
-        def frauds(config):
-            return {(l.epoch, b.actor, b.base_utility) for l in run_trial(config, 5, "pob")
-                    for b in l.behaviors if b.is_fraud_ground_truth}
-
-        deviant = frauds(cfg)
+        assert find_focal(cfg) == "v0002"
+        deviant = frauds(cfg, 5)
         # Only the focal stops: its entry's other members and the burst fraud as before.
         assert {actor for _, actor, _ in deviant} == {"v0002", "v0003", "v0004", "v0007",
                                                       "v0008"}
-        assert frauds(honest) == {f for f in deviant if f[1] != "v0002"}
+        assert frauds(cfg, 5, honest=("v0002",)) == {f for f in deviant if f[1] != "v0002"}
+
+    def test_honest_arm_keeps_the_focal_coalitions_fraud_split(self):
+        # The coalition still has three members when its first plays honestly,
+        # so the other two still split fraud_value 6 three ways.
+        cfg = burst_focal_config()
+        assert find_focal(cfg) == "v0002"
+        assert frauds(cfg, 3) == {(2, vid, -2.0) for vid in ("v0002", "v0003", "v0004")}
+        assert frauds(cfg, 3, honest=("v0002",)) == {(2, "v0003", -2.0), (2, "v0004", -2.0)}
+
+    def test_honest_arm_keeps_the_focal_coalitions_votes(self):
+        # On a committee, the focal's coalition still acquits it (votes not
+        # guilty) in the honest arm, and still tries to convict everyone else.
+        state, _ = _start_trial(burst_focal_config(), 3, ("pob",), honest=("v0002",))
+        strategy = {vid: member[0] for vid, member in state.members.items()}
+        assert not hasattr(strategy["v0002"], "committee_vote")  # the honest vote model
+        votes = [strategy[voter].committee_vote(subject) for voter in ("v0003", "v0004")
+                 for subject in ("v0002", "v0003", "v0009")]
+        assert votes == [False, False, True] * 2  # True: guilty
 
     def test_identical_policies_identical_payoffs(self):
-        # the honest twin of an honest validator is the same simulation
+        # The honest arm of a one-member entry is the run with that entry made
+        # honest, and making an honest validator honest changes nothing.
         cfg = tiny_ic_config()
-        honest = _honest_variant(cfg, 9)
-        a = run_trial(honest, 5, protocol="pob")
-        b = run_trial(_honest_variant(honest, 9), 5, protocol="pob")
-        assert [(l.roster, l.pool_split) for l in a] == [(l.roster, l.pool_split) for l in b]
+        honest_cfg = tiny_ic_config(roster=(RosterEntry(9, 10, StrategySpec("honest")),))
+
+        def arm(config, honest=()):
+            return [(l.roster, l.pool_split)
+                    for (l,) in trial_epochs(config, 5, ("pob",), honest=honest)]
+
+        assert arm(cfg, ("v0009",)) == arm(honest_cfg) == arm(honest_cfg, ("v0009",))
 
     def test_report_shape_and_direction(self):
         report = empirical_ic(tiny_ic_config(), discount=0.9)
@@ -162,11 +189,12 @@ class TestEmpiricalIc:
             empirical_ic(tiny_ic_config(), discount=1.0)
 
 
-def reference_arm(config, seed, focal):
+def reference_arm(config, seed, focal, honest):
     """The focal's payoffs and fraud outcomes from the full ledger list: a scan of
     every paid validator per epoch, then the focal's accepted frauds from a
     tally of every ledger. `_focal_arm` streams the trial instead."""
-    ledgers = run_trial(config, seed, protocol="pob")
+    ledgers = [l for (l,) in trial_epochs(config, seed, ("pob",),
+                                          honest=(focal,) if honest else ())]
     payoffs = [0.0] * config.epochs
     tally = TrialTally(config, "pob")
     for ledger in ledgers:
@@ -189,9 +217,9 @@ def unpaid_epochs(ledgers, focal):
 class TestFocalArm:
     """`_focal_arm` adds the same floats in the same order as the list logic."""
 
-    def assert_same_arm(self, config, seed, focal):
-        payoffs, outcomes = _focal_arm(config, seed, focal)
-        ref_payoffs, ref_outcomes, ledgers = reference_arm(config, seed, focal)
+    def assert_same_arm(self, config, seed, focal, honest=False):
+        payoffs, outcomes = _focal_arm(config, seed, focal, honest)
+        ref_payoffs, ref_outcomes, ledgers = reference_arm(config, seed, focal, honest)
         assert list(map(float.hex, payoffs)) == list(map(float.hex, ref_payoffs))
         assert outcomes == ref_outcomes
         return outcomes, ledgers
@@ -202,13 +230,13 @@ class TestFocalArm:
         assert {o.accepted for o in outcomes} == {True, False}
 
     def test_focal_left_unpaid_by_the_activity_threshold(self):
-        cfg = _honest_variant(tiny_ic_config(activity_threshold=1.3), 9)
-        _, ledgers = self.assert_same_arm(cfg, 3, "v0009")
+        cfg = tiny_ic_config(activity_threshold=1.3)
+        _, ledgers = self.assert_same_arm(cfg, 3, "v0009", honest=True)
         assert 0 < unpaid_epochs(ledgers, "v0009") < cfg.epochs
 
     def test_adaptive_sybil_focal_retired_mid_trial(self):
         cfg = tiny_ic_config(roster=(RosterEntry(8, 10, StrategySpec("adaptive-sybil")),))
-        focal, _ = find_focal(cfg)
+        focal = find_focal(cfg)
         _, ledgers = self.assert_same_arm(cfg, 3, focal)
         on_roster = [focal in l.roster for l in ledgers]
         assert on_roster[0] and not on_roster[-1]
